@@ -15,7 +15,13 @@ import tempfile
 
 import numpy as np
 
-from repro.md.io import read_xyz, resume_simulation, save_checkpoint, write_xyz
+from repro.ckpt import (
+    load_checkpoint,
+    resize_checkpoint,
+    restore_simulation,
+    save_checkpoint,
+)
+from repro.md.io import read_xyz, write_xyz
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.md.thermostat import BerendsenThermostat, maxwell_boltzmann, temperature
@@ -63,10 +69,12 @@ def main() -> None:
                 f"max move = {sim.records[-1].max_move:.4f}"
             )
 
-        # checkpoint, then restart on a different process count
-        ckpt = f"{tmp}/state.npz"
-        save_checkpoint(ckpt, sim)
-        resumed = resume_simulation(ckpt, Machine(12), cfg)
+        # checkpoint, then restart on a different process count: one fused
+        # exchange moves every checkpointed column onto the 12-rank layout
+        path = f"{tmp}/state.ckpt.ndjson"
+        save_checkpoint(sim, path, thermostat=thermo)
+        resized, _plan = resize_checkpoint(load_checkpoint(path), 12)
+        resumed = restore_simulation(resized)
         resumed.run(1)
         print(
             f"\nresumed at P=12 from step {resumed.step_index - 1}; "

@@ -202,6 +202,15 @@ class Checkpoint:
         from repro.md.simulation import SimulationConfig
 
         fields = dict(self.config)
+        # retired knob: checkpoints written before its removal carry it; the
+        # fused exchange it defaulted to is now the only resort path
+        if not fields.pop("fuse_resort", True):
+            raise ValueError(
+                "checkpoint was written with the retired SimulationConfig field "
+                "fuse_resort=False; the per-column resort path no longer exists. "
+                "Trajectories are identical on the fused path: delete the field "
+                "from the checkpoint's config record to continue there"
+            )
         fields["solver_kwargs"] = copy.deepcopy(fields.get("solver_kwargs", {}))
         fields["balance_phases"] = tuple(fields.get("balance_phases", ()))
         return SimulationConfig(perturbation=perturbation, **fields)

@@ -226,9 +226,7 @@ class FCS:
             report = self._solver.run(
                 particles, resort=self._resort_requested, max_move=self._max_move
             )
-        obs = self.machine.obs
-        if obs is not None:
-            obs.metrics.counter("solver.runs", solver=self.method).inc()
+        self.machine.count("solver.runs", solver=self.method)
         self._last_report = report
         self._max_move = None  # a bound holds for one run only
         return report
@@ -282,9 +280,7 @@ class FCS:
             comm=report.comm,
         ):
             plan.stats.cache_hits += 1
-            self.machine.trace.bump("resort_plan.cache_hits")
-            if self.machine.obs is not None:
-                self.machine.obs.metrics.counter("resort_plan.cache_hits").inc()
+            self.machine.count("resort_plan.cache_hits")
             return plan
         if plan is not None:
             self._retired_plan_stats = self._retired_plan_stats.merged(plan.stats)

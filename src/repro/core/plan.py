@@ -264,11 +264,7 @@ class ResortPlan:
         self._total_new = int(sum(self.new_counts))
 
         self.stats.compiles += 1
-        machine.trace.bump("resort_plan.compiles")
-        if machine.obs is not None:
-            machine.obs.metrics.counter("resort_plan.compiles").inc()
-        if machine.auditor is not None and hasattr(machine.auditor, "observe_plan_compile"):
-            machine.auditor.observe_plan_compile(COMPILE_PHASE)
+        machine.count("resort_plan.compiles")
 
     # -- schedule compilation -----------------------------------------------------
 
@@ -557,13 +553,9 @@ class ResortPlan:
         )
         machine.copy(unpack_bytes, phase)
 
-        moved = self._moved_rows * record_bytes
-        self._count_execution(len(cols), moved)
-        auditor = machine.auditor
-        if auditor is not None and hasattr(auditor, "observe_plan_execution"):
-            auditor.observe_plan_execution(
-                phase, self._inter_messages, moved, len(cols)
-            )
+        self._count_execution(
+            phase, len(cols), self._inter_messages, self._moved_rows * record_bytes
+        )
         return out
 
     def _execute_reference(
@@ -637,37 +629,29 @@ class ResortPlan:
             unpack_bytes[dst] = float(n) * record_bytes
         machine.copy(unpack_bytes, phase)
 
-        moved = sum(
-            int((e - s)) * record_bytes
-            for r in range(P)
-            for dst, s, e in self._segments[r]
-            if dst != r
+        inter = [
+            e - s for r in range(P) for dst, s, e in self._segments[r] if dst != r
+        ]
+        self._count_execution(
+            phase, len(cols), len(inter), int(sum(inter)) * record_bytes
         )
-        self._count_execution(len(cols), moved)
-        auditor = machine.auditor
-        if auditor is not None and hasattr(auditor, "observe_plan_execution"):
-            messages = sum(
-                1 for r in range(P) for dst, _s, _e in self._segments[r] if dst != r
-            )
-            auditor.observe_plan_execution(phase, messages, moved, len(cols))
         return out
 
-    def _count_execution(self, ncols: int, moved: int) -> None:
-        """Report one fused execution into plan stats, trace counters and
-        (when attached) the observability metrics registry."""
+    def _count_execution(
+        self, phase: str, ncols: int, messages: int, moved: int
+    ) -> None:
+        """Report one fused execution: plan stats, the machine's event
+        counters, and the plan's self-computed inter-rank totals for an
+        attached auditor's ``plan-accounting`` cross-check."""
         machine = self.machine
         self.stats.executions += 1
         self.stats.fused_columns += ncols
         self.stats.bytes_moved += moved
-        machine.trace.bump("resort_plan.executions")
-        machine.trace.bump("resort_plan.fused_columns", ncols)
-        machine.trace.bump("resort_plan.bytes_moved", moved)
-        obs = machine.obs
-        if obs is not None:
-            m = obs.metrics
-            m.counter("resort_plan.executions").inc()
-            m.counter("resort_plan.fused_columns").inc(ncols)
-            m.counter("resort_plan.bytes_moved").inc(moved)
+        machine.count("resort_plan.executions")
+        machine.count("resort_plan.fused_columns", ncols)
+        machine.count("resort_plan.bytes_moved", moved)
+        if machine.auditor is not None:
+            machine.auditor.observe_plan_execution(phase, messages, moved)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

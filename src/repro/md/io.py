@@ -1,25 +1,19 @@
-"""Trajectory and checkpoint I/O.
+"""Trajectory I/O.
 
-Adoption-grade conveniences for the coupled simulation:
-
-* :func:`write_xyz` / :func:`read_xyz` — extended-XYZ snapshots (one
-  species letter per charge sign, positions, optional velocities), the
-  format every MD visualizer understands;
-* :func:`save_checkpoint` / :func:`load_checkpoint` — lossless ``.npz``
-  checkpoints of a running :class:`~repro.md.simulation.Simulation`
-  (id-ordered global state) that can be restarted on a machine with a
-  *different* process count — the redistribution machinery makes the
-  layout a free choice.
+:func:`write_xyz` / :func:`read_xyz` — extended-XYZ snapshots (one species
+letter per charge sign, positions, optional velocities), the format every
+MD visualizer understands.  Checkpoint/restart, including restarting on a
+*different* process count, lives in :mod:`repro.ckpt`.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["write_xyz", "read_xyz", "save_checkpoint", "load_checkpoint"]
+__all__ = ["write_xyz", "read_xyz"]
 
 
 def write_xyz(
@@ -67,57 +61,3 @@ def read_xyz(path: str, frame: int = 0):
     if rows and len(rows[0]) >= 7:
         vel = np.asarray([[float(v) for v in r[4:7]] for r in rows])
     return pos, q, vel, comment
-
-
-def save_checkpoint(path: str, sim) -> None:
-    """Save a simulation's id-ordered global state as ``.npz``."""
-    state = sim.gather_state()
-    vel = state["vel"]
-    acc_by_id = np.concatenate(sim.acc)[np.argsort(np.concatenate(sim.ids))]
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    np.savez_compressed(
-        path,
-        pos=state["pos"],
-        vel=vel,
-        acc=acc_by_id,
-        q=state["q"],
-        box=sim.system.box,
-        offset=sim.system.offset,
-        step_index=sim.step_index,
-        dt=sim.config.dt,
-    )
-
-
-def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
-    """Load a checkpoint into a plain dict (see :func:`resume_simulation`)."""
-    with np.load(path) as data:
-        return {k: data[k] for k in data.files}
-
-
-def resume_simulation(
-    path: str,
-    machine,
-    config=None,
-):
-    """Reconstruct a :class:`Simulation` from a checkpoint.
-
-    The process count of ``machine`` may differ from the saving run's — the
-    state is global and gets redistributed on the first solver execution.
-    """
-    from repro.md.simulation import Simulation, SimulationConfig
-    from repro.md.systems import ParticleSystem
-
-    data = load_checkpoint(path)
-    system = ParticleSystem(
-        pos=data["pos"],
-        q=data["q"],
-        vel=data["vel"],
-        box=data["box"],
-        offset=data["offset"],
-    )
-    config = config or SimulationConfig(dt=float(data["dt"]))
-    sim = Simulation(machine, system, config)
-    # re-seed the application-side arrays from the checkpoint (distribute()
-    # already split pos/q/vel consistently via the system object)
-    sim.step_index = int(data["step_index"])
-    return sim

@@ -65,11 +65,6 @@ class SimulationConfig:
     #: the A-vs-B choice (an extension beyond the paper: the application
     #: trials both redistribution methods online and keeps the cheaper one)
     adapt_every: int = 25
-    #: redistribute velocities, accelerations and ids in one fused
-    #: plan-based exchange (the default); ``False`` issues one exchange per
-    #: column through the same plan engine — the A/B knob behind the resort
-    #: benchmarks
-    fuse_resort: bool = True
     #: optional :class:`~repro.simmpi.chaos.Perturbation` applied to the
     #: machine before any cost is charged (the DST chaos harness); ``None``
     #: leaves the machine untouched
@@ -595,20 +590,12 @@ class Simulation:
         particle order and distribution.
 
         The plan compiled from the run's resort indices is cached on the
-        handle, so across unchanged time steps only the data exchanges
-        remain.  With ``fuse_resort`` (the default) the six float columns
-        and the ids travel in ONE fused exchange; with it disabled each
-        column gets its own exchange (the legacy per-array traffic pattern,
-        kept for A/B benchmarking)."""
-        plan = self.fcs.resort_plan()
-        if self.config.fuse_resort:
-            self.vel, self.acc, self.ids = self.fcs.resort(
-                (self.vel, self.acc, self.ids), plan=plan
-            )
-        else:
-            self.vel = self.fcs.resort(self.vel, plan=plan)
-            self.acc = self.fcs.resort(self.acc, plan=plan)
-            self.ids = self.fcs.resort(self.ids, plan=plan)
+        handle, so across unchanged time steps only the data exchange
+        remains: the six float columns and the ids travel in ONE fused
+        exchange."""
+        self.vel, self.acc, self.ids = self.fcs.resort(
+            (self.vel, self.acc, self.ids), plan=self.fcs.resort_plan()
+        )
 
     # -- observables -----------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 Every cost the :class:`~repro.simmpi.machine.Machine` charges — clock
 advances, collectives, point-to-point rounds, SPMD sends/receives — emits a
 :class:`Span` into a bounded per-rank ring buffer when an
-:class:`ObsRecorder` is attached (``machine.obs``, mirroring the
-``machine.auditor`` attachment pattern).  Higher layers add *section* spans
+:class:`ObsRecorder` is attached (``machine.obs``, the second listener of
+the charge funnel beside ``machine.auditor``).  Higher layers add *section* spans
 (solver runs, simulation steps, plan compiles/executions) and *mark* spans
 (balance triggers), giving the flat charge stream a tree structure.
 
@@ -32,9 +32,12 @@ Span taxonomy
 ``kind="mark"``
     An instantaneous event (zero duration), e.g. a balance trigger.
 
-The recorder is **opt-in and cost-free when absent**: every hot-path hook is
-an ``is not None`` check, so a run without a recorder is byte-identical to a
-run on a build without the observability layer at all.
+The recorder is **opt-in and cost-free when absent**: it is a listener of
+the machine's charge funnel (:meth:`Machine.commit
+<repro.simmpi.machine.Machine.commit>` / :meth:`Machine.count
+<repro.simmpi.machine.Machine.count>`), the only code that calls the hooks
+below, so a run without a recorder is byte-identical to a run on a build
+without the observability layer at all.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ class ObsRecorder:
     def _parent(self) -> int:
         return self._stack[-1] if self._stack else ROOT_SPAN
 
-    # -- charge hooks (called by simmpi hot paths) -----------------------------
+    # -- funnel listener hooks (called by Machine.commit / Machine.count) ------
 
     def on_charge(
         self,
@@ -200,12 +203,7 @@ class ObsRecorder:
                             time=float(delta),
                         ),
                     )
-        m = self.metrics
-        if messages:
-            m.counter("comm.messages", phase=label).inc(messages)
-        if nbytes:
-            m.counter("comm.bytes", phase=label).inc(nbytes)
-            m.histogram("comm.payload_nbytes").observe(nbytes)
+        self._count_traffic(label, messages, nbytes)
 
     def on_rank_charge(
         self,
@@ -254,12 +252,20 @@ class ObsRecorder:
                     time=rank_t_end - rank_t_start,
                 ),
             )
+        self._count_traffic(label, messages, nbytes)
+
+    def _count_traffic(self, label: str, messages: int, nbytes: int) -> None:
         m = self.metrics
         if messages:
             m.counter("comm.messages", phase=label).inc(messages)
         if nbytes:
             m.counter("comm.bytes", phase=label).inc(nbytes)
             m.histogram("comm.payload_nbytes").observe(nbytes)
+
+    def on_count(self, name: str, value: int, labels: Dict[str, Any]) -> None:
+        """Mirror one :meth:`Machine.count
+        <repro.simmpi.machine.Machine.count>` event into the registry."""
+        self.metrics.counter(name, **labels).inc(value)
 
     # -- structural spans ------------------------------------------------------
 

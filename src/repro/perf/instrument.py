@@ -13,8 +13,8 @@ kernel timers
     flag check.
 
 wall-phase attribution
-    While a :func:`wall_phases` block is active, every
-    :meth:`Machine.advance <repro.simmpi.machine.Machine.advance>` attributes
+    While a :func:`wall_phases` block is active, every charge
+    (:meth:`Machine.commit <repro.simmpi.machine.Machine.commit>`) attributes
     the host nanoseconds elapsed since the machine's previous charge point
     to the charged phase label, via :meth:`Trace.record_wall
     <repro.simmpi.tracing.Trace.record_wall>`.  Every simulated phase then

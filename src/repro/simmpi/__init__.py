@@ -41,7 +41,7 @@ from repro.simmpi.topology import (
     Topology,
     TorusTopology,
 )
-from repro.simmpi.tracing import PhaseTimer, Trace
+from repro.simmpi.tracing import Trace
 from repro.simmpi.cart import CartGrid, dims_create
 from repro.simmpi.spmd import SPMDContext, SPMDDeadlock, run_spmd
 
@@ -57,7 +57,6 @@ __all__ = [
     "Machine",
     "MailboxScheduler",
     "Perturbation",
-    "PhaseTimer",
     "SPMDContext",
     "SPMDDeadlock",
     "SwitchTopology",

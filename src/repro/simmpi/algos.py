@@ -70,7 +70,6 @@ __all__ = [
     "CollectiveAlgos",
     "parse_algos",
     "resolve",
-    "record_choice",
     "alltoallv_staged",
     "allgatherv_staged",
     "allreduce_staged",
@@ -229,18 +228,6 @@ def _ceil_log2(nprocs: int) -> int:
 # -- accounting ---------------------------------------------------------------
 
 
-def record_choice(machine: Machine, collective: str, algo: str) -> None:
-    """Record the (possibly auto-resolved) algorithm chosen for one call."""
-    auditor = machine.auditor
-    if auditor is not None and hasattr(auditor, "count_algo_call"):
-        auditor.count_algo_call(collective, algo)
-    obs = machine.obs
-    if obs is not None:
-        obs.metrics.counter(
-            "comm.algo.calls", collective=collective, algo=algo
-        ).inc()
-
-
 def _begin_staged(
     machine: Machine,
     collective: str,
@@ -256,24 +243,16 @@ def _begin_staged(
     :func:`_scope`, and the ``collective-algo-accounting`` invariant
     asserts the two agree exactly.
     """
-    auditor = machine.auditor
-    if auditor is not None and hasattr(auditor, "observe_algo_collective"):
-        auditor.observe_algo_collective(collective, algo, phase, messages, nbytes)
-    obs = machine.obs
-    if obs is not None:
-        obs.metrics.counter(
-            "comm.algo.messages", collective=collective, algo=algo
-        ).inc(messages)
-        obs.metrics.counter(
-            "comm.algo.bytes", collective=collective, algo=algo
-        ).inc(nbytes)
+    if machine.auditor is not None:
+        machine.auditor.observe_algo_collective(collective, algo, phase, messages, nbytes)
+    machine.count("comm.algo.messages", messages, collective=collective, algo=algo)
+    machine.count("comm.algo.bytes", nbytes, collective=collective, algo=algo)
 
 
 def _scope(machine: Machine):
-    auditor = machine.auditor
-    if auditor is None or not hasattr(auditor, "algo_scope"):
+    if machine.auditor is None:
         return contextlib.nullcontext()
-    return auditor.algo_scope()
+    return machine.auditor.algo_scope()
 
 
 # -- auto selection -----------------------------------------------------------

@@ -49,6 +49,7 @@ received payload as read-only and copy before writing.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,20 +96,29 @@ def _validate_sends(nprocs: int, sends: Sequence[Dict[int, Payload]]) -> None:
                 raise ValueError(f"rank {src} sends to invalid rank {dst}")
 
 
-def _algo_for(machine: Machine, collective: str) -> Optional[str]:
-    """The configured non-direct algorithm for ``collective``, or ``None``.
+def _staged_engine(machine: Machine, collective: str, **sizing):
+    """The staged engine this ``collective`` call must run, bound to its
+    resolved algorithm — or ``None`` for the closed-form ``direct`` path.
 
-    ``None`` keeps the historical closed-form path (and is the only
-    possibility when no :class:`~repro.simmpi.algos.CollectiveAlgos` is
-    attached, or on a single-rank machine where no algorithm stages any
-    message).  The returned name may still be ``"auto"``; the caller
-    resolves it per call.
+    ``None`` is the only possibility when no
+    :class:`~repro.simmpi.algos.CollectiveAlgos` is attached, or on a
+    single-rank machine where no algorithm stages any message.  ``sizing``
+    is what ``auto`` resolves from (``sends=`` or ``nbytes=``); every
+    resolution, including ``auto`` falling back to ``direct``, is counted.
     """
     algos = machine.collective_algos
     if algos is None or machine.nprocs == 1:
         return None
     algo = getattr(algos, collective)
-    return None if algo == "direct" else algo
+    if algo == "direct":
+        return None
+    from repro.simmpi import algos as engines
+
+    algo = engines.resolve(machine, collective, algo, **sizing)
+    machine.count("comm.algo.calls", collective=collective, algo=algo)
+    if algo == "direct":
+        return None
+    return functools.partial(getattr(engines, f"{collective}_staged"), algo=algo)
 
 
 def _charge_alltoall(
@@ -244,16 +254,9 @@ def alltoallv(
     if len(sends) != machine.nprocs:
         raise ValueError(f"sends has {len(sends)} entries, machine has {machine.nprocs} ranks")
     _validate_sends(machine.nprocs, sends)
-    algo = _algo_for(machine, "alltoallv")
-    if algo is not None:
-        from repro.simmpi import algos as _algos
-
-        resolved = _algos.resolve(machine, "alltoallv", algo, sends=sends)
-        _algos.record_choice(machine, "alltoallv", resolved)
-        if resolved != "direct":
-            return _algos.alltoallv_staged(
-                machine, sends, phase, count_exchange=count_exchange, algo=resolved
-            )
+    staged = _staged_engine(machine, "alltoallv", sends=sends)
+    if staged is not None:
+        return staged(machine, sends, phase, count_exchange=count_exchange)
     if machine.auditor is not None:
         machine.auditor.observe_alltoallv(sends, phase, count_exchange)
     _charge_alltoall(machine, sends, phase, count_exchange)
@@ -291,24 +294,18 @@ def allgatherv(
         raise ValueError(f"{len(contributions)} contributions for {P} ranks")
     arrays = [np.ascontiguousarray(a) for a in contributions]
     total_bytes = float(sum(a.nbytes for a in arrays))
-    algo = _algo_for(machine, "allgatherv")
-    if algo is not None:
-        from repro.simmpi import algos as _algos
-
-        resolved = _algos.resolve(machine, "allgatherv", algo, nbytes=total_bytes)
-        _algos.record_choice(machine, "allgatherv", resolved)
-        if resolved != "direct":
-            return _algos.allgatherv_staged(machine, arrays, phase, resolved)
+    staged = _staged_engine(machine, "allgatherv", nbytes=total_bytes)
+    if staged is not None:
+        return staged(machine, arrays, phase)
     machine.synchronize()
     t = machine.model.tree_collective_time(P, 0.0, machine.topology.diameter())
     t += (P - 1) / max(P, 1) * total_bytes / machine.model.bandwidth if P > 1 else 0.0
     t *= machine.comm_factor()
     t += float(machine.model.copy_time(total_bytes))
-    if machine.auditor is not None:
-        machine.auditor.observe_collective(
-            phase, max(0, P - 1) * 1, int(total_bytes) * max(0, P - 1)
-        )
-    machine.advance(t, phase, messages=max(0, P - 1) * 1, nbytes=int(total_bytes) * max(0, P - 1), op="allgatherv")
+    machine.collective(
+        t, phase, messages=max(0, P - 1), nbytes=int(total_bytes) * max(0, P - 1),
+        op="allgatherv",
+    )
     gathered = np.concatenate(arrays) if arrays else np.empty(0)
     return [gathered.copy() for _ in range(P)] if P > 1 else [gathered]
 
@@ -326,9 +323,10 @@ def allgather_scalars(
     machine.synchronize()
     t = machine.model.tree_collective_time(P, 8.0 * P, machine.topology.diameter())
     t *= machine.comm_factor()
-    if machine.auditor is not None:
-        machine.auditor.observe_collective(phase, 2 * max(0, P - 1), 8 * P * max(0, P - 1))
-    machine.advance(t, phase, messages=2 * max(0, P - 1), nbytes=8 * P * max(0, P - 1), op="allgather")
+    machine.collective(
+        t, phase, messages=2 * max(0, P - 1), nbytes=8 * P * max(0, P - 1),
+        op="allgather",
+    )
     return vals.copy()
 
 
@@ -372,34 +370,21 @@ def allreduce(
         item_bytes = float(stacked[0].nbytes)
     else:
         item_bytes = float(np.asarray(values[0], dtype=np.float64).nbytes)
-    algo = _algo_for(machine, "allreduce")
-    if algo is not None:
-        from repro.simmpi import algos as _algos
-
-        resolved = _algos.resolve(machine, "allreduce", algo, nbytes=item_bytes)
-        _algos.record_choice(machine, "allreduce", resolved)
-        if resolved != "direct":
-            # the staged engine only models (and really ships) the traffic;
-            # the result stays the canonical rank-ordered reduction above,
-            # because a tree reduction would reassociate float sums
-            vecs = [
-                np.ascontiguousarray(np.atleast_1d(stacked[i])) for i in range(P)
-            ]
-            _algos.allreduce_staged(
-                machine, vecs, np.ascontiguousarray(np.atleast_1d(result)),
-                phase, resolved,
-            )
-            if result.ndim == 0:
-                return result[()] if int_exact else float(result)
-            return result
-    machine.synchronize()
-    t = machine.model.tree_collective_time(P, item_bytes, machine.topology.diameter())
-    t *= machine.comm_factor()
-    if machine.auditor is not None:
-        machine.auditor.observe_collective(
-            phase, 2 * max(0, P - 1), int(item_bytes) * 2 * max(0, P - 1)
+    staged = _staged_engine(machine, "allreduce", nbytes=item_bytes)
+    if staged is not None:
+        # the staged engine only models (and really ships) the traffic;
+        # the result stays the canonical rank-ordered reduction above,
+        # because a tree reduction would reassociate float sums
+        vecs = [np.ascontiguousarray(np.atleast_1d(stacked[i])) for i in range(P)]
+        staged(machine, vecs, np.ascontiguousarray(np.atleast_1d(result)), phase)
+    else:
+        machine.synchronize()
+        t = machine.model.tree_collective_time(P, item_bytes, machine.topology.diameter())
+        t *= machine.comm_factor()
+        machine.collective(
+            t, phase, messages=2 * max(0, P - 1),
+            nbytes=int(item_bytes) * 2 * max(0, P - 1), op="allreduce",
         )
-    machine.advance(t, phase, messages=2 * max(0, P - 1), nbytes=int(item_bytes) * 2 * max(0, P - 1), op="allreduce")
     if result.ndim == 0:
         return result[()] if int_exact else float(result)
     return result
@@ -415,21 +400,19 @@ def bcast(
     machine.check_rank(root)
     P = machine.nprocs
     arr = np.asarray(value)
-    algo = _algo_for(machine, "bcast")
-    if algo is not None:
-        from repro.simmpi import algos as _algos
-
-        resolved = _algos.resolve(machine, "bcast", algo, nbytes=float(arr.nbytes))
-        _algos.record_choice(machine, "bcast", resolved)
-        if resolved != "direct":
-            _algos.bcast_staged(machine, arr, root, phase, resolved)
-            return [np.array(arr, copy=True) if arr.ndim else value for _ in range(P)]
-    machine.synchronize()
-    t = machine.model.tree_collective_time(P, float(arr.nbytes), machine.topology.diameter())
-    t *= machine.comm_factor()
-    if machine.auditor is not None:
-        machine.auditor.observe_collective(phase, max(0, P - 1), arr.nbytes * max(0, P - 1))
-    machine.advance(t, phase, messages=max(0, P - 1), nbytes=arr.nbytes * max(0, P - 1), op="bcast")
+    staged = _staged_engine(machine, "bcast", nbytes=float(arr.nbytes))
+    if staged is not None:
+        staged(machine, arr, root, phase)
+    else:
+        machine.synchronize()
+        t = machine.model.tree_collective_time(
+            P, float(arr.nbytes), machine.topology.diameter()
+        )
+        t *= machine.comm_factor()
+        machine.collective(
+            t, phase, messages=max(0, P - 1), nbytes=arr.nbytes * max(0, P - 1),
+            op="bcast",
+        )
     return [np.array(arr, copy=True) if arr.ndim else value for _ in range(P)]
 
 
@@ -446,36 +429,27 @@ def gatherv(
         raise ValueError(f"{len(contributions)} contributions for {P} ranks")
     arrays = [np.ascontiguousarray(a) for a in contributions]
     total_bytes = float(sum(a.nbytes for i, a in enumerate(arrays) if i != root))
-    algo = _algo_for(machine, "gatherv")
-    if algo is not None:
-        from repro.simmpi import algos as _algos
-
-        resolved = _algos.resolve(machine, "gatherv", algo, nbytes=total_bytes)
-        _algos.record_choice(machine, "gatherv", resolved)
-        if resolved != "direct":
-            _algos.gatherv_staged(machine, arrays, root, phase, resolved)
-            result = [
-                np.empty((0,) + arrays[0].shape[1:], dtype=arrays[0].dtype)
-                for _ in range(P)
-            ]
-            result[root] = np.concatenate(arrays) if arrays else np.empty(0)
-            return result
-    machine.synchronize()
-    # root serializes P-1 receives; senders each pay one message
-    model = machine.model
-    per_rank = np.zeros(P)
-    hops = machine.topology.hops(np.full(P, root), np.arange(P))
-    for i, a in enumerate(arrays):
-        if i == root:
-            continue
-        per_rank[i] += float(model.msg_time(hops[i], a.nbytes)) * machine.comm_factor(root, i)
-    per_rank[root] += (
-        model.overhead * (P - 1) + total_bytes / model.bandwidth
-    ) * machine.comm_factor(root)
-    per_rank[root] += float(model.copy_time(total_bytes))
-    if machine.auditor is not None:
-        machine.auditor.observe_collective(phase, max(0, P - 1), int(total_bytes))
-    machine.advance(per_rank, phase, messages=max(0, P - 1), nbytes=int(total_bytes), op="gatherv")
+    staged = _staged_engine(machine, "gatherv", nbytes=total_bytes)
+    if staged is not None:
+        staged(machine, arrays, root, phase)
+    else:
+        machine.synchronize()
+        # root serializes P-1 receives; senders each pay one message
+        model = machine.model
+        per_rank = np.zeros(P)
+        hops = machine.topology.hops(np.full(P, root), np.arange(P))
+        for i, a in enumerate(arrays):
+            if i == root:
+                continue
+            per_rank[i] += float(model.msg_time(hops[i], a.nbytes)) * machine.comm_factor(root, i)
+        per_rank[root] += (
+            model.overhead * (P - 1) + total_bytes / model.bandwidth
+        ) * machine.comm_factor(root)
+        per_rank[root] += float(model.copy_time(total_bytes))
+        machine.collective(
+            per_rank, phase, messages=max(0, P - 1), nbytes=int(total_bytes),
+            op="gatherv",
+        )
     result = [np.empty((0,) + arrays[0].shape[1:], dtype=arrays[0].dtype) for _ in range(P)]
     result[root] = np.concatenate(arrays) if arrays else np.empty(0)
     return result
@@ -499,30 +473,26 @@ def scatterv(
         raise ValueError(f"{len(parts)} parts for {P} ranks")
     arrays = [np.ascontiguousarray(a) for a in parts]
     total_bytes = float(sum(a.nbytes for i, a in enumerate(arrays) if i != root))
-    algo = _algo_for(machine, "scatterv")
-    if algo is not None:
-        from repro.simmpi import algos as _algos
-
-        resolved = _algos.resolve(machine, "scatterv", algo, nbytes=total_bytes)
-        _algos.record_choice(machine, "scatterv", resolved)
-        if resolved != "direct":
-            _algos.scatterv_staged(machine, arrays, root, phase, resolved)
-            return [a.copy() for a in arrays]
-    machine.synchronize()
-    model = machine.model
-    per_rank = np.zeros(P)
-    hops = machine.topology.hops(np.full(P, root), np.arange(P))
-    per_rank[root] += (
-        model.overhead * (P - 1) + total_bytes / model.bandwidth
-    ) * machine.comm_factor(root)
-    per_rank[root] += float(model.copy_time(total_bytes))
-    for i, a in enumerate(arrays):
-        if i == root:
-            continue
-        per_rank[i] += float(model.msg_time(hops[i], a.nbytes)) * machine.comm_factor(root, i)
-        # receivers cannot finish before the root has pushed everything out
-        per_rank[i] = max(per_rank[i], per_rank[root])
-    if machine.auditor is not None:
-        machine.auditor.observe_collective(phase, max(0, P - 1), int(total_bytes))
-    machine.advance(per_rank, phase, messages=max(0, P - 1), nbytes=int(total_bytes), op="scatterv")
+    staged = _staged_engine(machine, "scatterv", nbytes=total_bytes)
+    if staged is not None:
+        staged(machine, arrays, root, phase)
+    else:
+        machine.synchronize()
+        model = machine.model
+        per_rank = np.zeros(P)
+        hops = machine.topology.hops(np.full(P, root), np.arange(P))
+        per_rank[root] += (
+            model.overhead * (P - 1) + total_bytes / model.bandwidth
+        ) * machine.comm_factor(root)
+        per_rank[root] += float(model.copy_time(total_bytes))
+        for i, a in enumerate(arrays):
+            if i == root:
+                continue
+            per_rank[i] += float(model.msg_time(hops[i], a.nbytes)) * machine.comm_factor(root, i)
+            # receivers cannot finish before the root has pushed everything out
+            per_rank[i] = max(per_rank[i], per_rank[root])
+        machine.collective(
+            per_rank, phase, messages=max(0, P - 1), nbytes=int(total_bytes),
+            op="scatterv",
+        )
     return [a.copy() for a in arrays]

@@ -73,13 +73,16 @@ class Machine:
         self.nominal_model = self.model
         self.clocks = np.zeros(self.nprocs, dtype=np.float64)
         self.trace = Trace()
-        #: optional :class:`~repro.verify.audit.CommAuditor` observing every
-        #: communication primitive (attach via ``repro.verify.enable_auditing``)
+        #: the two listeners of the charge funnel (:meth:`commit`,
+        #: :meth:`count`), read at every notification so either can be
+        #: attached or detached mid-run; with both ``None`` a charge copies
+        #: no clock vector and calls nothing beyond the trace.
+        #: optional :class:`~repro.verify.audit.CommAuditor` (attach via
+        #: ``repro.verify.enable_auditing``); the communication primitives
+        #: additionally hand it their raw send tables before charging
         self.auditor = None
         #: optional :class:`~repro.obs.spans.ObsRecorder` receiving a span
-        #: for every charge (attach via ``repro.obs.enable_observability``);
-        #: ``None`` keeps every hot path byte-identical to an uninstrumented
-        #: build
+        #: for every charge (attach via ``repro.obs.enable_observability``)
         self.obs = None
         #: optional :class:`~repro.simmpi.chaos.Perturbation` consulted when
         #: charging costs (never when moving data) — see :meth:`perturb`
@@ -219,7 +222,102 @@ class Machine:
             self.clocks[idx] = t
         return t
 
-    # -- charging -------------------------------------------------------------
+    # -- charging: the funnel -------------------------------------------------
+
+    def begin(self, rank: Optional[int] = None) -> tuple:
+        """Open a charge: snapshot what :meth:`commit` attributes it against.
+
+        Every site that moves clocks brackets the move with ``begin`` /
+        ``commit``.  ``rank`` marks a charge originating on one rank (SPMD
+        send/recv).  The snapshot is the critical-path clock and — only
+        when an attached recorder wants per-rank spans — the clock vector,
+        or the one clock of a single-rank charge.
+        """
+        obs = self.obs
+        if obs is None or not obs.per_rank:
+            rank_before = None
+        elif rank is None:
+            rank_before = self.clocks.copy()
+        else:
+            rank_before = float(self.clocks[rank])
+        return self.clocks.max(), rank, rank_before
+
+    def commit(
+        self,
+        token: tuple,
+        phase: Optional[str],
+        op: str,
+        messages: int = 0,
+        nbytes: int = 0,
+        *,
+        mirror: bool = False,
+        overlapped: bool = False,
+    ) -> None:
+        """Close a charge opened by :meth:`begin` — the only write path of
+        the modeled accounting.
+
+        Records the *critical-path* contribution (the increase of the
+        maximum clock since ``begin``) with ``messages``/``nbytes`` into the
+        trace, attributes host wall time, and notifies the attached
+        listeners (:attr:`auditor`, :attr:`obs`).  ``op`` names the charging
+        primitive ("compute", "alltoallv", ...) for the span stream; it
+        never affects the trace.
+
+        ``mirror`` (set by :meth:`collective` only) marks totals that come
+        from the cost model rather than from a send table: an attached
+        auditor has nothing to recompute them from and takes them into its
+        ledger as stated.  ``overlapped`` marks a posted non-blocking send,
+        whose messages count now but whose time is never on the critical
+        path.
+
+        While :func:`repro.perf.instrument.wall_phases` is active, the host
+        wall nanoseconds since this machine's previous charge point are
+        additionally attributed to ``phase`` (the code producing a charge
+        owns the host time leading up to it); the modeled fields are
+        byte-identical with and without the instrumentation.
+        """
+        before, rank, rank_before = token
+        after = self.clocks.max()
+        t = 0.0 if overlapped else float(after - before)
+        self.trace.record(phase, time=t, messages=messages, nbytes=nbytes)
+        if instrument.wall_phases_enabled():
+            now = instrument.wall_anchor()
+            anchor = self._wall_anchor
+            if anchor is not None:
+                self.trace.record_wall(phase, now[0] - anchor[0], now[1] - anchor[1])
+            self._wall_anchor = now
+        elif self._wall_anchor is not None:
+            self._wall_anchor = None
+        if mirror and self.auditor is not None:
+            self.auditor.on_mirrored_charge(phase, messages, nbytes)
+        obs = self.obs
+        if obs is None:
+            return
+        if rank is None:
+            obs.on_charge(
+                phase, op, t, float(before), float(after),
+                messages, nbytes, rank_before, self.clocks,
+            )
+        else:
+            obs.on_rank_charge(
+                phase, op, t, rank, rank_before, float(self.clocks[rank]),
+                float(after), messages, nbytes,
+            )
+
+    def count(self, name: str, value: int = 1, **labels) -> None:
+        """Increment the event counter ``name`` — the only write path of
+        event counters.
+
+        The trace keeps the flat (unlabeled) counters, which are part of
+        its checkpointed state; a labeled series (``solver.runs{solver}``,
+        ``comm.algo.*{collective, algo}``) has no faithful flat form and
+        lives with the listeners only.
+        """
+        if not labels:
+            self.trace.bump(name, value)
+        for listener in (self.auditor, self.obs):
+            if listener is not None:
+                listener.on_count(name, value, labels)
 
     def advance(
         self,
@@ -230,50 +328,30 @@ class Machine:
         nbytes: int = 0,
         op: Optional[str] = None,
     ) -> None:
-        """Advance rank clocks by ``per_rank_seconds`` and record the phase.
-
-        The trace time is the *critical-path* contribution: the increase of
-        the maximum clock caused by this advance.
-
-        ``op`` names the charging primitive ("compute", "alltoallv", ...)
-        for the span stream when an :class:`~repro.obs.spans.ObsRecorder`
-        is attached; it never affects the trace.
-
-        While :func:`repro.perf.instrument.wall_phases` is active, the host
-        wall nanoseconds since this machine's previous charge point are
-        additionally attributed to ``phase`` (the code producing a charge
-        owns the host time leading up to it); the modeled fields are
-        byte-identical with and without the instrumentation.
-        """
-        obs = self.obs
-        rank_before = (
-            self.clocks.copy() if (obs is not None and obs.per_rank) else None
-        )
-        before = self.clocks.max()
+        """Advance rank clocks by ``per_rank_seconds`` as one charge (see
+        :meth:`commit` for ``op``)."""
+        token = self.begin()
         self.clocks += per_rank_seconds
-        after = self.clocks.max()
-        t = float(after - before)
-        self.trace.record(phase, time=t, messages=messages, nbytes=nbytes)
-        if obs is not None:
-            obs.on_charge(
-                phase,
-                op if op is not None else "advance",
-                t,
-                float(before),
-                float(after),
-                messages,
-                nbytes,
-                rank_before,
-                self.clocks,
-            )
-        if instrument.wall_phases_enabled():
-            now = instrument.wall_anchor()
-            anchor = self._wall_anchor
-            if anchor is not None:
-                self.trace.record_wall(phase, now[0] - anchor[0], now[1] - anchor[1])
-            self._wall_anchor = now
-        elif self._wall_anchor is not None:
-            self._wall_anchor = None
+        self.commit(token, phase, op if op is not None else "advance", messages, nbytes)
+
+    def collective(
+        self,
+        per_rank_seconds: np.ndarray | float,
+        phase: Optional[str] = None,
+        *,
+        messages: int,
+        nbytes: int = 0,
+        op: Optional[str] = None,
+    ) -> None:
+        """:meth:`advance` for a collective whose ``messages``/``nbytes``
+        are stated by the cost model instead of read off a send table (tree
+        collectives) — the one place that asks :meth:`commit` to mirror."""
+        token = self.begin()
+        self.clocks += per_rank_seconds
+        self.commit(
+            token, phase, op if op is not None else "advance",
+            messages, nbytes, mirror=True,
+        )
 
     def compute(
         self,
@@ -311,10 +389,7 @@ class Machine:
         self.synchronize()
         t = self.model.tree_collective_time(self.nprocs, 8.0, self.topology.diameter())
         t *= self.comm_factor()
-        messages = 2 * max(0, self.nprocs - 1)
-        if self.auditor is not None:
-            self.auditor.observe_collective(phase, messages, 0)
-        self.advance(t, phase, messages=messages, nbytes=0, op="barrier")
+        self.collective(t, phase, messages=2 * max(0, self.nprocs - 1), op="barrier")
 
     # -- diagnostics ------------------------------------------------------------
 

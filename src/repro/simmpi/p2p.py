@@ -49,11 +49,9 @@ def sendrecv(
     if src == dst:
         machine.copy(nbytes, phase)
         return payload
-    obs = machine.obs
-    clocks_before = machine.clocks.copy() if obs is not None else None
     model = machine.model
     hops = int(machine.topology.hops(src, dst))
-    before = machine.clocks.max()
+    token = machine.begin()
     send_done = machine.clocks[src] + model.overhead + float(model.copy_time(nbytes))
     # a message is as slow as its slowest endpoint (degraded-NIC perturbation)
     arrival = (
@@ -65,13 +63,7 @@ def sendrecv(
     machine.clocks[dst] = max(machine.clocks[dst] + model.overhead, arrival) + float(
         model.copy_time(nbytes)
     )
-    t = float(machine.clocks.max() - before)
-    machine.trace.record(phase, time=t, messages=1, nbytes=nbytes)
-    if obs is not None:
-        obs.on_charge(
-            phase, "sendrecv", t, float(before), float(machine.clocks.max()),
-            1, nbytes, clocks_before, machine.clocks,
-        )
+    machine.commit(token, phase, "sendrecv", 1, nbytes)
     return _route(machine, [(src, dst, payload)])[0]
 
 
@@ -95,10 +87,8 @@ def send_round(
     model = machine.model
     if machine.auditor is not None:
         machine.auditor.observe_send_round(transfers, phase)
-    obs = machine.obs
-    clocks_before = machine.clocks.copy() if obs is not None else None
     recv: List[List[Tuple[int, Payload]]] = [[] for _ in range(machine.nprocs)]
-    before = machine.clocks.max()
+    token = machine.begin()
     n_messages = 0
     total_bytes = 0
     # sends post first (non-blocking), receives complete afterwards
@@ -131,13 +121,7 @@ def send_round(
         recv[dst].append((src, payload))
     for lst in recv:
         lst.sort(key=lambda item: item[0])
-    t = float(machine.clocks.max() - before)
-    machine.trace.record(phase, time=t, messages=n_messages, nbytes=total_bytes)
-    if obs is not None:
-        obs.on_charge(
-            phase, op, t, float(before), float(machine.clocks.max()),
-            n_messages, total_bytes, clocks_before, machine.clocks,
-        )
+    machine.commit(token, phase, op, n_messages, total_bytes)
     return recv
 
 
@@ -158,10 +142,8 @@ def exchange_pairs(
     model = machine.model
     if machine.auditor is not None:
         machine.auditor.observe_exchange_pairs(exchanges, phase)
-    obs = machine.obs
-    clocks_before = machine.clocks.copy() if obs is not None else None
     seen: set = set()
-    before = machine.clocks.max()
+    token = machine.begin()
     out: Dict[Tuple[int, int], Tuple[Payload, Payload]] = {}
     n_messages = 0
     total_bytes = 0
@@ -192,11 +174,5 @@ def exchange_pairs(
         out[(a, b)] = (delivered[2 * i + 1], delivered[2 * i])
         n_messages += 2
         total_bytes += bytes_ab + bytes_ba
-    t = float(machine.clocks.max() - before)
-    machine.trace.record(phase, time=t, messages=n_messages, nbytes=total_bytes)
-    if obs is not None:
-        obs.on_charge(
-            phase, "exchange_pairs", t, float(before), float(machine.clocks.max()),
-            n_messages, total_bytes, clocks_before, machine.clocks,
-        )
+    machine.commit(token, phase, "exchange_pairs", n_messages, total_bytes)
     return out

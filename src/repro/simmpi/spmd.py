@@ -162,16 +162,9 @@ class SPMDContext:
                     * machine.comm_factor(self.rank, dst)
                     - model.overhead
                 )
-                obs = machine.obs
-                rank_before = float(machine.clocks[self.rank])
+                token = machine.begin(self.rank)
                 machine.clocks[self.rank] = send_done
-                machine.trace.record(phase, time=0.0, messages=1, nbytes=nbytes)
-                if obs is not None:
-                    obs.on_rank_charge(
-                        phase, "spmd.send", 0.0, self.rank,
-                        rank_before, float(send_done),
-                        float(machine.clocks.max()), messages=1, nbytes=nbytes,
-                    )
+                machine.commit(token, phase, "spmd.send", 1, nbytes, overlapped=True)
             rt.mailboxes[dst].append((self.rank, tag, payload, arrival))
             rt.lock.notify_all()
 
@@ -208,20 +201,11 @@ class SPMDContext:
                     else:
                         pick = candidates[0]
                     _s, _t, payload, arrival = box.pop(pick)
-                    obs = machine.obs
-                    rank_before = float(machine.clocks[self.rank])
-                    before = machine.clocks.max()
+                    token = machine.begin(self.rank)
                     machine.clocks[self.rank] = max(
                         machine.clocks[self.rank] + machine.model.overhead, arrival
                     )
-                    t = float(machine.clocks.max() - before)
-                    machine.trace.record(phase, time=t)
-                    if obs is not None:
-                        obs.on_rank_charge(
-                            phase, "spmd.recv", t, self.rank,
-                            rank_before, float(machine.clocks[self.rank]),
-                            float(machine.clocks.max()),
-                        )
+                    machine.commit(token, phase, "spmd.recv")
                     rt.lock.notify_all()
                     if machine.backend is not None:
                         payload = machine.backend.claim_ticket(payload)

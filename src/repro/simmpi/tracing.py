@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["PhaseStats", "PhaseTable", "PhaseTimer", "Trace"]
+__all__ = ["PhaseStats", "PhaseTable", "Trace"]
 
 
 @dataclasses.dataclass
@@ -160,7 +160,7 @@ class Trace:
         """Attribute host wall nanoseconds (and net allocated bytes) to
         ``phase`` without touching the modeled fields or the call count.
 
-        Fed by :meth:`Machine.advance <repro.simmpi.machine.Machine.advance>`
+        Fed by :meth:`Machine.commit <repro.simmpi.machine.Machine.commit>`
         while :func:`repro.perf.instrument.wall_phases` is active.
         """
         label = phase if phase is not None else "other"
@@ -350,26 +350,3 @@ class Trace:
             f"{k}: {v.time:.3e}s/{v.messages}msg/{v.bytes}B" for k, v in sorted(self._phases.items())
         )
         return f"Trace({rows})"
-
-
-class PhaseTimer:
-    """Context manager measuring the virtual-clock critical path of a block.
-
-    Example
-    -------
-    >>> with PhaseTimer(machine) as t:
-    ...     alltoallv(machine, payload, phase="sort")
-    >>> t.elapsed  # max-over-ranks clock advance of the block
-    """
-
-    def __init__(self, machine) -> None:
-        self._machine = machine
-        self.start: float = 0.0
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "PhaseTimer":
-        self.start = self._machine.elapsed()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = self._machine.elapsed() - self.start

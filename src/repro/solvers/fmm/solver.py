@@ -429,9 +429,8 @@ class FMMSolver(Solver):
             self._attach_weights(blocks)
             blocks, strategy = self._sort(blocks, max_move, rebalance=True)
             blocks = [b.drop("weight") for b in blocks]
-            machine.trace.bump("balance.rebalances")
+            machine.count("balance.rebalances")
             if machine.obs is not None:
-                machine.obs.metrics.counter("balance.rebalances").inc()
                 machine.obs.mark("balance.rebalance", op="balance")
         else:
             blocks, strategy = self._sort(blocks, max_move)

@@ -261,9 +261,7 @@ def partition_sort(
         phase,
         weights=None if balance_key is None else [b[balance_key] for b in current],
     )
-    if machine.auditor is not None:
-        machine.auditor.observe_collective(phase, 2 * (P - 1), 0)
-    machine.advance(
+    machine.collective(
         machine.model.tree_collective_time(P, 16.0, machine.topology.diameter()),
         phase,
         messages=2 * (P - 1),

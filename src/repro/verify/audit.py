@@ -22,7 +22,9 @@ exchange to it.  The auditor then
   volumes, recomputed from the raw send tables rather than copied from the
   primitives' own accounting, so the ``trace-accounting`` invariant can
   cross-check what the collectives reported into the
-  :class:`~repro.simmpi.tracing.Trace`.
+  :class:`~repro.simmpi.tracing.Trace`.  Only tree collectives, which have
+  no table to recompute from, reach the ledger as stated: the machine's
+  charge funnel mirrors their totals (:meth:`CommAuditor.on_mirrored_charge`).
 
 The auditor never changes what the primitives do — it only observes and
 raises :class:`CommAuditError` on violation.
@@ -232,16 +234,43 @@ class CommAuditor:
     def ledger_snapshot(self) -> Dict[str, PhaseLedger]:
         return {k: dataclasses.replace(v) for k, v in self.ledger.items()}
 
-    # -- plan-engine hooks --------------------------------------------------------
+    # -- funnel listener hooks ----------------------------------------------------
 
-    def observe_plan_compile(self, phase: Optional[str]) -> None:
-        """Note one resort-plan schedule compilation (diagnostics only; the
-        compile's index-distribution exchange is audited as a regular
-        alltoallv under its own phase)."""
-        self.n_plan_compiles += 1
+    def on_mirrored_charge(
+        self, phase: Optional[str], messages: int, nbytes: int
+    ) -> None:
+        """Take a tree collective's modeled totals into the ledger.
+
+        Called by :meth:`Machine.commit
+        <repro.simmpi.machine.Machine.commit>` for charges made through
+        :meth:`Machine.collective <repro.simmpi.machine.Machine.collective>`
+        (allreduce, bcast, gather, barrier, ...): they have no
+        user-supplied count table to recompute from, so their totals are
+        mirrored to keep phase totals comparable with the trace.
+        """
+        self._record(phase, messages, nbytes)
+
+    def on_count(self, name: str, value: int, labels: Dict[str, object]) -> None:
+        """Fold one :meth:`Machine.count
+        <repro.simmpi.machine.Machine.count>` event into the plan/
+        algorithm-engine diagnostics; ``comm.algo.calls`` also records which
+        algorithm the call resolved to (including ``auto`` falling back to
+        ``direct``)."""
+        if name == "resort_plan.compiles":
+            self.n_plan_compiles += value
+        elif name == "resort_plan.executions":
+            self.n_plan_executions += value
+        elif name == "resort_plan.fused_columns":
+            self.n_plan_fused_columns += value
+        elif name == "comm.algo.calls":
+            self.n_algo_calls += value
+            key = f"{labels['collective']}/{labels['algo']}"
+            self.algo_counts[key] = self.algo_counts.get(key, 0) + value
+
+    # -- plan-engine hook ---------------------------------------------------------
 
     def observe_plan_execution(
-        self, phase: Optional[str], messages: int, nbytes: int, columns: int
+        self, phase: Optional[str], messages: int, nbytes: int
     ) -> None:
         """Record a fused plan execution's self-reported traffic totals.
 
@@ -250,8 +279,6 @@ class CommAuditor:
         from the raw send table by :meth:`observe_alltoallv`.  The
         ``plan-accounting`` invariant compares the two.
         """
-        self.n_plan_executions += 1
-        self.n_plan_fused_columns += int(columns)
         label = phase if phase is not None else "other"
         ledger = self.plan_ledger.get(label)
         if ledger is None:
@@ -259,13 +286,6 @@ class CommAuditor:
         ledger.add(messages, nbytes)
 
     # -- algorithm-engine hooks ---------------------------------------------------
-
-    def count_algo_call(self, collective: str, algo: str) -> None:
-        """Record the algorithm an engine-enabled collective call resolved to
-        (including ``auto`` resolutions that fall back to ``direct``)."""
-        self.n_algo_calls += 1
-        key = f"{collective}/{algo}"
-        self.algo_counts[key] = self.algo_counts.get(key, 0) + 1
 
     def observe_algo_collective(
         self,
@@ -361,18 +381,6 @@ class CommAuditor:
             self._fail(str(exc))
         if record:
             self._record(phase, messages, nbytes)
-
-    def observe_collective(
-        self, phase: Optional[str], messages: int, nbytes: int
-    ) -> None:
-        """Mirror a rooted/tree collective's modeled message totals.
-
-        Tree collectives (allreduce, bcast, gather, ...) have no
-        user-supplied count table to recompute from; their modeled totals
-        are mirrored into the ledger so phase totals stay comparable with
-        the trace.
-        """
-        self._record(phase, messages, nbytes)
 
     # -- point-to-point hooks -----------------------------------------------------
 

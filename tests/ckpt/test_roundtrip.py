@@ -19,7 +19,9 @@ from repro.ckpt.checkpoint import COLUMNS, Checkpoint
 from repro.ckpt.format import dumps, read_lines
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
+from repro.obs.spans import enable_observability
 from repro.simmpi.machine import Machine
+from repro.verify.audit import enable_auditing
 from repro.verify.invariants import InvariantChecker, state_fingerprint
 
 
@@ -168,6 +170,54 @@ class TestCaptureRoundtrip:
         write_checkpoint(ckpt, str(path))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(str(path))
+
+    def test_retired_fuse_resort_field(self, sim_factory):
+        """Checkpoints written before the field's removal carry it: the
+        default is dropped, the retired per-column path is refused by name."""
+        sim = sim_factory(nprocs=2, n=12)
+        try:
+            sim.run(1)
+            ckpt = capture_checkpoint(sim)
+        finally:
+            sim.fcs.destroy()
+        assert "fuse_resort" not in ckpt.config
+        ckpt.config["fuse_resort"] = True
+        restored = restore_simulation(ckpt)
+        try:
+            assert state_fingerprint(restored) == state_fingerprint(sim)
+        finally:
+            restored.fcs.destroy()
+        ckpt.config["fuse_resort"] = False
+        with pytest.raises(ValueError, match="retired.*fuse_resort=False"):
+            ckpt.make_config()
+
+    def test_trace_counter_keys_are_the_historical_set(self, sim_factory):
+        """The ``counters`` payload of ``Trace.state_dict()`` is checkpoint
+        format: events that only ever were labeled recorder series
+        (``solver.runs``, ``comm.algo.*``) or recorder-only
+        (``balance.triggers``) never become trace keys — listeners or not."""
+        sim = sim_factory(
+            load_balance="dynamic", balance_trigger=1.001, balance_rearm=1.0,
+            collective_algos="bruck",
+        )
+        enable_auditing(sim.machine)
+        recorder = enable_observability(sim.machine)
+        try:
+            sim.run(3)
+            counters = sim.machine.trace.state_dict()["counters"]
+        finally:
+            sim.fcs.destroy()
+        assert recorder.metrics.value("solver.runs", solver="fmm") > 0
+        assert recorder.metrics.value("balance.triggers") > 0
+        assert recorder.metrics.value(
+            "comm.algo.calls", collective="alltoallv", algo="bruck"
+        ) > 0
+        assert set(counters) <= {
+            "resort_plan.compiles", "resort_plan.executions",
+            "resort_plan.fused_columns", "resort_plan.bytes_moved",
+            "resort_plan.cache_hits", "balance.rebalances",
+        }
+        assert counters["resort_plan.executions"] > 0
 
 
 class TestAutoCheckpoint:

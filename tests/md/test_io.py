@@ -1,15 +1,15 @@
-"""Trajectory and checkpoint I/O."""
+"""Trajectory I/O, and checkpoint/restart of an MD run via ``repro.ckpt``."""
 
 import numpy as np
 import pytest
 
-from repro.md.io import (
+from repro.ckpt import (
     load_checkpoint,
-    read_xyz,
-    resume_simulation,
+    resize_checkpoint,
+    restore_simulation,
     save_checkpoint,
-    write_xyz,
 )
+from repro.md.io import read_xyz, write_xyz
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
@@ -69,13 +69,14 @@ class TestCheckpoint:
         system = silica_melt_system(256, seed=9)
         sim = self.make_sim(system, 4)
         sim.run(2)
-        path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, sim)
-        data = load_checkpoint(path)
+        path = str(tmp_path / "state.ckpt.ndjson")
+        save_checkpoint(sim, path)
+        ckpt = load_checkpoint(path)
+        data = ckpt.gathered()
         assert data["pos"].shape == (256, 3)
-        assert data["step_index"] == 2
+        assert ckpt.step_index == 2
         state = sim.gather_state()
-        np.testing.assert_allclose(data["pos"], state["pos"])
+        np.testing.assert_array_equal(data["pos"], state["pos"])
         np.testing.assert_array_equal(data["q"], state["q"])
 
     def test_resume_on_different_nprocs(self, tmp_path):
@@ -84,26 +85,23 @@ class TestCheckpoint:
         system = silica_melt_system(256, seed=9)
         sim = self.make_sim(system, 4)
         sim.run(2)
-        path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, sim)
+        path = str(tmp_path / "state.ckpt.ndjson")
+        save_checkpoint(sim, path)
 
-        cfg = SimulationConfig(
-            solver="p2nfft",
-            method="B",
-            dt=0.02,
-            distribution="grid",
-            dynamics="brownian",
-            brownian_step=0.1,
-            solver_kwargs={"compute": "skip"},
-            seed=5,
-        )
-        resumed = resume_simulation(path, Machine(7), cfg)
+        resized, _plan = resize_checkpoint(load_checkpoint(path), 7)
+        resumed = restore_simulation(resized)
+        assert resumed.machine.nprocs == 7
         assert resumed.step_index == 2
         assert resumed.particles.total() == 256
-        # state matches the saved positions (id-ordered)
+        # state matches the saved run bitwise (id-ordered), accelerations
+        # included -- the retired .npz path saved but never restored them
         old = sim.gather_state()
         new = resumed.gather_state()
-        np.testing.assert_allclose(new["pos"], old["pos"])
-        np.testing.assert_allclose(new["vel"], old["vel"])
+        np.testing.assert_array_equal(new["pos"], old["pos"])
+        np.testing.assert_array_equal(new["vel"], old["vel"])
+        np.testing.assert_array_equal(
+            np.concatenate(resumed.acc)[np.argsort(np.concatenate(resumed.ids))],
+            np.concatenate(sim.acc)[np.argsort(np.concatenate(sim.ids))],
+        )
         resumed.run(1)  # and it can continue stepping
         assert resumed.particles.total() == 256
