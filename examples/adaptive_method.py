@@ -34,13 +34,7 @@ def run(system, method, drift_frac, steps=24, nprocs=64):
     )
     sim = Simulation(Machine(nprocs, profile=JUROPA), system, cfg)
     sim.run(steps)
-    total = sum(
-        r.phase_time("sort")
-        + r.phase_time("restore")
-        + r.phase_time("resort")
-        + r.phase_time("resort_index")
-        for r in sim.records[1:]
-    )
+    total = sum(r.redistribution_time() for r in sim.records[1:])
     return total, sim
 
 

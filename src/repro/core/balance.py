@@ -104,7 +104,9 @@ def work_split_bounds(weights: np.ndarray, nparts: int) -> np.ndarray:
 
     i.e. no part exceeds the mean work by more than the heaviest single
     element — the granularity limit of any contiguous split.  All-zero (or
-    empty) weights degrade to :func:`count_split_bounds`; uniform positive
+    empty) weights degrade to :func:`count_split_bounds`; weights so small
+    that ``total / nparts`` is subnormal are first scaled up by an exact
+    power of two (the bound is scale-invariant); uniform positive
     weights yield bitwise-identical bounds to the count-based split
     (exactly so for power-of-two weight values, where scaling commutes
     with float rounding).
@@ -123,10 +125,15 @@ def work_split_bounds(weights: np.ndarray, nparts: int) -> np.ndarray:
     total = float(cumw[-1])
     if total <= 0.0:
         return count_split_bounds(n, nparts)
+    step = total / nparts
+    if step < np.finfo(np.float64).tiny:
+        # a subnormal per-part target has lost bits, down to underflowing to
+        # 0 (every boundary at 0, all work in the last part)
+        return work_split_bounds(w * 2.0 ** 1000, nparts)
     bounds = np.empty(nparts + 1, dtype=np.int64)
     bounds[0] = 0
     bounds[nparts] = n
-    targets = np.arange(1, nparts, dtype=np.float64) * (total / nparts)
+    targets = np.arange(1, nparts, dtype=np.float64) * step
     bounds[1:nparts] = np.searchsorted(cumw, targets, side="right")
     return bounds
 

@@ -23,7 +23,13 @@ from repro.core.particles import ColumnBlock
 from repro.simmpi.collectives import alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
 
-__all__ = ["fine_grained_redistribute", "targets_only", "DistResult"]
+__all__ = ["COMM_KINDS", "fine_grained_redistribute", "DistResult"]
+
+#: the structured communication strategies of a redistribution exchange (what
+#: a :class:`~repro.solvers.base.RunReport` and a
+#: :class:`~repro.core.plan.ResortPlan` carry): the general collective, or
+#: point-to-point communication with known bounded-distance peers
+COMM_KINDS = ("alltoall", "neighborhood")
 
 #: A distribution function returns either a plain per-element target-rank
 #: array of shape ``(n,)`` (no duplication), or a pair
@@ -31,11 +37,6 @@ __all__ = ["fine_grained_redistribute", "targets_only", "DistResult"]
 #: element indices create duplicates (ghost particles).
 DistResult = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
 DistFn = Callable[[int, ColumnBlock], DistResult]
-
-
-def targets_only(fn: Callable[[int, ColumnBlock], np.ndarray]) -> DistFn:
-    """Wrap a plain target-rank function as a distribution function."""
-    return fn
 
 
 def _normalize(block: ColumnBlock, result: DistResult) -> Tuple[np.ndarray, np.ndarray]:
@@ -93,8 +94,8 @@ def fine_grained_redistribute(
     """
     if len(blocks) != machine.nprocs:
         raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
-    if comm not in ("alltoall", "neighborhood"):
-        raise ValueError(f"comm must be 'alltoall' or 'neighborhood', got {comm!r}")
+    if comm not in COMM_KINDS:
+        raise ValueError(f"comm must be one of {COMM_KINDS}, got {comm!r}")
 
     sends: List[dict] = []
     send_blocks: List[dict] = []  # parallel structure holding ColumnBlocks

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.fine_grained import COMM_KINDS
 from repro.core.resort import inverse_permutation, unpack_resort_index
 from repro.obs.spans import machine_span
 from repro.perf import instrument
@@ -57,10 +58,6 @@ from repro.simmpi.collectives import alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
 
 __all__ = ["COMM_KINDS", "ResortPlan", "ResortPlanStats", "PlanColumnSpec"]
-
-#: the structured communication strategies a plan (and a
-#: :class:`~repro.solvers.base.RunReport`) can carry
-COMM_KINDS = ("alltoall", "neighborhood")
 
 #: phase label under which schedule compilation is traced (kept separate from
 #: the ``resort`` data exchanges so the amortization is visible per phase)

@@ -36,9 +36,15 @@ from repro.obs.spans import machine_span
 from repro.simmpi.machine import Machine
 from repro.simmpi.tracing import PhaseStats
 
-__all__ = ["Simulation", "SimulationConfig", "StepRecord"]
+__all__ = ["REDISTRIBUTION_PHASES", "Simulation", "SimulationConfig", "StepRecord"]
 
 METHODS = ("A", "B", "B+move", "adaptive")
+
+#: the phases that constitute "redistribution" (the paper's subject): the
+#: sort into the solver layout, method A's restoration, and method B's
+#: resort of application data with its resort-index creation and the plan
+#: engine's schedule-compilation exchanges
+REDISTRIBUTION_PHASES = ("sort", "restore", "resort", "resort_index", "resort_plan")
 
 
 @dataclasses.dataclass
@@ -237,6 +243,10 @@ class StepRecord:
         """Summed virtual time of the given phase labels in this step
         (missing labels count as zero, like :meth:`PhaseTable.time`)."""
         return sum(self.phases[l].time for l in labels if l in self.phases)
+
+    def redistribution_time(self) -> float:
+        """Virtual time of this step's :data:`REDISTRIBUTION_PHASES`."""
+        return self.phase_time(*REDISTRIBUTION_PHASES)
 
 
 class Simulation:
@@ -482,15 +492,8 @@ class Simulation:
         """
         last = self.records[-1] if self.records else None
         if last is not None and not self._switch_transient:
-            redist = (
-                last.phase_time("sort")
-                + last.phase_time("restore")
-                + last.phase_time("resort")
-                + last.phase_time("resort_index")
-                + last.phase_time("resort_plan")
-            )
             method_of_last = self._adaptive_trial or self.active_method
-            self._method_costs[method_of_last] = redist
+            self._method_costs[method_of_last] = last.redistribution_time()
         measured = not self._switch_transient
         self._switch_transient = False
 

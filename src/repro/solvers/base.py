@@ -1,8 +1,13 @@
-"""Solver interface shared by FMM, P2NFFT and the direct solver.
+"""Solver interface and the one ``fcs_run`` skeleton.
 
 A solver is created for a :class:`~repro.simmpi.machine.Machine`, configured
 with the particle-system properties (``set_common``), optionally tuned, and
 then executed repeatedly on a :class:`~repro.core.particles.ParticleSet`.
+:meth:`Solver.run` is the only implementation of that execution for every
+solver that redistributes particles: a subclass supplies the two hooks
+:meth:`Solver._place` (sort the particles into the solver's layout) and
+:meth:`Solver._compute` (potentials and fields in that layout); the hand-back
+below is written here, once.
 
 The redistribution contract (the heart of the paper) is expressed through
 :class:`RunReport`:
@@ -22,18 +27,17 @@ The redistribution contract (the heart of the paper) is expressed through
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.particles import ParticleSet
+from repro.core.fine_grained import COMM_KINDS
+from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.resort import invert_indices
+from repro.core.restore import restore_results
 from repro.simmpi.machine import Machine
 
 __all__ = ["COMM_KINDS", "RunReport", "Solver"]
-
-#: the structured communication strategies a solver can report for its
-#: redistribution exchanges (mirrored by :data:`repro.core.plan.COMM_KINDS`)
-COMM_KINDS = ("alltoall", "neighborhood")
 
 
 @dataclasses.dataclass
@@ -73,7 +77,9 @@ class RunReport:
 
 
 class Solver:
-    """Abstract solver base; subclasses implement :meth:`tune` and :meth:`run`."""
+    """Abstract solver base: subclasses implement :meth:`tune` and the
+    :meth:`_place` / :meth:`_compute` hooks of :meth:`run` (a solver that
+    redistributes nothing, like the direct solver, overrides :meth:`run`)."""
 
     #: registry name ("fmm", "p2nfft", "direct")
     name: str = "abstract"
@@ -84,6 +90,12 @@ class Solver:
     #: fixed by the mesh / by replication, so :meth:`request_rebalance` is
     #: accepted but has no effect.
     supports_rebalance: bool = False
+
+    #: True iff the method exists under periodic boundaries only
+    periodic_only: bool = False
+
+    #: block column carrying each particle's packed origin (rank, position)
+    origin_column: str = "origloc"
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
@@ -112,6 +124,10 @@ class Solver:
         box base-vector matrix at the call site, and a positional boolean
         is meaningless to a reader — so the whole call is spelled out.
         """
+        if self.periodic_only and not periodic:
+            raise ValueError(
+                f"the {self.name} solver supports periodic systems only"
+            )
         self.box = np.asarray(box, dtype=np.float64)
         self.offset = np.asarray(offset, dtype=np.float64)
         if self.box.shape != (3,) or self.offset.shape != (3,):
@@ -129,6 +145,15 @@ class Solver:
     def require_common(self) -> None:
         if self.box is None:
             raise RuntimeError("set_common must be called before tune/run")
+
+    def _set_compute_mode(self, compute: str) -> None:
+        """``"skip"`` omits the force arithmetic (results are zeros) while
+        keeping every redistribution operation data-real and charging the
+        solver compute from analytic workload estimates — used by the
+        long-running scaling benchmarks (DESIGN.md §5)."""
+        if compute not in ("full", "skip"):
+            raise ValueError(f"compute must be 'full' or 'skip', got {compute!r}")
+        self.compute_mode = compute
 
     # -- load balancing ----------------------------------------------------------
 
@@ -177,8 +202,76 @@ class Solver:
         ``resort=True`` requests method B; ``max_move`` passes the
         application's bound on the maximum particle movement since the last
         run (enables the limited-movement strategies of Sect. III-B).
+
+        The Sect. III-B return contract lives here and nowhere else: the
+        changed layout goes back, with resort indices made by inverting the
+        carried origin column, iff method B was requested *and* every rank's
+        new count fits the application's arrays; otherwise the results are
+        restored to the original order and distribution (method A).
+        """
+        self.require_common()
+        if not self._tuned:
+            raise RuntimeError("fcs_tune must run before fcs_run")
+        old_counts = particles.counts()
+        blocks, ghosts, comm, strategy = self._place(particles, max_move)
+        new_counts = np.asarray([b.n for b in blocks], dtype=np.int64)
+        pots, fields, rank_work = self._compute(blocks, ghosts, new_counts)
+
+        origin = [b[self.origin_column] for b in blocks]
+        counts = [int(c) for c in old_counts]
+        ran = dict(old_counts=old_counts, strategy=strategy, comm=comm, rank_work=rank_work)
+        if resort and particles.fits(new_counts):
+            for r, b in enumerate(blocks):
+                particles.replace(r, b["pos"], b["q"], pots[r], fields[r])
+            indices = invert_indices(
+                self.machine, origin, counts, phase="resort_index", comm=comm
+            )
+            return RunReport(changed=True, resort_indices=indices, new_counts=new_counts, **ran)
+        restore_results(
+            self.machine, origin, pots, fields, particles, counts, phase="restore"
+        )
+        return RunReport(changed=False, new_counts=old_counts, **ran)
+
+    def _place(
+        self, particles: ParticleSet, max_move: Optional[float]
+    ) -> Tuple[List[ColumnBlock], List[ColumnBlock], str, str]:
+        """Redistribute the particles into the solver's layout.
+
+        Returns ``(blocks, ghosts, comm, strategy)``: per-rank owned blocks
+        with ``pos``, ``q`` and the :attr:`origin_column`; per-rank blocks
+        of the near field's sources as the solver keeps them (the FMM's
+        halo copies, the grid solvers' owned + ghost particles — handed to
+        :meth:`_compute` unread); the :data:`COMM_KINDS` entry describing the exchange that ran (the
+        resort indices and any follow-up resort use the same); and the
+        free-form strategy label of :attr:`RunReport.strategy`.
         """
         raise NotImplementedError
+
+    def _compute(
+        self,
+        blocks: List[ColumnBlock],
+        ghosts: List[ColumnBlock],
+        new_counts: np.ndarray,
+    ) -> Tuple[List[np.ndarray], List[np.ndarray], Optional[np.ndarray]]:
+        """Potentials and fields of the owned particles, per rank, plus the
+        per-rank work of :attr:`RunReport.rank_work` (or ``None``)."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _add_far_field(
+        pots: List[np.ndarray],
+        fields: List[np.ndarray],
+        pot_far: np.ndarray,
+        field_far: np.ndarray,
+        new_counts: np.ndarray,
+    ) -> None:
+        """Add a far field evaluated over the rank-concatenated particles
+        back onto the per-rank near-field results, in place."""
+        offsets = np.concatenate(([0], np.cumsum(new_counts)))
+        for r in range(len(pots)):
+            sl = slice(offsets[r], offsets[r + 1])
+            pots[r] = pots[r] + pot_far[sl]
+            fields[r] = fields[r] + field_far[sl]
 
     def destroy(self) -> None:
         """Release solver resources (``fcs_destroy``)."""

@@ -1,6 +1,8 @@
 """Parallel FMM solver: Z-curve decomposition by parallel sorting.
 
-Execution of one ``fcs_run`` (Sect. II-B / III of the paper):
+Execution of one ``fcs_run`` (Sect. II-B / III of the paper); steps 1-3 are
+this solver's ``_place`` hook, step 4 its ``_compute`` hook, and step 5 is
+:meth:`repro.solvers.base.Solver.run`, shared by every solver:
 
 1. **keygen** — every rank computes Z-Morton box numbers for its local
    particles.
@@ -38,11 +40,10 @@ from repro import kernels
 from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.movement import fmm_prefers_merge_sort
 from repro.core.particles import ColumnBlock, ParticleSet
-from repro.core.resort import initial_numbering, invert_indices
-from repro.core.restore import restore_results
-from repro.simmpi.collectives import allgatherv, allreduce
+from repro.core.resort import initial_numbering
+from repro.simmpi.collectives import allgather_scalars, allgatherv, allreduce
 from repro.simmpi.machine import Machine
-from repro.solvers.base import RunReport, Solver
+from repro.solvers.base import Solver
 from repro.solvers.fmm.tree import FMMTree
 from repro.solvers.fmm.tuning import choose_depth, choose_order, plan_parameters
 from repro.sorting.merge_sort import merge_exchange_sort
@@ -73,8 +74,7 @@ class FMMSolver(Solver):
         super().__init__(machine)
         if boundary not in ("tinfoil", "vacuum"):
             raise ValueError(f"boundary must be 'tinfoil' or 'vacuum', got {boundary!r}")
-        if compute not in ("full", "skip"):
-            raise ValueError(f"compute must be 'full' or 'skip', got {compute!r}")
+        self._set_compute_mode(compute)
         if work_model not in ("uniform", "density"):
             raise ValueError(
                 f"work_model must be 'uniform' or 'density', got {work_model!r}"
@@ -83,11 +83,6 @@ class FMMSolver(Solver):
         self._depth_override = depth
         self.lattice_shells = int(lattice_shells)
         self.boundary = boundary
-        #: ``"skip"`` omits the force arithmetic (results are zeros) while
-        #: keeping every redistribution operation data-real and charging the
-        #: solver compute from analytic workload estimates — used by the
-        #: long-running scaling benchmarks (DESIGN.md §5)
-        self.compute_mode = compute
         #: near-field workload estimate used only by the skip-compute mode:
         #: ``"uniform"`` assumes homogeneous box occupancy (historical
         #: behavior, exact for the silica melt); ``"density"`` derives each
@@ -262,9 +257,7 @@ class FMMSolver(Solver):
             if b.n:
                 mins[r] = b["key"][0]
                 maxs[r] = b["key"][-1]
-        # three scalar allgathers (the sort already synchronized everyone)
-        from repro.simmpi.collectives import allgather_scalars
-
+        # two scalar allgathers (the sort already synchronized everyone)
         allgather_scalars(self.machine, mins, phase="halo")
         allgather_scalars(self.machine, maxs, phase="halo")
         nonempty = np.flatnonzero(counts > 0)
@@ -406,23 +399,14 @@ class FMMSolver(Solver):
         )  # P2M + L2P
         machine.compute(per_particle + share * op_cost, phase="far")
 
-    # -- run -----------------------------------------------------------------------
+    # -- the hooks of Solver.run ------------------------------------------------------
 
-    def run(
-        self,
-        particles: ParticleSet,
-        *,
-        resort: bool = False,
-        max_move: Optional[float] = None,
-    ) -> RunReport:
-        self.require_common()
-        if self.tree is None:
-            raise RuntimeError("fcs_tune must run before fcs_run")
+    def _place(self, particles: ParticleSet, max_move: Optional[float]):
+        """keygen, parallel sort (weighted when a rebalance is due), halo."""
         machine = self.machine
-        P = machine.nprocs
-        old_counts = particles.counts()
-
-        rebalance = self._rebalance_pending and self._load_balance != "off" and P > 1
+        rebalance = (
+            self._rebalance_pending and self._load_balance != "off" and machine.nprocs > 1
+        )
         self._rebalance_pending = False
         blocks = self._make_blocks(particles)
         if rebalance:
@@ -434,11 +418,13 @@ class FMMSolver(Solver):
                 machine.obs.mark("balance.rebalance", op="balance")
         else:
             blocks, strategy = self._sort(blocks, max_move)
-        new_counts = np.asarray([b.n for b in blocks], dtype=np.int64)
+        halo = self._halo_exchange(blocks, self._ownership(blocks))
+        return blocks, halo, "alltoall", strategy
 
-        ownership = self._ownership(blocks)
-        halo = self._halo_exchange(blocks, ownership)
-
+    def _compute(self, blocks, halo, new_counts):
+        """Near field per rank, global far field, boundary condition."""
+        machine = self.machine
+        P = machine.nprocs
         # --- near field: per rank, owned targets vs owned + halo sources ----
         pots: List[np.ndarray] = []
         fields: List[np.ndarray] = []
@@ -499,11 +485,7 @@ class FMMSolver(Solver):
             self._charge_far_field(
                 stats, new_counts.astype(np.float64), int(np.unique(linear).shape[0])
             )
-            offsets = np.concatenate(([0], np.cumsum(new_counts)))
-            for r in range(P):
-                sl = slice(offsets[r], offsets[r + 1])
-                pots[r] = pots[r] + pot_far[sl]
-                fields[r] = fields[r] + field_far[sl]
+            self._add_far_field(pots, fields, pot_far, field_far, new_counts)
 
         # --- boundary condition ----------------------------------------------
         if self.compute_mode != "skip" and self.periodic and self.boundary == "tinfoil":
@@ -517,41 +499,4 @@ class FMMSolver(Solver):
                 pots[r] = pots[r] - coef * (blocks[r]["pos"] @ dipole)
                 fields[r] = fields[r] + coef * dipole
 
-        # --- return path: method A restore or method B resort ----------------
-        if resort and particles.fits(new_counts):
-            for r in range(P):
-                particles.replace(r, blocks[r]["pos"], blocks[r]["q"], pots[r], fields[r])
-            resort_indices = invert_indices(
-                machine,
-                [b["origloc"] for b in blocks],
-                [int(c) for c in old_counts],
-                phase="resort_index",
-                comm="alltoall",
-            )
-            return RunReport(
-                changed=True,
-                resort_indices=resort_indices,
-                old_counts=old_counts,
-                new_counts=new_counts,
-                strategy=strategy,
-                comm="alltoall",
-                rank_work=near_cost,
-            )
-
-        restore_results(
-            machine,
-            [b["origloc"] for b in blocks],
-            pots,
-            fields,
-            particles,
-            [int(c) for c in old_counts],
-            phase="restore",
-        )
-        return RunReport(
-            changed=False,
-            old_counts=old_counts,
-            new_counts=old_counts,
-            strategy=strategy,
-            comm="alltoall",
-            rank_work=near_cost,
-        )
+        return pots, fields, near_cost

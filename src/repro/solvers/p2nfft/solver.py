@@ -1,6 +1,9 @@
 """Parallel P2NFFT-style solver: Cartesian process-grid decomposition.
 
-Execution of one ``fcs_run`` (Sect. II-C / III of the paper):
+Execution of one ``fcs_run`` (Sect. II-C / III of the paper); steps 1-2 are
+:class:`GridSolver`, shared with the classical Ewald solver, step 3 is
+:class:`P2NFFTSolver`, and step 4 is
+:meth:`repro.solvers.base.Solver.run`, shared by every solver:
 
 1. **sort** (the solver's particle data redistribution) — every particle is
    sent to the grid rank owning its position, carrying a packed 64-bit
@@ -34,11 +37,10 @@ from repro import kernels
 from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.movement import p2nfft_prefers_neighborhood
 from repro.core.particles import ColumnBlock, ParticleSet
-from repro.core.resort import initial_numbering, invert_indices
-from repro.core.restore import restore_results
+from repro.core.resort import initial_numbering
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
-from repro.solvers.base import RunReport, Solver
+from repro.solvers.base import Solver
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 from repro.solvers.p2nfft.mesh import MeshSolver
 from repro.solvers.p2nfft.tuning import (
@@ -47,7 +49,7 @@ from repro.solvers.p2nfft.tuning import (
     tune_ewald_splitting,
 )
 
-__all__ = ["P2NFFTSolver", "ghost_distribution", "charge_parallel_fft"]
+__all__ = ["GridSolver", "P2NFFTSolver", "ghost_distribution", "charge_parallel_fft"]
 
 
 def _near_rank_task(near, tpos, spos, sq):
@@ -147,7 +149,118 @@ def charge_parallel_fft(machine: Machine, M: int, n_transforms: int, phase: str)
     )
 
 
-class P2NFFTSolver(Solver):
+class GridSolver(Solver):
+    """What the grid-decomposed Ewald-splitting solvers share: the
+    redistribution onto the Cartesian process grid with ghost duplication
+    (their ``_place`` hook) and the linked-cell real-space sums."""
+
+    periodic_only = True
+    origin_column = "index"
+
+    def __init__(
+        self, machine: Machine, cutoff: Optional[float], alpha: Optional[float], compute: str
+    ) -> None:
+        super().__init__(machine)
+        self._set_compute_mode(compute)
+        self._cutoff_override = cutoff
+        self._alpha_override = alpha
+        self.rc: Optional[float] = None
+        self.alpha: Optional[float] = None
+        self.near: Optional[LinkedCellNearField] = None
+        self.grid: Optional[CartGrid] = None
+
+    def _tune_grid(self, alpha: float) -> None:
+        """Adopt the tuned splitting: build cells and process grid, agree."""
+        self.alpha = alpha
+        if self.compute_mode == "full":
+            self.near = LinkedCellNearField(self.box, self.offset, self.rc, alpha)
+        self.grid = CartGrid(self.machine.nprocs, self.box, self.offset, periodic=True)
+        self.machine.barrier(phase="tune")
+        self._tuned = True
+
+    def _place(self, particles: ParticleSet, max_move: Optional[float]):
+        """One fine-grained redistribution to the owning grid ranks, ghosts
+        included (phase ``sort``); returns owned and owned+ghost blocks."""
+        machine = self.machine
+        P = machine.nprocs
+        old_counts = particles.counts()
+        neighborhood = (
+            max_move is not None and p2nfft_prefers_neighborhood(self.grid, max_move)
+        )
+        comm = "neighborhood" if neighborhood else "alltoall"
+
+        numbering = initial_numbering(old_counts)
+        blocks = [
+            ColumnBlock(
+                pos=particles.pos[r].copy(), q=particles.q[r].copy(), index=numbering[r]
+            )
+            for r in range(P)
+        ]
+        machine.compute(kernels.KEY_GENERATION * old_counts, phase="keygen")
+
+        # compute the distribution (owners + ghost duplicates) for all ranks
+        # in one vectorised pass; the per-rank distribution function then
+        # just slices the precomputed pairs (semantically identical, far
+        # cheaper at high process counts)
+        all_pos = np.concatenate([b["pos"] for b in blocks])
+        rank_offsets = np.concatenate(([0], np.cumsum(old_counts)))
+        g_elems, g_targets = ghost_distribution(self.grid, all_pos, self.rc)
+        order = np.argsort(g_elems, kind="stable")
+        g_elems = g_elems[order]
+        g_targets = g_targets[order]
+        split_at = np.searchsorted(g_elems, rank_offsets)
+        per_rank_pairs = [
+            (
+                g_elems[split_at[r]:split_at[r + 1]] - rank_offsets[r],
+                g_targets[split_at[r]:split_at[r + 1]],
+            )
+            for r in range(P)
+        ]
+        received = fine_grained_redistribute(
+            machine, blocks, lambda rank, block: per_rank_pairs[rank], phase="sort", comm=comm
+        )
+
+        owned: List[ColumnBlock] = []
+        for r, block in enumerate(received):
+            if block.n:
+                own_mask = self.grid.rank_of_positions(block["pos"]) == r
+                owned.append(block.take(np.flatnonzero(own_mask)))
+            else:
+                owned.append(ColumnBlock.empty_like(block, 0))
+        return owned, received, comm, f"grid+{comm}"
+
+    def _near_field(self, owned, local_all, new_counts):
+        """Linked-cell ``erfc(alpha r)/r`` sums of each rank's owned
+        particles against its owned + ghost ones; returns the per-rank
+        potentials, fields and nominal pair cost (the caller charges it)."""
+        if self.compute_mode == "skip":
+            pair_density = (
+                float(new_counts.sum()) / float(np.prod(self.box))
+                * (4.0 / 3.0) * np.pi * self.rc ** 3
+            )
+            pots = [np.zeros(b.n) for b in owned]
+            fields = [np.zeros((b.n, 3)) for b in owned]
+            return pots, fields, kernels.ERFC_PAIR * new_counts * pair_density
+        tasks = [
+            (own["pos"], local["pos"], local["q"]) for own, local in zip(owned, local_all)
+        ]
+        backend = self.machine.backend
+        if backend is not None and backend.workers:
+            # each rank's near field is an independent pure computation over
+            # its owned + ghost particles — fan it out to the rank-owning
+            # workers.  The task is deterministic, so results (and the pair
+            # counts feeding the cost model) are bitwise those of the
+            # sequential loop.
+            results = backend.rank_map(
+                "repro.solvers.p2nfft.solver._near_rank_task", tasks, shared=self.near
+            )
+        else:
+            results = [_near_rank_task(self.near, *task) for task in tasks]
+        pots, fields, pairs = (list(column) for column in zip(*results))
+        return pots, fields, kernels.ERFC_PAIR * np.asarray(pairs, dtype=np.float64)
+
+
+class P2NFFTSolver(GridSolver):
     """Ewald-splitting particle-mesh solver on a Cartesian process grid."""
 
     name = "p2nfft"
@@ -160,27 +273,9 @@ class P2NFFTSolver(Solver):
         mesh_size: Optional[int] = None,
         compute: str = "full",
     ) -> None:
-        super().__init__(machine)
-        if compute not in ("full", "skip"):
-            raise ValueError(f"compute must be 'full' or 'skip', got {compute!r}")
-        self._cutoff_override = cutoff
-        self._alpha_override = alpha
+        super().__init__(machine, cutoff, alpha, compute)
         self._mesh_override = mesh_size
-        #: ``"skip"`` omits the force arithmetic (results are zeros) while
-        #: keeping every redistribution operation — including ghost
-        #: creation — data-real, and charging solver compute from analytic
-        #: workload estimates (DESIGN.md §5)
-        self.compute_mode = compute
-        self.rc: Optional[float] = None
-        self.alpha: Optional[float] = None
         self.mesh: Optional[MeshSolver] = None
-        self.near: Optional[LinkedCellNearField] = None
-        self.grid: Optional[CartGrid] = None
-
-    def set_common(self, *, box, offset=(0.0, 0.0, 0.0), periodic: bool = True) -> None:
-        if not periodic:
-            raise ValueError("the P2NFFT solver supports periodic systems only")
-        super().set_common(box=box, offset=offset, periodic=periodic)
 
     # -- solver-specific setter functions (fcs_p2nfft_set_*) ----------------------
 
@@ -227,136 +322,25 @@ class P2NFFTSolver(Solver):
             alpha = float(self._alpha_override)
         if self._mesh_override is not None:
             M = int(self._mesh_override)
-        self.alpha = alpha
         self.mesh_size = M
         if self.compute_mode == "full":
             self.mesh = MeshSolver(M, self.box, self.offset, alpha)
-            self.near = LinkedCellNearField(self.box, self.offset, self.rc, alpha)
-        self.grid = CartGrid(self.machine.nprocs, self.box, self.offset, periodic=True)
-        self.machine.barrier(phase="tune")
+        self._tune_grid(alpha)
         self.machine.compute(kernels.FFT_POINT_STAGE * float(M) ** 3, phase="tune")
-        self._tuned = True
 
-    # -- run --------------------------------------------------------------------------
+    # -- the compute hook of Solver.run ------------------------------------------------
 
-    def run(
-        self,
-        particles: ParticleSet,
-        *,
-        resort: bool = False,
-        max_move: Optional[float] = None,
-    ) -> RunReport:
-        self.require_common()
-        if not self._tuned:
-            raise RuntimeError("fcs_tune must run before fcs_run")
+    def _compute(self, owned, local_all, new_counts):
+        """Real-space near field (phase ``near``), then the Fourier-space
+        far field on the mesh (phases ``mesh``, ``fft``)."""
         machine = self.machine
         P = machine.nprocs
-        old_counts = particles.counts()
-
-        neighborhood = (
-            max_move is not None and p2nfft_prefers_neighborhood(self.grid, max_move)
+        pots, fields, near_cost = self._near_field(owned, local_all, new_counts)
+        bin_cost = kernels.CELL_BINNING * np.asarray(
+            [b.n for b in local_all], dtype=np.float64
         )
-        comm = "neighborhood" if neighborhood else "alltoall"
-        strategy = f"grid+{comm}"
-
-        # --- forward redistribution with ghost duplication (phase: sort) ----
-        numbering = initial_numbering(old_counts)
-        blocks: List[ColumnBlock] = []
-        cost = np.zeros(P)
-        for r in range(P):
-            blocks.append(
-                ColumnBlock(
-                    pos=particles.pos[r].copy(),
-                    q=particles.q[r].copy(),
-                    index=numbering[r],
-                )
-            )
-            cost[r] = kernels.KEY_GENERATION * old_counts[r]
-        machine.compute(cost, phase="keygen")
-
-        # compute the distribution (owners + ghost duplicates) for all ranks
-        # in one vectorised pass; the per-rank distribution function then
-        # just slices the precomputed pairs (semantically identical, far
-        # cheaper at high process counts)
-        all_pos = np.concatenate([b["pos"] for b in blocks])
-        rank_offsets = np.concatenate(([0], np.cumsum(old_counts)))
-        g_elems, g_targets = ghost_distribution(self.grid, all_pos, self.rc)
-        order = np.argsort(g_elems, kind="stable")
-        g_elems = g_elems[order]
-        g_targets = g_targets[order]
-        split_at = np.searchsorted(g_elems, rank_offsets)
-        per_rank_pairs = [
-            (
-                g_elems[split_at[r]:split_at[r + 1]] - rank_offsets[r],
-                g_targets[split_at[r]:split_at[r + 1]],
-            )
-            for r in range(P)
-        ]
-
-        def dist(rank: int, block: ColumnBlock):
-            return per_rank_pairs[rank]
-
-        received = fine_grained_redistribute(machine, blocks, dist, phase="sort", comm=comm)
-
-        # --- split owned / ghost -----------------------------------------------
-        owned: List[ColumnBlock] = []
-        local_all: List[ColumnBlock] = []
-        for r in range(P):
-            block = received[r]
-            if block.n:
-                owner = self.grid.rank_of_positions(block["pos"])
-                own_mask = owner == r
-                owned.append(block.take(np.flatnonzero(own_mask)))
-            else:
-                owned.append(ColumnBlock.empty_like(block, 0))
-            local_all.append(block)
-        new_counts = np.asarray([b.n for b in owned], dtype=np.int64)
-
-        # --- real-space near field (phase: near) -------------------------------
-        pots: List[np.ndarray] = []
-        fields: List[np.ndarray] = []
-        near_cost = np.zeros(P)
-        bin_cost = np.zeros(P)
-        pair_density = (
-            float(sum(new_counts)) / float(np.prod(self.box))
-            * (4.0 / 3.0) * np.pi * self.rc ** 3
-        )
-        backend = machine.backend
-        if self.compute_mode != "skip" and backend is not None and backend.workers:
-            # each rank's near field is an independent pure computation over
-            # its owned + ghost particles — fan it out to the rank-owning
-            # workers.  The task is deterministic, so results (and the pair
-            # counts feeding the cost model) are bitwise those of the
-            # sequential loop below.
-            near_results = backend.rank_map(
-                "repro.solvers.p2nfft.solver._near_rank_task",
-                [
-                    (owned[r]["pos"], local_all[r]["pos"], local_all[r]["q"])
-                    for r in range(P)
-                ],
-                shared=self.near,
-            )
-        else:
-            near_results = None
-        for r in range(P):
-            if self.compute_mode == "skip":
-                pots.append(np.zeros(owned[r].n))
-                fields.append(np.zeros((owned[r].n, 3)))
-                near_cost[r] = kernels.ERFC_PAIR * owned[r].n * pair_density
-            else:
-                if near_results is not None:
-                    pot_n, field_n, pairs = near_results[r]
-                else:
-                    pot_n, field_n, pairs = self.near.compute(
-                        owned[r]["pos"], local_all[r]["pos"], local_all[r]["q"]
-                    )
-                pots.append(pot_n)
-                fields.append(field_n)
-                near_cost[r] = kernels.ERFC_PAIR * pairs
-            bin_cost[r] = kernels.CELL_BINNING * local_all[r].n
         machine.compute(near_cost + bin_cost, phase="near")
 
-        # --- Fourier-space far field (phases: mesh, fft) -------------------------
         if self.compute_mode == "full":
             gpos = np.concatenate([b["pos"] for b in owned])
             gq = np.concatenate([b["q"] for b in owned])
@@ -364,10 +348,7 @@ class P2NFFTSolver(Solver):
             total_charge = float(gq.sum())
             if abs(total_charge) > 1e-12:
                 pot_k += self.mesh.background(total_charge)
-        else:
-            n_total = int(new_counts.sum())
-            pot_k = np.zeros(n_total)
-            field_k = np.zeros((n_total, 3))
+            self._add_far_field(pots, fields, pot_k, field_k, new_counts)
         machine.compute(
             kernels.MESH_ASSIGNMENT * new_counts.astype(np.float64) * 5.0, phase="mesh"
         )
@@ -381,51 +362,4 @@ class P2NFFTSolver(Solver):
             nbytes=int(surface * 8.0 * 6 * P),
         )
         charge_parallel_fft(machine, self.mesh_size, 5, phase="fft")
-
-        offsets = np.concatenate(([0], np.cumsum(new_counts)))
-        for r in range(P):
-            sl = slice(offsets[r], offsets[r + 1])
-            pots[r] = pots[r] + pot_k[sl]
-            fields[r] = fields[r] + field_k[sl]
-
-        # --- return path ------------------------------------------------------------
-        if resort and particles.fits(new_counts):
-            # drop ghosts, return the changed order and distribution
-            for r in range(P):
-                particles.replace(
-                    r, owned[r]["pos"], owned[r]["q"], pots[r], fields[r]
-                )
-            resort_indices = invert_indices(
-                machine,
-                [b["index"] for b in owned],
-                [int(c) for c in old_counts],
-                phase="resort_index",
-                comm=comm,
-            )
-            return RunReport(
-                changed=True,
-                resort_indices=resort_indices,
-                old_counts=old_counts,
-                new_counts=new_counts,
-                strategy=strategy,
-                comm=comm,
-                rank_work=near_cost,
-            )
-
-        restore_results(
-            machine,
-            [b["index"] for b in owned],
-            pots,
-            fields,
-            particles,
-            [int(c) for c in old_counts],
-            phase="restore",
-        )
-        return RunReport(
-            changed=False,
-            old_counts=old_counts,
-            new_counts=old_counts,
-            strategy=strategy,
-            comm=comm,
-            rank_work=near_cost,
-        )
+        return pots, fields, near_cost

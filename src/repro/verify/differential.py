@@ -24,7 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.md.simulation import Simulation, SimulationConfig, StepRecord
+from repro.md.simulation import (
+    REDISTRIBUTION_PHASES,
+    Simulation,
+    SimulationConfig,
+    StepRecord,
+)
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
 from repro.verify.audit import enable_auditing
@@ -45,12 +50,6 @@ __all__ = [
 
 #: the three redistribution methods under differential comparison
 METHODS = ("A", "B", "B+move")
-
-#: phases that constitute "redistribution" for the volume comparison: the
-#: sort into the solver layout, method A's restoration, and method B's
-#: resort-index redistribution of application data (including the plan
-#: engine's schedule-compilation exchanges)
-REDISTRIBUTION_PHASES = ("sort", "restore", "resort", "resort_index", "resort_plan")
 
 
 class DifferentialFailure(AssertionError):

@@ -12,12 +12,19 @@ import pytest
 from repro.bench.harness import (
     RESORT_PHASES,
     RESTORE_PHASES,
+    SOLVER_PHASES,
     SORT_PHASES,
     step_breakdown,
 )
-from repro.md.simulation import Simulation, SimulationConfig
+from repro.md.simulation import (
+    REDISTRIBUTION_PHASES,
+    Simulation,
+    SimulationConfig,
+    StepRecord,
+)
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
+from repro.simmpi.tracing import PhaseStats
 
 #: the exact keys every step_breakdown must expose (figure columns)
 GOLDEN_BREAKDOWN_KEYS = {"sort", "restore", "resort", "total", "redist"}
@@ -75,6 +82,24 @@ class TestStepBreakdownGolden:
                 + rec.phase_time("resort_index")
             )
             assert 0 < bd["redist"] < bd["total"]
+
+    def test_redist_counts_exactly_the_shared_redistribution_phases(self):
+        """``step_breakdown`` keeps its own (pinned) float grouping, but the
+        set of phases its ``redist`` counts is the one shared tuple of
+        ``repro.md.simulation`` that the adaptive controller, the
+        differential oracle and the examples use."""
+        labels = set(SOLVER_PHASES) | set(REDISTRIBUTION_PHASES) | {"integrate"}
+        counted = set()
+        for label in labels:
+            rec = StepRecord(
+                step=1, phases={label: PhaseStats(time=1.0)}, total_time=1.0,
+                max_move=0.0, changed=False, strategy="",
+            )
+            assert step_breakdown(rec)["redist"] in (0.0, 1.0)
+            if step_breakdown(rec)["redist"]:
+                counted.add(label)
+            assert rec.redistribution_time() == step_breakdown(rec)["redist"]
+        assert counted == set(REDISTRIBUTION_PHASES)
 
     def test_harness_constants_cover_breakdown(self):
         """The breakdown is computed from the harness phase constants; the

@@ -11,7 +11,7 @@ Property tests for the load-balanced mode of
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.balance import count_split_bounds, work_split_bounds
@@ -43,10 +43,17 @@ class TestWorkSplitBounds:
         ),
         nparts=st.integers(min_value=1, max_value=16),
     )
+    # a subnormal total: ``total / nparts`` underflows to 0 (all work used
+    # to land in the last part); the second case is why degrading to the
+    # count split is not the fix (its first part would hold both weights)
+    @example(weights=[5e-324, 5e-324], nparts=4)
+    @example(weights=[5e-324, 5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], nparts=4)
     @settings(max_examples=200, deadline=None)
     def test_weight_balance_bound(self, weights, nparts):
         """Every part's work stays below ``total/P + max(w)`` — the
-        granularity limit of contiguous weighted splitting."""
+        granularity limit of contiguous weighted splitting (compared after
+        multiplying through by ``P``, so a tiny total cannot underflow the
+        bound itself)."""
         w = np.asarray(weights, dtype=np.float64)
         bounds = work_split_bounds(w, nparts)
         assert bounds[0] == 0 and bounds[-1] == w.shape[0]
@@ -54,9 +61,9 @@ class TestWorkSplitBounds:
         total = float(w.sum())
         if total <= 0.0:
             return
-        limit = total / nparts + float(w.max()) + 1e-9 * total
+        limit = total + nparts * (float(w.max()) + 1e-9 * total)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            assert float(w[lo:hi].sum()) <= limit
+            assert float(w[lo:hi].sum()) * nparts <= limit
 
     @given(
         n=st.integers(min_value=0, max_value=300),
