@@ -17,7 +17,7 @@ the component state fingerprints.  ``resize`` redistributes the file onto
 a different rank count through the fused exchange and reports the moved
 bytes.  ``verify`` runs the restart-equivalence suite (run 2N ≡ run N +
 save + restore + run N) over the solver × method grid and exits non-zero
-on any divergence — the CI ``ckpt-smoke`` entry point.
+on any divergence — the checkpoint entry point of the CI ``verify`` job.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ depends on layout, a charge not wiped by the clock restore) fails here with
 the diverging components named.
 
 :func:`run_equivalence_suite` sweeps the full 4-solver × 3-method matrix —
-the programmatic backbone of the ``python -m repro.ckpt verify`` CLI and
-the CI ``ckpt-smoke`` job.
+the programmatic backbone of the ``python -m repro.ckpt verify`` CLI, which
+the CI ``verify`` job runs.
 """
 
 from __future__ import annotations

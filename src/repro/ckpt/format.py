@@ -22,7 +22,7 @@ internal format whose writers are all in this package.
 from __future__ import annotations
 
 import json
-from typing import Any, IO, Iterable, Iterator, List
+from typing import Any, IO, Iterable, Iterator
 
 import numpy as np
 
@@ -99,13 +99,19 @@ def write_lines(stream: IO[str], lines: Iterable[str]) -> int:
 
 
 def read_lines(stream: IO[str]) -> Iterator[dict]:
-    """Yield parsed NDJSON records, skipping blank lines."""
-    for line in stream:
+    """Yield parsed NDJSON records, skipping blank lines.
+
+    An unparsable line (e.g. one cut mid-record) raises ``ValueError``
+    naming its 1-based line number.
+    """
+    for number, line in enumerate(stream, start=1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             yield json.loads(line)
-
-
-def encode_lines(records: List[dict]) -> List[str]:
-    """Encode a list of plain records into deterministic NDJSON lines."""
-    return [dumps(rec) for rec in records]
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"line {number} is not a complete JSON record "
+                f"(truncated or corrupted): {exc}"
+            ) from None

@@ -40,6 +40,7 @@ records, RNG, monitor) is carried over unchanged.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import List, Optional, Tuple
 
@@ -189,62 +190,26 @@ def resize_checkpoint(
         metrics.counter("resize.moved_bytes").inc(plan.moved_bytes)
         metrics.counter("resize.count").inc()
 
-    by_name = {
-        name: [out_cols[c][r] for r in range(Q)]
-        for c, name in enumerate(COLUMNS)
-    }
     n = plan.n_particles
     cfg_capacity = float(ckpt.config.get("capacity_factor", 3.0))
     per_rank = max(1, -(-n // Q))
     base_cap = int(np.ceil(cfg_capacity * per_rank))
-    capacities = [max(base_cap, c, 1) for c in plan.new_counts[:Q]]
-
-    trace = {
-        "phases": {k: dict(v) for k, v in ckpt.trace.get("phases", {}).items()},
-        "counters": dict(ckpt.trace.get("counters", {})),
-        "notes": dict(ckpt.trace.get("notes", {})),
-        # per-rank work vectors have shape P and cannot be reinterpreted on
-        # Q ranks; the balance monitor restarts its observation window
-        "rank_work": {},
-    }
-    elapsed = float(np.asarray(ckpt.clocks).max()) if ckpt.nprocs else 0.0
-
-    import copy as _copy
-
-    resized = Checkpoint(
+    elapsed = float(ckpt.machine["clocks"].max()) if P else 0.0
+    # everything not named here — aggregate history — is carried over
+    resized = dataclasses.replace(
+        ckpt,
         nprocs=Q,
-        step_index=ckpt.step_index,
-        initialized=ckpt.initialized,
-        active_method=ckpt.active_method,
-        config=_copy.deepcopy(ckpt.config),
-        box=ckpt.box.copy(),
-        offset=ckpt.offset.copy(),
-        pos=by_name["pos"],
-        q=by_name["q"],
-        pot=by_name["pot"],
-        field=by_name["field"],
-        vel=by_name["vel"],
-        acc=by_name["acc"],
-        ids=by_name["ids"],
-        capacities=capacities,
-        rng_state=_copy.deepcopy(ckpt.rng_state),
-        records=_copy.deepcopy(ckpt.records),
-        last_max_move=ckpt.last_max_move,
-        adaptive=_copy.deepcopy(ckpt.adaptive),
+        capacities=[max(base_cap, c, 1) for c in plan.new_counts[:Q]],
         # the cached plan/report key resort indices for P ranks — stale by
         # construction; the resumed run recompiles on its first changed run
-        fcs_state={
-            "resort_requested": bool(
-                ckpt.fcs_state.get("resort_requested", False)
-            ),
-            "has_plan": False,
-            "report": None,
+        fcs={**ckpt.fcs, "has_plan": False, "report": None},
+        # per-rank work vectors have shape P and cannot be reinterpreted on
+        # Q ranks; the balance monitor restarts its observation window
+        machine={
+            "clocks": np.full(Q, elapsed, dtype=np.float64),
+            "trace": {**ckpt.machine["trace"], "rank_work": {}},
         },
-        solver_state=_copy.deepcopy(ckpt.solver_state),
-        monitor=_copy.deepcopy(ckpt.monitor),
-        clocks=np.full(Q, elapsed, dtype=np.float64),
-        trace=trace,
-        auditor=_copy.deepcopy(ckpt.auditor),
-        thermostat=_copy.deepcopy(ckpt.thermostat),
+        **{name: out_cols[c][:Q] for c, name in enumerate(COLUMNS)},
     )
-    return resized, plan
+    # the resized checkpoint shares no object with its source
+    return copy.deepcopy(resized), plan

@@ -37,18 +37,9 @@ comparing against a trace whose history predates the recorder.
 
 from __future__ import annotations
 
-import copy
 import time
-from typing import Optional
 
-import numpy as np
-
-from repro.ckpt.checkpoint import (
-    Checkpoint,
-    plain_records_to_step_records,
-    restore_auditor_state,
-    restore_trace_state,
-)
+from repro.ckpt.checkpoint import COLUMNS, Checkpoint
 
 __all__ = ["restore_simulation"]
 
@@ -78,7 +69,7 @@ def restore_simulation(
 
     Returns the restored :class:`~repro.md.simulation.Simulation`.
     """
-    from repro.core.particles import ParticleSet
+    from repro.core.balance import ImbalanceMonitor
     from repro.md.simulation import Simulation
     from repro.md.systems import ParticleSystem
     from repro.simmpi.machine import Machine
@@ -99,113 +90,49 @@ def restore_simulation(
         pos=g["pos"],
         q=g["q"],
         vel=g["vel"],
-        box=ckpt.box.copy(),
-        offset=ckpt.offset.copy(),
+        box=ckpt.system["box"].copy(),
+        offset=ckpt.system["offset"].copy(),
     )
     cfg = ckpt.make_config(perturbation=perturbation)
     sim = Simulation(machine, system, cfg)
 
     # -- phase 2: per-rank physics columns + application bookkeeping ---------
-    particles = ParticleSet(
-        [a.copy() for a in ckpt.pos],
-        [a.copy() for a in ckpt.q],
-        capacities=list(ckpt.capacities),
+    sim.load_state(
+        {
+            **ckpt.sim,
+            "records": ckpt.records,
+            "columns": {name: ckpt.columns(name) for name in COLUMNS},
+            "capacities": ckpt.capacities,
+        }
     )
-    particles.pot = [a.copy() for a in ckpt.pot]
-    particles.field = [a.copy() for a in ckpt.field]
-    sim.particles = particles
-    sim.vel = [a.copy() for a in ckpt.vel]
-    sim.acc = [a.copy() for a in ckpt.acc]
-    sim.ids = [a.copy() for a in ckpt.ids]
-    sim.records = plain_records_to_step_records(ckpt.records)
-    sim.step_index = ckpt.step_index
-    sim._initialized = ckpt.initialized
-    sim.active_method = ckpt.active_method
-    sim._adaptive_trial = ckpt.adaptive.get("trial")
-    sim._method_costs = {
-        str(k): float(v) for k, v in ckpt.adaptive.get("method_costs", {}).items()
-    }
-    sim._switch_transient = bool(ckpt.adaptive.get("switch_transient", False))
-    sim._last_max_move = (
-        None if ckpt.last_max_move is None else float(ckpt.last_max_move)
-    )
-    sim._rng = np.random.default_rng(cfg.seed + 7919)
-    sim._rng.bit_generator.state = copy.deepcopy(ckpt.rng_state)
     if ckpt.monitor is not None:
-        if sim.balance_monitor is not None:
-            sim.balance_monitor.load_state(ckpt.monitor)
-        else:  # defensive: config said off/unsupported but state exists
-            from repro.core.balance import ImbalanceMonitor
-
-            sim.balance_monitor = ImbalanceMonitor.from_state(ckpt.monitor)
+        # (also when the config says off/unsupported but state exists)
+        sim.balance_monitor = ImbalanceMonitor.from_state(ckpt.monitor)
 
     # -- phase 3: solver tuning (deterministic in n/box/accuracy) ------------
-    sim.fcs.set_resort(bool(ckpt.fcs_state.get("resort_requested", False)))
     sim.fcs.tune(sim.particles, cfg.accuracy)
 
     # -- phase 4: solver-handle resort state ---------------------------------
-    report_state = ckpt.fcs_state.get("report")
-    if report_state is not None:
-        from repro.solvers.base import RunReport
-
-        report = RunReport(
-            changed=bool(report_state["changed"]),
-            resort_indices=(
-                None
-                if report_state["resort_indices"] is None
-                else [
-                    np.asarray(a, dtype=np.int64).copy()
-                    for a in report_state["resort_indices"]
-                ]
-            ),
-            old_counts=(
-                None
-                if report_state["old_counts"] is None
-                else np.asarray(report_state["old_counts"], dtype=np.int64)
-            ),
-            new_counts=(
-                None
-                if report_state["new_counts"] is None
-                else np.asarray(report_state["new_counts"], dtype=np.int64)
-            ),
-            strategy=str(report_state["strategy"]),
-            comm=str(report_state["comm"]),
-            rank_work=(
-                None
-                if report_state["rank_work"] is None
-                else np.asarray(report_state["rank_work"], dtype=np.float64)
-            ),
-        )
-        sim.fcs._last_report = report
-        if ckpt.fcs_state.get("has_plan") and report.changed:
-            # recompile the cached plan from the same resort indices; the
-            # compile's charges are wiped in phase 5 and the continuation
-            # cache-hits on the identical key, exactly like the donor run
-            sim.fcs.resort_plan()
-    solver = sim.fcs.solver
-    solver._load_balance = str(ckpt.solver_state.get("load_balance", "off"))
-    solver._rebalance_pending = bool(
-        ckpt.solver_state.get("rebalance_pending", False)
-    )
+    # (the recompile of a cached plan charges the machine; wiped in phase 5)
+    sim.fcs.load_state(ckpt.fcs)
+    sim.fcs.solver.load_state(ckpt.solver)
 
     # -- phase 5: machine clocks / trace / auditor (wipes rebuild costs) -----
-    machine.clocks[:] = np.asarray(ckpt.clocks, dtype=np.float64)
-    machine.trace.load_state(restore_trace_state(ckpt.trace))
+    machine.clocks[:] = ckpt.machine["clocks"]
+    machine.trace.load_state(ckpt.machine["trace"])
     if machine.perturbation is not None:
         # the note describes *this* execution's chaos schedule, not the
         # donor's
         machine.trace.note("perturbation", machine.perturbation.describe())
     if machine.auditor is not None:
-        if ckpt.auditor is not None:
-            machine.auditor.load_state(restore_auditor_state(ckpt.auditor))
-        else:
+        auditor_state = ckpt.auditor
+        if auditor_state is None:
             # the donor run was not audited: this auditor observed only the
             # reconstruction (whose charges were just wiped), so start it
             # fresh with its baseline at the restored trace — it then
             # accounts exactly the continuation
-            machine.auditor.load_state(
-                {"trace_baseline": machine.trace.snapshot()}
-            )
+            auditor_state = {"trace_baseline": machine.trace.state_dict()["phases"]}
+        machine.auditor.load_state(auditor_state)
     obs = machine.obs
     if obs is not None:
         obs.clear()

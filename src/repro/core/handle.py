@@ -30,7 +30,7 @@ v2 — see docs/migration.md.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -367,6 +367,32 @@ class FCS:
                 "changed particle order (check resort_availability())"
             )
         return report
+
+    # -- checkpointing --------------------------------------------------------------------
+
+    def state_dict(self) -> Dict[str, Any]:
+        """The handle's resort state as checkpoint-plain data: the resort
+        request, the last :class:`RunReport` and whether a compiled
+        :class:`ResortPlan` was cached — the plan itself is not stored; its
+        *key*, the report's resort indices, is."""
+        report = self._last_report
+        return {
+            "resort_requested": self._resort_requested,
+            "has_plan": self._plan is not None,
+            "report": None if report is None else report.state_dict(),
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state_dict` (absent keys load as a fresh
+        handle's).  A cached plan is recompiled from the same resort indices,
+        so the continuation cache-hits on the identical key exactly like the
+        donor run; the compile charges the machine, which a restore wipes
+        when it reinstates the clocks and trace afterwards."""
+        self._resort_requested = bool(state.get("resort_requested", False))
+        report = state.get("report")
+        self._last_report = None if report is None else RunReport.from_state(report)
+        if state.get("has_plan") and self.resort_availability():
+            self.resort_plan()
 
     # -- lifecycle ------------------------------------------------------------------------
 

@@ -21,13 +21,15 @@ deltas — the data behind each of the paper's figures.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.balance import LOAD_BALANCE_MODES, ImbalanceMonitor
 from repro.core.handle import FCS, fcs_init
+from repro.core.particles import ParticleSet
 from repro.md.distributions import distribute
 from repro.md.integrator import accelerations, position_update, velocity_update
 from repro.md.observables import kinetic_energy, potential_energy
@@ -248,6 +250,17 @@ class StepRecord:
         """Virtual time of this step's :data:`REDISTRIBUTION_PHASES`."""
         return self.phase_time(*REDISTRIBUTION_PHASES)
 
+    def state_dict(self) -> Dict[str, Any]:
+        """The record as checkpoint-plain data (fields by name)."""
+        phases = {label: stats.state_dict() for label, stats in self.phases.items()}
+        return {**vars(self), "phases": phases}
+
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "StepRecord":
+        """Inverse of :meth:`state_dict`."""
+        phases = {label: PhaseStats(**s) for label, s in state["phases"].items()}
+        return cls(**{**state, "phases": phases})
+
 
 class Simulation:
     """A particle dynamics simulation coupled to a long-range solver."""
@@ -445,6 +458,72 @@ class Simulation:
         return self.records
 
     # -- checkpointing (repro.ckpt) ---------------------------------------------------
+
+    def _columns(self) -> Dict[str, List[np.ndarray]]:
+        """The per-rank particle data columns, by checkpoint column name."""
+        particles = self.particles
+        return {
+            "pos": particles.pos,
+            "q": particles.q,
+            "pot": particles.pot,
+            "field": particles.field,
+            "vel": self.vel,
+            "acc": self.acc,
+            "ids": self.ids,
+        }
+
+    def state_dict(self) -> Dict[str, Any]:
+        """The application state as deep-copied checkpoint-plain data: step
+        counters, method/adaptive bookkeeping, RNG, step ``records`` and the
+        per-rank ``columns`` with their ``capacities``.  Pure observation —
+        charges no machine cost.  The solver handle, solver, balance monitor
+        and machine each own (and serialize) their own state."""
+        return {
+            "step_index": self.step_index,
+            "initialized": self._initialized,
+            "active_method": self.active_method,
+            "last_max_move": self._last_max_move,
+            "adaptive": {
+                "trial": self._adaptive_trial,
+                "method_costs": dict(self._method_costs),
+                "switch_transient": self._switch_transient,
+            },
+            "rng_state": copy.deepcopy(self._rng.bit_generator.state),
+            "records": [record.state_dict() for record in self.records],
+            "columns": {
+                name: [a.copy() for a in arrays]
+                for name, arrays in self._columns().items()
+            },
+            "capacities": list(self.particles.capacities),
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state_dict`: overwrite the application state
+        bit-for-bit (copying, so ``state`` is never aliased).  Absent
+        bookkeeping keys keep a freshly constructed simulation's values."""
+        columns = {
+            name: [a.copy() for a in arrays]
+            for name, arrays in state["columns"].items()
+        }
+        self.particles = ParticleSet(
+            columns["pos"], columns["q"], capacities=list(state["capacities"])
+        )
+        self.particles.pot, self.particles.field = columns["pot"], columns["field"]
+        self.vel, self.acc, self.ids = columns["vel"], columns["acc"], columns["ids"]
+        self.records = [StepRecord.from_state(r) for r in state.get("records", [])]
+        self.step_index = int(state.get("step_index", 0))
+        self._initialized = bool(state.get("initialized", False))
+        self.active_method = str(state.get("active_method", self.active_method))
+        last_max_move = state.get("last_max_move")
+        self._last_max_move = None if last_max_move is None else float(last_max_move)
+        adaptive = state.get("adaptive", {})
+        self._adaptive_trial = adaptive.get("trial")
+        self._method_costs = {
+            str(k): float(v) for k, v in adaptive.get("method_costs", {}).items()
+        }
+        self._switch_transient = bool(adaptive.get("switch_transient", False))
+        if "rng_state" in state:
+            self._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
 
     def save_checkpoint(self, path: str) -> int:
         """Write a restartable :mod:`repro.ckpt` checkpoint; returns bytes

@@ -74,6 +74,11 @@ class PhaseStats:
         self.bytes += nbytes
         self.calls += calls
 
+    def state_dict(self) -> Dict[str, object]:
+        """The fields by name — checkpoint-plain; ``PhaseStats(**state)`` is
+        the inverse (fields an older checkpoint lacks take their defaults)."""
+        return dict(vars(self))
+
     def merged(self, other: "PhaseStats") -> "PhaseStats":
         return PhaseStats(
             time=self.time + other.time,
@@ -309,15 +314,17 @@ class Trace:
     # -- checkpointing ----------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Complete deep-copied trace state for checkpointing.
+        """Complete deep-copied trace state as checkpoint-plain data.
 
-        The inverse of :meth:`load_state`; together they let
+        Phases flatten to ``{field: value}`` dicts, so
+        :func:`repro.ckpt.format.encode_value` writes the result as-is;
+        :meth:`load_state` is the exact inverse.  Together they let
         :mod:`repro.ckpt` freeze a trace mid-run and reinstate it bit-exactly
         on a fresh machine (phases, event counters, annotations and the
         per-rank nominal work vectors).
         """
         return {
-            "phases": {k: dataclasses.replace(v) for k, v in self._phases.items()},
+            "phases": {k: v.state_dict() for k, v in self._phases.items()},
             "counters": dict(self._counters),
             "notes": dict(self._notes),
             "rank_work": {k: v.copy() for k, v in self._rank_work.items()},
@@ -326,12 +333,13 @@ class Trace:
     def load_state(self, state: Dict[str, object]) -> None:
         """Replace the entire trace content with a :meth:`state_dict` copy.
 
-        Deep-copies the input, so the caller's state dict (e.g. a held
-        checkpoint) is never aliased by the live trace.
+        Copies the input, so the caller's state dict (e.g. a held
+        checkpoint) is never aliased by the live trace; absent keys (and the
+        host-side phase fields older checkpoints lack) load as empty/zero.
         """
         self.clear()
         for label, stats in state.get("phases", {}).items():  # type: ignore[union-attr]
-            self._phases[str(label)] = dataclasses.replace(stats)
+            self._phases[str(label)] = PhaseStats(**stats)
         for name, value in state.get("counters", {}).items():  # type: ignore[union-attr]
             self._counters[str(name)] = int(value)
         for key, value in state.get("notes", {}).items():  # type: ignore[union-attr]

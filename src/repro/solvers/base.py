@@ -26,8 +26,9 @@ The redistribution contract (the heart of the paper) is expressed through
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +75,15 @@ class RunReport:
             raise ValueError(
                 f"RunReport.comm must be one of {COMM_KINDS}, got {self.comm!r}"
             )
+
+    def state_dict(self) -> Dict[str, Any]:
+        """The report as checkpoint-plain data (fields by name, deep-copied)."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "RunReport":
+        """Inverse of :meth:`state_dict`; never aliases ``state``."""
+        return cls(**copy.deepcopy(state))
 
 
 class Solver:
@@ -180,6 +190,20 @@ class Solver:
         mode); a no-op on solvers that cannot repartition ownership."""
         if self.supports_rebalance and self._load_balance != "off":
             self._rebalance_pending = True
+
+    def state_dict(self) -> Dict[str, Any]:
+        """The load-balance state as checkpoint-plain data.  Everything else
+        a solver holds is rebuilt by :meth:`tune`, which depends only on the
+        global particle count, box and accuracy."""
+        return {
+            "load_balance": self._load_balance,
+            "rebalance_pending": self._rebalance_pending,
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state_dict` (absent keys load as the defaults)."""
+        self._load_balance = str(state.get("load_balance", "off"))
+        self._rebalance_pending = bool(state.get("rebalance_pending", False))
 
     # -- execution ---------------------------------------------------------------
 

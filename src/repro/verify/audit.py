@@ -37,6 +37,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.simmpi.tracing import PhaseStats
+
 __all__ = [
     "CommAuditError",
     "CommAuditor",
@@ -115,6 +117,28 @@ def verify_exchange_schedule(
                 seen.add(r)
 
 
+#: the per-phase :class:`PhaseLedger` tables of a :class:`CommAuditor`, named
+#: once: ``state_dict``/``load_state`` and :func:`repro.verify.dst
+#: .ledger_fingerprint` iterate this mapping (the value is the table's row
+#: tag in the fingerprint)
+LEDGERS = {
+    "ledger": "",
+    "plan_ledger": "plan:",
+    "algo_ledger": "algo:",
+    "algo_round_ledger": "algo-round:",
+}
+
+#: the auditor's running call totals (diagnostics), named once likewise
+COUNTERS = (
+    "n_plan_compiles",
+    "n_plan_executions",
+    "n_plan_fused_columns",
+    "n_alltoall_calls",
+    "n_p2p_calls",
+    "n_algo_calls",
+)
+
+
 @dataclasses.dataclass
 class PhaseLedger:
     """Independently recomputed per-phase traffic totals."""
@@ -125,6 +149,10 @@ class PhaseLedger:
     def add(self, messages: int, nbytes: int) -> None:
         self.messages += int(messages)
         self.bytes += int(nbytes)
+
+    def state_dict(self) -> Dict[str, int]:
+        """The fields by name; ``PhaseLedger(**state)`` is the inverse."""
+        return dict(vars(self))
 
 
 class CommAuditor:
@@ -480,44 +508,28 @@ class CommAuditor:
     # -- checkpointing ------------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Complete deep-copied auditor bookkeeping for checkpointing.
+        """Complete deep-copied auditor bookkeeping as checkpoint-plain data.
 
-        Captures the per-phase ledgers, the plan ledger, the attach-time
-        trace baseline, the pending-send list and the call/violation
-        diagnostics — everything :func:`ledger_fingerprint
-        <repro.verify.dst.ledger_fingerprint>` and the accounting invariants
-        read.  The neighbor table and ``strict`` flag are *configuration*,
-        not run state, and are left to the restoring caller.
+        Captures every :data:`LEDGERS` table and :data:`COUNTERS` total, the
+        per-algorithm call counts, the attach-time trace baseline, the
+        pending-send list and the collected violations — everything
+        :func:`ledger_fingerprint <repro.verify.dst.ledger_fingerprint>` and
+        the accounting invariants read.  The neighbor table and ``strict``
+        flag are *configuration*, not run state, and are left to the
+        restoring caller.
         """
-        from repro.simmpi.tracing import PhaseStats
-
-        return {
-            "ledger": {k: dataclasses.replace(v) for k, v in self.ledger.items()},
-            "plan_ledger": {
-                k: dataclasses.replace(v) for k, v in self.plan_ledger.items()
-            },
-            "trace_baseline": {
-                k: dataclasses.replace(v)
-                for k, v in self.trace_baseline.items()
-                if isinstance(v, PhaseStats)
-            },
-            "algo_ledger": {
-                k: dataclasses.replace(v) for k, v in self.algo_ledger.items()
-            },
-            "algo_round_ledger": {
-                k: dataclasses.replace(v)
-                for k, v in self.algo_round_ledger.items()
-            },
-            "algo_counts": dict(self.algo_counts),
-            "pending_sends": list(self._pending_sends),
-            "violations": list(self.violations),
-            "n_plan_compiles": self.n_plan_compiles,
-            "n_plan_executions": self.n_plan_executions,
-            "n_plan_fused_columns": self.n_plan_fused_columns,
-            "n_alltoall_calls": self.n_alltoall_calls,
-            "n_p2p_calls": self.n_p2p_calls,
-            "n_algo_calls": self.n_algo_calls,
+        state: Dict[str, object] = {
+            name: {k: v.state_dict() for k, v in getattr(self, name).items()}
+            for name in LEDGERS
         }
+        state.update((name, getattr(self, name)) for name in COUNTERS)
+        state.update(
+            algo_counts=dict(self.algo_counts),
+            trace_baseline={k: v.state_dict() for k, v in self.trace_baseline.items()},
+            pending_sends=[list(t) for t in self._pending_sends],
+            violations=list(self.violations),
+        )
+        return state
 
     def load_state(self, state: Dict[str, object]) -> None:
         """Replace the auditor's bookkeeping with a :meth:`state_dict` copy.
@@ -525,41 +537,27 @@ class CommAuditor:
         Used by :func:`repro.ckpt.restore.restore_simulation` as its final
         act: the restored machine's auditor continues the checkpointed
         ledgers exactly where the original run left them, so the prefix +
-        continuation ledger equals the uninterrupted run's.
+        continuation ledger equals the uninterrupted run's.  Absent keys
+        load as empty/zero (checkpoints written before the staged collective
+        engines carry no algo ledgers).
         """
-        self.ledger = {
-            str(k): dataclasses.replace(v) for k, v in state.get("ledger", {}).items()
-        }
-        self.plan_ledger = {
-            str(k): dataclasses.replace(v)
-            for k, v in state.get("plan_ledger", {}).items()
-        }
-        self.trace_baseline = {
-            str(k): dataclasses.replace(v)
-            for k, v in state.get("trace_baseline", {}).items()
-        }
-        # pre-engine checkpoints carry no algo keys; restore empties
-        self.algo_ledger = {
-            str(k): dataclasses.replace(v)
-            for k, v in state.get("algo_ledger", {}).items()
-        }
-        self.algo_round_ledger = {
-            str(k): dataclasses.replace(v)
-            for k, v in state.get("algo_round_ledger", {}).items()
-        }
+        for name in LEDGERS:
+            setattr(self, name, {
+                str(k): PhaseLedger(**v) for k, v in state.get(name, {}).items()
+            })
+        for name in COUNTERS:
+            setattr(self, name, int(state.get(name, 0)))
         self.algo_counts = {
             str(k): int(v) for k, v in state.get("algo_counts", {}).items()
+        }
+        self.trace_baseline = {
+            str(k): PhaseStats(**v)
+            for k, v in state.get("trace_baseline", {}).items()
         }
         self._pending_sends = [
             (int(s), int(d), int(b)) for s, d, b in state.get("pending_sends", [])
         ]
         self.violations = [str(v) for v in state.get("violations", [])]
-        self.n_plan_compiles = int(state.get("n_plan_compiles", 0))
-        self.n_plan_executions = int(state.get("n_plan_executions", 0))
-        self.n_plan_fused_columns = int(state.get("n_plan_fused_columns", 0))
-        self.n_alltoall_calls = int(state.get("n_alltoall_calls", 0))
-        self.n_p2p_calls = int(state.get("n_p2p_calls", 0))
-        self.n_algo_calls = int(state.get("n_algo_calls", 0))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

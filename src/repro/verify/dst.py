@@ -47,7 +47,7 @@ from repro.md.systems import silica_melt_system
 from repro.simmpi.chaos import Perturbation
 from repro.simmpi.machine import Machine
 from repro.simmpi.spmd import SPMDDeadlock, run_spmd
-from repro.verify.audit import enable_auditing
+from repro.verify.audit import LEDGERS, enable_auditing
 from repro.verify.invariants import InvariantChecker, state_fingerprint
 
 __all__ = [
@@ -89,25 +89,21 @@ def ledger_fingerprint(auditor) -> str:
     """Digest of the auditor's per-phase message/byte ledgers.
 
     The ledgers are recomputed from raw send tables (data plane only), so
-    they must be identical across machine perturbations.
+    they must be identical across machine perturbations.  Reads the
+    auditor's checkpointed form, so what is fingerprinted is what a restart
+    restores; the staged collective-algorithm ledgers and counts are empty —
+    hence hash-neutral — when every collective runs the direct algorithm.
     """
+    state = auditor.state_dict()
     h = hashlib.sha256()
-    for phase in sorted(auditor.ledger):
-        led = auditor.ledger[phase]
-        h.update(f"{phase}:{led.messages}:{led.bytes};".encode())
-    for phase in sorted(getattr(auditor, "plan_ledger", None) or {}):
-        led = auditor.plan_ledger[phase]
-        h.update(f"plan:{phase}:{led.messages}:{led.bytes};".encode())
-    # staged collective-algorithm ledgers (empty — hence hash-neutral — when
-    # every collective runs the direct algorithm)
-    for phase in sorted(getattr(auditor, "algo_ledger", None) or {}):
-        led = auditor.algo_ledger[phase]
-        h.update(f"algo:{phase}:{led.messages}:{led.bytes};".encode())
-    for phase in sorted(getattr(auditor, "algo_round_ledger", None) or {}):
-        led = auditor.algo_round_ledger[phase]
-        h.update(f"algo-round:{phase}:{led.messages}:{led.bytes};".encode())
-    for key in sorted(getattr(auditor, "algo_counts", None) or {}):
-        h.update(f"algo-count:{key}:{auditor.algo_counts[key]};".encode())
+    for name, tag in LEDGERS.items():
+        table = state[name]
+        for phase in sorted(table):
+            led = table[phase]
+            h.update(f"{tag}{phase}:{led['messages']}:{led['bytes']};".encode())
+    counts = state["algo_counts"]
+    for key in sorted(counts):
+        h.update(f"algo-count:{key}:{counts[key]};".encode())
     return h.hexdigest()
 
 
@@ -669,7 +665,7 @@ def run_resume_sweep(
         checker = InvariantChecker(sim)
         checkpoints: List[Dict[str, str]] = []
         try:
-            if not sim._initialized:
+            if not ckpt.initialized:
                 sim.initialize()
             for k in range(steps):
                 sim.step()

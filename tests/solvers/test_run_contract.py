@@ -91,7 +91,7 @@ def _trace_bits(machine):
     return (
         {
             label: (float(s.time).hex(), s.messages, s.bytes, s.calls)
-            for label, s in state["phases"].items()
+            for label, s in machine.trace.items()
         },
         state["counters"],
         {label: work.tobytes() for label, work in state["rank_work"].items()},
