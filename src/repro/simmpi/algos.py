@@ -44,20 +44,28 @@ topology diameter using the machine's **nominal** (pre-perturbation) cost
 model, so the selection is identical across chaos seeds and the DST ledger
 fingerprints stay schedule-independent.
 
-Accounting: before running its rounds an engine self-reports the planned
-per-phase staged totals to the auditor (:meth:`CommAuditor
-.observe_algo_collective <repro.verify.audit.CommAuditor
-.observe_algo_collective>`) and then executes the rounds inside
-:meth:`CommAuditor.algo_scope <repro.verify.audit.CommAuditor.algo_scope>`;
-the ``collective-algo-accounting`` invariant asserts the two agree exactly
-— staged forwarding must balance in the ledger.
+An algorithm is a schedule
+--------------------------
+Every algorithm below is a pure function from rank count (and, for
+alltoallv, the ``(src, dst)`` routes) to ``rounds``: a list of batches of
+``(src, dst, item ids)`` messages over ``items`` (column lists) that start
+at their ``origins``.  The one executor, :func:`_run_rounds`, reads the
+planned message/byte totals off that schedule, self-reports them to the
+auditor (:meth:`CommAuditor.observe_algo_collective
+<repro.verify.audit.CommAuditor.observe_algo_collective>`), ships every
+non-empty round through :func:`~repro.simmpi.p2p.send_round` inside
+:meth:`CommAuditor.algo_scope <repro.verify.audit.CommAuditor.algo_scope>`
+and returns what every rank holds.  The plan *is* the schedule that runs;
+the ``collective-algo-accounting`` invariant still checks the executor
+against the independently audited rounds.  See ``docs/collectives.md``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -225,43 +233,7 @@ def _ceil_log2(nprocs: int) -> int:
     return int(np.ceil(np.log2(nprocs))) if nprocs > 1 else 0
 
 
-# -- accounting ---------------------------------------------------------------
-
-
-def _begin_staged(
-    machine: Machine,
-    collective: str,
-    algo: str,
-    phase: Optional[str],
-    messages: int,
-    nbytes: int,
-) -> None:
-    """Self-report the planned staged totals before the rounds run.
-
-    The plan is derived from the schedule alone (payload sizes, never
-    values); the auditor independently re-accounts every round inside
-    :func:`_scope`, and the ``collective-algo-accounting`` invariant
-    asserts the two agree exactly.
-    """
-    if machine.auditor is not None:
-        machine.auditor.observe_algo_collective(collective, algo, phase, messages, nbytes)
-    machine.count("comm.algo.messages", messages, collective=collective, algo=algo)
-    machine.count("comm.algo.bytes", nbytes, collective=collective, algo=algo)
-
-
-def _scope(machine: Machine):
-    if machine.auditor is None:
-        return contextlib.nullcontext()
-    return machine.auditor.algo_scope()
-
-
 # -- auto selection -----------------------------------------------------------
-
-
-def _nominal_model(machine: Machine):
-    # the *pre-perturbation* model: auto selection must not depend on the
-    # chaos seed, or ledgers would diverge between DST cells
-    return getattr(machine, "nominal_model", None) or machine.model
 
 
 def _latency_term(model, diameter: int) -> float:
@@ -278,12 +250,13 @@ def resolve(machine: Machine, collective: str, algo: str, **metrics) -> str:
     non-power-of-two rank count runs as ``binomial-tree``).
     """
     P = machine.nprocs
-    if collective == "allreduce" and algo in ("recursive-halving-doubling", "auto"):
-        if P & (P - 1) and algo == "recursive-halving-doubling":
-            return "binomial-tree"
+    if algo == "recursive-halving-doubling" and P & (P - 1):
+        return "binomial-tree"
     if algo != "auto":
         return algo
-    model = _nominal_model(machine)
+    # the *pre-perturbation* model: auto selection must not depend on the
+    # chaos seed, or ledgers would diverge between DST cells
+    model = machine.nominal_model
     diam = machine.topology.diameter()
     lat = _latency_term(model, diam)
     K = _ceil_log2(P)
@@ -334,36 +307,233 @@ def resolve(machine: Machine, collective: str, algo: str, **metrics) -> str:
     return best[0]
 
 
-# -- alltoallv ----------------------------------------------------------------
+# -- the round executor -------------------------------------------------------
+
+#: one staged message: ``(src, dst, ids of the items it carries)``
+Message = Tuple[int, int, List[int]]
 
 
-def _charge_count_exchange(
-    machine: Machine, phase: Optional[str], count_exchange: str, op: str
-) -> None:
-    """The dense MPI_Alltoall count exchange preceding a general
-    redistribution — identical to the term the direct path folds into its
-    closed-form charge."""
-    if count_exchange == "dense":
-        t = machine.model.bruck_alltoall_time(
-            machine.nprocs, 8.0, machine.topology.diameter()
+def _run_rounds(
+    machine: Machine,
+    collective: str,
+    algo: str,
+    phase: Optional[str],
+    items: Sequence[List[np.ndarray]],
+    origins: Iterable[int],
+    rounds: Sequence[Sequence[Message]],
+) -> List[Dict[int, List[np.ndarray]]]:
+    """Plan, ship and unpack a staged collective given as a schedule.
+
+    ``items[t]`` is the column list of item ``t``, first held by rank
+    ``origins[t]``; ``rounds`` are batches of ``(src, dst, item ids)``
+    messages.  Every message ships the tuple of its items' columns in id
+    order as one :func:`~repro.simmpi.p2p.send_round` transfer (messages
+    keep their batch order; empty batches cost nothing), sender and
+    receiver both hold the items afterwards, and a round's messages all
+    read the holdings from before the round.  Returns ``held`` with
+    ``held[rank][t]`` the columns of item ``t`` as delivered to ``rank``.
+
+    The planned totals are read off the schedule and the item sizes alone
+    and self-reported before anything ships; the auditor independently
+    re-accounts every round, and the ``collective-algo-accounting``
+    invariant asserts the two agree exactly.
+    """
+    sizes = [payload_nbytes(cols) for cols in items]
+    messages = sum(len(batch) for batch in rounds)
+    nbytes = sum(sizes[t] for batch in rounds for _src, _dst, ids in batch for t in ids)
+    auditor = machine.auditor
+    # no participant can leave a collective before the last one enters it
+    machine.synchronize()
+    if auditor is not None:
+        auditor.observe_algo_collective(collective, algo, phase, messages, nbytes)
+    machine.count("comm.algo.messages", messages, collective=collective, algo=algo)
+    machine.count("comm.algo.bytes", nbytes, collective=collective, algo=algo)
+    held: List[Dict[int, List[np.ndarray]]] = [{} for _ in range(machine.nprocs)]
+    for t, rank in enumerate(origins):
+        held[rank][t] = items[t]
+    op = f"{collective}.{algo}"
+    with auditor.algo_scope() if auditor is not None else contextlib.nullcontext():
+        for batch in filter(None, rounds):
+            transfers = [
+                (src, dst, tuple(col for t in ids for col in held[src][t]))
+                for src, dst, ids in batch
+            ]
+            inbox = [dict(lst) for lst in send_round(machine, transfers, phase, op=op)]
+            for src, dst, ids in batch:
+                cols = iter(inbox[dst][src])
+                for t in ids:
+                    held[dst][t] = list(itertools.islice(cols, len(items[t])))
+    return held
+
+
+# -- schedules ----------------------------------------------------------------
+#
+# Pure functions of the rank count (and the alltoallv routes): no Machine, no
+# payloads.  tests/simmpi/test_algo_schedules.py replays each one symbolically.
+
+
+def _forward_all(
+    nprocs: int, origins: Iterable[int], pair_rounds: Sequence[Sequence[Tuple[int, int]]]
+) -> List[List[Message]]:
+    """Rounds of ``(src, dst)`` pairs in which every sender forwards
+    everything it holds at the start of the round (in item-id order)."""
+    held: List[set] = [set() for _ in range(nprocs)]
+    for t, rank in enumerate(origins):
+        held[rank].add(t)
+    rounds = []
+    for pairs in pair_rounds:
+        batch = [(src, dst, sorted(held[src])) for src, dst in pairs]
+        for _src, dst, ids in batch:
+            held[dst].update(ids)
+        rounds.append(batch)
+    return rounds
+
+
+def _tree_up(nprocs: int, root: int = 0) -> List[List[Tuple[int, int]]]:
+    """``(child, parent)`` edges of the binomial tree rooted at ``root``, by
+    level: level ``k`` joins virtual rank ``v ≡ 2^k (mod 2^(k+1))`` to
+    ``v - 2^k``; virtual rank ``v`` is actual rank ``(v + root) % nprocs``."""
+    return [
+        [
+            ((v + root) % nprocs, (v - step + root) % nprocs)
+            for v in range(step, nprocs, 2 * step)
+        ]
+        for step in (1 << k for k in range(_ceil_log2(nprocs)))
+    ]
+
+
+def _pairwise_rounds(nprocs: int, routes: Sequence[Tuple[int, int]]) -> List[List[Message]]:
+    """P−1 exchange rounds: round ``r`` pairs rank ``i`` with ``i XOR r`` on a
+    power-of-two rank count and with ``i + r`` otherwise; item ``t`` (route
+    ``routes[t]``) ships in the one round that pairs its endpoints."""
+    pow2 = nprocs & (nprocs - 1) == 0
+    item = {route: t for t, route in enumerate(routes)}
+    return [
+        [
+            (i, peer, [item[i, peer]])
+            for i in range(nprocs)
+            for peer in [(i ^ r) if pow2 else (i + r) % nprocs]
+            if (i, peer) in item
+        ]
+        for r in range(1, nprocs)
+    ]
+
+
+def _bruck_rounds(nprocs: int, routes: Sequence[Tuple[int, int]]) -> List[List[Message]]:
+    """⌈log₂P⌉ forwarding rounds: in round ``k`` every rank ships the items
+    whose remaining cyclic distance has bit ``k`` set to the rank ``2^k``
+    ahead, as one message."""
+    at = [src for src, _dst in routes]
+    rounds = []
+    for step in (1 << k for k in range(_ceil_log2(nprocs))):
+        moving: List[List[int]] = [[] for _ in range(nprocs)]
+        for t, (_src, dst) in enumerate(routes):
+            if ((dst - at[t]) % nprocs) & step:
+                moving[at[t]].append(t)
+                at[t] = (at[t] + step) % nprocs
+        rounds.append(
+            [(i, (i + step) % nprocs, ids) for i, ids in enumerate(moving) if ids]
         )
-        machine.advance(t * machine.comm_factor(), phase, messages=0, nbytes=0, op=op)
-    elif count_exchange not in ("sparse", "cached"):
-        raise ValueError(
-            f"count_exchange must be 'dense', 'sparse' or 'cached', got {count_exchange!r}"
-        )
+    return rounds
 
 
-def _finish_alltoallv(
-    recv: List[List[Tuple[int, Payload]]], sends: Sequence[Dict[int, Payload]]
-) -> List[List[Tuple[int, Payload]]]:
-    """Append the (free, never-staged) self-sends and source-sort."""
-    for src, targets in enumerate(sends):
-        if src in targets:
-            recv[src].append((src, targets[src]))
-    for lst in recv:
-        lst.sort(key=lambda item: item[0])
-    return recv
+def _ring_rounds(nprocs: int) -> List[List[Message]]:
+    """P−1 neighbor rounds: in round ``r`` rank ``i`` passes on the block it
+    received in round ``r − 1`` (its own in round 1)."""
+    return [
+        [(i, (i + 1) % nprocs, [(i - r + 1) % nprocs]) for i in range(nprocs)]
+        for r in range(1, nprocs)
+    ]
+
+
+def _doubling_rounds(nprocs: int) -> List[List[Message]]:
+    """⌈log₂P⌉ rounds: XOR partners on powers of two, the dissemination
+    variant (``i → i + 2^k``) otherwise."""
+    pow2 = nprocs & (nprocs - 1) == 0
+    return _forward_all(
+        nprocs,
+        range(nprocs),
+        [
+            [(i, (i ^ step) if pow2 else (i + step) % nprocs) for i in range(nprocs)]
+            for step in (1 << k for k in range(_ceil_log2(nprocs)))
+        ],
+    )
+
+
+def _gather_rounds(nprocs: int, root: int = 0) -> List[List[Message]]:
+    """Binomial reduce-up: each rank forwards its accumulated bundle (its own
+    item and its subtree's) to its parent; P−1 messages."""
+    return _forward_all(nprocs, range(nprocs), _tree_up(nprocs, root))
+
+
+def _scatter_rounds(nprocs: int, root: int) -> List[List[Message]]:
+    """The gather run backwards: parents push each child its subtree's parts."""
+    return [
+        [(parent, child, ids) for child, parent, ids in batch]
+        for batch in reversed(_gather_rounds(nprocs, root))
+    ]
+
+
+def _allreduce_tree_rounds(nprocs: int) -> List[List[Message]]:
+    """Reduce-up of contribution items ``0..P−1``, then item ``P`` (the
+    result, held by rank 0) broadcast down the reversed tree; 2(P−1)
+    messages."""
+    return _gather_rounds(nprocs) + [
+        [(parent, child, [nprocs]) for child, parent in level]
+        for level in reversed(_tree_up(nprocs))
+    ]
+
+
+def _halving_doubling_rounds(
+    nprocs: int, n: int
+) -> Tuple[List[List[Message]], List[Tuple[int, int]]]:
+    """Reduce-scatter by recursive halving, then allgather by recursive
+    doubling, on a power-of-two rank count over a length-``n`` vector.
+
+    Every message mints its own item: returns the rounds and, per item, the
+    ``[lo, hi)`` vector slice it carries (items of the first ⌈log₂P⌉ rounds
+    slice the sender's contribution, the rest slice the result).
+    """
+    seg = [(0, n)] * nprocs
+    rounds: List[List[Message]] = []
+    slices: List[Tuple[int, int]] = []
+    distances = [nprocs >> (k + 1) for k in range(_ceil_log2(nprocs))]
+    for d in distances:
+        # each rank gives its partner the half the partner will own
+        batch = []
+        for i in range(nprocs):
+            lo, hi = seg[i]
+            mid = (lo + hi) // 2
+            give, seg[i] = ((mid, hi), (lo, mid)) if i < i ^ d else ((lo, mid), (mid, hi))
+            batch.append((i, i ^ d, [len(slices)]))
+            slices.append(give)
+        rounds.append(batch)
+    for d in reversed(distances):
+        batch = []
+        for i in range(nprocs):
+            batch.append((i, i ^ d, [len(slices)]))
+            slices.append(seg[i])
+        seg = [
+            (min(seg[i][0], seg[i ^ d][0]), max(seg[i][1], seg[i ^ d][1]))
+            for i in range(nprocs)
+        ]
+        rounds.append(batch)
+    return rounds, slices
+
+
+def _bcast_rounds(nprocs: int, root: int) -> List[List[Message]]:
+    """Doubling broadcast of item 0: in round ``k`` every virtual rank below
+    ``2^k`` sends to the rank ``2^k`` above it; P−1 messages."""
+    return [
+        [
+            ((v + root) % nprocs, (v + step + root) % nprocs, [0])
+            for v in range(min(step, nprocs - step))
+        ]
+        for step in (1 << k for k in range(_ceil_log2(nprocs)))
+    ]
+
+
+# -- entry points -------------------------------------------------------------
 
 
 def alltoallv_staged(
@@ -380,139 +550,37 @@ def alltoallv_staged(
     direct path); the returned ``recv`` lists are bitwise- and
     order-identical to :func:`repro.simmpi.collectives.alltoallv`.
     """
-    auditor = machine.auditor
-    if auditor is not None:
+    P = machine.nprocs
+    if machine.auditor is not None:
         # the same count-table/neighborhood validation the direct path gets;
         # the ledger is fed by the staged rounds instead of the send table
-        auditor.observe_alltoallv(sends, phase, count_exchange, record=False)
-    machine.synchronize()
-    op = f"alltoallv.{algo}"
-    _charge_count_exchange(machine, phase, count_exchange, op)
-    if algo == "pairwise":
-        return _alltoallv_pairwise(machine, sends, phase, op, algo)
-    if algo == "bruck":
-        return _alltoallv_bruck(machine, sends, phase, op, algo)
-    raise ValueError(f"unknown alltoallv algorithm {algo!r}")
-
-
-def _alltoallv_pairwise(
-    machine: Machine,
-    sends: Sequence[Dict[int, Payload]],
-    phase: Optional[str],
-    op: str,
-    algo: str,
-) -> List[List[Tuple[int, Payload]]]:
-    P = machine.nprocs
-    pow2 = P & (P - 1) == 0
-    rounds: List[List[Tuple[int, int]]] = []
-    planned_msgs = 0
-    planned_bytes = 0
-    for r in range(1, P):
-        batch = []
-        for i in range(P):
-            peer = (i ^ r) if pow2 else (i + r) % P
-            if peer in sends[i]:
-                batch.append((i, peer))
-                planned_msgs += 1
-                planned_bytes += payload_nbytes(sends[i][peer])
-        if batch:
-            rounds.append(batch)
-    _begin_staged(machine, "alltoallv", algo, phase, planned_msgs, planned_bytes)
+        machine.auditor.observe_alltoallv(sends, phase, count_exchange, record=False)
+    if count_exchange == "dense":
+        # the MPI_Alltoall count exchange preceding a general redistribution
+        # — identical to the term the direct path folds into its charge; it
+        # starts when the last rank has entered, like the rounds after it
+        machine.synchronize()
+        t = machine.model.bruck_alltoall_time(P, 8.0, machine.topology.diameter())
+        machine.advance(
+            t * machine.comm_factor(), phase, messages=0, nbytes=0, op=f"alltoallv.{algo}"
+        )
+    routes = [(src, dst) for src, targets in enumerate(sends) for dst in targets if dst != src]
+    parts = [_payload_cols(sends[src][dst]) for src, dst in routes]
+    schedule = {"pairwise": _pairwise_rounds, "bruck": _bruck_rounds}[algo]
+    held = _run_rounds(
+        machine, "alltoallv", algo, phase,
+        [cols for _kind, cols in parts], [src for src, _dst in routes], schedule(P, routes),
+    )
+    item = iter(range(len(routes)))
     recv: List[List[Tuple[int, Payload]]] = [[] for _ in range(P)]
-    with _scope(machine):
-        for batch in rounds:
-            round_recv = send_round(
-                machine, [(i, j, sends[i][j]) for i, j in batch], phase, op=op
-            )
-            for dst in range(P):
-                recv[dst].extend(round_recv[dst])
-    return _finish_alltoallv(recv, sends)
-
-
-def _alltoallv_bruck(
-    machine: Machine,
-    sends: Sequence[Dict[int, Payload]],
-    phase: Optional[str],
-    op: str,
-    algo: str,
-) -> List[List[Tuple[int, Payload]]]:
-    P = machine.nprocs
-    # flatten the send table into routed items; item t travels from
-    # srcs[t] to dsts[t] across the staged rounds
-    kinds: List[str] = []
-    colss: List[List[np.ndarray]] = []
-    srcs: List[int] = []
-    dsts: List[int] = []
-    sizes: List[int] = []
-    holdings: List[List[int]] = [[] for _ in range(P)]
+    # ascending sources make every recv list source-sorted as it is built
     for src, targets in enumerate(sends):
-        for dst in sorted(targets):
-            if dst == src:
-                continue
-            kind, cols = _payload_cols(targets[dst])
-            holdings[src].append(len(kinds))
-            kinds.append(kind)
-            colss.append(cols)
-            srcs.append(src)
-            dsts.append(dst)
-            sizes.append(payload_nbytes(targets[dst]))
-    n_rounds = _ceil_log2(P)
-    # symbolic pass: the same routing rule over item ids alone yields the
-    # planned totals the auditor will check the executed rounds against
-    planned_msgs = 0
-    planned_bytes = 0
-    sym = [list(h) for h in holdings]
-    for k in range(n_rounds):
-        step = 1 << k
-        nxt: List[List[int]] = [[] for _ in range(P)]
-        for i in range(P):
-            moved = [t for t in sym[i] if ((dsts[t] - i) % P) & step]
-            nxt[i].extend(t for t in sym[i] if not ((dsts[t] - i) % P) & step)
-            if moved:
-                planned_msgs += 1
-                planned_bytes += sum(sizes[t] for t in moved)
-                nxt[(i + step) % P].extend(moved)
-        sym = nxt
-    _begin_staged(machine, "alltoallv", algo, phase, planned_msgs, planned_bytes)
-    with _scope(machine):
-        for k in range(n_rounds):
-            step = 1 << k
-            moves: List[List[int]] = [[] for _ in range(P)]
-            stays: List[List[int]] = [[] for _ in range(P)]
-            for i in range(P):
-                for t in holdings[i]:
-                    if ((dsts[t] - i) % P) & step:
-                        moves[i].append(t)
-                    else:
-                        stays[i].append(t)
-            transfers = []
-            senders = []
-            for i in range(P):
-                if moves[i]:
-                    flat = [c for t in moves[i] for c in colss[t]]
-                    transfers.append((i, (i + step) % P, tuple(flat)))
-                    senders.append(i)
-            holdings = stays
-            if not transfers:
-                continue
-            round_recv = send_round(machine, transfers, phase, op=op)
-            for i in senders:
-                j = (i + step) % P
-                payload = next(p for s, p in round_recv[j] if s == i)
-                pos = 0
-                for t in moves[i]:
-                    width = len(colss[t])
-                    colss[t] = list(payload[pos : pos + width])
-                    pos += width
-                    holdings[j].append(t)
-    recv: List[List[Tuple[int, Payload]]] = [[] for _ in range(P)]
-    for i in range(P):
-        for t in holdings[i]:
-            recv[i].append((srcs[t], _rebuild_payload(kinds[t], colss[t])))
-    return _finish_alltoallv(recv, sends)
-
-
-# -- allgatherv ---------------------------------------------------------------
+        for dst, payload in targets.items():
+            if dst != src:
+                t = next(item)
+                payload = _rebuild_payload(parts[t][0], held[dst][t])
+            recv[dst].append((src, payload))
+    return recv
 
 
 def allgatherv_staged(
@@ -522,86 +590,12 @@ def allgatherv_staged(
     algo: str,
 ) -> List[np.ndarray]:
     """Staged allgatherv; per-rank results equal ``direct``'s bitwise."""
-    machine.synchronize()
-    if algo == "ring":
-        return _allgatherv_ring(machine, arrays, phase, algo)
-    if algo == "recursive-doubling":
-        return _allgatherv_rd(machine, arrays, phase, algo)
-    raise ValueError(f"unknown allgatherv algorithm {algo!r}")
-
-
-def _allgatherv_ring(
-    machine: Machine,
-    arrays: Sequence[np.ndarray],
-    phase: Optional[str],
-    algo: str,
-) -> List[np.ndarray]:
     P = machine.nprocs
-    op = f"allgatherv.{algo}"
-    total = sum(a.nbytes for a in arrays)
-    # every block travels the full ring: one message per rank per round
-    _begin_staged(machine, "allgatherv", algo, phase, P * (P - 1), (P - 1) * total)
-    held: List[Dict[int, np.ndarray]] = [{i: arrays[i]} for i in range(P)]
-    with _scope(machine):
-        for r in range(1, P):
-            transfers = [
-                (i, (i + 1) % P, held[i][(i - r + 1) % P]) for i in range(P)
-            ]
-            round_recv = send_round(machine, transfers, phase, op=op)
-            for j in range(P):
-                ((_, payload),) = round_recv[j]
-                held[j][(j - r) % P] = payload
-    return [np.concatenate([held[i][b] for b in range(P)]) for i in range(P)]
-
-
-def _allgatherv_rd(
-    machine: Machine,
-    arrays: Sequence[np.ndarray],
-    phase: Optional[str],
-    algo: str,
-) -> List[np.ndarray]:
-    P = machine.nprocs
-    op = f"allgatherv.{algo}"
-    sizes = [a.nbytes for a in arrays]
-    pow2 = P & (P - 1) == 0
-    n_rounds = _ceil_log2(P)
-    # symbolic plan: XOR partners on powers of two, dissemination otherwise
-    sym = [{i} for i in range(P)]
-    schedule: List[List[Tuple[int, int]]] = []
-    planned_msgs = 0
-    planned_bytes = 0
-    for k in range(n_rounds):
-        step = 1 << k
-        batch = [
-            (i, (i ^ step) if pow2 else (i + step) % P) for i in range(P)
-        ]
-        schedule.append(batch)
-        nxt = [set(s) for s in sym]
-        for i, j in batch:
-            planned_msgs += 1
-            planned_bytes += sum(sizes[b] for b in sym[i])
-            nxt[j] |= sym[i]
-        sym = nxt
-    _begin_staged(machine, "allgatherv", algo, phase, planned_msgs, planned_bytes)
-    held: List[Dict[int, np.ndarray]] = [{i: arrays[i]} for i in range(P)]
-    with _scope(machine):
-        for batch in schedule:
-            metas = []
-            transfers = []
-            for i, j in batch:
-                ids = sorted(held[i])
-                metas.append((i, j, ids))
-                transfers.append((i, j, tuple(held[i][b] for b in ids)))
-            round_recv = send_round(machine, transfers, phase, op=op)
-            for i, j, ids in metas:
-                payload = next(p for s, p in round_recv[j] if s == i)
-                for b, arr in zip(ids, payload):
-                    if b not in held[j]:
-                        held[j][b] = arr
-    return [np.concatenate([held[i][b] for b in range(P)]) for i in range(P)]
-
-
-# -- allreduce ----------------------------------------------------------------
+    schedule = {"ring": _ring_rounds, "recursive-doubling": _doubling_rounds}[algo]
+    held = _run_rounds(
+        machine, "allgatherv", algo, phase, [[a] for a in arrays], range(P), schedule(P)
+    )
+    return [np.concatenate([held[i][b][0] for b in range(P)]) for i in range(P)]
 
 
 def allreduce_staged(
@@ -621,131 +615,21 @@ def allreduce_staged(
     The engine ships the real contribution/result arrays through the
     rounds purely to model (and exercise, on any backend) the traffic.
     """
-    machine.synchronize()
-    if algo == "binomial-tree":
-        _allreduce_binomial(machine, vecs, result_1d, phase, algo)
-    elif algo == "recursive-halving-doubling":
-        _allreduce_rhd(machine, vecs, result_1d, phase, algo)
-    else:
-        raise ValueError(f"unknown allreduce algorithm {algo!r}")
-
-
-def _allreduce_binomial(
-    machine: Machine,
-    vecs: Sequence[np.ndarray],
-    result_1d: np.ndarray,
-    phase: Optional[str],
-    algo: str,
-) -> None:
     P = machine.nprocs
-    op = f"allreduce.{algo}"
-    sizes = [v.nbytes for v in vecs]
-    n_rounds = _ceil_log2(P)
-    # reduce-up: rank v (lowest set bit 2^k) forwards its accumulated
-    # contribution bundle to v - 2^k in round k; P-1 messages total
-    sym = [{i} for i in range(P)]
-    reduce_sched: List[List[Tuple[int, int]]] = []
-    planned_msgs = 0
-    planned_bytes = 0
-    for k in range(n_rounds):
-        step = 1 << k
-        batch = [(v, v - step) for v in range(step, P, 2 * step)]
-        reduce_sched.append(batch)
-        for s, d in batch:
-            planned_msgs += 1
-            planned_bytes += sum(sizes[b] for b in sym[s])
-            sym[d] |= sym[s]
-    # broadcast-down of the result along the reversed tree: P-1 messages
-    bcast_sched: List[List[Tuple[int, int]]] = []
-    for k in reversed(range(n_rounds)):
-        step = 1 << k
-        batch = [(v, v + step) for v in range(0, P, 2 * step) if v + step < P]
-        bcast_sched.append(batch)
-        planned_msgs += len(batch)
-        planned_bytes += len(batch) * result_1d.nbytes
-    _begin_staged(machine, "allreduce", algo, phase, planned_msgs, planned_bytes)
-    held: List[Dict[int, np.ndarray]] = [{i: vecs[i]} for i in range(P)]
-    with _scope(machine):
-        for batch in reduce_sched:
-            if not batch:
-                continue
-            metas = []
-            transfers = []
-            for s, d in batch:
-                ids = sorted(held[s])
-                metas.append((s, d, ids))
-                transfers.append((s, d, tuple(held[s][b] for b in ids)))
-            round_recv = send_round(machine, transfers, phase, op=op)
-            for s, d, ids in metas:
-                payload = next(p for ss, p in round_recv[d] if ss == s)
-                for b, arr in zip(ids, payload):
-                    held[d][b] = arr
-        for batch in bcast_sched:
-            if batch:
-                send_round(
-                    machine, [(s, d, result_1d) for s, d in batch], phase, op=op
-                )
-
-
-def _allreduce_rhd(
-    machine: Machine,
-    vecs: Sequence[np.ndarray],
-    result_1d: np.ndarray,
-    phase: Optional[str],
-    algo: str,
-) -> None:
-    P = machine.nprocs  # power of two (resolve() guarantees it)
-    op = f"allreduce.{algo}"
-    n = int(result_1d.size)
-    itemsize = int(result_1d.itemsize)
-    n_rounds = _ceil_log2(P)
-    seg = [(0, n)] * P
-    sched: List[Tuple[str, List[Tuple[int, int, int, int]]]] = []
-    planned_msgs = 0
-    planned_bytes = 0
-    # reduce-scatter by recursive halving: each rank gives its partner the
-    # half of the vector the partner will own
-    for k in range(n_rounds):
-        d = P >> (k + 1)
-        batch = []
-        nxt = list(seg)
-        for i in range(P):
-            j = i ^ d
-            lo, hi = seg[i]
-            mid = (lo + hi) // 2
-            if i < j:
-                give, keep = (mid, hi), (lo, mid)
-            else:
-                give, keep = (lo, mid), (mid, hi)
-            batch.append((i, j, give[0], give[1]))
-            nxt[i] = keep
-        seg = nxt
-        sched.append(("halving", batch))
-        planned_msgs += len(batch)
-        planned_bytes += sum((hi - lo) * itemsize for _, _, lo, hi in batch)
-    # allgather of the owned result segments by recursive doubling
-    for k in reversed(range(n_rounds)):
-        d = P >> (k + 1)
-        batch = [(i, i ^ d, seg[i][0], seg[i][1]) for i in range(P)]
-        nxt = [
-            (min(seg[i][0], seg[i ^ d][0]), max(seg[i][1], seg[i ^ d][1]))
-            for i in range(P)
+    if algo == "binomial-tree":
+        items = [[v] for v in vecs] + [[result_1d]]
+        origins = [*range(P), 0]
+        rounds = _allreduce_tree_rounds(P)
+    else:
+        # power-of-two rank counts only (resolve() guarantees it)
+        rounds, slices = _halving_doubling_rounds(P, int(result_1d.size))
+        origins = [src for batch in rounds for src, _dst, _ids in batch]
+        halving = len(slices) // 2
+        items = [
+            [np.ascontiguousarray((vecs[src] if t < halving else result_1d)[lo:hi])]
+            for t, (src, (lo, hi)) in enumerate(zip(origins, slices))
         ]
-        seg = nxt
-        sched.append(("doubling", batch))
-        planned_msgs += len(batch)
-        planned_bytes += sum((hi - lo) * itemsize for _, _, lo, hi in batch)
-    _begin_staged(machine, "allreduce", algo, phase, planned_msgs, planned_bytes)
-    with _scope(machine):
-        for tag, batch in sched:
-            transfers = []
-            for i, j, lo, hi in batch:
-                source = vecs[i] if tag == "halving" else result_1d
-                transfers.append((i, j, np.ascontiguousarray(source[lo:hi])))
-            send_round(machine, transfers, phase, op=op)
-
-
-# -- rooted binomial trees ----------------------------------------------------
+    _run_rounds(machine, "allreduce", algo, phase, items, origins, rounds)
 
 
 def bcast_staged(
@@ -757,28 +641,9 @@ def bcast_staged(
 ) -> None:
     """Binomial-tree broadcast of ``arr`` from ``root`` (data plane only —
     the caller constructs the canonical per-rank return values)."""
-    machine.synchronize()
-    P = machine.nprocs
-    op = f"bcast.{algo}"
     ship = np.ascontiguousarray(np.atleast_1d(arr))
-    n_rounds = _ceil_log2(P)
-    planned_msgs = max(0, P - 1)
-    _begin_staged(
-        machine, "bcast", algo, phase, planned_msgs, planned_msgs * int(ship.nbytes)
-    )
-    act = lambda v: (v + root) % P  # noqa: E731 - tree runs on virtual ranks
-    held: Dict[int, np.ndarray] = {root: ship}
-    with _scope(machine):
-        for k in range(n_rounds):
-            step = 1 << k
-            batch = [(v, v + step) for v in range(step) if v + step < P]
-            if not batch:
-                continue
-            transfers = [(act(v), act(u), held[act(v)]) for v, u in batch]
-            round_recv = send_round(machine, transfers, phase, op=op)
-            for v, u in batch:
-                payload = next(p for s, p in round_recv[act(u)] if s == act(v))
-                held[act(u)] = payload
+    rounds = _bcast_rounds(machine.nprocs, root)
+    _run_rounds(machine, "bcast", algo, phase, [[ship]], [root], rounds)
 
 
 def gatherv_staged(
@@ -791,43 +656,9 @@ def gatherv_staged(
     """Binomial-tree gather: leaves forward bundled contributions upward.
 
     Data plane only — the caller assembles the canonical root result."""
-    machine.synchronize()
     P = machine.nprocs
-    op = f"gatherv.{algo}"
-    sizes = [a.nbytes for a in arrays]
-    act = lambda v: (v + root) % P  # noqa: E731
-    n_rounds = _ceil_log2(P)
-    sym = [{act(v)} for v in range(P)]
-    sched: List[List[Tuple[int, int]]] = []
-    planned_msgs = 0
-    planned_bytes = 0
-    for k in range(n_rounds):
-        step = 1 << k
-        batch = [(v, v - step) for v in range(step, P, 2 * step)]
-        sched.append(batch)
-        for s, d in batch:
-            planned_msgs += 1
-            planned_bytes += sum(sizes[b] for b in sym[s])
-            sym[d] |= sym[s]
-    _begin_staged(machine, "gatherv", algo, phase, planned_msgs, planned_bytes)
-    held: List[Dict[int, np.ndarray]] = [{act(v): arrays[act(v)]} for v in range(P)]
-    with _scope(machine):
-        for batch in sched:
-            if not batch:
-                continue
-            metas = []
-            transfers = []
-            for s, d in batch:
-                ids = sorted(held[s])
-                metas.append((s, d, ids))
-                transfers.append(
-                    (act(s), act(d), tuple(held[s][b] for b in ids))
-                )
-            round_recv = send_round(machine, transfers, phase, op=op)
-            for s, d, ids in metas:
-                payload = next(p for ss, p in round_recv[act(d)] if ss == act(s))
-                for b, arr in zip(ids, payload):
-                    held[d][b] = arr
+    rounds = _gather_rounds(P, root)
+    _run_rounds(machine, "gatherv", algo, phase, [[a] for a in arrays], range(P), rounds)
 
 
 def scatterv_staged(
@@ -840,45 +671,6 @@ def scatterv_staged(
     """Binomial-tree scatter: the root pushes subtree bundles down.
 
     Data plane only — the caller returns the canonical per-rank parts."""
-    machine.synchronize()
     P = machine.nprocs
-    op = f"scatterv.{algo}"
-    sizes = [a.nbytes for a in arrays]
-    act = lambda v: (v + root) % P  # noqa: E731
-    n_rounds = _ceil_log2(P)
-    # round k (top-down): virtual rank v ≡ 0 (mod 2^{k+1}) hands virtual
-    # ranks [v+2^k, v+2^{k+1}) their parts to its child v + 2^k
-    sched: List[List[Tuple[int, int, List[int]]]] = []
-    planned_msgs = 0
-    planned_bytes = 0
-    for k in reversed(range(n_rounds)):
-        step = 1 << k
-        batch = []
-        for v in range(0, P, 2 * step):
-            u = v + step
-            if u < P:
-                subtree = [act(w) for w in range(u, min(u + step, P))]
-                batch.append((v, u, subtree))
-                planned_msgs += 1
-                planned_bytes += sum(sizes[b] for b in subtree)
-        sched.append(batch)
-    _begin_staged(machine, "scatterv", algo, phase, planned_msgs, planned_bytes)
-    held: List[Dict[int, np.ndarray]] = [dict() for _ in range(P)]
-    held[0] = {i: arrays[i] for i in range(P)}
-    with _scope(machine):
-        for batch in sched:
-            if not batch:
-                continue
-            metas = []
-            transfers = []
-            for v, u, subtree in batch:
-                ids = sorted(subtree)
-                metas.append((v, u, ids))
-                transfers.append(
-                    (act(v), act(u), tuple(held[v][b] for b in ids))
-                )
-            round_recv = send_round(machine, transfers, phase, op=op)
-            for v, u, ids in metas:
-                payload = next(p for s, p in round_recv[act(u)] if s == act(v))
-                for b, arr in zip(ids, payload):
-                    held[u][b] = arr
+    rounds = _scatter_rounds(P, root)
+    _run_rounds(machine, "scatterv", algo, phase, [[a] for a in arrays], [root] * P, rounds)

@@ -172,10 +172,6 @@ def _charge_alltoall(
         # MPI_Alltoall of one count integer (8 bytes) per peer, modeled as
         # Bruck's algorithm (what MPI implementations use for tiny items)
         per_rank = per_rank + model.bruck_alltoall_time(P, 8.0, topo.diameter())
-    elif count_exchange not in ("sparse", "cached"):
-        raise ValueError(
-            f"count_exchange must be 'dense', 'sparse' or 'cached', got {count_exchange!r}"
-        )
     bis = model.bisection_time(total_internode, topo.bisection_links())
     per_rank = np.maximum(per_rank, bis)
     if machine.comm_factors is not None:
@@ -253,6 +249,12 @@ def alltoallv(
     """
     if len(sends) != machine.nprocs:
         raise ValueError(f"sends has {len(sends)} entries, machine has {machine.nprocs} ranks")
+    # like a bad destination, a bad mode is rejected before anything is
+    # audited, synchronized or charged — on the direct and every staged path
+    if count_exchange not in ("dense", "sparse", "cached"):
+        raise ValueError(
+            f"count_exchange must be 'dense', 'sparse' or 'cached', got {count_exchange!r}"
+        )
     _validate_sends(machine.nprocs, sends)
     staged = _staged_engine(machine, "alltoallv", sends=sends)
     if staged is not None:

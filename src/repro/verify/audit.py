@@ -32,6 +32,7 @@ raises :class:`CommAuditError` on violation.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -336,19 +337,14 @@ class CommAuditor:
             ledger = self.algo_ledger[label] = PhaseLedger()
         ledger.add(messages, nbytes)
 
+    @contextlib.contextmanager
     def algo_scope(self):
         """Context manager marking the staged rounds of one engine call."""
-        import contextlib
-
-        @contextlib.contextmanager
-        def scope():
-            self._algo_scope_depth += 1
-            try:
-                yield self
-            finally:
-                self._algo_scope_depth -= 1
-
-        return scope()
+        self._algo_scope_depth += 1
+        try:
+            yield self
+        finally:
+            self._algo_scope_depth -= 1
 
     # -- collective hooks ---------------------------------------------------------
 

@@ -386,6 +386,25 @@ def test_staged_engines_reject_invalid_destination_identically():
         assert machine.elapsed() == 0.0
 
 
+@pytest.mark.parametrize("algo", ["direct", "bruck", "pairwise"])
+def test_alltoallv_rejects_invalid_count_exchange_before_charging(algo):
+    # pre-fix the mode was only checked while charging: the clocks were
+    # already synchronized, the auditor had counted the call and, on the
+    # direct path, kept a ledger row the trace never saw
+    machine = Machine(4)
+    machine.set_collective_algos(f"alltoallv={algo}")
+    machine.advance(np.arange(4.0), "skew")
+    auditor = enable_auditing(machine)
+    state, trace = auditor.state_dict(), machine.trace.items()
+    message = "count_exchange must be 'dense', 'sparse' or 'cached', got 'bogus'"
+    with pytest.raises(ValueError, match=message):
+        alltoallv(machine, dense_sends(4, n=1), "sort", count_exchange="bogus")
+    assert machine.clocks.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert machine.trace.items() == trace
+    assert auditor.state_dict() == state
+    assert not auditor.ledger and auditor.n_alltoall_calls == 0
+
+
 # ------------------------------------------------------- auditor persistence
 
 
