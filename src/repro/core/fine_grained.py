@@ -8,9 +8,12 @@ function* specifies the target process(es) for each local particle; the
 generalized version used by the P2NFFT solver supports duplication by
 returning multiple (element, target) pairs per particle.
 
-Data plane: per-rank :class:`~repro.core.particles.ColumnBlock` s in, grouped
-per-target sub-blocks over :func:`~repro.simmpi.collectives.alltoallv` (or
-the neighborhood variant), concatenated source-ordered blocks out.
+Data plane: per-rank :class:`~repro.core.particles.ColumnBlock` s in; the
+blocks are concatenated once, all (element, target) pairs of all ranks are
+sorted once by ``(source, target)``, and the whole exchange goes to
+:func:`~repro.simmpi.collectives.alltoallv` (or the neighborhood variant) as
+one :class:`~repro.simmpi.collectives.Exchange`; per-rank views of the one
+delivered buffer out.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.particles import ColumnBlock
-from repro.simmpi.collectives import alltoallv, neighborhood_alltoallv
+from repro.simmpi.collectives import Exchange, alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
 
 __all__ = ["COMM_KINDS", "fine_grained_redistribute", "DistResult"]
@@ -31,16 +34,16 @@ __all__ = ["COMM_KINDS", "fine_grained_redistribute", "DistResult"]
 #: point-to-point communication with known bounded-distance peers
 COMM_KINDS = ("alltoall", "neighborhood")
 
-#: A distribution function returns either a plain per-element target-rank
-#: array of shape ``(n,)`` (no duplication), or a pair
-#: ``(element_indices, target_ranks)`` of equal-length arrays where repeated
-#: element indices create duplicates (ghost particles).
+#: A distribution is either a plain per-element target-rank array of shape
+#: ``(n,)`` (no duplication), or a pair ``(element_indices, target_ranks)``
+#: of equal-length arrays where repeated element indices create duplicates
+#: (ghost particles).
 DistResult = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
 DistFn = Callable[[int, ColumnBlock], DistResult]
 
 
-def _normalize(block: ColumnBlock, result: DistResult) -> Tuple[np.ndarray, np.ndarray]:
-    """Canonicalize a distribution-function result to (elem_idx, targets)."""
+def _normalize(n: int, result: DistResult) -> Tuple[np.ndarray, np.ndarray]:
+    """Canonicalize a distribution over ``n`` elements to (elem_idx, targets)."""
     if isinstance(result, tuple):
         elem_idx, targets = result
         elem_idx = np.asarray(elem_idx, dtype=np.int64)
@@ -50,36 +53,58 @@ def _normalize(block: ColumnBlock, result: DistResult) -> Tuple[np.ndarray, np.n
                 f"duplicating distribution must return equal 1-D arrays, got "
                 f"{elem_idx.shape} and {targets.shape}"
             )
-        if elem_idx.size and (elem_idx.min() < 0 or elem_idx.max() >= block.n):
+        if elem_idx.size and (elem_idx.min() < 0 or elem_idx.max() >= n):
             raise ValueError("element indices out of range")
         return elem_idx, targets
     targets = np.asarray(result, dtype=np.int64)
-    if targets.shape != (block.n,):
+    if targets.shape != (n,):
         raise ValueError(
-            f"distribution function must return shape ({block.n},), got {targets.shape}"
+            f"distribution function must return shape ({n},), got {targets.shape}"
         )
-    return np.arange(block.n, dtype=np.int64), targets
+    return np.arange(n, dtype=np.int64), targets
+
+
+def _check_same_columns(blocks: Sequence[ColumnBlock]) -> None:
+    """All blocks must carry the same columns, dtypes and trailing shapes:
+    the rows of different ranks end up in one receive buffer, and what is
+    charged is what the senders' columns weigh."""
+    template = blocks[0]
+    layout = [(arr.dtype, arr.shape[1:]) for arr in template.payload()]
+    for rank, block in enumerate(blocks):
+        if block.names() != template.names():
+            raise ValueError(f"column mismatch: {template.names()} vs {block.names()}")
+        for name, arr, (dtype, trailing) in zip(block.names(), block.payload(), layout):
+            if (arr.dtype, arr.shape[1:]) != (dtype, trailing):
+                raise ValueError(
+                    f"rank {rank}: column {name!r} is {arr.dtype}{arr.shape[1:]}, "
+                    f"rank 0 has {dtype}{trailing}"
+                )
 
 
 def fine_grained_redistribute(
     machine: Machine,
     blocks: Sequence[ColumnBlock],
-    dist_fn: DistFn,
+    distribution: Union[DistFn, DistResult],
     phase: Optional[str] = None,
     *,
     comm: str = "alltoall",
 ) -> List[ColumnBlock]:
-    """Redistribute per-rank blocks according to a distribution function.
+    """Redistribute per-rank blocks according to a distribution.
 
     Parameters
     ----------
     blocks:
-        one :class:`ColumnBlock` per rank (identical column sets).
-    dist_fn:
-        called as ``dist_fn(rank, block)``; see :data:`DistResult`.  Targets
-        must be valid ranks.  Returning ``(elem_idx, targets)`` with repeated
-        ``elem_idx`` duplicates particles (ghosts); elements whose index
-        never appears are dropped (ghost removal works the same way).
+        one :class:`ColumnBlock` per rank (identical column sets, dtypes and
+        trailing shapes).
+    distribution:
+        either the *global* distribution, a :data:`DistResult` over the rows
+        of all blocks concatenated in rank order (element ``i`` of rank
+        ``r`` is row ``sum(n_0..n_{r-1}) + i``), or a distribution function
+        called as ``distribution(rank, block)`` and returning the rank's
+        :data:`DistResult` over its own rows.  Targets must be valid ranks.
+        ``(elem_idx, targets)`` with repeated ``elem_idx`` duplicates
+        particles (ghosts); elements whose index never appears are dropped
+        (ghost removal works the same way).
     comm:
         ``"alltoall"`` uses the general collective with a dense count
         exchange; ``"neighborhood"`` models pre-posted point-to-point
@@ -88,50 +113,58 @@ def fine_grained_redistribute(
 
     Returns
     -------
-    One block per rank: the concatenation of received sub-blocks in source
-    rank order (stable within each source, preserving the sender's element
-    order — the ordering contract the resort indices rely on).
+    One block per rank: the received rows in source rank order, and within
+    one source in the order its (element, target) pairs were listed — the
+    ordering contract the resort indices rely on.  The blocks are views of
+    one delivered buffer.
+
+    A rejected call (mismatched columns, bad element index or target rank)
+    raises before anything is exchanged or charged.
     """
-    if len(blocks) != machine.nprocs:
-        raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
+    P = machine.nprocs
+    if len(blocks) != P:
+        raise ValueError(f"{len(blocks)} blocks for {P} ranks")
     if comm not in COMM_KINDS:
         raise ValueError(f"comm must be one of {COMM_KINDS}, got {comm!r}")
+    _check_same_columns(blocks)
 
-    sends: List[dict] = []
-    send_blocks: List[dict] = []  # parallel structure holding ColumnBlocks
-    for rank, block in enumerate(blocks):
-        elem_idx, targets = _normalize(block, dist_fn(rank, block))
-        per_target: dict = {}
-        blocks_out: dict = {}
-        if targets.size:
-            if targets.min() < 0 or targets.max() >= machine.nprocs:
-                raise ValueError(f"rank {rank}: target ranks out of range")
-            order = np.argsort(targets, kind="stable")
-            sorted_targets = targets[order]
-            # one gather for the whole rank, then zero-copy views per target
-            gathered = block.take(elem_idx[order])
-            bounds = np.flatnonzero(np.diff(sorted_targets)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sorted_targets.size]))
-            for s, e in zip(starts, ends):
-                dst = int(sorted_targets[s])
-                sub = gathered.row_slice(int(s), int(e))
-                blocks_out[dst] = sub
-                per_target[dst] = sub.payload()
-        sends.append(per_target)
-        send_blocks.append(blocks_out)
-
-    if comm == "alltoall":
-        recv = alltoallv(machine, sends, phase)
+    offsets = np.concatenate(([0], np.cumsum([b.n for b in blocks], dtype=np.int64)))
+    if callable(distribution):
+        # the per-rank form: shift every rank's pairs to global row numbers
+        pairs = [
+            _normalize(block.n, distribution(rank, block)) for rank, block in enumerate(blocks)
+        ]
+        elements = np.concatenate([e + offsets[rank] for rank, (e, _t) in enumerate(pairs)])
+        targets = np.concatenate([t for _e, t in pairs])
+        sources = np.repeat(np.arange(P, dtype=np.int64), [t.shape[0] for _e, t in pairs])
     else:
-        recv = neighborhood_alltoallv(machine, sends, phase)
+        elements, targets = _normalize(int(offsets[-1]), distribution)
+        sources = np.searchsorted(offsets, elements, side="right") - 1
+    bad = (targets < 0) | (targets >= P)
+    if bad.any():
+        raise ValueError(f"rank {int(sources[bad].min())}: target ranks out of range")
 
-    out: List[ColumnBlock] = []
-    template = blocks[0]
-    for dst in range(machine.nprocs):
-        received = [send_blocks[src][dst] for src, _payload in recv[dst]]
-        if received:
-            out.append(ColumnBlock.concat(received))
-        else:
-            out.append(ColumnBlock.empty_like(template, 0))
-    return out
+    # one stable sort of all pairs by (source, target): equal keys are one
+    # message, in the order the pairs were listed
+    key = sources
+    key *= P
+    key += targets
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.shape[0], dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    exchange = Exchange(
+        columns=ColumnBlock.concat(blocks).payload(),
+        row_index=elements[order],
+        msg_src=key[starts] // P,
+        msg_dst=key[starts] % P,
+        row_ptr=np.append(starts, key.shape[0]),
+    )
+    # the pair-sized work arrays are not needed while the rows travel
+    del bad, sources, targets, elements, order, key, first
+    transport = alltoallv if comm == "alltoall" else neighborhood_alltoallv
+    columns, recv_offsets = transport(machine, exchange, phase)
+    delivered = ColumnBlock(**dict(zip(blocks[0].names(), columns)))
+    bounds = recv_offsets.tolist()
+    return [delivered.row_slice(bounds[r], bounds[r + 1]) for r in range(P)]

@@ -84,10 +84,11 @@ def initial_numbering(counts: Sequence[int]) -> List[np.ndarray]:
     that the particles of each single process are consecutively numbered"
     the FMM solver carries through its parallel sort (Sect. III-A).
     """
-    return [
-        pack_resort_index(np.full(int(n), r, dtype=np.int64), np.arange(int(n), dtype=np.int64))
-        for r, n in enumerate(counts)
-    ]
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    ranks = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+    packed = pack_resort_index(ranks, np.arange(offsets[-1], dtype=np.int64) - offsets[ranks])
+    return np.split(packed, offsets[1:-1])
 
 
 def inverse_permutation(positions: np.ndarray, n: int, rank: int) -> np.ndarray:
@@ -141,18 +142,10 @@ def invert_indices(
     """
     if len(origloc) != machine.nprocs or len(orig_counts) != machine.nprocs:
         raise ValueError("origloc/orig_counts must have one entry per rank")
-    blocks: List[ColumnBlock] = []
-    for r, ol in enumerate(origloc):
-        ol = np.asarray(ol, dtype=np.int64)
-        cur = pack_resort_index(
-            np.full(ol.shape[0], r, dtype=np.int64), np.arange(ol.shape[0], dtype=np.int64)
-        )
-        blocks.append(ColumnBlock(origloc=ol, current=cur))
-
-    def to_original(rank: int, block: ColumnBlock) -> np.ndarray:
-        ranks, _ = unpack_resort_index(block["origloc"])
-        return ranks
-
+    origloc = [np.asarray(ol, dtype=np.int64) for ol in origloc]
+    current = initial_numbering([ol.shape[0] for ol in origloc])
+    blocks = [ColumnBlock(origloc=ol, current=cur) for ol, cur in zip(origloc, current)]
+    to_original, _ = unpack_resort_index(np.concatenate(origloc))
     received = fine_grained_redistribute(machine, blocks, to_original, phase, comm=comm)
 
     out: List[np.ndarray] = []
@@ -205,10 +198,7 @@ def apply_resort(
         b["_resort"] = idx
         blocks.append(b)
 
-    def to_target(rank: int, block: ColumnBlock) -> np.ndarray:
-        ranks, _ = unpack_resort_index(block["_resort"])
-        return ranks
-
+    to_target, _ = unpack_resort_index(np.concatenate([b["_resort"] for b in blocks]))
     received = fine_grained_redistribute(machine, blocks, to_target, phase, comm=comm)
 
     out: List[ColumnBlock] = []

@@ -43,11 +43,7 @@ def restore_results(
         ColumnBlock(origloc=np.asarray(origloc[r], dtype=np.int64), pot=pots[r], field=fields[r])
         for r in range(machine.nprocs)
     ]
-
-    def to_origin(rank: int, block: ColumnBlock) -> np.ndarray:
-        ranks, _ = unpack_resort_index(block["origloc"])
-        return ranks
-
+    to_origin, _ = unpack_resort_index(np.concatenate([b["origloc"] for b in result_blocks]))
     received = fine_grained_redistribute(
         machine, result_blocks, to_origin, phase=phase, comm="alltoall"
     )

@@ -117,9 +117,9 @@ class CartGrid:
 
     def cell_of_positions(self, pos: np.ndarray) -> np.ndarray:
         """Grid cell coordinates containing each position, shape ``(n, 3)``."""
-        pos = np.asarray(pos, dtype=np.float64)
-        rel = (pos - self.offset) / self.cell
-        cells = np.floor(rel).astype(np.int64)
+        rel = np.asarray(pos, dtype=np.float64) - self.offset
+        rel /= self.cell
+        cells = np.floor(rel, out=rel).astype(np.int64)
         dims = np.asarray(self.dims, dtype=np.int64)
         if self.periodic:
             cells %= dims
@@ -131,7 +131,8 @@ class CartGrid:
         """Target rank for each particle position (the P2NFFT distribution
         function: "the target process for each particle is calculated from
         its position")."""
-        return self.rank_of(self.cell_of_positions(pos))
+        # the cells are already wrapped (or clipped) into the grid
+        return self.cell_of_positions(pos) @ np.asarray(self._strides, dtype=np.int64)
 
     def subdomain_bounds(self, rank: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)`` corners of a rank's subdomain."""

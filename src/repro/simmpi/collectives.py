@@ -11,7 +11,11 @@ conventions:
   and cost nothing beyond the count exchange;
 * a *payload* is an ``ndarray`` or a tuple of ``ndarray`` columns that travel
   together in one message (structure-of-arrays particle data); its size is
-  the sum of the column ``nbytes``.
+  the sum of the column ``nbytes``;
+* the all-to-all primitives also take the buffer form of ``MPI_Alltoallv``,
+  an :class:`Exchange`: one set of column buffers, a row index and a CSR
+  message table sorted by ``(src, dst)`` — one object per exchange instead
+  of one payload object per message.
 
 The all-to-all primitives implement the cost semantics of the paper's
 fine-grained data redistribution operation [13,14]: a dense
@@ -49,15 +53,18 @@ received payload as read-only and copy before writing.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.simmpi.machine import Machine
 
 __all__ = [
+    "Exchange",
     "payload_nbytes",
+    "message_triples",
     "alltoallv",
     "neighborhood_alltoallv",
     "allgatherv",
@@ -82,6 +89,148 @@ def payload_nbytes(payload: Payload) -> int:
     raise TypeError(f"unsupported payload type {type(payload)!r}")
 
 
+@dataclasses.dataclass(frozen=True)
+class Exchange:
+    """The buffer form of ``MPI_Alltoallv``: one exchange as a set of arrays.
+
+    ``columns`` are column buffers over the rows of *all* ranks (equal
+    leading dimension, any row layout).  Message ``k`` travels from rank
+    ``msg_src[k]`` to rank ``msg_dst[k]`` and carries, for every column, the
+    rows ``row_index[row_ptr[k]:row_ptr[k + 1]]`` in that order — a CSR
+    table: ``row_ptr`` has one more entry than there are messages, starts at
+    0 and ends at ``len(row_index)``.  The table is sorted by ``(src, dst)``
+    and names every pair at most once, so a receiver's messages are in
+    source order once grouped by destination (the per-source receive-block
+    order of MPI, which the resort indices rely on).
+
+    Handed to :func:`alltoallv` / :func:`neighborhood_alltoallv` in place of
+    the ``list[dict]`` send table, it is charged by the same formula from
+    the same ``(src, dst, nbytes)`` triples and comes back as
+    ``(columns, recv_offsets)``: rank ``j`` received the rows
+    ``recv_offsets[j]:recv_offsets[j + 1]`` of the returned column buffers,
+    grouped by source rank.
+    """
+
+    columns: Tuple[np.ndarray, ...]
+    row_index: np.ndarray
+    msg_src: np.ndarray
+    msg_dst: np.ndarray
+    row_ptr: np.ndarray
+
+    @property
+    def row_nbytes(self) -> int:
+        """Bytes one row occupies across all columns."""
+        return sum(c.dtype.itemsize * int(np.prod(c.shape[1:])) for c in self.columns)
+
+    def validate(self, nprocs: int) -> None:
+        """Reject a malformed table before anything is audited or charged."""
+        n_messages = self.msg_src.shape[0]
+        for name in ("row_index", "msg_src", "msg_dst", "row_ptr"):
+            arr = getattr(self, name)
+            if arr.ndim != 1 or arr.dtype != np.int64:
+                raise ValueError(f"Exchange.{name} must be a 1-D int64 array")
+        if self.msg_dst.shape[0] != n_messages or self.row_ptr.shape[0] != n_messages + 1:
+            raise ValueError(
+                f"Exchange table is ragged: {n_messages} sources, "
+                f"{self.msg_dst.shape[0]} destinations, {self.row_ptr.shape[0]} row pointers"
+            )
+        if (
+            self.row_ptr[0] != 0
+            or self.row_ptr[-1] != self.row_index.shape[0]
+            or np.any(np.diff(self.row_ptr) < 0)
+        ):
+            raise ValueError("Exchange.row_ptr must rise from 0 to len(row_index)")
+        lengths = {c.shape[0] for c in self.columns}
+        if len(lengths) > 1:
+            raise ValueError(f"Exchange columns differ in length: {sorted(lengths)}")
+        n_rows = lengths.pop() if lengths else 0
+        if self.row_index.size and (
+            self.row_index.min() < 0 or self.row_index.max() >= n_rows
+        ):
+            raise ValueError("Exchange.row_index points outside the column buffers")
+        if n_messages == 0:
+            return
+        if self.msg_src.min() < 0 or self.msg_src.max() >= nprocs:
+            raise ValueError(f"Exchange.msg_src outside [0, {nprocs})")
+        bad = np.flatnonzero((self.msg_dst < 0) | (self.msg_dst >= nprocs))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"rank {int(self.msg_src[k])} sends to invalid rank {int(self.msg_dst[k])}"
+            )
+        if np.any(np.diff(self.msg_src * np.int64(nprocs) + self.msg_dst) <= 0):
+            raise ValueError("Exchange messages must be sorted by (src, dst), pairs unique")
+
+    def deliver(self, nprocs: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+        """The received rows in ``(dst, src)`` order, as one gather per column.
+
+        The send-side order ``row_index`` and the regrouping of whole
+        messages by destination are composed into one index vector, so no
+        send buffer is materialized between the two.
+        """
+        lens = np.diff(self.row_ptr)
+        # the table is source-sorted, so a stable sort by destination leaves
+        # every receiver's messages in source order
+        by_dst = np.argsort(self.msg_dst, kind="stable")
+        recv_lens = lens[by_dst]
+        recv_ends = np.cumsum(recv_lens)
+        gather = np.repeat(self.row_ptr[:-1][by_dst] - (recv_ends - recv_lens), recv_lens)
+        gather += np.arange(self.row_index.shape[0])
+        gather = self.row_index[gather]
+        return tuple(c[gather] for c in self.columns), self._recv_offsets(nprocs)
+
+    def _recv_offsets(self, nprocs: int) -> np.ndarray:
+        rows_to = np.zeros(nprocs, dtype=np.int64)
+        np.add.at(rows_to, self.msg_dst, np.diff(self.row_ptr))
+        return np.concatenate(([0], np.cumsum(rows_to)))
+
+    def as_sends(self, nprocs: int) -> List[Dict[int, Payload]]:
+        """The same exchange as a ``list[dict]`` of per-message column views
+        (what a staged engine ships and an execution backend transports)."""
+        buffers = tuple(c[self.row_index] for c in self.columns)
+        sends: List[Dict[int, Payload]] = [{} for _ in range(nprocs)]
+        bounds = self.row_ptr.tolist()
+        for k, (src, dst) in enumerate(zip(self.msg_src.tolist(), self.msg_dst.tolist())):
+            sends[src][dst] = tuple(b[bounds[k]:bounds[k + 1]] for b in buffers)
+        return sends
+
+    def collect(
+        self, recv: List[List[Tuple[int, Payload]]]
+    ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+        """Concatenate the per-message ``recv`` lists of :meth:`as_sends`'s
+        exchange into the ``(columns, recv_offsets)`` of :meth:`deliver`."""
+        payloads = [payload for received in recv for _src, payload in received]
+        columns = tuple(
+            np.concatenate([p[i] for p in payloads]) if payloads else c[:0]
+            for i, c in enumerate(self.columns)
+        )
+        return columns, self._recv_offsets(len(recv))
+
+
+SendTable = Union[Sequence[Dict[int, Payload]], Exchange]
+
+
+def message_triples(sends: SendTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten either send-table form to ``(src, dst, nbytes)`` int64 arrays,
+    one entry per message, self-sends included — what the all-to-all charge
+    and the auditor's recomputation are both made from."""
+    if isinstance(sends, Exchange):
+        return sends.msg_src, sends.msg_dst, np.diff(sends.row_ptr) * sends.row_nbytes
+    src_list = []
+    dst_list = []
+    size_list = []
+    for src, targets in enumerate(sends):
+        for dst, payload in targets.items():
+            src_list.append(src)
+            dst_list.append(dst)
+            size_list.append(payload_nbytes(payload))
+    return (
+        np.asarray(src_list, dtype=np.int64),
+        np.asarray(dst_list, dtype=np.int64),
+        np.asarray(size_list, dtype=np.int64),
+    )
+
+
 def _validate_sends(nprocs: int, sends: Sequence[Dict[int, Payload]]) -> None:
     """Reject invalid destination ranks *before* any auditing or charging.
 
@@ -96,6 +245,15 @@ def _validate_sends(nprocs: int, sends: Sequence[Dict[int, Payload]]) -> None:
                 raise ValueError(f"rank {src} sends to invalid rank {dst}")
 
 
+def _stages(machine: Machine, collective: str) -> bool:
+    """Whether ``collective`` is configured to run a staged algorithm engine
+    (``auto`` counts: it may resolve to one) rather than the closed form."""
+    algos = machine.collective_algos
+    return (
+        algos is not None and machine.nprocs > 1 and getattr(algos, collective) != "direct"
+    )
+
+
 def _staged_engine(machine: Machine, collective: str, **sizing):
     """The staged engine this ``collective`` call must run, bound to its
     resolved algorithm — or ``None`` for the closed-form ``direct`` path.
@@ -106,14 +264,11 @@ def _staged_engine(machine: Machine, collective: str, **sizing):
     is what ``auto`` resolves from (``sends=`` or ``nbytes=``); every
     resolution, including ``auto`` falling back to ``direct``, is counted.
     """
-    algos = machine.collective_algos
-    if algos is None or machine.nprocs == 1:
-        return None
-    algo = getattr(algos, collective)
-    if algo == "direct":
+    if not _stages(machine, collective):
         return None
     from repro.simmpi import algos as engines
 
+    algo = getattr(machine.collective_algos, collective)
     algo = engines.resolve(machine, collective, algo, **sizing)
     machine.count("comm.algo.calls", collective=collective, algo=algo)
     if algo == "direct":
@@ -123,30 +278,27 @@ def _staged_engine(machine: Machine, collective: str, **sizing):
 
 def _charge_alltoall(
     machine: Machine,
-    sends: Sequence[Dict[int, Payload]],
+    triples: Tuple[np.ndarray, np.ndarray, np.ndarray],
     phase: Optional[str],
     count_exchange: str,
 ) -> None:
-    """Clock/trace accounting shared by the all-to-all variants."""
+    """Clock/trace accounting shared by the all-to-all variants.
+
+    Every sum below is over integer-valued byte counts far below 2**53, so
+    the result does not depend on the order the messages are listed in.
+    """
     P = machine.nprocs
     model = machine.model
     topo = machine.topology
 
-    # collect all (src, dst, size) message triples, then vectorize the
-    # accounting (topology hop lookups batched into one call)
-    src_list = []
-    dst_list = []
-    size_list = []
-    for src, targets in enumerate(sends):
-        for dst, payload in targets.items():
-            if dst != src:
-                src_list.append(src)
-                dst_list.append(dst)
-                size_list.append(payload_nbytes(payload))
-    n_messages = len(src_list)
-    srcs = np.asarray(src_list, dtype=np.int64)
-    dsts = np.asarray(dst_list, dtype=np.int64)
-    sizes = np.asarray(size_list, dtype=np.float64)
+    # the accounting is vectorized over the (src, dst, size) message triples
+    # (topology hop lookups batched into one call); self-sends are local moves
+    srcs, dsts, sizes = triples
+    remote = srcs != dsts
+    srcs = srcs[remote]
+    dsts = dsts[remote]
+    sizes = sizes[remote].astype(np.float64)
+    n_messages = int(srcs.shape[0])
 
     n_targets = np.bincount(srcs, minlength=P).astype(np.int64)
     send_bytes = np.bincount(srcs, weights=sizes, minlength=P)
@@ -221,18 +373,19 @@ def _deliver(
 
 def alltoallv(
     machine: Machine,
-    sends: Sequence[Dict[int, Payload]],
+    sends: SendTable,
     phase: Optional[str] = None,
     *,
     count_exchange: str = "dense",
-) -> List[List[Tuple[int, Payload]]]:
+):
     """Sparse all-to-all exchange (the fine-grained redistribution transport).
 
     Parameters
     ----------
     sends:
-        ``sends[i][j]`` is the payload rank ``i`` sends to rank ``j``.
-        Self-sends are delivered for free (local move, charged as a copy).
+        ``sends[i][j]`` is the payload rank ``i`` sends to rank ``j``, or
+        the whole exchange as one :class:`Exchange`.  Self-sends are
+        delivered for free (local move, charged as a copy).
     count_exchange:
         ``"dense"`` (default) charges the ``MPI_Alltoall`` count exchange
         that a general redistribution needs; ``"sparse"`` skips it (known
@@ -245,9 +398,12 @@ def alltoallv(
     Returns
     -------
     ``recv`` with ``recv[j]`` a list of ``(source_rank, payload)`` sorted by
-    source rank, matching MPI's per-source receive-block semantics.
+    source rank, matching MPI's per-source receive-block semantics; for an
+    :class:`Exchange`, the ``(columns, recv_offsets)`` described there —
+    the same rows in the same order, in one buffer per column.
     """
-    if len(sends) != machine.nprocs:
+    exchange = sends if isinstance(sends, Exchange) else None
+    if exchange is None and len(sends) != machine.nprocs:
         raise ValueError(f"sends has {len(sends)} entries, machine has {machine.nprocs} ranks")
     # like a bad destination, a bad mode is rejected before anything is
     # audited, synchronized or charged — on the direct and every staged path
@@ -255,21 +411,33 @@ def alltoallv(
         raise ValueError(
             f"count_exchange must be 'dense', 'sparse' or 'cached', got {count_exchange!r}"
         )
-    _validate_sends(machine.nprocs, sends)
-    staged = _staged_engine(machine, "alltoallv", sends=sends)
-    if staged is not None:
-        return staged(machine, sends, phase, count_exchange=count_exchange)
+    if exchange is not None:
+        exchange.validate(machine.nprocs)
+        if machine.backend is not None or _stages(machine, "alltoallv"):
+            # a staged engine forwards, and an execution backend transports,
+            # one payload object per message: hand them the per-message views
+            recv = alltoallv(
+                machine, exchange.as_sends(machine.nprocs), phase, count_exchange=count_exchange
+            )
+            return exchange.collect(recv)
+    else:
+        _validate_sends(machine.nprocs, sends)
+        staged = _staged_engine(machine, "alltoallv", sends=sends)
+        if staged is not None:
+            return staged(machine, sends, phase, count_exchange=count_exchange)
     if machine.auditor is not None:
         machine.auditor.observe_alltoallv(sends, phase, count_exchange)
-    _charge_alltoall(machine, sends, phase, count_exchange)
+    _charge_alltoall(machine, message_triples(sends), phase, count_exchange)
+    if exchange is not None:
+        return exchange.deliver(machine.nprocs)
     return _deliver(machine, sends)
 
 
 def neighborhood_alltoallv(
     machine: Machine,
-    sends: Sequence[Dict[int, Payload]],
+    sends: SendTable,
     phase: Optional[str] = None,
-) -> List[List[Tuple[int, Payload]]]:
+):
     """Neighborhood exchange: all-to-all restricted to known peers.
 
     Identical data plane to :func:`alltoallv` but modeled as pre-posted

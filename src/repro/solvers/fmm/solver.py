@@ -32,6 +32,7 @@ construction; DESIGN.md §5 records the simplification.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,6 +49,7 @@ from repro.solvers.fmm.tree import FMMTree
 from repro.solvers.fmm.tuning import choose_depth, choose_order, plan_parameters
 from repro.sorting.merge_sort import merge_exchange_sort
 from repro.sorting.partition_sort import partition_sort
+from repro.zorder.morton import morton_decode3, morton_encode3
 
 __all__ = ["FMMSolver"]
 
@@ -292,70 +294,53 @@ class FMMSolver(Solver):
         ownership: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> List[ColumnBlock]:
         """Send boundary-box particle copies to ranks owning adjacent boxes."""
-        from repro.zorder.morton import morton_decode3, morton_encode3
-        import itertools
-
         rank_ids, min_keys, max_keys = ownership
         P = self.machine.nprocs
         nside = self.tree.nside_leaf
-        send_elems: List[np.ndarray] = []
-        send_targets: List[np.ndarray] = []
-        for r, block in enumerate(blocks):
-            if block.n == 0:
-                send_elems.append(np.empty(0, dtype=np.int64))
-                send_targets.append(np.empty(0, dtype=np.int64))
-                continue
-            keys = block["key"]
-            boxes, first = np.unique(keys, return_index=True)
-            last = np.concatenate((first[1:], [keys.shape[0]]))
-            bx, by, bz = (c.astype(np.int64) for c in morton_decode3(boxes))
-            dest_box: List[np.ndarray] = []
-            dest_rank: List[np.ndarray] = []
-            for d in itertools.product((-1, 0, 1), repeat=3):
-                if d == (0, 0, 0):
-                    continue
-                nx, ny, nz = bx + d[0], by + d[1], bz + d[2]
-                if self.periodic:
-                    nx, ny, nz = nx % nside, ny % nside, nz % nside
-                    mask = np.ones(boxes.shape[0], dtype=bool)
-                else:
-                    mask = (
-                        (nx >= 0) & (nx < nside)
-                        & (ny >= 0) & (ny < nside)
-                        & (nz >= 0) & (nz < nside)
-                    )
-                    if not mask.any():
-                        continue
-                    nx, ny, nz = nx[mask], ny[mask], nz[mask]
-                nkeys = morton_encode3(nx, ny, nz)
-                ki, owners = self._owners_of_keys(nkeys, rank_ids, min_keys, max_keys)
-                box_idx = np.flatnonzero(mask)[ki]
-                keep = owners != r
-                dest_box.append(box_idx[keep])
-                dest_rank.append(owners[keep])
-            if dest_box:
-                db = np.concatenate(dest_box)
-                dr = np.concatenate(dest_rank)
-                pairs = np.unique(np.stack([db, dr], axis=1), axis=0)
-                db, dr = pairs[:, 0], pairs[:, 1]
-                seg_len = (last - first)[db]
-                elems = np.concatenate(
-                    [np.arange(first[b], last[b]) for b in db]
-                ) if db.size else np.empty(0, dtype=np.int64)
-                targets = np.repeat(dr, seg_len)
-            else:
-                elems = np.empty(0, dtype=np.int64)
-                targets = np.empty(0, dtype=np.int64)
-            send_elems.append(elems)
-            send_targets.append(targets)
-
         halo_in = [b.drop("origloc") for b in blocks]
-
-        def dist(rank: int, block: ColumnBlock):
-            return send_elems[rank], send_targets[rank]
-
+        counts = np.asarray([b.n for b in blocks], dtype=np.int64)
+        keys = np.concatenate([b["key"] for b in blocks])
+        rank = np.repeat(np.arange(P, dtype=np.int64), counts)
+        # one box per run of equal (rank, key) over the rank-concatenated
+        # rows (each rank's keys are sorted)
+        new_box = np.ones(keys.shape[0], dtype=bool)
+        new_box[1:] = (keys[1:] != keys[:-1]) | (rank[1:] != rank[:-1])
+        first = np.flatnonzero(new_box)
+        last = np.append(first[1:], keys.shape[0])
+        box_rank = rank[first]
+        # the (boxes, 26) table of neighbor box coordinates
+        directions = np.asarray(
+            [d for d in itertools.product((-1, 0, 1), repeat=3) if d != (0, 0, 0)],
+            dtype=np.int64,
+        )
+        coords = np.stack([c.astype(np.int64) for c in morton_decode3(keys[first])], axis=1)
+        nbr = coords[:, None, :] + directions[None, :, :]
+        if self.periodic:
+            nbr %= nside
+        inside = np.flatnonzero(((nbr >= 0) & (nbr < nside)).all(axis=2).ravel())
+        nbr = nbr.reshape(-1, 3)[inside]
+        ki, owners = self._owners_of_keys(
+            morton_encode3(nbr[:, 0], nbr[:, 1], nbr[:, 2]), rank_ids, min_keys, max_keys
+        )
+        box = inside[ki] // directions.shape[0]
+        remote = owners != box_rank[box]
+        # distinct (box, destination rank) pairs, sorted: boxes are numbered
+        # in row order, so the pairs come out rank by rank
+        packed = box[remote] * np.int64(P) + owners[remote]
+        packed.sort()
+        distinct = np.ones(packed.shape[0], dtype=bool)
+        distinct[1:] = packed[1:] != packed[:-1]
+        packed = packed[distinct]
+        box, dest = packed // P, packed % P
+        # every row of each such box goes to the pair's destination
+        seg_len = (last - first)[box]
+        seg_end = np.cumsum(seg_len)
+        elems = np.repeat(first[box] - (seg_end - seg_len), seg_len) + np.arange(
+            int(seg_len.sum())
+        )
         return fine_grained_redistribute(
-            self.machine, halo_in, dist, phase="halo", comm="neighborhood"
+            self.machine, halo_in, (elems, np.repeat(dest, seg_len)),
+            phase="halo", comm="neighborhood",
         )
 
     def _estimate_far_stats(self, n_total: int):

@@ -88,30 +88,49 @@ def ghost_distribution(
     rel = wrapped - grid.offset - cells * grid.cell  # in [0, cell)
     ring = np.maximum(np.ceil(rc / grid.cell).astype(np.int64), 1)
     ranges = [range(-int(r), int(r) + 1) for r in ring]
+    rc2 = rc * rc
+
+    def face2(k: int, c: int, rows) -> np.ndarray:
+        """Squared distance of ``rows`` to the subdomain ``c`` cells away
+        along axis ``k``."""
+        if c > 0:
+            dk = (c - 1) * grid.cell[k] + (grid.cell[k] - rel[rows, k])
+        else:
+            dk = (-c - 1) * grid.cell[k] + rel[rows, k]
+        return dk * dk
+
+    # one pass over all rows per (axis, component): the rows it leaves within
+    # the cutoff.  An offset is at least as far as its first non-zero
+    # component, so its own pass only looks at those.
+    reach = {
+        (k, c): np.flatnonzero(face2(k, c, slice(None)) < rc2)
+        for k in range(3) for c in ranges[k] if c
+    }
     for o in itertools.product(*ranges):
-        if o == (0, 0, 0):
+        axes = [k for k in range(3) if o[k]]
+        if not axes:
             continue
-        d2 = np.zeros(n)
-        for k in range(3):
-            if o[k] > 0:
-                dk = (o[k] - 1) * grid.cell[k] + (grid.cell[k] - rel[:, k])
-            elif o[k] < 0:
-                dk = (-o[k] - 1) * grid.cell[k] + rel[:, k]
-            else:
-                continue
-            d2 += dk * dk
-        within = d2 < rc * rc
-        if not within.any():
+        rows = reach[axes[0], o[axes[0]]]
+        # summed in axis order, so each comparison is bitwise the one a
+        # pass over all rows would make
+        d2 = face2(axes[0], o[axes[0]], rows)
+        for k in axes[1:]:
+            d2 += face2(k, o[k], rows)
+        rows = rows[d2 < rc2]
+        if not rows.size:
             continue
-        nbr = grid.rank_of(cells[within] + np.asarray(o, dtype=np.int64))
-        keep = nbr != owner[within]
-        elems.append(np.flatnonzero(within)[keep])
+        nbr = grid.rank_of(cells[rows] + np.asarray(o, dtype=np.int64))
+        keep = nbr != owner[rows]
+        elems.append(rows[keep])
         targets.append(nbr[keep])
     e = np.concatenate(elems)
     t = np.concatenate(targets)
     # dedup on a packed 1-D key (much cheaper than a 2-column unique)
     packed = e * np.int64(grid.nprocs) + t
-    packed = np.unique(packed)
+    packed.sort()
+    distinct = np.ones(packed.shape[0], dtype=bool)
+    distinct[1:] = packed[1:] != packed[:-1]
+    packed = packed[distinct]
     return packed // np.int64(grid.nprocs), packed % np.int64(grid.nprocs)
 
 
@@ -190,43 +209,34 @@ class GridSolver(Solver):
         comm = "neighborhood" if neighborhood else "alltoall"
 
         numbering = initial_numbering(old_counts)
+        # the redistribution gathers from these into fresh buffers, so the
+        # application's arrays can be handed over as they are
         blocks = [
-            ColumnBlock(
-                pos=particles.pos[r].copy(), q=particles.q[r].copy(), index=numbering[r]
-            )
+            ColumnBlock(pos=particles.pos[r], q=particles.q[r], index=numbering[r])
             for r in range(P)
         ]
         machine.compute(kernels.KEY_GENERATION * old_counts, phase="keygen")
 
-        # compute the distribution (owners + ghost duplicates) for all ranks
-        # in one vectorised pass; the per-rank distribution function then
-        # just slices the precomputed pairs (semantically identical, far
-        # cheaper at high process counts)
-        all_pos = np.concatenate([b["pos"] for b in blocks])
-        rank_offsets = np.concatenate(([0], np.cumsum(old_counts)))
-        g_elems, g_targets = ghost_distribution(self.grid, all_pos, self.rc)
-        order = np.argsort(g_elems, kind="stable")
-        g_elems = g_elems[order]
-        g_targets = g_targets[order]
-        split_at = np.searchsorted(g_elems, rank_offsets)
-        per_rank_pairs = [
-            (
-                g_elems[split_at[r]:split_at[r + 1]] - rank_offsets[r],
-                g_targets[split_at[r]:split_at[r + 1]],
-            )
-            for r in range(P)
-        ]
+        # the distribution (owners + ghost duplicates) of all ranks in one
+        # pass over the rank-concatenated positions
+        distribution = ghost_distribution(
+            self.grid, np.concatenate([b["pos"] for b in blocks]), self.rc
+        )
         received = fine_grained_redistribute(
-            machine, blocks, lambda rank, block: per_rank_pairs[rank], phase="sort", comm=comm
+            machine, blocks, distribution, phase="sort", comm=comm
         )
 
-        owned: List[ColumnBlock] = []
-        for r, block in enumerate(received):
-            if block.n:
-                own_mask = self.grid.rank_of_positions(block["pos"]) == r
-                owned.append(block.take(np.flatnonzero(own_mask)))
-            else:
-                owned.append(ColumnBlock.empty_like(block, 0))
+        counts = np.asarray([b.n for b in received], dtype=np.int64)
+        received_pos = np.concatenate([b["pos"] for b in received])
+        own = np.flatnonzero(
+            self.grid.rank_of_positions(received_pos) == np.repeat(np.arange(P), counts)
+        )
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        cuts = np.searchsorted(own, offsets)
+        owned = [
+            block.take(own[cuts[r]:cuts[r + 1]] - offsets[r])
+            for r, block in enumerate(received)
+        ]
         return owned, received, comm, f"grid+{comm}"
 
     def _near_field(self, owned, local_all, new_counts):

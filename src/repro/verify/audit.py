@@ -184,7 +184,8 @@ class CommAuditor:
         self.nprocs = int(nprocs)
         self.strict = bool(strict)
         self.violations: List[str] = []
-        self._neighbors: Optional[List[Set[int]]] = None
+        #: sorted ``src * nprocs + dst`` keys of the declared peer pairs
+        self._neighbor_keys: Optional[np.ndarray] = None
         if neighbor_table is not None:
             self.declare_neighbors(neighbor_table)
         #: per-phase totals recomputed from raw send tables (audited
@@ -242,9 +243,10 @@ class CommAuditor:
                 f"neighbor table has {len(neighbor_table)} entries for "
                 f"{self.nprocs} ranks"
             )
-        self._neighbors = [
-            {int(x) for x in np.asarray(peers).ravel()} for peers in neighbor_table
-        ]
+        self._neighbor_keys = np.unique(np.concatenate([
+            src * self.nprocs + np.asarray(peers, dtype=np.int64).ravel()
+            for src, peers in enumerate(neighbor_table)
+        ]))
 
     # -- ledger -----------------------------------------------------------------
 
@@ -350,12 +352,13 @@ class CommAuditor:
 
     def observe_alltoallv(
         self,
-        sends: Sequence[Dict[int, object]],
+        sends,
         phase: Optional[str],
         count_exchange: str,
         record: bool = True,
     ) -> None:
-        """Audit one (neighborhood_)alltoallv call from its raw send table.
+        """Audit one (neighborhood_)alltoallv call from its raw send table
+        (``list[dict]`` or :class:`~repro.simmpi.collectives.Exchange`).
 
         ``record=False`` runs every validation (rank range, count symmetry,
         neighborhood contract) without touching the ledger — the staged
@@ -363,39 +366,34 @@ class CommAuditor:
         re-accounted per round by :meth:`observe_send_round` instead of
         from the send table.
         """
-        from repro.simmpi.collectives import payload_nbytes
+        from repro.simmpi.collectives import Exchange, message_triples
 
         self.n_alltoall_calls += 1
-        if len(sends) != self.nprocs:
+        if not isinstance(sends, Exchange) and len(sends) != self.nprocs:
             self._fail(
                 f"alltoallv send table has {len(sends)} rows for {self.nprocs} ranks"
             )
             return
+        src, dst, size = message_triples(sends)
+        valid = (dst >= 0) & (dst < self.nprocs)
+        remote = valid & (dst != src)
+        stranger = np.zeros(src.shape[0], dtype=bool)
+        if count_exchange == "sparse" and self._neighbor_keys is not None:
+            stranger = remote & ~np.isin(src * self.nprocs + dst, self._neighbor_keys)
+        # violations are reported per message, in table order
+        for k in np.flatnonzero(~valid | (size < 0) | stranger).tolist():
+            if not valid[k]:
+                self._fail(f"rank {src[k]} sends to invalid rank {dst[k]}")
+                continue
+            if size[k] < 0:
+                self._fail(f"rank {src[k]}->{dst[k]}: negative payload size {size[k]}")
+            if stranger[k]:
+                self._fail(
+                    f"neighborhood exchange: rank {src[k]} sends to rank {dst[k]}, "
+                    f"which is not a declared neighbor"
+                )
         send_counts = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
-        messages = 0
-        nbytes = 0
-        for src, targets in enumerate(sends):
-            for dst, payload in targets.items():
-                if not 0 <= dst < self.nprocs:
-                    self._fail(f"rank {src} sends to invalid rank {dst}")
-                    continue
-                size = payload_nbytes(payload)
-                if size < 0:
-                    self._fail(f"rank {src}->{dst}: negative payload size {size}")
-                send_counts[src, dst] += 1
-                if dst != src:
-                    messages += 1
-                    nbytes += size
-                if (
-                    count_exchange == "sparse"
-                    and self._neighbors is not None
-                    and dst != src
-                    and dst not in self._neighbors[src]
-                ):
-                    self._fail(
-                        f"neighborhood exchange: rank {src} sends to rank {dst}, "
-                        f"which is not a declared neighbor"
-                    )
+        np.add.at(send_counts, (src[valid], dst[valid]), 1)
         # the implicit receive side of a sparse send table is its transpose
         # by construction; validate the invariant explicitly so injected
         # corruptions (tests, future real-MPI backends) are caught
@@ -404,7 +402,7 @@ class CommAuditor:
         except CommAuditError as exc:  # pragma: no cover - defensive
             self._fail(str(exc))
         if record:
-            self._record(phase, messages, nbytes)
+            self._record(phase, int(remote.sum()), int(size[remote].sum()))
 
     # -- point-to-point hooks -----------------------------------------------------
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.particles import ColumnBlock
 from repro.simmpi.machine import Machine
+from repro.verify.audit import CommAuditor, enable_auditing
 
 
 def id_blocks(counts, start=0):
@@ -219,3 +220,85 @@ class TestComm:
         for r in range(4):
             np.testing.assert_allclose(out[r]["q"], out[r]["ident"] * 1.5)
             assert np.all(out[r]["ident"] % 4 == r)
+
+
+class TestRejectedBeforeCharging:
+    """A redistribution that raises leaves clocks, trace, auditor ledgers
+    and counters untouched — the rule ``alltoallv`` follows for a bad
+    destination or ``count_exchange``.  Mismatched columns used to surface
+    in the receive-side concat, after the count exchange and the transfer
+    had been charged; mismatched dtypes were upcast in silence, so the bytes
+    delivered were not the bytes charged."""
+
+    @staticmethod
+    def _assert_untouched(machine, auditor):
+        assert not machine.clocks.any()
+        assert machine.trace.items() == []
+        assert machine.trace.counters() == {}
+        fresh = CommAuditor(machine.nprocs).state_dict()
+        assert auditor.state_dict() == fresh
+
+    @pytest.mark.parametrize("comm", ["alltoall", "neighborhood"])
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (
+                [ColumnBlock(a=np.arange(3.0)), ColumnBlock(b=np.arange(2.0))],
+                "column mismatch",
+            ),
+            (
+                [ColumnBlock(a=np.arange(3.0)), ColumnBlock(a=np.arange(2))],
+                "rank 1: column 'a' is int64",
+            ),
+            (
+                [ColumnBlock(a=np.zeros((3, 3))), ColumnBlock(a=np.zeros((2, 2)))],
+                "rank 1: column 'a' is float64",
+            ),
+            (
+                [ColumnBlock(a=np.zeros(3), b=np.zeros(3)), ColumnBlock(b=np.zeros(2), a=np.zeros(2))],
+                "column mismatch",
+            ),
+        ],
+    )
+    def test_mismatched_columns(self, blocks, message, comm):
+        machine = Machine(2)
+        auditor = enable_auditing(machine)
+        with pytest.raises(ValueError, match=message):
+            fine_grained_redistribute(
+                machine, blocks, lambda r, b: np.full(b.n, 1 - r, dtype=np.int64), "x", comm=comm
+            )
+        self._assert_untouched(machine, auditor)
+
+    @pytest.mark.parametrize(
+        "distribution, message",
+        [
+            # per-rank form: rank 2 is the first with a bad target
+            (lambda r, b: np.full(b.n, 7 if r >= 2 else 0, dtype=np.int64),
+             "rank 2: target ranks out of range"),
+            (lambda r, b: np.full(b.n, -1, dtype=np.int64), "rank 0: target ranks"),
+            (lambda r, b: (np.array([b.n]), np.array([0])), "element indices out of range"),
+            (lambda r, b: (np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64)),
+             "equal 1-D arrays"),
+            (lambda r, b: np.zeros(b.n + 1, dtype=np.int64), "must return shape"),
+            # global form over the 8 concatenated rows
+            (np.array([0, 1, 2, 3, 0, 9, 2, 4]), "rank 2: target ranks out of range"),
+            ((np.array([0, 8]), np.array([0, 0])), "element indices out of range"),
+            ((np.array([0, 1]), np.array([0])), "equal 1-D arrays"),
+            (np.zeros(7, dtype=np.int64), "must return shape"),
+        ],
+    )
+    def test_bad_distribution(self, distribution, message):
+        machine = Machine(4)
+        auditor = enable_auditing(machine)
+        with pytest.raises(ValueError, match=message):
+            fine_grained_redistribute(machine, id_blocks([2, 2, 2, 2]), distribution, "x")
+        self._assert_untouched(machine, auditor)
+
+    def test_mismatch_found_on_an_empty_rank_too(self):
+        """No in-tree caller hands an empty rank a column of another dtype,
+        so zero-row blocks are held to the same layout."""
+        machine = Machine(2)
+        blocks = [ColumnBlock(a=np.arange(3)), ColumnBlock(a=np.zeros(0))]
+        with pytest.raises(ValueError, match="rank 1: column 'a' is float64"):
+            fine_grained_redistribute(machine, blocks, np.zeros(3, dtype=np.int64), "x")
+        assert not machine.clocks.any()
