@@ -112,23 +112,12 @@ def compile_resize_plan(
             )
         bounds = work_split_bounds(w, Q)
 
+    # one pack over all ids; ranks >= P of the scratch superset hold nothing
     R = max(P, Q)
-    resort_indices: List[np.ndarray] = []
-    old_counts: List[int] = []
-    for r in range(R):
-        if r < P:
-            g = ckpt.ids[r]
-            target_rank = np.searchsorted(bounds, g, side="right") - 1
-            target_pos = g - bounds[target_rank]
-            resort_indices.append(
-                pack_resort_index(
-                    target_rank.astype(np.int64), target_pos.astype(np.int64)
-                )
-            )
-            old_counts.append(int(g.shape[0]))
-        else:
-            resort_indices.append(np.zeros(0, dtype=np.int64))
-            old_counts.append(0)
+    old_counts = [int(g.shape[0]) for g in ckpt.ids] + [0] * (R - P)
+    target_rank = np.searchsorted(bounds, all_ids, side="right") - 1
+    packed = pack_resort_index(target_rank, all_ids - bounds[target_rank])
+    resort_indices = np.split(packed, np.cumsum(old_counts)[:-1])
     new_counts = [
         int(bounds[t + 1] - bounds[t]) if t < Q else 0 for t in range(R)
     ]

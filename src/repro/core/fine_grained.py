@@ -10,14 +10,20 @@ returning multiple (element, target) pairs per particle.
 
 Data plane: per-rank :class:`~repro.core.particles.ColumnBlock` s in; the
 blocks are concatenated once, all (element, target) pairs of all ranks are
-sorted once by ``(source, target)``, and the whole exchange goes to
-:func:`~repro.simmpi.collectives.alltoallv` (or the neighborhood variant) as
-one :class:`~repro.simmpi.collectives.Exchange`; per-rank views of the one
-delivered buffer out.
+sorted once by ``(source, target)`` into a *route* (:func:`exchange_route`),
+and the whole exchange goes to :func:`~repro.simmpi.collectives.alltoallv`
+(or the neighborhood variant) as one
+:class:`~repro.simmpi.collectives.Exchange`; per-rank views of the one
+delivered buffer out.  Every redistribution of the repo is this operation:
+this module is the only place outside :mod:`repro.simmpi` that builds an
+``Exchange`` — the parallel sort's all-to-all, the resort-index scatters
+(:mod:`repro.core.resort`, :mod:`repro.core.restore`) and the stored
+schedule of a :class:`~repro.core.plan.ResortPlan` are callers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,7 +32,14 @@ from repro.core.particles import ColumnBlock
 from repro.simmpi.collectives import Exchange, alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
 
-__all__ = ["COMM_KINDS", "fine_grained_redistribute", "DistResult"]
+__all__ = [
+    "COMM_KINDS",
+    "DistResult",
+    "block_offsets",
+    "exchange_route",
+    "fine_grained_redistribute",
+    "redistribute_flat",
+]
 
 #: the structured communication strategies of a redistribution exchange (what
 #: a :class:`~repro.solvers.base.RunReport` and a
@@ -81,6 +94,89 @@ def _check_same_columns(blocks: Sequence[ColumnBlock]) -> None:
                 )
 
 
+def exchange_route(row_offsets: np.ndarray, elements: np.ndarray, targets: np.ndarray) -> Exchange:
+    """The route of a redistribution: an :class:`Exchange` without columns.
+
+    ``row_offsets`` are the ``P + 1`` prefix sums of the per-rank row
+    counts, so global row ``elements[i]`` lives on the rank whose range
+    holds it and travels to rank ``targets[i]``.  All pairs are sorted once,
+    stably, by ``(source, target)``: equal keys are one message, in the
+    order the pairs were listed.  Binding column buffers over the same rows
+    (``dataclasses.replace(route, columns=...)``) makes it an exchange; a
+    route may be kept and bound any number of times.
+
+    Raises before anything can be charged when a target is not a rank.
+    """
+    P = row_offsets.shape[0] - 1
+    sources = np.searchsorted(row_offsets, elements, side="right") - 1
+    if targets.size and (targets.min() < 0 or targets.max() >= P):
+        bad = (targets < 0) | (targets >= P)
+        raise ValueError(f"rank {int(sources[bad].min())}: target ranks out of range")
+    key = sources
+    key *= P
+    key += targets
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.shape[0], dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    return Exchange(
+        columns=(),
+        row_index=elements[order],
+        msg_src=key[starts] // P,
+        msg_dst=key[starts] % P,
+        row_ptr=np.append(starts, key.shape[0]),
+    )
+
+
+def block_offsets(blocks: Sequence[ColumnBlock]) -> np.ndarray:
+    """Prefix sums of the block sizes: rank ``r`` holds the global rows
+    ``offsets[r]:offsets[r + 1]`` of the blocks concatenated in rank order."""
+    return np.concatenate(([0], np.cumsum([b.n for b in blocks], dtype=np.int64)))
+
+
+def _route_of(blocks: Sequence[ColumnBlock], distribution: Union[DistFn, DistResult]) -> Exchange:
+    """Either distribution form as a route over the concatenated rows (a
+    function of its own so that the pair-sized work arrays are gone before
+    the rows travel)."""
+    offsets = block_offsets(blocks)
+    if callable(distribution):
+        # the per-rank form: shift every rank's pairs to global row numbers
+        pairs = [
+            _normalize(block.n, distribution(rank, block)) for rank, block in enumerate(blocks)
+        ]
+        elements = np.concatenate([e + offsets[rank] for rank, (e, _t) in enumerate(pairs)])
+        targets = np.concatenate([t for _e, t in pairs])
+    else:
+        elements, targets = _normalize(int(offsets[-1]), distribution)
+    return exchange_route(offsets, elements, targets)
+
+
+def redistribute_flat(
+    machine: Machine,
+    blocks: Sequence[ColumnBlock],
+    route: Exchange,
+    phase: Optional[str],
+    comm: str,
+) -> Tuple[ColumnBlock, np.ndarray]:
+    """Ship the rows of ``blocks`` along ``route`` (built over the same
+    blocks): ``(delivered, recv_offsets)``, one block holding what every
+    rank received — rank ``r`` the rows ``recv_offsets[r]:recv_offsets[r +
+    1]`` — in source rank order and, within one source, route order.
+
+    The form :func:`fine_grained_redistribute` cuts its per-rank views from
+    and the resort-index scatters place rows out of.  Mismatched columns or
+    an unknown ``comm`` raise before anything is exchanged or charged.
+    """
+    if comm not in COMM_KINDS:
+        raise ValueError(f"comm must be one of {COMM_KINDS}, got {comm!r}")
+    _check_same_columns(blocks)
+    exchange = dataclasses.replace(route, columns=ColumnBlock.concat(blocks).payload())
+    transport = alltoallv if comm == "alltoall" else neighborhood_alltoallv
+    columns, recv_offsets = transport(machine, exchange, phase)
+    return ColumnBlock(**dict(zip(blocks[0].names(), columns))), recv_offsets
+
+
 def fine_grained_redistribute(
     machine: Machine,
     blocks: Sequence[ColumnBlock],
@@ -124,47 +220,8 @@ def fine_grained_redistribute(
     P = machine.nprocs
     if len(blocks) != P:
         raise ValueError(f"{len(blocks)} blocks for {P} ranks")
-    if comm not in COMM_KINDS:
-        raise ValueError(f"comm must be one of {COMM_KINDS}, got {comm!r}")
-    _check_same_columns(blocks)
-
-    offsets = np.concatenate(([0], np.cumsum([b.n for b in blocks], dtype=np.int64)))
-    if callable(distribution):
-        # the per-rank form: shift every rank's pairs to global row numbers
-        pairs = [
-            _normalize(block.n, distribution(rank, block)) for rank, block in enumerate(blocks)
-        ]
-        elements = np.concatenate([e + offsets[rank] for rank, (e, _t) in enumerate(pairs)])
-        targets = np.concatenate([t for _e, t in pairs])
-        sources = np.repeat(np.arange(P, dtype=np.int64), [t.shape[0] for _e, t in pairs])
-    else:
-        elements, targets = _normalize(int(offsets[-1]), distribution)
-        sources = np.searchsorted(offsets, elements, side="right") - 1
-    bad = (targets < 0) | (targets >= P)
-    if bad.any():
-        raise ValueError(f"rank {int(sources[bad].min())}: target ranks out of range")
-
-    # one stable sort of all pairs by (source, target): equal keys are one
-    # message, in the order the pairs were listed
-    key = sources
-    key *= P
-    key += targets
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(key.shape[0], dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
-    exchange = Exchange(
-        columns=ColumnBlock.concat(blocks).payload(),
-        row_index=elements[order],
-        msg_src=key[starts] // P,
-        msg_dst=key[starts] % P,
-        row_ptr=np.append(starts, key.shape[0]),
+    delivered, recv_offsets = redistribute_flat(
+        machine, blocks, _route_of(blocks, distribution), phase, comm
     )
-    # the pair-sized work arrays are not needed while the rows travel
-    del bad, sources, targets, elements, order, key, first
-    transport = alltoallv if comm == "alltoall" else neighborhood_alltoallv
-    columns, recv_offsets = transport(machine, exchange, phase)
-    delivered = ColumnBlock(**dict(zip(blocks[0].names(), columns)))
     bounds = recv_offsets.tolist()
     return [delivered.row_slice(bounds[r], bounds[r + 1]) for r in range(P)]

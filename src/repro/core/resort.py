@@ -20,11 +20,11 @@ value").
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fine_grained import fine_grained_redistribute
+from repro.core.fine_grained import block_offsets, exchange_route, redistribute_flat
 from repro.core.particles import ColumnBlock
 from repro.simmpi.machine import Machine
 
@@ -37,6 +37,8 @@ __all__ = [
     "unpack_resort_index",
     "initial_numbering",
     "inverse_permutation",
+    "check_target_slots",
+    "deliver_to_slots",
     "invert_indices",
     "apply_resort",
 ]
@@ -116,6 +118,65 @@ def inverse_permutation(positions: np.ndarray, n: int, rank: int) -> np.ndarray:
     return perm
 
 
+def check_target_slots(
+    ranks: np.ndarray,
+    positions: np.ndarray,
+    counts: Sequence[int],
+    count_error: Callable[[int, int, int], Exception],
+) -> None:
+    """Validate the targets of a whole resort before anything is shipped.
+
+    Row ``i`` goes to slot ``positions[i]`` of rank ``ranks[i]`` (valid
+    ranks); rank ``r`` has ``counts[r]`` slots.  Every rank must be sent
+    exactly as many rows as it has slots — else ``count_error(rank, sent,
+    slots)`` is raised — and every slot exactly one row.  The lowest
+    offending rank is reported, its count before its slots.
+    """
+    counts = np.asarray([int(c) for c in counts], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    sent = np.bincount(ranks, minlength=counts.shape[0])
+    inside = positions < counts[ranks]
+    hits = np.bincount((offsets[ranks] + positions)[inside], minlength=int(offsets[-1]))
+    offending = sent != counts
+    offending[ranks[~inside]] = True
+    offending[np.searchsorted(offsets, np.flatnonzero(hits != 1), side="right") - 1] = True
+    if offending.any():
+        rank = int(np.argmax(offending))
+        if sent[rank] != counts[rank]:
+            raise count_error(rank, int(sent[rank]), int(counts[rank]))
+        raise ValueError(f"rank {rank}: target positions are not a permutation")
+
+
+def deliver_to_slots(
+    machine: Machine,
+    blocks: Sequence[ColumnBlock],
+    index: str,
+    counts: Sequence[int],
+    phase: Optional[str],
+    comm: str,
+    count_error: Callable[[int, int, int], Exception],
+) -> ColumnBlock:
+    """Send each row to the ``(rank, position)`` packed in its ``index``
+    column and store it there: one fine-grained redistribution followed by
+    the local permutation, for all ranks at once.
+
+    Returns the other columns as one block over the slots of all ranks
+    (rank ``r`` owns ``counts[r]`` rows from row ``sum(counts[:r])`` on).
+    A ghost index, a target that is not a rank, a rank sent more or fewer
+    rows than it has slots (``count_error``) or a slot named twice raise
+    before anything is exchanged or charged.
+    """
+    ranks, positions = unpack_resort_index(np.concatenate([b[index] for b in blocks]))
+    route = exchange_route(block_offsets(blocks), np.arange(ranks.shape[0], dtype=np.int64), ranks)
+    check_target_slots(ranks, positions, counts, count_error)
+    delivered, recv_offsets = redistribute_flat(machine, blocks, route, phase, comm)
+    # every receiver reads the slot off the index value it was sent
+    ranks, positions = unpack_resort_index(delivered[index])
+    place = np.empty(delivered.n, dtype=np.int64)
+    place[recv_offsets[ranks] + positions] = np.arange(delivered.n, dtype=np.int64)
+    return delivered.drop(index).take(place)
+
+
 def invert_indices(
     machine: Machine,
     origloc: Sequence[np.ndarray],
@@ -145,23 +206,16 @@ def invert_indices(
     origloc = [np.asarray(ol, dtype=np.int64) for ol in origloc]
     current = initial_numbering([ol.shape[0] for ol in origloc])
     blocks = [ColumnBlock(origloc=ol, current=cur) for ol, cur in zip(origloc, current)]
-    to_original, _ = unpack_resort_index(np.concatenate(origloc))
-    received = fine_grained_redistribute(machine, blocks, to_original, phase, comm=comm)
-
-    out: List[np.ndarray] = []
-    for r, block in enumerate(received):
-        n = int(orig_counts[r])
-        if block.n != n:
-            raise ValueError(
-                f"rank {r}: received {block.n} index values for {n} original particles"
-            )
-        _, pos = unpack_resort_index(block["origloc"])
-        result = np.empty(n, dtype=np.int64)
-        result[pos] = block["current"]
-        out.append(result)
+    placed = deliver_to_slots(
+        machine, blocks, "origloc", orig_counts, phase, comm,
+        lambda rank, sent, n: ValueError(
+            f"rank {rank}: received {sent} index values for {n} original particles"
+        ),
+    )
+    counts = np.asarray([int(c) for c in orig_counts], dtype=np.int64)
     # local permutation cost: scatter 8-byte values into place, per rank
-    machine.copy(8.0 * np.asarray([int(c) for c in orig_counts], dtype=np.float64), phase)
-    return out
+    machine.copy(8.0 * counts.astype(np.float64), phase)
+    return np.split(placed["current"], np.cumsum(counts)[:-1])
 
 
 def apply_resort(
@@ -194,22 +248,13 @@ def apply_resort(
             raise ValueError(
                 f"rank {r}: {idx.shape[0]} resort indices for {block.n} data rows"
             )
-        b = block.copy()
-        b["_resort"] = idx
-        blocks.append(b)
+        blocks.append(ColumnBlock(**{name: block[name] for name in block}, _resort=idx))
 
-    to_target, _ = unpack_resort_index(np.concatenate([b["_resort"] for b in blocks]))
-    received = fine_grained_redistribute(machine, blocks, to_target, phase, comm=comm)
-
-    out: List[ColumnBlock] = []
-    per_rank_bytes = np.zeros(machine.nprocs, dtype=np.float64)
-    for r, block in enumerate(received):
-        n = int(new_counts[r])
-        if block.n != n:
-            raise ValueError(f"rank {r}: received {block.n} rows, expected {n}")
-        _, pos = unpack_resort_index(block["_resort"])
-        result = block.drop("_resort").take(inverse_permutation(pos, n, r))
-        out.append(result)
-        per_rank_bytes[r] = result.nbytes
-    machine.copy(per_rank_bytes, phase)
+    placed = deliver_to_slots(
+        machine, blocks, "_resort", new_counts, phase, comm,
+        lambda rank, sent, n: ValueError(f"rank {rank}: received {sent} rows, expected {n}"),
+    )
+    bounds = np.concatenate(([0], np.cumsum([int(c) for c in new_counts]))).tolist()
+    out = [placed.row_slice(bounds[r], bounds[r + 1]) for r in range(machine.nprocs)]
+    machine.copy(np.asarray([b.nbytes for b in out], dtype=np.float64), phase)
     return out

@@ -12,13 +12,12 @@ application submitted it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.particles import ColumnBlock, ParticleSet
-from repro.core.resort import unpack_resort_index
+from repro.core.resort import deliver_to_slots
 from repro.simmpi.machine import Machine
 
 __all__ = ["restore_results"]
@@ -43,23 +42,15 @@ def restore_results(
         ColumnBlock(origloc=np.asarray(origloc[r], dtype=np.int64), pot=pots[r], field=fields[r])
         for r in range(machine.nprocs)
     ]
-    to_origin, _ = unpack_resort_index(np.concatenate([b["origloc"] for b in result_blocks]))
-    received = fine_grained_redistribute(
-        machine, result_blocks, to_origin, phase=phase, comm="alltoall"
+    placed = deliver_to_slots(
+        machine, result_blocks, "origloc", old_counts, phase, "alltoall",
+        lambda rank, sent, n: RuntimeError(
+            f"rank {rank}: restore received {sent} results for {n} particles"
+        ),
     )
-    per_rank_bytes = np.zeros(machine.nprocs)
-    for r, block in enumerate(received):
-        n = int(old_counts[r])
-        if block.n != n:
-            raise RuntimeError(
-                f"rank {r}: restore received {block.n} results for {n} particles"
-            )
-        _, pos_idx = unpack_resort_index(block["origloc"])
-        pot = np.empty(n)
-        field = np.empty((n, 3))
-        pot[pos_idx] = block["pot"]
-        field[pos_idx] = block["field"]
-        particles.pot[r] = pot
-        particles.field[r] = field
-        per_rank_bytes[r] = block.nbytes
-    machine.copy(per_rank_bytes, phase=phase)
+    counts = np.asarray([int(c) for c in old_counts], dtype=np.int64)
+    cuts = np.cumsum(counts)[:-1]
+    particles.pot[:] = np.split(placed["pot"], cuts)
+    particles.field[:] = np.split(placed["field"], cuts)
+    # the local permutation moves what was received: index value, potential, field
+    machine.copy((result_blocks[0].row_nbytes * counts).astype(np.float64), phase=phase)

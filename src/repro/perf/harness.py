@@ -207,65 +207,6 @@ def _bench_derivative_tensors(quick: bool) -> Tuple[int, Callable[[], object]]:
     return int(ops), lambda: derivative_tensors(pts, order)
 
 
-def _resort_problem(quick: bool):
-    """A method-B style banded (brownian-local) resort problem plus three
-    mixed columns at the preset scale."""
-    from repro.core.plan import ResortPlan
-    from repro.core.resort import pack_resort_index
-    from repro.simmpi.machine import Machine
-
-    n, P = _preset_scale(quick)
-    rng = np.random.default_rng(17)
-    counts = rng.multinomial(n, np.ones(P) / P).astype(np.int64)
-    off = np.concatenate(([0], np.cumsum(counts)))
-    perm = np.arange(n)
-    w = max(2 * (n // P), 1)
-    for s in range(0, n, w):
-        seg = perm[s : s + 2 * w].copy()
-        rng.shuffle(seg)
-        perm[s : s + 2 * w] = seg
-    tgt_rank = np.searchsorted(off[1:], perm, side="right")
-    tgt_pos = perm - off[tgt_rank]
-    idx = [
-        pack_resort_index(
-            tgt_rank[off[r] : off[r + 1]], tgt_pos[off[r] : off[r + 1]]
-        )
-        for r in range(P)
-    ]
-    cols = [
-        [rng.standard_normal((int(counts[r]), 3)) for r in range(P)],
-        [rng.standard_normal(int(counts[r])) for r in range(P)],
-        [rng.integers(0, 1 << 40, int(counts[r])) for r in range(P)],
-    ]
-    counts_l = [int(c) for c in counts]
-    return Machine, ResortPlan, idx, counts_l, cols
-
-
-def _bench_resort_compile(quick: bool) -> Tuple[int, Callable[[], object]]:
-    """Plan compilation (``ResortPlan.__init__``) at preset scale."""
-    Machine, ResortPlan, idx, counts, _cols = _resort_problem(quick)
-    P = len(counts)
-
-    def build():
-        return ResortPlan(Machine(P), idx, counts, counts)
-
-    return int(sum(counts)), build
-
-
-def _bench_resort_execute(quick: bool) -> Tuple[int, Callable[[], object]]:
-    """Plan execution (fused three-column exchange) at preset scale."""
-    Machine, ResortPlan, idx, counts, cols = _resort_problem(quick)
-    plan = ResortPlan(Machine(len(counts)), idx, counts, counts)
-    out = plan.execute(cols)
-    with instrument.reference_mode():
-        ref = plan.execute(cols)
-    for c in range(len(cols)):
-        for r in range(len(counts)):
-            assert np.array_equal(out[c][r], ref[c][r])
-    record_bytes = 8 * 3 + 8 + 8
-    return int(sum(counts)) * record_bytes, lambda: plan.execute(cols)
-
-
 def _bench_partition_destinations(quick: bool) -> Tuple[int, Callable[[], object]]:
     """Destination assignment of the global sample-sort order."""
     from repro.sorting.partition_sort import partition_destinations
@@ -313,8 +254,6 @@ KERNEL_BENCHES: Dict[str, Tuple[Callable[[bool], Tuple[int, Callable]], int, int
     "pairs.ragged_cross": (_bench_ragged_cross, 9, 15),
     "linked_cell.candidate_pairs": (_bench_linked_cell, 9, 15),
     "fmm.derivative_tensors": (_bench_derivative_tensors, 9, 15),
-    "resort_plan.compile": (_bench_resort_compile, 5, 9),
-    "resort_plan.execute": (_bench_resort_execute, 5, 9),
     "partition_sort.destinations": (_bench_partition_destinations, 9, 15),
     "partition_sort.split": (_bench_partition_split, 9, 15),
 }

@@ -177,7 +177,9 @@ class Exchange:
         gather = np.repeat(self.row_ptr[:-1][by_dst] - (recv_ends - recv_lens), recv_lens)
         gather += np.arange(self.row_index.shape[0])
         gather = self.row_index[gather]
-        return tuple(c[gather] for c in self.columns), self._recv_offsets(nprocs)
+        # np.take copies multi-dimensional rows several times faster than c[gather]
+        columns = tuple(np.take(c, gather, axis=0) for c in self.columns)
+        return columns, self._recv_offsets(nprocs)
 
     def _recv_offsets(self, nprocs: int) -> np.ndarray:
         rows_to = np.zeros(nprocs, dtype=np.int64)

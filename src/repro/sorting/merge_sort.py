@@ -136,21 +136,25 @@ def merge_exchange_sort(
         if not windows:
             continue
         # 3. window exchange (both directions overlap, one message each way)
-        exchange_pairs(
+        exchanged = exchange_pairs(
             machine,
             [(a, b, wa.payload(), wb.payload()) for a, b, wa, wb, _, _ in windows],
             phase,
         )
-        # 4. merge the identical combined window on both sides and split at
-        #    the original counts: a keeps the lowest na_win, b the highest
-        #    nb_win.  Both sides concatenate in (a-window, b-window) order
-        #    and sort stably, so they derive the same permutation.
+        # 4. each side merges its own window with the one it received and
+        #    keeps its share of the original counts: a the lowest na_win, b
+        #    the highest nb_win.  Both sides concatenate in (a-window,
+        #    b-window) order and sort stably, so they derive the same
+        #    permutation of the same combined window.
         merge_cost = np.zeros(P, dtype=np.float64)
         for a, b, wa, wb, na_win, nb_win in windows:
-            combined = ColumnBlock.concat([wa, wb])
-            order = np.argsort(combined[key], kind="stable")
-            low = combined.take(order[:na_win])
-            high = combined.take(order[na_win:])
+            from_b, from_a = (
+                ColumnBlock(**dict(zip(wa.names(), payload))) for payload in exchanged[(a, b)]
+            )
+            at_a = ColumnBlock.concat([wa, from_b])
+            at_b = ColumnBlock.concat([from_a, wb])
+            low = at_a.take(np.argsort(at_a[key], kind="stable")[:na_win])
+            high = at_b.take(np.argsort(at_b[key], kind="stable")[na_win:])
             n_keep_a = current[a].n - na_win
             current[a] = ColumnBlock.concat(
                 [current[a].take(np.arange(n_keep_a)), low]
@@ -158,7 +162,7 @@ def merge_exchange_sort(
             current[b] = ColumnBlock.concat(
                 [high, current[b].take(np.arange(nb_win, current[b].n))]
             )
-            w = combined.n
+            w = na_win + nb_win
             if w > 1:
                 merge_cost[a] += kernels.SORT_STEP * w * np.log2(w)
                 merge_cost[b] += kernels.SORT_STEP * w * np.log2(w)

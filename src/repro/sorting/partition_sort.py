@@ -4,8 +4,8 @@ Used by the FMM solver to place arbitrarily disordered particles into their
 Z-Morton boxes: each rank sorts locally, contributes regularly spaced key
 samples, all ranks agree on ``P-1`` splitter keys, partition their local
 data and exchange the partitions with one collective all-to-all (the
-fine-grained transport).  A final local multi-way merge restores local
-order.
+fine-grained redistribution of :mod:`repro.core.fine_grained`).  A final
+local multi-way merge of what each rank received restores local order.
 
 Compared to the merge-based method this always moves the full data volume
 and uses collective all-to-all communication — cheap for disordered input,
@@ -23,9 +23,10 @@ import numpy as np
 
 from repro import kernels
 from repro.core.balance import work_split_bounds
+from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.particles import ColumnBlock
 from repro.perf import instrument
-from repro.simmpi.collectives import allgatherv, alltoallv
+from repro.simmpi.collectives import allgatherv
 from repro.simmpi.machine import Machine
 from repro.sorting.merge_sort import local_sort
 
@@ -270,10 +271,6 @@ def partition_sort(
     # data plane: exact global partition at the prefix boundaries of
     # target_counts, ties broken by (rank, position) so the split is stable
     all_keys = np.concatenate([b[key] for b in current])
-    src_rank = np.concatenate(
-        [np.full(b.n, r, dtype=np.int64) for r, b in enumerate(current)]
-    )
-    local_pos = np.concatenate([np.arange(b.n, dtype=np.int64) for b in current])
     order = np.argsort(all_keys, kind="stable")  # stable = (rank, pos) tie order
     if balance_key is not None:
         all_weights = np.concatenate([b[balance_key] for b in current])
@@ -283,34 +280,21 @@ def partition_sort(
             ([0], np.cumsum(np.asarray(target_counts, dtype=np.int64)))
         )
     dest = partition_destinations(order, bounds)
+    received = fine_grained_redistribute(machine, current, dest, phase)
 
-    sends: List[dict] = []
-    send_blocks: List[dict] = []
-    offset = 0
-    for r, block in enumerate(current):
-        d = dest[offset:offset + block.n]
-        offset += block.n
-        blocks_out = split_by_destination(block, d)
-        per_target = {dst: sub.payload() for dst, sub in blocks_out.items()}
-        sends.append(per_target)
-        send_blocks.append(blocks_out)
-
-    recv = alltoallv(machine, sends, phase)
-
+    # every destination merges one sorted run per source that sent it rows:
+    # count the distinct (source, destination) pairs, which change rarely
+    # along the locally sorted rows
+    pair = np.repeat(np.arange(P, dtype=np.int64) * P, [b.n for b in current]) + dest
+    pair = pair[np.diff(pair, prepend=-1) != 0]
+    runs = np.bincount(np.unique(pair) % P, minlength=P).tolist()
     out: List[ColumnBlock] = []
     merge_cost = np.zeros(P, dtype=np.float64)
-    template = current[0]
-    for dst in range(P):
-        received = [send_blocks[src][dst] for src, _payload in recv[dst]]
-        if not received:
-            out.append(ColumnBlock.empty_like(template, 0))
-            continue
-        merged = ColumnBlock.concat(received)
-        morder = np.argsort(merged[key], kind="stable")
-        merged = merged.take(morder)
+    for dst, block in enumerate(received):
+        merged = block.take(np.argsort(block[key], kind="stable"))
         out.append(merged)
         if merged.n > 1:
             # k-way merge of sorted runs: n log k
-            merge_cost[dst] = kernels.SORT_STEP * merged.n * np.log2(max(len(received), 2))
+            merge_cost[dst] = kernels.SORT_STEP * merged.n * np.log2(max(runs[dst], 2))
     machine.compute(merge_cost, phase)
     return out

@@ -19,6 +19,8 @@ import pytest
 
 from repro.backend import shm
 from repro.backend.process import ProcessBackend
+from repro.simmpi import Machine
+from repro.verify.audit import enable_auditing
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +39,23 @@ def process_backend():
     backend = ProcessBackend(workers=2, timeout=120.0)
     yield backend
     backend.close()
+
+
+@pytest.fixture(params=["direct", "bruck", "pairwise", "process"])
+def make_machine(request):
+    """Audited machines of one variant: ``direct`` delivers an exchange
+    descriptor whole, the other three take it apart into per-message views."""
+
+    def make(nprocs, neighbor_table=None):
+        machine = Machine(nprocs)
+        if request.param == "process":
+            machine.attach_backend(request.getfixturevalue("process_backend"))
+        elif request.param != "direct":
+            machine.set_collective_algos(request.param)
+        enable_auditing(machine, neighbor_table=neighbor_table)
+        return machine
+
+    return make
 
 
 @pytest.fixture

@@ -51,31 +51,14 @@ def flatten(recv, like):
     return columns, np.concatenate(([0], np.cumsum(rows))).astype(np.int64)
 
 
-@pytest.fixture(params=["direct", "bruck", "pairwise", "process"])
-def make_machine(request):
-    """Audited machines of one variant: ``direct`` delivers the descriptor
-    whole, the other three take it apart into per-message views."""
-
-    def make(nprocs=P, neighbor_table=None):
-        machine = Machine(nprocs)
-        if request.param == "process":
-            machine.attach_backend(request.getfixturevalue("process_backend"))
-        elif request.param != "direct":
-            machine.set_collective_algos(request.param)
-        enable_auditing(machine, neighbor_table=neighbor_table)
-        return machine
-
-    return make
-
-
 @pytest.mark.timeout(300)
 @pytest.mark.parametrize("count_exchange", ["dense", "sparse", "cached"])
 @pytest.mark.parametrize("seed", range(12))
 def test_descriptor_is_the_same_exchange(make_machine, seed, count_exchange):
     exchange, sends = random_exchange(seed)
-    as_dicts = make_machine()
+    as_dicts = make_machine(P)
     want = flatten(alltoallv(as_dicts, sends, "x", count_exchange=count_exchange), exchange.columns)
-    as_buffer = make_machine()
+    as_buffer = make_machine(P)
     got = alltoallv(as_buffer, exchange, "x", count_exchange=count_exchange)
     for g, w in zip(got[0], want[0]):
         assert g.dtype == w.dtype

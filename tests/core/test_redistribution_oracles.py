@@ -1,12 +1,14 @@
 """The vectorized redistribution held to the per-rank loops it replaced.
 
 ``tests/redistribution_oracles.py`` keeps the old bodies of
-``fine_grained_redistribute``, ``ghost_distribution`` and the FMM halo
-exchange; every property here runs both on the same input and demands the
+``fine_grained_redistribute``, ``ghost_distribution``, the FMM halo
+exchange, ``ResortPlan``, ``partition_sort`` and the three resort-index
+scatters; every property here runs both on the same input and demands the
 same delivered rows *in the same order* and the same charges: the clock
 vector bit for bit, every ``Trace`` row and the auditor's whole state.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,17 +17,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from redistribution_oracles import (
+    ResortPlanLoop,
+    apply_resort_loop,
+    assert_same_arrays,
     fine_grained_redistribute_loop,
     ghost_distribution_loop,
     halo_exchange_loop,
+    invert_indices_loop,
     observed,
+    partition_sort_loop,
+    restore_results_loop,
 )
 from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.handle import fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.plan import ResortPlan
+from repro.core.resort import apply_resort, invert_indices, pack_resort_index
+from repro.core.restore import restore_results
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
 from repro.solvers.p2nfft.solver import ghost_distribution
+from repro.sorting.partition_sort import partition_sort
 from repro.verify.audit import enable_auditing
 from repro.verify.strategies import multiplicity_maps
 
@@ -279,3 +291,206 @@ class TestHaloAgainstLoop:
         got = solver._halo_exchange(blocks, solver._ownership(blocks))
         assert_same_blocks(got, want)
         assert observed(machine) == observed(want_machine)
+
+
+# ------------------------------------------------ resort plan and scatters
+
+SHAPES = ["random", "identity", "to_one"]
+DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8, np.complex128]
+TRAILING = [(), (3,), (2, 2)]
+
+
+def resort_problem(nprocs, n, seed, shape="random"):
+    """Resort indices sending the ``n`` rows of ``rank_counts`` ranks
+    anywhere (``random``), nowhere (``identity``) or all to the last rank
+    (``to_one``), to a random position there."""
+    rng = np.random.default_rng(seed)
+    old_counts = rank_counts(n, nprocs, seed)
+    src = np.repeat(np.arange(nprocs), old_counts)
+    if shape == "identity":
+        dst = src.copy()
+        pos = np.arange(n) - np.concatenate(([0], np.cumsum(old_counts)))[src]
+    else:
+        dst = np.full(n, nprocs - 1) if shape == "to_one" else rng.integers(0, nprocs, n)
+        pos = np.empty(n, dtype=np.int64)
+        for r in range(nprocs):
+            where = np.flatnonzero(dst == r)
+            pos[where] = rng.permutation(where.size)
+    new_counts = np.bincount(dst, minlength=nprocs).tolist()
+    cuts = np.cumsum(old_counts)[:-1]
+    return np.split(pack_resort_index(dst, pos), cuts), old_counts, new_counts
+
+
+def mixed_columns(layout, counts, seed):
+    """``columns[c][r]``: one array per ``(dtype, trailing)`` and rank."""
+    rng = np.random.default_rng(seed)
+    return [
+        [(rng.random((c,) + trailing) * 200).astype(dtype) for c in counts]
+        for dtype, trailing in layout
+    ]
+
+
+def assert_same_columns(got, want):
+    assert len(got) == len(want)
+    for got_col, want_col in zip(got, want):
+        assert_same_arrays(got_col, want_col)
+
+
+class TestResortPlanAgainstLoop:
+    @staticmethod
+    def run(plan_type, machine, problem, columns, comm):
+        indices, old_counts, new_counts = problem
+        plan = plan_type(machine, indices, old_counts, new_counts, comm=comm)
+        out = [plan.execute(columns), plan.execute(columns[:1], phase="again")]
+        return out, dataclasses.asdict(plan.stats)
+
+    def check(self, nprocs, problem, columns, comm):
+        want_machine, machine = audited(nprocs), audited(nprocs)
+        want, want_stats = self.run(ResortPlanLoop, want_machine, problem, columns, comm)
+        got, got_stats = self.run(ResortPlan, machine, problem, columns, comm)
+        for g, w in zip(got, want):
+            assert_same_columns(g, w)
+        assert got_stats == want_stats
+        assert observed(machine) == observed(want_machine)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(1, 7),
+        st.integers(0, 60),
+        st.integers(0, 2**16),
+        st.sampled_from(SHAPES),
+        st.lists(
+            st.tuples(st.sampled_from(DTYPES), st.sampled_from(TRAILING)), min_size=1, max_size=7
+        ),
+        COMMS,
+    )
+    def test_same_rows_charges_and_stats(self, nprocs, n, seed, shape, layout, comm):
+        """1-7 columns of mixed dtypes and trailing shapes; ``rank_counts``
+        leaves ranks empty, n = 0 and n < P are drawn."""
+        problem = resort_problem(nprocs, n, seed, shape)
+        self.check(nprocs, problem, mixed_columns(layout, problem[1], seed), comm)
+
+    @pytest.mark.parametrize("comm", ["alltoall", "neighborhood"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("nprocs, n", [(1, 5), (4, 0), (5, 2), (3, 10)])
+    def test_corner_sizes(self, nprocs, n, shape, comm):
+        problem = resort_problem(nprocs, n, 3, shape)
+        layout = [(np.float64, (3,)), (np.float64, (3,)), (np.int64, ())]
+        self.check(nprocs, problem, mixed_columns(layout, problem[1], 3), comm)
+
+
+class TestScattersAgainstLoop:
+    @staticmethod
+    def origloc_of(indices, new_counts):
+        """The original-location numbering a solver would carry: row ``p``
+        of rank ``r`` names the (rank, position) it came from."""
+        nprocs = len(indices)
+        new_offsets = np.concatenate(([0], np.cumsum(new_counts)))
+        origloc = np.empty(int(new_offsets[-1]), dtype=np.int64)
+        for src, idx in enumerate(indices):
+            dst, pos = idx >> 32, idx & 0xFFFFFFFF
+            origloc[new_offsets[dst] + pos] = pack_resort_index(
+                np.full(idx.shape[0], src), np.arange(idx.shape[0])
+            )
+        return np.split(origloc, new_offsets[1:-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 7), st.integers(0, 60), st.integers(0, 2**16), st.sampled_from(SHAPES), COMMS
+    )
+    def test_invert_indices(self, nprocs, n, seed, shape, comm):
+        indices, old_counts, new_counts = resort_problem(nprocs, n, seed, shape)
+        origloc = self.origloc_of(indices, new_counts)
+        want_machine, machine = audited(nprocs), audited(nprocs)
+        want = invert_indices_loop(want_machine, origloc, old_counts, "x", comm=comm)
+        got = invert_indices(machine, origloc, old_counts, "x", comm=comm)
+        assert_same_columns([got], [want])
+        assert_same_columns([got], [indices])
+        assert observed(machine) == observed(want_machine)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.integers(0, 60),
+        st.integers(0, 2**16),
+        st.sampled_from(SHAPES),
+        st.lists(
+            st.tuples(st.sampled_from(DTYPES), st.sampled_from(TRAILING)), min_size=1, max_size=4
+        ),
+        COMMS,
+    )
+    def test_apply_resort(self, nprocs, n, seed, shape, layout, comm):
+        indices, old_counts, new_counts = resort_problem(nprocs, n, seed, shape)
+        columns = mixed_columns(layout, old_counts, seed)
+        data = [
+            ColumnBlock(**{f"c{c}": col[r] for c, col in enumerate(columns)})
+            for r in range(nprocs)
+        ]
+        want_machine, machine = audited(nprocs), audited(nprocs)
+        want = apply_resort_loop(want_machine, indices, data, new_counts, "x", comm=comm)
+        got = apply_resort(machine, indices, data, new_counts, "x", comm=comm)
+        assert_same_blocks(got, want)
+        assert observed(machine) == observed(want_machine)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 60), st.integers(0, 2**16), st.sampled_from(SHAPES))
+    def test_restore_results(self, nprocs, n, seed, shape):
+        indices, old_counts, new_counts = resort_problem(nprocs, n, seed, shape)
+        origloc = self.origloc_of(indices, new_counts)
+        rng = np.random.default_rng(seed)
+        pots = [rng.random(c) for c in new_counts]
+        fields = [rng.random((c, 3)) for c in new_counts]
+
+        def particles():
+            return ParticleSet([np.zeros((c, 3)) for c in old_counts], [np.zeros(c) for c in old_counts])
+
+        want_machine, machine = audited(nprocs), audited(nprocs)
+        want_set, got_set = particles(), particles()
+        restore_results_loop(want_machine, origloc, pots, fields, want_set, old_counts)
+        restore_results(machine, origloc, pots, fields, got_set, old_counts)
+        assert_same_columns([got_set.pot, got_set.field], [want_set.pot, want_set.field])
+        assert observed(machine) == observed(want_machine)
+
+
+# ---------------------------------------------------------- partition sort
+
+def keyed_blocks(counts, seed, key_range):
+    """Blocks with few distinct keys (duplicates straddle every boundary),
+    an id, a vector and a positive work weight."""
+    rng = np.random.default_rng(seed)
+    blocks, base = [], 0
+    for c in counts:
+        blocks.append(ColumnBlock(
+            key=rng.integers(0, key_range, c).astype(np.uint64),
+            ident=np.arange(base, base + c, dtype=np.int64),
+            vec=rng.random((c, 3)),
+            work=rng.random(c) + 0.1,
+        ))
+        base += c
+    return blocks
+
+
+class TestPartitionSortAgainstLoop:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(1, 7),
+        st.integers(0, 80),
+        st.integers(0, 2**16),
+        st.sampled_from([3, 1000]),
+        st.sampled_from(["own_counts", "target_counts", "weighted"]),
+    )
+    def test_same_sorted_blocks_and_charges(self, nprocs, n, seed, key_range, mode):
+        counts = rank_counts(n, nprocs, seed)
+        kwargs = {}
+        if mode == "target_counts":
+            kwargs["target_counts"] = rank_counts(n, nprocs, seed + 1)
+        elif mode == "weighted":
+            kwargs["balance_key"] = "work"
+        want_machine, machine = audited(nprocs), audited(nprocs)
+        want = partition_sort_loop(
+            want_machine, keyed_blocks(counts, seed, key_range), "key", "sort", **kwargs
+        )
+        got = partition_sort(machine, keyed_blocks(counts, seed, key_range), "key", "sort", **kwargs)
+        assert_same_blocks(got, want)
+        assert observed(machine) == observed(want_machine)
+

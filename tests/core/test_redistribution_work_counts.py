@@ -3,25 +3,28 @@
 One solver step at the ``many_ranks`` sizes moves tens to hundreds of
 thousands of messages.  Before the exchange descriptor every one of them
 cost a ``ColumnBlock`` view and a ``payload_nbytes`` call (226 k and 222 k for
-the P2NFFT step below), and the FMM halo encoded Morton keys once per
-direction per rank (3 456 calls).  The counts here are exact for the
-current code and repeat on every run; host clocks are not involved.
+the P2NFFT step below; 14 k more in the FMM sort), the FMM halo encoded
+Morton keys once per direction per rank (3 456 calls), and the resort-index
+scatters and the plan unpacked indices once per rank.  The counts here are
+exact for the current code and repeat on every run; host clocks are not
+involved.  The structure pins at the end keep it that way by construction:
+one composite-key sort, one place that builds an ``Exchange``.
 """
 
 import ast
 import inspect
+import pathlib
 import sys
 
 import numpy as np
 import pytest
 
 from repro.bench.harness import make_system
-from repro.core import fine_grained
+from repro.core import fine_grained, resort
 from repro.core.handle import fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet
 from repro.simmpi import collectives
 from repro.simmpi.machine import Machine
-from repro.solvers.fmm import solver as fmm_solver
 from repro.zorder import morton
 
 N = 32768
@@ -39,34 +42,26 @@ def _rebind(monkeypatch, original, replacement):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of ``ColumnBlock`` constructions and ``morton_encode3`` /
-    ``payload_nbytes`` calls.  The FMM's ``partition_sort`` is not counted:
-    its exchange still builds one payload per message (the next consumer of
-    the descriptor on the ROADMAP), and its cost is not what this guards."""
-    counts = {"ColumnBlock": 0, "morton_encode3": 0, "payload_nbytes": 0}
-    active = [True]
+    """Counts of ``ColumnBlock`` constructions and of the calls that used to
+    come once per message or once per rank."""
+    counts = {"ColumnBlock": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
-            counts[name] += active[0]
+            counts[name] += 1
             return fn(*args, **kwargs)
         return counted
 
     monkeypatch.setattr(ColumnBlock, "__init__", counting("ColumnBlock", ColumnBlock.__init__))
-    for module, name in ((morton, "morton_encode3"), (collectives, "payload_nbytes")):
+    for module, name in (
+        (morton, "morton_encode3"),
+        (collectives, "payload_nbytes"),
+        (resort, "unpack_resort_index"),
+        (resort, "inverse_permutation"),
+    ):
+        counts[name] = 0
         original = getattr(module, name)
         _rebind(monkeypatch, original, counting(name, original))
-
-    sort = fmm_solver.partition_sort
-
-    def uncounted_sort(*args, **kwargs):
-        active[0] = False
-        try:
-            return sort(*args, **kwargs)
-        finally:
-            active[0] = True
-
-    monkeypatch.setattr(fmm_solver, "partition_sort", uncounted_sort)
     return counts
 
 
@@ -97,10 +92,28 @@ def test_p2nfft_step_is_linear_in_ranks(work):
     assert report.changed
     assert machine.trace.totals().messages > 300 * P
     # _place: P input blocks, the concatenation, the delivered buffer, P
-    # views of it, P owned blocks; invert_indices: P + 1 + 1 + P
-    assert work["ColumnBlock"] <= 5 * P + 4
+    # views of it, P owned blocks; invert_indices: P blocks, concatenation,
+    # delivered buffer, its index-free view, the placed buffer
+    assert work["ColumnBlock"] <= 4 * P + 6
     assert work["payload_nbytes"] == 0
     assert work["morton_encode3"] == 0
+    # invert_indices: the targets before the exchange, the slots after it
+    assert work["unpack_resort_index"] == 2
+    assert work["inverse_permutation"] == 0
+
+    # fcs.resort of three columns: one compile, then pure data movement
+    columns = [
+        [np.zeros((c, 3)) for c in report.old_counts],
+        [np.zeros((c, 3)) for c in report.old_counts],
+        [np.arange(c) for c in report.old_counts],
+    ]
+    for calls in (1, 0):
+        for name in work:
+            work[name] = 0
+        messages = machine.trace.totals().messages
+        fcs.resort(columns)
+        assert machine.trace.totals().messages - messages > 50 * P
+        assert work == {**dict.fromkeys(work, 0), "unpack_resort_index": calls}
 
 
 def test_fmm_step_is_linear_in_ranks(work):
@@ -111,12 +124,15 @@ def test_fmm_step_is_linear_in_ranks(work):
     report = fcs.run(particles)
     assert report.changed
     assert machine.trace.totals().messages > 200 * P
-    # keygen: P blocks; halo: P column-dropped views + 1 + 1 + P;
-    # invert_indices: P + 1 + 1 + P
-    assert work["ColumnBlock"] <= 5 * P + 4
+    # keygen: P blocks; local sort: P; the sort's exchange: 1 + 1 + P views,
+    # sorted into P blocks; halo: P column-dropped views + 1 + 1 + P;
+    # invert_indices: P + 4
+    assert work["ColumnBlock"] <= 7 * P + 8
     assert work["payload_nbytes"] == 0
     # one key generation per rank and one encode for the whole halo
     assert work["morton_encode3"] <= P + 1
+    assert work["unpack_resort_index"] == 2
+    assert work["inverse_permutation"] == 0
 
 
 def test_fine_grained_has_no_loop_over_messages():
@@ -138,12 +154,122 @@ def test_fine_grained_has_no_loop_over_messages():
         "template.payload()",
         "zip(block.names(), block.payload(), layout)",
     }
-    calls = [
-        getattr(node.func, "attr", getattr(node.func, "id", None))
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-    ]
+    calls = _calls(tree)
     assert calls.count("transport") == 1
     assert calls.count("alltoallv") == calls.count("neighborhood_alltoallv") == 0
     names = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name)]
     assert names.count("alltoallv") == names.count("neighborhood_alltoallv") == 1
+
+
+# -------------------------------------------------------- one engine, pinned
+
+SRC = pathlib.Path(fine_grained.__file__).resolve().parents[1]
+
+
+def _functions(path):
+    tree = ast.parse(path.read_text())
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _calls(node):
+    return [
+        getattr(n.func, "attr", getattr(n.func, "id", None))
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+    ]
+
+
+def _times_p(node):
+    """Whether the expression multiplies something by the rank count."""
+    return any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+        and {ast.unparse(n.left), ast.unparse(n.right)} & {"P", "np.int64(P)"}
+        for n in ast.walk(node)
+    )
+
+
+def test_one_composite_key_sort():
+    """Exactly one function under ``core`` and ``sorting`` argsorts a
+    ``src * P + dst`` key: the route builder."""
+    sorters = []
+    for path in sorted((SRC / "core").glob("*.py")) + sorted((SRC / "sorting").glob("*.py")):
+        for fn in _functions(path):
+            keys = set()
+            for n in ast.walk(fn):
+                if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult):
+                    if getattr(n.value, "id", None) == "P":
+                        keys.add(ast.unparse(n.target))
+                elif isinstance(n, ast.Assign) and _times_p(n.value):
+                    keys.update(ast.unparse(t) for t in n.targets)
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "argsort":
+                    if ast.unparse(n.args[0]) in keys or _times_p(n.args[0]):
+                        sorters.append(f"{path.name}:{fn.name}")
+    assert sorters == ["fine_grained.py:exchange_route"]
+
+
+def test_exchange_is_built_in_one_place():
+    """``Exchange(...)`` is constructed nowhere under ``src/`` outside
+    ``simmpi/`` and ``core/fine_grained.py``; a plan binds columns to a
+    stored route with ``dataclasses.replace``."""
+    builders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path.parent.name != "simmpi" and "Exchange" in _calls(ast.parse(path.read_text()))
+    ]
+    assert builders == ["core/fine_grained.py"]
+    # ... and only the engine and the plan hand anything to a transport, so
+    # no ``list[dict]`` send table is built outside ``simmpi/`` either
+    transports = {"alltoallv", "neighborhood_alltoallv"}
+    callers = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path.parent.name != "simmpi"
+        and transports & {n.id for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Name)}
+    ]
+    assert callers == ["core/fine_grained.py", "core/plan.py"]
+
+
+@pytest.mark.parametrize("module", ["core/resort.py", "core/restore.py", "sorting/partition_sort.py"])
+def test_callers_own_no_transport(module):
+    """The scatters and the sort name no ``alltoallv`` form and loop over
+    ranks only to build, cut or sort per-rank views."""
+    source = (SRC / module).read_text()
+    tree = ast.parse(source)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    imported = {
+        alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names
+    }
+    assert not {"alltoallv", "neighborhood_alltoallv", "Exchange"} & (names | imported)
+    engine = {
+        "deliver_to_slots": {"blocks", "delivered"},
+        "invert_indices": {"origloc", "zip(origloc, current)", "orig_counts"},
+        "apply_resort": {
+            "enumerate(zip(resort_indices, data))", "block", "new_counts", "range(machine.nprocs)",
+            "out",
+        },
+        "restore_results": {"range(machine.nprocs)", "old_counts"},
+        "partition_sort": {"current", "target_counts", "enumerate(received)"},
+    }
+    for fn in _functions(SRC / module):
+        if fn.name in engine:
+            iterated = {
+                ast.unparse(n.iter)
+                for n in ast.walk(fn)
+                if isinstance(n, (ast.For, ast.comprehension))
+            }
+            assert iterated <= engine[fn.name], (fn.name, iterated)
+
+
+def test_plan_is_a_stored_route():
+    """``core/plan.py`` hands an exchange to a transport exactly twice
+    (compile, execute), builds no route of its own and times nothing."""
+    tree = ast.parse((SRC / "core/plan.py").read_text())
+    calls = _calls(tree)
+    assert calls.count("transport") == 2
+    assert calls.count("alltoallv") == calls.count("neighborhood_alltoallv") == 0
+    assert calls.count("exchange_route") == 1
+    assert "argsort" not in calls
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "instrument" not in names and "time" not in names
+

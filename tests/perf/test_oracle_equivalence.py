@@ -3,7 +3,9 @@ scalar oracle.
 
 Each vectorized kernel in the tree keeps its original implementation under a
 ``*_reference`` name and routes through it inside
-:func:`repro.perf.instrument.reference_mode`.  The contract checked here is
+:func:`repro.perf.instrument.reference_mode` (the resort plan's former loops
+live in ``tests/redistribution_oracles.py`` instead: the production path no
+longer branches on the switch).  The contract checked here is
 strict: *bitwise identical* outputs (``np.array_equal`` on equal dtypes —
 never ``allclose``), identical dict key orders, identical modeled clocks,
 traces and error messages.  Host speed is the only thing the vectorization
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redistribution_oracles import ResortPlanLoop
 from repro.core.particles import ColumnBlock
 from repro.core.plan import ResortPlan
 from repro.core.resort import pack_resort_index
@@ -255,17 +258,16 @@ def _resort_problem(n, P, seed, *, local=False):
     return idx, counts_l, cols
 
 
-def _run_plan(idx, counts, cols, comm, reference):
+def _run_plan(plan_type, idx, counts, cols, comm):
     machine = Machine(len(counts))
-    with instrument.reference_mode(reference):
-        plan = ResortPlan(machine, idx, counts, counts, comm=comm)
-        out = plan.execute(cols)
+    plan = plan_type(machine, idx, counts, counts, comm=comm)
+    out = plan.execute(cols)
     return machine, plan, out
 
 
 def assert_plan_runs_identical(idx, counts, cols, comm):
-    m_vec, p_vec, out_vec = _run_plan(idx, counts, cols, comm, reference=False)
-    m_ref, p_ref, out_ref = _run_plan(idx, counts, cols, comm, reference=True)
+    m_vec, p_vec, out_vec = _run_plan(ResortPlan, idx, counts, cols, comm)
+    m_ref, p_ref, out_ref = _run_plan(ResortPlanLoop, idx, counts, cols, comm)
     # redistributed data: bitwise per column per rank
     assert len(out_vec) == len(out_ref)
     for cv, cr in zip(out_vec, out_ref):
@@ -282,6 +284,10 @@ def assert_plan_runs_identical(idx, counts, cols, comm):
 
 
 class TestResortPlan:
+    """The plan against the per-rank loops it replaced
+    (``tests/redistribution_oracles.py``; the mixed-layout property lives in
+    ``tests/core/test_redistribution_oracles.py``)."""
+
     @given(
         st.integers(0, 160),
         st.integers(1, 6),
@@ -303,11 +309,10 @@ class TestResortPlan:
         """Validation failures must raise the same message on both paths."""
         idx, counts, cols = _resort_problem(64, 4, 5)
         machine = Machine(4)
-        plan = ResortPlan(machine, idx, counts, counts)
+        plan = (ResortPlanLoop if reference else ResortPlan)(machine, idx, counts, counts)
         bad = [list(col) for col in cols]
         bad[1] = list(bad[1])
         bad[1][3] = bad[1][3][:-1]  # drop one row of column 1 on rank 3
-        with instrument.reference_mode(reference):
-            with pytest.raises(ValueError) as exc:
-                plan.execute(bad)
+        with pytest.raises(ValueError) as exc:
+            plan.execute(bad)
         assert "column 1, rank 3" in str(exc.value)

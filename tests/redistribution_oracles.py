@@ -3,7 +3,11 @@
 These are the bodies ``fine_grained_redistribute``, ``ghost_distribution``
 and ``FMMSolver._halo_exchange`` had before the exchange became one set of
 array operations (one dict and one ``ColumnBlock`` view per message, one
-full pass per neighbor offset, one key loop per rank), moved here verbatim.
+full pass per neighbor offset, one key loop per rank), and the bodies
+``ResortPlan`` (schedule compile, byte-record execute), ``partition_sort``
+(split, exchange, merge) and the three resort-index scatters
+(``invert_indices``, ``apply_resort``, ``restore_results``) had before they
+became callers of that one exchange, moved here verbatim.
 They run on the ``list[dict]`` form of ``alltoallv``; the property tests in
 ``tests/core/test_redistribution_oracles.py`` hold the production code to
 them row for row and charge for charge (:func:`observed` is what "charge"
@@ -12,16 +16,28 @@ means there).  Nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
+from repro.core.balance import work_split_bounds
 from repro.core.fine_grained import COMM_KINDS, DistFn, DistResult
-from repro.core.particles import ColumnBlock
+from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.plan import COMPILE_PHASE, ResortPlanStats
+from repro.core.resort import initial_numbering, inverse_permutation, unpack_resort_index
+from repro.obs.spans import machine_span
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.collectives import alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
+from repro.sorting.merge_sort import local_sort
+from repro.sorting.partition_sort import (
+    partition_destinations,
+    select_splitters,
+    split_by_destination,
+)
 
 
 def observed(machine: Machine):
@@ -34,6 +50,14 @@ def observed(machine: Machine):
         machine.trace.counters(),
         machine.auditor.state_dict(),
     )
+
+
+def assert_same_arrays(got: Sequence[np.ndarray], want: Sequence[np.ndarray]) -> None:
+    """The same arrays in the same order: dtype, shape and every value."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
 
 
 def _normalize(block: ColumnBlock, result: DistResult) -> Tuple[np.ndarray, np.ndarray]:
@@ -259,3 +283,471 @@ def halo_exchange_loop(
         self.machine, halo_in, dist, phase="halo", comm="neighborhood"
     )
 
+
+def _per_rank(values: np.ndarray, blocks: Sequence[ColumnBlock]):
+    """A global per-row array as the distribution function of its blocks."""
+    cuts = np.cumsum([b.n for b in blocks])[:-1]
+    parts = np.split(values, cuts)
+    return lambda rank, block: parts[rank]
+
+
+def invert_indices_loop(
+    machine: Machine,
+    origloc: Sequence[np.ndarray],
+    orig_counts: Sequence[int],
+    phase: Optional[str] = None,
+    *,
+    comm: str = "alltoall",
+) -> List[np.ndarray]:
+    """``invert_indices`` with its per-rank receive loop."""
+    if len(origloc) != machine.nprocs or len(orig_counts) != machine.nprocs:
+        raise ValueError("origloc/orig_counts must have one entry per rank")
+    origloc = [np.asarray(ol, dtype=np.int64) for ol in origloc]
+    current = initial_numbering([ol.shape[0] for ol in origloc])
+    blocks = [ColumnBlock(origloc=ol, current=cur) for ol, cur in zip(origloc, current)]
+    to_original, _ = unpack_resort_index(np.concatenate(origloc))
+    received = fine_grained_redistribute_loop(
+        machine, blocks, _per_rank(to_original, blocks), phase, comm=comm
+    )
+
+    out: List[np.ndarray] = []
+    for r, block in enumerate(received):
+        n = int(orig_counts[r])
+        if block.n != n:
+            raise ValueError(
+                f"rank {r}: received {block.n} index values for {n} original particles"
+            )
+        _, pos = unpack_resort_index(block["origloc"])
+        result = np.empty(n, dtype=np.int64)
+        result[pos] = block["current"]
+        out.append(result)
+    # local permutation cost: scatter 8-byte values into place, per rank
+    machine.copy(8.0 * np.asarray([int(c) for c in orig_counts], dtype=np.float64), phase)
+    return out
+
+
+def apply_resort_loop(
+    machine: Machine,
+    resort_indices: Sequence[np.ndarray],
+    data: Sequence[ColumnBlock],
+    new_counts: Sequence[int],
+    phase: Optional[str] = None,
+    *,
+    comm: str = "alltoall",
+) -> List[ColumnBlock]:
+    """``apply_resort`` with its per-rank receive loop."""
+    if not (len(resort_indices) == len(data) == len(new_counts) == machine.nprocs):
+        raise ValueError("per-rank sequences must have one entry per rank")
+    blocks: List[ColumnBlock] = []
+    for r, (idx, block) in enumerate(zip(resort_indices, data)):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.shape != (block.n,):
+            raise ValueError(
+                f"rank {r}: {idx.shape[0]} resort indices for {block.n} data rows"
+            )
+        b = block.copy()
+        b["_resort"] = idx
+        blocks.append(b)
+
+    to_target, _ = unpack_resort_index(np.concatenate([b["_resort"] for b in blocks]))
+    received = fine_grained_redistribute_loop(
+        machine, blocks, _per_rank(to_target, blocks), phase, comm=comm
+    )
+
+    out: List[ColumnBlock] = []
+    per_rank_bytes = np.zeros(machine.nprocs, dtype=np.float64)
+    for r, block in enumerate(received):
+        n = int(new_counts[r])
+        if block.n != n:
+            raise ValueError(f"rank {r}: received {block.n} rows, expected {n}")
+        _, pos = unpack_resort_index(block["_resort"])
+        result = block.drop("_resort").take(inverse_permutation(pos, n, r))
+        out.append(result)
+        per_rank_bytes[r] = result.nbytes
+    machine.copy(per_rank_bytes, phase)
+    return out
+
+
+def restore_results_loop(
+    machine: Machine,
+    origloc: Sequence[np.ndarray],
+    pots: Sequence[np.ndarray],
+    fields: Sequence[np.ndarray],
+    particles: ParticleSet,
+    old_counts: Sequence[int],
+    phase: str = "restore",
+) -> None:
+    """``restore_results`` with its per-rank receive loop."""
+    result_blocks = [
+        ColumnBlock(origloc=np.asarray(origloc[r], dtype=np.int64), pot=pots[r], field=fields[r])
+        for r in range(machine.nprocs)
+    ]
+    to_origin, _ = unpack_resort_index(np.concatenate([b["origloc"] for b in result_blocks]))
+    received = fine_grained_redistribute_loop(
+        machine, result_blocks, _per_rank(to_origin, result_blocks), phase=phase, comm="alltoall"
+    )
+    per_rank_bytes = np.zeros(machine.nprocs)
+    for r, block in enumerate(received):
+        n = int(old_counts[r])
+        if block.n != n:
+            raise RuntimeError(
+                f"rank {r}: restore received {block.n} results for {n} particles"
+            )
+        _, pos_idx = unpack_resort_index(block["origloc"])
+        pot = np.empty(n)
+        field = np.empty((n, 3))
+        pot[pos_idx] = block["pot"]
+        field[pos_idx] = block["field"]
+        particles.pot[r] = pot
+        particles.field[r] = field
+        per_rank_bytes[r] = block.nbytes
+    machine.copy(per_rank_bytes, phase=phase)
+
+
+def partition_sort_loop(
+    machine: Machine,
+    blocks: Sequence[ColumnBlock],
+    key: str,
+    phase: Optional[str] = None,
+    *,
+    target_counts: Optional[Sequence[int]] = None,
+    oversampling: int = 32,
+    presorted: bool = False,
+    balance_key: Optional[str] = None,
+) -> List[ColumnBlock]:
+    """``partition_sort`` with its split -> dict -> ``alltoallv`` -> concat
+    exchange and its per-destination merge of the senders' sub-blocks."""
+    if len(blocks) != machine.nprocs:
+        raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
+    if balance_key is not None and target_counts is not None:
+        raise ValueError("pass either balance_key or target_counts, not both")
+    P = machine.nprocs
+    current = list(blocks) if presorted else local_sort(machine, blocks, key, phase)
+    if balance_key is None:
+        if target_counts is None:
+            target_counts = [b.n for b in current]
+        else:
+            target_counts = [int(c) for c in target_counts]
+            total = sum(b.n for b in current)
+            if sum(target_counts) != total:
+                raise ValueError(
+                    f"target_counts sum {sum(target_counts)} != total elements {total}"
+                )
+    if P == 1:
+        return current
+
+    select_splitters(
+        machine,
+        [b[key] for b in current],
+        oversampling,
+        phase,
+        weights=None if balance_key is None else [b[balance_key] for b in current],
+    )
+    machine.collective(
+        machine.model.tree_collective_time(P, 16.0, machine.topology.diameter()),
+        phase,
+        messages=2 * (P - 1),
+    )
+
+    all_keys = np.concatenate([b[key] for b in current])
+    order = np.argsort(all_keys, kind="stable")  # stable = (rank, pos) tie order
+    if balance_key is not None:
+        all_weights = np.concatenate([b[balance_key] for b in current])
+        bounds = work_split_bounds(all_weights[order], P)
+    else:
+        bounds = np.concatenate(
+            ([0], np.cumsum(np.asarray(target_counts, dtype=np.int64)))
+        )
+    dest = partition_destinations(order, bounds)
+
+    sends: List[dict] = []
+    send_blocks: List[dict] = []
+    offset = 0
+    for r, block in enumerate(current):
+        d = dest[offset:offset + block.n]
+        offset += block.n
+        blocks_out = split_by_destination(block, d)
+        per_target = {dst: sub.payload() for dst, sub in blocks_out.items()}
+        sends.append(per_target)
+        send_blocks.append(blocks_out)
+
+    recv = alltoallv(machine, sends, phase)
+
+    out: List[ColumnBlock] = []
+    merge_cost = np.zeros(P, dtype=np.float64)
+    template = current[0]
+    for dst in range(P):
+        received = [send_blocks[src][dst] for src, _payload in recv[dst]]
+        if not received:
+            out.append(ColumnBlock.empty_like(template, 0))
+            continue
+        merged = ColumnBlock.concat(received)
+        morder = np.argsort(merged[key], kind="stable")
+        merged = merged.take(morder)
+        out.append(merged)
+        if merged.n > 1:
+            # k-way merge of sorted runs: n log k
+            merge_cost[dst] = kernels.SORT_STEP * merged.n * np.log2(max(len(received), 2))
+    machine.compute(merge_cost, phase)
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class _ColumnSpec:
+    dtype: np.dtype
+    trailing: Tuple[int, ...]
+    row_bytes: int
+
+
+def _column_spec(arrays: Sequence[np.ndarray], index: int) -> _ColumnSpec:
+    """Validate that one column's per-rank arrays agree on dtype/shape."""
+    first = arrays[0]
+    dtype = np.dtype(first.dtype)
+    trailing = tuple(int(d) for d in first.shape[1:])
+    for r, arr in enumerate(arrays):
+        if np.dtype(arr.dtype) != dtype:
+            raise ValueError(
+                f"column {index}: rank {r} has dtype {arr.dtype}, rank 0 has {dtype}"
+            )
+        if tuple(int(d) for d in arr.shape[1:]) != trailing:
+            raise ValueError(
+                f"column {index}: rank {r} has trailing shape {arr.shape[1:]}, "
+                f"rank 0 has {trailing}"
+            )
+    row_bytes = dtype.itemsize * int(np.prod(trailing, dtype=np.int64)) if trailing else dtype.itemsize
+    if row_bytes <= 0:
+        raise ValueError(f"column {index}: zero-size rows cannot be redistributed")
+    return _ColumnSpec(dtype=dtype, trailing=trailing, row_bytes=row_bytes)
+
+
+def _byte_rows(arr: np.ndarray, spec: _ColumnSpec) -> np.ndarray:
+    """View one column's rows as a contiguous ``(n, row_bytes)`` uint8 matrix."""
+    arr = np.ascontiguousarray(arr, dtype=spec.dtype)
+    n = arr.shape[0]
+    return arr.view(np.uint8).reshape(n, spec.row_bytes)
+
+
+class ResortPlanLoop:
+    """``ResortPlan`` as it was: per-source argsort and segment scan, a
+    ``list[dict]`` of position payloads at compile time, per-rank byte-record
+    packing and per-destination concat / scatter / split at execute time."""
+
+    def __init__(
+        self,
+        machine: Machine,
+        resort_indices: Sequence[np.ndarray],
+        old_counts: Sequence[int],
+        new_counts: Sequence[int],
+        *,
+        comm: str = "alltoall",
+        phase: str = "resort",
+    ) -> None:
+        P = machine.nprocs
+        if not (len(resort_indices) == len(old_counts) == len(new_counts) == P):
+            raise ValueError("per-rank sequences must have one entry per rank")
+        if comm not in COMM_KINDS:
+            raise ValueError(f"comm must be one of {COMM_KINDS}, got {comm!r}")
+        self.machine = machine
+        self.comm = comm
+        self.phase = phase
+        self.old_counts = [int(c) for c in old_counts]
+        self.new_counts = [int(c) for c in new_counts]
+        self._indices: List[np.ndarray] = []
+        #: stable per-source gather order grouping rows by target rank
+        self._gather_order: List[np.ndarray] = []
+        #: per-source list of (target, start, end) send segments over the
+        #: gathered rows — the plan's cached alltoallv count table
+        self._segments: List[List[Tuple[int, int, int]]] = []
+        self.stats = ResortPlanStats()
+
+        ranks_list: List[np.ndarray] = []
+        pos_list: List[np.ndarray] = []
+        for r in range(P):
+            idx = np.asarray(resort_indices[r], dtype=np.int64)
+            if idx.shape != (self.old_counts[r],):
+                raise ValueError(
+                    f"rank {r}: {idx.shape[0]} resort indices for "
+                    f"{self.old_counts[r]} original particles"
+                )
+            if np.any(idx < 0):
+                raise ValueError(
+                    f"rank {r}: invalid (ghost) resort index cannot be planned"
+                )
+            ranks, positions = unpack_resort_index(idx)
+            if idx.size and int(ranks.max()) >= P:
+                raise ValueError(
+                    f"rank {r}: target rank {int(ranks.max())} out of range [0, {P})"
+                )
+            self._indices.append(idx)
+            ranks_list.append(ranks)
+            pos_list.append(positions)
+
+        with machine_span(machine, "resort_plan.compile", op="plan.compile", comm=comm):
+            pos_sends = self._compile_schedules_reference(ranks_list, pos_list)
+
+            if comm == "neighborhood":
+                recv = neighborhood_alltoallv(machine, pos_sends, COMPILE_PHASE)
+            else:
+                recv = alltoallv(machine, pos_sends, COMPILE_PHASE)
+
+            #: per-destination scatter permutation: ``out[p] = incoming[perm[p]]``
+            self._scatter_perm: List[np.ndarray] = []
+            for dst in range(P):
+                parts = [payload for _src, payload in recv[dst]]
+                incoming = (
+                    np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+                )
+                n = self.new_counts[dst]
+                if incoming.shape[0] != n:
+                    raise ValueError(
+                        f"rank {dst}: {incoming.shape[0]} resort targets for "
+                        f"{n} new-layout slots"
+                    )
+                self._scatter_perm.append(inverse_permutation(incoming, n, dst))
+            # building the inverse permutations is a local 8-byte scatter per row
+            machine.copy(
+                8.0 * np.asarray(self.new_counts, dtype=np.float64), COMPILE_PHASE
+            )
+
+        self.stats.compiles += 1
+        machine.count("resort_plan.compiles")
+
+    def _compile_schedules_reference(
+        self, ranks_list: List[np.ndarray], pos_list: List[np.ndarray]
+    ) -> List[dict]:
+        P = self.machine.nprocs
+        pos_sends: List[dict] = []
+        for r in range(P):
+            ranks = ranks_list[r]
+            positions = pos_list[r]
+            order = np.argsort(ranks, kind="stable")
+            sorted_ranks = ranks[order]
+            sorted_pos = positions[order]
+            segments: List[Tuple[int, int, int]] = []
+            sends: dict = {}
+            if order.size:
+                bounds = np.flatnonzero(np.diff(sorted_ranks)) + 1
+                starts = np.concatenate(([0], bounds))
+                ends = np.concatenate((bounds, [sorted_ranks.size]))
+                for s, e in zip(starts, ends):
+                    dst = int(sorted_ranks[s])
+                    segments.append((dst, int(s), int(e)))
+                    sends[dst] = sorted_pos[s:e]
+            self._gather_order.append(order)
+            self._segments.append(segments)
+            pos_sends.append(sends)
+        return pos_sends
+
+    def execute(
+        self,
+        columns: Sequence[Sequence[np.ndarray]],
+        *,
+        phase: Optional[str] = None,
+    ) -> List[List[np.ndarray]]:
+        machine = self.machine
+        P = machine.nprocs
+        phase = phase if phase is not None else self.phase
+        if not columns:
+            raise ValueError("at least one data column is required")
+        cols = [list(col) for col in columns]
+        for c, col in enumerate(cols):
+            if len(col) != P:
+                raise ValueError(
+                    f"column {c}: {len(col)} per-rank arrays for {P} ranks"
+                )
+        specs = [_column_spec(col, c) for c, col in enumerate(cols)]
+        record_bytes = sum(s.row_bytes for s in specs)
+        with machine_span(
+            machine, "resort_plan.execute", op="plan.execute",
+            columns=len(cols), comm=self.comm,
+        ):
+            return self._execute_reference(cols, specs, record_bytes, phase)
+
+    def _execute_reference(
+        self,
+        cols: List[List[np.ndarray]],
+        specs: List[_ColumnSpec],
+        record_bytes: int,
+        phase: str,
+    ) -> List[List[np.ndarray]]:
+        machine = self.machine
+        P = machine.nprocs
+
+        # pack: byte-fuse the columns row-wise, gather by target, slice the
+        # cached segments into one payload per destination
+        sends: List[dict] = []
+        pack_bytes = np.zeros(P, dtype=np.float64)
+        for r in range(P):
+            n = self.old_counts[r]
+            views = []
+            for c, col in enumerate(cols):
+                arr = col[r]
+                if arr.shape[0] != n:
+                    raise ValueError(
+                        f"column {c}, rank {r}: data has {arr.shape[0]} rows, "
+                        f"original particle count was {n}"
+                    )
+                views.append(_byte_rows(arr, specs[c]))
+            records = views[0] if len(views) == 1 else np.concatenate(views, axis=1)
+            gathered = records[self._gather_order[r]]
+            sends.append(
+                {dst: gathered[s:e] for dst, s, e in self._segments[r]}
+            )
+            pack_bytes[r] = float(n) * record_bytes
+
+        machine.copy(pack_bytes, phase)
+        if self.comm == "neighborhood":
+            recv = neighborhood_alltoallv(machine, sends, phase)
+        else:
+            # counts are part of the plan: skip the dense count exchange
+            recv = alltoallv(machine, sends, phase, count_exchange="cached")
+
+        # unpack: concatenate source-ordered payloads, scatter into target
+        # positions, split the byte records back into typed columns
+        out: List[List[np.ndarray]] = [[] for _ in cols]
+        unpack_bytes = np.zeros(P, dtype=np.float64)
+        for dst in range(P):
+            n = self.new_counts[dst]
+            parts = [payload for _src, payload in recv[dst]]
+            incoming = (
+                np.concatenate(parts)
+                if parts
+                else np.empty((0, record_bytes), dtype=np.uint8)
+            )
+            if incoming.shape[0] != n:
+                raise ValueError(
+                    f"rank {dst}: received {incoming.shape[0]} rows, expected {n}"
+                )
+            ordered = incoming[self._scatter_perm[dst]]
+            offset = 0
+            for c, spec in enumerate(specs):
+                chunk = np.ascontiguousarray(
+                    ordered[:, offset : offset + spec.row_bytes]
+                )
+                out[c].append(
+                    chunk.view(spec.dtype).reshape((n,) + spec.trailing)
+                )
+                offset += spec.row_bytes
+            unpack_bytes[dst] = float(n) * record_bytes
+        machine.copy(unpack_bytes, phase)
+
+        inter = [
+            e - s for r in range(P) for dst, s, e in self._segments[r] if dst != r
+        ]
+        self._count_execution(
+            phase, len(cols), len(inter), int(sum(inter)) * record_bytes
+        )
+        return out
+
+    def _count_execution(
+        self, phase: str, ncols: int, messages: int, moved: int
+    ) -> None:
+        machine = self.machine
+        self.stats.executions += 1
+        self.stats.fused_columns += ncols
+        self.stats.bytes_moved += moved
+        machine.count("resort_plan.executions")
+        machine.count("resort_plan.fused_columns", ncols)
+        machine.count("resort_plan.bytes_moved", moved)
+        if machine.auditor is not None:
+            machine.auditor.observe_plan_execution(phase, messages, moved)

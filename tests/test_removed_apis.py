@@ -1,0 +1,91 @@
+"""Removed APIs stay removed.
+
+Every simplification PR deleted names outright instead of deprecating them;
+this is the guard that none of them is spelled again — in source text
+(``FORBIDDEN``: a regex, the trees it may not appear in, the files exempt)
+or as an attribute of the object that used to carry it (``REMOVED``).  It
+used to be a grep step of the ``obs-smoke`` CI job.
+"""
+
+import importlib
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+EVERYWHERE = ("src", "tests", "benchmarks", "examples")
+
+#: ``(pattern, trees searched, path prefixes allowed to match)``
+FORBIDDEN = [
+    (r"\.resort_(floats|ints|bytes)\(", ("src", "tests", "benchmarks"), ()),
+    (r"resume_simulation|observe_collective|PhaseTimer|targets_only", EVERYWHERE, ()),
+    # checkpoint sections are serialized by their owners (state_dict/load_state)
+    (r"restore_auditor_state|restore_trace_state|plain_records_to_step_records",
+     ("src", "benchmarks", "examples"), ()),
+    # a staged collective is a schedule run by the one executor in simmpi/algos.py
+    (r"_begin_staged|_charge_count_exchange|_alltoallv_bruck|_allreduce_rhd", EVERYWHERE, ()),
+    # the auditor checks peers against one sorted key array, not per-rank sets
+    (r"\._neighbors\b", EVERYWHERE, ()),
+    # the retired config field may only be named where old checkpoints are read
+    (r"fuse_resort", EVERYWHERE, ("src/repro/ckpt/checkpoint.py", "tests/ckpt/")),
+    # a resort plan is a stored exchange route: its per-rank schedule tables,
+    # byte records and twin implementations live on as test oracles only
+    (r"_execute_reference|_execute_vectorized|_compile_schedules|_byte_rows|_gather_order"
+     r"|_scatter_perm", ("src", "benchmarks", "examples"), ()),
+]
+
+#: ``(module, attribute path)`` that must not resolve
+REMOVED = [
+    ("repro.core.handle", "FCS.resort_floats"),
+    ("repro.core.handle", "FCS.resort_ints"),
+    ("repro.core.handle", "FCS.resort_bytes"),
+    ("repro.md.simulation", "SimulationConfig.fuse_resort"),
+    ("repro.md.io", "resume_simulation"),
+    ("repro.verify.audit", "CommAuditor.observe_collective"),
+    ("repro.simmpi", "PhaseTimer"),
+    ("repro.simmpi.tracing", "PhaseTimer"),
+    ("repro.core.fine_grained", "targets_only"),
+    ("repro.solvers.ewald_solver", "EwaldSolver._real_space"),
+    ("repro.ckpt.checkpoint", "restore_auditor_state"),
+    ("repro.ckpt.checkpoint", "restore_trace_state"),
+    ("repro.ckpt.checkpoint", "plain_records_to_step_records"),
+    ("repro.core.plan", "ResortPlan._execute_reference"),
+    ("repro.core.plan", "ResortPlan._execute_vectorized"),
+    ("repro.core.plan", "ResortPlan._compile_schedules"),
+    ("repro.core.plan", "ResortPlan._compile_schedules_reference"),
+    ("repro.core.plan", "_byte_rows"),
+]
+
+
+@pytest.mark.parametrize(
+    "pattern, trees, allowed",
+    FORBIDDEN,
+    ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
+         "fuse-resort", "plan-twins"],
+)
+def test_removed_name_is_not_spelled(pattern, trees, allowed):
+    regex = re.compile(pattern)
+    hits = []
+    for tree in trees:
+        for path in sorted(p for p in (ROOT / tree).rglob("*") if p.is_file()):
+            relative = path.relative_to(ROOT).as_posix()
+            if (
+                path == pathlib.Path(__file__).resolve()
+                or "__pycache__" in path.parts
+                or relative.startswith(allowed)
+            ):
+                continue
+            for number, line in enumerate(path.read_text(errors="replace").splitlines(), 1):
+                if regex.search(line):
+                    hits.append(f"{relative}:{number}: {line.strip()}")
+    assert not hits, "removed API spelled again:\n" + "\n".join(hits)
+
+
+@pytest.mark.parametrize("module, attribute", REMOVED)
+def test_removed_attribute_is_gone(module, attribute):
+    owner = importlib.import_module(module)
+    *parents, name = attribute.split(".")
+    for parent in parents:
+        owner = getattr(owner, parent)
+    assert not hasattr(owner, name), f"removed API present again: {module}.{attribute}"
