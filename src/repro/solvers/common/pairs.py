@@ -14,7 +14,7 @@ Conventions: Gaussian units (``phi_i = sum_j q_j / r_ij``), fields are
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import erfc
@@ -24,6 +24,7 @@ from repro.perf import instrument
 __all__ = [
     "ragged_cross",
     "ragged_cross_reference",
+    "pair_displacements",
     "coulomb_pairs",
     "erfc_pairs",
     "segment_starts",
@@ -135,23 +136,73 @@ def ragged_cross_reference(
     return ti, si
 
 
-def _accumulate(
-    n_targets: int,
-    ti: np.ndarray,
-    dvec: np.ndarray,
-    pot_contrib: np.ndarray,
-    field_scale: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Scatter-add pair contributions onto targets.
+#: pairs per block of the displacement pass: one block's temporaries (two
+#: gathers, three displacement columns, ``r2``, the mask) stay cache-resident
+_BLOCK = 32768
 
-    ``field_scale`` multiplies the displacement vector (target - source) to
-    give the field contribution of each pair.
+
+def pair_displacements(
+    tcols: np.ndarray, scols: np.ndarray, ti: np.ndarray, si: np.ndarray, box: Optional[np.ndarray]
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Squared lengths and the three columns of ``target - source`` over a
+    pair list, minimum image when ``box`` is given.
+
+    Positions come as ``(3, n)`` coordinate rows.  ``r2`` is summed
+    ``(dx*dx + dy*dy) + dz*dz`` — the order ``(d*d).sum(axis=1)`` adds a row
+    of an ``(npairs, 3)`` array in, which this never builds.
     """
-    pot = np.zeros(n_targets, dtype=np.float64)
-    np.add.at(pot, ti, pot_contrib)
-    field = np.zeros((n_targets, 3), dtype=np.float64)
-    np.add.at(field, ti, dvec * field_scale[:, None])
-    return pot, field
+    d = []
+    for axis in range(3):
+        dx = tcols[axis].take(ti)
+        dx -= scols[axis].take(si)
+        if box is not None:
+            dx -= np.round(dx / box[axis]) * box[axis]
+        d.append(dx)
+    return d[0] * d[0] + d[1] * d[1] + d[2] * d[2], d
+
+
+def _pair_sums(
+    tpos: np.ndarray, spos: np.ndarray, sq: np.ndarray, ti: np.ndarray, si: np.ndarray,
+    box: Optional[np.ndarray], cutoff: Optional[float],
+    radial: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Sum a radial kernel over a pair list onto the targets.
+
+    ``radial(q, r2)`` returns each pair's potential contribution and the
+    factor its displacement is scaled by for the field.  Only pairs with
+    ``0 < r2 <= cutoff**2`` reach it: the list is walked in blocks of
+    :data:`_BLOCK` and nothing but the accepted rows outlives a block.
+    Contributions are added per target in pair order.
+    """
+    n_targets = tpos.shape[0]
+    # no copy for a caller whose (n, 3) array is already stored by columns
+    tcols = np.ascontiguousarray(tpos.T)
+    scols = np.ascontiguousarray(spos.T)
+    kept = []
+    # an empty list still takes one (empty) block, so ``kept`` never is
+    for start in range(0, max(ti.shape[0], 1), _BLOCK):
+        stop = start + _BLOCK
+        r2, d = pair_displacements(tcols, scols, ti[start:stop], si[start:stop], box)
+        mask = r2 > 0.0
+        if cutoff is not None:
+            mask &= r2 <= cutoff * cutoff
+        keep = np.flatnonzero(mask)
+        kept.append((keep + start, r2.take(keep), *(dx.take(keep) for dx in d)))
+    rows, r2, *d = (np.concatenate(column) for column in zip(*kept))
+    ti = ti.take(rows)
+    pot_c, field_s = radial(sq.take(si.take(rows)), r2)
+    # written into float arrays: bincount of nothing into no bins is integer
+    pot = np.empty(n_targets, dtype=np.float64)
+    pot[:] = np.bincount(ti, weights=pot_c, minlength=n_targets)
+    field = np.empty((n_targets, 3), dtype=np.float64)
+    for axis, dx in enumerate(d):
+        field[:, axis] = np.bincount(ti, weights=dx * field_s, minlength=n_targets)
+    return pot, field, int(rows.shape[0])
+
+
+def _coulomb_radial(q: np.ndarray, r2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    pot_c = q * (1.0 / np.sqrt(r2))
+    return pot_c, pot_c / r2  # q / r^3
 
 
 def coulomb_pairs(
@@ -161,7 +212,6 @@ def coulomb_pairs(
     ti: np.ndarray,
     si: np.ndarray,
     *,
-    shift: Optional[np.ndarray] = None,
     box: Optional[np.ndarray] = None,
     cutoff: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -173,9 +223,6 @@ def coulomb_pairs(
         target positions, source positions, source charges.
     ti, si:
         pair index arrays from :func:`ragged_cross`.
-    shift:
-        optional per-pair source position shift (periodic images), shape
-        ``(npairs, 3)``.
     box:
         optional periodic box edges; displacements then use the minimum
         image convention (valid whenever interacting cells are smaller than
@@ -188,25 +235,7 @@ def coulomb_pairs(
     where ``pair_count`` is the number of pairs actually evaluated — the
     workload count the performance model charges.
     """
-    d = tpos[ti] - spos[si]
-    if shift is not None:
-        d = d - shift
-    if box is not None:
-        d = d - np.round(d / box) * box
-    r2 = (d * d).sum(axis=1)
-    mask = r2 > 0.0
-    if cutoff is not None:
-        mask &= r2 <= cutoff * cutoff
-    d = d[mask]
-    r2 = r2[mask]
-    ti = ti[mask]
-    q = sq[si[mask]]
-    r = np.sqrt(r2)
-    inv_r = 1.0 / r
-    pot_c = q * inv_r
-    field_s = q * inv_r / r2  # q / r^3
-    pot, field = _accumulate(tpos.shape[0], ti, d, pot_c, field_s)
-    return pot, field, int(mask.sum())
+    return _pair_sums(tpos, spos, sq, ti, si, box, cutoff, _coulomb_radial)
 
 
 def erfc_pairs(
@@ -218,7 +247,6 @@ def erfc_pairs(
     alpha: float,
     cutoff: float,
     *,
-    shift: Optional[np.ndarray] = None,
     box: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Ewald real-space kernel ``erfc(alpha r)/r`` over pair lists.
@@ -229,22 +257,12 @@ def erfc_pairs(
     displacements as in :func:`coulomb_pairs`.  Returns ``(pot, field,
     pair_count)``.
     """
-    d = tpos[ti] - spos[si]
-    if shift is not None:
-        d = d - shift
-    if box is not None:
-        d = d - np.round(d / box) * box
-    r2 = (d * d).sum(axis=1)
-    mask = (r2 > 0.0) & (r2 <= cutoff * cutoff)
-    d = d[mask]
-    r2 = r2[mask]
-    ti = ti[mask]
-    q = sq[si[mask]]
-    r = np.sqrt(r2)
-    inv_r = 1.0 / r
-    e = erfc(alpha * r)
-    pot_c = q * e * inv_r
-    gauss = (2.0 * alpha / np.sqrt(np.pi)) * np.exp(-(alpha * alpha) * r2)
-    field_s = q * (e * inv_r + gauss) / r2
-    pot, field = _accumulate(tpos.shape[0], ti, d, pot_c, field_s)
-    return pot, field, int(mask.sum())
+
+    def radial(q: np.ndarray, r2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        r = np.sqrt(r2)
+        inv_r = 1.0 / r
+        e = erfc(alpha * r)
+        gauss = (2.0 * alpha / np.sqrt(np.pi)) * np.exp(-(alpha * alpha) * r2)
+        return q * e * inv_r, q * (e * inv_r + gauss) / r2
+
+    return _pair_sums(tpos, spos, sq, ti, si, box, cutoff, radial)

@@ -45,6 +45,8 @@ __all__ = ["FMMTree", "FarFieldStats", "leaf_index_of_positions", "OCTANTS"]
 
 #: the 8 child-coordinate offsets within a parent box
 OCTANTS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int64)
+#: the 27 near-field box displacements (source - target), in summation order
+_NEIGHBOR_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 
 
 def _allowed_displacements(parity: Tuple[int, int, int]) -> np.ndarray:
@@ -419,32 +421,40 @@ class FMMTree:
         # unique populated target boxes and their segments
         t_boxes, t_first = np.unique(t_keys_sorted, return_index=True)
         t_last = np.concatenate((t_first[1:], [t_keys_sorted.shape[0]]))
-        tx, ty, tz = (c.astype(np.int64) for c in morton_decode3(t_boxes))
+        # source box of every (neighbor offset, target box), (27, nboxes)
+        sx, sy, sz = (
+            c.astype(np.int64)[None, :] + _NEIGHBOR_OFFSETS[:, axis, None]
+            for axis, c in enumerate(morton_decode3(t_boxes))
+        )
+        src_keys = morton_encode3(sx % nside, sy % nside, sz % nside).ravel()
+        s_start = np.searchsorted(s_keys_sorted, src_keys, side="left")
+        s_end = np.searchsorted(s_keys_sorted, src_keys, side="right")
+        if not self.periodic:
+            # open boundaries: a displacement that leaves the grid pairs
+            # with nothing
+            outside = (
+                (sx < 0) | (sx >= nside)
+                | (sy < 0) | (sy >= nside)
+                | (sz < 0) | (sz >= nside)
+            ).ravel()
+            s_end[outside] = s_start[outside]
+        # every offset's pairs from one cross product, offset-major
+        ti, si = ragged_cross(np.tile(t_first, 27), np.tile(t_last, 27), s_start, s_end)
+        per_offset = ((t_last - t_first) * (s_end - s_start).reshape(27, -1)).sum(axis=1)
+        stops = np.cumsum(per_offset)
+        # the kernel reads positions by columns: transpose once, not per offset
+        tpos = np.ascontiguousarray(tpos.T).T
+        spos = np.ascontiguousarray(spos.T).T
         pot = np.zeros(tpos.shape[0])
         field = np.zeros((tpos.shape[0], 3))
         pair_count = 0
         box = self.box if self.periodic else None
-        for d in itertools.product((-1, 0, 1), repeat=3):
-            sx, sy, sz = tx + d[0], ty + d[1], tz + d[2]
-            if self.periodic:
-                sx, sy, sz = sx % nside, sy % nside, sz % nside
-                mask = np.ones(t_boxes.shape[0], dtype=bool)
-            else:
-                mask = (
-                    (sx >= 0) & (sx < nside)
-                    & (sy >= 0) & (sy < nside)
-                    & (sz >= 0) & (sz < nside)
-                )
-                if not mask.any():
-                    continue
-                sx, sy, sz = sx[mask], sy[mask], sz[mask]
-            src_keys = morton_encode3(sx, sy, sz)
-            s_start = np.searchsorted(s_keys_sorted, src_keys, side="left")
-            s_end = np.searchsorted(s_keys_sorted, src_keys, side="right")
-            ti, si = ragged_cross(t_first[mask], t_last[mask], s_start, s_end)
-            if ti.size == 0:
+        # a target's sum is formed per offset first, then added: that
+        # association is part of the result's bits
+        for start, stop in zip(stops - per_offset, stops):
+            if start == stop:
                 continue
-            p, f, c = coulomb_pairs(tpos, spos, sq, ti, si, box=box)
+            p, f, c = coulomb_pairs(tpos, spos, sq, ti[start:stop], si[start:stop], box=box)
             pot += p
             field += f
             pair_count += c

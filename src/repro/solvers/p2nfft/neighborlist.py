@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.solvers.common.pairs import erfc_pairs, ragged_cross
+from repro.solvers.common.pairs import erfc_pairs, pair_displacements
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 
 __all__ = ["VerletNeighborList"]
@@ -81,35 +81,15 @@ class VerletNeighborList:
         cz = cells % lc.dims[2]
         cy = (cells // lc.dims[2]) % lc.dims[1]
         cx = cells // (lc.dims[1] * lc.dims[2])
-        pair_t, pair_s = [], []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    nx = (cx + dx) % lc.dims[0]
-                    ny = (cy + dy) % lc.dims[1]
-                    nz = (cz + dz) % lc.dims[2]
-                    ncell = (nx * lc.dims[1] + ny) * lc.dims[2] + nz
-                    s_start = np.searchsorted(sorted_cells, ncell, side="left")
-                    s_end = np.searchsorted(sorted_cells, ncell, side="right")
-                    ti, si = ragged_cross(first, last, s_start, s_end)
-                    if ti.size:
-                        pair_t.append(order[ti])
-                        pair_s.append(order[si])
-        if pair_t:
-            ti = np.concatenate(pair_t)
-            si = np.concatenate(pair_s)
-            if lc.needs_dedup:
-                key = ti * np.int64(n) + si
-                _, keep = np.unique(key, return_index=True)
-                ti, si = ti[keep], si[keep]
-            # keep only pairs within the enlarged cutoff (tightens the list)
-            d = pos[ti] - pos[si]
-            d -= np.round(d / self.box) * self.box
-            r2 = (d * d).sum(axis=1)
-            within = (r2 > 0) & (r2 <= (self.rc + self.skin) ** 2)
-            self._pairs = (ti[within], si[within])
-        else:
-            self._pairs = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        ti, si = lc.candidate_pairs(first, last, sorted_cells, cx, cy, cz, n)
+        ti, si = order[ti], order[si]
+        # keep only pairs within the enlarged cutoff (tightens the list).
+        # Self-pairs go by index, not by distance: two particles that
+        # coincide now may be apart when the list is reused.
+        cols = np.ascontiguousarray(pos.T)
+        r2, _ = pair_displacements(cols, cols, ti, si, self.box)
+        within = (ti != si) & (r2 <= (self.rc + self.skin) ** 2)
+        self._pairs = (ti[within], si[within])
         self._n_cached = n
         self._movement_budget = 0.0
         self.rebuilds += 1

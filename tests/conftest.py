@@ -6,6 +6,7 @@ code alike); they are re-exported here for discoverability.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ def random_particle_set(system, nprocs, seed=0, capacity_factor=4.0):
     pos = [system.pos[owner == r].copy() for r in range(nprocs)]
     q = [system.q[owner == r].copy() for r in range(nprocs)]
     return ParticleSet(pos, q, capacity_factor=capacity_factor), owner
+
+
+@pytest.fixture
+def rebind(monkeypatch):
+    """``rebind(original, replacement)``: replace a module function in every
+    ``repro`` namespace holding it (callers use ``from x import f``)."""
+
+    def rebind(original, replacement):
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "repro" or name.startswith("repro.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, replacement)
+
+    return rebind
 
 
 @pytest.fixture

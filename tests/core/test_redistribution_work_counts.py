@@ -14,7 +14,6 @@ one composite-key sort, one place that builds an ``Exchange``.
 import ast
 import inspect
 import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -30,18 +29,8 @@ from repro.zorder import morton
 N = 32768
 
 
-def _rebind(monkeypatch, original, replacement):
-    """Replace a module function in every ``repro`` namespace holding it
-    (callers use ``from x import f``)."""
-    for name, module in list(sys.modules.items()):
-        if module is not None and (name == "repro" or name.startswith("repro.")):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
-
-
 @pytest.fixture
-def work(monkeypatch):
+def work(monkeypatch, rebind):
     """Counts of ``ColumnBlock`` constructions and of the calls that used to
     come once per message or once per rank."""
     counts = {"ColumnBlock": 0}
@@ -61,7 +50,7 @@ def work(monkeypatch):
     ):
         counts[name] = 0
         original = getattr(module, name)
-        _rebind(monkeypatch, original, counting(name, original))
+        rebind(original, counting(name, original))
     return counts
 
 

@@ -4,31 +4,40 @@ scalar oracle.
 Each vectorized kernel in the tree keeps its original implementation under a
 ``*_reference`` name and routes through it inside
 :func:`repro.perf.instrument.reference_mode` (the resort plan's former loops
-live in ``tests/redistribution_oracles.py`` instead: the production path no
-longer branches on the switch).  The contract checked here is
+live in ``tests/redistribution_oracles.py`` and the former near-field pair
+kernels in ``tests/near_field_oracles.py`` instead: those production paths
+no longer branch on the switch).  The contract checked here is
 strict: *bitwise identical* outputs (``np.array_equal`` on equal dtypes —
 never ``allclose``), identical dict key orders, identical modeled clocks,
 traces and error messages.  Host speed is the only thing the vectorization
 is allowed to change.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import near_field_oracles
 from redistribution_oracles import ResortPlanLoop
+from repro.bench.harness import make_system
 from repro.core.particles import ColumnBlock
 from repro.core.plan import ResortPlan
 from repro.core.resort import pack_resort_index
+from repro.md.simulation import Simulation, SimulationConfig
 from repro.perf import instrument
 from repro.simmpi.machine import Machine
+from repro.solvers.common import pairs
 from repro.solvers.common.pairs import ragged_cross, ragged_cross_reference
 from repro.solvers.fmm.expansions import (
     derivative_tensors,
     derivative_tensors_reference,
 )
+from repro.solvers.fmm.tree import FMMTree
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
+from repro.verify.invariants import state_fingerprint
 from repro.sorting.partition_sort import (
     partition_destinations,
     partition_destinations_reference,
@@ -225,6 +234,195 @@ class TestCandidatePairs:
         assert nf.needs_dedup
         big = LinkedCellNearField(np.array([9.0, 9.0, 9.0]), np.zeros(3), 1.0, 0.7)
         assert not big.needs_dedup
+
+
+# ------------------------------------------------- near-field pair kernels
+
+@st.composite
+def pair_problems(draw):
+    """``(tpos, spos, sq, ti, si, box, cutoff)`` with everything a pair list
+    can hold: unsorted and repeated targets, targets with no pair, an empty
+    list, no targets at all, self and coincident pairs, pairs at exactly the
+    cutoff, displacements beyond half the box on every axis."""
+    nt = draw(st.integers(0, 9))
+    ns = draw(st.integers(0, 12))
+    npairs = draw(st.integers(0, 70)) if nt and ns else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    edges = np.array([10.0, 7.5, 5.0])
+    tpos = rng.uniform(0.0, 1.0, (nt, 3)) * edges
+    spos = rng.uniform(0.0, 1.0, (ns, 3)) * edges
+    if draw(st.booleans()):
+        # quarter-lattice positions: coincident particles and displacements
+        # of exactly the cutoff are common, and their squares are exact
+        tpos = np.round(tpos * 4.0) / 4.0
+        spos = np.round(spos * 4.0) / 4.0
+    shared = min(nt, ns, draw(st.integers(0, 3)))
+    spos[:shared] = tpos[:shared]  # targets that are also sources
+    ti = rng.integers(0, max(nt, 1), npairs)
+    si = rng.integers(0, max(ns, 1), npairs)
+    sq = rng.uniform(-1.0, 1.0, ns)
+    box = draw(st.sampled_from([None, edges]))
+    cutoff = draw(st.sampled_from([0.75, 1.5, 2.5]))
+    return tpos, spos, sq, ti, si, box, cutoff
+
+
+def assert_same_sums(got, want):
+    """``(pot, field, count)`` bit for bit, layout included."""
+    for g, w in zip(got[:2], want[:2]):
+        assert_same_arrays(g, w)
+        assert g.flags.c_contiguous
+    assert type(got[2]) is int and got[2] == want[2]
+
+
+def lattice_run_problem(npairs):
+    """Sorted targets in runs of five pairs on a quarter lattice."""
+    rng = np.random.default_rng(npairs)
+    tpos = rng.integers(0, 40, (npairs // 5 + 1, 3)) / 4.0
+    spos = rng.integers(0, 40, (11, 3)) / 4.0
+    ti = np.arange(npairs) // 5
+    si = rng.integers(0, 11, npairs)
+    return tpos, spos, rng.uniform(-1.0, 1.0, 11), ti, si
+
+
+class TestPairKernels:
+    """``coulomb_pairs`` / ``erfc_pairs`` against the bodies they had before
+    the column-wise blocked core (``tests/near_field_oracles.py``)."""
+
+    @given(pair_problems(), st.sampled_from([1, 3, 16, pairs._BLOCK]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_coulomb_bitwise(self, problem, block, use_cutoff):
+        *args, box, cutoff = problem
+        cutoff = cutoff if use_cutoff else None
+        with mock.patch.object(pairs, "_BLOCK", block):
+            got = pairs.coulomb_pairs(*args, box=box, cutoff=cutoff)
+        assert_same_sums(got, near_field_oracles.coulomb_pairs(*args, box=box, cutoff=cutoff))
+
+    @given(pair_problems(), st.sampled_from([1, 3, 16, pairs._BLOCK]), st.floats(0.2, 1.5))
+    @settings(max_examples=150, deadline=None)
+    def test_erfc_bitwise(self, problem, block, alpha):
+        *args, box, cutoff = problem
+        with mock.patch.object(pairs, "_BLOCK", block):
+            got = pairs.erfc_pairs(*args, alpha, cutoff, box=box)
+        assert_same_sums(got, near_field_oracles.erfc_pairs(*args, alpha, cutoff, box=box))
+
+    @pytest.mark.parametrize("npairs", [7, 8, 9, 8 * 4 + 3])
+    @pytest.mark.parametrize("box", [None, np.array([10.0, 7.5, 5.0])])
+    def test_block_boundaries(self, npairs, box):
+        """One pair short of a block, exactly one, one over, and several
+        with every boundary inside one target's run of five pairs."""
+        args = lattice_run_problem(npairs)
+        with mock.patch.object(pairs, "_BLOCK", 8):
+            coulomb = pairs.coulomb_pairs(*args, box=box)
+            ewald = pairs.erfc_pairs(*args, 0.7, 2.5, box=box)
+        assert_same_sums(coulomb, near_field_oracles.coulomb_pairs(*args, box=box))
+        assert_same_sums(ewald, near_field_oracles.erfc_pairs(*args, 0.7, 2.5, box=box))
+
+    def test_cutoff_edge_and_zero_distance(self):
+        """A coincident pair is skipped, a pair at exactly ``r2 == rc**2``
+        is evaluated, one a hair beyond it is not."""
+        tpos = np.array([[1.0, 2.0, 3.0]])
+        spos = np.array([[1.0, 2.0, 3.0], [2.5, 2.0, 3.0], [2.5 + 2.0**-40, 2.0, 3.0]])
+        ti, si = np.zeros(3, dtype=np.int64), np.arange(3)
+        got = pairs.erfc_pairs(tpos, spos, np.ones(3), ti, si, 0.7, 1.5)
+        assert got[2] == 1
+        assert_same_sums(got, near_field_oracles.erfc_pairs(tpos, spos, np.ones(3), ti, si, 0.7, 1.5))
+
+    def test_no_targets(self):
+        empty = np.empty(0, dtype=np.int64)
+        args = (np.empty((0, 3)), np.ones((4, 3)), np.ones(4), empty, empty)
+        got = pairs.coulomb_pairs(*args)
+        assert got[0].shape == (0,) and got[1].shape == (0, 3) and got[2] == 0
+        assert_same_sums(got, near_field_oracles.coulomb_pairs(*args))
+
+
+class TestPairKernelArithmetic:
+    """The three facts the kernel's bits rest on."""
+
+    def test_row_sum_is_left_associated(self):
+        d = np.random.default_rng(0).normal(size=(100_000, 3))
+        dx, dy, dz = d.T
+        row_sum = (d * d).sum(axis=1)
+        assert np.array_equal(row_sum, (dx * dx + dy * dy) + dz * dz)
+        # ... and the other association is a different number somewhere
+        assert not np.array_equal(row_sum, dx * dx + (dy * dy + dz * dz))
+
+    def test_bincount_adds_like_add_at(self):
+        rng = np.random.default_rng(1)
+        ti = rng.integers(0, 37, 5000)  # unsorted, every target hit many times
+        w = rng.normal(size=5000) * 10.0 ** rng.integers(-8, 8, 5000)
+        scattered = np.zeros(40)
+        np.add.at(scattered, ti, w)
+        assert_same_arrays(np.bincount(ti, weights=w, minlength=40), scattered)
+
+    def test_minimum_image_is_per_axis(self):
+        rng = np.random.default_rng(2)
+        box = np.array([10.0, 7.5, 5.0])
+        d = rng.uniform(-1.0, 1.0, (5000, 3)) * box  # up to a whole box away
+        rows = d - np.round(d / box) * box
+        for axis in range(3):
+            col = np.ascontiguousarray(d[:, axis])
+            assert np.array_equal(col - np.round(col / box[axis]) * box[axis], rows[:, axis])
+
+
+class TestNearFieldMorton:
+    """One segment-table build for all 27 offsets against the per-offset
+    loop ``near_field_morton`` used to be."""
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("n_targets", [1, 300])
+    def test_bitwise(self, periodic, n_targets):
+        rng = np.random.default_rng(n_targets + periodic)
+        box = np.array([8.0, 8.0, 8.0])
+        tree = FMMTree(3, 2, box, np.zeros(3), periodic, build_operators=False)
+        # sources cover a corner of the grid only: some offsets find nothing
+        spos = rng.uniform(0.0, 5.0, (700, 3))
+        s_keys = tree.morton_keys(spos)
+        s_order = np.argsort(s_keys, kind="stable")
+        spos, s_keys = spos[s_order], s_keys[s_order]
+        # targets are the first sources (self pairs) in their sorted order
+        t_sel = np.sort(rng.choice(700, n_targets, replace=False))
+        args = (spos[t_sel], s_keys[t_sel], spos, rng.uniform(-1.0, 1.0, 700), s_keys)
+        assert_same_sums(
+            tree.near_field_morton(*args),
+            near_field_oracles.near_field_morton_loop(tree, *args),
+        )
+
+
+def _trajectory(solver, periodic):
+    """init + 2 force steps; everything the run leaves behind."""
+    system = make_system(512, 3)
+    config = SimulationConfig(
+        solver=solver, method="B", distribution="grid", seed=3, dynamics="force"
+    )
+    sim = Simulation(Machine(4), system, config)
+    sim.fcs.set_common(box=system.box, offset=system.offset, periodic=periodic)
+    sim.run(2)
+    return (
+        state_fingerprint(sim),
+        [c.hex() for c in sim.machine.clocks.tolist()],
+        sim.machine.trace.items(),
+    )
+
+
+@pytest.mark.parametrize(
+    "solver, periodic",
+    [("fmm", True), ("fmm", False), ("p2nfft", True), ("ewald", True)],
+)
+def test_trajectory_with_oracle_kernels(solver, periodic, rebind):
+    """Whole runs cannot tell the production kernels from the oracles."""
+    production = _trajectory(solver, periodic)
+    oracle_calls = []
+
+    def counted(oracle):
+        def kernel(*args, **kwargs):
+            oracle_calls.append(oracle.__name__)
+            return oracle(*args, **kwargs)
+        return kernel
+
+    rebind(pairs.coulomb_pairs, counted(near_field_oracles.coulomb_pairs))
+    rebind(pairs.erfc_pairs, counted(near_field_oracles.erfc_pairs))
+    assert _trajectory(solver, periodic) == production
+    assert set(oracle_calls) == {"coulomb_pairs" if solver == "fmm" else "erfc_pairs"}
 
 
 # ------------------------------------------------------------ resort plan

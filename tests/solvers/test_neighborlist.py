@@ -41,6 +41,25 @@ class TestCorrectness:
             np.testing.assert_allclose(f1, f2, rtol=1e-10)
         assert nl.reuses >= 3
 
+    def test_coincident_particles_stay_in_the_list(self, rng):
+        """Two *different* particles at one position when the list is built
+        are a pair like any other: they interact once they separate."""
+        box = np.full(3, 10.0)
+        pos = rng.uniform(0, 10.0, (50, 3))
+        q = rng.uniform(-1, 1, 50)
+        pos[1] = pos[0]
+        nl = VerletNeighborList(box, np.zeros(3), rc=2.0, alpha=0.8, skin=0.4)
+        lc = LinkedCellNearField(box, np.zeros(3), 2.0, 0.8)
+        _, _, built = nl.compute(pos, q)
+        assert built == lc.compute(pos, pos, q)[2]  # zero-distance: not evaluated
+        pos[1, 0] += 0.1
+        p1, f1, pairs = nl.compute(pos, q, max_move=0.1)
+        p2, f2, expected = lc.compute(pos, pos, q)
+        assert nl.reuses == 1
+        assert pairs == expected == built + 2
+        np.testing.assert_allclose(p1, p2, rtol=1e-12)
+        np.testing.assert_allclose(f1, f2, rtol=1e-12)
+
 
 class TestCachePolicy:
     def test_reuses_within_budget(self, system):

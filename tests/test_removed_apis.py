@@ -8,6 +8,7 @@ used to be a grep step of the ``obs-smoke`` CI job.
 """
 
 import importlib
+import inspect
 import pathlib
 import re
 
@@ -55,6 +56,9 @@ REMOVED = [
     ("repro.core.plan", "ResortPlan._compile_schedules"),
     ("repro.core.plan", "ResortPlan._compile_schedules_reference"),
     ("repro.core.plan", "_byte_rows"),
+    # the pair kernels are two radial functions over one core that
+    # accumulates with bincount (the old bodies: tests/near_field_oracles.py)
+    ("repro.solvers.common.pairs", "_accumulate"),
 ]
 
 
@@ -89,3 +93,11 @@ def test_removed_attribute_is_gone(module, attribute):
     for parent in parents:
         owner = getattr(owner, parent)
     assert not hasattr(owner, name), f"removed API present again: {module}.{attribute}"
+
+
+@pytest.mark.parametrize("kernel", ["coulomb_pairs", "erfc_pairs"])
+def test_pair_kernels_take_no_shift(kernel):
+    """``shift=`` (per-pair image shifts) never had a caller: both solvers
+    use ``box=`` minimum image."""
+    pairs = importlib.import_module("repro.solvers.common.pairs")
+    assert "shift" not in inspect.signature(getattr(pairs, kernel)).parameters
