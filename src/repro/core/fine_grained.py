@@ -94,35 +94,65 @@ def _check_same_columns(blocks: Sequence[ColumnBlock]) -> None:
                 )
 
 
+def _stable_order(key: np.ndarray, bound: int) -> Optional[np.ndarray]:
+    """The permutation that sorts ``key`` (int64, ``0 <= key < bound``)
+    stably, or ``None`` when ``key`` is in order already.
+
+    One comparison pass settles the common case: pairs listed rank by rank
+    towards rising targets — a sorted layout resorted in place, the paper's
+    method-B steady state — need no sort at all.  Otherwise the position of
+    every key is packed into its low bits and the packed *values* are sorted:
+    distinct values, so any sort is the stable one, at a fraction of the
+    cost of a stable ``argsort``.  Only keys too wide to leave room for the
+    positions in 63 bits take the ``argsort``.
+    """
+    if not np.any(key[1:] < key[:-1]):
+        return None
+    m = key.shape[0]
+    bits = (m - 1).bit_length()
+    if bound << bits > 1 << 63:
+        return np.argsort(key, kind="stable")
+    packed = key << bits
+    packed |= np.arange(m, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
+
+
 def exchange_route(row_offsets: np.ndarray, elements: np.ndarray, targets: np.ndarray) -> Exchange:
     """The route of a redistribution: an :class:`Exchange` without columns.
 
     ``row_offsets`` are the ``P + 1`` prefix sums of the per-rank row
-    counts, so global row ``elements[i]`` lives on the rank whose range
-    holds it and travels to rank ``targets[i]``.  All pairs are sorted once,
-    stably, by ``(source, target)``: equal keys are one message, in the
-    order the pairs were listed.  Binding column buffers over the same rows
-    (``dataclasses.replace(route, columns=...)``) makes it an exchange; a
-    route may be kept and bound any number of times.
+    counts, so global row ``elements[i]`` (a valid row) lives on the rank
+    whose range holds it and travels to rank ``targets[i]``.  All pairs are
+    ordered once, stably, by ``(source, target)``: equal keys are one
+    message, in the order the pairs were listed.  Binding column buffers
+    over the same rows (``dataclasses.replace(route, columns=...)``) makes
+    it an exchange; a route may be kept and bound any number of times.
+    Pairs listed in order already travel as listed: the route then holds
+    ``elements`` itself, not a copy.
 
     Raises before anything can be charged when a target is not a rank.
     """
     P = row_offsets.shape[0] - 1
-    sources = np.searchsorted(row_offsets, elements, side="right") - 1
+    rank_of_row = np.repeat(np.arange(P, dtype=np.int64), np.diff(row_offsets))
+    sources = np.take(rank_of_row, elements)
     if targets.size and (targets.min() < 0 or targets.max() >= P):
         bad = (targets < 0) | (targets >= P)
         raise ValueError(f"rank {int(sources[bad].min())}: target ranks out of range")
     key = sources
     key *= P
     key += targets
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    order = _stable_order(key, P * P)
+    if order is not None:
+        key = key[order]
+        elements = elements[order]
     first = np.ones(key.shape[0], dtype=bool)
     first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
     return Exchange(
         columns=(),
-        row_index=elements[order],
+        row_index=elements,
         msg_src=key[starts] // P,
         msg_dst=key[starts] % P,
         row_ptr=np.append(starts, key.shape[0]),

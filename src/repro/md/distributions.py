@@ -37,7 +37,7 @@ from repro.core.particles import ParticleSet
 from repro.md.systems import PAPER_BOX_EDGE, PAPER_N, ParticleSystem
 from repro.simmpi.cart import CartGrid
 
-__all__ = ["distribute", "clustered_system", "CLUSTERED_KINDS", "DISTRIBUTIONS"]
+__all__ = ["distribute", "rank_order", "clustered_system", "CLUSTERED_KINDS", "DISTRIBUTIONS"]
 
 DISTRIBUTIONS = ("single", "random", "grid")
 
@@ -124,6 +124,16 @@ def clustered_system(
     return ParticleSystem(pos=pos, q=q, vel=vel, box=box, offset=np.zeros(3))
 
 
+def rank_order(owner: np.ndarray, nprocs: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, cuts)``: the rows grouped by owning rank — stably, so every
+    rank keeps its rows in their original order — and where to cut them:
+    ``np.split(column[order], cuts)[r]`` is ``column[owner == r]`` without one
+    scan of ``owner`` per rank (``np.split(order, cuts)[r]`` the rows
+    themselves)."""
+    order = np.argsort(owner, kind="stable").astype(np.int64, copy=False)
+    return order, np.cumsum(np.bincount(owner, minlength=nprocs))[:-1]
+
+
 def distribute(
     system: ParticleSystem,
     nprocs: int,
@@ -148,9 +158,10 @@ def distribute(
     else:
         raise ValueError(f"unknown distribution {kind!r}; pick from {DISTRIBUTIONS}")
 
-    pos_r = [np.ascontiguousarray(system.pos[owner == r]) for r in range(nprocs)]
-    q_r = [np.ascontiguousarray(system.q[owner == r]) for r in range(nprocs)]
-    vel_r = [np.ascontiguousarray(system.vel[owner == r]) for r in range(nprocs)]
+    order, cuts = rank_order(owner, nprocs)
+    pos_r, q_r, vel_r = (
+        np.split(column[order], cuts) for column in (system.pos, system.q, system.vel)
+    )
     # the "single" distribution needs capacity for the whole system on rank
     # 0 and for a balanced share everywhere else
     if kind == "single":

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.balance import LOAD_BALANCE_MODES, ImbalanceMonitor
 from repro.core.handle import FCS, fcs_init
 from repro.core.particles import ParticleSet
-from repro.md.distributions import distribute
+from repro.md.distributions import distribute, rank_order
 from repro.md.integrator import accelerations, position_update, velocity_update
 from repro.md.observables import kinetic_energy, potential_energy
 from repro.md.systems import ParticleSystem
@@ -291,9 +291,7 @@ class Simulation:
             seed=cfg.seed,
             capacity_factor=cfg.capacity_factor,
         )
-        self.ids: List[np.ndarray] = [
-            np.flatnonzero(owner == r).astype(np.int64) for r in range(machine.nprocs)
-        ]
+        self.ids: List[np.ndarray] = np.split(*rank_order(owner, machine.nprocs))
         self.acc: List[np.ndarray] = [np.zeros_like(p) for p in self.particles.pos]
 
         self.fcs: FCS = fcs_init(cfg.solver, machine, **cfg.solver_kwargs)

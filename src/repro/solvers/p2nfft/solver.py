@@ -27,17 +27,16 @@ Execution of one ``fcs_run`` (Sect. II-C / III of the paper); steps 1-2 are
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import kernels
-from repro.core.fine_grained import fine_grained_redistribute
+from repro.core.fine_grained import block_offsets, exchange_route, redistribute_flat
 from repro.core.movement import p2nfft_prefers_neighborhood
 from repro.core.particles import ColumnBlock, ParticleSet
-from repro.core.resort import initial_numbering
+from repro.core.resort import initial_numbering, unpack_resort_index
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
 from repro.solvers.base import Solver
@@ -63,75 +62,120 @@ def _near_rank_task(near, tpos, spos, sq):
     return near.compute(tpos, spos, sq)
 
 
+def _cell_columns(grid: CartGrid, pos: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per axis, as contiguous columns: the cell coordinate of every position
+    (wrapped into the box) and the position within that cell, in [0, cell)."""
+    # a position a hair below the lower face wraps *onto* the box edge in
+    # floating point (``np.mod(-1e-18, L) == L``); the edge is the lower face
+    w = np.mod(pos - grid.offset, grid.box)
+    wrapped = grid.offset + np.where(w < grid.box, w, 0.0)
+    cells = grid.cell_of_positions(wrapped)
+    cell_k = [np.ascontiguousarray(cells[:, k]) for k in range(3)]
+    rel = [wrapped[:, k] - grid.offset[k] - cell_k[k] * grid.cell[k] for k in range(3)]
+    return cell_k, rel
+
+
 def ghost_distribution(
     grid: CartGrid,
     pos: np.ndarray,
     rc: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(element, target) pairs: owner plus ghost duplicates within ``rc``.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(elements, targets, owner)``: the (element, target) pairs of owner
+    plus ghost duplicates within ``rc``, and the owning rank of every element.
 
     The distribution function of the generalized fine-grained
     redistribution: each particle goes to the rank owning its position, and
     copies go to every rank whose subdomain lies within the cutoff radius
     (the ghost-creation rule of Sect. II-C).  Duplicate (element, target)
-    pairs arising from periodic wrap-around on small grids are removed.
+    pairs arising from periodic wrap-around on small grids are removed; the
+    pairs come sorted by ``(element, target)``.  ``owner`` is where this
+    function sends the one copy of each element that is not a ghost — the
+    only place a position is turned into an owning rank.
     """
     n = pos.shape[0]
     if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    box = grid.box
-    wrapped = grid.offset + np.mod(pos - grid.offset, box)
-    cells = grid.cell_of_positions(wrapped)
-    owner = grid.rank_of(cells)
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+    cell = grid.cell
+    # from here on one contiguous column per axis: the cell coordinate, the
+    # position within the cell and, the rank of a cell being a sum over the
+    # axes, the share of every coordinate along the axis in it
+    cell_k, rel = _cell_columns(grid, pos)
+    share = []
+    for k in range(3):
+        along = np.zeros((grid.dims[k], 3), dtype=np.int64)
+        along[:, k] = np.arange(grid.dims[k])
+        share.append(grid.rank_of(along))
+    owner = share[0][cell_k[0]] + share[1][cell_k[1]] + share[2][cell_k[2]]
+    ring = [max(int(np.ceil(rc / cell[k])), 1) for k in range(3)]
+    spans = [range(-ring[k], ring[k] + 1) for k in range(3)]
+    rc2 = rc * rc
+    # per axis and non-zero component: every row's squared distance to the
+    # subdomain that many cells away, and the rank difference the hop makes
+    # from each cell coordinate (periodic wrap included)
+    face2 = {}
+    hop = {}
+    for k in range(3):
+        for c in spans[k]:
+            if c > 0:
+                dk = (c - 1) * cell[k] + (cell[k] - rel[k])
+            elif c < 0:
+                dk = (-c - 1) * cell[k] + rel[k]
+            else:
+                continue
+            face2[k, c] = dk * dk
+            hop[k, c] = np.roll(share[k], -c) - share[k]
+
+    def within(k: int, c: int, rows, d2):
+        """``(rows, d2)`` one component further: of ``rows`` (``None``: all
+        rows, nothing measured yet) those still within the cutoff once the
+        subdomain lies ``c`` cells away along axis ``k`` too, and their
+        squared distances, summed in axis order."""
+        if c == 0:
+            return rows, d2
+        if rows is None:
+            near = np.flatnonzero(face2[k, c] < rc2)
+            return near, face2[k, c][near]
+        d2 = d2 + face2[k, c][rows]
+        near = np.flatnonzero(d2 < rc2)
+        return rows[near], d2[near]
+
+    # An offset is at least as far as its leading components, so each axis
+    # only looks at the rows the axes before it left within the cutoff; the
+    # sums run in axis order, so each comparison is bitwise the one a pass
+    # over all rows for that offset alone would make.
     elems = [np.arange(n, dtype=np.int64)]
     targets = [owner]
-    rel = wrapped - grid.offset - cells * grid.cell  # in [0, cell)
-    ring = np.maximum(np.ceil(rc / grid.cell).astype(np.int64), 1)
-    ranges = [range(-int(r), int(r) + 1) for r in ring]
-    rc2 = rc * rc
-
-    def face2(k: int, c: int, rows) -> np.ndarray:
-        """Squared distance of ``rows`` to the subdomain ``c`` cells away
-        along axis ``k``."""
-        if c > 0:
-            dk = (c - 1) * grid.cell[k] + (grid.cell[k] - rel[rows, k])
-        else:
-            dk = (-c - 1) * grid.cell[k] + rel[rows, k]
-        return dk * dk
-
-    # one pass over all rows per (axis, component): the rows it leaves within
-    # the cutoff.  An offset is at least as far as its first non-zero
-    # component, so its own pass only looks at those.
-    reach = {
-        (k, c): np.flatnonzero(face2(k, c, slice(None)) < rc2)
-        for k in range(3) for c in ranges[k] if c
-    }
-    for o in itertools.product(*ranges):
-        axes = [k for k in range(3) if o[k]]
-        if not axes:
+    for c0 in spans[0]:
+        rows0, d0 = within(0, c0, None, None)
+        if rows0 is not None and not rows0.size:
             continue
-        rows = reach[axes[0], o[axes[0]]]
-        # summed in axis order, so each comparison is bitwise the one a
-        # pass over all rows would make
-        d2 = face2(axes[0], o[axes[0]], rows)
-        for k in axes[1:]:
-            d2 += face2(k, o[k], rows)
-        rows = rows[d2 < rc2]
-        if not rows.size:
-            continue
-        nbr = grid.rank_of(cells[rows] + np.asarray(o, dtype=np.int64))
-        keep = nbr != owner[rows]
-        elems.append(rows[keep])
-        targets.append(nbr[keep])
-    e = np.concatenate(elems)
-    t = np.concatenate(targets)
-    # dedup on a packed 1-D key (much cheaper than a 2-column unique)
-    packed = e * np.int64(grid.nprocs) + t
+        for c1 in spans[1]:
+            rows1, d1 = within(1, c1, rows0, d0)
+            if rows1 is not None and not rows1.size:
+                continue
+            for c2 in spans[2]:
+                rows, _ = within(2, c2, rows1, d1)
+                if rows is None or not rows.size:  # None: the subdomain itself
+                    continue
+                mine = owner[rows]
+                target = mine.copy()
+                for k, c in enumerate((c0, c1, c2)):
+                    if c:
+                        target += hop[k, c][cell_k[k][rows]]
+                # unless the hops wrapped back onto the owner itself
+                ghost = np.flatnonzero(target != mine)
+                elems.append(rows[ghost])
+                targets.append(target[ghost])
+    # sort and dedup on a packed 1-D key (much cheaper than a 2-column unique)
+    bits = (grid.nprocs - 1).bit_length()
+    packed = np.concatenate(elems)
+    packed <<= bits
+    packed |= np.concatenate(targets)
     packed.sort()
     distinct = np.ones(packed.shape[0], dtype=bool)
     distinct[1:] = packed[1:] != packed[:-1]
     packed = packed[distinct]
-    return packed // np.int64(grid.nprocs), packed % np.int64(grid.nprocs)
+    return packed >> bits, packed & ((1 << bits) - 1), owner
 
 
 def charge_parallel_fft(machine: Machine, M: int, n_transforms: int, phase: str) -> None:
@@ -218,26 +262,30 @@ class GridSolver(Solver):
         machine.compute(kernels.KEY_GENERATION * old_counts, phase="keygen")
 
         # the distribution (owners + ghost duplicates) of all ranks in one
-        # pass over the rank-concatenated positions
-        distribution = ghost_distribution(
-            self.grid, np.concatenate([b["pos"] for b in blocks]), self.rc
+        # pass over the rank-concatenated positions; it is also the one
+        # decision who owns which particle
+        elements, targets, owner = ghost_distribution(
+            self.grid, np.concatenate(particles.pos), self.rc
         )
-        received = fine_grained_redistribute(
-            machine, blocks, distribution, phase="sort", comm=comm
+        offsets = block_offsets(blocks)
+        delivered, recv_offsets = redistribute_flat(
+            machine, blocks, exchange_route(offsets, elements, targets), phase="sort", comm=comm
         )
 
-        counts = np.asarray([b.n for b in received], dtype=np.int64)
-        received_pos = np.concatenate([b["pos"] for b in received])
-        own = np.flatnonzero(
-            self.grid.rank_of_positions(received_pos) == np.repeat(np.arange(P), counts)
+        # a copy knows the element it is a copy of from the origin it
+        # carries, and is the owned one iff it arrived at that element's owner
+        src, row = unpack_resort_index(delivered["index"])
+        arrived_at = np.repeat(np.arange(P, dtype=np.int64), np.diff(recv_offsets))
+        own = np.flatnonzero(owner[offsets[src] + row] == arrived_at)
+        owned = delivered.take(own)
+        cuts = np.searchsorted(own, recv_offsets).tolist()
+        bounds = recv_offsets.tolist()
+        return (
+            [owned.row_slice(cuts[r], cuts[r + 1]) for r in range(P)],
+            [delivered.row_slice(bounds[r], bounds[r + 1]) for r in range(P)],
+            comm,
+            f"grid+{comm}",
         )
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        cuts = np.searchsorted(own, offsets)
-        owned = [
-            block.take(own[cuts[r]:cuts[r + 1]] - offsets[r])
-            for r, block in enumerate(received)
-        ]
-        return owned, received, comm, f"grid+{comm}"
 
     def _near_field(self, owned, local_all, new_counts):
         """Linked-cell ``erfc(alpha r)/r`` sums of each rank's owned

@@ -56,14 +56,6 @@ def local_sort(
     return out
 
 
-def _control_payload(block: ColumnBlock, key: str) -> np.ndarray:
-    """(count, min key, max key) as a 3-element array (24-byte message)."""
-    keys = block[key]
-    if keys.shape[0] == 0:
-        return np.zeros(3, dtype=np.uint64)
-    return np.asarray([keys.shape[0], keys[0], keys[-1]], dtype=np.uint64)
-
-
 def merge_exchange_sort(
     machine: Machine,
     blocks: Sequence[ColumnBlock],
@@ -104,70 +96,85 @@ def merge_exchange_sort(
     if P == 1:
         return current, True
 
+    # Counts never change, so the distributed array is one flat block cut at
+    # fixed offsets and a comparator round is a handful of array operations
+    # over the rows of all its windows; only the two searches and the two
+    # message payloads of a window are still made pair by pair.
+    counts = np.asarray([b.n for b in current], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    start = offsets.tolist()
+    keys = np.concatenate([b[key] for b in current])
+    flat: Optional[ColumnBlock] = None  # every column; built by the first round that moves data
+    filled = np.flatnonzero(counts)
+    first, last = offsets[filled], offsets[filled + 1] - 1
+    control = np.zeros((P, 3), dtype=np.uint64)  # (count, min key, max key), 24 bytes a rank
+    control[:, 0] = counts
+
     for round_pairs in merge_exchange_rounds(P):
         # 1. control exchange: (count, min, max) both ways for every pair
-        controls = exchange_pairs(
-            machine,
-            [
-                (a, b, _control_payload(current[a], key), _control_payload(current[b], key))
-                for a, b in round_pairs
-            ],
-            phase,
+        control[filled, 1] = keys[first]
+        control[filled, 2] = keys[last]
+        received = exchange_pairs(
+            machine, [(a, b, control[a], control[b]) for a, b in round_pairs], phase
         )
-        # 2. decide which pairs actually overlap; windows are a suffix of a
-        #    (keys >= b.min) and a prefix of b (keys <= a.max), both
-        #    non-empty whenever the runs overlap
-        windows: List[Tuple[int, int, ColumnBlock, ColumnBlock, int, int]] = []
-        for a, b in round_pairs:
-            ctrl_b, ctrl_a = controls[(a, b)]  # received at a: b's control
-            count_a, _min_a, max_a = int(ctrl_a[0]), ctrl_a[1], ctrl_a[2]
-            count_b, min_b, _max_b = int(ctrl_b[0]), ctrl_b[1], ctrl_b[2]
-            if count_a == 0 or count_b == 0:
-                continue
-            if max_a <= min_b:
-                continue  # already ordered: no particle data moves
-            keys_a = current[a][key]
-            keys_b = current[b][key]
-            na_win = count_a - int(np.searchsorted(keys_a, min_b, side="left"))
-            nb_win = int(np.searchsorted(keys_b, max_a, side="right"))
-            wa = current[a].take(np.arange(count_a - na_win, count_a))
-            wb = current[b].take(np.arange(nb_win))
-            windows.append((a, b, wa, wb, na_win, nb_win))
-        if not windows:
+        # 2. decide which pairs actually overlap: both non-empty and
+        #    a.max > b.min; already ordered pairs move no particle data
+        got = np.concatenate([c for pair in round_pairs for c in received[pair]])
+        ctrl_b, ctrl_a = got.reshape(-1, 2, 3).transpose(1, 0, 2)  # received at a: b's control
+        overlap = (ctrl_a[:, 0] > 0) & (ctrl_b[:, 0] > 0) & (ctrl_a[:, 2] > ctrl_b[:, 1])
+        hits = np.flatnonzero(overlap).tolist()
+        if not hits:
             continue
-        # 3. window exchange (both directions overlap, one message each way)
-        exchanged = exchange_pairs(
-            machine,
-            [(a, b, wa.payload(), wb.payload()) for a, b, wa, wb, _, _ in windows],
-            phase,
-        )
-        # 4. each side merges its own window with the one it received and
-        #    keeps its share of the original counts: a the lowest na_win, b
-        #    the highest nb_win.  Both sides concatenate in (a-window,
-        #    b-window) order and sort stably, so they derive the same
-        #    permutation of the same combined window.
+        if flat is None:
+            flat = ColumnBlock.concat(current)
+            keys = flat[key]
+        columns = flat.payload()
+        # windows are a suffix of a (keys >= b.min) and a prefix of b
+        # (keys <= a.max), both non-empty whenever the runs overlap
+        exchanges = []
+        bounds: List[int] = []  # per window: a's start, a's end, b's start, b's end
         merge_cost = np.zeros(P, dtype=np.float64)
-        for a, b, wa, wb, na_win, nb_win in windows:
-            from_b, from_a = (
-                ColumnBlock(**dict(zip(wa.names(), payload))) for payload in exchanged[(a, b)]
+        for i in hits:
+            a, b = round_pairs[i]
+            end_a, start_b = start[a + 1], start[b]
+            na_win = end_a - start[a] - int(
+                np.searchsorted(keys[start[a]:end_a], ctrl_b[i, 1], side="left")
             )
-            at_a = ColumnBlock.concat([wa, from_b])
-            at_b = ColumnBlock.concat([from_a, wb])
-            low = at_a.take(np.argsort(at_a[key], kind="stable")[:na_win])
-            high = at_b.take(np.argsort(at_b[key], kind="stable")[na_win:])
-            n_keep_a = current[a].n - na_win
-            current[a] = ColumnBlock.concat(
-                [current[a].take(np.arange(n_keep_a)), low]
-            )
-            current[b] = ColumnBlock.concat(
-                [high, current[b].take(np.arange(nb_win, current[b].n))]
-            )
+            nb_win = int(np.searchsorted(keys[start_b:start[b + 1]], ctrl_a[i, 2], side="right"))
+            bounds += (end_a - na_win, end_a, start_b, start_b + nb_win)
+            exchanges.append((
+                a,
+                b,
+                tuple(c[end_a - na_win:end_a] for c in columns),
+                tuple(c[start_b:start_b + nb_win] for c in columns),
+            ))
             w = na_win + nb_win
             if w > 1:
-                merge_cost[a] += kernels.SORT_STEP * w * np.log2(w)
-                merge_cost[b] += kernels.SORT_STEP * w * np.log2(w)
+                merge_cost[a] = merge_cost[b] = kernels.SORT_STEP * w * np.log2(w)
+        # 3. window exchange (both directions overlap, one message each way)
+        exchanged = exchange_pairs(machine, exchanges, phase)
+        # 4. each side merges its own window with the one it received and
+        #    keeps its share of the original counts: a the lowest na_win, b
+        #    the highest nb_win.  Both sides sort the same combined window
+        #    (a-window, b-window) stably, so the merged rows of a window go
+        #    back, in order, to the very rows they came from — and one
+        #    stable (window, key) sort of the delivered rows of the whole
+        #    round is every pair's merge at once.
+        spans = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
+        sizes = spans[:, 1] - spans[:, 0]
+        total = int(sizes.sum())
+        rows = np.arange(total) + np.repeat(spans[:, 0] - (np.cumsum(sizes) - sizes), sizes)
+        window = np.repeat(np.arange(len(hits)), sizes.reshape(-1, 2).sum(axis=1))
+        # delivered in (a-window, b-window) order: what b received, then what a received
+        arrived = [exchanged[pair[:2]][side] for pair in exchanges for side in (1, 0)]
+        staged = [np.concatenate(pieces) for pieces in zip(*arrived)]
+        order = np.lexsort((staged[flat.names().index(key)], window))
+        for column, merged in zip(columns, staged):
+            column[rows] = np.take(merged, order, axis=0)
         machine.compute(merge_cost, phase)
 
+    if flat is not None:
+        current = [flat.row_slice(start[r], start[r + 1]) for r in range(P)]
     if not verify:
         return current, True
     return current, _verify_sorted(machine, current, key, phase)

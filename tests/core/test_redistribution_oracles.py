@@ -2,8 +2,8 @@
 
 ``tests/redistribution_oracles.py`` keeps the old bodies of
 ``fine_grained_redistribute``, ``ghost_distribution``, the FMM halo
-exchange, ``ResortPlan``, ``partition_sort`` and the three resort-index
-scatters; every property here runs both on the same input and demands the
+exchange, ``ResortPlan``, ``partition_sort``, the three resort-index
+scatters and the pair-by-pair ``merge_exchange_sort``; every property here runs both on the same input and demands the
 same delivered rows *in the same order* and the same charges: the clock
 vector bit for bit, every ``Trace`` row and the auditor's whole state.
 """
@@ -20,15 +20,18 @@ from redistribution_oracles import (
     ResortPlanLoop,
     apply_resort_loop,
     assert_same_arrays,
+    exchange_route_argsort,
     fine_grained_redistribute_loop,
     ghost_distribution_loop,
+    ghost_distribution_rows,
     halo_exchange_loop,
     invert_indices_loop,
+    merge_exchange_sort_pairwise,
     observed,
     partition_sort_loop,
     restore_results_loop,
 )
-from repro.core.fine_grained import fine_grained_redistribute
+from repro.core.fine_grained import _stable_order, exchange_route, fine_grained_redistribute
 from repro.core.handle import fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet
 from repro.core.plan import ResortPlan
@@ -37,6 +40,7 @@ from repro.core.restore import restore_results
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
 from repro.solvers.p2nfft.solver import ghost_distribution
+from repro.sorting.merge_sort import merge_exchange_sort
 from repro.sorting.partition_sort import partition_sort
 from repro.verify.audit import enable_auditing
 from repro.verify.strategies import multiplicity_maps
@@ -161,6 +165,95 @@ class TestFineGrainedAgainstLoop:
         np.testing.assert_array_equal(out[1]["ident"], [2, 0, 2])
 
 
+ROUTE_FIELDS = ("row_index", "msg_src", "msg_dst", "row_ptr")
+PAIR_ORDERS = ["sorted", "reversed", "random", "by_target"]
+
+
+def route_pairs(nprocs, n, m, order, seed):
+    """``m`` (element, target) pairs over ``n`` rows on ``nprocs`` ranks
+    (``rank_counts`` leaves ranks empty), drawn with replacement so pairs
+    repeat, listed in the given order of ``(source, target)``."""
+    rng = np.random.default_rng(seed)
+    offsets = np.concatenate(([0], np.cumsum(rank_counts(n, nprocs, seed)))).astype(np.int64)
+    elements = rng.integers(0, n, m if n else 0)
+    targets = rng.integers(0, nprocs, elements.size)
+    key = (np.searchsorted(offsets, elements, side="right") - 1) * nprocs + targets
+    if order == "by_target":
+        key = targets
+    if order != "random":
+        by = np.argsort(key, kind="stable")
+        if order == "reversed":
+            by = by[::-1]
+        elements, targets = elements[by], targets[by]
+    return offsets, elements, targets
+
+
+class TestExchangeRouteAgainstArgsort:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(0, 50),
+        st.integers(0, 120),
+        st.sampled_from(PAIR_ORDERS),
+        st.integers(0, 2**16),
+    )
+    def test_same_route(self, nprocs, n, m, order, seed):
+        """Sorted pairs (no sort at all), reversed and random ones (the packed
+        value sort), repeated pairs, empty ranks, zero pairs: field for field
+        the route of the stable ``argsort``."""
+        offsets, elements, targets = route_pairs(nprocs, n, m, order, seed)
+        got = exchange_route(offsets, elements, targets)
+        want = exchange_route_argsort(offsets, elements, targets)
+        assert_same_arrays(
+            [getattr(got, f) for f in ROUTE_FIELDS], [getattr(want, f) for f in ROUTE_FIELDS]
+        )
+        dataclasses.replace(got, columns=(np.zeros(n),)).validate(nprocs)
+        if order == "sorted":
+            assert got.row_index is elements  # listed in order: travels as listed
+
+    @pytest.mark.parametrize("order", PAIR_ORDERS)
+    def test_bad_target_names_the_lowest_sending_rank(self, order):
+        offsets, elements, targets = route_pairs(5, 30, 40, order, 3)
+        targets[[7, 21]] = (5, -1)
+        with pytest.raises(ValueError) as want:
+            exchange_route_argsort(offsets, elements, targets)
+        with pytest.raises(ValueError, match="target ranks out of range") as got:
+            exchange_route(offsets, elements, targets)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 200),
+        st.sampled_from([1, 3, 1000, 2**40]),
+        st.sampled_from([None, 1 << 62]),
+        st.integers(0, 2**16),
+    )
+    def test_stable_order(self, m, key_range, bound, seed):
+        """The packed value sort and the 63-bit fallback (keys declared too
+        wide to leave room for the positions) give the stable permutation;
+        keys in order give ``None``."""
+        key = np.random.default_rng(seed).integers(0, key_range, m)
+        want = np.argsort(key, kind="stable")
+        got = _stable_order(key.copy(), key_range if bound is None else bound)
+        if np.array_equal(want, np.arange(m)):
+            assert got is None
+        else:
+            assert_same_arrays([got], [want])
+
+    def test_keys_too_wide_to_pack_take_the_argsort(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda *args, **kwargs: calls.append(kwargs) or argsort(*args, **kwargs)
+        )
+        key = np.array([5, 1, 5, 0, 1], dtype=np.int64) << 57
+        # 3 position bits under keys below 2**60 fill 63 bits exactly; one more does not fit
+        np.testing.assert_array_equal(_stable_order(key, 1 << 60), [3, 1, 4, 0, 2])
+        assert calls == []
+        np.testing.assert_array_equal(_stable_order(key, (1 << 60) + 1), [3, 1, 4, 0, 2])
+        assert calls == [{"kind": "stable"}]
+
+
 GRIDS = st.sampled_from(
     [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 3), (5, 1, 2)]
 )
@@ -177,32 +270,58 @@ def on_faces(pos, grid, rng):
     return pos
 
 
+def hair_outside(pos, grid, rng):
+    """Move a few positions a hair below the lower box face (``np.mod``
+    rounds them *onto* the upper edge) and exactly onto either edge."""
+    pos = pos.copy()
+    n = pos.shape[0]
+    rows = np.flatnonzero(rng.random(n) < 0.25)
+    axis = rng.integers(0, 3, rows.size)
+    kind = rng.integers(0, 3, rows.size)
+    lower = grid.offset[axis]
+    pos[rows, axis] = np.choose(
+        kind, [np.nextafter(lower, -np.inf), lower, lower + grid.box[axis]]
+    )
+    return pos
+
+
 class TestGhostDistributionAgainstLoop:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         GRIDS,
         st.integers(0, 60),
-        st.floats(0.02, 1.6),
+        st.floats(0.02, 2.3),
+        st.sampled_from(["inside", "faces", "hair"]),
         st.booleans(),
         st.integers(0, 2**16),
     )
-    def test_same_pairs(self, dims, n, rc_in_cells, faces, seed):
+    def test_same_pairs(self, dims, n, rc_in_cells, special, shifted, seed):
         """Small dims wrap two offsets onto one rank (the dedup case),
-        ``rc`` above one cell reaches the second ring."""
+        ``rc`` above one or two cells reaches the second and third ring;
+        positions lie outside the box, on subdomain faces, and a hair below
+        the lower box face."""
         rng = np.random.default_rng(seed)
         box = np.array([7.0, 5.0, 6.0])
-        offset = np.array([-1.0, 0.5, 2.0])
+        offset = np.array([-1.0, 0.5, 2.0]) if shifted else np.zeros(3)
         grid = CartGrid(int(np.prod(dims)), box, offset, dims=dims)
         rc = rc_in_cells * float(grid.cell.min())
         # a few positions outside the box: they wrap
         pos = offset + (rng.random((n, 3)) * 1.2 - 0.1) * box
-        if faces:
+        if special == "faces":
             pos = on_faces(pos, grid, rng)
-        got = ghost_distribution(grid, pos, rc)
-        want = ghost_distribution_loop(grid, pos, rc)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
+        elif special == "hair":
+            pos = hair_outside(pos, grid, rng)
+        elements, targets, owner = ghost_distribution(grid, pos, rc)
+        for oracle in (ghost_distribution_rows, ghost_distribution_loop):
+            assert_same_arrays([elements, targets], oracle(grid, pos, rc))
+        # the owner it hands back is the one non-ghost target of every element
+        assert owner.dtype == np.int64 and owner.shape == (n,)
+        w = np.mod(pos - offset, box)
+        np.testing.assert_array_equal(
+            owner, grid.rank_of_positions(offset + np.where(w < box, w, 0.0))
+        )
+        owned = elements[targets == owner[elements]]
+        np.testing.assert_array_equal(np.bincount(owned, minlength=n), 1)
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 1), (4, 3, 2)])
     @pytest.mark.parametrize("rc_in_cells", [0.3, 1.0, 1.4])
@@ -230,7 +349,7 @@ class TestGhostDistributionAgainstLoop:
                 d2 = np.minimum(d2, (gap * gap).sum(axis=1))
             for i in np.flatnonzero((d2 < rc * rc) | (owner == rank)):
                 expected.add((int(i), rank))
-        elems, targets = ghost_distribution(grid, pos, rc)
+        elems, targets, _owner = ghost_distribution(grid, pos, rc)
         got = set(zip(elems.tolist(), targets.tolist()))
         # exactly on a face the brute force and the rule may round the face
         # distance differently: everything the rule sends is expected, and
@@ -494,3 +613,60 @@ class TestPartitionSortAgainstLoop:
         assert_same_blocks(got, want)
         assert observed(machine) == observed(want_machine)
 
+
+
+# ------------------------------------------------------ merge-exchange sort
+
+def merge_input(counts, seed, key_range, shape):
+    """``keyed_blocks`` in the order the merge network meets in practice:
+    ``random``, globally ``sorted`` (no window, no data moves) or ``almost``
+    sorted (the method-B steady state: a few rows a little out of place)."""
+    blocks = keyed_blocks(counts, seed, key_range)
+    if shape == "random":
+        return blocks
+    flat = ColumnBlock.concat(blocks) if blocks else None
+    keys = np.sort(flat["key"])
+    if shape == "almost" and keys.shape[0]:
+        rng = np.random.default_rng(seed + 7)
+        moved = rng.integers(0, keys.shape[0], max(1, keys.shape[0] // 8))
+        keys[moved] += rng.integers(0, max(2, key_range // 4), moved.shape[0]).astype(np.uint64)
+    flat["key"] = keys
+    cuts = np.concatenate(([0], np.cumsum(counts)))
+    return [flat.row_slice(lo, hi).copy() for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+class TestMergeExchangeSortAgainstPairwise:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(1, 9),
+        st.integers(0, 120),
+        st.integers(0, 2**16),
+        st.sampled_from([3, 1000]),
+        st.sampled_from(["random", "sorted", "almost"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_same_blocks_flag_and_charges(
+        self, nprocs, n, seed, key_range, shape, presorted, verify
+    ):
+        counts = rank_counts(n, nprocs, seed)
+
+        def blocks():
+            made = merge_input(counts, seed, key_range, shape)
+            if presorted:  # the caller's promise: every block locally sorted
+                made = [b.take(np.argsort(b["key"], kind="stable")) for b in made]
+            return made
+
+        want_machine, machine = audited(nprocs), audited(nprocs)
+        want, want_ok = merge_exchange_sort_pairwise(
+            want_machine, blocks(), "key", "sort", presorted=presorted, verify=verify
+        )
+        given_blocks = blocks()
+        got, ok = merge_exchange_sort(
+            machine, given_blocks, "key", "sort", presorted=presorted, verify=verify
+        )
+        assert ok == want_ok
+        assert_same_blocks(got, want)
+        assert observed(machine) == observed(want_machine)
+        # the rounds write into the sort's own flat copy, never the caller's rows
+        assert_same_blocks(given_blocks, blocks())

@@ -12,6 +12,7 @@ one composite-key sort, one place that builds an ``Exchange``.
 """
 
 import ast
+import gc
 import inspect
 import pathlib
 
@@ -23,7 +24,11 @@ from repro.core import fine_grained, resort
 from repro.core.handle import fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet
 from repro.simmpi import collectives
+from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
+from repro.solvers.p2nfft.solver import GridSolver
+from repro.sorting.batcher import comparator_count
+from repro.sorting.merge_sort import merge_exchange_sort
 from repro.zorder import morton
 
 N = 32768
@@ -81,13 +86,14 @@ def test_p2nfft_step_is_linear_in_ranks(work):
     assert report.changed
     assert machine.trace.totals().messages > 300 * P
     # _place: P input blocks, the concatenation, the delivered buffer, P
-    # views of it, P owned blocks; invert_indices: P blocks, concatenation,
-    # delivered buffer, its index-free view, the placed buffer
-    assert work["ColumnBlock"] <= 4 * P + 6
+    # views of it, the owned rows, P views of them; invert_indices: P blocks,
+    # concatenation, delivered buffer, its index-free view, the placed buffer
+    assert work["ColumnBlock"] <= 4 * P + 7
     assert work["payload_nbytes"] == 0
     assert work["morton_encode3"] == 0
-    # invert_indices: the targets before the exchange, the slots after it
-    assert work["unpack_resort_index"] == 2
+    # _place: the origin every delivered copy carries; invert_indices: the
+    # targets before the exchange, the slots after it
+    assert work["unpack_resort_index"] == 3
     assert work["inverse_permutation"] == 0
 
     # fcs.resort of three columns: one compile, then pure data movement
@@ -122,6 +128,104 @@ def test_fmm_step_is_linear_in_ranks(work):
     assert work["morton_encode3"] <= P + 1
     assert work["unpack_resort_index"] == 2
     assert work["inverse_permutation"] == 0
+
+
+def test_merge_exchange_round_is_array_work(work):
+    """The merges of a comparator round are one sort and one scatter per
+    column over the rows of all its windows: the sort builds P locally sorted
+    blocks, one flat copy and P views of it however many pairs overlap (pair
+    by pair it built a dozen blocks per window)."""
+    P, per = 64, 64
+    rng = np.random.default_rng(2)
+    keys = rng.integers(0, 10**6, P * per).astype(np.uint64)
+    blocks = [
+        ColumnBlock(key=keys[r * per:(r + 1) * per], vec=rng.random((per, 3))) for r in range(P)
+    ]
+    machine = Machine(P)
+    for name in work:
+        work[name] = 0
+    _sorted, ok = merge_exchange_sort(machine, blocks, "key", "sort")
+    assert ok
+    # two control messages per comparator, two more wherever a window moved
+    assert machine.trace.get("sort").messages > 3 * comparator_count(P)
+    assert work["ColumnBlock"] == 2 * P + 1
+
+
+@pytest.mark.parametrize("solver", ["p2nfft", "ewald"])
+def test_grid_placement_decides_ownership_once(solver, monkeypatch, rebind):
+    """One ``fcs_run`` of a grid solver turns n positions into cells — not
+    the n + delivered (ghosts included, 11.5 n at P = 512) it took to
+    re-derive ownership from every delivered row —, cuts the owned blocks
+    out of one gather whatever P is, and never reaches a stable ``argsort``
+    from the route builder."""
+    seen = {"cell_rows": [], "takes": 0, "place_takes": [], "route_depth": 0, "argsorts": 0}
+
+    cell_of_positions = CartGrid.cell_of_positions
+    monkeypatch.setattr(
+        CartGrid, "cell_of_positions",
+        lambda self, pos: seen["cell_rows"].append(len(pos)) or cell_of_positions(self, pos),
+    )
+
+    take = ColumnBlock.take
+
+    def counted_take(self, idx):
+        seen["takes"] += 1
+        return take(self, idx)
+
+    monkeypatch.setattr(ColumnBlock, "take", counted_take)
+    place = GridSolver._place
+
+    def counted_place(self, *args):
+        before = seen["takes"]
+        try:
+            return place(self, *args)
+        finally:
+            seen["place_takes"].append(seen["takes"] - before)
+
+    monkeypatch.setattr(GridSolver, "_place", counted_place)
+
+    exchange_route = fine_grained.exchange_route
+
+    def entered_route(*args):
+        seen["route_depth"] += 1
+        try:
+            return exchange_route(*args)
+        finally:
+            seen["route_depth"] -= 1
+
+    rebind(exchange_route, entered_route)
+    argsort = np.argsort
+
+    def counted_argsort(*args, **kwargs):
+        seen["argsorts"] += seen["route_depth"]
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted_argsort)
+
+    for P in (8, 64):
+        machine, fcs, particles = _one_step(solver, P)
+        seen.update(cell_rows=[], place_takes=[])
+        report = fcs.run(particles)
+        assert report.changed
+        assert machine.trace.totals().messages > 10 * P
+        assert seen["cell_rows"] == [N]
+        assert seen["place_takes"] == [1]
+        fcs.resort([[np.zeros((c, 3)) for c in report.old_counts]])
+    assert seen["argsorts"] == 0
+
+
+def test_grid_placement_leaves_nothing_to_the_cycle_collector():
+    """Its n-row work columns go when ``_place`` returns, not at the next
+    collection: a recursive closure over them once kept ~45 MB per call
+    alive on ``payload_p16`` (``peak_rss_mb`` +16 %)."""
+    machine, fcs, particles = _one_step("p2nfft", 8)
+    gc.collect()
+    gc.disable()
+    try:
+        fcs.solver._place(particles, None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fine_grained_has_no_loop_over_messages():
@@ -178,9 +282,12 @@ def _times_p(node):
 
 
 def test_one_composite_key_sort():
-    """Exactly one function under ``core`` and ``sorting`` argsorts a
-    ``src * P + dst`` key: the route builder."""
-    sorters = []
+    """Exactly one function under ``core`` and ``sorting`` orders rows by a
+    ``src * P + dst`` key: the route builder.  It is also the only caller of
+    the packed value sort — ``local_sort``, the Batcher merges and the
+    partition sort's key sort see sorted keys in the steady state, where the
+    stable ``argsort`` (timsort) is the faster one."""
+    sorters, packers = [], []
     for path in sorted((SRC / "core").glob("*.py")) + sorted((SRC / "sorting").glob("*.py")):
         for fn in _functions(path):
             keys = set()
@@ -191,10 +298,16 @@ def test_one_composite_key_sort():
                 elif isinstance(n, ast.Assign) and _times_p(n.value):
                     keys.update(ast.unparse(t) for t in n.targets)
             for n in ast.walk(fn):
-                if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "argsort":
+                if not isinstance(n, ast.Call):
+                    continue
+                name = getattr(n.func, "attr", getattr(n.func, "id", None))
+                if name == "_stable_order":
+                    packers.append(f"{path.name}:{fn.name}")
+                if name in ("argsort", "_stable_order"):
                     if ast.unparse(n.args[0]) in keys or _times_p(n.args[0]):
                         sorters.append(f"{path.name}:{fn.name}")
     assert sorters == ["fine_grained.py:exchange_route"]
+    assert packers == ["fine_grained.py:exchange_route"]
 
 
 def test_exchange_is_built_in_one_place():

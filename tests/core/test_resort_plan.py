@@ -167,6 +167,26 @@ class TestPlanCache:
         if not np.array_equal(changed[nonempty], indices[nonempty]):
             assert not plan.matches(changed)
 
+    def test_stored_route_does_not_alias_caller_arrays(self):
+        """Rows that stay where they are list their pairs in ``(source,
+        target)`` order, so the route keeps the very row numbering it was
+        built from — which must be the plan's own array, not one the caller
+        can still write."""
+        old_counts = [4, 0, 5]
+        indices = [
+            pack_resort_index(np.full(c, r), np.arange(c)) for r, c in enumerate(old_counts)
+        ]
+        plan = ResortPlan(Machine(3), indices, old_counts, old_counts)
+        data = [np.arange(c, dtype=np.float64) + 10 * r for r, c in enumerate(old_counts)]
+        (before,) = plan.execute([data])
+        for idx in indices:
+            assert not np.shares_memory(plan._route.row_index, idx)
+            idx[:] = 0
+        (after,) = plan.execute([data])
+        for b, a, d in zip(before, after, data):
+            np.testing.assert_array_equal(b, d)
+            np.testing.assert_array_equal(a, d)
+
     def test_fcs_caches_across_calls_and_steps(self, small_system):
         machine = Machine(4)
         pset, _ = random_particle_set(small_system, 4, seed=2)

@@ -7,8 +7,13 @@ full pass per neighbor offset, one key loop per rank), and the bodies
 ``ResortPlan`` (schedule compile, byte-record execute), ``partition_sort``
 (split, exchange, merge) and the three resort-index scatters
 (``invert_indices``, ``apply_resort``, ``restore_results``) had before they
-became callers of that one exchange, moved here verbatim.
-They run on the ``list[dict]`` form of ``alltoallv``; the property tests in
+became callers of that one exchange, moved here verbatim — and, one step
+later, the row-array ``ghost_distribution`` and the always-``argsort``
+``exchange_route`` the grid placement ran on before it decided ownership
+once (:func:`ghost_distribution_rows`, :func:`exchange_route_argsort`), and
+the ``merge_exchange_sort`` that merged every overlapping pair of a comparator
+round on its own (:func:`merge_exchange_sort_pairwise`).
+The loops run on the ``list[dict]`` form of ``alltoallv``; the property tests in
 ``tests/core/test_redistribution_oracles.py`` hold the production code to
 them row for row and charge for charge (:func:`observed` is what "charge"
 means there).  Nothing under ``src/`` imports this module.
@@ -30,9 +35,11 @@ from repro.core.plan import COMPILE_PHASE, ResortPlanStats
 from repro.core.resort import initial_numbering, inverse_permutation, unpack_resort_index
 from repro.obs.spans import machine_span
 from repro.simmpi.cart import CartGrid
-from repro.simmpi.collectives import alltoallv, neighborhood_alltoallv
+from repro.simmpi.collectives import Exchange, alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
-from repro.sorting.merge_sort import local_sort
+from repro.simmpi.p2p import exchange_pairs
+from repro.sorting.batcher import merge_exchange_rounds
+from repro.sorting.merge_sort import _verify_sorted, local_sort
 from repro.sorting.partition_sort import (
     partition_destinations,
     select_splitters,
@@ -170,12 +177,15 @@ def ghost_distribution_loop(
     copies go to every rank whose subdomain lies within the cutoff radius
     (the ghost-creation rule of Sect. II-C).  Duplicate (element, target)
     pairs arising from periodic wrap-around on small grids are removed.
+    (The body of two rewrites ago; like :func:`ghost_distribution_rows` it
+    has gained the wrap rule, and nothing else.)
     """
     n = pos.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     box = grid.box
-    wrapped = grid.offset + np.mod(pos - grid.offset, box)
+    w = np.mod(pos - grid.offset, box)
+    wrapped = grid.offset + np.where(w < box, w, 0.0)
     cells = grid.cell_of_positions(wrapped)
     owner = grid.rank_of(cells)
     elems = [np.arange(n, dtype=np.int64)]
@@ -208,6 +218,102 @@ def ghost_distribution_loop(
     packed = e * np.int64(grid.nprocs) + t
     packed = np.unique(packed)
     return packed // np.int64(grid.nprocs), packed % np.int64(grid.nprocs)
+
+
+def ghost_distribution_rows(
+    grid: CartGrid,
+    pos: np.ndarray,
+    rc: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``ghost_distribution`` as it was on ``(n, 3)`` row arrays — one
+    ``reach`` pass per (axis, component), one ``(k, 3)`` gather and ``%`` per
+    offset — with the one-line wrap rule added (a wrap result equal to the
+    box edge is the lower face)."""
+    n = pos.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    box = grid.box
+    w = np.mod(pos - grid.offset, box)
+    wrapped = grid.offset + np.where(w < box, w, 0.0)
+    cells = grid.cell_of_positions(wrapped)
+    owner = grid.rank_of(cells)
+    elems = [np.arange(n, dtype=np.int64)]
+    targets = [owner]
+    rel = wrapped - grid.offset - cells * grid.cell  # in [0, cell)
+    ring = np.maximum(np.ceil(rc / grid.cell).astype(np.int64), 1)
+    ranges = [range(-int(r), int(r) + 1) for r in ring]
+    rc2 = rc * rc
+
+    def face2(k: int, c: int, rows) -> np.ndarray:
+        """Squared distance of ``rows`` to the subdomain ``c`` cells away
+        along axis ``k``."""
+        if c > 0:
+            dk = (c - 1) * grid.cell[k] + (grid.cell[k] - rel[rows, k])
+        else:
+            dk = (-c - 1) * grid.cell[k] + rel[rows, k]
+        return dk * dk
+
+    # one pass over all rows per (axis, component): the rows it leaves within
+    # the cutoff.  An offset is at least as far as its first non-zero
+    # component, so its own pass only looks at those.
+    reach = {
+        (k, c): np.flatnonzero(face2(k, c, slice(None)) < rc2)
+        for k in range(3) for c in ranges[k] if c
+    }
+    for o in itertools.product(*ranges):
+        axes = [k for k in range(3) if o[k]]
+        if not axes:
+            continue
+        rows = reach[axes[0], o[axes[0]]]
+        # summed in axis order, so each comparison is bitwise the one a
+        # pass over all rows would make
+        d2 = face2(axes[0], o[axes[0]], rows)
+        for k in axes[1:]:
+            d2 += face2(k, o[k], rows)
+        rows = rows[d2 < rc2]
+        if not rows.size:
+            continue
+        nbr = grid.rank_of(cells[rows] + np.asarray(o, dtype=np.int64))
+        keep = nbr != owner[rows]
+        elems.append(rows[keep])
+        targets.append(nbr[keep])
+    e = np.concatenate(elems)
+    t = np.concatenate(targets)
+    # dedup on a packed 1-D key (much cheaper than a 2-column unique)
+    packed = e * np.int64(grid.nprocs) + t
+    packed.sort()
+    distinct = np.ones(packed.shape[0], dtype=bool)
+    distinct[1:] = packed[1:] != packed[:-1]
+    packed = packed[distinct]
+    return packed // np.int64(grid.nprocs), packed % np.int64(grid.nprocs)
+
+
+def exchange_route_argsort(
+    row_offsets: np.ndarray, elements: np.ndarray, targets: np.ndarray
+) -> Exchange:
+    """``exchange_route`` as it was: a ``searchsorted`` per pair for the
+    source rank, then one stable ``argsort`` of the ``src * P + dst`` key and
+    two gathers, whatever order the pairs come in."""
+    P = row_offsets.shape[0] - 1
+    sources = np.searchsorted(row_offsets, elements, side="right") - 1
+    if targets.size and (targets.min() < 0 or targets.max() >= P):
+        bad = (targets < 0) | (targets >= P)
+        raise ValueError(f"rank {int(sources[bad].min())}: target ranks out of range")
+    key = sources
+    key *= P
+    key += targets
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.shape[0], dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    return Exchange(
+        columns=(),
+        row_index=elements[order],
+        msg_src=key[starts] // P,
+        msg_dst=key[starts] % P,
+        row_ptr=np.append(starts, key.shape[0]),
+    )
 
 
 
@@ -490,6 +596,102 @@ def partition_sort_loop(
             merge_cost[dst] = kernels.SORT_STEP * merged.n * np.log2(max(len(received), 2))
     machine.compute(merge_cost, phase)
     return out
+
+
+def _control_payload(block: ColumnBlock, key: str) -> np.ndarray:
+    """(count, min key, max key) as a 3-element array (24-byte message)."""
+    keys = block[key]
+    if keys.shape[0] == 0:
+        return np.zeros(3, dtype=np.uint64)
+    return np.asarray([keys.shape[0], keys[0], keys[-1]], dtype=np.uint64)
+
+
+def merge_exchange_sort_pairwise(
+    machine: Machine,
+    blocks: Sequence[ColumnBlock],
+    key: str,
+    phase: Optional[str] = None,
+    *,
+    presorted: bool = False,
+    verify: bool = True,
+) -> Tuple[List[ColumnBlock], bool]:
+    """``merge_exchange_sort`` with one control payload per rank and round
+    and, per overlapping pair, its own windows, concats, argsorts and block
+    rebuilds."""
+    if len(blocks) != machine.nprocs:
+        raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
+    current = list(blocks) if presorted else local_sort(machine, blocks, key, phase)
+    P = machine.nprocs
+    if P == 1:
+        return current, True
+
+    for round_pairs in merge_exchange_rounds(P):
+        # 1. control exchange: (count, min, max) both ways for every pair
+        controls = exchange_pairs(
+            machine,
+            [
+                (a, b, _control_payload(current[a], key), _control_payload(current[b], key))
+                for a, b in round_pairs
+            ],
+            phase,
+        )
+        # 2. decide which pairs actually overlap; windows are a suffix of a
+        #    (keys >= b.min) and a prefix of b (keys <= a.max), both
+        #    non-empty whenever the runs overlap
+        windows: List[Tuple[int, int, ColumnBlock, ColumnBlock, int, int]] = []
+        for a, b in round_pairs:
+            ctrl_b, ctrl_a = controls[(a, b)]  # received at a: b's control
+            count_a, _min_a, max_a = int(ctrl_a[0]), ctrl_a[1], ctrl_a[2]
+            count_b, min_b, _max_b = int(ctrl_b[0]), ctrl_b[1], ctrl_b[2]
+            if count_a == 0 or count_b == 0:
+                continue
+            if max_a <= min_b:
+                continue  # already ordered: no particle data moves
+            keys_a = current[a][key]
+            keys_b = current[b][key]
+            na_win = count_a - int(np.searchsorted(keys_a, min_b, side="left"))
+            nb_win = int(np.searchsorted(keys_b, max_a, side="right"))
+            wa = current[a].take(np.arange(count_a - na_win, count_a))
+            wb = current[b].take(np.arange(nb_win))
+            windows.append((a, b, wa, wb, na_win, nb_win))
+        if not windows:
+            continue
+        # 3. window exchange (both directions overlap, one message each way)
+        exchanged = exchange_pairs(
+            machine,
+            [(a, b, wa.payload(), wb.payload()) for a, b, wa, wb, _, _ in windows],
+            phase,
+        )
+        # 4. each side merges its own window with the one it received and
+        #    keeps its share of the original counts: a the lowest na_win, b
+        #    the highest nb_win.  Both sides concatenate in (a-window,
+        #    b-window) order and sort stably, so they derive the same
+        #    permutation of the same combined window.
+        merge_cost = np.zeros(P, dtype=np.float64)
+        for a, b, wa, wb, na_win, nb_win in windows:
+            from_b, from_a = (
+                ColumnBlock(**dict(zip(wa.names(), payload))) for payload in exchanged[(a, b)]
+            )
+            at_a = ColumnBlock.concat([wa, from_b])
+            at_b = ColumnBlock.concat([from_a, wb])
+            low = at_a.take(np.argsort(at_a[key], kind="stable")[:na_win])
+            high = at_b.take(np.argsort(at_b[key], kind="stable")[na_win:])
+            n_keep_a = current[a].n - na_win
+            current[a] = ColumnBlock.concat(
+                [current[a].take(np.arange(n_keep_a)), low]
+            )
+            current[b] = ColumnBlock.concat(
+                [high, current[b].take(np.arange(nb_win, current[b].n))]
+            )
+            w = na_win + nb_win
+            if w > 1:
+                merge_cost[a] += kernels.SORT_STEP * w * np.log2(w)
+                merge_cost[b] += kernels.SORT_STEP * w * np.log2(w)
+        machine.compute(merge_cost, phase)
+
+    if not verify:
+        return current, True
+    return current, _verify_sorted(machine, current, key, phase)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.simmpi import costmodel
+from repro.simmpi.chaos import Perturbation
+from repro.simmpi.collectives import payload_nbytes
 from repro.simmpi.machine import Machine
 from repro.simmpi.p2p import exchange_pairs, send_round, sendrecv
 
@@ -91,3 +94,58 @@ class TestExchangePairs:
         st = machine4.trace.get("x")
         assert st.messages == 4
         assert st.bytes == (10 + 20 + 5 + 5) * 8
+
+
+def exchange_pairs_scalar(machine, exchanges):
+    """The charge of ``exchange_pairs`` as it was made: one scalar topology
+    and cost-model query per pair and direction."""
+    model = machine.model
+    for a, b, pa, pb in exchanges:
+        bytes_ab, bytes_ba = payload_nbytes(pa), payload_nbytes(pb)
+        hops = int(machine.topology.hops(a, b))
+        post_a = machine.clocks[a] + model.overhead + float(model.copy_time(bytes_ab))
+        post_b = machine.clocks[b] + model.overhead + float(model.copy_time(bytes_ba))
+        pair_factor = machine.comm_factor(a, b)
+        arrive_at_b = post_a + float(model.msg_time(hops, bytes_ab)) * pair_factor - model.overhead
+        arrive_at_a = post_b + float(model.msg_time(hops, bytes_ba)) * pair_factor - model.overhead
+        machine.clocks[a] = max(post_a, arrive_at_a) + float(model.copy_time(bytes_ba))
+        machine.clocks[b] = max(post_b, arrive_at_b) + float(model.copy_time(bytes_ab))
+
+
+class TestExchangePairsRoundQueries:
+    """A round asks the topology and the cost model once for all its pairs;
+    the clocks are bit for bit those of a scalar query per pair."""
+
+    @pytest.mark.parametrize("profile", ["JUROPA", "JUQUEEN"])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_same_clocks_as_a_query_per_pair(self, profile, perturbed):
+        P = 96
+
+        def machine():
+            m = Machine(P, profile=getattr(costmodel, profile))
+            if perturbed:
+                m.perturb(Perturbation(
+                    seed=5, degraded_link_fraction=0.3, bandwidth_degradation=0.2,
+                    extra_latency=1e-6, clock_skew=1e-3,
+                ))
+            return m
+
+        rng = np.random.default_rng(3)
+        got, want = machine(), machine()
+        for _round in range(6):
+            # disjoint pairs, same node and across the machine, empty and large payloads
+            ranks = rng.permutation(P)[: 2 * int(rng.integers(0, P // 2 + 1))]
+            exchanges = [
+                (int(a), int(b), np.zeros(rng.integers(5000)), np.zeros(rng.integers(3), np.uint8))
+                for a, b in ranks.reshape(-1, 2)
+            ]
+            exchange_pairs(got, exchanges, "x")
+            exchange_pairs_scalar(want, exchanges)
+            assert [c.hex() for c in got.clocks.tolist()] == [c.hex() for c in want.clocks.tolist()]
+        stats = got.trace.get("x")
+        assert stats.messages > 0 and stats.calls == 6
+
+    def test_bad_rank_is_named_as_before(self, machine4):
+        with pytest.raises(ValueError, match=r"rank 7 out of range \[0, 4\)"):
+            one = np.zeros(1)
+            exchange_pairs(machine4, [(0, 1, one, one), (2, 7, one, one)], "x")

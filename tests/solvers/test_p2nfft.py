@@ -84,8 +84,8 @@ class TestGhostDistribution:
     def test_owner_always_included(self, rng):
         grid = CartGrid(8, np.full(3, 10.0))
         pos = rng.uniform(0, 10, (50, 3))
-        elems, targets = ghost_distribution(grid, pos, rc=1.0)
-        owners = grid.rank_of_positions(pos)
+        elems, targets, owners = ghost_distribution(grid, pos, rc=1.0)
+        np.testing.assert_array_equal(owners, grid.rank_of_positions(pos))
         for i in range(50):
             assert owners[i] in targets[elems == i]
 
@@ -93,20 +93,20 @@ class TestGhostDistribution:
         grid = CartGrid(8, np.full(3, 10.0))
         # center of rank-0 subdomain (0..5)^3, far from all boundaries
         pos = np.array([[2.5, 2.5, 2.5]])
-        elems, targets = ghost_distribution(grid, pos, rc=1.0)
+        elems, targets, _owner = ghost_distribution(grid, pos, rc=1.0)
         assert elems.shape[0] == 1
 
     def test_boundary_particles_duplicated(self):
         grid = CartGrid(8, np.full(3, 10.0))
         # near the +x face of rank 0's subdomain
         pos = np.array([[4.9, 2.5, 2.5]])
-        elems, targets = ghost_distribution(grid, pos, rc=1.0)
+        elems, targets, _owner = ghost_distribution(grid, pos, rc=1.0)
         assert elems.shape[0] == 2  # owner + one face neighbor
 
     def test_corner_particle_eight_targets(self):
         grid = CartGrid(8, np.full(3, 10.0))
         pos = np.array([[4.95, 4.95, 4.95]])
-        elems, targets = ghost_distribution(grid, pos, rc=1.0)
+        elems, targets, _owner = ghost_distribution(grid, pos, rc=1.0)
         assert elems.shape[0] == 8  # owner + 7 (corner of a 2x2x2 grid)
 
     def test_ghost_completeness(self, rng):
@@ -116,8 +116,7 @@ class TestGhostDistribution:
         n = 80
         rc = 1.2
         pos = rng.uniform(0, 10, (n, 3))
-        elems, targets = ghost_distribution(grid, pos, rc)
-        owners = grid.rank_of_positions(pos)
+        elems, targets, owners = ghost_distribution(grid, pos, rc)
         # local content per rank
         local = {r: set(elems[targets == r].tolist()) for r in range(8)}
         box = 10.0

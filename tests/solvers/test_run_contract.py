@@ -252,14 +252,22 @@ class TestWrittenOnce:
         assert _callers("invert_indices") == {"base.py:run"}
 
     def test_one_grid_decomposition(self):
-        assert len(_callers("ghost_distribution")) == 1
+        """One caller of the ghost rule, which is also the one decision who
+        owns a particle (no solver asks the grid for the rank of a position
+        again), and one ``sort`` exchange along the route made from it."""
+        assert _callers("ghost_distribution") == {"p2nfft/solver.py:_place"}
+        assert not any(
+            isinstance(node, ast.Attribute) and node.attr == "rank_of_positions"
+            for path in sorted(SOLVERS_DIR.rglob("*.py"))
+            for node in ast.walk(_parse(path))
+        )
         sort_exchanges = [
             node
             for path in sorted(SOLVERS_DIR.rglob("*.py"))
             for node in ast.walk(_parse(path))
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id == "fine_grained_redistribute"
+            and node.func.id in ("fine_grained_redistribute", "redistribute_flat")
             and any(
                 kw.arg == "phase" and getattr(kw.value, "value", None) == "sort"
                 for kw in node.keywords

@@ -129,6 +129,52 @@ class TestOutOfBoxPositions:
         assert np.isfinite(np.concatenate(pset.pot)).all()
 
 
+class TestAHairBelowTheLowerFace:
+    """``np.mod(-1e-18, L) == L``: a coordinate a hair below the lower box
+    face wraps *onto* the upper edge.  The grid solvers used to send such a
+    particle to the owner of its wrapped position and then look for the
+    owned copy on the owner of its raw one — nobody owned it, and restore /
+    resort-index creation came up one particle short; with the edge taken
+    for a position, the ghost rule also measured its face distances from the
+    wrong end of the cell."""
+
+    P = 8
+
+    def potentials(self, system, solver, resort, x):
+        """Potentials by particle id with particle 0 at ``x`` along axis 0."""
+        P = self.P
+        pos = system.pos.copy()
+        pos[0] = system.offset + (x, 3.0, 3.0)
+        owner = np.random.default_rng(0).integers(0, P, system.n)
+        pset = ParticleSet(
+            [pos[owner == r] for r in range(P)],
+            [system.q[owner == r] for r in range(P)],
+            capacity_factor=4.0,
+        )
+        ids = [np.flatnonzero(owner == r) for r in range(P)]
+        fcs = fcs_init(solver, Machine(P))
+        fcs.set_common(box=system.box, offset=system.offset, periodic=True)
+        fcs.set_resort(resort)
+        fcs.tune(pset)
+        report = fcs.run(pset)
+        assert report.changed == resort
+        assert int(report.new_counts.sum()) == system.n
+        if resort:
+            (ids,) = fcs.resort([ids])
+        pot = np.empty(system.n)
+        pot[np.concatenate(ids)] = np.concatenate(pset.pot)
+        return pot
+
+    @pytest.mark.parametrize("resort", [False, True], ids=["A", "B"])
+    @pytest.mark.parametrize("solver", ["p2nfft", "ewald"])
+    def test_nobody_is_lost_and_the_potentials_are_those_of_the_face(self, solver, resort):
+        system = silica_melt_system(512, seed=3)
+        hair = self.potentials(system, solver, resort, -1e-18)
+        face = self.potentials(system, solver, resort, 0.0)
+        assert np.abs(face).mean() > 0.1
+        np.testing.assert_allclose(hair, face, rtol=0, atol=1e-14)
+
+
 class TestMachineExtremes:
     def test_large_machine_construction(self):
         m = Machine(16384, profile=None)
