@@ -14,8 +14,7 @@ runs on the host:
 
 Select an engine with ``SimulationConfig(backend="process")``,
 ``machine.attach_backend(resolve_backend("process:4"))``, or the
-``--backend`` flag of ``repro.perf`` / ``repro.verify``.  See
-``docs/backends.md``.
+``--backend`` flag of ``repro.verify``.  See ``docs/backends.md``.
 """
 
 from repro.backend.base import (

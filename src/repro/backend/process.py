@@ -18,7 +18,7 @@ duplex pipes; bulk payload bytes flow through POSIX shared memory
 
 Workers are started with the **spawn** method, never fork: a forked child
 would inherit whatever module-level state the coordinator has accumulated
-(instrument collectors, observability rings, cached plans, RNG state), and
+(observability rings, cached plans, RNG state), and
 the cross-backend equivalence contract requires workers to start from a
 clean import (see ``tests/backend/test_process_isolation.py``).
 

@@ -202,11 +202,10 @@ def fig7_cell(preset: str, solver: str, method: str) -> Dict[str, List[float]]:
     """One independent Fig. 7 cell: the per-step phase series of one
     (solver, method) combination.
 
-    Top-level so the perf harness can fan the four cells out over an
-    execution backend's worker processes (each cell is a full simulation
-    with its own machine — the coarse-grained parallelism of the Fig. 7
-    wall benchmark); results are deterministic, so a fan-out returns
-    bitwise the sequential series.
+    Top-level so :func:`fig7` can fan the four cells out over an execution
+    backend's worker processes (each cell is a full simulation with its own
+    machine); results are deterministic, so a fan-out returns bitwise the
+    sequential series.
     """
     scale = PRESETS[preset]
     steps = scale.steps_fig7

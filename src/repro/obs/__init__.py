@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_kernel_stats,
 )
 from repro.obs.spans import (
     MACHINE_RANK,
@@ -53,7 +52,6 @@ __all__ = [
     "Span",
     "enable_observability",
     "machine_span",
-    "merge_kernel_stats",
     "read_ndjson",
     "to_chrome_trace",
     "to_ndjson",

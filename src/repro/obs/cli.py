@@ -53,10 +53,6 @@ def _parser() -> argparse.ArgumentParser:
         help="apply the DST chaos harness perturbation sampled from seed N",
     )
     parser.add_argument(
-        "--reference", action="store_true",
-        help="route vectorized kernels through their scalar oracles",
-    )
-    parser.add_argument(
         "--capacity", type=int, default=1 << 20,
         help="per-rank span ring capacity (default: 1Mi spans)",
     )
@@ -74,7 +70,6 @@ def _parser() -> argparse.ArgumentParser:
 def run_scenario(args: argparse.Namespace) -> int:
     from repro.bench.harness import make_machine, make_system, step_breakdown
     from repro.md.simulation import Simulation, SimulationConfig
-    from repro.perf import instrument
     from repro.simmpi.chaos import Perturbation
     from repro.simmpi.costmodel import JUROPA
 
@@ -103,11 +98,7 @@ def run_scenario(args: argparse.Namespace) -> int:
         perturbation=perturbation,
     )
     sim = Simulation(machine, system, config)
-    if args.reference:
-        with instrument.reference_mode():
-            sim.run(steps)
-    else:
-        sim.run(steps)
+    sim.run(steps)
 
     meta: Dict[str, Any] = {
         "scenario": "fig7-step",
@@ -116,7 +107,6 @@ def run_scenario(args: argparse.Namespace) -> int:
         "nprocs": nprocs,
         "particles": n,
         "steps": steps,
-        "mode": "reference" if args.reference else "vectorized",
     }
     if perturbation is not None:
         meta["chaos_seed"] = args.chaos_seed

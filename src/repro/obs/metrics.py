@@ -21,9 +21,6 @@ Schema (the stable names fed by the subsystems)
     ``md.simulation`` and the FMM repartitioner).
 ``solver.runs{solver}``
     solver executions per method name (``core.handle``).
-``kernel.wall_ns{kernel}`` / ``kernel.calls{kernel}``
-    host wall time of instrumented kernels, merged from
-    :mod:`repro.perf.instrument` via :func:`merge_kernel_stats`.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_BYTE_BOUNDS",
     "from_trace",
-    "merge_kernel_stats",
 ]
 
 #: default histogram bucket upper bounds for payload sizes (bytes)
@@ -189,13 +185,3 @@ def from_trace(trace) -> MetricsRegistry:
         if stats.bytes:
             registry.counter("comm.bytes", phase=label).inc(stats.bytes)
     return registry
-
-
-def merge_kernel_stats(registry: MetricsRegistry, stats: Dict[str, Any]) -> None:
-    """Fold a :func:`repro.perf.instrument.snapshot` into ``registry`` under
-    the ``kernel.*`` names."""
-    for kernel in sorted(stats):
-        st = stats[kernel]
-        registry.counter("kernel.wall_ns", kernel=kernel).inc(int(st.ns))
-        registry.counter("kernel.calls", kernel=kernel).inc(int(st.calls))
-        registry.counter("kernel.ops", kernel=kernel).inc(int(st.ops))

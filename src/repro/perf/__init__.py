@@ -1,50 +1,11 @@
-"""Wall-clock performance subsystem (``repro.perf``).
+"""Host-clock hook of the simulated machine (``repro.perf``).
 
-Everything else in the repository measures the *modeled* virtual clock of
-the simulated machine; this package measures — and optimizes — the host
-wall clock of the harness itself:
-
-* :mod:`repro.perf.instrument` — kernel timers, allocation counters, the
-  per-phase wall-time hook into :class:`~repro.simmpi.tracing.Trace`, and
-  the global switch routing vectorized kernels through their retained
-  ``*_reference`` scalar oracles,
-* :mod:`repro.perf.harness` — the benchmark definitions behind
-  ``python -m repro.perf``: per-kernel ns/op of the vectorized hot paths
-  against their oracles, an end-to-end fig7 wall measurement, and the
-  committed-baseline regression gate emitting ``BENCH_wallclock.json``.
-
-Vectorization must never change *what* the experiments compute: the modeled
-clock charges by workload counts, and the equivalence suite under
-``tests/perf/`` pins every vectorized kernel bitwise to its oracle.  See
-``docs/performance.md``.
+The host clock is measured from outside by ``perfbench/``; the only thing
+left in the tree is :mod:`repro.perf.instrument`, the switch that lets
+:meth:`Machine.commit <repro.simmpi.machine.Machine.commit>` attribute host
+nanoseconds to simulated phases.  See ``docs/performance.md``.
 """
 
-from repro.perf.instrument import (
-    KernelStats,
-    collect,
-    collecting,
-    kernel_timer,
-    prefer_reference,
-    record,
-    reference_mode,
-    reset,
-    snapshot,
-    stats,
-    wall_phases,
-    wall_phases_enabled,
-)
+from repro.perf.instrument import wall_anchor, wall_phases, wall_phases_enabled
 
-__all__ = [
-    "KernelStats",
-    "collect",
-    "collecting",
-    "kernel_timer",
-    "prefer_reference",
-    "record",
-    "reference_mode",
-    "reset",
-    "snapshot",
-    "stats",
-    "wall_phases",
-    "wall_phases_enabled",
-]
+__all__ = ["wall_anchor", "wall_phases", "wall_phases_enabled"]

@@ -103,7 +103,7 @@ class Machine:
         self._initial_clocks: Optional[np.ndarray] = None
         #: host-clock anchor of the previous charge point — the wall-phase
         #: attribution state of :func:`repro.perf.instrument.wall_phases`
-        self._wall_anchor: Optional[tuple] = None
+        self._wall_anchor: Optional[int] = None
         if perturbation is not None:
             self.perturb(perturbation)
 
@@ -274,7 +274,7 @@ class Machine:
         wall nanoseconds since this machine's previous charge point are
         additionally attributed to ``phase`` (the code producing a charge
         owns the host time leading up to it); the modeled fields are
-        byte-identical with and without the instrumentation.
+        byte-identical with and without the attribution.
         """
         before, rank, rank_before = token
         after = self.clocks.max()
@@ -282,9 +282,8 @@ class Machine:
         self.trace.record(phase, time=t, messages=messages, nbytes=nbytes)
         if instrument.wall_phases_enabled():
             now = instrument.wall_anchor()
-            anchor = self._wall_anchor
-            if anchor is not None:
-                self.trace.record_wall(phase, now[0] - anchor[0], now[1] - anchor[1])
+            if self._wall_anchor is not None:
+                self.trace.record_wall(phase, now - self._wall_anchor)
             self._wall_anchor = now
         elif self._wall_anchor is not None:
             self._wall_anchor = None

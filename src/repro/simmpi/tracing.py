@@ -56,9 +56,8 @@ class PhaseStats:
         :func:`repro.perf.instrument.wall_phases` is active; always 0
         otherwise.  The *modeled* fields above never depend on it.
     alloc_bytes:
-        Net host bytes allocated during the phase's attributed spans (only
-        populated while tracemalloc-backed allocation tracing is on; may be
-        negative when a span frees more than it allocates).
+        Always 0: nothing counts host allocations any more; the field stays
+        because checkpoint format v1 writes it.
     """
 
     time: float = 0.0
@@ -86,7 +85,6 @@ class PhaseStats:
             bytes=self.bytes + other.bytes,
             calls=self.calls + other.calls,
             wall_ns=self.wall_ns + other.wall_ns,
-            alloc_bytes=self.alloc_bytes + other.alloc_bytes,
         )
 
 
@@ -161,9 +159,9 @@ class Trace:
             stats = self._phases[label] = PhaseStats()
         stats.add(time=time, messages=messages, nbytes=nbytes, calls=calls)
 
-    def record_wall(self, phase: Optional[str], ns: int, alloc_bytes: int = 0) -> None:
-        """Attribute host wall nanoseconds (and net allocated bytes) to
-        ``phase`` without touching the modeled fields or the call count.
+    def record_wall(self, phase: Optional[str], ns: int) -> None:
+        """Attribute host wall nanoseconds to ``phase`` without touching the
+        modeled fields or the call count.
 
         Fed by :meth:`Machine.commit <repro.simmpi.machine.Machine.commit>`
         while :func:`repro.perf.instrument.wall_phases` is active.
@@ -173,7 +171,6 @@ class Trace:
         if stats is None:
             stats = self._phases[label] = PhaseStats()
         stats.wall_ns += int(ns)
-        stats.alloc_bytes += int(alloc_bytes)
 
     def get(self, phase: str) -> PhaseStats:
         """Return the stats for ``phase`` (zeros if never recorded).
@@ -305,7 +302,6 @@ class Trace:
                 bytes=stats.bytes - before.bytes,
                 calls=stats.calls - before.calls,
                 wall_ns=stats.wall_ns - before.wall_ns,
-                alloc_bytes=stats.alloc_bytes - before.alloc_bytes,
             )
             if d.time or d.messages or d.bytes or d.calls or d.wall_ns:
                 out[label] = d

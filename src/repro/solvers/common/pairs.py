@@ -13,17 +13,13 @@ Conventions: Gaussian units (``phi_i = sum_j q_j / r_ij``), fields are
 
 from __future__ import annotations
 
-import time
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import erfc
 
-from repro.perf import instrument
-
 __all__ = [
     "ragged_cross",
-    "ragged_cross_reference",
     "pair_displacements",
     "coulomb_pairs",
     "erfc_pairs",
@@ -54,13 +50,10 @@ def ragged_cross(
 
     The assembly is division-free: each target becomes a *run* of
     consecutive source indices, built from two ``np.repeat`` expansions and
-    one subtraction instead of the per-pair ``divmod`` of
-    :func:`ragged_cross_reference` (the retained scalar-arithmetic oracle —
-    both produce bitwise-identical index arrays, enforced by
-    ``tests/perf/test_oracle_equivalence.py``).
+    one subtraction instead of a per-pair ``divmod`` (the scalar oracle in
+    ``tests/kernel_oracles.py`` — both produce bitwise-identical index
+    arrays, enforced by ``tests/perf/test_oracle_equivalence.py``).
     """
-    if instrument.prefer_reference():
-        return ragged_cross_reference(t_starts, t_ends, s_starts, s_ends)
     t_starts = np.asarray(t_starts, dtype=np.int64)
     t_ends = np.asarray(t_ends, dtype=np.int64)
     s_starts = np.asarray(s_starts, dtype=np.int64)
@@ -72,7 +65,6 @@ def ragged_cross(
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    t0 = time.perf_counter_ns() if instrument.collecting() else 0
     keep = pairs_per_seg > 0
     nt = nt[keep]
     ns = ns[keep]
@@ -96,43 +88,6 @@ def ragged_cross(
     si = np.arange(total, dtype=np.int64) + np.repeat(
         sstart[seg_of_target] - run_offsets, reps
     )
-    if t0:
-        instrument.record("pairs.ragged_cross", time.perf_counter_ns() - t0, ops=total)
-    return ti, si
-
-
-def ragged_cross_reference(
-    t_starts: np.ndarray,
-    t_ends: np.ndarray,
-    s_starts: np.ndarray,
-    s_ends: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar-arithmetic oracle of :func:`ragged_cross`: per-pair ``divmod``
-    against the segment table (the original implementation)."""
-    t_starts = np.asarray(t_starts, dtype=np.int64)
-    t_ends = np.asarray(t_ends, dtype=np.int64)
-    s_starts = np.asarray(s_starts, dtype=np.int64)
-    s_ends = np.asarray(s_ends, dtype=np.int64)
-    nt = t_ends - t_starts
-    ns = s_ends - s_starts
-    pairs_per_seg = nt * ns
-    total = int(pairs_per_seg.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-    keep = pairs_per_seg > 0
-    nt = nt[keep]
-    ns = ns[keep]
-    t0 = t_starts[keep]
-    s0 = s_starts[keep]
-    ppseg = pairs_per_seg[keep]
-
-    seg_of_pair = np.repeat(np.arange(ppseg.shape[0]), ppseg)
-    seg_offsets = np.concatenate(([0], np.cumsum(ppseg)[:-1]))
-    within = np.arange(total, dtype=np.int64) - seg_offsets[seg_of_pair]
-    # pair p within segment k: target = within // ns[k], source = within % ns[k]
-    ti = t0[seg_of_pair] + within // ns[seg_of_pair]
-    si = s0[seg_of_pair] + within % ns[seg_of_pair]
     return ti, si
 
 

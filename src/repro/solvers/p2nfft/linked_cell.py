@@ -14,12 +14,10 @@ consistent; pair displacements use the minimum image convention (valid for
 
 from __future__ import annotations
 
-import time
 from typing import Tuple
 
 import numpy as np
 
-from repro.perf import instrument
 from repro.solvers.common.pairs import erfc_pairs, ragged_cross
 
 __all__ = ["LinkedCellNearField"]
@@ -72,16 +70,10 @@ class LinkedCellNearField:
 
         All segment tables (one per offset x occupied target cell) are built
         in one shot and handed to a single :func:`ragged_cross` call; the
-        retained :meth:`candidate_pairs_reference` oracle issues one
-        searchsorted + cross product per offset (the original 27-iteration
-        loop).  Both emit pairs offset-major, cell-major — bitwise identical
-        index arrays.
+        scalar oracle in ``tests/kernel_oracles.py`` issues one searchsorted
+        + cross product per offset (the original 27-iteration loop).  Both
+        emit pairs offset-major, cell-major — bitwise identical index arrays.
         """
-        if instrument.prefer_reference():
-            return self.candidate_pairs_reference(
-                t_first, t_last, s_sorted, cx, cy, cz, n_sources
-            )
-        t0 = time.perf_counter_ns() if instrument.collecting() else 0
         # neighbor cell ids of every occupied target cell, (27, ncells)
         nx = (cx[None, :] + _OFFSETS[:, 0:1]) % self.dims[0]
         ny = (cy[None, :] + _OFFSETS[:, 1:2]) % self.dims[1]
@@ -92,45 +84,6 @@ class LinkedCellNearField:
         ti, si = ragged_cross(
             np.tile(t_first, 27), np.tile(t_last, 27), s_start, s_end
         )
-        ti, si = self._dedup(ti, si, n_sources)
-        if t0:
-            instrument.record(
-                "linked_cell.candidate_pairs",
-                time.perf_counter_ns() - t0,
-                ops=max(int(ti.shape[0]), 1),
-            )
-        return ti, si
-
-    def candidate_pairs_reference(
-        self,
-        t_first: np.ndarray,
-        t_last: np.ndarray,
-        s_sorted: np.ndarray,
-        cx: np.ndarray,
-        cy: np.ndarray,
-        cz: np.ndarray,
-        n_sources: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scalar oracle of :meth:`candidate_pairs`: one searchsorted and
-        cross product per neighbor offset (the original implementation)."""
-        pair_ti = []
-        pair_si = []
-        for d in _OFFSETS:
-            nx = (cx + d[0]) % self.dims[0]
-            ny = (cy + d[1]) % self.dims[1]
-            nz = (cz + d[2]) % self.dims[2]
-            ncell = (nx * self.dims[1] + ny) * self.dims[2] + nz
-            s_start = np.searchsorted(s_sorted, ncell, side="left")
-            s_end = np.searchsorted(s_sorted, ncell, side="right")
-            ti, si = ragged_cross(t_first, t_last, s_start, s_end)
-            if ti.size:
-                pair_ti.append(ti)
-                pair_si.append(si)
-        if not pair_ti:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        ti = np.concatenate(pair_ti)
-        si = np.concatenate(pair_si)
         return self._dedup(ti, si, n_sources)
 
     def _dedup(

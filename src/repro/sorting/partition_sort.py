@@ -16,7 +16,6 @@ two.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro import kernels
 from repro.core.balance import work_split_bounds
 from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.particles import ColumnBlock
-from repro.perf import instrument
 from repro.simmpi.collectives import allgatherv
 from repro.simmpi.machine import Machine
 from repro.sorting.merge_sort import local_sort
@@ -34,9 +32,7 @@ __all__ = [
     "partition_sort",
     "select_splitters",
     "partition_destinations",
-    "partition_destinations_reference",
     "split_by_destination",
-    "split_by_destination_reference",
 ]
 
 
@@ -123,33 +119,14 @@ def partition_destinations(order: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Destination rank of each element given the global sort ``order`` and
     the part boundaries ``bounds`` (prefix sums of the target counts).
 
-    One scatter of a :func:`np.repeat` run replaces the per-destination
-    slice-assignment loop of :func:`partition_destinations_reference`; both
-    produce bitwise-identical destination arrays.
+    One scatter of a :func:`np.repeat` run replaces a per-destination
+    slice-assignment loop (the scalar oracle in ``tests/kernel_oracles.py``);
+    both produce bitwise-identical destination arrays.
     """
-    if instrument.prefer_reference():
-        return partition_destinations_reference(order, bounds)
-    t0 = time.perf_counter_ns() if instrument.collecting() else 0
     dest = np.empty(order.shape[0], dtype=np.int64)
     dest[order] = np.repeat(
         np.arange(bounds.shape[0] - 1, dtype=np.int64), np.diff(bounds)
     )
-    if t0:
-        instrument.record(
-            "partition_sort.destinations",
-            time.perf_counter_ns() - t0,
-            ops=max(int(order.shape[0]), 1),
-        )
-    return dest
-
-
-def partition_destinations_reference(order: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Scalar oracle of :func:`partition_destinations`: one slice assignment
-    per destination rank (the original implementation)."""
-    P = bounds.shape[0] - 1
-    dest = np.empty(order.shape[0], dtype=np.int64)
-    for dst in range(P):
-        dest[order[bounds[dst]:bounds[dst + 1]]] = dst
     return dest
 
 
@@ -159,42 +136,19 @@ def split_by_destination(block: ColumnBlock, d: np.ndarray) -> Dict[int, ColumnB
 
     A single stable argsort of the destination array yields every
     destination's element indices as a contiguous run (in original order,
-    because the sort is stable), replacing the per-destination
-    ``d == dst`` scans of :func:`split_by_destination_reference`.  Both
-    return identical dicts: same key order, bitwise-equal columns.
+    because the sort is stable), replacing per-destination ``d == dst``
+    scans (the scalar oracle in ``tests/kernel_oracles.py``).  Both return
+    identical dicts: same key order, bitwise-equal columns.
     """
-    if instrument.prefer_reference():
-        return split_by_destination_reference(block, d)
     out: Dict[int, ColumnBlock] = {}
     if not block.n:
         return out
-    t0 = time.perf_counter_ns() if instrument.collecting() else 0
     sorder = np.argsort(d, kind="stable")
     dsorted = d[sorder]
     targets, first = np.unique(dsorted, return_index=True)
     last = np.concatenate((first[1:], [dsorted.shape[0]]))
     for j, dst in enumerate(targets):
         out[int(dst)] = block.take(sorder[first[j]:last[j]])
-    if t0:
-        instrument.record(
-            "partition_sort.split",
-            time.perf_counter_ns() - t0,
-            ops=max(int(block.n), 1),
-        )
-    return out
-
-
-def split_by_destination_reference(
-    block: ColumnBlock, d: np.ndarray
-) -> Dict[int, ColumnBlock]:
-    """Scalar oracle of :func:`split_by_destination`: one boolean scan per
-    present destination (the original implementation)."""
-    out: Dict[int, ColumnBlock] = {}
-    if not block.n:
-        return out
-    targets = np.unique(d)
-    for dst in targets:
-        out[int(dst)] = block.take(np.flatnonzero(d == dst))
     return out
 
 

@@ -8,8 +8,9 @@ a change to any solver's cost model, the redistribution machinery, or the
 checkpoint/restore path that moves a single bit anywhere in a trajectory
 shows up as a digest mismatch naming the cell.
 
-The same goldens are asserted under :func:`repro.perf.instrument
-.reference_mode` — the scalar oracle kernels must reproduce the vectorized
+The same goldens are asserted with the scalar oracles of
+``tests/kernel_oracles.py`` standing in for the vectorized kernels (the
+``oracle_kernels`` fixture) — they must reproduce the vectorized
 trajectories bitwise (the PR-4 property), and checkpointing must preserve
 that.
 """
@@ -18,13 +19,13 @@ import hashlib
 
 import pytest
 
+from kernel_oracles import USED_BY
 from repro.ckpt.equivalence import (
     EQUIVALENCE_METHODS,
     EQUIVALENCE_SOLVERS,
     run_restart_equivalence,
 )
 from repro.ckpt.format import dumps
-from repro.perf import instrument
 
 CELLS = [
     (solver, method)
@@ -72,11 +73,11 @@ class TestGoldenRestart:
         assert cell.ok, cell.detail
         assert cell_digest(cell) == GOLDEN[(solver, method)]
 
-    def test_reference_mode_same_golden(self, solver, method):
-        with instrument.reference_mode():
-            cell = run_restart_equivalence(solver, method)
+    def test_reference_mode_same_golden(self, solver, method, oracle_kernels):
+        cell = run_restart_equivalence(solver, method)
         assert cell.ok, cell.detail
         assert cell_digest(cell) == GOLDEN[(solver, method)]
+        assert oracle_kernels == USED_BY[solver]
 
 
 def test_via_file_round_trip_same_golden():

@@ -5,6 +5,7 @@ The Hypothesis strategies shared across the property-test suites live in
 code alike); they are re-exported here for discoverability.
 """
 
+import functools
 import os
 import sys
 
@@ -12,9 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import kernel_oracles
 from repro.core.particles import ParticleSet
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
+from repro.solvers.common.pairs import ragged_cross
+from repro.solvers.fmm.expansions import derivative_tensors
+from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
+from repro.sorting.partition_sort import partition_destinations, split_by_destination
 from repro.verify.strategies import (  # noqa: F401  (re-exported for tests)
     multiplicity_maps,
     permutations,
@@ -76,6 +82,37 @@ def rebind(monkeypatch):
                         monkeypatch.setattr(module, attr, replacement)
 
     return rebind
+
+
+@pytest.fixture
+def counted():
+    """``counted(oracle)``: the oracle, recording its name in the set
+    ``counted.called`` whenever it runs — so a test that swaps oracles in can
+    assert that the ones its run depends on really stood in."""
+
+    def counted(oracle):
+        @functools.wraps(oracle)
+        def kernel(*args, **kwargs):
+            counted.called.add(oracle.__name__)
+            return oracle(*args, **kwargs)
+
+        return kernel
+
+    counted.called = set()
+    return counted
+
+
+@pytest.fixture
+def oracle_kernels(rebind, monkeypatch, counted):
+    """Swap the five vectorized kernels for their scalar oracles
+    (``tests/kernel_oracles.py``) for the rest of the test; returns the set
+    of oracle names called so far."""
+    for kernel in (ragged_cross, derivative_tensors, partition_destinations, split_by_destination):
+        rebind(kernel, counted(getattr(kernel_oracles, kernel.__name__)))
+    monkeypatch.setattr(
+        LinkedCellNearField, "candidate_pairs", counted(kernel_oracles.candidate_pairs)
+    )
+    return counted.called
 
 
 @pytest.fixture

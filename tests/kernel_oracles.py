@@ -1,0 +1,167 @@
+"""The scalar bodies five vectorized kernels had first, kept as test oracles.
+
+``ragged_cross`` (per-pair ``divmod`` against the segment table),
+``candidate_pairs`` (one ``searchsorted`` pair and one cross product per
+neighbour offset), ``derivative_tensors`` (one recurrence step per
+coefficient), ``partition_destinations`` (one slice assignment per
+destination rank) and ``split_by_destination`` (one boolean scan per present
+destination) are the ``*_reference`` implementations that used to live next
+to their vectorized replacements under ``src/``, moved here verbatim and
+named after the kernel they stand for.  The property tests in
+``tests/perf/test_oracle_equivalence.py`` hold the production kernels to
+them bit for bit, and the ``oracle_kernels`` fixture of ``tests/conftest.py``
+swaps them in for whole golden trajectories.  Nothing under ``src/`` imports
+this module.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Tuple
+
+import numpy as np
+
+from repro.core.particles import ColumnBlock
+from repro.solvers.fmm.expansions import multi_index_set
+from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
+
+#: the oracles a force-computing run of each solver reaches (the linked-cell
+#: oracle builds its pairs with this module's ``ragged_cross`` directly)
+USED_BY = {
+    "direct": set(),
+    "ewald": {"candidate_pairs"},
+    "p2nfft": {"candidate_pairs"},
+    "fmm": {"derivative_tensors", "partition_destinations", "ragged_cross"},
+}
+
+_OFFSETS = np.array(
+    [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
+    dtype=np.int64,
+)
+
+
+def ragged_cross(
+    t_starts: np.ndarray,
+    t_ends: np.ndarray,
+    s_starts: np.ndarray,
+    s_ends: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scalar-arithmetic oracle of ``pairs.ragged_cross``: per-pair
+    ``divmod`` against the segment table (the original implementation)."""
+    t_starts = np.asarray(t_starts, dtype=np.int64)
+    t_ends = np.asarray(t_ends, dtype=np.int64)
+    s_starts = np.asarray(s_starts, dtype=np.int64)
+    s_ends = np.asarray(s_ends, dtype=np.int64)
+    nt = t_ends - t_starts
+    ns = s_ends - s_starts
+    pairs_per_seg = nt * ns
+    total = int(pairs_per_seg.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+    keep = pairs_per_seg > 0
+    nt = nt[keep]
+    ns = ns[keep]
+    t0 = t_starts[keep]
+    s0 = s_starts[keep]
+    ppseg = pairs_per_seg[keep]
+
+    seg_of_pair = np.repeat(np.arange(ppseg.shape[0]), ppseg)
+    seg_offsets = np.concatenate(([0], np.cumsum(ppseg)[:-1]))
+    within = np.arange(total, dtype=np.int64) - seg_offsets[seg_of_pair]
+    # pair p within segment k: target = within // ns[k], source = within % ns[k]
+    ti = t0[seg_of_pair] + within // ns[seg_of_pair]
+    si = s0[seg_of_pair] + within % ns[seg_of_pair]
+    return ti, si
+
+
+def candidate_pairs(
+    self: LinkedCellNearField,
+    t_first: np.ndarray,
+    t_last: np.ndarray,
+    s_sorted: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    cz: np.ndarray,
+    n_sources: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scalar oracle of ``LinkedCellNearField.candidate_pairs``: one
+    searchsorted and cross product per neighbor offset (the original
+    implementation)."""
+    pair_ti = []
+    pair_si = []
+    for d in _OFFSETS:
+        nx = (cx + d[0]) % self.dims[0]
+        ny = (cy + d[1]) % self.dims[1]
+        nz = (cz + d[2]) % self.dims[2]
+        ncell = (nx * self.dims[1] + ny) * self.dims[2] + nz
+        s_start = np.searchsorted(s_sorted, ncell, side="left")
+        s_end = np.searchsorted(s_sorted, ncell, side="right")
+        ti, si = ragged_cross(t_first, t_last, s_start, s_end)
+        if ti.size:
+            pair_ti.append(ti)
+            pair_si.append(si)
+    if not pair_ti:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    ti = np.concatenate(pair_ti)
+    si = np.concatenate(pair_si)
+    return self._dedup(ti, si, n_sources)
+
+
+def derivative_tensors(points: np.ndarray, order: int) -> np.ndarray:
+    """Scalar oracle of ``expansions.derivative_tensors``: one recurrence
+    step per coefficient (the original implementation)."""
+    mis = multi_index_set(order)
+    pts = np.asarray(points, dtype=np.float64)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    m = pts.shape[0]
+    r2 = (pts * pts).sum(axis=1)
+    if np.any(r2 == 0.0):
+        raise ValueError("derivative tensors undefined at the origin")
+    inv_r2 = 1.0 / r2
+    T = np.empty((m, mis.ncoef), dtype=np.float64)
+    T[:, 0] = np.sqrt(inv_r2)
+    e = np.eye(3, dtype=np.int64)
+    for i in range(1, mis.ncoef):
+        a = mis.indices[i]
+        j = int(np.flatnonzero(a)[0])
+        b = a.copy()
+        b[j] -= 1
+        acc = np.zeros(m, dtype=np.float64)
+        for k in range(3):
+            coeff1 = 2 * b[k] + (1 if k == j else 0)
+            if coeff1:
+                am1 = a - e[k]
+                if np.all(am1 >= 0):
+                    acc += coeff1 * pts[:, k] * T[:, mis.position[tuple(am1)]]
+            coeff2 = b[k] * (b[k] - 1 + (1 if k == j else 0))
+            if coeff2:
+                am2 = a - 2 * e[k]
+                if np.all(am2 >= 0):
+                    acc += coeff2 * T[:, mis.position[tuple(am2)]]
+        T[:, i] = -acc * inv_r2
+    return T[0] if single else T
+
+
+def partition_destinations(order: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Scalar oracle of ``partition_sort.partition_destinations``: one slice
+    assignment per destination rank (the original implementation)."""
+    P = bounds.shape[0] - 1
+    dest = np.empty(order.shape[0], dtype=np.int64)
+    for dst in range(P):
+        dest[order[bounds[dst]:bounds[dst + 1]]] = dst
+    return dest
+
+
+def split_by_destination(block: ColumnBlock, d: np.ndarray) -> Dict[int, ColumnBlock]:
+    """Scalar oracle of ``partition_sort.split_by_destination``: one boolean
+    scan per present destination (the original implementation)."""
+    out: Dict[int, ColumnBlock] = {}
+    if not block.n:
+        return out
+    targets = np.unique(d)
+    for dst in targets:
+        out[int(dst)] = block.take(np.flatnonzero(d == dst))
+    return out

@@ -2,9 +2,10 @@
 
 Two pins:
 
-* the snapshot is **identical between the vectorized and reference kernel
-  modes** — the scalar oracles must not move the modeled clock (or the
-  span stream) by a single bit;
+* the snapshot is **identical between the vectorized kernels and their
+  scalar oracles** (``tests/kernel_oracles.py``, swapped in by the
+  ``oracle_kernels`` fixture) — the oracles must not move the modeled clock
+  (or the span stream) by a single bit;
 * the full snapshot digest is pinned, so any change to charge ordering,
   span schema, float accounting or the NDJSON encoding fails loudly here.
   Regenerate with ``GOLDEN = compute()`` below if the change is intended
@@ -13,22 +14,22 @@ Two pins:
 
 import hashlib
 
+from kernel_oracles import USED_BY
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.obs.export import read_ndjson, to_ndjson
 from repro.obs.spans import enable_observability
-from repro.perf import instrument
 from repro.simmpi.costmodel import JUROPA
 from repro.simmpi.machine import Machine
 from repro.md.systems import silica_melt_system
 
 #: sha256 over the newline-joined NDJSON lines of the 2-rank fig7 step —
 #: the full-snapshot golden (charge order, span schema, float bit patterns,
-#: encoding).  Regenerate via ``run_snapshot(False)`` when a change to the
+#: encoding).  Regenerate via ``run_snapshot()`` when a change to the
 #: cost model, solver schedule or span format is intended.
 GOLDEN_DIGEST = "82c16c4f343994aada0e2a8b953496f20b290c397e6b233b8f6ec5a5ca051c27"
 
 
-def run_snapshot(reference: bool):
+def run_snapshot():
     machine = Machine(2, profile=JUROPA)
     recorder = enable_observability(machine)
     system = silica_melt_system(64, seed=1)
@@ -40,22 +41,20 @@ def run_snapshot(reference: bool):
         solver_kwargs={"order": 3, "depth": 3, "lattice_shells": 2},
     )
     sim = Simulation(machine, system, config)
-    if reference:
-        with instrument.reference_mode():
-            sim.run(1)
-    else:
-        sim.run(1)
+    sim.run(1)
     return machine, recorder, to_ndjson(recorder, meta={"scenario": "fig7-2rank"})
 
 
 class TestGoldenSnapshot:
-    def test_vectorized_and_reference_identical(self):
-        _, _, vec = run_snapshot(reference=False)
-        _, _, ref = run_snapshot(reference=True)
+    def test_vectorized_and_reference_identical(self, request):
+        _, _, vec = run_snapshot()
+        called = request.getfixturevalue("oracle_kernels")
+        _, _, ref = run_snapshot()
         assert vec == ref
+        assert called == USED_BY["fmm"]
 
     def test_snapshot_parity_and_shape(self):
-        machine, recorder, lines = run_snapshot(reference=False)
+        machine, recorder, lines = run_snapshot()
         meta, spans, metrics = read_ndjson(lines)
         assert meta["complete"] is True
         assert meta["nprocs"] == 2
@@ -78,14 +77,14 @@ class TestGoldenSnapshot:
 
     def test_digest_stable_across_runs(self):
         """The snapshot is run-to-run deterministic (golden digest)."""
-        _, _, a = run_snapshot(reference=False)
-        _, _, b = run_snapshot(reference=False)
+        _, _, a = run_snapshot()
+        _, _, b = run_snapshot()
         da = hashlib.sha256("\n".join(a).encode()).hexdigest()
         db = hashlib.sha256("\n".join(b).encode()).hexdigest()
         assert da == db
 
     def test_golden_digest_pinned(self):
-        _, _, lines = run_snapshot(reference=False)
+        _, _, lines = run_snapshot()
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == GOLDEN_DIGEST, (
             "the 2-rank fig7 span snapshot changed; if intended, update "

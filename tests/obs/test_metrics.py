@@ -1,4 +1,4 @@
-"""MetricsRegistry unit tests: schema, determinism, trace/kernel bridges."""
+"""MetricsRegistry unit tests: schema, determinism, trace/audit bridges."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     from_trace,
-    merge_kernel_stats,
 )
-from repro.perf.instrument import KernelStats
 from repro.simmpi.machine import Machine
 
 
@@ -92,24 +90,6 @@ class TestBridges:
         assert reg.value("comm.bytes", phase="comm") == 1024
         # phases without traffic produce no comm series
         assert reg.value("comm.messages", phase="w") == 0
-
-    def test_merge_kernel_stats(self):
-        reg = MetricsRegistry()
-        merge_kernel_stats(
-            reg, {"k1": KernelStats(ns=500, calls=2, ops=10)}
-        )
-        assert reg.value("kernel.wall_ns", kernel="k1") == 500
-        assert reg.value("kernel.calls", kernel="k1") == 2
-        assert reg.value("kernel.ops", kernel="k1") == 10
-
-    def test_instrument_export_metrics(self):
-        from repro.perf import instrument
-
-        with instrument.collect():
-            instrument.record("kx", 1000, ops=4)
-            reg = instrument.export_metrics()
-        assert reg.value("kernel.wall_ns", kernel="kx") == 1000
-        assert reg.value("kernel.ops", kernel="kx") == 4
 
     def test_audit_export_metrics(self, machine4):
         from repro.simmpi.p2p import sendrecv

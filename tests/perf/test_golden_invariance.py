@@ -5,9 +5,10 @@ state fingerprints, communication ledgers and the modeled per-step phase
 breakdown of a Fig.-7-shaped run (JUROPA profile, random initial
 distribution, brownian dynamics, solver compute skipped) are pinned here
 bitwise — breakdown times as exact ``float.hex()`` strings, state as sha256
-digests.  The same run is also executed under
-:func:`repro.perf.instrument.reference_mode` and must match the goldens
-identically: vectorization may change host speed only.
+digests.  The same run is also executed with the scalar oracles of
+``tests/kernel_oracles.py`` standing in for the vectorized kernels (the
+``oracle_kernels`` fixture) and must match the goldens identically:
+vectorization may change host speed only.
 
 If these goldens ever need updating, something changed modeled behavior —
 that is a semantics change and must be justified on its own terms, never as
@@ -25,7 +26,6 @@ from repro.bench.harness import make_machine, step_breakdown
 from repro.simmpi.costmodel import JUROPA
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
-from repro.perf import instrument
 from repro.verify.audit import enable_auditing
 from repro.verify.dst import ledger_fingerprint
 from repro.verify.invariants import state_fingerprint
@@ -35,7 +35,7 @@ from repro.verify.invariants import state_fingerprint
 N, NPROCS, STEPS, SEED = 256, 8, 2, 42
 
 
-def run_fig7_small(solver, method, *, reference=False):
+def run_fig7_small(solver, method):
     machine = make_machine(NPROCS, JUROPA)
     auditor = enable_auditing(machine)
     system = silica_melt_system(N, seed=SEED)
@@ -50,13 +50,12 @@ def run_fig7_small(solver, method, *, reference=False):
         solver_kwargs={"compute": "skip"},
     )
     sim = Simulation(machine, system, cfg)
-    with instrument.reference_mode(reference):
-        sim.run(STEPS)
+    sim.run(STEPS)
     return sim, auditor
 
 
-def observables(solver, method, *, reference=False):
-    sim, auditor = run_fig7_small(solver, method, reference=reference)
+def observables(solver, method):
+    sim, auditor = run_fig7_small(solver, method)
     breakdown = []
     for rec in sim.records:
         b = step_breakdown(rec)
@@ -195,13 +194,15 @@ class TestFig7Golden:
         assert got["ledger"] == want["ledger"]
         assert got["breakdown"] == want["breakdown"]
 
-    def test_reference_mode_matches_golden(self, solver, method):
+    def test_reference_mode_matches_golden(self, solver, method, oracle_kernels):
         """The scalar oracles reproduce the goldens bit for bit too."""
-        got = observables(solver, method, reference=True)
+        got = observables(solver, method)
         want = GOLDEN[f"{solver}/{method}"]
         assert got["state"] == want["state"]
         assert got["ledger"] == want["ledger"]
         assert got["breakdown"] == want["breakdown"]
+        # with the solver compute skipped only the FMM's sort reaches a kernel
+        assert oracle_kernels == ({"partition_destinations"} if solver == "fmm" else set())
 
 
 def _regenerate():

@@ -1,12 +1,8 @@
-"""Unit tests of :mod:`repro.perf.instrument` — the kernel-timer registry,
-the reference-mode dispatch switch, and host-wall phase attribution.
+"""Unit tests of :mod:`repro.perf.instrument` — host-wall phase attribution.
 
-The invariant guarded throughout: instrumentation observes, it never
-perturbs.  Modeled clocks, traces and kernel outputs must be bitwise
-unchanged whether collection / wall attribution is on or off.
+The invariant guarded: attribution observes, it never perturbs.  Modeled
+clocks and traces must be bitwise unchanged whether it is on or off.
 """
-
-import tracemalloc
 
 import numpy as np
 
@@ -25,108 +21,6 @@ def run_machine_ops(machine):
     ]
     alltoallv(machine, sends, "sort")
     machine.compute(np.full(P, 2e-6), "near")
-
-
-class TestKernelRegistry:
-    def test_record_is_noop_when_not_collecting(self):
-        instrument.reset()
-        assert not instrument.collecting()
-        instrument.record("k", 100, ops=5)
-        assert instrument.stats("k").calls == 0
-
-    def test_collect_records_and_clears(self):
-        instrument.record("stale", 1)  # ignored: not collecting
-        with instrument.collect() as reg:
-            assert instrument.collecting()
-            instrument.record("k", 100, ops=5)
-            instrument.record("k", 50, ops=3, alloc_bytes=16)
-            assert reg["k"].calls == 2
-        assert not instrument.collecting()
-        s = instrument.stats("k")
-        assert (s.calls, s.ns, s.ops, s.alloc_bytes) == (2, 150, 8, 16)
-        assert s.ns_per_op == 150 / 8
-        with instrument.collect(clear=True):
-            pass
-        assert instrument.stats("k").calls == 0
-
-    def test_collect_clear_false_accumulates(self):
-        with instrument.collect():
-            instrument.record("k", 10, ops=1)
-        with instrument.collect(clear=False):
-            instrument.record("k", 10, ops=1)
-        assert instrument.stats("k").calls == 2
-        instrument.reset()
-
-    def test_snapshot_is_a_copy(self):
-        with instrument.collect():
-            instrument.record("k", 10, ops=2)
-            snap = instrument.snapshot()
-            instrument.record("k", 10, ops=2)
-        assert snap["k"].calls == 1
-        assert instrument.stats("k").calls == 2
-        instrument.reset()
-
-    def test_kernel_timer_times_and_counts(self):
-        with instrument.collect():
-            with instrument.kernel_timer("timed", ops=7):
-                sum(range(1000))
-        s = instrument.stats("timed")
-        assert s.calls == 1 and s.ops == 7 and s.ns > 0
-        instrument.reset()
-
-    def test_kernel_timer_noop_when_off(self):
-        instrument.reset()
-        with instrument.kernel_timer("never", ops=7):
-            pass
-        assert instrument.stats("never").calls == 0
-
-    def test_zero_ops_ns_per_op_falls_back_to_ns(self):
-        s = instrument.KernelStats(calls=1, ns=42, ops=0)
-        assert s.ns_per_op == 42.0
-
-
-class TestReferenceMode:
-    def test_nesting_restores_previous_state(self):
-        assert not instrument.prefer_reference()
-        with instrument.reference_mode():
-            assert instrument.prefer_reference()
-            with instrument.reference_mode(False):
-                assert not instrument.prefer_reference()
-            assert instrument.prefer_reference()
-        assert not instrument.prefer_reference()
-
-    def test_restored_on_exception(self):
-        try:
-            with instrument.reference_mode():
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert not instrument.prefer_reference()
-
-
-class TestAllocationTracing:
-    def test_alloc_counted_only_when_tracing(self):
-        with instrument.collect(trace_alloc=True):
-            with instrument.kernel_timer("alloc", ops=1):
-                buf = np.ones(1 << 16)  # ~512 KiB survives the span
-        assert instrument.stats("alloc").alloc_bytes > 0
-        del buf
-        assert not tracemalloc.is_tracing()
-        with instrument.collect():
-            with instrument.kernel_timer("noalloc", ops=1):
-                buf2 = np.ones(1 << 16)
-        assert instrument.stats("noalloc").alloc_bytes == 0
-        del buf2
-        instrument.reset()
-
-    def test_collect_leaves_foreign_tracing_running(self):
-        tracemalloc.start()
-        try:
-            with instrument.collect(trace_alloc=True):
-                pass
-            assert tracemalloc.is_tracing()
-        finally:
-            tracemalloc.stop()
 
 
 class TestWallPhaseAttribution:

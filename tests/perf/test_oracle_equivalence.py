@@ -1,16 +1,14 @@
-"""Bitwise equivalence of every vectorized hot kernel against its retained
-scalar oracle.
+"""Bitwise equivalence of every vectorized hot kernel against its scalar
+oracle.
 
-Each vectorized kernel in the tree keeps its original implementation under a
-``*_reference`` name and routes through it inside
-:func:`repro.perf.instrument.reference_mode` (the resort plan's former loops
-live in ``tests/redistribution_oracles.py`` and the former near-field pair
-kernels in ``tests/near_field_oracles.py`` instead: those production paths
-no longer branch on the switch).  The contract checked here is
-strict: *bitwise identical* outputs (``np.array_equal`` on equal dtypes —
-never ``allclose``), identical dict key orders, identical modeled clocks,
-traces and error messages.  Host speed is the only thing the vectorization
-is allowed to change.
+The original implementation of each vectorized kernel lives under ``tests/``:
+five scalar bodies in ``tests/kernel_oracles.py``, the resort plan's former
+loops in ``tests/redistribution_oracles.py`` and the former near-field pair
+kernels in ``tests/near_field_oracles.py``; no production path knows about
+them.  The contract checked here is strict: *bitwise identical* outputs
+(``np.array_equal`` on equal dtypes — never ``allclose``), identical dict key
+orders, identical modeled clocks, traces and error messages.  Host speed is
+the only thing the vectorization is allowed to change.
 """
 
 from unittest import mock
@@ -20,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracles
 import near_field_oracles
 from redistribution_oracles import ResortPlanLoop
 from repro.bench.harness import make_system
@@ -27,23 +26,14 @@ from repro.core.particles import ColumnBlock
 from repro.core.plan import ResortPlan
 from repro.core.resort import pack_resort_index
 from repro.md.simulation import Simulation, SimulationConfig
-from repro.perf import instrument
 from repro.simmpi.machine import Machine
 from repro.solvers.common import pairs
-from repro.solvers.common.pairs import ragged_cross, ragged_cross_reference
-from repro.solvers.fmm.expansions import (
-    derivative_tensors,
-    derivative_tensors_reference,
-)
+from repro.solvers.common.pairs import ragged_cross
+from repro.solvers.fmm.expansions import derivative_tensors
 from repro.solvers.fmm.tree import FMMTree
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 from repro.verify.invariants import state_fingerprint
-from repro.sorting.partition_sort import (
-    partition_destinations,
-    partition_destinations_reference,
-    split_by_destination,
-    split_by_destination_reference,
-)
+from repro.sorting.partition_sort import partition_destinations, split_by_destination
 
 
 def assert_same_arrays(vec, ref):
@@ -80,25 +70,14 @@ class TestRaggedCross:
         s_starts = np.array([s[2] for s in segs], dtype=np.int64)
         s_ends = s_starts + np.array([s[3] for s in segs], dtype=np.int64)
         vec_ti, vec_si = ragged_cross(t_starts, t_ends, s_starts, s_ends)
-        ref_ti, ref_si = ragged_cross_reference(t_starts, t_ends, s_starts, s_ends)
+        ref_ti, ref_si = kernel_oracles.ragged_cross(t_starts, t_ends, s_starts, s_ends)
         assert_same_arrays(vec_ti, ref_ti)
         assert_same_arrays(vec_si, ref_si)
-
-    def test_reference_mode_dispatch(self):
-        t_starts = np.array([0, 3], dtype=np.int64)
-        t_ends = np.array([3, 5], dtype=np.int64)
-        s_starts = np.array([1, 0], dtype=np.int64)
-        s_ends = np.array([4, 2], dtype=np.int64)
-        with instrument.reference_mode():
-            ti, si = ragged_cross(t_starts, t_ends, s_starts, s_ends)
-        ref_ti, ref_si = ragged_cross_reference(t_starts, t_ends, s_starts, s_ends)
-        assert_same_arrays(ti, ref_ti)
-        assert_same_arrays(si, ref_si)
 
     def test_all_empty_segments(self):
         z = np.zeros(5, dtype=np.int64)
         vec = ragged_cross(z, z, z, z)
-        ref = ragged_cross_reference(z, z, z, z)
+        ref = kernel_oracles.ragged_cross(z, z, z, z)
         for a, b in zip(vec, ref):
             assert_same_arrays(a, b)
             assert a.size == 0
@@ -123,7 +102,7 @@ class TestPartitionSort:
     def test_destinations_bitwise(self, problem):
         order, bounds, _rng = problem
         vec = partition_destinations(order, bounds)
-        ref = partition_destinations_reference(order, bounds)
+        ref = kernel_oracles.partition_destinations(order, bounds)
         assert_same_arrays(vec, ref)
 
     @given(destination_problems())
@@ -138,7 +117,7 @@ class TestPartitionSort:
             ids=np.arange(n, dtype=np.int64),
         )
         vec = split_by_destination(block, d)
-        ref = split_by_destination_reference(block, d)
+        ref = kernel_oracles.split_by_destination(block, d)
         # identical key *order*, not just identical key sets
         assert list(vec) == list(ref)
         for dst in vec:
@@ -150,7 +129,7 @@ class TestPartitionSort:
         block = ColumnBlock(keys=np.empty(0, dtype=np.uint64))
         d = np.empty(0, dtype=np.int64)
         assert split_by_destination(block, d) == {}
-        assert split_by_destination_reference(block, d) == {}
+        assert kernel_oracles.split_by_destination(block, d) == {}
 
 
 # ----------------------------------------------------- derivative tensors
@@ -168,20 +147,14 @@ class TestDerivativeTensors:
         # keep displacements away from the origin (well-separated cells)
         d[np.linalg.norm(d, axis=1) < 2.0] += 6.0
         vec = derivative_tensors(d, order)
-        ref = derivative_tensors_reference(d, order)
+        ref = kernel_oracles.derivative_tensors(d, order)
         assert_same_arrays(vec, ref)
 
     def test_single_displacement(self):
         d = np.array([3.0, -2.0, 5.0])
         vec = derivative_tensors(d, 6)
-        ref = derivative_tensors_reference(d, 6)
+        ref = kernel_oracles.derivative_tensors(d, 6)
         assert_same_arrays(vec, ref)
-
-    def test_reference_mode_dispatch(self):
-        d = np.array([[3.0, -2.0, 5.0], [-1.0, 4.0, 2.0]])
-        with instrument.reference_mode():
-            routed = derivative_tensors(d, 4)
-        assert_same_arrays(routed, derivative_tensors_reference(d, 4))
 
 
 # ----------------------------------------------------- linked-cell pairs
@@ -224,7 +197,7 @@ class TestCandidatePairs:
         cy = (cells // nf.dims[2]) % nf.dims[1]
         cz = cells % nf.dims[2]
         vec = nf.candidate_pairs(first, last, s_sorted, cx, cy, cz, ns)
-        ref = nf.candidate_pairs_reference(first, last, s_sorted, cx, cy, cz, ns)
+        ref = kernel_oracles.candidate_pairs(nf, first, last, s_sorted, cx, cy, cz, ns)
         for a, b in zip(vec, ref):
             assert_same_arrays(a, b)
 
@@ -408,21 +381,13 @@ def _trajectory(solver, periodic):
     "solver, periodic",
     [("fmm", True), ("fmm", False), ("p2nfft", True), ("ewald", True)],
 )
-def test_trajectory_with_oracle_kernels(solver, periodic, rebind):
+def test_trajectory_with_oracle_kernels(solver, periodic, rebind, counted):
     """Whole runs cannot tell the production kernels from the oracles."""
     production = _trajectory(solver, periodic)
-    oracle_calls = []
-
-    def counted(oracle):
-        def kernel(*args, **kwargs):
-            oracle_calls.append(oracle.__name__)
-            return oracle(*args, **kwargs)
-        return kernel
-
     rebind(pairs.coulomb_pairs, counted(near_field_oracles.coulomb_pairs))
     rebind(pairs.erfc_pairs, counted(near_field_oracles.erfc_pairs))
     assert _trajectory(solver, periodic) == production
-    assert set(oracle_calls) == {"coulomb_pairs" if solver == "fmm" else "erfc_pairs"}
+    assert counted.called == {"coulomb_pairs" if solver == "fmm" else "erfc_pairs"}
 
 
 # ------------------------------------------------------------ resort plan

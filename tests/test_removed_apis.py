@@ -7,6 +7,7 @@ or as an attribute of the object that used to carry it (``REMOVED``).  It
 used to be a grep step of the ``obs-smoke`` CI job.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -34,6 +35,10 @@ FORBIDDEN = [
     # byte records and twin implementations live on as test oracles only
     (r"_execute_reference|_execute_vectorized|_compile_schedules|_byte_rows|_gather_order"
      r"|_scatter_perm", ("src", "benchmarks", "examples"), ()),
+    # the host clock is read from outside (perfbench/) and a kernel's scalar
+    # oracle lives under tests/: no in-tree timer registry, no dispatch switch
+    (r"prefer_reference|reference_mode|kernel_timer|instrument\.(collect|record|stats|snapshot)"
+     r"|merge_kernel_stats|_reference\(", ("src", "benchmarks", "examples"), ()),
 ]
 
 #: ``(module, attribute path)`` that must not resolve
@@ -59,6 +64,18 @@ REMOVED = [
     # the pair kernels are two radial functions over one core that
     # accumulates with bincount (the old bodies: tests/near_field_oracles.py)
     ("repro.solvers.common.pairs", "_accumulate"),
+    # repro.perf.instrument is the wall-phase hook and nothing else
+    *[("repro.perf.instrument", name) for name in (
+        "KernelStats", "collect", "collecting", "record", "kernel_timer", "stats", "snapshot",
+        "reset", "export_metrics", "reference_mode", "prefer_reference")],
+    ("repro.perf", "harness"),
+    # the scalar oracles of five kernels moved to tests/kernel_oracles.py
+    ("repro.solvers.common.pairs", "ragged_cross_reference"),
+    ("repro.solvers.p2nfft.linked_cell", "LinkedCellNearField.candidate_pairs_reference"),
+    ("repro.solvers.fmm.expansions", "derivative_tensors_reference"),
+    ("repro.sorting.partition_sort", "partition_destinations_reference"),
+    ("repro.sorting.partition_sort", "split_by_destination_reference"),
+    ("repro.obs", "merge_kernel_stats"),
 ]
 
 
@@ -66,7 +83,7 @@ REMOVED = [
     "pattern, trees, allowed",
     FORBIDDEN,
     ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
-         "fuse-resort", "plan-twins"],
+         "fuse-resort", "plan-twins", "in-tree-timers"],
 )
 def test_removed_name_is_not_spelled(pattern, trees, allowed):
     regex = re.compile(pattern)
@@ -101,3 +118,45 @@ def test_pair_kernels_take_no_shift(kernel):
     use ``box=`` minimum image."""
     pairs = importlib.import_module("repro.solvers.common.pairs")
     assert "shift" not in inspect.signature(getattr(pairs, kernel)).parameters
+
+
+def test_perf_package_is_the_wall_phase_hook():
+    perf = importlib.import_module("repro.perf")
+    hook = ["wall_anchor", "wall_phases", "wall_phases_enabled"]
+    assert sorted(perf.__all__) == sorted(perf.instrument.__all__) == hook
+    # no harness.py, no __main__.py: ``python -m repro.perf`` does not exist
+    assert sorted(p.name for p in (ROOT / "src/repro/perf").glob("*.py")) == [
+        "__init__.py", "instrument.py"]
+
+
+#: the only modules under ``src/repro`` that read the host clock: the
+#: wall-phase hook, and three that report how long their own work took
+HOST_CLOCK_READERS = {
+    "perf/instrument.py", "ckpt/restore.py", "backend/process.py", "bench/__main__.py"}
+
+
+def test_host_clock_is_read_in_four_modules_and_kernels_do_not_import_perf():
+    package = ROOT / "src/repro"
+    readers, importers = set(), set()
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = []
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "time"
+                and (node.attr == "time" or node.attr.startswith("perf_counter"))
+            ):
+                readers.add(relative)
+            for name in imported:
+                if name.startswith(("time.time", "time.perf_counter", "tracemalloc")):
+                    readers.add(relative)
+                if name.startswith("repro.perf"):
+                    importers.add(relative.split("/")[0])
+    assert readers <= HOST_CLOCK_READERS, sorted(readers - HOST_CLOCK_READERS)
+    assert not importers & {"solvers", "sorting", "core", "zorder", "md"}, sorted(importers)

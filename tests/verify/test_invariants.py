@@ -12,6 +12,7 @@ from repro.verify import (
     get_invariant,
     run_invariants,
 )
+from repro.verify.dst import run_dst
 from repro.verify.invariants import _REGISTRY, SKIPPED, invariant
 
 
@@ -128,6 +129,53 @@ class TestLiveSimulation:
         sim.run(1)
         results = run_invariants(sim)
         assert any(r.status == "passed" for r in results)
+
+
+class TestPlanAccounting:
+    """``plan-accounting`` on direct, pairwise- and Bruck-staged runs: the
+    plan's claim is bounded by the audited messages and bytes, by the bytes
+    alone where Bruck forwarded aggregated blocks."""
+
+    @pytest.mark.parametrize("nprocs, n", [(4, 64), (8, 512)])
+    @pytest.mark.parametrize("solver", ["fmm", "p2nfft"])
+    def test_bruck_staged_method_b_dst_cell(self, solver, nprocs, n):
+        """Used to die on every such cell: ``plan engine reports 12
+        messages, audited exchanges carried only 8`` — fewer messages than
+        the plan's direct route is what Bruck forwarding does."""
+        report = run_dst(
+            [solver], ["B"], seeds=1, steps=3, nprocs=nprocs, n_particles=n,
+            algos=["bruck"], probe_rounds=0,
+        )
+        assert report.ok, report.failures
+
+    def run_plan(self, sim_factory, algos):
+        sim, checker, auditor = sim_factory(n=64, collective_algos=algos)
+        sim.run(2)
+
+        def check():
+            return checker.run(["plan-accounting"])[0]
+
+        assert check().status == "passed"
+        return auditor.plan_ledger["resort"], auditor.ledger["resort"], check
+
+    @pytest.mark.parametrize("algos", [None, "pairwise"])
+    def test_one_message_or_byte_too_many_is_caught(self, sim_factory, algos):
+        """Direct and pairwise carry exactly the plan's route."""
+        planned, audited, check = self.run_plan(sim_factory, algos)
+        assert (planned.messages, planned.bytes) == (audited.messages, audited.bytes)
+        planned.messages += 1
+        assert "messages" in check().detail
+        planned.messages -= 1
+        planned.bytes += 1
+        assert "bytes" in check().detail
+
+    def test_one_byte_too_many_is_caught_on_a_bruck_run(self, sim_factory):
+        planned, audited, check = self.run_plan(sim_factory, "bruck")
+        assert planned.messages > audited.messages and planned.bytes < audited.bytes
+        planned.bytes = audited.bytes
+        assert check().status == "passed"
+        planned.bytes += 1
+        assert "bytes" in check().detail
 
 
 class TestResortPermutationCheck:
