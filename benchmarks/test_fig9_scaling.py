@@ -54,14 +54,29 @@ class TestP2NFFTOnTorus:
         assert r["B+move"][-1] < r["A"][-1]
         assert r["B+move"][-1] < r["B"][-1]
 
-    def test_b_overhead_appears_at_scale(self, results):
-        """B's extra resort communication makes it lose to A at the largest
-        process counts (the paper's >1024 regime)."""
+    def test_b_lead_over_a_shrinks_at_scale(self, results):
+        """What is measured of the paper's >1024 regime (EXPERIMENTS.md): B
+        is ahead of A at moderate scale and its relative lead shrinks from
+        the 1024-rank point to the last one — the direction of the paper's
+        claim; the crossover itself is the strict xfail below."""
         r = results["p2nfft"]
-        if r["procs"][-1] >= 4096:
-            assert r["B"][-1] > r["A"][-1] * 0.98
-        # at moderate scale B is not worse than A by much either way
-        assert r["B"][1] < 1.3 * r["A"][1]
+        lead = [(a - b) / a for a, b in zip(r["A"], r["B"])]
+        assert lead[1] > 0
+        if r["procs"][-1] <= 1024:
+            pytest.skip("no point beyond 1024 ranks at this preset")
+        assert lead[-1] < lead[r["procs"].index(1024)]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="B no longer crosses A on the torus: PR 2's cached, fused resort plan removed "
+        "most of the additional resort communication step the paper blames (ROADMAP 1(b)); "
+        "the PR that restores the crossover flips this",
+    )
+    def test_b_crosses_a_at_scale(self, results):
+        """The paper: beyond ~1024 procs B's extra resort communication makes
+        it *slower* than A."""
+        r = results["p2nfft"]
+        assert r["B"][-1] > r["A"][-1]
 
     def test_runtimes_rise_at_extreme_scale(self, results):
         r = results["p2nfft"]

@@ -133,7 +133,6 @@ def run_restart_equivalence(
     try:
         sim_straight.run(2 * steps)
         straight_state = state_fingerprint(sim_straight)
-        auditor_straight.assert_quiescent()
         straight_ledger = ledger_fingerprint(auditor_straight)
         straight_breakdown = step_breakdown_hex(sim_straight.records)
     finally:
@@ -179,10 +178,6 @@ def run_restart_equivalence(
                 "per-step phase breakdown diverged from the uninterrupted "
                 f"run (first at step {first_bad})"
             )
-        try:
-            auditor.assert_quiescent()
-        except AssertionError as exc:
-            problems.append(str(exc))
     finally:
         sim.fcs.destroy()
 

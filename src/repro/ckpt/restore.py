@@ -31,8 +31,8 @@ empty ledgers and will not reproduce the uninterrupted run's fingerprint.
 
 An attached :class:`~repro.obs.spans.ObsRecorder` is cleared (its buffered
 spans describe the reconstruction, not the run) and marked incomplete-from-
-start — the ``span-accounting`` invariant then reports SKIPPED instead of
-comparing against a trace whose history predates the recorder.
+start — the exported header's ``complete`` then says that the trace's
+history predates the recorder.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ across time steps while the distribution is unchanged), and
 :meth:`FCS.resort` moves any number of mixed-dtype data columns in a single
 fused exchange.  The historical per-dtype entry points
 (``resort_floats``/``resort_ints``/``resort_bytes``) were removed in API
-v2 — see docs/migration.md.
+v2 (``tests/test_removed_apis.py`` pins them gone).
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class FCS:
         """Set particle-system properties (``fcs_set_common``).
 
         All arguments are keyword-only (API v2 — the historical positional
-        form silently swapped ``box``/``offset``; see docs/migration.md):
+        form silently swapped ``box``/``offset``):
 
         ``box``
             edge lengths of the (cuboid) system box, a positive 3-vector.

@@ -14,10 +14,10 @@ Span taxonomy
     One trace charge, recorded on the machine-wide critical path
     (``rank == MACHINE_RANK``).  ``time`` carries the *exact* float the
     charge site reported into :meth:`Trace.record
-    <repro.simmpi.tracing.Trace.record>`, in the same call order — so
-    folding the charge spans per phase reproduces the trace aggregates
-    bit-for-bit (the ``span-accounting`` invariant and the golden NDJSON
-    tests pin this).
+    <repro.simmpi.tracing.Trace.record>`, in the same call order:
+    :meth:`Machine.commit <repro.simmpi.machine.Machine.commit>` hands the
+    same floats to both in one call (the golden NDJSON tests pin the span
+    content).
 ``kind="rank"``
     The per-rank view of a charge: one span per rank whose local clock
     moved, anchored to that rank's clock interval.  Rank clocks lag the
@@ -132,8 +132,8 @@ class ObsRecorder:
         self._ids = itertools.count(1)
         self._stack: List[int] = []
         #: True while the recorder observed *every* charge since the trace
-        #: was last empty — the precondition for bit-for-bit span/trace
-        #: parity (cleared when attached to a machine that already charged)
+        #: was last empty (cleared when attached to a machine that already
+        #: charged)
         self.complete_from_start = (
             machine.trace.total_time() == 0.0
             and machine.trace.total_messages() == 0
@@ -218,8 +218,7 @@ class ObsRecorder:
         nbytes: int = 0,
     ) -> None:
         """Record a charge originating on a single rank (SPMD send/recv):
-        the machine-wide ``charge`` span for trace parity plus the one
-        rank-local span."""
+        the machine-wide ``charge`` span plus the one rank-local span."""
         label = phase if phase is not None else "other"
         self._append(
             MACHINE_RANK,
@@ -347,32 +346,9 @@ class ObsRecorder:
     @property
     def complete(self) -> bool:
         """Whether the machine stream still holds *every* charge observed:
-        attached before the first charge and nothing evicted.  Only then do
-        :meth:`phase_sums` match the trace exactly."""
+        attached before the first charge and nothing evicted — exported in
+        the NDJSON header."""
         return self.complete_from_start and not self._dropped.get(MACHINE_RANK)
-
-    def phase_sums(self) -> Dict[str, Dict[str, Any]]:
-        """Fold the machine-stream charge spans back into per-phase
-        aggregates ``{phase: {time, messages, bytes, calls}}``.
-
-        Sums run in buffer (= charge) order, replaying the trace's float
-        accumulation order — when :attr:`complete`, ``time`` matches
-        :class:`~repro.simmpi.tracing.Trace` bit-for-bit.
-        """
-        sums: Dict[str, Dict[str, Any]] = {}
-        for span in self._rings[MACHINE_RANK]:
-            if span.kind != "charge":
-                continue
-            entry = sums.get(span.phase)
-            if entry is None:
-                entry = sums[span.phase] = {
-                    "time": 0.0, "messages": 0, "bytes": 0, "calls": 0
-                }
-            entry["time"] += span.time
-            entry["messages"] += span.messages
-            entry["bytes"] += span.nbytes
-            entry["calls"] += 1
-        return sums
 
     def rank_busy(self) -> Dict[int, float]:
         """Per-rank busy seconds: summed rank-span durations."""
@@ -412,7 +388,8 @@ def enable_observability(
 
     Mirrors :func:`repro.verify.enable_auditing`: the recorder observes
     every subsequent charge; detach by setting ``machine.obs = None``.
-    Attach before the first charge for bit-for-bit span/trace parity.
+    Attach before the first charge for a :attr:`~ObsRecorder.complete`
+    record.
     """
     recorder = ObsRecorder(
         machine, capacity=capacity, per_rank=per_rank, metrics=metrics

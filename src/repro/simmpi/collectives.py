@@ -459,7 +459,10 @@ def allgatherv(
     """Every rank receives the concatenation of all contributions.
 
     Modeled as a ring/bruck allgather: each rank ultimately receives the
-    full concatenated volume; latency is logarithmic.
+    full concatenated volume; latency is logarithmic.  Under the delivery
+    aliasing contract (module docstring) every rank is handed the *same*
+    gathered array, flagged read-only; the staged engines return their
+    per-rank concatenations.
     """
     P = machine.nprocs
     if len(contributions) != P:
@@ -479,7 +482,8 @@ def allgatherv(
         op="allgatherv",
     )
     gathered = np.concatenate(arrays) if arrays else np.empty(0)
-    return [gathered.copy() for _ in range(P)] if P > 1 else [gathered]
+    gathered.flags.writeable = False
+    return [gathered] * P
 
 
 def allgather_scalars(

@@ -85,6 +85,10 @@ def send_round(
     the owning algorithm (e.g. ``"alltoallv.bruck"``).
     """
     model = machine.model
+    # like a bad alltoallv destination, a bad rank rejects the whole round
+    # before anything is audited, routed or charged
+    ends = np.array([t[:2] for t in transfers], dtype=np.int64).reshape(-1, 2)
+    _check_ranks(machine, ends)
     if machine.auditor is not None:
         machine.auditor.observe_send_round(transfers, phase)
     recv: List[List[Tuple[int, Payload]]] = [[] for _ in range(machine.nprocs)]
@@ -94,19 +98,19 @@ def send_round(
     # sends post first (non-blocking), receives complete afterwards
     arrivals: List[Tuple[int, float, Payload, int]] = []
     delivered = _route(machine, transfers)
-    for (src, dst, payload), received in zip(transfers, delivered):
-        src = machine.check_rank(src)
-        dst = machine.check_rank(dst)
-        nbytes = payload_nbytes(payload)
+    # one topology query for the round (a scalar query per message was most
+    # of its host cost)
+    hops = machine.topology.hops(ends[:, 0], ends[:, 1]).tolist()
+    for (src, dst), hop, transfer, received in zip(ends.tolist(), hops, transfers, delivered):
+        nbytes = payload_nbytes(transfer[2])
         if src == dst:
             machine.clocks[src] += float(model.copy_time(nbytes))
             recv[dst].append((src, received))
             continue
-        hops = int(machine.topology.hops(src, dst))
         send_done = machine.clocks[src] + model.overhead + float(model.copy_time(nbytes))
         arrival = (
             send_done
-            + float(model.msg_time(hops, nbytes)) * machine.comm_factor(src, dst)
+            + float(model.msg_time(hop, nbytes)) * machine.comm_factor(src, dst)
             - model.overhead
         )
         machine.clocks[src] = send_done
@@ -140,6 +144,8 @@ def exchange_pairs(
     i.e. ``(payload_b_to_a, payload_a_to_b)``.
     """
     model = machine.model
+    ends = np.array([pair[:2] for pair in exchanges], dtype=np.int64).reshape(-1, 2)
+    _check_disjoint(machine, ends)
     if machine.auditor is not None:
         machine.auditor.observe_exchange_pairs(exchanges, phase)
     token = machine.begin()
@@ -153,8 +159,6 @@ def exchange_pairs(
     # in the same order as a pair at a time, which was the largest host cost
     # of a comparator round.  Column 0 is a and its message to b, column 1 is
     # b and its message to a.
-    ends = np.asarray([pair[:2] for pair in exchanges], dtype=np.int64).reshape(-1, 2)
-    _check_disjoint(machine, ends)
     sizes = np.asarray(
         [(payload_nbytes(pa), payload_nbytes(pb)) for _a, _b, pa, pb in exchanges], dtype=np.int64
     ).reshape(-1, 2)
@@ -172,18 +176,24 @@ def exchange_pairs(
     }
 
 
-def _check_disjoint(machine: Machine, ends: np.ndarray) -> None:
-    """Every rank of a round valid and in at most one pair; the first
-    offender, in pair order, is the one named."""
+def _check_ranks(machine: Machine, ends: np.ndarray) -> None:
+    """Every rank of a round valid; the first offender, in table order, is
+    the one named."""
     ranks = ends.ravel()
-    if ranks.size == 0 or (
-        0 <= ranks.min() and ranks.max() < machine.nprocs and np.unique(ranks).size == ranks.size
-    ):
+    bad = np.flatnonzero((ranks < 0) | (ranks >= machine.nprocs))
+    if bad.size:
+        machine.check_rank(int(ranks[bad[0]]))
+
+
+def _check_disjoint(machine: Machine, ends: np.ndarray) -> None:
+    """Every rank of a round valid and in at most one pair: a bad rank is
+    named first, then the first pair, in pair order, that repeats a rank."""
+    _check_ranks(machine, ends)
+    ranks = ends.ravel()
+    if np.unique(ranks).size == ranks.size:
         return
     seen: set = set()
     for a, b in ends.tolist():
-        a = machine.check_rank(a)
-        b = machine.check_rank(b)
         if a == b:
             raise ValueError(f"pair ({a}, {b}) exchanges with itself")
         for r in (a, b):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,6 +157,16 @@ class Solver:
         if self.box is None:
             raise RuntimeError("set_common must be called before tune/run")
 
+    @staticmethod
+    def require_finite(particles: ParticleSet) -> None:
+        """Reject NaN/inf positions or charges before anything is charged
+        (the grid placement would wrap a NaN coordinate to the lower face
+        silently).  In a finite box a sum is finite iff its terms are, so
+        one reduction per array decides."""
+        for rank, (pos, q) in enumerate(zip(particles.pos, particles.q)):
+            if not math.isfinite(pos.sum() + q.sum()):
+                raise ValueError(f"rank {rank}: non-finite particle position or charge")
+
     def _set_compute_mode(self, compute: str) -> None:
         """``"skip"`` omits the force arithmetic (results are zeros) while
         keeping every redistribution operation data-real and charging the
@@ -236,6 +247,7 @@ class Solver:
         self.require_common()
         if not self._tuned:
             raise RuntimeError("fcs_tune must run before fcs_run")
+        self.require_finite(particles)
         old_counts = particles.counts()
         blocks, ghosts, comm, strategy = self._place(particles, max_move)
         new_counts = np.asarray([b.n for b in blocks], dtype=np.int64)

@@ -50,6 +50,7 @@ class DirectSolver(Solver):
         max_move: Optional[float] = None,
     ) -> RunReport:
         self.require_common()
+        self.require_finite(particles)
         machine = self.machine
         counts = particles.counts()
 

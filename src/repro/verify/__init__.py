@@ -14,9 +14,9 @@ executable checks:
   (the executable form of the paper's Figures 7-8).
 * :mod:`repro.verify.audit` — a communication auditor wired into
   :mod:`repro.simmpi.collectives` and :mod:`repro.simmpi.p2p` that
-  validates alltoallv count symmetry, flags unmatched point-to-point sends
-  (virtual-deadlock detection) and verifies neighborhood exchanges only
-  touch declared Cartesian neighbors.
+  validates every message of a raw send table, verifies neighborhood
+  exchanges only touch declared Cartesian neighbors and keeps the
+  independent traffic ledger the accounting invariants compare against.
 * :mod:`repro.verify.dst` — deterministic simulation testing: the full MD
   loop re-run under seeded machine perturbations
   (:mod:`repro.simmpi.chaos`), asserting bitwise-identical physics and

@@ -6,18 +6,13 @@ When a :class:`CommAuditor` is attached to a
 :mod:`repro.simmpi.collectives` and :mod:`repro.simmpi.p2p` report every
 exchange to it.  The auditor then
 
-* validates the **alltoallv count table**: the implicit receive counts must
-  be the exact transpose of the send counts (``recv[j][i] == send[i][j]``),
-  targets must be valid ranks, and payload byte sizes must be consistent —
-  the checks a real ``MPI_Alltoallv`` cannot do for you and whose violation
-  silently corrupts a redistribution;
+* validates every **message of a raw table**: both endpoints must be valid
+  ranks and the payload byte size non-negative — what a real
+  ``MPI_Alltoallv`` cannot check for you and whose violation silently
+  corrupts a redistribution;
 * verifies **neighborhood exchanges** only touch declared Cartesian
   neighbors (the caller-guarantees contract of the sparse count-exchange
   path, Sect. III-B of the paper);
-* tracks **point-to-point send/receive matching**: every posted send must be
-  consumed by a matching receive before :meth:`CommAuditor.assert_quiescent`
-  — an unmatched send is the virtual-deadlock signature of a mis-scheduled
-  Batcher merge-exchange round;
 * keeps an **independent per-phase ledger** of message counts and byte
   volumes, recomputed from the raw send tables rather than copied from the
   primitives' own accounting, so the ``trace-accounting`` invariant can
@@ -27,7 +22,15 @@ exchange to it.  The auditor then
   charge funnel mirrors their totals (:meth:`CommAuditor.on_mirrored_charge`).
 
 The auditor never changes what the primitives do — it only observes and
-raises :class:`CommAuditError` on violation.
+raises :class:`CommAuditError` on violation.  Every observer is one set of
+array operations over the ``(src, dst, nbytes)`` message triples of its
+table; nothing it allocates grows faster than the message count.  A check
+lives here only if it compares two independently derived quantities: the
+receive side of a sparse send table is its transpose by construction, a
+primitive's round completes every send it posts, and
+:func:`~repro.simmpi.p2p.exchange_pairs` rejects an overlapping round
+itself — :func:`check_count_symmetry` and :func:`verify_exchange_schedule`
+are the validators for tables a *caller* supplies.
 """
 
 from __future__ import annotations
@@ -44,15 +47,14 @@ __all__ = [
     "CommAuditError",
     "CommAuditor",
     "enable_auditing",
-    "export_metrics",
     "check_count_symmetry",
     "verify_exchange_schedule",
 ]
 
 
 class CommAuditError(AssertionError):
-    """A communication contract was violated (asymmetric counts, unmatched
-    send, non-neighbor traffic, ...)."""
+    """A communication contract was violated (asymmetric counts, invalid
+    rank, non-neighbor traffic, ...)."""
 
 
 def check_count_symmetry(
@@ -221,8 +223,6 @@ class CommAuditor:
         #: trace snapshot taken at attach time so the ledger (which only
         #: sees post-attach traffic) compares against trace *deltas*
         self.trace_baseline: Dict[str, object] = {}
-        #: pending point-to-point sends awaiting their matching receive
-        self._pending_sends: List[Tuple[int, int, int]] = []
         #: running totals of audited calls (diagnostics)
         self.n_alltoall_calls = 0
         self.n_p2p_calls = 0
@@ -250,20 +250,20 @@ class CommAuditor:
 
     # -- ledger -----------------------------------------------------------------
 
-    def _record(self, phase: Optional[str], messages: int, nbytes: int) -> None:
+    @staticmethod
+    def _add(
+        table: Dict[str, PhaseLedger], phase: Optional[str], messages: int, nbytes: int
+    ) -> None:
         label = phase if phase is not None else "other"
-        ledger = self.ledger.get(label)
+        ledger = table.get(label)
         if ledger is None:
-            ledger = self.ledger[label] = PhaseLedger()
+            ledger = table[label] = PhaseLedger()
         ledger.add(messages, nbytes)
-        if self._algo_scope_depth > 0:
-            rounds = self.algo_round_ledger.get(label)
-            if rounds is None:
-                rounds = self.algo_round_ledger[label] = PhaseLedger()
-            rounds.add(messages, nbytes)
 
-    def ledger_snapshot(self) -> Dict[str, PhaseLedger]:
-        return {k: dataclasses.replace(v) for k, v in self.ledger.items()}
+    def _record(self, phase: Optional[str], messages: int, nbytes: int) -> None:
+        self._add(self.ledger, phase, messages, nbytes)
+        if self._algo_scope_depth > 0:
+            self._add(self.algo_round_ledger, phase, messages, nbytes)
 
     # -- funnel listener hooks ----------------------------------------------------
 
@@ -310,11 +310,7 @@ class CommAuditor:
         from the raw send table by :meth:`observe_alltoallv`.  The
         ``plan-accounting`` invariant compares the two.
         """
-        label = phase if phase is not None else "other"
-        ledger = self.plan_ledger.get(label)
-        if ledger is None:
-            ledger = self.plan_ledger[label] = PhaseLedger()
-        ledger.add(messages, nbytes)
+        self._add(self.plan_ledger, phase, messages, nbytes)
 
     # -- algorithm-engine hooks ---------------------------------------------------
 
@@ -333,11 +329,7 @@ class CommAuditor:
         re-accounted into :attr:`algo_round_ledger`; the
         ``collective-algo-accounting`` invariant asserts exact agreement.
         """
-        label = phase if phase is not None else "other"
-        ledger = self.algo_ledger.get(label)
-        if ledger is None:
-            ledger = self.algo_ledger[label] = PhaseLedger()
-        ledger.add(messages, nbytes)
+        self._add(self.algo_ledger, phase, messages, nbytes)
 
     @contextlib.contextmanager
     def algo_scope(self):
@@ -348,7 +340,42 @@ class CommAuditor:
         finally:
             self._algo_scope_depth -= 1
 
-    # -- collective hooks ---------------------------------------------------------
+    # -- raw-table observers -------------------------------------------------------
+
+    def _observe(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        nbytes: np.ndarray,
+        phase: Optional[str],
+        *,
+        neighborhood: bool = False,
+        record: bool = True,
+    ) -> None:
+        """Audit one call's messages, given as parallel int64 arrays.
+
+        Violations are reported per message, in table order; the remote
+        messages (self-sends are local moves, like in the trace) are added to
+        the ledger.  Nothing here is sized by the rank count.
+        """
+        P = self.nprocs
+        valid = (src >= 0) & (src < P) & (dst >= 0) & (dst < P)
+        remote = valid & (dst != src)
+        bad = ~valid | (nbytes < 0)
+        if neighborhood and self._neighbor_keys is not None:
+            bad |= remote & ~np.isin(src * P + dst, self._neighbor_keys)
+        for k in np.flatnonzero(bad).tolist():
+            if not valid[k]:
+                self._fail(f"message {src[k]}->{dst[k]} names an invalid rank (of {P})")
+            elif nbytes[k] < 0:
+                self._fail(f"rank {src[k]}->{dst[k]}: negative payload size {nbytes[k]}")
+            else:
+                self._fail(
+                    f"neighborhood exchange: rank {src[k]} sends to rank {dst[k]}, "
+                    f"which is not a declared neighbor"
+                )
+        if record:
+            self._record(phase, int(remote.sum()), int(nbytes[remote].sum()))
 
     def observe_alltoallv(
         self,
@@ -360,84 +387,19 @@ class CommAuditor:
         """Audit one (neighborhood_)alltoallv call from its raw send table
         (``list[dict]`` or :class:`~repro.simmpi.collectives.Exchange`).
 
-        ``record=False`` runs every validation (rank range, count symmetry,
+        ``record=False`` runs every validation (rank range, payload sizes,
         neighborhood contract) without touching the ledger — the staged
         algorithm engines use it, because their ledger traffic is
         re-accounted per round by :meth:`observe_send_round` instead of
         from the send table.
         """
-        from repro.simmpi.collectives import Exchange, message_triples
+        from repro.simmpi.collectives import message_triples
 
         self.n_alltoall_calls += 1
-        if not isinstance(sends, Exchange) and len(sends) != self.nprocs:
-            self._fail(
-                f"alltoallv send table has {len(sends)} rows for {self.nprocs} ranks"
-            )
-            return
-        src, dst, size = message_triples(sends)
-        valid = (dst >= 0) & (dst < self.nprocs)
-        remote = valid & (dst != src)
-        stranger = np.zeros(src.shape[0], dtype=bool)
-        if count_exchange == "sparse" and self._neighbor_keys is not None:
-            stranger = remote & ~np.isin(src * self.nprocs + dst, self._neighbor_keys)
-        # violations are reported per message, in table order
-        for k in np.flatnonzero(~valid | (size < 0) | stranger).tolist():
-            if not valid[k]:
-                self._fail(f"rank {src[k]} sends to invalid rank {dst[k]}")
-                continue
-            if size[k] < 0:
-                self._fail(f"rank {src[k]}->{dst[k]}: negative payload size {size[k]}")
-            if stranger[k]:
-                self._fail(
-                    f"neighborhood exchange: rank {src[k]} sends to rank {dst[k]}, "
-                    f"which is not a declared neighbor"
-                )
-        send_counts = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
-        np.add.at(send_counts, (src[valid], dst[valid]), 1)
-        # the implicit receive side of a sparse send table is its transpose
-        # by construction; validate the invariant explicitly so injected
-        # corruptions (tests, future real-MPI backends) are caught
-        try:
-            check_count_symmetry(send_counts, send_counts.T)
-        except CommAuditError as exc:  # pragma: no cover - defensive
-            self._fail(str(exc))
-        if record:
-            self._record(phase, int(remote.sum()), int(size[remote].sum()))
-
-    # -- point-to-point hooks -----------------------------------------------------
-
-    def post_send(self, src: int, dst: int, nbytes: int = 0) -> None:
-        """Register a posted point-to-point send awaiting its receive."""
-        self._pending_sends.append((int(src), int(dst), int(nbytes)))
-
-    def complete_recv(self, src: int, dst: int) -> None:
-        """Match a completed receive against a pending send."""
-        for i, (s, d, _) in enumerate(self._pending_sends):
-            if s == int(src) and d == int(dst):
-                del self._pending_sends[i]
-                return
-        self._fail(
-            f"receive at rank {dst} from rank {src} has no matching posted send"
+        self._observe(
+            *message_triples(sends), phase,
+            neighborhood=count_exchange == "sparse", record=record,
         )
-
-    def pending_sends(self) -> List[Tuple[int, int, int]]:
-        return list(self._pending_sends)
-
-    def assert_quiescent(self) -> None:
-        """No point-to-point send may still be in flight.
-
-        An unmatched send is the virtual-deadlock signature: on a real
-        machine the sender's rendezvous never completes and the program
-        hangs instead of raising.
-        """
-        if self._pending_sends:
-            pending = ", ".join(
-                f"{s}->{d} ({b} B)" for s, d, b in self._pending_sends[:8]
-            )
-            self._fail(
-                f"{len(self._pending_sends)} unmatched point-to-point send(s): "
-                f"{pending}"
-            )
 
     def observe_sendrecv(
         self, src: int, dst: int, nbytes: int, phase: Optional[str]
@@ -445,59 +407,37 @@ class CommAuditor:
         if src == dst:
             return
         self.n_p2p_calls += 1
-        self.post_send(src, dst, nbytes)
-        self.complete_recv(src, dst)
-        self._record(phase, 1, nbytes)
+        self._observe(*(np.array([v], dtype=np.int64) for v in (src, dst, nbytes)), phase)
 
     def observe_send_round(
         self,
         transfers: Sequence[Tuple[int, int, object]],
         phase: Optional[str],
     ) -> None:
-        """Audit one send_round call: recompute totals, match every pair."""
+        """Audit one send_round call from its raw transfer list."""
         from repro.simmpi.collectives import payload_nbytes
 
         self.n_p2p_calls += 1
-        messages = 0
-        nbytes = 0
-        for src, dst, payload in transfers:
-            if not (0 <= src < self.nprocs and 0 <= dst < self.nprocs):
-                self._fail(f"send_round transfer {src}->{dst} outside rank range")
-                continue
-            if src == dst:
-                continue
-            size = payload_nbytes(payload)
-            self.post_send(src, dst, size)
-            messages += 1
-            nbytes += size
-        # the primitive delivers every posted message within the round
-        for src, dst, payload in transfers:
-            if src != dst and 0 <= src < self.nprocs and 0 <= dst < self.nprocs:
-                self.complete_recv(src, dst)
-        self._record(phase, messages, nbytes)
+        ends = np.array([t[:2] for t in transfers], dtype=np.int64).reshape(-1, 2)
+        sizes = np.array([payload_nbytes(t[2]) for t in transfers], dtype=np.int64)
+        self._observe(ends[:, 0], ends[:, 1], sizes, phase)
 
     def observe_exchange_pairs(
         self,
         exchanges: Sequence[Tuple[int, int, object, object]],
         phase: Optional[str],
     ) -> None:
-        """Audit one exchange_pairs round (a Batcher comparator round)."""
+        """Audit one exchange_pairs round (a Batcher comparator round): two
+        messages per pair, ``a -> b`` then ``b -> a``."""
         from repro.simmpi.collectives import payload_nbytes
 
         self.n_p2p_calls += 1
-        verify_exchange_schedule([[(a, b) for a, b, _, _ in exchanges]], self.nprocs)
-        messages = 0
-        nbytes = 0
-        for a, b, pa, pb in exchanges:
-            size_ab = payload_nbytes(pa)
-            size_ba = payload_nbytes(pb)
-            self.post_send(a, b, size_ab)
-            self.post_send(b, a, size_ba)
-            self.complete_recv(a, b)
-            self.complete_recv(b, a)
-            messages += 2
-            nbytes += size_ab + size_ba
-        self._record(phase, messages, nbytes)
+        ends = np.array([x[:2] for x in exchanges], dtype=np.int64).reshape(-1, 2)
+        sizes = np.array(
+            [(payload_nbytes(pa), payload_nbytes(pb)) for _a, _b, pa, pb in exchanges],
+            dtype=np.int64,
+        )
+        self._observe(ends.ravel(), ends[:, ::-1].ravel(), sizes.ravel(), phase)
 
     # -- checkpointing ------------------------------------------------------------
 
@@ -505,12 +445,14 @@ class CommAuditor:
         """Complete deep-copied auditor bookkeeping as checkpoint-plain data.
 
         Captures every :data:`LEDGERS` table and :data:`COUNTERS` total, the
-        per-algorithm call counts, the attach-time trace baseline, the
-        pending-send list and the collected violations — everything
+        per-algorithm call counts, the attach-time trace baseline and the
+        collected violations — everything
         :func:`ledger_fingerprint <repro.verify.dst.ledger_fingerprint>` and
         the accounting invariants read.  The neighbor table and ``strict``
         flag are *configuration*, not run state, and are left to the
-        restoring caller.
+        restoring caller.  ``pending_sends`` is a constant of checkpoint
+        format v1 (the send/receive matching it serialized is gone);
+        :meth:`load_state` ignores it.
         """
         state: Dict[str, object] = {
             name: {k: v.state_dict() for k, v in getattr(self, name).items()}
@@ -520,7 +462,7 @@ class CommAuditor:
         state.update(
             algo_counts=dict(self.algo_counts),
             trace_baseline={k: v.state_dict() for k, v in self.trace_baseline.items()},
-            pending_sends=[list(t) for t in self._pending_sends],
+            pending_sends=[],
             violations=list(self.violations),
         )
         return state
@@ -548,16 +490,13 @@ class CommAuditor:
             str(k): PhaseStats(**v)
             for k, v in state.get("trace_baseline", {}).items()
         }
-        self._pending_sends = [
-            (int(s), int(d), int(b)) for s, d, b in state.get("pending_sends", [])
-        ]
         self.violations = [str(v) for v in state.get("violations", [])]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CommAuditor(nprocs={self.nprocs}, alltoall_calls="
             f"{self.n_alltoall_calls}, p2p_calls={self.n_p2p_calls}, "
-            f"pending={len(self._pending_sends)}, violations={len(self.violations)})"
+            f"violations={len(self.violations)})"
         )
 
 
@@ -571,39 +510,3 @@ def enable_auditing(
     auditor.trace_baseline = machine.trace.snapshot()
     machine.auditor = auditor
     return auditor
-
-
-def export_metrics(auditor: CommAuditor, registry=None):
-    """Fold the auditor's independently recomputed ledgers into a
-    :class:`~repro.obs.metrics.MetricsRegistry` under ``audit.*`` names.
-
-    The ``audit.messages{phase}`` / ``audit.bytes{phase}`` counters are the
-    transport-layer cross-check of the span-fed ``comm.*`` series: both are
-    derived from the same exchanges through different accounting paths, so a
-    disagreement localizes a bookkeeping bug to one of them.
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    if registry is None:
-        registry = MetricsRegistry()
-    for phase in sorted(auditor.ledger):
-        led = auditor.ledger[phase]
-        registry.counter("audit.messages", phase=phase).inc(led.messages)
-        registry.counter("audit.bytes", phase=phase).inc(led.bytes)
-    for phase in sorted(auditor.plan_ledger):
-        led = auditor.plan_ledger[phase]
-        registry.counter("audit.plan_messages", phase=phase).inc(led.messages)
-        registry.counter("audit.plan_bytes", phase=phase).inc(led.bytes)
-    for phase in sorted(auditor.algo_ledger):
-        led = auditor.algo_ledger[phase]
-        registry.counter("audit.algo_messages", phase=phase).inc(led.messages)
-        registry.counter("audit.algo_bytes", phase=phase).inc(led.bytes)
-    for key in sorted(auditor.algo_counts):
-        collective, _, algo = key.partition("/")
-        registry.counter(
-            "audit.algo_calls", collective=collective, algo=algo
-        ).inc(auditor.algo_counts[key])
-    registry.counter("audit.alltoallv_calls").inc(auditor.n_alltoall_calls)
-    registry.counter("audit.p2p_calls").inc(auditor.n_p2p_calls)
-    registry.counter("audit.violations").inc(len(auditor.violations))
-    return registry

@@ -343,7 +343,6 @@ def _run_cell(
             sim.step()
             checkpoint(k + 1)
             maybe_kill(k + 1)
-        auditor.assert_quiescent()
         ledger = ledger_fingerprint(auditor)
         if reference is not None and ledger != reference.ledger:
             raise AssertionError(
@@ -675,7 +674,6 @@ def run_resume_sweep(
                 else:
                     checker.expected_fingerprint = reference.checkpoints[k]
                     checker.assert_ok(["schedule-independence"])
-            auditor.assert_quiescent()
             ledger = ledger_fingerprint(auditor)
             if reference is not None and ledger != reference.ledger:
                 raise AssertionError(

@@ -33,8 +33,6 @@ The catalog covers the failure modes a redistribution bug produces:
                               bytes, bytes only where Bruck staging forwarded
                               aggregated blocks (requires an attached
                               CommAuditor and executed plans)
-``comm-quiescent``            no unmatched point-to-point send is pending
-                              (requires an attached CommAuditor)
 ``energy-drift``              bounded total-energy drift in energy-tracked runs
 ``momentum-bounded``          total momentum stays near zero under force
                               dynamics (forces sum to zero pairwise)
@@ -53,10 +51,6 @@ The catalog covers the failure modes a redistribution bug produces:
                               factor that triggered it
 ``clock-monotonicity``        virtual clocks and per-phase times never go
                               negative
-``span-accounting``           per-phase sums over the observability layer's
-                              charge spans reproduce the trace aggregates
-                              bit-for-bit (requires an attached, complete
-                              :class:`~repro.obs.spans.ObsRecorder`)
 ============================  ====================================================
 
 Register additional checks with the :func:`invariant` decorator::
@@ -492,25 +486,18 @@ def _check_trace_accounting(checker: InvariantChecker) -> object:
     if auditor is None:
         return SKIPPED
     trace = checker.machine.trace
-    baseline = getattr(auditor, "trace_baseline", {})
     for phase, ledger in auditor.ledger.items():
         if phase not in AUDITED_PHASES:
             continue
         stats = trace.get(phase)
-        base = baseline.get(phase)
-        base_messages = base.messages if base is not None else 0
-        base_bytes = base.bytes if base is not None else 0
-        if stats.messages - base_messages != ledger.messages:
-            return (
-                f"phase {phase!r}: trace reports "
-                f"{stats.messages - base_messages} messages, "
-                f"auditor counted {ledger.messages}"
-            )
-        if stats.bytes - base_bytes != ledger.bytes:
-            return (
-                f"phase {phase!r}: trace reports {stats.bytes - base_bytes} "
-                f"bytes, auditor counted {ledger.bytes}"
-            )
+        base = auditor.trace_baseline.get(phase)
+        for field in ("messages", "bytes"):
+            traced = getattr(stats, field) - (getattr(base, field) if base is not None else 0)
+            if traced != getattr(ledger, field):
+                return (
+                    f"phase {phase!r}: trace reports {traced} {field}, "
+                    f"auditor counted {getattr(ledger, field)}"
+                )
     return None
 
 
@@ -558,9 +545,8 @@ def _check_collective_algo_accounting(checker: InvariantChecker) -> object:
     algo_ledger = getattr(auditor, "algo_ledger", None)
     if auditor is None or not algo_ledger:
         return SKIPPED
-    round_ledger = getattr(auditor, "algo_round_ledger", {})
     for phase, planned in algo_ledger.items():
-        rounds = round_ledger.get(phase)
+        rounds = auditor.algo_round_ledger.get(phase)
         if rounds is None:
             return (
                 f"phase {phase!r}: algorithm engine planned {planned.messages} "
@@ -569,34 +555,12 @@ def _check_collective_algo_accounting(checker: InvariantChecker) -> object:
         # planned schedules must balance the executed rounds exactly: a
         # mismatch means a forwarding step shipped more (or less) than the
         # engine's symbolic schedule accounted for
-        if planned.messages != rounds.messages:
-            return (
-                f"phase {phase!r}: engine planned {planned.messages} "
-                f"messages, staged rounds carried {rounds.messages}"
-            )
-        if planned.bytes != rounds.bytes:
-            return (
-                f"phase {phase!r}: engine planned {planned.bytes} bytes, "
-                f"staged rounds carried {rounds.bytes}"
-            )
-    return None
-
-
-@invariant(
-    "comm-quiescent",
-    "no unmatched point-to-point send is pending",
-)
-def _check_quiescent(checker: InvariantChecker) -> object:
-    auditor = checker.machine.auditor
-    if auditor is None:
-        return SKIPPED
-    pending = auditor.pending_sends()
-    if pending:
-        s, d, b = pending[0]
-        return (
-            f"{len(pending)} unmatched point-to-point send(s), "
-            f"first: {s}->{d} ({b} B)"
-        )
+        for field in ("messages", "bytes"):
+            if getattr(planned, field) != getattr(rounds, field):
+                return (
+                    f"phase {phase!r}: engine planned {getattr(planned, field)} "
+                    f"{field}, staged rounds carried {getattr(rounds, field)}"
+                )
     return None
 
 
@@ -746,41 +710,4 @@ def _check_clocks(checker: InvariantChecker) -> object:
             return f"phase {phase!r} has negative time {stats.time}"
         if stats.messages < 0 or stats.bytes < 0:
             return f"phase {phase!r} has negative message/byte counts"
-    return None
-
-
-@invariant(
-    "span-accounting",
-    "per-phase span sums reproduce the trace aggregates bit-for-bit",
-)
-def _check_span_accounting(checker: InvariantChecker) -> object:
-    """The observability layer's core guarantee: folding the machine-stream
-    charge spans per phase reproduces the :class:`Trace` aggregates exactly
-    — same floats, same integer counts.  Holds only while the recorder is
-    :attr:`complete <repro.obs.spans.ObsRecorder.complete>` (attached before
-    the first charge, nothing evicted from the ring)."""
-    obs = getattr(checker.machine, "obs", None)
-    if obs is None or not obs.complete:
-        return SKIPPED
-    sums = obs.phase_sums()
-    trace = checker.machine.trace
-    for label in sorted(set(trace.labels()) | set(sums)):
-        stats = trace.phase(label)
-        span = sums.get(label, {"time": 0.0, "messages": 0, "bytes": 0, "calls": 0})
-        if span["calls"] != stats.calls:
-            return (
-                f"phase {label!r}: {span['calls']} charge spans for "
-                f"{stats.calls} trace calls"
-            )
-        if span["time"] != stats.time:
-            return (
-                f"phase {label!r}: span time {span['time']!r} != trace time "
-                f"{stats.time!r} (bitwise)"
-            )
-        if span["messages"] != stats.messages or span["bytes"] != stats.bytes:
-            return (
-                f"phase {label!r}: span messages/bytes "
-                f"{span['messages']}/{span['bytes']} != trace "
-                f"{stats.messages}/{stats.bytes}"
-            )
     return None

@@ -82,9 +82,6 @@ class _AutoVerify(contextlib.ContextDecorator):
             checker = getattr(sim, _CHECKER_ATTR, None)
             if checker is not None:
                 checker.assert_ok(scope.names)
-            auditor = sim.machine.auditor
-            if auditor is not None:
-                auditor.assert_quiescent()
             return record
 
         return step

@@ -22,7 +22,7 @@ from repro.backend.inprocess import InProcessBackend
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi import Machine
-from repro.simmpi.collectives import alltoallv
+from repro.simmpi.collectives import allgatherv, alltoallv
 from repro.simmpi.p2p import send_round
 
 
@@ -66,6 +66,33 @@ class TestInProcessAliasing:
         block = np.arange(5.0)
         recv = alltoallv(machine, [{1: block}, {}], "sort")
         assert recv[1][0][1] is block
+
+
+    def test_allgatherv_hands_every_rank_the_one_gathered_array(self):
+        """Every caller reads the result once: no per-rank copy (it was P
+        copies of the concatenation), and nobody may write to it."""
+        machine = Machine(3)
+        parts = [np.arange(2.0), np.arange(2.0, 5.0), np.empty(0)]
+        out = allgatherv(machine, parts, "sort")
+        assert len(out) == 3 and all(o is out[0] for o in out)
+        np.testing.assert_array_equal(out[0], np.arange(5.0))
+        assert not out[0].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[1][0] = 9.0
+        # the gathered array is the collective's own, never a contribution
+        assert all(not np.shares_memory(out[0], p) for p in parts)
+        assert not allgatherv(Machine(1), [np.arange(3.0)], "sort")[0].flags.writeable
+
+    @pytest.mark.parametrize("algo", ["ring", "recursive-doubling"])
+    def test_staged_allgatherv_keeps_per_rank_results(self, algo):
+        machine = Machine(4)
+        machine.set_collective_algos(f"allgatherv={algo}")
+        parts = [np.full(r + 1, float(r)) for r in range(4)]
+        out = allgatherv(machine, parts, "sort")
+        direct = allgatherv(Machine(4), parts, "sort")[0]
+        assert len({id(o) for o in out}) == 4
+        for o in out:
+            assert o.dtype == direct.dtype and o.tobytes() == direct.tobytes()
 
 
 class TestProcessAliasing:

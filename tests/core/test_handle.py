@@ -107,7 +107,7 @@ class TestMethodB:
         assert sum(i.shape[0] for i in ids_out) == sum(i.shape[0] for i in ids_in)
 
     def test_deprecated_shims_removed(self, setup):
-        """The v1 per-dtype entry points are gone (API v2, docs/migration.md)."""
+        """The v1 per-dtype entry points are gone (API v2, docs/architecture.md)."""
         _, _, fcs, _ = setup
         for name in ("resort_floats", "resort_ints", "resort_bytes"):
             assert not hasattr(fcs, name)

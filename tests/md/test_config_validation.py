@@ -1,5 +1,5 @@
 """SimulationConfig rejects unknown and conflicting knobs with actionable
-errors (API v2, docs/migration.md)."""
+errors (API v2, docs/architecture.md)."""
 
 import pytest
 

@@ -60,16 +60,6 @@ class TestGoldenSnapshot:
         assert meta["nprocs"] == 2
         # the snapshot restores bit-exactly
         assert spans == list(recorder.spans())
-        # per-phase span sums reproduce the trace aggregates bit-for-bit
-        sums = recorder.phase_sums()
-        for label in machine.trace.labels():
-            stats = machine.trace.phase(label)
-            if stats.calls == 0:
-                continue
-            assert sums[label]["time"] == stats.time
-            assert sums[label]["calls"] == stats.calls
-            assert sums[label]["messages"] == stats.messages
-            assert sums[label]["bytes"] == stats.bytes
         # structural sections present: init, step, solver run
         sections = {s.phase for s in spans if s.kind == "section"}
         assert {"sim.initialize", "sim.step", "fcs.run"} <= sections

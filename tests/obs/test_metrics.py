@@ -90,15 +90,3 @@ class TestBridges:
         assert reg.value("comm.bytes", phase="comm") == 1024
         # phases without traffic produce no comm series
         assert reg.value("comm.messages", phase="w") == 0
-
-    def test_audit_export_metrics(self, machine4):
-        from repro.simmpi.p2p import sendrecv
-        from repro.verify.audit import enable_auditing, export_metrics
-
-        auditor = enable_auditing(machine4)
-        sendrecv(machine4, 0, 1, np.zeros(16), "x")
-        reg = export_metrics(auditor)
-        assert reg.value("audit.messages", phase="x") == 1
-        assert reg.value("audit.bytes", phase="x") == 128
-        assert reg.value("audit.p2p_calls") == 1
-        assert reg.value("audit.violations") == 0

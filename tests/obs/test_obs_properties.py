@@ -3,12 +3,13 @@
 * **span-tree nesting**: every span's parent resolves to a section opened
   around it (or the root); on the machine stream, charges are
   time-contained in their parent section's critical-path interval.
-* **bit-for-bit parity**: per-phase charge-span sums replay the Trace
-  float accumulation exactly, for arbitrary interleavings of advances,
-  p2p traffic and nested sections.
+* **same call, same floats**: the charge spans carry, one for one and in
+  order, bitwise what ``Trace.record`` was handed, for arbitrary
+  interleavings of advances, p2p traffic and nested sections.
 """
 
 import numpy as np
+from trace_spy import assert_same_floats, spy_on_trace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,19 +75,14 @@ def execute(machine, recorder, program):
 
 @given(programs)
 @settings(max_examples=60, deadline=None)
-def test_phase_sums_match_trace_bitwise(program):
+def test_charge_spans_carry_the_trace_floats(program):
+    """Same call, same floats: one charge span per ``Trace.record`` call, in
+    order, with bitwise the time and the counts the trace was handed."""
     machine = Machine(4)
     recorder = enable_observability(machine)
+    log = spy_on_trace(machine)
     execute(machine, recorder, program)
-    assert recorder.complete
-    sums = recorder.phase_sums()
-    for label in set(machine.trace.labels()) | set(sums):
-        stats = machine.trace.phase(label)
-        entry = sums.get(label, {"time": 0.0, "messages": 0, "bytes": 0, "calls": 0})
-        assert entry["calls"] == stats.calls
-        assert entry["time"] == stats.time  # bitwise float equality
-        assert entry["messages"] == stats.messages
-        assert entry["bytes"] == stats.bytes
+    assert_same_floats(log, recorder)
 
 
 @given(programs)

@@ -125,7 +125,6 @@ def test_alltoallv_engines_bitwise_identical(P, algo):
     auditor = enable_auditing(machine)
     got = recv_fingerprint(alltoallv(machine, sends, "sort"))
     assert got == reference
-    auditor.assert_quiescent()
 
 
 @pytest.mark.parametrize("P", [2, 3, 4, 5, 8])
@@ -372,7 +371,6 @@ def test_alltoallv_rejects_invalid_destination_before_charging(bad_dst):
     # rejected before any auditing or charging: ledger clean, clocks unmoved
     assert not auditor.ledger
     assert machine.elapsed() == 0.0
-    auditor.assert_quiescent()
 
 
 def test_staged_engines_reject_invalid_destination_identically():

@@ -159,7 +159,6 @@ def run_cell(cell):
     log = machine.obs = ChargeLog()
     rng = np.random.default_rng(zlib.crc32(cell_key(cell).encode()))
     result = call(machine, rng, collective, *variant)
-    auditor.assert_quiescent()
     state = auditor.state_dict()
     del state["trace_baseline"]
     return {

@@ -149,3 +149,69 @@ class TestExchangePairsRoundQueries:
         with pytest.raises(ValueError, match=r"rank 7 out of range \[0, 4\)"):
             one = np.zeros(1)
             exchange_pairs(machine4, [(0, 1, one, one), (2, 7, one, one)], "x")
+
+
+def _listeners(name):
+    """A 4-rank machine with the named listeners / data plane attached."""
+    from repro.backend.inprocess import InProcessBackend
+    from repro.obs.spans import enable_observability
+    from repro.verify.audit import enable_auditing
+
+    machine = Machine(4)
+    if "audited" in name:
+        enable_auditing(machine)
+    if "obs" in name:
+        enable_observability(machine)
+    if name == "inprocess":
+        machine.attach_backend(InProcessBackend())
+    return machine
+
+
+def _untouched(machine):
+    """No clock moved, nothing traced, audited, recorded or shipped."""
+    assert not machine.clocks.any()
+    assert machine.trace.labels() == []
+    auditor = machine.auditor
+    if auditor is not None:
+        assert not auditor.ledger and not auditor.violations
+        assert auditor.n_p2p_calls == 0
+    if machine.obs is not None:
+        assert machine.obs.span_count() == 0
+    if machine.backend is not None:
+        assert machine.backend.counters["backend.messages"] == 0
+
+
+@pytest.mark.parametrize("listeners", ["bare", "audited", "audited+obs", "inprocess"])
+class TestRejectedRound:
+    """A round naming a bad rank is rejected whole, with the primitive's
+    ``ValueError``, before anything is audited, routed or charged — the same
+    with and without listeners (it used to move rank 0's clock and ship the
+    batch first, and to raise ``CommAuditError`` with a call counted once an
+    auditor was attached)."""
+
+    def test_send_round_bad_rank(self, listeners):
+        machine = _listeners(listeners)
+        a = np.zeros(1024)
+        with pytest.raises(ValueError, match=r"rank 7 out of range \[0, 4\)") as err:
+            send_round(machine, [(0, 1, a), (2, 7, a)], "p")
+        assert type(err.value) is ValueError
+        _untouched(machine)
+
+    def test_send_round_negative_rank(self, listeners):
+        machine = _listeners(listeners)
+        with pytest.raises(ValueError, match=r"rank -1 out of range"):
+            send_round(machine, [(0, 1, np.zeros(2)), (-1, 2, np.zeros(2))], "p")
+        _untouched(machine)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (2, 7)], r"rank 7 out of range \[0, 4\)"),
+        ([(0, 1), (1, 2)], "rank 1 appears in more than one exchange"),
+        ([(0, 1), (3, 3)], "exchanges with itself"),
+    ])
+    def test_exchange_pairs(self, listeners, pairs, message):
+        machine = _listeners(listeners)
+        one = np.zeros(1)
+        with pytest.raises(ValueError, match=message) as err:
+            exchange_pairs(machine, [(a, b, one, one) for a, b in pairs], "p")
+        assert type(err.value) is ValueError
+        _untouched(machine)

@@ -225,6 +225,39 @@ class TestOneTunedCheck:
                 fcs.run(pset)
 
 
+@pytest.mark.parametrize("name", [*REDISTRIBUTING, "direct"])
+@pytest.mark.parametrize("column, value", [
+    ("pos", np.nan), ("pos", np.inf), ("q", np.nan), ("q", -np.inf),
+])
+class TestNonFiniteInput:
+    """A NaN/inf position or charge is rejected with one ``ValueError`` naming
+    the first offending rank before anything is charged (a NaN coordinate
+    used to be wrapped to the lower face and the run completed silently)."""
+
+    def test_run_rejects_before_any_charge(self, name, column, value):
+        from repro.verify.audit import enable_auditing
+
+        system = silica_melt_system(400, seed=3)
+        rng = np.random.default_rng(0)
+        owner = rng.integers(0, P, system.n)
+        pset = ParticleSet(
+            [system.pos[owner == r] for r in range(P)], [system.q[owner == r] for r in range(P)]
+        )
+        machine = Machine(P)
+        fcs = fcs_init(name, machine, **SOLVER_KWARGS.get(name, {}))
+        fcs.set_common(box=system.box, periodic=True)
+        fcs.tune(pset)
+        machine.reset_clocks()
+        auditor = enable_auditing(machine)
+        for rank in (2, 1):
+            getattr(pset, column)[rank][-1] = value
+        with pytest.raises(ValueError, match="rank 1: non-finite particle position or charge"):
+            fcs.run(pset)
+        assert not machine.clocks.any()
+        assert machine.trace.labels() == [] and machine.trace.state_dict()["counters"] == {}
+        assert not auditor.ledger and auditor.n_alltoall_calls == auditor.n_p2p_calls == 0
+
+
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 

@@ -3,8 +3,7 @@
 Every simplification PR deleted names outright instead of deprecating them;
 this is the guard that none of them is spelled again — in source text
 (``FORBIDDEN``: a regex, the trees it may not appear in, the files exempt)
-or as an attribute of the object that used to carry it (``REMOVED``).  It
-used to be a grep step of the ``obs-smoke`` CI job.
+or as an attribute of the object that used to carry it (``REMOVED``).
 """
 
 import ast
@@ -39,6 +38,10 @@ FORBIDDEN = [
     # oracle lives under tests/: no in-tree timer registry, no dispatch switch
     (r"prefer_reference|reference_mode|kernel_timer|instrument\.(collect|record|stats|snapshot)"
      r"|merge_kernel_stats|_reference\(", ("src", "benchmarks", "examples"), ()),
+    # the attached path keeps only checks that can fail: no self-completing
+    # send/recv matching, no fold of the spans back into the trace
+    (r"post_send|complete_recv|assert_quiescent|pending_sends\(|phase_sums"
+     r"|comm-quiescent|span-accounting", EVERYWHERE, ()),
 ]
 
 #: ``(module, attribute path)`` that must not resolve
@@ -76,6 +79,11 @@ REMOVED = [
     ("repro.sorting.partition_sort", "partition_destinations_reference"),
     ("repro.sorting.partition_sort", "split_by_destination_reference"),
     ("repro.obs", "merge_kernel_stats"),
+    *[("repro.verify.audit", f"CommAuditor.{name}") for name in (
+        "post_send", "complete_recv", "pending_sends", "assert_quiescent", "ledger_snapshot")],
+    # nothing read an ``audit.*`` series
+    ("repro.verify.audit", "export_metrics"),
+    ("repro.obs.spans", "ObsRecorder.phase_sums"),
 ]
 
 
@@ -83,7 +91,7 @@ REMOVED = [
     "pattern, trees, allowed",
     FORBIDDEN,
     ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
-         "fuse-resort", "plan-twins", "in-tree-timers"],
+         "fuse-resort", "plan-twins", "in-tree-timers", "vacuous-checks"],
 )
 def test_removed_name_is_not_spelled(pattern, trees, allowed):
     regex = re.compile(pattern)
