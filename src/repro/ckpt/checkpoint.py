@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.particles import RankMajor
 from repro.ckpt.format import (
     CKPT_VERSION,
     decode_value,
@@ -165,14 +166,21 @@ class Checkpoint:
             raise KeyError(f"unknown column {name!r}, have {COLUMNS}")
         return getattr(self, name)
 
+    def store(self) -> RankMajor:
+        """The seven columns as one rank-major block.  A column that is not
+        cut like the others (a rank one row short, say) raises one
+        ``ValueError`` naming the column and the rank."""
+        return RankMajor.of_columns({name: self.columns(name) for name in COLUMNS})
+
     def gathered(self) -> Dict[str, np.ndarray]:
         """Global, id-ordered view of every particle column.
 
         The rank-count-independent canonical form: two checkpoints of the
         same physical state at different rank counts gather identically.
         """
-        order = np.argsort(np.concatenate(self.ids), kind="stable")
-        return {name: np.concatenate(self.columns(name))[order] for name in COLUMNS}
+        block = self.store().data
+        order = np.argsort(block["ids"], kind="stable")
+        return {name: block[name][order] for name in COLUMNS}
 
     def make_config(self, perturbation=None):
         """Rebuild the :class:`SimulationConfig` (optionally perturbed)."""

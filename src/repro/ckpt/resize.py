@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.ckpt.checkpoint import COLUMNS, Checkpoint
 from repro.core.balance import count_split_bounds, work_split_bounds
+from repro.core.particles import RankMajor
 from repro.core.resort import pack_resort_index
 
 __all__ = ["ResizePlan", "compile_resize_plan", "resize_checkpoint"]
@@ -117,7 +118,7 @@ def compile_resize_plan(
     old_counts = [int(g.shape[0]) for g in ckpt.ids] + [0] * (R - P)
     target_rank = np.searchsorted(bounds, all_ids, side="right") - 1
     packed = pack_resort_index(target_rank, all_ids - bounds[target_rank])
-    resort_indices = np.split(packed, np.cumsum(old_counts)[:-1])
+    resort_indices = RankMajor(packed, np.concatenate(([0], np.cumsum(old_counts))))
     new_counts = [
         int(bounds[t + 1] - bounds[t]) if t < Q else 0 for t in range(R)
     ]
@@ -130,10 +131,6 @@ def compile_resize_plan(
         old_counts=old_counts,
         new_counts=new_counts,
     )
-
-
-def _empty_like_column(sample: np.ndarray) -> np.ndarray:
-    return np.zeros((0,) + sample.shape[1:], dtype=sample.dtype)
 
 
 def resize_checkpoint(
@@ -168,12 +165,12 @@ def resize_checkpoint(
         comm="alltoall",
         phase="resize",
     )
-    in_cols = []
-    for name in COLUMNS:
-        arrs = list(ckpt.columns(name))
-        pad = _empty_like_column(arrs[0])
-        in_cols.append(arrs + [pad] * (R - P))
-    out_cols = engine.execute(in_cols, phase="resize")
+    # the ranks the scratch superset adds hold nothing: repeated end offsets
+    store = ckpt.store()
+    offsets = np.concatenate((store.offsets, np.full(R - P, store.offsets[-1])))
+    out_cols = engine.execute(
+        [RankMajor(store.data[name], offsets) for name in COLUMNS], phase="resize"
+    )
     plan.moved_bytes = engine.stats.bytes_moved
     if metrics is not None:
         metrics.counter("resize.moved_bytes").inc(plan.moved_bytes)
@@ -198,7 +195,7 @@ def resize_checkpoint(
             "clocks": np.full(Q, elapsed, dtype=np.float64),
             "trace": {**ckpt.machine["trace"], "rank_work": {}},
         },
-        **{name: out_cols[c][:Q] for c, name in enumerate(COLUMNS)},
+        **{name: list(out_cols[c])[:Q] for c, name in enumerate(COLUMNS)},
     )
     # the resized checkpoint shares no object with its source
     return copy.deepcopy(resized), plan

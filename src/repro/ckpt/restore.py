@@ -75,6 +75,8 @@ def restore_simulation(
     from repro.simmpi.machine import Machine
 
     t0_ns = time.perf_counter_ns()
+    # ragged columns raise here: before a machine exists or is touched
+    g = ckpt.gathered()
     if machine is None:
         machine = Machine(ckpt.nprocs)
     if machine.nprocs != ckpt.nprocs:
@@ -85,7 +87,6 @@ def restore_simulation(
         )
 
     # -- phase 1: a fresh simulation from the checkpointed global state ------
-    g = ckpt.gathered()
     system = ParticleSystem(
         pos=g["pos"],
         q=g["q"],

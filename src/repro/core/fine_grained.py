@@ -8,13 +8,14 @@ function* specifies the target process(es) for each local particle; the
 generalized version used by the P2NFFT solver supports duplication by
 returning multiple (element, target) pairs per particle.
 
-Data plane: per-rank :class:`~repro.core.particles.ColumnBlock` s in; the
-blocks are concatenated once, all (element, target) pairs of all ranks are
-sorted once by ``(source, target)`` into a *route* (:func:`exchange_route`),
-and the whole exchange goes to :func:`~repro.simmpi.collectives.alltoallv`
-(or the neighborhood variant) as one
-:class:`~repro.simmpi.collectives.Exchange`; per-rank views of the one
-delivered buffer out.  Every redistribution of the repo is this operation:
+Data plane: one rank-major :class:`~repro.core.particles.RankMajor` block
+in (per-rank blocks handed in by a caller are concatenated once, at entry);
+all (element, target) pairs of all ranks are sorted once by ``(source,
+target)`` into a *route* (:func:`exchange_route`), and the whole exchange
+goes to :func:`~repro.simmpi.collectives.alltoallv` (or the neighborhood
+variant) as one :class:`~repro.simmpi.collectives.Exchange`; the one
+delivered buffer and its receive offsets out, again as a ``RankMajor``.
+Every redistribution of the repo is this operation:
 this module is the only place outside :mod:`repro.simmpi` that builds an
 ``Exchange`` — the parallel sort's all-to-all, the resort-index scatters
 (:mod:`repro.core.resort`, :mod:`repro.core.restore`) and the stored
@@ -24,18 +25,17 @@ schedule of a :class:`~repro.core.plan.ResortPlan` are callers.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.particles import ColumnBlock
+from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.collectives import Exchange, alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
 
 __all__ = [
     "COMM_KINDS",
     "DistResult",
-    "block_offsets",
     "exchange_route",
     "fine_grained_redistribute",
     "redistribute_flat",
@@ -75,23 +75,6 @@ def _normalize(n: int, result: DistResult) -> Tuple[np.ndarray, np.ndarray]:
             f"distribution function must return shape ({n},), got {targets.shape}"
         )
     return np.arange(n, dtype=np.int64), targets
-
-
-def _check_same_columns(blocks: Sequence[ColumnBlock]) -> None:
-    """All blocks must carry the same columns, dtypes and trailing shapes:
-    the rows of different ranks end up in one receive buffer, and what is
-    charged is what the senders' columns weigh."""
-    template = blocks[0]
-    layout = [(arr.dtype, arr.shape[1:]) for arr in template.payload()]
-    for rank, block in enumerate(blocks):
-        if block.names() != template.names():
-            raise ValueError(f"column mismatch: {template.names()} vs {block.names()}")
-        for name, arr, (dtype, trailing) in zip(block.names(), block.payload(), layout):
-            if (arr.dtype, arr.shape[1:]) != (dtype, trailing):
-                raise ValueError(
-                    f"rank {rank}: column {name!r} is {arr.dtype}{arr.shape[1:]}, "
-                    f"rank 0 has {dtype}{trailing}"
-                )
 
 
 def _stable_order(key: np.ndarray, bound: int) -> Optional[np.ndarray]:
@@ -159,17 +142,11 @@ def exchange_route(row_offsets: np.ndarray, elements: np.ndarray, targets: np.nd
     )
 
 
-def block_offsets(blocks: Sequence[ColumnBlock]) -> np.ndarray:
-    """Prefix sums of the block sizes: rank ``r`` holds the global rows
-    ``offsets[r]:offsets[r + 1]`` of the blocks concatenated in rank order."""
-    return np.concatenate(([0], np.cumsum([b.n for b in blocks], dtype=np.int64)))
-
-
-def _route_of(blocks: Sequence[ColumnBlock], distribution: Union[DistFn, DistResult]) -> Exchange:
-    """Either distribution form as a route over the concatenated rows (a
+def _route_of(blocks: RankMajor, distribution: Union[DistFn, DistResult]) -> Exchange:
+    """Either distribution form as a route over the rank-major rows (a
     function of its own so that the pair-sized work arrays are gone before
     the rows travel)."""
-    offsets = block_offsets(blocks)
+    offsets = blocks.offsets
     if callable(distribution):
         # the per-rank form: shift every rank's pairs to global row numbers
         pairs = [
@@ -184,51 +161,50 @@ def _route_of(blocks: Sequence[ColumnBlock], distribution: Union[DistFn, DistRes
 
 def redistribute_flat(
     machine: Machine,
-    blocks: Sequence[ColumnBlock],
+    block: ColumnBlock,
     route: Exchange,
     phase: Optional[str],
     comm: str,
-) -> Tuple[ColumnBlock, np.ndarray]:
-    """Ship the rows of ``blocks`` along ``route`` (built over the same
-    blocks): ``(delivered, recv_offsets)``, one block holding what every
-    rank received — rank ``r`` the rows ``recv_offsets[r]:recv_offsets[r +
-    1]`` — in source rank order and, within one source, route order.
+) -> RankMajor:
+    """Ship the rows of the rank-major ``block`` along ``route`` (built over
+    the same rows): one block holding what every rank received, cut by the
+    receive offsets, in source rank order and, within one source, route
+    order.  The route gathers from ``block`` into fresh buffers: the caller's
+    columns are read, never kept.
 
-    The form :func:`fine_grained_redistribute` cuts its per-rank views from
-    and the resort-index scatters place rows out of.  Mismatched columns or
-    an unknown ``comm`` raise before anything is exchanged or charged.
+    An unknown ``comm`` raises before anything is exchanged or charged.
     """
     if comm not in COMM_KINDS:
         raise ValueError(f"comm must be one of {COMM_KINDS}, got {comm!r}")
-    _check_same_columns(blocks)
-    exchange = dataclasses.replace(route, columns=ColumnBlock.concat(blocks).payload())
+    exchange = dataclasses.replace(route, columns=block.payload())
     transport = alltoallv if comm == "alltoall" else neighborhood_alltoallv
     columns, recv_offsets = transport(machine, exchange, phase)
-    return ColumnBlock(**dict(zip(blocks[0].names(), columns))), recv_offsets
+    return RankMajor(ColumnBlock(**dict(zip(block.names(), columns))), recv_offsets)
 
 
 def fine_grained_redistribute(
     machine: Machine,
-    blocks: Sequence[ColumnBlock],
+    blocks: Union[RankMajor, Sequence[ColumnBlock]],
     distribution: Union[DistFn, DistResult],
     phase: Optional[str] = None,
     *,
     comm: str = "alltoall",
-) -> List[ColumnBlock]:
-    """Redistribute per-rank blocks according to a distribution.
+) -> RankMajor:
+    """Redistribute rank-major rows according to a distribution.
 
     Parameters
     ----------
     blocks:
-        one :class:`ColumnBlock` per rank (identical column sets, dtypes and
-        trailing shapes).
+        the rows of all ranks as one :class:`RankMajor` block; one
+        :class:`ColumnBlock` per rank (identical column sets, dtypes and
+        trailing shapes) is concatenated once, here.
     distribution:
         either the *global* distribution, a :data:`DistResult` over the rows
-        of all blocks concatenated in rank order (element ``i`` of rank
-        ``r`` is row ``sum(n_0..n_{r-1}) + i``), or a distribution function
-        called as ``distribution(rank, block)`` and returning the rank's
-        :data:`DistResult` over its own rows.  Targets must be valid ranks.
-        ``(elem_idx, targets)`` with repeated ``elem_idx`` duplicates
+        of all ranks in rank order (element ``i`` of rank ``r`` is row
+        ``offsets[r] + i``), or a distribution function called as
+        ``distribution(rank, block)`` on every rank's view and returning the
+        rank's :data:`DistResult` over its own rows.  Targets must be valid
+        ranks.  ``(elem_idx, targets)`` with repeated ``elem_idx`` duplicates
         particles (ghosts); elements whose index never appears are dropped
         (ghost removal works the same way).
     comm:
@@ -239,10 +215,10 @@ def fine_grained_redistribute(
 
     Returns
     -------
-    One block per rank: the received rows in source rank order, and within
-    one source in the order its (element, target) pairs were listed — the
-    ordering contract the resort indices rely on.  The blocks are views of
-    one delivered buffer.
+    What every rank received, rank-major in one delivered buffer: the rows
+    in source rank order, and within one source in the order its (element,
+    target) pairs were listed — the ordering contract the resort indices
+    rely on.
 
     A rejected call (mismatched columns, bad element index or target rank)
     raises before anything is exchanged or charged.
@@ -250,8 +226,5 @@ def fine_grained_redistribute(
     P = machine.nprocs
     if len(blocks) != P:
         raise ValueError(f"{len(blocks)} blocks for {P} ranks")
-    delivered, recv_offsets = redistribute_flat(
-        machine, blocks, _route_of(blocks, distribution), phase, comm
-    )
-    bounds = recv_offsets.tolist()
-    return [delivered.row_slice(bounds[r], bounds[r + 1]) for r in range(P)]
+    blocks = RankMajor.of(blocks)
+    return redistribute_flat(machine, blocks.data, _route_of(blocks, distribution), phase, comm)

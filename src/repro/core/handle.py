@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.core.particles import ParticleSet
+from repro.core.particles import ParticleSet, RankMajor
 from repro.core.plan import ResortPlan, ResortPlanStats
 from repro.obs.spans import machine_span
 from repro.simmpi.machine import Machine
@@ -312,10 +312,13 @@ class FCS:
         Parameters
         ----------
         data:
-            either one column (a list with one array per rank — returned as
-            one list of arrays) or a sequence of columns
-            (``data[c][r]`` — returned as a list of columns).  Columns keep
-            their dtypes; shapes may be ``(n_i,)`` or ``(n_i, k)``.
+            either one column or a sequence of columns.  A column is a
+            rank-major :class:`~repro.core.particles.RankMajor` array or a
+            list with one array per rank (concatenated once, at entry);
+            columns keep their dtypes, rows may be scalars or ``(k,)``
+            vectors.  Returned the same way: one ``RankMajor`` array, or a
+            list of them — ``out[c][r]`` is a view of column ``c``'s one
+            delivered buffer, ``out[c].data`` that buffer.
         plan:
             an explicit plan from :meth:`resort_plan` (also accepted as the
             first positional argument: ``fcs.resort(plan, data)``).  When
@@ -348,8 +351,10 @@ class FCS:
                 "stale resort plan: it does not match the last run's resort "
                 "indices; request a fresh one with fcs.resort_plan()"
             )
-        data = list(data)
-        single = bool(data) and all(isinstance(a, np.ndarray) for a in data)
+        single = isinstance(data, RankMajor)
+        if not single:
+            data = list(data)
+            single = bool(data) and all(isinstance(a, np.ndarray) for a in data)
         cols = [data] if single else data
         for col in cols:
             if len(col) != self.machine.nprocs:

@@ -1,27 +1,35 @@
 """Distributed particle data containers.
 
-Two containers cover all data handling in the repo:
+Three containers cover all data handling in the repo:
 
-* :class:`ColumnBlock` — one rank's structure-of-arrays block: named NumPy
-  columns of equal leading dimension (positions ``(n, 3)``, charges ``(n,)``,
-  packed 64-bit index values ``(n,)``, ...).  All redistribution primitives
-  move ``ColumnBlock`` payloads so that the columns of a particle always
-  travel together in one message, as the ScaFaCoS implementations do.
+* :class:`ColumnBlock` — a structure-of-arrays block: named NumPy columns of
+  equal leading dimension (positions ``(n, 3)``, charges ``(n,)``, packed
+  64-bit index values ``(n,)``, ...).  All redistribution primitives move
+  ``ColumnBlock`` payloads so that the columns of a particle always travel
+  together in one message, as the ScaFaCoS implementations do.
+* :class:`RankMajor` — *the* representation of distributed per-particle
+  data: one flat block (or one flat column) holding the rows of all ranks in
+  rank order, plus ``offsets[P + 1]``.  Rank ``r`` owns the rows
+  ``offsets[r]:offsets[r + 1]``; nothing per rank is stored.  As a sequence
+  it is the derived per-rank *read view* (``len()`` ranks, ``[r]`` and
+  iteration give zero-copy views) that the public boundary, the near-field
+  kernels, the tests and the examples index.
 * :class:`ParticleSet` — the application-facing distributed particle system:
-  per-rank ``ColumnBlock`` s plus the per-rank *capacity* (the "maximum
-  number of particles that can be stored in the local particle data arrays"
-  passed to ``fcs_run``), which gates whether method B may return a changed
-  distribution (Sect. III-B: if any rank's arrays are too small the original
-  distribution must be restored).
+  one ``RankMajor`` store of ``pos``/``q``/``pot``/``field`` plus the
+  per-rank *capacity* (the "maximum number of particles that can be stored
+  in the local particle data arrays" passed to ``fcs_run``), which gates
+  whether method B may return a changed distribution (Sect. III-B: if any
+  rank's arrays are too small the original distribution must be restored).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["ColumnBlock", "ParticleSet"]
+__all__ = ["ColumnBlock", "ParticleSet", "RankMajor", "column_view"]
 
 FLOAT = np.float64
 INT = np.int64
@@ -157,100 +165,245 @@ class ColumnBlock:
         return f"ColumnBlock(n={self.n}, {cols})"
 
 
+class RankMajor(SequenceABC):
+    """Rank-major flat data: ``data`` holds the rows of all ranks in rank
+    order — one :class:`ColumnBlock`, or one column array — and rank ``r``
+    owns the rows ``offsets[r]:offsets[r + 1]``.
+
+    This is what every layer from the application down to the exchange
+    engine takes and returns.  The sequence interface is a read view derived
+    from it: ``len()`` is the rank count, ``view[r]`` and iteration cut
+    zero-copy per-rank views (writing *through* one writes the store;
+    ``view[r] = x`` does not exist).
+    """
+
+    __slots__ = ("data", "offsets")
+
+    def __init__(self, data: Union[ColumnBlock, np.ndarray], offsets: np.ndarray) -> None:
+        self.data = data
+        self.offsets = offsets
+
+    @classmethod
+    def of(cls, parts: Union["RankMajor", Sequence]) -> "RankMajor":
+        """Normalise at entry: a ``RankMajor`` is returned as it is; a
+        per-rank sequence (one array or one :class:`ColumnBlock` per rank,
+        what a caller outside the library holds) is concatenated once.
+
+        Blocks must carry the same columns, dtypes and trailing shapes: the
+        rows of different ranks end up in one buffer, and what an exchange
+        charges is what the senders' columns weigh.
+        """
+        if isinstance(parts, RankMajor):
+            return parts
+        parts = list(parts)
+        if parts and isinstance(parts[0], ColumnBlock):
+            template = parts[0]
+            layout = [(arr.dtype, arr.shape[1:]) for arr in template.payload()]
+            for rank, block in enumerate(parts):
+                if block.names() != template.names():
+                    raise ValueError(f"column mismatch: {template.names()} vs {block.names()}")
+                for name, arr, (dtype, trailing) in zip(block.names(), block.payload(), layout):
+                    if (arr.dtype, arr.shape[1:]) != (dtype, trailing):
+                        raise ValueError(
+                            f"rank {rank}: column {name!r} is {arr.dtype}{arr.shape[1:]}, "
+                            f"rank 0 has {dtype}{trailing}"
+                        )
+            sizes = [block.n for block in parts]
+            data = ColumnBlock.concat(parts)
+        else:
+            parts = [np.asarray(part) for part in parts]
+            sizes = [part.shape[0] for part in parts]
+            data = np.concatenate(parts) if parts else np.empty(0)
+        return cls(data, np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))))
+
+    @classmethod
+    def of_columns(cls, columns: Mapping[str, Union["RankMajor", Sequence]]) -> "RankMajor":
+        """Named columns as one rank-major block.  All columns must be cut
+        the same way: the first one's counts are everyone's, else one
+        ``ValueError`` names the column and the first rank that differs."""
+        stores = {name: cls.of(column) for name, column in columns.items()}
+        first = next(iter(stores.values()))
+        for name, store in stores.items():
+            if len(store) != len(first):
+                raise ValueError(
+                    f"column {name!r}: {len(store)} ranks, the other columns have {len(first)}"
+                )
+            r = store.first_ragged(first.offsets)
+            if r is not None:
+                raise ValueError(
+                    f"column {name!r}, rank {r}: {int(store.counts[r])} rows, "
+                    f"the other columns hold {int(first.counts[r])}"
+                )
+        block = ColumnBlock(**{name: store.data for name, store in stores.items()})
+        return cls(block, first.offsets)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Rows per rank."""
+        return np.diff(self.offsets)
+
+    def first_ragged(self, offsets: np.ndarray) -> Optional[int]:
+        """The first rank that ``offsets`` cuts differently, if any."""
+        differs = np.flatnonzero(self.offsets != offsets)
+        return int(differs[0]) - 1 if differs.size else None
+
+    def column(self, name: str) -> "RankMajor":
+        """One column of a block store, over the same offsets."""
+        return RankMajor(self.data[name], self.offsets)
+
+    # -- the derived per-rank read view ------------------------------------------
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def _cut(self, start: int, end: int):
+        data = self.data
+        return data.row_slice(start, end) if isinstance(data, ColumnBlock) else data[start:end]
+
+    def __getitem__(self, rank):
+        ranks = range(len(self))[rank]  # negative ranks, slices, IndexError: as any sequence
+        if isinstance(ranks, range):
+            return [self[r] for r in ranks]
+        return self._cut(int(self.offsets[ranks]), int(self.offsets[ranks + 1]))
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return map(self._cut, bounds[:-1], bounds[1:])
+
+    def __repr__(self) -> str:
+        return f"RankMajor(nprocs={len(self)}, rows={int(self.offsets[-1])}, data={self.data!r})"
+
+
+def column_view(name: str) -> property:
+    """One column of an owner's ``store`` (a :class:`RankMajor` block) as an
+    attribute: reading cuts the per-rank read view; assigning a column —
+    rank-major, or one array per rank — over the same counts replaces it."""
+
+    def get(self) -> RankMajor:
+        return self.store.column(name)
+
+    def put(self, column) -> None:
+        column = RankMajor.of(column)
+        if not np.array_equal(column.offsets, self.store.offsets):
+            raise ValueError(f"{name}: per-rank row counts differ from the store's")
+        self.store.data[name] = column.data
+
+    return property(get, put)
+
+
 class ParticleSet:
     """The application's distributed particle system.
 
-    Per rank: positions ``(n_i, 3)``, charges ``(n_i,)`` and a capacity
-    ``max_local_particles`` (defaults to a uniform slack factor over the
-    initial counts).  Solvers write calculated potentials ``(n_i,)`` and
-    fields ``(n_i, 3)`` back into the set.
+    Stored: one rank-major :class:`ColumnBlock` — positions ``pos`` ``(n,
+    3)``, charges ``q`` ``(n,)`` and the potentials ``pot`` ``(n,)`` and
+    fields ``field`` ``(n, 3)`` solvers write back — with one ``offsets``
+    vector, plus a capacity ``max_local_particles`` per rank (defaults to a
+    uniform slack factor over the initial counts).  ``block`` and
+    ``offsets`` are the store; a column is written with ``block[name] =
+    flat`` (same rows) and a new layout adopted with :meth:`install`.
+
+    Views: ``pos``, ``q``, ``pot`` and ``field`` are per-rank read views
+    (:class:`RankMajor`) cut from the store on access — ``particles.q[r]``
+    is a zero-copy view, so ``particles.q[r][:] = x`` writes the store,
+    while ``particles.q[r] = x`` is not supported; assigning a whole column
+    (``particles.pos = columns``) replaces it over the same counts.
+    Per-rank lists handed in are concatenated once, at entry.
     """
 
     def __init__(
         self,
-        positions: Sequence[np.ndarray],
-        charges: Sequence[np.ndarray],
+        positions: Union[RankMajor, Sequence[np.ndarray]],
+        charges: Union[RankMajor, Sequence[np.ndarray]],
         capacities: Optional[Sequence[int]] = None,
         capacity_factor: float = 2.0,
     ) -> None:
         if len(positions) != len(charges):
             raise ValueError("positions and charges must have one entry per rank")
+        positions, charges = RankMajor.of(positions), RankMajor.of(charges)
+        if not np.array_equal(charges.offsets, positions.offsets):
+            raise ValueError("positions and charges must hold the same rows on every rank")
         self.nprocs = len(positions)
-        self.pos: List[np.ndarray] = []
-        self.q: List[np.ndarray] = []
-        for r, (p, c) in enumerate(zip(positions, charges)):
-            p = np.ascontiguousarray(p, dtype=FLOAT)
-            c = np.ascontiguousarray(c, dtype=FLOAT)
-            if p.ndim != 2 or p.shape[1] != 3:
-                raise ValueError(f"rank {r}: positions must be (n, 3), got {p.shape}")
-            if c.shape != (p.shape[0],):
-                raise ValueError(f"rank {r}: charges must be (n,), got {c.shape}")
-            self.pos.append(p)
-            self.q.append(c)
-        n_total = self.total()
+        n = int(positions.offsets[-1])
         if capacities is None:
             # uniform capacity with slack, at least enough for a balanced
             # distribution of the whole system plus imbalance headroom
-            per_rank = max(1, -(-n_total // max(self.nprocs, 1)))
-            cap = int(np.ceil(capacity_factor * per_rank))
-            self.capacities = [max(cap, p.shape[0]) for p in self.pos]
+            per_rank = max(1, -(-n // max(self.nprocs, 1)))
+            self.capacities = np.maximum(int(np.ceil(capacity_factor * per_rank)), positions.counts)
         else:
             if len(capacities) != self.nprocs:
                 raise ValueError("capacities must have one entry per rank")
-            self.capacities = [int(c) for c in capacities]
-            for r in range(self.nprocs):
-                if self.capacities[r] < self.pos[r].shape[0]:
-                    raise ValueError(
-                        f"rank {r}: capacity {self.capacities[r]} < local count {self.pos[r].shape[0]}"
-                    )
-        self.pot: List[np.ndarray] = [np.zeros(p.shape[0], dtype=FLOAT) for p in self.pos]
-        self.field: List[np.ndarray] = [np.zeros_like(p) for p in self.pos]
+            self.capacities = np.asarray(capacities, dtype=INT)
+        self.install(
+            ColumnBlock(pos=positions.data, q=charges.data, pot=np.zeros(n), field=np.zeros((n, 3))),
+            positions.offsets,
+        )
+
+    pos = column_view("pos")
+    q = column_view("q")
+    pot = column_view("pot")
+    field = column_view("field")
+
+    @property
+    def store(self) -> RankMajor:
+        """The whole store as ``(block, offsets)``."""
+        return RankMajor(self.block, self.offsets)
 
     # -- counts -----------------------------------------------------------------
 
     def counts(self) -> np.ndarray:
-        return np.asarray([p.shape[0] for p in self.pos], dtype=INT)
+        return np.diff(self.offsets)
 
     def total(self) -> int:
-        return int(sum(p.shape[0] for p in self.pos))
+        return self.block.n
 
     def nlocal(self, rank: int) -> int:
-        return self.pos[rank].shape[0]
+        return int(self.offsets[rank + 1] - self.offsets[rank])
 
-    # -- whole-system views (testing / observables) --------------------------------
+    # -- whole-system copies (testing / observables) --------------------------------
 
     def gather_positions(self) -> np.ndarray:
-        """All positions concatenated rank-major (no communication cost —
-        an out-of-band observer view for tests and observables)."""
-        return np.concatenate(self.pos) if self.pos else np.empty((0, 3))
+        """All positions, rank-major (no communication cost — an out-of-band
+        observer copy for tests and observables)."""
+        return self.block["pos"].copy()
 
     def gather_charges(self) -> np.ndarray:
-        return np.concatenate(self.q) if self.q else np.empty(0)
+        return self.block["q"].copy()
 
     def gather_potentials(self) -> np.ndarray:
-        return np.concatenate(self.pot) if self.pot else np.empty(0)
+        return self.block["pot"].copy()
 
     def gather_fields(self) -> np.ndarray:
-        return np.concatenate(self.field) if self.field else np.empty((0, 3))
+        return self.block["field"].copy()
 
     # -- updates ----------------------------------------------------------------
 
-    def replace(
-        self,
-        rank: int,
-        pos: np.ndarray,
-        q: np.ndarray,
-        pot: np.ndarray,
-        field: np.ndarray,
-    ) -> None:
-        """Install a rank's new local particles (solver output, method B)."""
-        n = pos.shape[0]
-        if not (q.shape[0] == pot.shape[0] == field.shape[0] == n):
-            raise ValueError("inconsistent local array lengths")
-        self.pos[rank] = np.ascontiguousarray(pos, dtype=FLOAT)
-        self.q[rank] = np.ascontiguousarray(q, dtype=FLOAT)
-        self.pot[rank] = np.ascontiguousarray(pot, dtype=FLOAT)
-        self.field[rank] = np.ascontiguousarray(field, dtype=FLOAT)
+    def install(self, block: ColumnBlock, offsets: np.ndarray) -> None:
+        """Adopt a layout (the constructor's, or a solver's under method B):
+        ``block`` holds the four columns rank-major, ``offsets`` cuts it.  The
+        one place a layout enters the store: a rank over its capacity or a
+        malformed block raises ``ValueError`` before anything is replaced."""
+        offsets, n = np.asarray(offsets, dtype=INT), block.n
+        layout = {"pos": (n, 3), "q": (n,), "pot": (n,), "field": (n, 3)}
+        if (
+            block.names() != list(layout)
+            or any(np.shape(block[name]) != shape for name, shape in layout.items())
+            or offsets.shape != (self.nprocs + 1,) or offsets[0] != 0 or offsets[-1] != n
+        ):
+            raise ValueError(
+                f"a layout is pos (n, 3), q (n,), pot (n,), field (n, 3) cut by "
+                f"{self.nprocs + 1} offsets; inconsistent local array lengths"
+            )
+        over = np.diff(offsets) > self.capacities
+        if over.any():
+            r = int(np.argmax(over))
+            raise ValueError(
+                f"rank {r}: capacity {int(self.capacities[r])} < local count "
+                f"{int(offsets[r + 1] - offsets[r])}"
+            )
+        self.block = ColumnBlock(
+            **{name: np.ascontiguousarray(block[name], dtype=FLOAT) for name in layout}
+        )
+        self.offsets = offsets
 
     def fits(self, counts: Iterable[int]) -> bool:
         """Would per-rank particle counts ``counts`` fit the local arrays?
@@ -259,7 +412,7 @@ class ParticleSet:
         particles of a solver can only be returned to the calling application
         if the given local particle data arrays are large enough".
         """
-        return all(int(c) <= cap for c, cap in zip(counts, self.capacities))
+        return bool(np.all(np.asarray(counts) <= self.capacities))
 
     def __repr__(self) -> str:
         return (

@@ -50,17 +50,18 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.fine_grained import COMM_KINDS, exchange_route
+from repro.core.particles import RankMajor
 from repro.core.resort import RESORT_POS_BITS, check_target_slots, unpack_resort_index
 from repro.obs.spans import machine_span
 from repro.simmpi.collectives import alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
 
-__all__ = ["COMM_KINDS", "ResortPlan", "ResortPlanStats", "PlanColumnSpec"]
+__all__ = ["COMM_KINDS", "ResortPlan", "ResortPlanStats"]
 
 #: phase label under which schedule compilation is traced (kept separate from
 #: the ``resort`` data exchanges so the amortization is visible per phase)
@@ -110,35 +111,41 @@ class ResortPlanStats:
         return self.cache_hits / total if total else 0.0
 
 
-@dataclasses.dataclass(frozen=True)
-class PlanColumnSpec:
-    """Shape contract of one fused column: dtype and trailing dims."""
+def _flat_column(
+    column: Union[RankMajor, Sequence[np.ndarray]], index: int, offsets: np.ndarray
+) -> np.ndarray:
+    """One data column as a flat array over the plan's original layout.
 
-    dtype: np.dtype
-    trailing: Tuple[int, ...]
-
-    @property
-    def row_bytes(self) -> int:
-        return self.dtype.itemsize * int(np.prod(self.trailing, dtype=np.int64))
-
-
-def _column_spec(arrays: Sequence[np.ndarray], index: int) -> PlanColumnSpec:
-    """Validate that one column's per-rank arrays agree on dtype/shape."""
-    first = arrays[0]
-    spec = PlanColumnSpec(np.dtype(first.dtype), tuple(int(d) for d in first.shape[1:]))
-    for r, arr in enumerate(arrays):
-        if np.dtype(arr.dtype) != spec.dtype:
-            raise ValueError(
-                f"column {index}: rank {r} has dtype {arr.dtype}, rank 0 has {spec.dtype}"
-            )
-        if tuple(int(d) for d in arr.shape[1:]) != spec.trailing:
-            raise ValueError(
-                f"column {index}: rank {r} has trailing shape {arr.shape[1:]}, "
-                f"rank 0 has {spec.trailing}"
-            )
-    if spec.row_bytes <= 0:
+    A :class:`RankMajor` column is taken as it is; one array per rank (what a
+    caller outside the library holds) is validated — same dtype and trailing
+    shape on every rank — and concatenated once.  Either way the rows per
+    rank must be the plan's original counts.
+    """
+    nprocs = offsets.shape[0] - 1
+    if len(column) != nprocs:
+        raise ValueError(f"column {index}: {len(column)} per-rank arrays for {nprocs} ranks")
+    if not isinstance(column, RankMajor):
+        first = column[0]
+        for r, arr in enumerate(column):
+            if np.dtype(arr.dtype) != np.dtype(first.dtype):
+                raise ValueError(
+                    f"column {index}: rank {r} has dtype {arr.dtype}, rank 0 has {first.dtype}"
+                )
+            if arr.shape[1:] != first.shape[1:]:
+                raise ValueError(
+                    f"column {index}: rank {r} has trailing shape {arr.shape[1:]}, "
+                    f"rank 0 has {first.shape[1:]}"
+                )
+        column = RankMajor.of(column)
+    if 0 in column.data.shape[1:]:
         raise ValueError(f"column {index}: zero-size rows cannot be redistributed")
-    return spec
+    r = column.first_ragged(offsets)
+    if r is not None:
+        raise ValueError(
+            f"column {index}, rank {r}: data has {int(column.counts[r])} rows, "
+            f"original particle count was {int(offsets[r + 1] - offsets[r])}"
+        )
+    return np.ascontiguousarray(column.data)
 
 
 class ResortPlan:
@@ -159,8 +166,9 @@ class ResortPlan:
     machine:
         the machine the schedule is compiled for.
     resort_indices:
-        per-original-rank packed target locations (what a method-B
-        :class:`~repro.solvers.base.RunReport` provides).
+        the packed target locations of the original particles, rank-major
+        (what a method-B :class:`~repro.solvers.base.RunReport` provides) or
+        as one array per original rank.
     old_counts / new_counts:
         per-rank row counts before/after the redistribution.
     comm:
@@ -194,27 +202,30 @@ class ResortPlan:
         self.phase = phase
         self.old_counts = [int(c) for c in old_counts]
         self.new_counts = [int(c) for c in new_counts]
-        self._indices: List[np.ndarray] = []
         self.stats = ResortPlanStats()
 
-        for r in range(P):
-            idx = np.asarray(resort_indices[r], dtype=np.int64)
-            if idx.shape != (self.old_counts[r],):
-                raise ValueError(
-                    f"rank {r}: {idx.shape[0]} resort indices for "
-                    f"{self.old_counts[r]} original particles"
-                )
-            if np.any(idx < 0):
-                raise ValueError(
-                    f"rank {r}: invalid (ghost) resort index cannot be planned"
-                )
-            if idx.size and int(idx.max() >> RESORT_POS_BITS) >= P:
-                raise ValueError(
-                    f"rank {r}: target rank {int(idx.max() >> RESORT_POS_BITS)} "
-                    f"out of range [0, {P})"
-                )
-            self._indices.append(idx)
-        ranks, positions = unpack_resort_index(np.concatenate(self._indices))
+        resort_indices = RankMajor.of(resort_indices)
+        #: the plan's key: the resort indices, rank-major
+        self._indices = np.asarray(resort_indices.data, dtype=np.int64)
+        self._old_offsets = np.concatenate(([0], np.cumsum(self.old_counts, dtype=np.int64)))
+        r = resort_indices.first_ragged(self._old_offsets)
+        if r is not None:
+            raise ValueError(
+                f"rank {r}: {int(resort_indices.counts[r])} resort indices for "
+                f"{self.old_counts[r]} original particles"
+            )
+        idx = self._indices
+        bad = np.flatnonzero((idx < 0) | (idx >> RESORT_POS_BITS >= P))
+        if bad.size:
+            r = int(np.searchsorted(self._old_offsets, bad[0], side="right")) - 1
+            mine = idx[self._old_offsets[r]:self._old_offsets[r + 1]]
+            if np.any(mine < 0):
+                raise ValueError(f"rank {r}: invalid (ghost) resort index cannot be planned")
+            raise ValueError(
+                f"rank {r}: target rank {int(mine.max() >> RESORT_POS_BITS)} "
+                f"out of range [0, {P})"
+            )
+        ranks, positions = unpack_resort_index(idx)
         check_target_slots(
             ranks, positions, self.new_counts,
             lambda dst, sent, n: ValueError(
@@ -222,13 +233,12 @@ class ResortPlan:
             ),
         )
         total = ranks.shape[0]
-        old_offsets = np.concatenate(([0], np.cumsum(self.old_counts, dtype=np.int64)))
         #: the stored schedule: every row's message, without column buffers
-        self._route = exchange_route(old_offsets, np.arange(total, dtype=np.int64), ranks)
+        self._route = exchange_route(self._old_offsets, np.arange(total, dtype=np.int64), ranks)
         inter = self._route.msg_src != self._route.msg_dst
         self._inter_messages = int(inter.sum())
         self._moved_rows = int(np.diff(self._route.row_ptr)[inter].sum())
-        self._new_cuts = np.cumsum(self.new_counts, dtype=np.int64)[:-1]
+        self._new_offsets = np.concatenate(([0], np.cumsum(self.new_counts, dtype=np.int64)))
 
         with machine_span(machine, "resort_plan.compile", op="plan.compile", comm=comm):
             # schedule distribution: the one-off exchange that tells every
@@ -262,8 +272,8 @@ class ResortPlan:
         """Explicit validity check: is this plan still correct for the given
         distribution?
 
-        Fast path: identical array objects (the common repeated-call case)
-        are accepted without touching the data; otherwise the indices are
+        Fast path: the identical rank-major array (the common repeated-call
+        case) is accepted without touching the data; otherwise the indices are
         compared element-wise — an unchanged distribution across time steps
         therefore skips recompilation entirely.
 
@@ -281,15 +291,13 @@ class ResortPlan:
             return False
         if new_counts is not None and [int(c) for c in new_counts] != self.new_counts:
             return False
-        if len(resort_indices) != len(self._indices):
+        if len(resort_indices) != len(self.old_counts):
             return False
-        for mine, theirs in zip(self._indices, resort_indices):
-            if mine is theirs:
-                continue
-            theirs = np.asarray(theirs)
-            if mine.shape != theirs.shape or not np.array_equal(mine, theirs):
-                return False
-        return True
+        theirs = RankMajor.of(resort_indices)
+        return theirs.data is self._indices or (
+            np.array_equal(theirs.offsets, self._old_offsets)
+            and np.array_equal(theirs.data, self._indices)
+        )
 
     # -- execution ----------------------------------------------------------------
 
@@ -299,62 +307,47 @@ class ResortPlan:
 
     def execute(
         self,
-        columns: Sequence[Sequence[np.ndarray]],
+        columns: Sequence[Union[RankMajor, Sequence[np.ndarray]]],
         *,
         phase: Optional[str] = None,
-    ) -> List[List[np.ndarray]]:
+    ) -> List[RankMajor]:
         """Redistribute data columns in one fused exchange.
 
         Parameters
         ----------
         columns:
-            ``columns[c][r]`` is column ``c``'s array on rank ``r`` in the
-            *original* order and distribution; columns may mix dtypes and
-            trailing shapes (``(n,)``, ``(n, k)``, ...), but each column must
-            be consistent across ranks and row counts must equal the plan's
-            original counts.  Malformed columns raise before anything is
-            exchanged or charged.
+            each column rank-major (a :class:`RankMajor` array) in the
+            *original* order and distribution, or as one array per rank
+            (``columns[c][r]``, concatenated once, here); columns may mix
+            dtypes and trailing shapes (``(n,)``, ``(n, k)``, ...), but each
+            column must be consistent across ranks and row counts must equal
+            the plan's original counts.  Malformed columns raise before
+            anything is exchanged or charged.
 
         Returns
         -------
-        The columns in the changed order and distribution, same structure
-        and dtypes as the input; the per-rank arrays of one column are
-        disjoint row slices of one buffer.
+        The columns in the changed order and distribution, same dtypes as
+        the input: one :class:`RankMajor` array per column, each its own
+        buffer cut by the new counts.
         """
         machine = self.machine
-        P = machine.nprocs
         phase = phase if phase is not None else self.phase
         if not columns:
             raise ValueError("at least one data column is required")
-        cols = [list(col) for col in columns]
-        for c, col in enumerate(cols):
-            if len(col) != P:
-                raise ValueError(
-                    f"column {c}: {len(col)} per-rank arrays for {P} ranks"
-                )
-        specs = [_column_spec(col, c) for c, col in enumerate(cols)]
-        for r in range(P):
-            n = self.old_counts[r]
-            for c, col in enumerate(cols):
-                if col[r].shape[0] != n:
-                    raise ValueError(
-                        f"column {c}, rank {r}: data has {col[r].shape[0]} rows, "
-                        f"original particle count was {n}"
-                    )
+        flat = [_flat_column(col, c, self._old_offsets) for c, col in enumerate(columns)]
         with machine_span(
             machine, "resort_plan.execute", op="plan.execute",
-            columns=len(cols), comm=self.comm,
+            columns=len(flat), comm=self.comm,
         ):
             # fuse the columns once, for all ranks, into one byte record per
             # row: a staged engine or a backend then ships one array per
             # message however many columns ride along (docs/performance.md)
             total = self.total_rows
-            bounds = np.concatenate(([0], np.cumsum([spec.row_bytes for spec in specs]))).tolist()
+            widths = [col.itemsize * int(np.prod(col.shape[1:], dtype=np.int64)) for col in flat]
+            bounds = np.concatenate(([0], np.cumsum(widths))).tolist()
             records = np.empty((total, bounds[-1]), dtype=np.uint8)
-            for c, (col, spec) in enumerate(zip(cols, specs)):
-                records[:, bounds[c]:bounds[c + 1]] = (
-                    np.concatenate(col).view(np.uint8).reshape(total, spec.row_bytes)
-                )
+            for c, col in enumerate(flat):
+                records[:, bounds[c]:bounds[c + 1]] = col.view(np.uint8).reshape(total, widths[c])
             exchange = dataclasses.replace(self._route, columns=(records,))
             record_bytes = exchange.row_nbytes
             machine.copy(np.asarray(self.old_counts, dtype=np.float64) * record_bytes, phase)
@@ -366,17 +359,17 @@ class ResortPlan:
             (arrived,), _ = transport(machine, exchange, phase)
             placed = np.take(arrived, self._place, axis=0)
             out = [
-                np.split(
+                RankMajor(
                     np.ascontiguousarray(placed[:, bounds[c]:bounds[c + 1]])
-                    .view(spec.dtype)
-                    .reshape((total,) + spec.trailing),
-                    self._new_cuts,
+                    .view(col.dtype)
+                    .reshape(col.shape),
+                    self._new_offsets,
                 )
-                for c, spec in enumerate(specs)
+                for c, col in enumerate(flat)
             ]
             machine.copy(np.asarray(self.new_counts, dtype=np.float64) * record_bytes, phase)
             self._count_execution(
-                phase, len(cols), self._inter_messages, self._moved_rows * record_bytes
+                phase, len(flat), self._inter_messages, self._moved_rows * record_bytes
             )
         return out
 

@@ -20,12 +20,12 @@ value").
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.fine_grained import block_offsets, exchange_route, redistribute_flat
-from repro.core.particles import ColumnBlock
+from repro.core.fine_grained import exchange_route, redistribute_flat
+from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.machine import Machine
 
 __all__ = [
@@ -79,8 +79,8 @@ def unpack_resort_index(indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return indices >> RESORT_POS_BITS, indices & _POS_MASK
 
 
-def initial_numbering(counts: Sequence[int]) -> List[np.ndarray]:
-    """Per-rank packed (rank, local position) numbering of the particles.
+def initial_numbering(counts: Sequence[int]) -> RankMajor:
+    """Rank-major packed (rank, local position) numbering of the particles.
 
     This is the "consecutive numbering of the initial particles ... such
     that the particles of each single process are consecutively numbered"
@@ -90,7 +90,7 @@ def initial_numbering(counts: Sequence[int]) -> List[np.ndarray]:
     offsets = np.concatenate(([0], np.cumsum(counts)))
     ranks = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
     packed = pack_resort_index(ranks, np.arange(offsets[-1], dtype=np.int64) - offsets[ranks])
-    return np.split(packed, offsets[1:-1])
+    return RankMajor(packed, offsets)
 
 
 def inverse_permutation(positions: np.ndarray, n: int, rank: int) -> np.ndarray:
@@ -132,7 +132,7 @@ def check_target_slots(
     slots)`` is raised — and every slot exactly one row.  The lowest
     offending rank is reported, its count before its slots.
     """
-    counts = np.asarray([int(c) for c in counts], dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     sent = np.bincount(ranks, minlength=counts.shape[0])
     inside = positions < counts[ranks]
@@ -149,16 +149,17 @@ def check_target_slots(
 
 def deliver_to_slots(
     machine: Machine,
-    blocks: Sequence[ColumnBlock],
+    rows: RankMajor,
     index: str,
     counts: Sequence[int],
     phase: Optional[str],
     comm: str,
     count_error: Callable[[int, int, int], Exception],
 ) -> ColumnBlock:
-    """Send each row to the ``(rank, position)`` packed in its ``index``
-    column and store it there: one fine-grained redistribution followed by
-    the local permutation, for all ranks at once.
+    """Send each row of the rank-major block ``rows`` to the ``(rank,
+    position)`` packed in its ``index`` column and store it there: one
+    fine-grained redistribution followed by the local permutation, for all
+    ranks at once.
 
     Returns the other columns as one block over the slots of all ranks
     (rank ``r`` owns ``counts[r]`` rows from row ``sum(counts[:r])`` on).
@@ -166,10 +167,11 @@ def deliver_to_slots(
     rows than it has slots (``count_error``) or a slot named twice raise
     before anything is exchanged or charged.
     """
-    ranks, positions = unpack_resort_index(np.concatenate([b[index] for b in blocks]))
-    route = exchange_route(block_offsets(blocks), np.arange(ranks.shape[0], dtype=np.int64), ranks)
+    ranks, positions = unpack_resort_index(rows.data[index])
+    route = exchange_route(rows.offsets, np.arange(ranks.shape[0], dtype=np.int64), ranks)
     check_target_slots(ranks, positions, counts, count_error)
-    delivered, recv_offsets = redistribute_flat(machine, blocks, route, phase, comm)
+    received = redistribute_flat(machine, rows.data, route, phase, comm)
+    delivered, recv_offsets = received.data, received.offsets
     # every receiver reads the slot off the index value it was sent
     ranks, positions = unpack_resort_index(delivered[index])
     place = np.empty(delivered.n, dtype=np.int64)
@@ -179,20 +181,21 @@ def deliver_to_slots(
 
 def invert_indices(
     machine: Machine,
-    origloc: Sequence[np.ndarray],
+    origloc: Union[RankMajor, Sequence[np.ndarray]],
     orig_counts: Sequence[int],
     phase: Optional[str] = None,
     *,
     comm: str = "alltoall",
-) -> List[np.ndarray]:
+) -> RankMajor:
     """Invert a distributed permutation given in original-location form.
 
-    ``origloc[r][i]`` is the packed original location (rank, position) of
-    the particle currently stored at position ``i`` on rank ``r`` — the
-    numbering that the solvers carried through their reordering.  The
-    inverse, returned here, is the *resort index* array: for each rank
-    ``s`` an array of length ``orig_counts[s]`` whose entry at original
-    position ``p`` packs the particle's **current** (changed) location.
+    ``origloc`` holds, rank-major, the packed original location (rank,
+    position) of the particle currently stored at each position of each
+    rank — the numbering that the solvers carried through their reordering
+    (one array per rank is concatenated once, here).  The inverse, returned
+    here, is the *resort index* column: rank ``s`` owns ``orig_counts[s]``
+    entries, and the entry at original position ``p`` packs the particle's
+    **current** (changed) location.
 
     Implemented exactly as the paper describes for the FMM (Fig. 5):
     initialize new index values consecutively for the changed particles and
@@ -203,30 +206,32 @@ def invert_indices(
     """
     if len(origloc) != machine.nprocs or len(orig_counts) != machine.nprocs:
         raise ValueError("origloc/orig_counts must have one entry per rank")
-    origloc = [np.asarray(ol, dtype=np.int64) for ol in origloc]
-    current = initial_numbering([ol.shape[0] for ol in origloc])
-    blocks = [ColumnBlock(origloc=ol, current=cur) for ol, cur in zip(origloc, current)]
+    origloc = RankMajor.of(origloc)
+    rows = ColumnBlock(
+        origloc=np.asarray(origloc.data, dtype=np.int64),
+        current=initial_numbering(origloc.counts).data,
+    )
     placed = deliver_to_slots(
-        machine, blocks, "origloc", orig_counts, phase, comm,
+        machine, RankMajor(rows, origloc.offsets), "origloc", orig_counts, phase, comm,
         lambda rank, sent, n: ValueError(
             f"rank {rank}: received {sent} index values for {n} original particles"
         ),
     )
-    counts = np.asarray([int(c) for c in orig_counts], dtype=np.int64)
+    counts = np.asarray(orig_counts, dtype=np.int64)
     # local permutation cost: scatter 8-byte values into place, per rank
     machine.copy(8.0 * counts.astype(np.float64), phase)
-    return np.split(placed["current"], np.cumsum(counts)[:-1])
+    return RankMajor(placed["current"], np.concatenate(([0], np.cumsum(counts))))
 
 
 def apply_resort(
     machine: Machine,
-    resort_indices: Sequence[np.ndarray],
-    data: Sequence[ColumnBlock],
+    resort_indices: Union[RankMajor, Sequence[np.ndarray]],
+    data: Union[RankMajor, Sequence[ColumnBlock]],
     new_counts: Sequence[int],
     phase: Optional[str] = None,
     *,
     comm: str = "alltoall",
-) -> List[ColumnBlock]:
+) -> RankMajor:
     """Redistribute additional particle data according to resort indices.
 
     This is the one-shot engine behind the legacy resort path: each original
@@ -241,20 +246,21 @@ def apply_resort(
     """
     if not (len(resort_indices) == len(data) == len(new_counts) == machine.nprocs):
         raise ValueError("per-rank sequences must have one entry per rank")
-    blocks: List[ColumnBlock] = []
-    for r, (idx, block) in enumerate(zip(resort_indices, data)):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.shape != (block.n,):
-            raise ValueError(
-                f"rank {r}: {idx.shape[0]} resort indices for {block.n} data rows"
-            )
-        blocks.append(ColumnBlock(**{name: block[name] for name in block}, _resort=idx))
-
+    resort_indices, data = RankMajor.of(resort_indices), RankMajor.of(data)
+    r = resort_indices.first_ragged(data.offsets)
+    if r is not None:
+        raise ValueError(
+            f"rank {r}: {int(resort_indices.counts[r])} resort indices for "
+            f"{int(data.counts[r])} data rows"
+        )
+    rows = ColumnBlock(
+        **{name: data.data[name] for name in data.data},
+        _resort=np.asarray(resort_indices.data, dtype=np.int64),
+    )
     placed = deliver_to_slots(
-        machine, blocks, "_resort", new_counts, phase, comm,
+        machine, RankMajor(rows, data.offsets), "_resort", new_counts, phase, comm,
         lambda rank, sent, n: ValueError(f"rank {rank}: received {sent} rows, expected {n}"),
     )
-    bounds = np.concatenate(([0], np.cumsum([int(c) for c in new_counts]))).tolist()
-    out = [placed.row_slice(bounds[r], bounds[r + 1]) for r in range(machine.nprocs)]
-    machine.copy(np.asarray([b.nbytes for b in out], dtype=np.float64), phase)
-    return out
+    counts = np.asarray(new_counts, dtype=np.int64)
+    machine.copy((placed.row_nbytes * counts).astype(np.float64), phase)
+    return RankMajor(placed, np.concatenate(([0], np.cumsum(counts))))

@@ -12,11 +12,11 @@ application submitted it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.core.resort import deliver_to_slots
 from repro.simmpi.machine import Machine
 
@@ -25,32 +25,35 @@ __all__ = ["restore_results"]
 
 def restore_results(
     machine: Machine,
-    origloc: Sequence[np.ndarray],
-    pots: Sequence[np.ndarray],
-    fields: Sequence[np.ndarray],
+    origloc: Union[RankMajor, Sequence[np.ndarray]],
+    pots: Union[RankMajor, Sequence[np.ndarray]],
+    fields: Union[RankMajor, Sequence[np.ndarray]],
     particles: ParticleSet,
     old_counts: Sequence[int],
     phase: str = "restore",
 ) -> None:
     """Send potentials/fields back to each particle's initial location.
 
-    ``origloc[r]`` holds the packed initial location of every particle
-    currently on rank ``r``; results are written into ``particles.pot`` and
-    ``particles.field`` in the application's original order.
+    ``origloc`` holds, rank-major, the packed initial location of every
+    particle in its current place, ``pots`` and ``fields`` its results (one
+    array per rank is concatenated once, here); the results are written into
+    the ``pot`` and ``field`` columns of ``particles`` in the application's
+    original order.
     """
-    result_blocks = [
-        ColumnBlock(origloc=np.asarray(origloc[r], dtype=np.int64), pot=pots[r], field=fields[r])
-        for r in range(machine.nprocs)
-    ]
+    origloc = RankMajor.of(origloc)
+    rows = ColumnBlock(
+        origloc=np.asarray(origloc.data, dtype=np.int64),
+        pot=RankMajor.of(pots).data,
+        field=RankMajor.of(fields).data,
+    )
     placed = deliver_to_slots(
-        machine, result_blocks, "origloc", old_counts, phase, "alltoall",
+        machine, RankMajor(rows, origloc.offsets), "origloc", old_counts, phase, "alltoall",
         lambda rank, sent, n: RuntimeError(
             f"rank {rank}: restore received {sent} results for {n} particles"
         ),
     )
-    counts = np.asarray([int(c) for c in old_counts], dtype=np.int64)
-    cuts = np.cumsum(counts)[:-1]
-    particles.pot[:] = np.split(placed["pot"], cuts)
-    particles.field[:] = np.split(placed["field"], cuts)
+    particles.block["pot"] = placed["pot"]
+    particles.block["field"] = placed["field"]
     # the local permutation moves what was received: index value, potential, field
-    machine.copy((result_blocks[0].row_nbytes * counts).astype(np.float64), phase=phase)
+    counts = np.asarray(old_counts, dtype=np.int64)
+    machine.copy((rows.row_nbytes * counts).astype(np.float64), phase=phase)

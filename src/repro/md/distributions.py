@@ -29,11 +29,11 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.particles import ParticleSet
+from repro.core.particles import ParticleSet, RankMajor
 from repro.md.systems import PAPER_BOX_EDGE, PAPER_N, ParticleSystem
 from repro.simmpi.cart import CartGrid
 
@@ -140,11 +140,12 @@ def distribute(
     kind: str,
     seed: int = 0,
     capacity_factor: float = 3.0,
-) -> Tuple[ParticleSet, List[np.ndarray], np.ndarray]:
+) -> Tuple[ParticleSet, RankMajor, np.ndarray]:
     """Distribute a particle system among ``nprocs`` ranks.
 
-    Returns ``(particle_set, velocities_per_rank, owner)`` where ``owner``
-    maps each global particle index to its initial rank.
+    Returns ``(particle_set, velocities, owner)``: the velocities rank-major
+    like the set's own columns, and ``owner`` mapping each global particle
+    index to its initial rank.
     """
     n = system.n
     if kind == "single":
@@ -159,16 +160,15 @@ def distribute(
         raise ValueError(f"unknown distribution {kind!r}; pick from {DISTRIBUTIONS}")
 
     order, cuts = rank_order(owner, nprocs)
-    pos_r, q_r, vel_r = (
-        np.split(column[order], cuts) for column in (system.pos, system.q, system.vel)
+    offsets = np.concatenate(([0], cuts, [n]))
+    pos, q, vel = (
+        RankMajor(column[order], offsets) for column in (system.pos, system.q, system.vel)
     )
     # the "single" distribution needs capacity for the whole system on rank
     # 0 and for a balanced share everywhere else
     if kind == "single":
-        capacities = [max(n, 1)] * nprocs
+        capacities = np.full(nprocs, max(n, 1))
     else:
         per = max(1, -(-n // nprocs))
-        capacities = [int(np.ceil(capacity_factor * per))] * nprocs
-        capacities = [max(c, p.shape[0]) for c, p in zip(capacities, pos_r)]
-    pset = ParticleSet(pos_r, q_r, capacities=capacities)
-    return pset, vel_r, owner
+        capacities = np.maximum(int(np.ceil(capacity_factor * per)), np.diff(offsets))
+    return ParticleSet(pos, q, capacities=capacities), vel, owner

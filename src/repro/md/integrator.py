@@ -13,72 +13,80 @@ of the particle positions").
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import kernels
+from repro.core.particles import RankMajor
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.machine import Machine
 
 __all__ = ["accelerations", "position_update", "velocity_update"]
 
+#: every argument below is the rank-major column of all ranks; one array per
+#: rank (what a caller outside the library holds) is concatenated at entry
+Column = Union[RankMajor, Sequence[np.ndarray]]
 
-def accelerations(
-    q: Sequence[np.ndarray],
-    field: Sequence[np.ndarray],
-    mass: float = 1.0,
-) -> List[np.ndarray]:
-    """Per-rank accelerations ``a = q E / m`` from solver field values."""
-    return [(qi[:, None] * fi) / mass for qi, fi in zip(q, field)]
+
+def accelerations(q: Column, field: Column, mass: float = 1.0) -> RankMajor:
+    """Accelerations ``a = q E / m`` from solver field values, one pass over
+    the rows of all ranks."""
+    q = RankMajor.of(q)
+    return RankMajor((q.data[:, None] * RankMajor.of(field).data) / mass, q.offsets)
 
 
 def position_update(
     machine: Machine,
-    pos: Sequence[np.ndarray],
-    vel: Sequence[np.ndarray],
-    acc: Sequence[np.ndarray],
+    pos: Column,
+    vel: Column,
+    acc: Column,
     dt: float,
     box: Optional[np.ndarray] = None,
     offset: Optional[np.ndarray] = None,
     phase: str = "integrate",
-) -> Tuple[List[np.ndarray], float]:
+) -> Tuple[RankMajor, float]:
     """Leapfrog position update; returns new positions and the *global*
     maximum displacement (one allreduce, charged to the integrator phase).
 
     Positions wrap into the periodic box when ``box`` is given.
     """
-    new_pos: List[np.ndarray] = []
+    pos = RankMajor.of(pos)
+    counts = pos.counts
+    step = RankMajor.of(vel).data * dt
+    work = 0.5 * RankMajor.of(acc).data
+    work *= dt
+    work *= dt
+    step += work
+    xn = np.add(pos.data, step, out=work)
+    if box is not None:
+        off = offset if offset is not None else np.zeros(3)
+        xn -= off
+        np.mod(xn, box, out=xn)
+        xn += off
+    # per-rank maximum displacement: one reduction over each non-empty rank's rows
     local_max = np.zeros(machine.nprocs)
-    cost = np.zeros(machine.nprocs)
-    for r, (x, v, a) in enumerate(zip(pos, vel, acc)):
-        step = v * dt + 0.5 * a * dt * dt
-        xn = x + step
-        if box is not None:
-            off = offset if offset is not None else np.zeros(3)
-            xn = off + np.mod(xn - off, box)
-        new_pos.append(xn)
-        if x.shape[0]:
-            local_max[r] = float(np.sqrt((step * step).sum(axis=1).max()))
-        cost[r] = kernels.INTEGRATION_STEP * x.shape[0]
-    machine.compute(cost, phase)
+    filled = np.flatnonzero(counts)
+    np.multiply(step, step, out=step)
+    local_max[filled] = np.sqrt(np.maximum.reduceat(step.sum(axis=1), pos.offsets[filled]))
+    machine.compute(kernels.INTEGRATION_STEP * counts, phase)
     max_move = float(allreduce(machine, local_max, op="max", phase=phase))
-    return new_pos, max_move
+    return RankMajor(xn, pos.offsets), max_move
 
 
 def velocity_update(
     machine: Machine,
-    vel: Sequence[np.ndarray],
-    acc_old: Sequence[np.ndarray],
-    acc_new: Sequence[np.ndarray],
+    vel: Column,
+    acc_old: Column,
+    acc_new: Column,
     dt: float,
     phase: str = "integrate",
-) -> List[np.ndarray]:
+) -> RankMajor:
     """Leapfrog velocity update ``v += (a_i + a_{i+1}) dt / 2``."""
-    out: List[np.ndarray] = []
-    cost = np.zeros(machine.nprocs)
-    for r, (v, a0, a1) in enumerate(zip(vel, acc_old, acc_new)):
-        out.append(v + 0.5 * (a0 + a1) * dt)
-        cost[r] = kernels.INTEGRATION_STEP * v.shape[0]
-    machine.compute(cost, phase)
-    return out
+    vel = RankMajor.of(vel)
+    out = RankMajor.of(acc_old).data + RankMajor.of(acc_new).data
+    out *= 0.5
+    out *= dt
+    out += vel.data
+    machine.compute(kernels.INTEGRATION_STEP * vel.counts, phase)
+    return RankMajor(out, vel.offsets)

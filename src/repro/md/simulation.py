@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.balance import LOAD_BALANCE_MODES, ImbalanceMonitor
 from repro.core.handle import FCS, fcs_init
-from repro.core.particles import ParticleSet
+from repro.core.particles import ColumnBlock, ParticleSet, RankMajor, column_view
 from repro.md.distributions import distribute, rank_order
 from repro.md.integrator import accelerations, position_update, velocity_update
 from repro.md.observables import kinetic_energy, potential_energy
@@ -263,7 +263,18 @@ class StepRecord:
 
 
 class Simulation:
-    """A particle dynamics simulation coupled to a long-range solver."""
+    """A particle dynamics simulation coupled to a long-range solver.
+
+    The application's own per-particle data — velocities, accelerations and
+    particle identities — is stored like the particle set's columns: one
+    rank-major block ``store`` (``vel``, ``acc``, ``ids``) with one offsets
+    vector.  ``sim.vel``, ``sim.acc`` and ``sim.ids`` are per-rank views of
+    it.
+    """
+
+    vel = column_view("vel")
+    acc = column_view("acc")
+    ids = column_view("ids")
 
     def __init__(
         self,
@@ -284,15 +295,22 @@ class Simulation:
         if cfg.collective_algos is not None:
             machine.set_collective_algos(cfg.collective_algos)
 
-        self.particles, self.vel, owner = distribute(
+        self.particles, vel, owner = distribute(
             system,
             machine.nprocs,
             cfg.distribution,
             seed=cfg.seed,
             capacity_factor=cfg.capacity_factor,
         )
-        self.ids: List[np.ndarray] = np.split(*rank_order(owner, machine.nprocs))
-        self.acc: List[np.ndarray] = [np.zeros_like(p) for p in self.particles.pos]
+        #: the application's columns, rank-major like ``particles``
+        self.store = RankMajor(
+            ColumnBlock(
+                vel=vel.data,
+                acc=np.zeros_like(vel.data),
+                ids=rank_order(owner, machine.nprocs)[0],
+            ),
+            vel.offsets,
+        )
 
         self.fcs: FCS = fcs_init(cfg.solver, machine, **cfg.solver_kwargs)
         self.fcs.set_common(box=system.box, offset=system.offset, periodic=True)
@@ -322,12 +340,9 @@ class Simulation:
         if cfg.dynamics == "brownian":
             # initialize random walk directions — unless the system already
             # carries velocities (e.g. restarted from a checkpoint)
-            has_velocities = any(v.size and np.abs(v).max() > 0 for v in self.vel)
-            if not has_velocities:
+            if not (vel.data.size and np.abs(vel.data).max() > 0):
                 speed = cfg.brownian_step / cfg.dt
-                self.vel = [
-                    self._random_directions(v.shape[0]) * speed for v in self.vel
-                ]
+                self.store.data["vel"] = self._random_directions(vel.data.shape[0]) * speed
 
     # -- setup (Fig. 3, lines 2-6) ------------------------------------------------
 
@@ -348,9 +363,9 @@ class Simulation:
             if report.changed:
                 self._resort_application_data(report)
             lam = self._observe_balance(wsnap, step=0)
-            self.acc = accelerations(
+            self.store.data["acc"] = accelerations(
                 self.particles.q, self.particles.field, cfg.mass
-            )
+            ).data
         record = StepRecord(
             step=0,
             phases=self.machine.trace.delta_since(snap),
@@ -393,7 +408,7 @@ class Simulation:
                 box=self.system.box,
                 offset=self.system.offset,
             )
-            self.particles.pos = new_pos
+            self.particles.block["pos"] = new_pos.data
             self._last_max_move = max_move
 
             if self.active_method == "B+move":
@@ -403,27 +418,23 @@ class Simulation:
                 self._resort_application_data(report)
             lam = self._observe_balance(wsnap, step=self.step_index + 1)
 
+            columns = self.store.data  # after the resort: it installs a new store
             if cfg.dynamics == "brownian":
                 # persistent random-walk surrogate: rotate directions
                 # slightly, keep the per-step displacement fixed (acc stays
                 # zero)
                 speed = cfg.brownian_step / cfg.dt
-                self.vel = [
-                    self._rotate_directions(v, speed) for v in self.vel
-                ]
-                acc_new = [np.zeros_like(a) for a in self.acc]
-                self.machine.compute(
-                    np.asarray([1e-8 * v.shape[0] for v in self.vel]),
-                    phase="integrate",
-                )
+                columns["vel"] = self._rotate_directions(columns["vel"], speed)
+                columns["acc"] = np.zeros_like(columns["acc"])
+                self.machine.compute(1e-8 * self.store.counts, phase="integrate")
             else:
                 acc_new = accelerations(
                     self.particles.q, self.particles.field, cfg.mass
                 )
-                self.vel = velocity_update(
+                columns["vel"] = velocity_update(
                     self.machine, self.vel, self.acc, acc_new, cfg.dt
-                )
-            self.acc = acc_new
+                ).data
+                columns["acc"] = acc_new.data
 
         self.step_index += 1
         record = StepRecord(
@@ -457,25 +468,14 @@ class Simulation:
 
     # -- checkpointing (repro.ckpt) ---------------------------------------------------
 
-    def _columns(self) -> Dict[str, List[np.ndarray]]:
-        """The per-rank particle data columns, by checkpoint column name."""
-        particles = self.particles
-        return {
-            "pos": particles.pos,
-            "q": particles.q,
-            "pot": particles.pot,
-            "field": particles.field,
-            "vel": self.vel,
-            "acc": self.acc,
-            "ids": self.ids,
-        }
-
     def state_dict(self) -> Dict[str, Any]:
         """The application state as deep-copied checkpoint-plain data: step
         counters, method/adaptive bookkeeping, RNG, step ``records`` and the
-        per-rank ``columns`` with their ``capacities``.  Pure observation —
+        particle ``columns`` — one array per rank, cut from one copy of each
+        stored column — with their ``capacities``.  Pure observation —
         charges no machine cost.  The solver handle, solver, balance monitor
         and machine each own (and serialize) their own state."""
+        stores = (self.particles.store, self.store)
         return {
             "step_index": self.step_index,
             "initialized": self._initialized,
@@ -489,25 +489,31 @@ class Simulation:
             "rng_state": copy.deepcopy(self._rng.bit_generator.state),
             "records": [record.state_dict() for record in self.records],
             "columns": {
-                name: [a.copy() for a in arrays]
-                for name, arrays in self._columns().items()
+                name: list(RankMajor(store.data[name].copy(), store.offsets))
+                for store in stores
+                for name in store.data
             },
-            "capacities": list(self.particles.capacities),
+            "capacities": self.particles.capacities.tolist(),
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`state_dict`: overwrite the application state
-        bit-for-bit (copying, so ``state`` is never aliased).  Absent
+        bit-for-bit (copying, so ``state`` is never aliased).  The columns
+        must all be cut the same way — one ``ValueError`` names a column and
+        rank that is not, before anything is overwritten.  Absent
         bookkeeping keys keep a freshly constructed simulation's values."""
-        columns = {
-            name: [a.copy() for a in arrays]
-            for name, arrays in state["columns"].items()
-        }
-        self.particles = ParticleSet(
-            columns["pos"], columns["q"], capacities=list(state["capacities"])
+        store = RankMajor.of_columns(state["columns"])
+        columns, offsets = store.data, store.offsets
+        particles = ParticleSet(
+            RankMajor(columns["pos"], offsets),
+            RankMajor(columns["q"], offsets),
+            capacities=list(state["capacities"]),
         )
-        self.particles.pot, self.particles.field = columns["pot"], columns["field"]
-        self.vel, self.acc, self.ids = columns["vel"], columns["acc"], columns["ids"]
+        particles.block["pot"], particles.block["field"] = columns["pot"], columns["field"]
+        self.particles = particles
+        self.store = RankMajor(
+            ColumnBlock(vel=columns["vel"], acc=columns["acc"], ids=columns["ids"]), offsets
+        )
         self.records = [StepRecord.from_state(r) for r in state.get("records", [])]
         self.step_index = int(state.get("step_index", 0))
         self._initialized = bool(state.get("initialized", False))
@@ -655,13 +661,19 @@ class Simulation:
         return v / norm
 
     def _rotate_directions(self, vel: np.ndarray, speed: float) -> np.ndarray:
+        """One pass over the velocities of all ranks; the jitter is one draw
+        from the application's stream (a ``Generator`` fills in order, so it
+        is the draws a rank-by-rank loop would make)."""
         if vel.shape[0] == 0:
             return vel
-        jitter = 0.3 * self._rng.normal(size=vel.shape)
-        v = vel / max(speed, 1e-300) + jitter
+        v = self._rng.normal(size=vel.shape)
+        v *= 0.3
+        v += vel / max(speed, 1e-300)
         norm = np.linalg.norm(v, axis=1, keepdims=True)
         norm[norm == 0] = 1.0
-        return v / norm * speed
+        v /= norm
+        v *= speed
+        return v
 
     # -- method B plumbing ------------------------------------------------------------
 
@@ -673,9 +685,10 @@ class Simulation:
         handle, so across unchanged time steps only the data exchange
         remains: the six float columns and the ids travel in ONE fused
         exchange."""
-        self.vel, self.acc, self.ids = self.fcs.resort(
+        vel, acc, ids = self.fcs.resort(
             (self.vel, self.acc, self.ids), plan=self.fcs.resort_plan()
         )
+        self.store = RankMajor(ColumnBlock(vel=vel.data, acc=acc.data, ids=ids.data), vel.offsets)
 
     # -- observables -----------------------------------------------------------------
 
@@ -687,12 +700,13 @@ class Simulation:
     def gather_state(self) -> Dict[str, np.ndarray]:
         """Global (id-ordered) positions, velocities, charges — an
         out-of-band observer view for tests and examples."""
-        ids = np.concatenate(self.ids)
+        ids = self.store.data["ids"]
         order = np.argsort(ids)
+        block = self.particles.block
         return {
             "ids": ids[order],
-            "pos": np.concatenate(self.particles.pos)[order],
-            "vel": np.concatenate(self.vel)[order],
-            "q": np.concatenate(self.particles.q)[order],
-            "pot": np.concatenate(self.particles.pot)[order],
+            "pos": block["pos"][order],
+            "vel": self.store.data["vel"][order],
+            "q": block["q"][order],
+            "pot": block["pot"][order],
         }

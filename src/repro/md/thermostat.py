@@ -12,16 +12,18 @@ the standard tools a downstream user expects:
 * :class:`BerendsenThermostat` — weak-coupling velocity rescaling toward a
   target temperature.
 
-All functions operate on the per-rank velocity lists of the distributed
-application and charge their (tiny) collective costs to the machine.
+All functions operate on the distributed application's velocities — the
+rank-major column ``sim.vel``, or one array per rank — and charge their
+(tiny) collective costs to the machine.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
+from repro.core.particles import RankMajor
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.machine import Machine
 
@@ -33,8 +35,9 @@ def maxwell_boltzmann(
     target_temperature: float,
     mass: float = 1.0,
     seed: int = 0,
-) -> List[np.ndarray]:
-    """Per-rank velocities at the given temperature, zero total momentum.
+) -> RankMajor:
+    """Velocities at the given temperature, zero total momentum, rank-major
+    over ``counts``.
 
     Uses one global RNG stream so the result is independent of the
     distribution of particles among ranks.
@@ -53,12 +56,7 @@ def maxwell_boltzmann(
             vel *= np.sqrt(target_temperature / t_now)
         elif target_temperature == 0:
             vel[:] = 0.0
-    out: List[np.ndarray] = []
-    offset = 0
-    for c in counts:
-        out.append(vel[offset:offset + int(c)].copy())
-        offset += int(c)
-    return out
+    return RankMajor(vel, np.concatenate(([0], np.cumsum(counts, dtype=np.int64))))
 
 
 def temperature_global(vel: np.ndarray, mass: float = 1.0) -> float:
@@ -104,13 +102,14 @@ class BerendsenThermostat:
     def apply(
         self,
         machine: Machine,
-        vel: Sequence[np.ndarray],
+        vel: Union[RankMajor, Sequence[np.ndarray]],
         mass: float = 1.0,
         phase: str = "integrate",
-    ) -> List[np.ndarray]:
+    ) -> RankMajor:
         """Return rescaled velocities (the inputs are not modified)."""
+        vel = RankMajor.of(vel)
         t_now = temperature(machine, vel, mass, phase)
-        if t_now <= 0.0:
-            return [v.copy() for v in vel]
-        factor = np.sqrt(max(1.0 + self.dt / self.tau * (self.target / t_now - 1.0), 0.0))
-        return [v * factor for v in vel]
+        factor = 1.0
+        if t_now > 0.0:
+            factor = np.sqrt(max(1.0 + self.dt / self.tau * (self.target / t_now - 1.0), 0.0))
+        return RankMajor(vel.data * factor, vel.offsets)

@@ -17,7 +17,8 @@ The redistribution contract (the heart of the paper) is expressed through
 * method **B** (``resort=True``): the solver leaves the particle set in its
   own (changed) order and distribution **iff** every rank's new particle
   count fits the application's local array capacity; it then provides
-  ``report.resort_indices`` (per-original-rank packed target locations) so
+  ``report.resort_indices`` (the packed target location of every original
+  particle, rank-major over the original layout) so
   the application can redistribute additional particle data.  If capacity
   is exceeded on any rank, the solver falls back to restoring the original
   distribution (``report.changed`` is ``False``), exactly as Sect. III-B
@@ -29,12 +30,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.fine_grained import COMM_KINDS
-from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.core.resort import invert_indices
 from repro.core.restore import restore_results
 from repro.simmpi.machine import Machine
@@ -49,9 +50,10 @@ class RunReport:
     #: True iff the particle order/distribution returned to the application
     #: is the solver-specific (changed) one
     changed: bool
-    #: per-original-rank resort indices (packed target rank/position), only
-    #: available when ``changed`` is True
-    resort_indices: Optional[List[np.ndarray]] = None
+    #: resort indices (packed target rank/position) of the original particles,
+    #: rank-major over the original layout (``resort_indices[r]`` is original
+    #: rank ``r``'s view); only available when ``changed`` is True
+    resort_indices: Optional[RankMajor] = None
     #: per-original-rank particle counts before the run (resort input shape)
     old_counts: Optional[np.ndarray] = None
     #: per-rank particle counts after the run
@@ -76,10 +78,16 @@ class RunReport:
             raise ValueError(
                 f"RunReport.comm must be one of {COMM_KINDS}, got {self.comm!r}"
             )
+        if self.resort_indices is not None:
+            self.resort_indices = RankMajor.of(self.resort_indices)
 
     def state_dict(self) -> Dict[str, Any]:
-        """The report as checkpoint-plain data (fields by name, deep-copied)."""
-        return dataclasses.asdict(self)
+        """The report as checkpoint-plain data (fields by name, deep-copied;
+        the resort indices as one array per original rank)."""
+        state = dataclasses.asdict(dataclasses.replace(self, resort_indices=None))
+        if self.resort_indices is not None:
+            state["resort_indices"] = [a.copy() for a in self.resort_indices]
+        return state
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "RunReport":
@@ -162,10 +170,14 @@ class Solver:
         """Reject NaN/inf positions or charges before anything is charged
         (the grid placement would wrap a NaN coordinate to the lower face
         silently).  In a finite box a sum is finite iff its terms are, so
-        one reduction per array decides."""
-        for rank, (pos, q) in enumerate(zip(particles.pos, particles.q)):
-            if not math.isfinite(pos.sum() + q.sum()):
-                raise ValueError(f"rank {rank}: non-finite particle position or charge")
+        one reduction per column decides; only a failure looks for its row."""
+        pos, q = particles.block["pos"], particles.block["q"]
+        if math.isfinite(pos.sum() + q.sum()):
+            return
+        bad = np.flatnonzero(~(np.isfinite(pos).all(axis=1) & np.isfinite(q)))
+        if bad.size:
+            rank = int(np.searchsorted(particles.offsets, bad[0], side="right")) - 1
+            raise ValueError(f"rank {rank}: non-finite particle position or charge")
 
     def _set_compute_mode(self, compute: str) -> None:
         """``"skip"`` omits the force arithmetic (results are zeros) while
@@ -249,65 +261,51 @@ class Solver:
             raise RuntimeError("fcs_tune must run before fcs_run")
         self.require_finite(particles)
         old_counts = particles.counts()
-        blocks, ghosts, comm, strategy = self._place(particles, max_move)
-        new_counts = np.asarray([b.n for b in blocks], dtype=np.int64)
-        pots, fields, rank_work = self._compute(blocks, ghosts, new_counts)
+        placed, ghosts, comm, strategy = self._place(particles, max_move)
+        new_counts = placed.counts
+        pot, field, rank_work = self._compute(placed, ghosts)
 
-        origin = [b[self.origin_column] for b in blocks]
-        counts = [int(c) for c in old_counts]
+        origin = placed.column(self.origin_column)
         ran = dict(old_counts=old_counts, strategy=strategy, comm=comm, rank_work=rank_work)
         if resort and particles.fits(new_counts):
-            for r, b in enumerate(blocks):
-                particles.replace(r, b["pos"], b["q"], pots[r], fields[r])
+            particles.install(
+                ColumnBlock(pos=placed.data["pos"], q=placed.data["q"], pot=pot, field=field),
+                placed.offsets,
+            )
             indices = invert_indices(
-                self.machine, origin, counts, phase="resort_index", comm=comm
+                self.machine, origin, old_counts, phase="resort_index", comm=comm
             )
             return RunReport(changed=True, resort_indices=indices, new_counts=new_counts, **ran)
+        offsets = placed.offsets
         restore_results(
-            self.machine, origin, pots, fields, particles, counts, phase="restore"
+            self.machine, origin, RankMajor(pot, offsets), RankMajor(field, offsets),
+            particles, old_counts, phase="restore",
         )
         return RunReport(changed=False, new_counts=old_counts, **ran)
 
     def _place(
         self, particles: ParticleSet, max_move: Optional[float]
-    ) -> Tuple[List[ColumnBlock], List[ColumnBlock], str, str]:
+    ) -> Tuple[RankMajor, RankMajor, str, str]:
         """Redistribute the particles into the solver's layout.
 
-        Returns ``(blocks, ghosts, comm, strategy)``: per-rank owned blocks
-        with ``pos``, ``q`` and the :attr:`origin_column`; per-rank blocks
-        of the near field's sources as the solver keeps them (the FMM's
+        Returns ``(placed, ghosts, comm, strategy)``: the owned particles,
+        rank-major, with ``pos``, ``q`` and the :attr:`origin_column`; the
+        near field's sources as the solver keeps them, rank-major (the FMM's
         halo copies, the grid solvers' owned + ghost particles — handed to
-        :meth:`_compute` unread); the :data:`COMM_KINDS` entry describing the exchange that ran (the
-        resort indices and any follow-up resort use the same); and the
-        free-form strategy label of :attr:`RunReport.strategy`.
+        :meth:`_compute` unread); the :data:`COMM_KINDS` entry describing the
+        exchange that ran (the resort indices and any follow-up resort use
+        the same); and the free-form strategy label of
+        :attr:`RunReport.strategy`.
         """
         raise NotImplementedError
 
     def _compute(
-        self,
-        blocks: List[ColumnBlock],
-        ghosts: List[ColumnBlock],
-        new_counts: np.ndarray,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], Optional[np.ndarray]]:
-        """Potentials and fields of the owned particles, per rank, plus the
-        per-rank work of :attr:`RunReport.rank_work` (or ``None``)."""
+        self, placed: RankMajor, ghosts: RankMajor
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Potentials and fields of the owned particles, rank-major over the
+        rows of ``placed``, plus the per-rank work of
+        :attr:`RunReport.rank_work` (or ``None``)."""
         raise NotImplementedError
-
-    @staticmethod
-    def _add_far_field(
-        pots: List[np.ndarray],
-        fields: List[np.ndarray],
-        pot_far: np.ndarray,
-        field_far: np.ndarray,
-        new_counts: np.ndarray,
-    ) -> None:
-        """Add a far field evaluated over the rank-concatenated particles
-        back onto the per-rank near-field results, in place."""
-        offsets = np.concatenate(([0], np.cumsum(new_counts)))
-        for r in range(len(pots)):
-            sl = slice(offsets[r], offsets[r + 1])
-            pots[r] = pots[r] + pot_far[sl]
-            fields[r] = fields[r] + field_far[sl]
 
     def destroy(self) -> None:
         """Release solver resources (``fcs_destroy``)."""

@@ -65,13 +65,11 @@ class DirectSolver(Solver):
         else:
             pot_all, field_all = direct_sum(gathered_pos, gathered_q)
 
-        offsets = np.concatenate(([0], np.cumsum(counts)))
         per_rank_pairs = counts.astype(np.float64) * n
         machine.compute(kernels.PAIR_INTERACTION * per_rank_pairs, phase="near")
-        for r in range(machine.nprocs):
-            sl = slice(offsets[r], offsets[r + 1])
-            particles.pot[r] = pot_all[sl].copy()
-            particles.field[r] = field_all[sl].copy()
+        # gathered in rank order: the results are rank-major as they are
+        particles.block["pot"] = pot_all
+        particles.block["field"] = field_all
 
         # no reordering happened; method B has nothing to resort
         return RunReport(

@@ -94,24 +94,26 @@ class EwaldSolver(GridSolver):
 
     # -- the compute hook of Solver.run ------------------------------------------------
 
-    def _compute(self, owned, local_all, new_counts):
-        pots, fields, near_cost = self._near_field(owned, local_all, new_counts)
+    def _compute(self, owned, local_all):
+        pot, field, near_cost = self._near_field(owned, local_all)
         self.machine.compute(near_cost, phase="near")
-        self._k_space(owned, pots, fields, new_counts)
-        return pots, fields, None
+        pot_k, field_k = self._k_space(owned)
+        return pot + pot_k, field + field_k, None
 
-    def _k_space(self, owned, pots, fields, new_counts) -> None:
-        """Rank-split k-space sums with one structure-factor allreduce."""
+    def _k_space(self, owned):
+        """Rank-split k-space sums with one structure-factor allreduce;
+        returns the reciprocal-space potentials and fields of the owned rows
+        (zeros when the force arithmetic is skipped)."""
         machine = self.machine
         P = machine.nprocs
+        new_counts = owned.counts
+        gpos, gq = owned.data["pos"], owned.data["q"]
+        pot_k = np.zeros(gpos.shape[0])
+        field_k = np.zeros_like(gpos)
         if self.compute_mode == "full":
             kv, green = self._kvecs, self._green
             nk = kv.shape[0]
             # data plane: global structure factor, then local evaluations
-            gpos = np.concatenate([b["pos"] for b in owned])
-            gq = np.concatenate([b["q"] for b in owned])
-            pot_k = np.zeros(gpos.shape[0])
-            field_k = np.zeros_like(gpos)
             for start in range(0, nk, 2048):
                 kvc = kv[start:start + 2048]
                 gc = green[start:start + 2048]
@@ -122,7 +124,6 @@ class EwaldSolver(GridSolver):
                 pot_k += c @ (gc * sc) + s @ (gc * ss)
                 field_k += (s * (gc * sc)[None, :] - c * (gc * ss)[None, :]) @ kvc
             pot_k -= 2.0 * self.alpha / math.sqrt(math.pi) * gq
-            self._add_far_field(pots, fields, pot_k, field_k, new_counts)
             nk_total = nk
         else:
             nk_total = (2 * self.kmax + 1) ** 3 - 1
@@ -146,3 +147,4 @@ class EwaldSolver(GridSolver):
             "far",
             messages=2 * max(0, P - 1),
         )
+        return pot_k, field_k

@@ -33,14 +33,14 @@ construction; DESIGN.md §5 records the simplification.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import kernels
 from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.movement import fmm_prefers_merge_sort
-from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.core.resort import initial_numbering
 from repro.simmpi.collectives import allgather_scalars, allgatherv, allreduce
 from repro.simmpi.machine import Machine
@@ -146,26 +146,22 @@ class FMMSolver(Solver):
 
     # -- helpers ----------------------------------------------------------------
 
-    def _make_blocks(self, particles: ParticleSet) -> List[ColumnBlock]:
-        """Per-rank blocks (key, pos, q, origloc) with keygen cost."""
-        numbering = initial_numbering(particles.counts())
-        blocks: List[ColumnBlock] = []
-        cost = np.zeros(self.machine.nprocs)
-        for r in range(self.machine.nprocs):
-            keys = self.tree.morton_keys(particles.pos[r])
-            blocks.append(
-                ColumnBlock(
-                    key=keys,
-                    pos=particles.pos[r].copy(),
-                    q=particles.q[r].copy(),
-                    origloc=numbering[r],
-                )
-            )
-            cost[r] = kernels.KEY_GENERATION * keys.shape[0]
-        self.machine.compute(cost, phase="keygen")
-        return blocks
+    def _make_blocks(self, particles: ParticleSet) -> RankMajor:
+        """The rank-major block (key, pos, q, origloc) with keygen cost: one
+        key generation over the positions of all ranks.  The sorts gather
+        from it into fresh buffers, so the application's columns are handed
+        over as they are."""
+        counts = particles.counts()
+        block = ColumnBlock(
+            key=self.tree.morton_keys(particles.block["pos"]),
+            pos=particles.block["pos"],
+            q=particles.block["q"],
+            origloc=initial_numbering(counts).data,
+        )
+        self.machine.compute(kernels.KEY_GENERATION * counts, phase="keygen")
+        return RankMajor(block, particles.offsets)
 
-    def _attach_weights(self, blocks: Sequence[ColumnBlock]) -> None:
+    def _attach_weights(self, blocks: RankMajor) -> None:
         """Attach a per-particle ``weight`` column: modeled execution cost.
 
         One allgather of the local key arrays (phase ``"balance"``) gives
@@ -181,7 +177,7 @@ class FMMSolver(Solver):
         and pile count-proportional far-field work onto the sparse ranks.
         """
         machine = self.machine
-        gathered = allgatherv(machine, [b["key"] for b in blocks], "balance")
+        gathered = allgatherv(machine, blocks.column("key"), "balance")
         all_keys = gathered[0]
         n_total = int(all_keys.shape[0])
         uniq, counts = np.unique(all_keys, return_counts=True)
@@ -194,24 +190,21 @@ class FMMSolver(Solver):
         far_per_particle = far_stats.ncoef * kernels.EXPANSION_TERM * 2.0
         if n_total:
             far_per_particle += op_cost / n_total
-        cost = np.zeros(machine.nprocs)
         histogram_cost = kernels.KEY_SORT_STEP * n_total * max(
             1.0, float(np.log2(max(n_total, 2)))
         )
-        for r, b in enumerate(blocks):
-            idx = np.searchsorted(uniq, b["key"])
-            near = kernels.PAIR_INTERACTION * 27.0 * counts[idx].astype(np.float64)
-            b["weight"] = near + far_per_particle
-            cost[r] = histogram_cost
-        machine.compute(cost, phase="balance")
+        idx = np.searchsorted(uniq, blocks.data["key"])
+        near = kernels.PAIR_INTERACTION * 27.0 * counts[idx].astype(np.float64)
+        blocks.data["weight"] = near + far_per_particle
+        machine.compute(np.full(machine.nprocs, histogram_cost), phase="balance")
 
     def _sort(
         self,
-        blocks: Sequence[ColumnBlock],
+        blocks: RankMajor,
         max_move: Optional[float],
         *,
         rebalance: bool = False,
-    ) -> Tuple[List[ColumnBlock], str]:
+    ) -> Tuple[RankMajor, str]:
         """Parallel sort by box number, picking the strategy per Sect. III-B.
 
         ``rebalance=True`` forces the partition-based method with weighted
@@ -244,28 +237,25 @@ class FMMSolver(Solver):
         sorted_blocks = partition_sort(self.machine, blocks, "key", phase="sort")
         return sorted_blocks, "partition"
 
-    def _ownership(self, blocks: Sequence[ColumnBlock]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _ownership(self, blocks: RankMajor) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Allgather per-rank (min key, max key); empty ranks are skipped.
 
         Returns ``(rank_ids, min_keys, max_keys)`` of the non-empty ranks in
         rank order (which is also key order after the sort).
         """
         P = self.machine.nprocs
+        keys, offsets = blocks.data["key"], blocks.offsets
+        nonempty = np.flatnonzero(blocks.counts)
+        min_keys = keys[offsets[nonempty]]
+        max_keys = keys[offsets[nonempty + 1] - 1]
         mins = np.zeros(P, dtype=np.float64)
         maxs = np.zeros(P, dtype=np.float64)
-        counts = np.zeros(P, dtype=np.float64)
-        for r, b in enumerate(blocks):
-            counts[r] = b.n
-            if b.n:
-                mins[r] = b["key"][0]
-                maxs[r] = b["key"][-1]
+        mins[nonempty] = min_keys
+        maxs[nonempty] = max_keys
         # two scalar allgathers (the sort already synchronized everyone)
         allgather_scalars(self.machine, mins, phase="halo")
         allgather_scalars(self.machine, maxs, phase="halo")
-        nonempty = np.flatnonzero(counts > 0)
-        min_keys = np.asarray([blocks[r]["key"][0] for r in nonempty], dtype=np.uint64)
-        max_keys = np.asarray([blocks[r]["key"][-1] for r in nonempty], dtype=np.uint64)
-        return nonempty, min_keys, max_keys
+        return nonempty, min_keys.astype(np.uint64), max_keys.astype(np.uint64)
 
     def _owners_of_keys(
         self,
@@ -290,19 +280,18 @@ class FMMSolver(Solver):
 
     def _halo_exchange(
         self,
-        blocks: Sequence[ColumnBlock],
+        blocks: RankMajor,
         ownership: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> List[ColumnBlock]:
+    ) -> RankMajor:
         """Send boundary-box particle copies to ranks owning adjacent boxes."""
         rank_ids, min_keys, max_keys = ownership
         P = self.machine.nprocs
         nside = self.tree.nside_leaf
-        halo_in = [b.drop("origloc") for b in blocks]
-        counts = np.asarray([b.n for b in blocks], dtype=np.int64)
-        keys = np.concatenate([b["key"] for b in blocks])
-        rank = np.repeat(np.arange(P, dtype=np.int64), counts)
-        # one box per run of equal (rank, key) over the rank-concatenated
-        # rows (each rank's keys are sorted)
+        halo_in = RankMajor(blocks.data.drop("origloc"), blocks.offsets)
+        keys = blocks.data["key"]
+        rank = np.repeat(np.arange(P, dtype=np.int64), blocks.counts)
+        # one box per run of equal (rank, key) over the rank-major rows
+        # (each rank's keys are sorted)
         new_box = np.ones(keys.shape[0], dtype=bool)
         new_box[1:] = (keys[1:] != keys[:-1]) | (rank[1:] != rank[:-1])
         first = np.flatnonzero(new_box)
@@ -397,7 +386,7 @@ class FMMSolver(Solver):
         if rebalance:
             self._attach_weights(blocks)
             blocks, strategy = self._sort(blocks, max_move, rebalance=True)
-            blocks = [b.drop("weight") for b in blocks]
+            blocks = RankMajor(blocks.data.drop("weight"), blocks.offsets)
             machine.count("balance.rebalances")
             if machine.obs is not None:
                 machine.obs.mark("balance.rebalance", op="balance")
@@ -406,82 +395,87 @@ class FMMSolver(Solver):
         halo = self._halo_exchange(blocks, self._ownership(blocks))
         return blocks, halo, "alltoall", strategy
 
-    def _compute(self, blocks, halo, new_counts):
+    def _near_field(self, blocks: RankMajor, halo: RankMajor):
+        """Direct neighbor-box sums, rank by rank: owned targets against
+        owned + halo sources, merged in key order.  The kernel keeps its
+        per-rank call shape, on views of the two stores."""
+        n = blocks.data.n
+        pot, field, pairs = np.zeros(n), np.zeros((n, 3)), np.zeros(len(blocks))
+        starts = blocks.offsets.tolist()
+        for r, (own, far) in enumerate(zip(blocks, halo)):
+            if not own.n:
+                continue
+            src = own
+            if far.n:
+                src = {name: np.concatenate([own[name], far[name]]) for name in far}
+                order = np.argsort(src["key"], kind="stable")
+                src = {name: column[order] for name, column in src.items()}
+            pot[starts[r]:starts[r + 1]], field[starts[r]:starts[r + 1]], pairs[r] = (
+                self.tree.near_field_morton(own["pos"], own["key"], src["pos"], src["q"], src["key"])
+            )
+        return pot, field, kernels.PAIR_INTERACTION * pairs
+
+    def _compute(self, blocks: RankMajor, halo: RankMajor):
         """Near field per rank, global far field, boundary condition."""
         machine = self.machine
-        P = machine.nprocs
-        # --- near field: per rank, owned targets vs owned + halo sources ----
-        pots: List[np.ndarray] = []
-        fields: List[np.ndarray] = []
-        near_cost = np.zeros(P)
-        for r in range(P):
-            own = blocks[r]
-            if own.n == 0:
-                pots.append(np.zeros(0))
-                fields.append(np.zeros((0, 3)))
-                continue
-            if self.compute_mode == "skip":
-                pots.append(np.zeros(own.n))
-                fields.append(np.zeros((own.n, 3)))
-                if self.work_model == "density":
-                    # pair estimate from actual leaf occupancy: a box of k
-                    # particles contributes ~27 k^2 neighborhood pairs (the
-                    # sort makes boxes rank-contiguous, so local counts are
-                    # the global ones up to boundary boxes)
-                    _, box_counts = np.unique(own["key"], return_counts=True)
-                    near_cost[r] = kernels.PAIR_INTERACTION * 27.0 * float(
-                        np.square(box_counts.astype(np.float64)).sum()
-                    )
-                    continue
+        new_counts = blocks.counts
+        n_total = blocks.data.n
+        # --- near field: owned targets vs owned + halo sources ------------------
+        if self.compute_mode != "skip":
+            pot, field, near_cost = self._near_field(blocks, halo)
+        else:
+            pot, field = np.zeros(n_total), np.zeros((n_total, 3))
+            if self.work_model == "density":
+                # pair estimate from actual leaf occupancy: a box of k
+                # particles contributes ~27 k^2 neighborhood pairs (the
+                # sort makes boxes rank-contiguous, so local counts are
+                # the global ones up to boundary boxes)
+                keys = blocks.data["key"]
+                rank = np.repeat(np.arange(machine.nprocs), new_counts)
+                new_box = np.ones(n_total, dtype=bool)
+                new_box[1:] = (keys[1:] != keys[:-1]) | (rank[1:] != rank[:-1])
+                first = np.flatnonzero(new_box)
+                box_counts = np.diff(np.append(first, n_total)).astype(np.float64)
+                near_cost = kernels.PAIR_INTERACTION * 27.0 * np.bincount(
+                    rank[first], weights=np.square(box_counts), minlength=machine.nprocs
+                )
+            else:
                 # analytic pair estimate: homogeneous occupancy over the
                 # populated neighborhood
-                occupancy = float(sum(new_counts)) / self.tree.nboxes_leaf
-                near_cost[r] = kernels.PAIR_INTERACTION * own.n * 27.0 * max(occupancy, 1.0)
-                continue
-            if halo[r].n:
-                merged = ColumnBlock.concat([own.drop("origloc"), halo[r]])
-                order = np.argsort(merged["key"], kind="stable")
-                merged = merged.take(order)
-            else:
-                merged = own
-            pot_n, field_n, pairs = self.tree.near_field_morton(
-                own["pos"], own["key"], merged["pos"], merged["q"], merged["key"]
-            )
-            pots.append(pot_n)
-            fields.append(field_n)
-            near_cost[r] = kernels.PAIR_INTERACTION * pairs
+                occupancy = float(n_total) / self.tree.nboxes_leaf
+                near_cost = kernels.PAIR_INTERACTION * new_counts * 27.0 * max(occupancy, 1.0)
         machine.compute(near_cost, phase="near")
 
         # --- far field: global data plane, per-rank cost model --------------
         if self.compute_mode == "skip":
-            n_total = int(new_counts.sum())
             stats = self._estimate_far_stats(n_total)
             self._charge_far_field(
                 stats,
                 new_counts.astype(np.float64),
                 min(self.tree.nboxes_leaf, n_total),
             )
-        else:
-            gpos = np.concatenate([b["pos"] for b in blocks])
-            gq = np.concatenate([b["q"] for b in blocks])
-            gkeys = np.concatenate([b["key"] for b in blocks])
-            linear = self.tree.linear_of_morton(gkeys)
-            pot_far, field_far, stats = self.tree.far_field(gpos, gq, linear)
-            self._charge_far_field(
-                stats, new_counts.astype(np.float64), int(np.unique(linear).shape[0])
-            )
-            self._add_far_field(pots, fields, pot_far, field_far, new_counts)
+            return pot, field, near_cost
+        gpos, gq = blocks.data["pos"], blocks.data["q"]
+        linear = self.tree.linear_of_morton(blocks.data["key"])
+        pot_far, field_far, stats = self.tree.far_field(gpos, gq, linear)
+        self._charge_far_field(
+            stats, new_counts.astype(np.float64), int(np.unique(linear).shape[0])
+        )
+        pot, field = pot + pot_far, field + field_far
 
         # --- boundary condition ----------------------------------------------
-        if self.compute_mode != "skip" and self.periodic and self.boundary == "tinfoil":
+        if self.periodic and self.boundary == "tinfoil":
             volume = float(np.prod(self.box))
+            # per-rank partial dipoles, summed by the allreduce: the
+            # application's order of additions, kept
             local_dipole = [
-                (blocks[r]["q"][:, None] * blocks[r]["pos"]).sum(axis=0) for r in range(P)
+                (q[:, None] * pos).sum(axis=0)
+                for q, pos in zip(blocks.column("q"), blocks.column("pos"))
             ]
             dipole = np.asarray(allreduce(machine, local_dipole, op="sum", phase="far"))
             coef = 4.0 * np.pi / (3.0 * volume)
-            for r in range(P):
-                pots[r] = pots[r] - coef * (blocks[r]["pos"] @ dipole)
-                fields[r] = fields[r] + coef * dipole
-
-        return pots, fields, near_cost
+            bounds = blocks.offsets.tolist()
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                pot[a:b] -= coef * (gpos[a:b] @ dipole)
+            field = field + coef * dipole
+        return pot, field, near_cost

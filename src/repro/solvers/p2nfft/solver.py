@@ -33,9 +33,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.fine_grained import block_offsets, exchange_route, redistribute_flat
+from repro.core.fine_grained import exchange_route, redistribute_flat
 from repro.core.movement import p2nfft_prefers_neighborhood
-from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.core.resort import initial_numbering, unpack_resort_index
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
@@ -243,65 +243,56 @@ class GridSolver(Solver):
 
     def _place(self, particles: ParticleSet, max_move: Optional[float]):
         """One fine-grained redistribution to the owning grid ranks, ghosts
-        included (phase ``sort``); returns owned and owned+ghost blocks."""
+        included (phase ``sort``); returns the owned and the owned+ghost
+        particles, both rank-major."""
         machine = self.machine
         P = machine.nprocs
-        old_counts = particles.counts()
         neighborhood = (
             max_move is not None and p2nfft_prefers_neighborhood(self.grid, max_move)
         )
         comm = "neighborhood" if neighborhood else "alltoall"
 
-        numbering = initial_numbering(old_counts)
+        offsets = particles.offsets
         # the redistribution gathers from these into fresh buffers, so the
-        # application's arrays can be handed over as they are
-        blocks = [
-            ColumnBlock(pos=particles.pos[r], q=particles.q[r], index=numbering[r])
-            for r in range(P)
-        ]
-        machine.compute(kernels.KEY_GENERATION * old_counts, phase="keygen")
+        # application's columns can be handed over as they are
+        rows = ColumnBlock(
+            pos=particles.block["pos"],
+            q=particles.block["q"],
+            index=initial_numbering(particles.counts()).data,
+        )
+        machine.compute(kernels.KEY_GENERATION * particles.counts(), phase="keygen")
 
         # the distribution (owners + ghost duplicates) of all ranks in one
-        # pass over the rank-concatenated positions; it is also the one
-        # decision who owns which particle
-        elements, targets, owner = ghost_distribution(
-            self.grid, np.concatenate(particles.pos), self.rc
-        )
-        offsets = block_offsets(blocks)
-        delivered, recv_offsets = redistribute_flat(
-            machine, blocks, exchange_route(offsets, elements, targets), phase="sort", comm=comm
+        # pass over the rank-major positions; it is also the one decision
+        # who owns which particle
+        elements, targets, owner = ghost_distribution(self.grid, rows["pos"], self.rc)
+        local_all = redistribute_flat(
+            machine, rows, exchange_route(offsets, elements, targets), phase="sort", comm=comm
         )
 
         # a copy knows the element it is a copy of from the origin it
         # carries, and is the owned one iff it arrived at that element's owner
-        src, row = unpack_resort_index(delivered["index"])
-        arrived_at = np.repeat(np.arange(P, dtype=np.int64), np.diff(recv_offsets))
+        src, row = unpack_resort_index(local_all.data["index"])
+        arrived_at = np.repeat(np.arange(P, dtype=np.int64), local_all.counts)
         own = np.flatnonzero(owner[offsets[src] + row] == arrived_at)
-        owned = delivered.take(own)
-        cuts = np.searchsorted(own, recv_offsets).tolist()
-        bounds = recv_offsets.tolist()
-        return (
-            [owned.row_slice(cuts[r], cuts[r + 1]) for r in range(P)],
-            [delivered.row_slice(bounds[r], bounds[r + 1]) for r in range(P)],
-            comm,
-            f"grid+{comm}",
-        )
+        owned = RankMajor(local_all.data.take(own), np.searchsorted(own, local_all.offsets))
+        return owned, local_all, comm, f"grid+{comm}"
 
-    def _near_field(self, owned, local_all, new_counts):
+    def _near_field(self, owned: RankMajor, local_all: RankMajor):
         """Linked-cell ``erfc(alpha r)/r`` sums of each rank's owned
-        particles against its owned + ghost ones; returns the per-rank
-        potentials, fields and nominal pair cost (the caller charges it)."""
+        particles against its owned + ghost ones; returns the potentials and
+        fields, rank-major over the owned rows, and the per-rank nominal
+        pair cost (the caller charges it)."""
+        new_counts = owned.counts
         if self.compute_mode == "skip":
             pair_density = (
                 float(new_counts.sum()) / float(np.prod(self.box))
                 * (4.0 / 3.0) * np.pi * self.rc ** 3
             )
-            pots = [np.zeros(b.n) for b in owned]
-            fields = [np.zeros((b.n, 3)) for b in owned]
-            return pots, fields, kernels.ERFC_PAIR * new_counts * pair_density
-        tasks = [
-            (own["pos"], local["pos"], local["q"]) for own, local in zip(owned, local_all)
-        ]
+            n = owned.data.n
+            return np.zeros(n), np.zeros((n, 3)), kernels.ERFC_PAIR * new_counts * pair_density
+        # the kernels keep their per-rank call shape, on views of the stores
+        tasks = list(zip(owned.column("pos"), local_all.column("pos"), local_all.column("q")))
         backend = self.machine.backend
         if backend is not None and backend.workers:
             # each rank's near field is an independent pure computation over
@@ -314,8 +305,12 @@ class GridSolver(Solver):
             )
         else:
             results = [_near_rank_task(self.near, *task) for task in tasks]
-        pots, fields, pairs = (list(column) for column in zip(*results))
-        return pots, fields, kernels.ERFC_PAIR * np.asarray(pairs, dtype=np.float64)
+        pots, fields, pairs = zip(*results)
+        return (
+            np.concatenate(pots),
+            np.concatenate(fields),
+            kernels.ERFC_PAIR * np.asarray(pairs, dtype=np.float64),
+        )
 
 
 class P2NFFTSolver(GridSolver):
@@ -388,25 +383,23 @@ class P2NFFTSolver(GridSolver):
 
     # -- the compute hook of Solver.run ------------------------------------------------
 
-    def _compute(self, owned, local_all, new_counts):
+    def _compute(self, owned: RankMajor, local_all: RankMajor):
         """Real-space near field (phase ``near``), then the Fourier-space
         far field on the mesh (phases ``mesh``, ``fft``)."""
         machine = self.machine
         P = machine.nprocs
-        pots, fields, near_cost = self._near_field(owned, local_all, new_counts)
-        bin_cost = kernels.CELL_BINNING * np.asarray(
-            [b.n for b in local_all], dtype=np.float64
-        )
+        new_counts = owned.counts
+        pot, field, near_cost = self._near_field(owned, local_all)
+        bin_cost = kernels.CELL_BINNING * local_all.counts.astype(np.float64)
         machine.compute(near_cost + bin_cost, phase="near")
 
         if self.compute_mode == "full":
-            gpos = np.concatenate([b["pos"] for b in owned])
-            gq = np.concatenate([b["q"] for b in owned])
+            gpos, gq = owned.data["pos"], owned.data["q"]
             pot_k, field_k = self.mesh.kspace(gpos, gq, gpos)
             total_charge = float(gq.sum())
             if abs(total_charge) > 1e-12:
                 pot_k += self.mesh.background(total_charge)
-            self._add_far_field(pots, fields, pot_k, field_k, new_counts)
+            pot, field = pot + pot_k, field + field_k
         machine.compute(
             kernels.MESH_ASSIGNMENT * new_counts.astype(np.float64) * 5.0, phase="mesh"
         )
@@ -420,4 +413,4 @@ class P2NFFTSolver(GridSolver):
             nbytes=int(surface * 8.0 * 6 * P),
         )
         charge_parallel_fft(machine, self.mesh_size, 5, phase="fft")
-        return pots, fields, near_cost
+        return pot, field, near_cost

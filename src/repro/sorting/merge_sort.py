@@ -19,12 +19,12 @@ stays on its current process" translates into tiny redistribution times
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import kernels
-from repro.core.particles import ColumnBlock
+from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.machine import Machine
 from repro.simmpi.p2p import exchange_pairs
 from repro.sorting.batcher import merge_exchange_rounds
@@ -32,48 +32,72 @@ from repro.sorting.batcher import merge_exchange_rounds
 __all__ = ["merge_exchange_sort", "local_sort"]
 
 
+def order_within_ranks(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The permutation that sorts every rank's rows stably by key, for all
+    ranks at once: rank-major rows stay rank-major.
+
+    The rank goes into the bits above the widest key and one stable sort of
+    the composite orders everything — timsort, so rows already in order
+    (the method-B steady state) cost one pass.  Keys that leave no room for
+    the rank (or are not non-negative integers) take a two-key ``lexsort``.
+    """
+    P = offsets.shape[0] - 1
+    rank = np.repeat(np.arange(P, dtype=np.uint64), np.diff(offsets))
+    integral = keys.dtype.kind == "u" or (keys.dtype.kind == "i" and not np.any(keys < 0))
+    bits = int(keys.max()).bit_length() if integral and keys.size else 0
+    if not integral or bits + (P - 1).bit_length() > 64:
+        return np.lexsort((keys, rank))
+    rank <<= np.uint64(bits)
+    rank |= keys.astype(np.uint64, copy=False)
+    return np.argsort(rank, kind="stable")
+
+
 def local_sort(
     machine: Machine,
-    blocks: Sequence[ColumnBlock],
+    blocks: Union[RankMajor, Sequence[ColumnBlock]],
     key: str,
     phase: Optional[str] = None,
-) -> List[ColumnBlock]:
-    """Stable per-rank sort of every block by its ``key`` column."""
-    out: List[ColumnBlock] = []
+) -> RankMajor:
+    """Stable sort of every rank's rows by the ``key`` column (one block per
+    rank is concatenated once, here): one gather over the rank-major block."""
+    blocks = RankMajor.of(blocks)
+    keys, offsets = blocks.data[key], blocks.offsets
+    out = RankMajor(blocks.data.take(order_within_ranks(keys, offsets)), offsets)
+    # adaptive (timsort-like) cost: nearly sorted runs cost a single pass,
+    # disordered data the full n log n — this is what makes method B's
+    # steady-state local sorts cheap.  A descent counts for the rank holding
+    # both rows.
+    n = blocks.counts
+    rows = np.flatnonzero(keys[1:] < keys[:-1]) + 1  # the lower row of every descent
+    rank = np.searchsorted(offsets, rows, side="right") - 1
+    descents = np.bincount(rank[offsets[rank] != rows], minlength=n.shape[0])
     cost = np.zeros(machine.nprocs, dtype=np.float64)
-    for r, block in enumerate(blocks):
-        keys = block[key]
-        order = np.argsort(keys, kind="stable")
-        out.append(block.take(order))
-        n = keys.shape[0]
-        if n > 1:
-            # adaptive (timsort-like) cost: nearly sorted runs cost a single
-            # pass, disordered data the full n log n — this is what makes
-            # method B's steady-state local sorts cheap
-            disorder = float(np.count_nonzero(keys[1:] < keys[:-1])) / (n - 1)
-            cost[r] = kernels.SORT_STEP * n * (1.0 + disorder * np.log2(n))
+    many = n > 1
+    disorder = descents[many] / (n[many] - 1)
+    cost[many] = kernels.SORT_STEP * n[many] * (1.0 + disorder * np.log2(n[many]))
     machine.compute(cost, phase)
     return out
 
 
 def merge_exchange_sort(
     machine: Machine,
-    blocks: Sequence[ColumnBlock],
+    blocks: Union[RankMajor, Sequence[ColumnBlock]],
     key: str,
     phase: Optional[str] = None,
     *,
     presorted: bool = False,
     verify: bool = True,
-) -> Tuple[List[ColumnBlock], bool]:
+) -> Tuple[RankMajor, bool]:
     """Sort distributed blocks globally by ``key`` with merge-exchange.
 
     Parameters
     ----------
     blocks:
-        one block per rank; per-rank counts are preserved (a comparator
-        splits the merged pair back at the original counts).
+        the rows of all ranks, rank-major (one block per rank is
+        concatenated once, here); per-rank counts are preserved (a
+        comparator splits the merged pair back at the original counts).
     presorted:
-        skip the initial local sorts when each rank's block is already
+        skip the initial local sorts when each rank's rows are already
         locally sorted (the method-B steady state: the previous step's
         output order plus slight position drift re-keyed and locally
         re-sorted by the caller).
@@ -85,26 +109,29 @@ def merge_exchange_sort(
         possible, and callers fall back to the partition-based sort on the
         (now almost sorted) data when the flag is False.
 
-    Returns ``(blocks, sorted_ok)``; blocks satisfy "each block locally
-    sorted, counts unchanged", and additionally ``max(key on rank i) <=
-    min(key on rank j)`` for all ``i < j`` whenever ``sorted_ok``.
+    Returns ``(blocks, sorted_ok)``; the rank-major result satisfies "each
+    rank locally sorted, counts unchanged", and additionally ``max(key on
+    rank i) <= min(key on rank j)`` for all ``i < j`` whenever ``sorted_ok``.
+    The caller's rows are never written.
     """
     if len(blocks) != machine.nprocs:
         raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
-    current = list(blocks) if presorted else local_sort(machine, blocks, key, phase)
+    current = RankMajor.of(blocks) if presorted else local_sort(machine, blocks, key, phase)
     P = machine.nprocs
     if P == 1:
         return current, True
 
-    # Counts never change, so the distributed array is one flat block cut at
-    # fixed offsets and a comparator round is a handful of array operations
-    # over the rows of all its windows; only the two searches and the two
-    # message payloads of a window are still made pair by pair.
-    counts = np.asarray([b.n for b in current], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    # Counts never change, so the distributed array stays one flat block cut
+    # at fixed offsets and a comparator round is a handful of array
+    # operations over the rows of all its windows; only the two searches and
+    # the two message payloads of a window are still made pair by pair.
+    flat, offsets = current.data, current.offsets
+    counts = current.counts
     start = offsets.tolist()
-    keys = np.concatenate([b[key] for b in current])
-    flat: Optional[ColumnBlock] = None  # every column; built by the first round that moves data
+    keys = flat[key]
+    # rows a merge may write: the local sort's own gather, else a copy made
+    # by the first round that moves data
+    writable = not presorted
     filled = np.flatnonzero(counts)
     first, last = offsets[filled], offsets[filled + 1] - 1
     control = np.zeros((P, 3), dtype=np.uint64)  # (count, min key, max key), 24 bytes a rank
@@ -125,8 +152,8 @@ def merge_exchange_sort(
         hits = np.flatnonzero(overlap).tolist()
         if not hits:
             continue
-        if flat is None:
-            flat = ColumnBlock.concat(current)
+        if not writable:
+            flat, writable = flat.copy(), True
             keys = flat[key]
         columns = flat.payload()
         # windows are a suffix of a (keys >= b.min) and a prefix of b
@@ -173,34 +200,29 @@ def merge_exchange_sort(
             column[rows] = np.take(merged, order, axis=0)
         machine.compute(merge_cost, phase)
 
-    if flat is not None:
-        current = [flat.row_slice(start[r], start[r + 1]) for r in range(P)]
+    current = RankMajor(flat, offsets)
     if not verify:
         return current, True
-    return current, _verify_sorted(machine, current, key, phase)
+    return current, _verify_sorted(machine, current.column(key), phase)
 
 
-def _verify_sorted(
-    machine: Machine,
-    blocks: Sequence[ColumnBlock],
-    key: str,
-    phase: Optional[str],
-) -> bool:
+def _verify_sorted(machine: Machine, keys: RankMajor, phase: Optional[str]) -> bool:
     """Boundary-key ring check plus a small reduction of the ok-flags."""
     from repro.simmpi.collectives import allreduce
     from repro.simmpi.p2p import send_round
 
     P = machine.nprocs
-    nonempty = [r for r in range(P) if blocks[r].n]
+    flat, offsets = keys.data, keys.offsets.tolist()
+    nonempty = np.flatnonzero(keys.counts).tolist()
     # each non-empty rank sends its max key to the next non-empty rank
-    transfers = []
-    for i in range(len(nonempty) - 1):
-        src, dst = nonempty[i], nonempty[i + 1]
-        transfers.append((src, dst, np.asarray([blocks[src][key][-1]])))
+    transfers = [
+        (src, dst, np.asarray([flat[offsets[src + 1] - 1]]))
+        for src, dst in zip(nonempty[:-1], nonempty[1:])
+    ]
     recv = send_round(machine, transfers, phase)
     ok = np.ones(P)
-    for r in range(P):
+    for r in nonempty[1:]:
         for _src, payload in recv[r]:
-            if blocks[r].n and payload[0] > blocks[r][key][0]:
+            if payload[0] > flat[offsets[r]]:
                 ok[r] = 0.0
     return bool(allreduce(machine, ok, op="min", phase=phase) > 0.5)

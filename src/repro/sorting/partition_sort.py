@@ -16,17 +16,17 @@ two.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import kernels
 from repro.core.balance import work_split_bounds
 from repro.core.fine_grained import fine_grained_redistribute
-from repro.core.particles import ColumnBlock
+from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.collectives import allgatherv
 from repro.simmpi.machine import Machine
-from repro.sorting.merge_sort import local_sort
+from repro.sorting.merge_sort import local_sort, order_within_ranks
 
 __all__ = [
     "partition_sort",
@@ -154,7 +154,7 @@ def split_by_destination(block: ColumnBlock, d: np.ndarray) -> Dict[int, ColumnB
 
 def partition_sort(
     machine: Machine,
-    blocks: Sequence[ColumnBlock],
+    blocks: Union[RankMajor, Sequence[ColumnBlock]],
     key: str,
     phase: Optional[str] = None,
     *,
@@ -162,15 +162,16 @@ def partition_sort(
     oversampling: int = 32,
     presorted: bool = False,
     balance_key: Optional[str] = None,
-) -> List[ColumnBlock]:
-    """Globally sort distributed blocks by ``key`` into exact part sizes.
+) -> RankMajor:
+    """Globally sort distributed rows by ``key`` into exact part sizes.
 
-    The partitioning algorithm [12] produces parts of *specified* sizes:
-    ``target_counts`` defaults to the current per-rank counts, matching the
-    ScaFaCoS FMM which "performs no further load balancing" — with a
-    single-process initial distribution the sorted particles therefore stay
-    on that process and the solver computes sequentially (Fig. 6).  Pass
-    balanced counts to rebalance instead.
+    ``blocks`` holds the rows of all ranks, rank-major (one block per rank
+    is concatenated once, here).  The partitioning algorithm [12] produces
+    parts of *specified* sizes: ``target_counts`` defaults to the current
+    per-rank counts, matching the ScaFaCoS FMM which "performs no further
+    load balancing" — with a single-process initial distribution the sorted
+    particles therefore stay on that process and the solver computes
+    sequentially (Fig. 6).  Pass balanced counts to rebalance instead.
 
     Alternatively pass ``balance_key`` naming a per-element work-weight
     column: the part boundaries are then chosen to equalize *cumulative
@@ -179,7 +180,7 @@ def partition_sort(
     load-balanced mode of :mod:`repro.core.balance`.  Mutually exclusive
     with ``target_counts``.
 
-    Returns new per-rank blocks: locally sorted, globally partitioned
+    Returns the rows rank-major again: locally sorted, globally partitioned
     (all keys on rank ``i`` <= all keys on rank ``j`` for ``i < j``) with
     exactly ``target_counts[i]`` elements on rank ``i``.
 
@@ -193,16 +194,16 @@ def partition_sort(
     if balance_key is not None and target_counts is not None:
         raise ValueError("pass either balance_key or target_counts, not both")
     P = machine.nprocs
-    current = list(blocks) if presorted else local_sort(machine, blocks, key, phase)
+    current = RankMajor.of(blocks) if presorted else local_sort(machine, blocks, key, phase)
     if balance_key is None:
         if target_counts is None:
-            target_counts = [b.n for b in current]
+            target_counts = current.counts
         else:
-            target_counts = [int(c) for c in target_counts]
-            total = sum(b.n for b in current)
-            if sum(target_counts) != total:
+            target_counts = np.asarray([int(c) for c in target_counts], dtype=np.int64)
+            total = current.data.n
+            if target_counts.sum() != total:
                 raise ValueError(
-                    f"target_counts sum {sum(target_counts)} != total elements {total}"
+                    f"target_counts sum {int(target_counts.sum())} != total elements {total}"
                 )
     if P == 1:
         return current
@@ -211,10 +212,10 @@ def partition_sort(
     # exact-partitioning refinement round of scalar reductions [12]
     select_splitters(
         machine,
-        [b[key] for b in current],
+        current.column(key),
         oversampling,
         phase,
-        weights=None if balance_key is None else [b[balance_key] for b in current],
+        weights=None if balance_key is None else current.column(balance_key),
     )
     machine.collective(
         machine.model.tree_collective_time(P, 16.0, machine.topology.diameter()),
@@ -224,31 +225,25 @@ def partition_sort(
 
     # data plane: exact global partition at the prefix boundaries of
     # target_counts, ties broken by (rank, position) so the split is stable
-    all_keys = np.concatenate([b[key] for b in current])
-    order = np.argsort(all_keys, kind="stable")  # stable = (rank, pos) tie order
+    order = np.argsort(current.data[key], kind="stable")  # stable = (rank, pos) tie order
     if balance_key is not None:
-        all_weights = np.concatenate([b[balance_key] for b in current])
-        bounds = work_split_bounds(all_weights[order], P)
+        bounds = work_split_bounds(current.data[balance_key][order], P)
     else:
-        bounds = np.concatenate(
-            ([0], np.cumsum(np.asarray(target_counts, dtype=np.int64)))
-        )
+        bounds = np.concatenate(([0], np.cumsum(target_counts)))
     dest = partition_destinations(order, bounds)
     received = fine_grained_redistribute(machine, current, dest, phase)
 
     # every destination merges one sorted run per source that sent it rows:
     # count the distinct (source, destination) pairs, which change rarely
     # along the locally sorted rows
-    pair = np.repeat(np.arange(P, dtype=np.int64) * P, [b.n for b in current]) + dest
+    pair = np.repeat(np.arange(P, dtype=np.int64) * P, current.counts) + dest
     pair = pair[np.diff(pair, prepend=-1) != 0]
-    runs = np.bincount(np.unique(pair) % P, minlength=P).tolist()
-    out: List[ColumnBlock] = []
+    runs = np.bincount(np.unique(pair) % P, minlength=P)
+    merged = received.data.take(order_within_ranks(received.data[key], received.offsets))
+    # k-way merge of sorted runs: n log k
+    n = received.counts
     merge_cost = np.zeros(P, dtype=np.float64)
-    for dst, block in enumerate(received):
-        merged = block.take(np.argsort(block[key], kind="stable"))
-        out.append(merged)
-        if merged.n > 1:
-            # k-way merge of sorted runs: n log k
-            merge_cost[dst] = kernels.SORT_STEP * merged.n * np.log2(max(runs[dst], 2))
+    many = n > 1
+    merge_cost[many] = kernels.SORT_STEP * n[many] * np.log2(np.maximum(runs[many], 2))
     machine.compute(merge_cost, phase)
-    return out
+    return RankMajor(merged, received.offsets)

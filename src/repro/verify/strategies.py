@@ -20,6 +20,7 @@ __all__ = [
     "permutations",
     "symmetric_count_tables",
     "multiplicity_maps",
+    "rank_layouts",
 ]
 
 
@@ -133,3 +134,33 @@ def multiplicity_maps(max_size: int = 48, max_nprocs: int = 8, max_copies: int =
         st.integers(min_value=0, max_value=max_size),
         st.integers(min_value=1, max_value=max_nprocs),
     ).flatmap(build)
+
+
+def rank_layouts(max_rows: int = 60, max_nprocs: int = 9):
+    """Per-rank row counts of a rank-major store: ``(counts, seed)``.
+
+    ``counts`` (int64, one entry per rank) covers the layouts a flat pass
+    over ``(block, offsets)`` must get right: rows spread unevenly with empty
+    ranks in between, fewer rows than ranks, every row on one rank, no rows
+    at all.  ``seed`` is for the caller's own column data.
+    """
+    st, _ = _hypothesis()
+
+    def build(drawn):
+        nprocs, rows, shape, seed = drawn
+        rng = np.random.default_rng(seed)
+        if shape == "one-rank":
+            counts = np.zeros(nprocs, dtype=np.int64)
+            counts[rng.integers(nprocs)] = rows
+        else:
+            rows = min(rows, nprocs - 1) if shape == "fewer-than-ranks" else rows
+            cuts = np.sort(rng.integers(0, rows + 1, nprocs - 1))
+            counts = np.diff(np.concatenate(([0], cuts, [rows]))).astype(np.int64)
+        return counts, seed
+
+    return st.tuples(
+        st.integers(min_value=1, max_value=max_nprocs),
+        st.integers(min_value=0, max_value=max_rows),
+        st.sampled_from(["spread", "fewer-than-ranks", "one-rank"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ).map(build)

@@ -30,6 +30,12 @@ MAX_BITS_3D = 21
 
 _U = np.uint64
 
+#: rows per pass of :func:`morton_keys_of_positions`: one pass over the
+#: positions of all ranks makes a dozen n-row temporaries, and past ~10^5
+#: rows they stop being recycled by the allocator (262 144 rows: 20.7 ms in
+#: one pass, 15.3 ms in four)
+_ROW_BLOCK = 1 << 16
+
 
 def _spread2(x: np.ndarray) -> np.ndarray:
     """Insert one zero bit between each bit of the low 32 bits of ``x``."""
@@ -133,10 +139,13 @@ def morton_keys_of_positions(
     offset = np.asarray(offset, dtype=np.float64)
     box = np.asarray(box, dtype=np.float64)
     ncells = 1 << depth
-    rel = (pos - offset) / box * ncells
-    cells = np.floor(rel).astype(np.int64)
-    if periodic:
-        cells %= ncells
-    else:
-        np.clip(cells, 0, ncells - 1, out=cells)
-    return morton_encode3(cells[:, 0], cells[:, 1], cells[:, 2])
+    keys = np.empty(pos.shape[0], dtype=np.uint64)
+    for start in range(0, pos.shape[0], _ROW_BLOCK):
+        rel = (pos[start:start + _ROW_BLOCK] - offset) / box * ncells
+        cells = np.floor(rel).astype(np.int64)
+        if periodic:
+            cells %= ncells
+        else:
+            np.clip(cells, 0, ncells - 1, out=cells)
+        keys[start:start + _ROW_BLOCK] = morton_encode3(cells[:, 0], cells[:, 1], cells[:, 2])
+    return keys

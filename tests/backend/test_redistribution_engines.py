@@ -78,7 +78,7 @@ def test_resort_pipeline_matches_the_loops(make_machine):
         restore(machine, origloc, pots, fields, particles, old_counts)
         arrays = list(indices) + [a for col in fused for a in col]
         arrays += [b[name] for b in applied for name in ("vel", "ident")]
-        return arrays + particles.pot + particles.field, dataclasses.asdict(plan.stats)
+        return arrays + list(particles.pot) + list(particles.field), dataclasses.asdict(plan.stats)
 
     want_machine, machine = make_machine(P), make_machine(P)
     want, want_stats = pipeline(

@@ -141,3 +141,63 @@ def test_interrupted_write_keeps_the_previous_file(ckpt, tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     assert load_checkpoint(str(path)).to_lines() == ckpt.to_lines()
+
+
+# -- ragged columns: all seven are cut by one offsets vector -------------------------
+
+
+@pytest.fixture(scope="module")
+def step_ckpt():
+    """A 4-rank method-B checkpoint with a cached plan (512 particles)."""
+    sim = Simulation(
+        Machine(4),
+        silica_melt_system(512, seed=2),
+        SimulationConfig(
+            solver="p2nfft", method="B", seed=2, dynamics="brownian",
+            solver_kwargs={"compute": "skip"},
+        ),
+    )
+    try:
+        sim.run(1)
+        return capture_checkpoint(sim)
+    finally:
+        sim.fcs.destroy()
+
+
+@pytest.mark.parametrize("column", checkpoint_module.COLUMNS)
+def test_ragged_column_is_one_value_error_naming_column_and_rank(step_ckpt, column):
+    """One column one row short on one rank: ``q``/``vel``/``acc``/``pot``
+    used to die with a bare ``IndexError: index 511 is out of bounds`` out of
+    ``Checkpoint.gathered()``, and a short ``ids`` restored fine and failed a
+    step later inside ``ResortPlan.execute``.  Now every column is checked
+    against the same counts at load, before the machine is touched."""
+    import copy
+    import dataclasses
+
+    from repro.ckpt import restore_simulation
+    from repro.verify import enable_auditing
+
+    arrays = list(step_ckpt.columns(column))
+    arrays[2] = arrays[2][:-1]
+    ragged = dataclasses.replace(copy.deepcopy(step_ckpt), **{column: arrays})
+    machine = Machine(4)
+    auditor = enable_auditing(machine)
+    untouched = machine.clocks.copy(), machine.trace.state_dict(), auditor.state_dict()
+    if column == "pos":
+        # positions size the checkpoint: the next column is the one that differs
+        expected = r"column 'q', rank 2: \d+ rows, the other columns hold \d+"
+    else:
+        expected = rf"column '{column}', rank 2: \d+ rows, the other columns hold \d+"
+    with pytest.raises(ValueError, match=expected):
+        restore_simulation(ragged, machine=machine)
+    assert (machine.clocks == untouched[0]).all()
+    assert machine.trace.state_dict() == untouched[1]
+    assert auditor.state_dict() == untouched[2]
+    with pytest.raises(ValueError, match=expected):
+        ragged.gathered()
+    # the intact checkpoint restores and steps
+    sim = restore_simulation(step_ckpt, machine=Machine(4))
+    try:
+        sim.step()
+    finally:
+        sim.fcs.destroy()

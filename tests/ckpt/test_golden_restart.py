@@ -79,6 +79,15 @@ class TestGoldenRestart:
         assert cell_digest(cell) == GOLDEN[(solver, method)]
         assert oracle_kernels == USED_BY[solver]
 
+    def test_per_rank_store_same_golden(self, solver, method, oracle_store):
+        """The rank-by-rank bodies the flat particle store replaced
+        (``tests/store_oracles.py``) restart into the same golden."""
+        cell = run_restart_equivalence(solver, method)
+        assert cell.ok, cell.detail
+        assert cell_digest(cell) == GOLDEN[(solver, method)]
+        assert "position_update_ranks" in oracle_store
+        assert ("solver_run_ranks" in oracle_store) == (solver != "direct")
+
 
 def test_via_file_round_trip_same_golden():
     cell = run_restart_equivalence("fmm", "B+move", via_file=True)

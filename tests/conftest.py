@@ -14,18 +14,29 @@ import pytest
 from hypothesis import settings
 
 import kernel_oracles
-from repro.core.particles import ParticleSet
+import store_oracles
+from repro.core.particles import ParticleSet, RankMajor
+from repro.md import integrator
+from repro.md.simulation import Simulation
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
+from repro.solvers.base import Solver
 from repro.solvers.common.pairs import ragged_cross
 from repro.solvers.fmm.expansions import derivative_tensors
+from repro.solvers.fmm.solver import FMMSolver
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
-from repro.sorting.partition_sort import partition_destinations, split_by_destination
+from repro.sorting.merge_sort import local_sort
+from repro.sorting.partition_sort import (
+    partition_destinations,
+    partition_sort,
+    split_by_destination,
+)
 from repro.verify.strategies import (  # noqa: F401  (re-exported for tests)
     multiplicity_maps,
     permutations,
     position_arrays,
     rank_arrays,
+    rank_layouts,
     rank_position_arrays,
     symmetric_count_tables,
 )
@@ -112,6 +123,54 @@ def oracle_kernels(rebind, monkeypatch, counted):
     monkeypatch.setattr(
         LinkedCellNearField, "candidate_pairs", counted(kernel_oracles.candidate_pairs)
     )
+    return counted.called
+
+
+#: what the ``oracle_store`` fixture swaps in, by name (``counted.called``)
+STORE_ORACLES = {
+    "accelerations_ranks", "position_update_ranks", "velocity_update_ranks",
+    "rotate_directions_ranks", "local_sort_ranks", "partition_sort_ranks",
+    "make_blocks_ranks", "solver_run_ranks",
+}
+
+
+@pytest.fixture
+def oracle_store(rebind, monkeypatch, counted):
+    """Swap the flat, rank-major step path for the rank-by-rank bodies it
+    replaced (``tests/store_oracles.py``) for the rest of the test: the
+    integrator, the brownian rotate, ``local_sort``, ``partition_sort`` with
+    its per-rank merge tail, the FMM's key generation and the hand-back of
+    ``Solver.run``.  Each oracle is given the per-rank lists it was written
+    for and its result goes back rank-major; returns the set of oracle names
+    called so far."""
+    oracle = {name: counted(getattr(store_oracles, name)) for name in STORE_ORACLES}
+
+    def listed(name):
+        """The ``*_ranks`` oracle on per-rank lists cut from its rank-major
+        arguments, its per-rank result rank-major again."""
+        def stand_in(*args, **kwargs):
+            args = [list(a) if isinstance(a, RankMajor) else a for a in args]
+            out = oracle[name](*args, **kwargs)
+            if isinstance(out, tuple):  # position_update: (positions, max_move)
+                return RankMajor.of(out[0]), out[1]
+            return RankMajor.of(out)
+        return stand_in
+
+    for flat in (integrator.accelerations, integrator.position_update, integrator.velocity_update):
+        rebind(flat, listed(f"{flat.__name__}_ranks"))
+    rebind(local_sort, listed("local_sort_ranks"))
+    rebind(partition_sort, listed("partition_sort_ranks"))
+
+    def rotate(self, vel, speed):
+        ranks = list(RankMajor(vel, self.store.offsets))
+        return np.concatenate(oracle["rotate_directions_ranks"](self._rng, ranks, speed))
+
+    monkeypatch.setattr(Simulation, "_rotate_directions", rotate)
+    monkeypatch.setattr(
+        FMMSolver, "_make_blocks",
+        lambda self, particles: RankMajor.of(oracle["make_blocks_ranks"](self, particles)),
+    )
+    monkeypatch.setattr(Solver, "run", oracle["solver_run_ranks"])
     return counted.called
 
 

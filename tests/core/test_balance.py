@@ -320,3 +320,10 @@ class TestGoldenSnapshot:
         assert run_golden() == self.GOLDEN
         # the weighted splitter arithmetic under test feeds this kernel
         assert oracle_kernels == {"partition_destinations"}
+
+    def test_per_rank_store_matches_golden(self, oracle_store):
+        """The rank-by-rank bodies the flat particle store replaced
+        (``tests/store_oracles.py``): the weighted sort and its merge tail,
+        the FMM's keygen and the hand-back of ``Solver.run``."""
+        assert run_golden() == self.GOLDEN
+        assert {"partition_sort_ranks", "make_blocks_ranks", "solver_run_ranks"} <= oracle_store

@@ -128,15 +128,51 @@ class TestParticleSet:
         with pytest.raises(ValueError):
             ParticleSet([np.zeros((3, 3))], [np.zeros(4)])
 
+    @staticmethod
+    def layout(n, n_q=None):
+        return ColumnBlock(
+            pos=np.zeros((n, 3)), q=np.ones(n if n_q is None else n_q),
+            pot=np.zeros(n), field=np.zeros((n, 3)),
+        )
+
     def test_replace(self):
+        """``install`` replaces the whole layout: new block, new offsets."""
         ps = self.make()
-        ps.replace(1, np.zeros((2, 3)), np.ones(2), np.zeros(2), np.zeros((2, 3)))
+        ps.install(self.layout(6), np.array([0, 1, 3, 6]))
         assert ps.nlocal(1) == 2
+        np.testing.assert_array_equal(ps.counts(), [1, 2, 3])
+        assert ps.pos[2].shape == (3, 3) and ps.q[1].base is ps.block["q"]
 
     def test_replace_inconsistent(self):
         ps = self.make()
+        block = ColumnBlock(pos=np.zeros((2, 3)), q=np.ones(2), pot=np.zeros(2))
         with pytest.raises(ValueError):
-            ps.replace(0, np.zeros((2, 3)), np.ones(3), np.zeros(2), np.zeros((2, 3)))
+            ps.install(block, np.array([0, 2, 2, 2]))
+        with pytest.raises(ValueError):
+            ps.install(self.layout(6), np.array([0, 1, 3, 5]))
+
+    def test_install_rejects_a_rank_over_capacity_before_replacing(self):
+        """A set with capacities [2, 1] cannot be left holding 5 rows on rank
+        1 — the state its own constructor rejects (``replace`` allowed it)."""
+        ps = ParticleSet(
+            [np.zeros((2, 3)), np.zeros((1, 3))], [np.ones(2), np.ones(1)], capacities=[2, 1]
+        )
+        before = ps.block
+        with pytest.raises(ValueError, match="rank 1: capacity 1 < local count 5"):
+            ps.install(self.layout(7), np.array([0, 2, 7]))
+        assert ps.block is before
+        np.testing.assert_array_equal(ps.counts(), [2, 1])
+        ps.install(self.layout(2), np.array([0, 1, 2]))  # within capacity: adopted
+        np.testing.assert_array_equal(ps.counts(), [1, 1])
+
+    def test_columns_are_views_of_one_store(self):
+        ps = self.make()
+        assert len(ps.pos) == len(ps.field) == 3
+        ps.q[2][:] = 7.0  # through the view
+        np.testing.assert_array_equal(ps.block["q"], [1, 1, 1, 7, 7, 7, 7, 7])
+        with pytest.raises(TypeError):
+            ps.q[2] = np.zeros(5)
+        assert [p.shape[0] for p in ps.pot] == [3, 0, 5]
 
     def test_gather_views(self):
         ps = self.make()

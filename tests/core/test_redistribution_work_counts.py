@@ -1,14 +1,19 @@
-"""A deterministic guard that a redistribution stays O(P) Python work.
+"""A deterministic guard that a redistribution is array work, not Python
+work per message or per rank.
 
 One solver step at the ``many_ranks`` sizes moves tens to hundreds of
 thousands of messages.  Before the exchange descriptor every one of them
 cost a ``ColumnBlock`` view and a ``payload_nbytes`` call (226 k and 222 k for
 the P2NFFT step below; 14 k more in the FMM sort), the FMM halo encoded
 Morton keys once per direction per rank (3 456 calls), and the resort-index
-scatters and the plan unpacked indices once per rank.  The counts here are
-exact for the current code and repeat on every run; host clocks are not
-involved.  The structure pins at the end keep it that way by construction:
-one composite-key sort, one place that builds an ``Exchange``.
+scatters and the plan unpacked indices once per rank; before the flat,
+rank-major store (``RankMajor``: one block + ``offsets``) a step still built
+``4P + 7`` / ``7P + 8`` blocks and one Morton encode per rank.  The counts
+here are exact for the current code, the same at every rank count, and
+repeat on every run; host clocks are not involved.  The structure pins at
+the end keep it that way by construction: one composite-key sort, one place
+that builds an ``Exchange``, no ``for`` over the ranks in the step path's
+glue, one caller of ``ColumnBlock.concat`` (the entry normaliser).
 """
 
 import ast
@@ -22,7 +27,7 @@ import pytest
 from repro.bench.harness import make_system
 from repro.core import fine_grained, resort
 from repro.core.handle import fcs_init
-from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.simmpi import collectives
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
@@ -77,18 +82,26 @@ def _one_step(solver, nprocs):
     return machine, fcs, particles
 
 
-def test_p2nfft_step_is_linear_in_ranks(work):
-    P = 512
+#: ``ColumnBlock`` constructions of one method-B ``fcs_run``, whatever P is.
+#: P2NFFT — _place: the input rows, the delivered buffer, the owned rows;
+#: run: the new layout, and the store's own block of it on install;
+#: invert_indices: its rows, the delivered buffer, its index-free view, the
+#: placed buffer.  FMM — keygen rows, the local sort's gather, the sort's
+#: delivered buffer, its merge gather, the halo's column-dropped view and
+#: delivered buffer, then the same six.
+BLOCKS_PER_RUN = {"p2nfft": 9, "fmm": 12}
+
+
+@pytest.mark.parametrize("P", [128, 512])
+def test_p2nfft_step_is_constant_in_ranks(work, P):
+    """(Was ``test_p2nfft_step_is_linear_in_ranks``, ``<= 4P + 7`` at P = 512.)"""
     machine, fcs, particles = _one_step("p2nfft", P)
     for name in work:
         work[name] = 0
     report = fcs.run(particles)
     assert report.changed
-    assert machine.trace.totals().messages > 300 * P
-    # _place: P input blocks, the concatenation, the delivered buffer, P
-    # views of it, the owned rows, P views of them; invert_indices: P blocks,
-    # concatenation, delivered buffer, its index-free view, the placed buffer
-    assert work["ColumnBlock"] <= 4 * P + 7
+    assert machine.trace.totals().messages > 100 * P
+    assert work["ColumnBlock"] <= BLOCKS_PER_RUN["p2nfft"]
     assert work["payload_nbytes"] == 0
     assert work["morton_encode3"] == 0
     # _place: the origin every delivered copy carries; invert_indices: the
@@ -96,7 +109,8 @@ def test_p2nfft_step_is_linear_in_ranks(work):
     assert work["unpack_resort_index"] == 3
     assert work["inverse_permutation"] == 0
 
-    # fcs.resort of three columns: one compile, then pure data movement
+    # fcs.resort of three columns: one compile, then pure data movement —
+    # per-rank lists are concatenated at entry, no per-rank object is built
     columns = [
         [np.zeros((c, 3)) for c in report.old_counts],
         [np.zeros((c, 3)) for c in report.old_counts],
@@ -106,35 +120,36 @@ def test_p2nfft_step_is_linear_in_ranks(work):
         for name in work:
             work[name] = 0
         messages = machine.trace.totals().messages
-        fcs.resort(columns)
-        assert machine.trace.totals().messages - messages > 50 * P
+        out = fcs.resort(columns)
+        assert machine.trace.totals().messages - messages > 20 * P
         assert work == {**dict.fromkeys(work, 0), "unpack_resort_index": calls}
+        assert all(isinstance(col, RankMajor) and len(col) == P for col in out)
 
 
-def test_fmm_step_is_linear_in_ranks(work):
-    P = 128
+@pytest.mark.parametrize("P", [128, 512])
+def test_fmm_step_is_constant_in_ranks(work, P):
+    """(Was ``test_fmm_step_is_linear_in_ranks``, ``<= 7P + 8`` at P = 128.)"""
     machine, fcs, particles = _one_step("fmm", P)
     for name in work:
         work[name] = 0
     report = fcs.run(particles)
     assert report.changed
-    assert machine.trace.totals().messages > 200 * P
-    # keygen: P blocks; local sort: P; the sort's exchange: 1 + 1 + P views,
-    # sorted into P blocks; halo: P column-dropped views + 1 + 1 + P;
-    # invert_indices: P + 4
-    assert work["ColumnBlock"] <= 7 * P + 8
+    assert machine.trace.totals().messages > 100 * P
+    assert work["ColumnBlock"] <= BLOCKS_PER_RUN["fmm"]
     assert work["payload_nbytes"] == 0
-    # one key generation per rank and one encode for the whole halo
-    assert work["morton_encode3"] <= P + 1
+    # one key generation over the positions of all ranks and one encode for
+    # the whole halo
+    assert work["morton_encode3"] <= 2
     assert work["unpack_resort_index"] == 2
     assert work["inverse_permutation"] == 0
 
 
 def test_merge_exchange_round_is_array_work(work):
     """The merges of a comparator round are one sort and one scatter per
-    column over the rows of all its windows: the sort builds P locally sorted
-    blocks, one flat copy and P views of it however many pairs overlap (pair
-    by pair it built a dozen blocks per window)."""
+    column over the rows of all its windows, written into the local sort's
+    own gather: one block for the rows handed in as a per-rank list, one for
+    the gather, however many pairs overlap (pair by pair it built a dozen
+    blocks per window, rank by rank ``2P + 1``)."""
     P, per = 64, 64
     rng = np.random.default_rng(2)
     keys = rng.integers(0, 10**6, P * per).astype(np.uint64)
@@ -148,7 +163,7 @@ def test_merge_exchange_round_is_array_work(work):
     assert ok
     # two control messages per comparator, two more wherever a window moved
     assert machine.trace.get("sort").messages > 3 * comparator_count(P)
-    assert work["ColumnBlock"] == 2 * P + 1
+    assert work["ColumnBlock"] == 2
 
 
 @pytest.mark.parametrize("solver", ["p2nfft", "ewald"])
@@ -229,24 +244,12 @@ def test_grid_placement_leaves_nothing_to_the_cycle_collector():
 
 
 def test_fine_grained_has_no_loop_over_messages():
-    """The module loops over ranks and columns only, and hands the whole
-    exchange to the collective in a single call."""
+    """The module loops over ranks only where a caller handed in a per-rank
+    distribution *function* (it is called rank by rank, on views), and hands
+    the whole exchange to the collective in a single call."""
     tree = ast.parse(inspect.getsource(fine_grained))
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.While)]
-    iterated = {
-        ast.unparse(node.iter)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.For, ast.comprehension))
-    }
-    assert iterated <= {
-        "blocks",
-        "enumerate(blocks)",
-        "enumerate(pairs)",
-        "pairs",
-        "range(P)",
-        "template.payload()",
-        "zip(block.names(), block.payload(), layout)",
-    }
+    assert _iterated(tree) == {"enumerate(blocks)", "enumerate(pairs)", "pairs"}
     calls = _calls(tree)
     assert calls.count("transport") == 1
     assert calls.count("alltoallv") == calls.count("neighborhood_alltoallv") == 0
@@ -334,8 +337,9 @@ def test_exchange_is_built_in_one_place():
 
 @pytest.mark.parametrize("module", ["core/resort.py", "core/restore.py", "sorting/partition_sort.py"])
 def test_callers_own_no_transport(module):
-    """The scatters and the sort name no ``alltoallv`` form and loop over
-    ranks only to build, cut or sort per-rank views."""
+    """The scatters and the sort name no ``alltoallv`` form and loop over no
+    ranks: what they iterate is a block's column names, or the target counts
+    a caller handed in."""
     source = (SRC / module).read_text()
     tree = ast.parse(source)
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -344,23 +348,51 @@ def test_callers_own_no_transport(module):
     }
     assert not {"alltoallv", "neighborhood_alltoallv", "Exchange"} & (names | imported)
     engine = {
-        "deliver_to_slots": {"blocks", "delivered"},
-        "invert_indices": {"origloc", "zip(origloc, current)", "orig_counts"},
-        "apply_resort": {
-            "enumerate(zip(resort_indices, data))", "block", "new_counts", "range(machine.nprocs)",
-            "out",
-        },
-        "restore_results": {"range(machine.nprocs)", "old_counts"},
-        "partition_sort": {"current", "target_counts", "enumerate(received)"},
+        "deliver_to_slots": set(),
+        "invert_indices": set(),
+        "apply_resort": {"data.data"},
+        "restore_results": set(),
+        "partition_sort": {"target_counts"},
     }
     for fn in _functions(SRC / module):
         if fn.name in engine:
-            iterated = {
-                ast.unparse(n.iter)
-                for n in ast.walk(fn)
-                if isinstance(n, (ast.For, ast.comprehension))
-            }
-            assert iterated <= engine[fn.name], (fn.name, iterated)
+            assert _iterated(fn) <= engine[fn.name], (fn.name, _iterated(fn))
+
+
+def _iterated(node):
+    """What the ``for`` statements and comprehensions under ``node`` run over."""
+    return {
+        ast.unparse(n.iter) for n in ast.walk(node) if isinstance(n, (ast.For, ast.comprehension))
+    }
+
+
+def test_step_glue_has_no_loop_over_ranks():
+    """A time step is array work over ``(block, offsets)``: the integrator
+    module holds no loop at all, nor do the solvers' shared ``run`` hand-back
+    and its finiteness check, the method-A restore or the index inversion."""
+    assert not _iterated(ast.parse((SRC / "md/integrator.py").read_text()))
+    loop_free = {
+        "solvers/base.py": {"run", "require_finite"},
+        "core/restore.py": {"restore_results"},
+        "core/resort.py": {"invert_indices", "deliver_to_slots", "initial_numbering"},
+    }
+    for module, names in loop_free.items():
+        found = {fn.name: _iterated(fn) for fn in _functions(SRC / module) if fn.name in names}
+        assert found == dict.fromkeys(names, set()), module
+
+
+def test_concat_is_the_entry_normaliser_only():
+    """``ColumnBlock.concat`` — the copy that used to stand in front of every
+    exchange — has one caller under ``core`` and ``solvers``: ``RankMajor.of``,
+    which turns a per-rank list handed in at the public boundary into the flat
+    form, once.  On the flat path nothing is concatenated."""
+    callers = []
+    for package in ("core", "solvers"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            for fn in _functions(path):
+                if "concat" in _calls(fn):
+                    callers.append(f"{path.relative_to(SRC)}:{fn.name}")
+    assert callers == ["core/particles.py:of"]
 
 
 def test_plan_is_a_stored_route():

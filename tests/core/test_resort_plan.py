@@ -244,10 +244,8 @@ class TestPlanCache:
         first = fcs.resort_plan()
         # move the particles so the space-filling-curve partition changes
         rng = np.random.default_rng(11)
-        pset.pos = [
-            np.mod(p + rng.uniform(2.0, 6.0, p.shape), small_system.box)
-            for p in pset.pos
-        ]
+        moved = pset.block["pos"] + rng.uniform(2.0, 6.0, pset.block["pos"].shape)
+        pset.block["pos"] = np.mod(moved, small_system.box)
         fcs.run(pset)
         second = fcs.resort_plan()
         if not first.matches(

@@ -53,6 +53,16 @@ class TestGoldenSnapshot:
         assert vec == ref
         assert called == USED_BY["fmm"]
 
+    def test_flat_and_per_rank_store_identical(self, request):
+        """The rank-by-rank bodies the flat particle store replaced
+        (``tests/store_oracles.py``) charge and record the same spans."""
+        _, _, flat = run_snapshot()
+        called = request.getfixturevalue("oracle_store")
+        _, _, ranks = run_snapshot()
+        assert ranks == flat
+        assert hashlib.sha256("\n".join(ranks).encode()).hexdigest() == GOLDEN_DIGEST
+        assert {"solver_run_ranks", "make_blocks_ranks", "velocity_update_ranks"} <= called
+
     def test_snapshot_parity_and_shape(self):
         machine, recorder, lines = run_snapshot()
         meta, spans, metrics = read_ndjson(lines)

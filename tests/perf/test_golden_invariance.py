@@ -204,6 +204,16 @@ class TestFig7Golden:
         # with the solver compute skipped only the FMM's sort reaches a kernel
         assert oracle_kernels == ({"partition_destinations"} if solver == "fmm" else set())
 
+    def test_per_rank_store_matches_golden(self, solver, method, oracle_store):
+        """... and so do the rank-by-rank bodies the flat particle store
+        replaced (``tests/store_oracles.py``), rebound into the step path."""
+        got = observables(solver, method)
+        want = GOLDEN[f"{solver}/{method}"]
+        assert got["state"] == want["state"]
+        assert got["ledger"] == want["ledger"]
+        assert got["breakdown"] == want["breakdown"]
+        assert {"position_update_ranks", "rotate_directions_ranks", "solver_run_ranks"} <= oracle_store
+
 
 def _regenerate():
     import json

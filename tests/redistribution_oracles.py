@@ -30,7 +30,7 @@ import numpy as np
 from repro import kernels
 from repro.core.balance import work_split_bounds
 from repro.core.fine_grained import COMM_KINDS, DistFn, DistResult
-from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.core.plan import COMPILE_PHASE, ResortPlanStats
 from repro.core.resort import initial_numbering, inverse_permutation, unpack_resort_index
 from repro.obs.spans import machine_span
@@ -504,8 +504,8 @@ def restore_results_loop(
         field = np.empty((n, 3))
         pot[pos_idx] = block["pot"]
         field[pos_idx] = block["field"]
-        particles.pot[r] = pot
-        particles.field[r] = field
+        particles.pot[r][:] = pot  # through the view: a read view takes no item
+        particles.field[r][:] = field
         per_rank_bytes[r] = block.nbytes
     machine.copy(per_rank_bytes, phase=phase)
 
@@ -528,7 +528,7 @@ def partition_sort_loop(
     if balance_key is not None and target_counts is not None:
         raise ValueError("pass either balance_key or target_counts, not both")
     P = machine.nprocs
-    current = list(blocks) if presorted else local_sort(machine, blocks, key, phase)
+    current = list(blocks if presorted else local_sort(machine, blocks, key, phase))
     if balance_key is None:
         if target_counts is None:
             target_counts = [b.n for b in current]
@@ -620,7 +620,7 @@ def merge_exchange_sort_pairwise(
     rebuilds."""
     if len(blocks) != machine.nprocs:
         raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
-    current = list(blocks) if presorted else local_sort(machine, blocks, key, phase)
+    current = list(blocks if presorted else local_sort(machine, blocks, key, phase))
     P = machine.nprocs
     if P == 1:
         return current, True
@@ -691,7 +691,7 @@ def merge_exchange_sort_pairwise(
 
     if not verify:
         return current, True
-    return current, _verify_sorted(machine, current, key, phase)
+    return current, _verify_sorted(machine, RankMajor.of(current).column(key), phase)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.particles import RankMajor
 from repro.core.resort import pack_resort_index
 from repro.verify import (
     InvariantChecker,
@@ -77,9 +78,12 @@ class TestLiveSimulation:
         sim.run(1)
         # drop one particle from a nonempty rank behind the library's back
         r = next(i for i, p in enumerate(sim.particles.pos) if p.shape[0])
-        for cols in (sim.particles.pos, sim.particles.q, sim.particles.pot,
-                     sim.particles.field, sim.vel, sim.acc, sim.ids):
-            cols[r] = cols[r][:-1]
+        # (a per-rank view takes no item: install the shortened layout)
+        offsets = sim.particles.offsets.copy()
+        keep = np.delete(np.arange(offsets[-1]), offsets[r + 1] - 1)
+        offsets[r + 1:] -= 1
+        sim.particles.install(sim.particles.block.take(keep), offsets)
+        sim.store = RankMajor(sim.store.data.take(keep), offsets)
         results = {res.name: res for res in checker.run()}
         assert results["particle-count"].failed
 
@@ -87,7 +91,7 @@ class TestLiveSimulation:
         sim, checker, _ = sim_factory()
         sim.run(1)
         r = next(i for i, q in enumerate(sim.particles.q) if q.shape[0])
-        sim.particles.q[r] = sim.particles.q[r] + 0.5
+        sim.particles.q[r][:] += 0.5  # through the view
         results = {res.name: res for res in checker.run()}
         assert results["charge-conservation"].failed
 
@@ -95,9 +99,8 @@ class TestLiveSimulation:
         sim, checker, _ = sim_factory()
         sim.run(1)
         r = next(i for i, ids in enumerate(sim.ids) if ids.shape[0] >= 2)
-        ids = sim.ids[r].copy()
+        ids = sim.ids[r]  # a view: writing it writes the store
         ids[0] = ids[1]
-        sim.ids[r] = ids
         results = {res.name: res for res in checker.run()}
         assert results["identity-permutation"].failed
 
@@ -105,7 +108,6 @@ class TestLiveSimulation:
         sim, checker, _ = sim_factory()
         sim.run(1)
         r = next(i for i, p in enumerate(sim.particles.pot) if p.shape[0])
-        sim.particles.pot[r] = sim.particles.pot[r].copy()
         sim.particles.pot[r][0] = np.nan
         results = {res.name: res for res in checker.run()}
         assert results["results-finite"].failed
@@ -114,7 +116,7 @@ class TestLiveSimulation:
         sim, checker, _ = sim_factory()
         sim.run(1)
         r = next(i for i, q in enumerate(sim.particles.q) if q.shape[0])
-        sim.particles.q[r] = sim.particles.q[r] + 0.5
+        sim.particles.q[r][:] += 0.5  # through the view
         with pytest.raises(InvariantViolation, match="charge"):
             checker.assert_ok()
 
@@ -283,7 +285,7 @@ class TestAutoVerify:
         def corrupting_step(self):
             record = original_step(self)
             r = next(i for i, q in enumerate(self.particles.q) if q.shape[0])
-            self.particles.q[r] = self.particles.q[r] + 1.0
+            self.particles.q[r][:] += 1.0  # through the view
             return record
 
         Simulation.step = corrupting_step
