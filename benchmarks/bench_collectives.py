@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.simmpi import JUQUEEN, JUROPA, Machine
 from repro.simmpi.algos import resolve
-from repro.simmpi.collectives import allgatherv, allreduce, alltoallv
+from repro.simmpi.collectives import allgatherv, allreduce, alltoallv, message_triples
 
 TOPOLOGIES = {"fattree": JUROPA, "torus": JUQUEEN}
 RANK_COUNTS = (32, 64)
@@ -87,7 +87,7 @@ def sweep():
                     Machine(P, profile=profile),
                     "alltoallv",
                     "auto",
-                    sends=dense_sends(P, size),
+                    triples=message_triples(dense_sends(P, size)),
                 )
                 cells.append(
                     {

@@ -15,8 +15,9 @@ Two engines ship:
 * :class:`~repro.backend.process.ProcessBackend` — each virtual rank is
   owned by a real ``multiprocessing`` worker (rank ``r`` → worker
   ``r % workers``); alltoallv/p2p payload bytes physically traverse
-  POSIX shared memory and the destination rank's worker performs the
-  receive-side assembly, while modeled costs are still charged centrally
+  POSIX shared memory (an exchange descriptor once, as a whole) and the
+  destination rank's worker performs the receive-side assembly, while
+  modeled costs are still charged centrally
   so traces, ledgers and state fingerprints stay **bitwise identical** to
   the in-process run.
 
@@ -80,11 +81,14 @@ class ExecutionBackend:
 
     # -- transport ----------------------------------------------------------------
 
-    def deliver(self, sends: Sequence[Dict[int, object]], nprocs: int):
-        """Move alltoallv payloads; see :func:`repro.simmpi.collectives.alltoallv`.
+    def deliver(self, sends, nprocs: int):
+        """Move the data of one alltoallv, given in either form
+        :func:`repro.simmpi.collectives.alltoallv` takes.
 
-        Returns ``recv`` with ``recv[j]`` a source-sorted list of
-        ``(source_rank, payload)``.
+        An :class:`~repro.simmpi.collectives.Exchange` is moved as a whole
+        and comes back as ``(columns, recv_offsets)`` in fresh buffers; a
+        ``list[dict]`` comes back as ``recv`` with ``recv[j]`` a
+        source-sorted list of ``(source_rank, payload)``.
         """
         raise NotImplementedError
 

@@ -9,7 +9,11 @@ duplex pipes; bulk payload bytes flow through POSIX shared memory
   each destination rank's worker copies its inbound blocks into the
   *receive arena*, and the coordinator decodes fresh arrays.  Every
   inter-rank byte of an alltoallv / p2p round therefore physically
-  traverses shared memory and the destination worker.
+  traverses shared memory and the destination worker.  An exchange
+  descriptor (:class:`~repro.simmpi.collectives.Exchange`) makes that trip
+  once, whole: its column buffers and its receive-row index go into one
+  send arena, and every worker gathers the received rows of the ranks it
+  owns into one receive arena.
 * :meth:`ProcessBackend.post_ticket` / :meth:`~ProcessBackend.claim_ticket`
   — the SPMD mailbox seam: one arena per in-flight message.
 * :meth:`ProcessBackend.rank_map` / :meth:`ProcessBackend.map_tasks` —
@@ -37,11 +41,12 @@ work (``closed``), since rank state is gone.
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.backend import shm as _shm
 from repro.backend.base import BackendError, BackendWorkerError, ExecutionBackend
@@ -105,21 +110,27 @@ def _worker_main(worker_index: int, conn) -> None:
             if kind == "copy":
                 _, in_name, out_name, jobs = msg
                 copied = 0
-                src_arena = _shm.ShmArena.attach(in_name)
-                try:
-                    dst_arena = _shm.ShmArena.attach(out_name)
-                    try:
-                        src_buf, dst_buf = src_arena.buf, dst_arena.buf
-                        for offset, nbytes in jobs:
-                            dst_buf[offset : offset + nbytes] = src_buf[
-                                offset : offset + nbytes
-                            ]
-                            copied += nbytes
-                    finally:
-                        dst_arena.detach()
-                finally:
-                    src_arena.detach()
+                with _shm.ShmArena.attach(in_name) as src, _shm.ShmArena.attach(out_name) as dst:
+                    for offset, nbytes in jobs:
+                        dst.buf[offset : offset + nbytes] = src.buf[offset : offset + nbytes]
+                        copied += nbytes
                 conn.send(("ok", copied))
+            elif kind == "gather":
+                # the receive side of one exchange for the ranks this worker
+                # owns: out[rows] = column[index[rows]] (no arena view outlives
+                # its statement, so the arenas detach cleanly)
+                _, in_name, out_name, index_meta, columns, recv_offsets, workers = msg
+                ranks = np.arange(recv_offsets.shape[0] - 1)
+                owned = np.flatnonzero(
+                    np.repeat(ranks % workers == worker_index, np.diff(recv_offsets))
+                )
+                with _shm.ShmArena.attach(in_name) as src, _shm.ShmArena.attach(out_name) as dst:
+                    picked = _shm.column_view(src.buf, index_meta)[owned]
+                    for in_meta, out_meta in columns:
+                        _shm.column_view(dst.buf, out_meta)[owned] = np.take(
+                            _shm.column_view(src.buf, in_meta), picked, axis=0
+                        )
+                conn.send(("ok", owned.shape[0]))
             elif kind == "call":
                 _, fn_path, with_shared, shared, items = msg
                 fn = import_task(fn_path)
@@ -328,21 +339,66 @@ class ProcessBackend(ExecutionBackend):
 
     # -- transport API ----------------------------------------------------------------
 
-    def deliver(self, sends: Sequence[Dict[int, object]], nprocs: int):
-        msgs: List[Tuple[int, int, object]] = []
-        for src, targets in enumerate(sends):
-            for dst, payload in targets.items():
-                if not 0 <= dst < nprocs:
-                    raise ValueError(f"rank {src} sends to invalid rank {dst}")
-                msgs.append((src, dst, payload))
-        shipped = self._ship(msgs, nprocs, "alltoallv delivery")
-        recv: List[List[Tuple[int, object]]] = [[] for _ in range(nprocs)]
-        for (src, dst, _payload), received in zip(msgs, shipped):
-            recv[dst].append((src, received))
-        for lst in recv:
-            lst.sort(key=lambda item: item[0])
+    def _ship_exchange(self, exchange, nprocs: int):
+        """Move one exchange descriptor through shared memory, whole.
+
+        The column buffers and the receive-row index go into one send
+        arena; every worker that owns a receiving rank gathers the rows of
+        its ranks into the one receive arena; ``(columns, recv_offsets)``
+        come back as fresh arrays.
+        """
+        self._check_open()
+        op = "alltoallv delivery"
+        rows, recv_offsets = exchange.recv_rows(nprocs)
+        sources = [rows, *exchange.columns]
+        in_metas, in_total = _shm.place_columns([(c.dtype, c.shape) for c in sources])
+        out_metas, out_total = _shm.place_columns(
+            [(c.dtype, rows.shape + c.shape[1:]) for c in exchange.columns]
+        )
+        # the workers that own a rank with anything to receive
+        involved = np.unique(np.flatnonzero(np.diff(recv_offsets)) % self.workers).tolist()
+        with self._lock:
+            send_arena = _shm.ShmArena(in_total)
+            recv_arena = _shm.ShmArena(out_total)
+            try:
+                for meta, c in zip(in_metas, sources):
+                    _shm.column_view(send_arena.buf, meta)[...] = c
+                job = (
+                    "gather", send_arena.name, recv_arena.name, in_metas[0],
+                    list(zip(in_metas[1:], out_metas)), recv_offsets, self.workers,
+                )
+                for w in involved:
+                    self._send(w, job, op, nprocs)
+                for w in involved:
+                    self._collect(w, op, nprocs)
+                columns = tuple(
+                    _shm.column_view(recv_arena.buf, meta).copy() for meta in out_metas
+                )
+            finally:
+                send_arena.release()
+                recv_arena.release()
+        self.counters["backend.messages"] += int((exchange.msg_src != exchange.msg_dst).sum())
+        self.counters["backend.shm_bytes"] += sum(c.nbytes for c in columns)
+        return columns, recv_offsets
+
+    def deliver(self, sends, nprocs: int):
+        # imported here: workers import this module and never deliver
+        from repro.simmpi.collectives import Exchange, deliver_inprocess
+
+        if isinstance(sends, Exchange):
+            delivered = self._ship_exchange(sends, nprocs)
+        else:
+            msgs = [
+                (src, dst, payload)
+                for src, targets in enumerate(sends)
+                for dst, payload in targets.items()
+            ]
+            shipped = iter(self._ship(msgs, nprocs, "alltoallv delivery"))
+            delivered = deliver_inprocess(
+                [{dst: next(shipped) for dst in targets} for targets in sends], nprocs
+            )
         self.counters["backend.exchanges"] += 1
-        return recv
+        return delivered
 
     def route(self, transfers: Sequence[Tuple[int, int, object]], nprocs: int) -> List[object]:
         return self._ship(list(transfers), nprocs, "p2p round")

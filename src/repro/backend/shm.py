@@ -35,6 +35,7 @@ test teardown can assert that no segment leaked
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import pickle
 import threading
@@ -49,6 +50,8 @@ __all__ = [
     "PayloadSpec",
     "ShmArena",
     "arena_layout",
+    "place_columns",
+    "column_view",
     "encode_payloads",
     "decode_payload",
     "live_segments",
@@ -107,6 +110,33 @@ def arena_layout(sizes: Sequence[int]) -> Tuple[List[int], int]:
     return offsets, cursor
 
 
+def place_columns(
+    specs: Sequence[Tuple[np.dtype, Sequence[int]]]
+) -> Tuple[List[ColumnMeta], int]:
+    """Aligned arena placement of C-contiguous columns given as ``(dtype,
+    shape)`` pairs, plus the arena size (plain-int arithmetic throughout).
+    An object dtype has no raw bytes to place: ``TypeError``."""
+    for dtype, _shape in specs:
+        _check_dtype(dtype)
+    shapes = [tuple(int(d) for d in shape) for _dtype, shape in specs]
+    sizes = [int(dtype.itemsize) * math.prod(shape) for (dtype, _), shape in zip(specs, shapes)]
+    offsets, total = arena_layout(sizes)
+    metas = [
+        ColumnMeta(np.lib.format.dtype_to_descr(dtype), shape, offset, nbytes)
+        for (dtype, _), shape, offset, nbytes in zip(specs, shapes, offsets, sizes)
+    ]
+    return metas, total
+
+
+def column_view(buf: memoryview, meta: ColumnMeta) -> np.ndarray:
+    """The column ``meta`` places, as an array over the arena's own bytes.
+
+    No copy is made, and the view pins the mapping: drop it (or ``copy()``
+    out of it) before the arena is detached or released.
+    """
+    return np.ndarray(meta.shape, dtype=np.dtype(meta.descr), buffer=buf, offset=meta.offset)
+
+
 def _columns_of(payload) -> Tuple[str, List[np.ndarray]]:
     """Split a payload into (container kind, list of ndarray columns)."""
     if payload is None:
@@ -124,14 +154,12 @@ def _columns_of(payload) -> Tuple[str, List[np.ndarray]]:
     raise TypeError(f"unsupported payload type {type(payload)!r}")
 
 
-def _check_dtype(arr: np.ndarray) -> np.dtype:
-    dtype = arr.dtype
+def _check_dtype(dtype: np.dtype) -> None:
     if dtype.hasobject:
         raise TypeError(
             f"object-dtype arrays cannot travel through shared memory "
             f"(got dtype {dtype!r})"
         )
-    return dtype
 
 
 def encode_payloads(
@@ -157,7 +185,7 @@ def encode_payloads(
             kind, cols = _columns_of(payload)
             cols = [np.ascontiguousarray(c) for c in cols]
             for c in cols:
-                _check_dtype(c)
+                _check_dtype(c.dtype)
         except TypeError:
             if not allow_pickle:
                 raise
@@ -166,37 +194,20 @@ def encode_payloads(
         kinds.append(kind)
         all_columns.append(cols)
         flat.extend(cols)
-    offsets, total = arena_layout([c.nbytes for c in flat])
-    specs: List[PayloadSpec] = []
-    cursor = 0
-    for kind, cols in zip(kinds, all_columns):
-        metas = []
-        for c in cols:
-            metas.append(
-                ColumnMeta(
-                    descr=np.lib.format.dtype_to_descr(c.dtype),
-                    shape=tuple(int(d) for d in c.shape),
-                    offset=offsets[cursor],
-                    nbytes=int(c.nbytes),
-                )
-            )
-            cursor += 1
-        specs.append(PayloadSpec(kind=kind, columns=tuple(metas)))
+    metas, total = place_columns([(c.dtype, c.shape) for c in flat])
+    placed = iter(metas)
+    specs = [
+        PayloadSpec(kind=kind, columns=tuple(next(placed) for _ in cols))
+        for kind, cols in zip(kinds, all_columns)
+    ]
     return specs, total, flat
 
 
 def write_columns(buf: memoryview, specs: Sequence[PayloadSpec], flat: Sequence[np.ndarray]) -> int:
     """Copy every column's bytes into the arena buffer; returns bytes written."""
-    cursor = 0
-    written = 0
-    for spec in specs:
-        for meta in spec.columns:
-            arr = flat[cursor]
-            cursor += 1
-            if meta.nbytes:
-                buf[meta.offset : meta.offset + meta.nbytes] = arr.tobytes()
-            written += meta.nbytes
-    return written
+    for meta, arr in zip((meta for spec in specs for meta in spec.columns), flat):
+        column_view(buf, meta)[...] = arr
+    return sum(spec.nbytes for spec in specs)
 
 
 def decode_payload(buf: memoryview, spec: PayloadSpec):
@@ -208,12 +219,7 @@ def decode_payload(buf: memoryview, spec: PayloadSpec):
     if spec.kind == "pickle":
         meta = spec.columns[0]
         return pickle.loads(bytes(buf[meta.offset : meta.offset + meta.nbytes]))
-    columns = []
-    for meta in spec.columns:
-        dtype = np.dtype(meta.descr)
-        raw = bytes(buf[meta.offset : meta.offset + meta.nbytes])
-        arr = np.frombuffer(raw, dtype=dtype).reshape(meta.shape).copy()
-        columns.append(arr)
+    columns = [column_view(buf, meta).copy() for meta in spec.columns]
     if spec.kind == "array":
         return columns[0]
     if spec.kind == "tuple":

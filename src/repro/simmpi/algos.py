@@ -3,11 +3,12 @@
 The default collectives in :mod:`repro.simmpi.collectives` charge each call
 with one closed-form LogGP formula (the ``direct`` algorithm).  This module
 provides the *mechanistic* alternatives an MPI implementation actually
-chooses between, executed as explicit rounds of
-:func:`repro.simmpi.p2p.send_round` messages — every staged message ships
-**real payload data** and is charged individually with its topology hop
-distance, so the small-message/large-message crossovers between algorithms
-emerge from the machine model instead of being asserted by a formula.
+chooses between, charged as explicit rounds of
+:func:`repro.simmpi.p2p.charge_round` messages — every staged message has
+the **real byte size** of the data it would forward and is charged
+individually with its topology hop distance, so the small-message/
+large-message crossovers between algorithms emerge from the machine model
+instead of being asserted by a formula.
 
 Algorithm matrix
 ----------------
@@ -32,12 +33,13 @@ scatterv     ``binomial-tree`` (root pushes subtree bundles down)
 ===========  ==========================================================
 
 The hard data-plane contract: **every algorithm returns bitwise-identical
-results to ``direct``** on both execution backends.  Staged engines ship
-the real arrays through the rounds but never reassociate reductions — the
-``allreduce`` result is always computed by the canonical rank-ordered
-reduction, the staged rounds only model (and really perform) the
-communication.  Only modeled clocks and per-phase message/byte totals may
-differ between algorithms.
+results to ``direct``** on both execution backends.  The engines charge and
+verify a schedule; they move no data.  The collective that called them
+delivers once, the way ``direct`` does (an exchange travels through the
+execution backend after its rounds were charged and audited; the
+``allreduce`` result is always the canonical rank-ordered reduction).  Only
+modeled clocks and per-phase message/byte totals may differ between
+algorithms.
 
 ``auto`` resolves per call from the message volume, the rank count and the
 topology diameter using the machine's **nominal** (pre-perturbation) cost
@@ -47,31 +49,33 @@ fingerprints stay schedule-independent.
 An algorithm is a schedule
 --------------------------
 Every algorithm below is a pure function from rank count (and, for
-alltoallv, the ``(src, dst)`` routes) to ``rounds``: a list of batches of
-``(src, dst, item ids)`` messages over ``items`` (column lists) that start
-at their ``origins``.  The one executor, :func:`_run_rounds`, reads the
-planned message/byte totals off that schedule, self-reports them to the
-auditor (:meth:`CommAuditor.observe_algo_collective
-<repro.verify.audit.CommAuditor.observe_algo_collective>`), ships every
-non-empty round through :func:`~repro.simmpi.p2p.send_round` inside
-:meth:`CommAuditor.algo_scope <repro.verify.audit.CommAuditor.algo_scope>`
-and returns what every rank holds.  The plan *is* the schedule that runs;
-the ``collective-algo-accounting`` invariant still checks the executor
-against the independently audited rounds.  See ``docs/collectives.md``.
+alltoallv, the ``(src, dst)`` route arrays) to ``rounds``: a list of
+:data:`Round` array tuples ``(src, dst, ptr, ids)`` — message ``k`` of a
+round travels ``src[k] -> dst[k]`` and carries the items
+``ids[ptr[k]:ptr[k + 1]]`` — over items known only by their byte ``sizes``
+and the ranks (``origins``) they start at.  The one executor,
+:func:`_run_rounds`, reads the per-message bytes and the planned totals
+off that schedule, checks that the schedule leaves every item where the
+collective requires it, self-reports the totals to the auditor
+(:meth:`CommAuditor.observe_algo_collective
+<repro.verify.audit.CommAuditor.observe_algo_collective>`) and charges
+every non-empty round through :func:`~repro.simmpi.p2p.charge_round` inside
+:meth:`CommAuditor.algo_scope <repro.verify.audit.CommAuditor.algo_scope>`.
+The plan *is* the schedule that is charged; the
+``collective-algo-accounting`` invariant still checks the executor against
+the independently audited rounds.  See ``docs/collectives.md``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.simmpi.machine import Machine
-from repro.simmpi.collectives import Payload, payload_nbytes
-from repro.simmpi.p2p import send_round
+from repro.simmpi.p2p import charge_round
 
 __all__ = [
     "ALGO_CHOICES",
@@ -203,32 +207,6 @@ def parse_algos(spec) -> Optional[CollectiveAlgos]:
     return None if algos.is_direct else algos
 
 
-# -- payload plumbing ---------------------------------------------------------
-
-
-def _payload_cols(payload: Payload) -> Tuple[str, List[np.ndarray]]:
-    """Split a payload into its container kind and flat column list."""
-    if payload is None:
-        return "none", []
-    if isinstance(payload, np.ndarray):
-        return "array", [payload]
-    if isinstance(payload, tuple):
-        return "tuple", list(payload)
-    if isinstance(payload, list):
-        return "list", list(payload)
-    raise TypeError(f"unsupported payload type {type(payload)!r}")
-
-
-def _rebuild_payload(kind: str, cols: List[np.ndarray]) -> Payload:
-    if kind == "none":
-        return None
-    if kind == "array":
-        return cols[0]
-    if kind == "tuple":
-        return tuple(cols)
-    return list(cols)
-
-
 def _ceil_log2(nprocs: int) -> int:
     return int(np.ceil(np.log2(nprocs))) if nprocs > 1 else 0
 
@@ -244,10 +222,11 @@ def resolve(machine: Machine, collective: str, algo: str, **metrics) -> str:
     """Resolve ``algo`` (possibly ``"auto"``) to a concrete algorithm name.
 
     ``metrics`` carries the per-call sizing the selector needs:
-    ``sends=`` for alltoallv, ``nbytes=`` (total or item bytes) for the
-    other collectives.  Non-``auto`` names pass through unchanged except
-    for documented fallbacks (``recursive-halving-doubling`` on a
-    non-power-of-two rank count runs as ``binomial-tree``).
+    ``triples=`` (the ``(src, dst, nbytes)`` message arrays) for alltoallv,
+    ``nbytes=`` (total or item bytes) for the other collectives.
+    Non-``auto`` names pass through unchanged except for documented
+    fallbacks (``recursive-halving-doubling`` on a non-power-of-two rank
+    count runs as ``binomial-tree``).
     """
     P = machine.nprocs
     if algo == "recursive-halving-doubling" and P & (P - 1):
@@ -261,13 +240,10 @@ def resolve(machine: Machine, collective: str, algo: str, **metrics) -> str:
     lat = _latency_term(model, diam)
     K = _ceil_log2(P)
     if collective == "alltoallv":
-        n_msgs = 0
-        total = 0
-        for src, targets in enumerate(metrics["sends"]):
-            for dst, payload in targets.items():
-                if dst != src:
-                    n_msgs += 1
-                    total += payload_nbytes(payload)
+        src, dst, sizes = metrics["triples"]
+        remote = src != dst
+        n_msgs = int(remote.sum())
+        total = int(sizes[remote].sum())
         if n_msgs == 0:
             return "pairwise"  # nothing ships: zero staged rounds
         fan = n_msgs / P
@@ -309,8 +285,19 @@ def resolve(machine: Machine, collective: str, algo: str, **metrics) -> str:
 
 # -- the round executor -------------------------------------------------------
 
-#: one staged message: ``(src, dst, ids of the items it carries)``
-Message = Tuple[int, int, List[int]]
+#: one staged round as arrays ``(src, dst, ptr, ids)``: message ``k`` travels
+#: ``src[k] -> dst[k]`` and carries the items ``ids[ptr[k]:ptr[k + 1]]``
+Round = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _round(messages: Sequence[Tuple[int, int, Sequence[int]]]) -> Round:
+    """A batch of ``(src, dst, item ids)`` messages in :data:`Round` form."""
+    return (
+        np.array([src for src, _dst, _ids in messages], dtype=np.int64),
+        np.array([dst for _src, dst, _ids in messages], dtype=np.int64),
+        np.cumsum([0] + [len(ids) for _src, _dst, ids in messages], dtype=np.int64),
+        np.array([t for _src, _dst, ids in messages for t in ids], dtype=np.int64),
+    )
 
 
 def _run_rounds(
@@ -318,63 +305,71 @@ def _run_rounds(
     collective: str,
     algo: str,
     phase: Optional[str],
-    items: Sequence[List[np.ndarray]],
-    origins: Iterable[int],
-    rounds: Sequence[Sequence[Message]],
-) -> List[Dict[int, List[np.ndarray]]]:
-    """Plan, ship and unpack a staged collective given as a schedule.
+    sizes: Sequence[int],
+    origins: Sequence[int],
+    rounds: Sequence[Round],
+    wanted: Tuple[Sequence[int], Sequence[int]],
+) -> None:
+    """Plan, verify and charge a staged collective given as a schedule.
 
-    ``items[t]`` is the column list of item ``t``, first held by rank
-    ``origins[t]``; ``rounds`` are batches of ``(src, dst, item ids)``
-    messages.  Every message ships the tuple of its items' columns in id
-    order as one :func:`~repro.simmpi.p2p.send_round` transfer (messages
-    keep their batch order; empty batches cost nothing), sender and
-    receiver both hold the items afterwards, and a round's messages all
-    read the holdings from before the round.  Returns ``held`` with
-    ``held[rank][t]`` the columns of item ``t`` as delivered to ``rank``.
+    ``sizes[t]`` is the byte size of item ``t``, first held by rank
+    ``origins[t]``; ``rounds`` are :data:`Round` tuples.  A message is as
+    long as the items it carries and is charged as one
+    :func:`~repro.simmpi.p2p.charge_round` transfer (messages keep their
+    round order; empty rounds cost nothing); sender and receiver both hold
+    its items afterwards.  ``wanted`` names, as parallel ``(ranks, items)``
+    arrays, where the collective requires items to end up: a schedule that
+    leaves one of them undelivered is a bug in this module and raises
+    before anything is charged — the data itself travels separately, so
+    nothing else would notice.
 
     The planned totals are read off the schedule and the item sizes alone
-    and self-reported before anything ships; the auditor independently
-    re-accounts every round, and the ``collective-algo-accounting``
-    invariant asserts the two agree exactly.
+    and self-reported before any round is charged; the auditor
+    independently re-accounts every round, and the
+    ``collective-algo-accounting`` invariant asserts the two agree exactly.
     """
-    sizes = [payload_nbytes(cols) for cols in items]
-    messages = sum(len(batch) for batch in rounds)
-    nbytes = sum(sizes[t] for batch in rounds for _src, _dst, ids in batch for t in ids)
+    P = machine.nprocs
+    sizes = np.asarray(sizes, dtype=np.int64)
+    rounds = [r for r in rounds if r[0].shape[0]]
+    nbytes = []  # per round, the byte size of every message: its items' sizes summed
+    for _src, _dst, ptr, ids in rounds:
+        carried = np.concatenate(([0], np.cumsum(sizes[ids])))
+        nbytes.append(carried[ptr[1:]] - carried[ptr[:-1]])
+    # an (item, rank) pair is held if the item started there or a message brought it
+    held = np.sort(np.concatenate(
+        [np.arange(sizes.shape[0]) * P + np.asarray(origins, dtype=np.int64)]
+        + [ids * P + np.repeat(dst, np.diff(ptr)) for _src, dst, ptr, ids in rounds]
+    ))
+    ranks, items = (np.asarray(a, dtype=np.int64) for a in wanted)
+    want = items * P + ranks
+    if want.size and not np.array_equal(
+        held[np.minimum(np.searchsorted(held, want), held.shape[0] - 1)], want
+    ):
+        raise RuntimeError(f"{collective}.{algo} schedule leaves an item undelivered")
+    messages = sum(r[0].shape[0] for r in rounds)
+    total = sum(int(b.sum()) for b in nbytes)
     auditor = machine.auditor
     # no participant can leave a collective before the last one enters it
     machine.synchronize()
     if auditor is not None:
-        auditor.observe_algo_collective(collective, algo, phase, messages, nbytes)
+        auditor.observe_algo_collective(collective, algo, phase, messages, total)
     machine.count("comm.algo.messages", messages, collective=collective, algo=algo)
-    machine.count("comm.algo.bytes", nbytes, collective=collective, algo=algo)
-    held: List[Dict[int, List[np.ndarray]]] = [{} for _ in range(machine.nprocs)]
-    for t, rank in enumerate(origins):
-        held[rank][t] = items[t]
+    machine.count("comm.algo.bytes", total, collective=collective, algo=algo)
     op = f"{collective}.{algo}"
     with auditor.algo_scope() if auditor is not None else contextlib.nullcontext():
-        for batch in filter(None, rounds):
-            transfers = [
-                (src, dst, tuple(col for t in ids for col in held[src][t]))
-                for src, dst, ids in batch
-            ]
-            inbox = [dict(lst) for lst in send_round(machine, transfers, phase, op=op)]
-            for src, dst, ids in batch:
-                cols = iter(inbox[dst][src])
-                for t in ids:
-                    held[dst][t] = list(itertools.islice(cols, len(items[t])))
-    return held
+        for (src, dst, _ptr, _ids), size in zip(rounds, nbytes):
+            charge_round(machine, src, dst, size, phase, op=op)
 
 
 # -- schedules ----------------------------------------------------------------
 #
 # Pure functions of the rank count (and the alltoallv routes): no Machine, no
-# payloads.  tests/simmpi/test_algo_schedules.py replays each one symbolically.
+# sizes.  tests/simmpi/test_algo_schedules.py replays each one symbolically.
 
 
 def _forward_all(
     nprocs: int, origins: Iterable[int], pair_rounds: Sequence[Sequence[Tuple[int, int]]]
-) -> List[List[Message]]:
+) -> List[Round]:
     """Rounds of ``(src, dst)`` pairs in which every sender forwards
     everything it holds at the start of the round (in item-id order)."""
     held: List[set] = [set() for _ in range(nprocs)]
@@ -385,7 +380,7 @@ def _forward_all(
         batch = [(src, dst, sorted(held[src])) for src, dst in pairs]
         for _src, dst, ids in batch:
             held[dst].update(ids)
-        rounds.append(batch)
+        rounds.append(_round(batch))
     return rounds
 
 
@@ -402,51 +397,53 @@ def _tree_up(nprocs: int, root: int = 0) -> List[List[Tuple[int, int]]]:
     ]
 
 
-def _pairwise_rounds(nprocs: int, routes: Sequence[Tuple[int, int]]) -> List[List[Message]]:
+def _pairwise_rounds(nprocs: int, src: np.ndarray, dst: np.ndarray) -> List[Round]:
     """P−1 exchange rounds: round ``r`` pairs rank ``i`` with ``i XOR r`` on a
     power-of-two rank count and with ``i + r`` otherwise; item ``t`` (route
-    ``routes[t]``) ships in the one round that pairs its endpoints."""
+    ``src[t] -> dst[t]``, pairs unique) ships in the one round that pairs its
+    endpoints, a round's messages in sender order."""
     pow2 = nprocs & (nprocs - 1) == 0
-    item = {route: t for t, route in enumerate(routes)}
+    pairing = (src ^ dst) if pow2 else (dst - src) % nprocs
+    order = np.lexsort((src, pairing))
+    bounds = np.searchsorted(pairing[order], np.arange(1, nprocs + 1)).tolist()
     return [
-        [
-            (i, peer, [item[i, peer]])
-            for i in range(nprocs)
-            for peer in [(i ^ r) if pow2 else (i + r) % nprocs]
-            if (i, peer) in item
-        ]
-        for r in range(1, nprocs)
+        (src[ids], dst[ids], np.arange(ids.shape[0] + 1), ids)
+        for ids in (order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
     ]
 
 
-def _bruck_rounds(nprocs: int, routes: Sequence[Tuple[int, int]]) -> List[List[Message]]:
+def _bruck_rounds(nprocs: int, src: np.ndarray, dst: np.ndarray) -> List[Round]:
     """⌈log₂P⌉ forwarding rounds: in round ``k`` every rank ships the items
     whose remaining cyclic distance has bit ``k`` set to the rank ``2^k``
-    ahead, as one message."""
-    at = [src for src, _dst in routes]
+    ahead, as one message (items in id order)."""
+    at = np.array(src, dtype=np.int64)
     rounds = []
     for step in (1 << k for k in range(_ceil_log2(nprocs))):
-        moving: List[List[int]] = [[] for _ in range(nprocs)]
-        for t, (_src, dst) in enumerate(routes):
-            if ((dst - at[t]) % nprocs) & step:
-                moving[at[t]].append(t)
-                at[t] = (at[t] + step) % nprocs
-        rounds.append(
-            [(i, (i + step) % nprocs, ids) for i, ids in enumerate(moving) if ids]
-        )
+        moving = np.flatnonzero(((dst - at) % nprocs) & step)
+        holder = at[moving]
+        load = np.bincount(holder, minlength=nprocs)
+        senders = np.flatnonzero(load)
+        rounds.append((
+            senders,
+            (senders + step) % nprocs,
+            np.concatenate(([0], np.cumsum(load[senders]))),
+            moving[np.argsort(holder, kind="stable")],
+        ))
+        at[moving] = (holder + step) % nprocs
     return rounds
 
 
-def _ring_rounds(nprocs: int) -> List[List[Message]]:
+def _ring_rounds(nprocs: int) -> List[Round]:
     """P−1 neighbor rounds: in round ``r`` rank ``i`` passes on the block it
     received in round ``r − 1`` (its own in round 1)."""
+    i = np.arange(nprocs)
     return [
-        [(i, (i + 1) % nprocs, [(i - r + 1) % nprocs]) for i in range(nprocs)]
+        (i, (i + 1) % nprocs, np.arange(nprocs + 1), (i - r + 1) % nprocs)
         for r in range(1, nprocs)
     ]
 
 
-def _doubling_rounds(nprocs: int) -> List[List[Message]]:
+def _doubling_rounds(nprocs: int) -> List[Round]:
     """⌈log₂P⌉ rounds: XOR partners on powers of two, the dissemination
     variant (``i → i + 2^k``) otherwise."""
     pow2 = nprocs & (nprocs - 1) == 0
@@ -460,33 +457,33 @@ def _doubling_rounds(nprocs: int) -> List[List[Message]]:
     )
 
 
-def _gather_rounds(nprocs: int, root: int = 0) -> List[List[Message]]:
+def _gather_rounds(nprocs: int, root: int = 0) -> List[Round]:
     """Binomial reduce-up: each rank forwards its accumulated bundle (its own
     item and its subtree's) to its parent; P−1 messages."""
     return _forward_all(nprocs, range(nprocs), _tree_up(nprocs, root))
 
 
-def _scatter_rounds(nprocs: int, root: int) -> List[List[Message]]:
+def _scatter_rounds(nprocs: int, root: int) -> List[Round]:
     """The gather run backwards: parents push each child its subtree's parts."""
     return [
-        [(parent, child, ids) for child, parent, ids in batch]
-        for batch in reversed(_gather_rounds(nprocs, root))
+        (parent, child, ptr, ids)
+        for child, parent, ptr, ids in reversed(_gather_rounds(nprocs, root))
     ]
 
 
-def _allreduce_tree_rounds(nprocs: int) -> List[List[Message]]:
+def _allreduce_tree_rounds(nprocs: int) -> List[Round]:
     """Reduce-up of contribution items ``0..P−1``, then item ``P`` (the
     result, held by rank 0) broadcast down the reversed tree; 2(P−1)
     messages."""
     return _gather_rounds(nprocs) + [
-        [(parent, child, [nprocs]) for child, parent in level]
+        _round([(parent, child, [nprocs]) for child, parent in level])
         for level in reversed(_tree_up(nprocs))
     ]
 
 
 def _halving_doubling_rounds(
     nprocs: int, n: int
-) -> Tuple[List[List[Message]], List[Tuple[int, int]]]:
+) -> Tuple[List[Round], List[Tuple[int, int]]]:
     """Reduce-scatter by recursive halving, then allgather by recursive
     doubling, on a power-of-two rank count over a length-``n`` vector.
 
@@ -495,7 +492,7 @@ def _halving_doubling_rounds(
     slice the sender's contribution, the rest slice the result).
     """
     seg = [(0, n)] * nprocs
-    rounds: List[List[Message]] = []
+    rounds: List[Round] = []
     slices: List[Tuple[int, int]] = []
     distances = [nprocs >> (k + 1) for k in range(_ceil_log2(nprocs))]
     for d in distances:
@@ -507,7 +504,7 @@ def _halving_doubling_rounds(
             give, seg[i] = ((mid, hi), (lo, mid)) if i < i ^ d else ((lo, mid), (mid, hi))
             batch.append((i, i ^ d, [len(slices)]))
             slices.append(give)
-        rounds.append(batch)
+        rounds.append(_round(batch))
     for d in reversed(distances):
         batch = []
         for i in range(nprocs):
@@ -517,44 +514,42 @@ def _halving_doubling_rounds(
             (min(seg[i][0], seg[i ^ d][0]), max(seg[i][1], seg[i ^ d][1]))
             for i in range(nprocs)
         ]
-        rounds.append(batch)
+        rounds.append(_round(batch))
     return rounds, slices
 
 
-def _bcast_rounds(nprocs: int, root: int) -> List[List[Message]]:
+def _bcast_rounds(nprocs: int, root: int) -> List[Round]:
     """Doubling broadcast of item 0: in round ``k`` every virtual rank below
     ``2^k`` sends to the rank ``2^k`` above it; P−1 messages."""
     return [
-        [
+        _round([
             ((v + root) % nprocs, (v + step + root) % nprocs, [0])
             for v in range(min(step, nprocs - step))
-        ]
+        ])
         for step in (1 << k for k in range(_ceil_log2(nprocs)))
     ]
 
 
 # -- entry points -------------------------------------------------------------
+#
+# Charge only: the calling collective builds (or delivers) the results.
 
 
 def alltoallv_staged(
     machine: Machine,
-    sends: Sequence[Dict[int, Payload]],
+    triples: Tuple[np.ndarray, np.ndarray, np.ndarray],
     phase: Optional[str],
     *,
     count_exchange: str,
     algo: str,
-) -> List[List[Tuple[int, Payload]]]:
-    """Staged alltoallv: ``pairwise`` or ``bruck`` rounds over ``send_round``.
+) -> None:
+    """Staged alltoallv: ``pairwise`` or ``bruck`` rounds over the
+    ``(src, dst, nbytes)`` message triples of the exchange.
 
     Self-sends never enter a round (local move, free — exactly like the
-    direct path); the returned ``recv`` lists are bitwise- and
-    order-identical to :func:`repro.simmpi.collectives.alltoallv`.
+    direct path).
     """
     P = machine.nprocs
-    if machine.auditor is not None:
-        # the same count-table/neighborhood validation the direct path gets;
-        # the ledger is fed by the staged rounds instead of the send table
-        machine.auditor.observe_alltoallv(sends, phase, count_exchange, record=False)
     if count_exchange == "dense":
         # the MPI_Alltoall count exchange preceding a general redistribution
         # — identical to the term the direct path folds into its charge; it
@@ -564,23 +559,14 @@ def alltoallv_staged(
         machine.advance(
             t * machine.comm_factor(), phase, messages=0, nbytes=0, op=f"alltoallv.{algo}"
         )
-    routes = [(src, dst) for src, targets in enumerate(sends) for dst in targets if dst != src]
-    parts = [_payload_cols(sends[src][dst]) for src, dst in routes]
+    src, dst, sizes = triples
+    remote = src != dst
+    src, dst = src[remote], dst[remote]
     schedule = {"pairwise": _pairwise_rounds, "bruck": _bruck_rounds}[algo]
-    held = _run_rounds(
-        machine, "alltoallv", algo, phase,
-        [cols for _kind, cols in parts], [src for src, _dst in routes], schedule(P, routes),
+    _run_rounds(
+        machine, "alltoallv", algo, phase, sizes[remote], src, schedule(P, src, dst),
+        (dst, np.arange(src.shape[0])),
     )
-    item = iter(range(len(routes)))
-    recv: List[List[Tuple[int, Payload]]] = [[] for _ in range(P)]
-    # ascending sources make every recv list source-sorted as it is built
-    for src, targets in enumerate(sends):
-        for dst, payload in targets.items():
-            if dst != src:
-                t = next(item)
-                payload = _rebuild_payload(parts[t][0], held[dst][t])
-            recv[dst].append((src, payload))
-    return recv
 
 
 def allgatherv_staged(
@@ -588,48 +574,51 @@ def allgatherv_staged(
     arrays: Sequence[np.ndarray],
     phase: Optional[str],
     algo: str,
-) -> List[np.ndarray]:
-    """Staged allgatherv; per-rank results equal ``direct``'s bitwise."""
+) -> None:
+    """Staged allgatherv: every rank ends up holding every contribution."""
     P = machine.nprocs
     schedule = {"ring": _ring_rounds, "recursive-doubling": _doubling_rounds}[algo]
-    held = _run_rounds(
-        machine, "allgatherv", algo, phase, [[a] for a in arrays], range(P), schedule(P)
+    everywhere = (np.repeat(np.arange(P), P), np.tile(np.arange(P), P))
+    _run_rounds(
+        machine, "allgatherv", algo, phase, [a.nbytes for a in arrays], range(P),
+        schedule(P), everywhere,
     )
-    return [np.concatenate([held[i][b][0] for b in range(P)]) for i in range(P)]
 
 
 def allreduce_staged(
     machine: Machine,
-    vecs: Sequence[np.ndarray],
-    result_1d: np.ndarray,
+    contribution: np.ndarray,
+    result: np.ndarray,
     phase: Optional[str],
     algo: str,
 ) -> None:
     """Stage the communication of an allreduce whose result is already known.
 
-    ``vecs`` are the per-rank contribution vectors (flattened, in the
-    reduction's working dtype) and ``result_1d`` the canonical reduction
-    over them — computed by the caller with the exact rank-ordered
-    operation the ``direct`` path uses, because a staged tree reduction
-    would reassociate floating-point sums and break the bitwise contract.
-    The engine ships the real contribution/result arrays through the
-    rounds purely to model (and exercise, on any backend) the traffic.
+    ``contribution`` is one rank's contribution in the reduction's working
+    dtype (all have its size) and ``result`` the canonical reduction over
+    them — computed by the caller with the exact rank-ordered operation the
+    ``direct`` path uses, because a staged tree reduction would reassociate
+    floating-point sums and break the bitwise contract.
     """
     P = machine.nprocs
     if algo == "binomial-tree":
-        items = [[v] for v in vecs] + [[result_1d]]
+        sizes = [contribution.nbytes] * P + [result.nbytes]
         origins = [*range(P), 0]
         rounds = _allreduce_tree_rounds(P)
+        # the contributions reach rank 0, the result reaches everyone
+        wanted = ([0] * P + [*range(P)], [*range(P)] + [P] * P)
     else:
         # power-of-two rank counts only (resolve() guarantees it)
-        rounds, slices = _halving_doubling_rounds(P, int(result_1d.size))
-        origins = [src for batch in rounds for src, _dst, _ids in batch]
+        rounds, slices = _halving_doubling_rounds(P, int(result.size))
+        origins = np.concatenate([src for src, _dst, _ptr, _ids in rounds])
         halving = len(slices) // 2
-        items = [
-            [np.ascontiguousarray((vecs[src] if t < halving else result_1d)[lo:hi])]
-            for t, (src, (lo, hi)) in enumerate(zip(origins, slices))
+        sizes = [
+            (hi - lo) * (contribution if t < halving else result).itemsize
+            for t, (lo, hi) in enumerate(slices)
         ]
-    _run_rounds(machine, "allreduce", algo, phase, items, origins, rounds)
+        # every message mints the item it carries
+        wanted = (np.concatenate([dst for _src, dst, _ptr, _ids in rounds]), range(len(slices)))
+    _run_rounds(machine, "allreduce", algo, phase, sizes, origins, rounds, wanted)
 
 
 def bcast_staged(
@@ -639,11 +628,10 @@ def bcast_staged(
     phase: Optional[str],
     algo: str,
 ) -> None:
-    """Binomial-tree broadcast of ``arr`` from ``root`` (data plane only —
-    the caller constructs the canonical per-rank return values)."""
-    ship = np.ascontiguousarray(np.atleast_1d(arr))
-    rounds = _bcast_rounds(machine.nprocs, root)
-    _run_rounds(machine, "bcast", algo, phase, [[ship]], [root], rounds)
+    """Binomial-tree broadcast of ``arr`` from ``root``."""
+    P = machine.nprocs
+    rounds = _bcast_rounds(P, root)
+    _run_rounds(machine, "bcast", algo, phase, [arr.nbytes], [root], rounds, (range(P), [0] * P))
 
 
 def gatherv_staged(
@@ -653,12 +641,13 @@ def gatherv_staged(
     phase: Optional[str],
     algo: str,
 ) -> None:
-    """Binomial-tree gather: leaves forward bundled contributions upward.
-
-    Data plane only — the caller assembles the canonical root result."""
+    """Binomial-tree gather: leaves forward bundled contributions upward."""
     P = machine.nprocs
     rounds = _gather_rounds(P, root)
-    _run_rounds(machine, "gatherv", algo, phase, [[a] for a in arrays], range(P), rounds)
+    _run_rounds(
+        machine, "gatherv", algo, phase, [a.nbytes for a in arrays], range(P), rounds,
+        ([root] * P, range(P)),
+    )
 
 
 def scatterv_staged(
@@ -668,9 +657,10 @@ def scatterv_staged(
     phase: Optional[str],
     algo: str,
 ) -> None:
-    """Binomial-tree scatter: the root pushes subtree bundles down.
-
-    Data plane only — the caller returns the canonical per-rank parts."""
+    """Binomial-tree scatter: the root pushes subtree bundles down."""
     P = machine.nprocs
     rounds = _scatter_rounds(P, root)
-    _run_rounds(machine, "scatterv", algo, phase, [[a] for a in arrays], [root] * P, rounds)
+    _run_rounds(
+        machine, "scatterv", algo, phase, [a.nbytes for a in arrays], [root] * P, rounds,
+        (range(P), range(P)),
+    )

@@ -34,21 +34,25 @@ By default every collective charges one closed-form LogGP formula (the
 through the staged per-algorithm engines of :mod:`repro.simmpi.algos`
 (pairwise/Bruck alltoallv, ring/recursive-doubling allgatherv,
 binomial-tree/recursive-halving-doubling allreduce, binomial trees for the
-rooted collectives) which ship the same real data through explicit
-:func:`~repro.simmpi.p2p.send_round` rounds with per-hop charging.  Every
-algorithm returns bitwise-identical payloads; only modeled clocks and
-message/byte totals differ.
+rooted collectives) which charge the same traffic as explicit
+:func:`~repro.simmpi.p2p.charge_round` rounds with per-hop charging.  An
+engine charges and verifies a schedule; the data is delivered once, after
+the rounds, exactly as on the ``direct`` path.  Every algorithm returns
+bitwise-identical payloads; only modeled clocks and message/byte totals
+differ.
 
 Delivery aliasing contract
 --------------------------
-Payloads are delivered *by reference* under the default in-process data
-plane (the received array **is** the sender's array object) and as fresh
-decoded copies under a process backend — except self-sends, which return
-the original object on every backend (MPI self-send semantics).  Receivers
-therefore MUST NOT mutate received payloads in place; doing so corrupts
-sender state under the in-process engine only and is exactly the class of
-bug the cross-backend differential tests exist to catch.  Treat every
-received payload as read-only and copy before writing.
+An :class:`Exchange` comes back as fresh column buffers on every path and
+every backend.  The payloads of a ``list[dict]`` table are delivered *by
+reference* under the default in-process data plane (the received array
+**is** the sender's array object) and as fresh decoded copies under a
+process backend — except self-sends, which return the original object on
+every backend (MPI self-send semantics).  Receivers therefore MUST NOT
+mutate received payloads in place; doing so corrupts sender state under the
+in-process engine only and is exactly the class of bug the cross-backend
+differential tests exist to catch.  Treat every received payload as
+read-only and copy before writing.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ __all__ = [
     "Exchange",
     "payload_nbytes",
     "message_triples",
+    "deliver_inprocess",
     "alltoallv",
     "neighborhood_alltoallv",
     "allgatherv",
@@ -161,8 +166,9 @@ class Exchange:
         if np.any(np.diff(self.msg_src * np.int64(nprocs) + self.msg_dst) <= 0):
             raise ValueError("Exchange messages must be sorted by (src, dst), pairs unique")
 
-    def deliver(self, nprocs: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-        """The received rows in ``(dst, src)`` order, as one gather per column.
+    def recv_rows(self, nprocs: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Which buffer row every received row is a copy of, in ``(dst,
+        src)`` order, and the ``recv_offsets`` splitting them by receiver.
 
         The send-side order ``row_index`` and the regrouping of whole
         messages by destination are composed into one index vector, so no
@@ -176,37 +182,15 @@ class Exchange:
         recv_ends = np.cumsum(recv_lens)
         gather = np.repeat(self.row_ptr[:-1][by_dst] - (recv_ends - recv_lens), recv_lens)
         gather += np.arange(self.row_index.shape[0])
-        gather = self.row_index[gather]
-        # np.take copies multi-dimensional rows several times faster than c[gather]
-        columns = tuple(np.take(c, gather, axis=0) for c in self.columns)
-        return columns, self._recv_offsets(nprocs)
-
-    def _recv_offsets(self, nprocs: int) -> np.ndarray:
         rows_to = np.zeros(nprocs, dtype=np.int64)
-        np.add.at(rows_to, self.msg_dst, np.diff(self.row_ptr))
-        return np.concatenate(([0], np.cumsum(rows_to)))
+        np.add.at(rows_to, self.msg_dst, lens)
+        return self.row_index[gather], np.concatenate(([0], np.cumsum(rows_to)))
 
-    def as_sends(self, nprocs: int) -> List[Dict[int, Payload]]:
-        """The same exchange as a ``list[dict]`` of per-message column views
-        (what a staged engine ships and an execution backend transports)."""
-        buffers = tuple(c[self.row_index] for c in self.columns)
-        sends: List[Dict[int, Payload]] = [{} for _ in range(nprocs)]
-        bounds = self.row_ptr.tolist()
-        for k, (src, dst) in enumerate(zip(self.msg_src.tolist(), self.msg_dst.tolist())):
-            sends[src][dst] = tuple(b[bounds[k]:bounds[k + 1]] for b in buffers)
-        return sends
-
-    def collect(
-        self, recv: List[List[Tuple[int, Payload]]]
-    ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-        """Concatenate the per-message ``recv`` lists of :meth:`as_sends`'s
-        exchange into the ``(columns, recv_offsets)`` of :meth:`deliver`."""
-        payloads = [payload for received in recv for _src, payload in received]
-        columns = tuple(
-            np.concatenate([p[i] for p in payloads]) if payloads else c[:0]
-            for i, c in enumerate(self.columns)
-        )
-        return columns, self._recv_offsets(len(recv))
+    def deliver(self, nprocs: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+        """The received rows, as one gather per column into fresh buffers."""
+        rows, recv_offsets = self.recv_rows(nprocs)
+        # np.take copies multi-dimensional rows several times faster than c[rows]
+        return tuple(np.take(c, rows, axis=0) for c in self.columns), recv_offsets
 
 
 SendTable = Union[Sequence[Dict[int, Payload]], Exchange]
@@ -218,19 +202,15 @@ def message_triples(sends: SendTable) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     and the auditor's recomputation are both made from."""
     if isinstance(sends, Exchange):
         return sends.msg_src, sends.msg_dst, np.diff(sends.row_ptr) * sends.row_nbytes
-    src_list = []
-    dst_list = []
-    size_list = []
-    for src, targets in enumerate(sends):
-        for dst, payload in targets.items():
-            src_list.append(src)
-            dst_list.append(dst)
-            size_list.append(payload_nbytes(payload))
-    return (
-        np.asarray(src_list, dtype=np.int64),
-        np.asarray(dst_list, dtype=np.int64),
-        np.asarray(size_list, dtype=np.int64),
-    )
+    table = np.array(
+        [
+            (src, dst, payload_nbytes(payload))
+            for src, targets in enumerate(sends)
+            for dst, payload in targets.items()
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def _validate_sends(nprocs: int, sends: Sequence[Dict[int, Payload]]) -> None:
@@ -247,15 +227,6 @@ def _validate_sends(nprocs: int, sends: Sequence[Dict[int, Payload]]) -> None:
                 raise ValueError(f"rank {src} sends to invalid rank {dst}")
 
 
-def _stages(machine: Machine, collective: str) -> bool:
-    """Whether ``collective`` is configured to run a staged algorithm engine
-    (``auto`` counts: it may resolve to one) rather than the closed form."""
-    algos = machine.collective_algos
-    return (
-        algos is not None and machine.nprocs > 1 and getattr(algos, collective) != "direct"
-    )
-
-
 def _staged_engine(machine: Machine, collective: str, **sizing):
     """The staged engine this ``collective`` call must run, bound to its
     resolved algorithm — or ``None`` for the closed-form ``direct`` path.
@@ -263,15 +234,15 @@ def _staged_engine(machine: Machine, collective: str, **sizing):
     ``None`` is the only possibility when no
     :class:`~repro.simmpi.algos.CollectiveAlgos` is attached, or on a
     single-rank machine where no algorithm stages any message.  ``sizing``
-    is what ``auto`` resolves from (``sends=`` or ``nbytes=``); every
+    is what ``auto`` resolves from (``triples=`` or ``nbytes=``); every
     resolution, including ``auto`` falling back to ``direct``, is counted.
     """
-    if not _stages(machine, collective):
+    algos = machine.collective_algos
+    if algos is None or machine.nprocs == 1 or getattr(algos, collective) == "direct":
         return None
     from repro.simmpi import algos as engines
 
-    algo = getattr(machine.collective_algos, collective)
-    algo = engines.resolve(machine, collective, algo, **sizing)
+    algo = engines.resolve(machine, collective, getattr(algos, collective), **sizing)
     machine.count("comm.algo.calls", collective=collective, algo=algo)
     if algo == "direct":
         return None
@@ -340,37 +311,44 @@ def _charge_alltoall(
     )
 
 
-def _deliver(
-    machine: Machine, sends: Sequence[Dict[int, Payload]]
-) -> List[List[Tuple[int, Payload]]]:
-    """Move payloads: ``recv[j]`` is a source-ordered list of ``(src, payload)``.
-
-    With an attached execution backend the payload bytes travel through it
-    (e.g. shared memory + worker processes); without one, the historical
-    in-process list shuffle runs inline.  Charging happened before this
-    point either way — delivery is pure data plane.
-
-    Aliasing contract (see the module docstring): in-process delivery hands
-    the receiver a *reference* to the sender's payload object; a process
-    backend decodes fresh copies for inter-rank messages and returns the
-    original object for self-sends.  Receivers must treat payloads as
-    read-only.  Destination validation happened in :func:`_validate_sends`
-    before any auditing or charging; the check here is defensive only (it
-    guards direct callers of the backend protocol).
-    """
-    nprocs = machine.nprocs
-    backend = machine.backend
-    if backend is not None:
-        return backend.deliver(sends, nprocs)
+def deliver_inprocess(sends: SendTable, nprocs: int):
+    """Move the data of one exchange inside this process: an
+    :class:`Exchange` comes back as the ``(columns, recv_offsets)`` of
+    :meth:`Exchange.deliver`, a ``list[dict]`` as ``recv`` with ``recv[j]`` a
+    source-ordered list of ``(src, payload)`` referencing the sender's
+    payload objects.  Validation happened before any auditing or charging;
+    the destination check here is defensive only (it guards direct callers
+    of the backend protocol)."""
+    if isinstance(sends, Exchange):
+        return sends.deliver(nprocs)
+    _validate_sends(nprocs, sends)
     recv: List[List[Tuple[int, Payload]]] = [[] for _ in range(nprocs)]
+    # ascending sources make every recv list source-sorted as it is built
     for src, targets in enumerate(sends):
         for dst, payload in targets.items():
-            if not 0 <= dst < nprocs:
-                raise ValueError(f"rank {src} sends to invalid rank {dst}")
             recv[dst].append((src, payload))
-    for lst in recv:
-        lst.sort(key=lambda item: item[0])
     return recv
+
+
+def _deliver(machine: Machine, sends: SendTable):
+    """Move the data of one exchange, once — whatever algorithm charged it.
+
+    With an attached execution backend the bytes travel through it (e.g.
+    shared memory + worker processes); without one, delivery runs inline
+    (:func:`deliver_inprocess`).  Charging happened before this point either
+    way — delivery is pure data plane.
+
+    Aliasing contract (see the module docstring): the buffers of an
+    :class:`Exchange` are fresh everywhere; for a ``list[dict]``, in-process
+    delivery hands the receiver a *reference* to the sender's payload
+    object, a process backend decodes fresh copies for inter-rank messages
+    and returns the original object for self-sends.  Receivers must treat
+    payloads as read-only.
+    """
+    backend = machine.backend
+    if backend is not None:
+        return backend.deliver(sends, machine.nprocs)
+    return deliver_inprocess(sends, machine.nprocs)
 
 
 def alltoallv(
@@ -404,8 +382,7 @@ def alltoallv(
     :class:`Exchange`, the ``(columns, recv_offsets)`` described there —
     the same rows in the same order, in one buffer per column.
     """
-    exchange = sends if isinstance(sends, Exchange) else None
-    if exchange is None and len(sends) != machine.nprocs:
+    if not isinstance(sends, Exchange) and len(sends) != machine.nprocs:
         raise ValueError(f"sends has {len(sends)} entries, machine has {machine.nprocs} ranks")
     # like a bad destination, a bad mode is rejected before anything is
     # audited, synchronized or charged — on the direct and every staged path
@@ -413,25 +390,21 @@ def alltoallv(
         raise ValueError(
             f"count_exchange must be 'dense', 'sparse' or 'cached', got {count_exchange!r}"
         )
-    if exchange is not None:
-        exchange.validate(machine.nprocs)
-        if machine.backend is not None or _stages(machine, "alltoallv"):
-            # a staged engine forwards, and an execution backend transports,
-            # one payload object per message: hand them the per-message views
-            recv = alltoallv(
-                machine, exchange.as_sends(machine.nprocs), phase, count_exchange=count_exchange
-            )
-            return exchange.collect(recv)
+    if isinstance(sends, Exchange):
+        sends.validate(machine.nprocs)
     else:
         _validate_sends(machine.nprocs, sends)
-        staged = _staged_engine(machine, "alltoallv", sends=sends)
-        if staged is not None:
-            return staged(machine, sends, phase, count_exchange=count_exchange)
+    # one flow for both table forms and every algorithm: the messages as
+    # (src, dst, nbytes) arrays are all the charge reads, closed form or staged
+    triples = message_triples(sends)
+    staged = _staged_engine(machine, "alltoallv", triples=triples)
     if machine.auditor is not None:
-        machine.auditor.observe_alltoallv(sends, phase, count_exchange)
-    _charge_alltoall(machine, message_triples(sends), phase, count_exchange)
-    if exchange is not None:
-        return exchange.deliver(machine.nprocs)
+        # a staged exchange reaches the ledger round by round instead
+        machine.auditor.observe_alltoallv(sends, phase, count_exchange, record=staged is None)
+    if staged is None:
+        _charge_alltoall(machine, triples, phase, count_exchange)
+    else:
+        staged(machine, triples, phase, count_exchange=count_exchange)
     return _deliver(machine, sends)
 
 
@@ -461,8 +434,7 @@ def allgatherv(
     Modeled as a ring/bruck allgather: each rank ultimately receives the
     full concatenated volume; latency is logarithmic.  Under the delivery
     aliasing contract (module docstring) every rank is handed the *same*
-    gathered array, flagged read-only; the staged engines return their
-    per-rank concatenations.
+    gathered array, flagged read-only, whichever algorithm charged the call.
     """
     P = machine.nprocs
     if len(contributions) != P:
@@ -471,16 +443,17 @@ def allgatherv(
     total_bytes = float(sum(a.nbytes for a in arrays))
     staged = _staged_engine(machine, "allgatherv", nbytes=total_bytes)
     if staged is not None:
-        return staged(machine, arrays, phase)
-    machine.synchronize()
-    t = machine.model.tree_collective_time(P, 0.0, machine.topology.diameter())
-    t += (P - 1) / max(P, 1) * total_bytes / machine.model.bandwidth if P > 1 else 0.0
-    t *= machine.comm_factor()
-    t += float(machine.model.copy_time(total_bytes))
-    machine.collective(
-        t, phase, messages=max(0, P - 1), nbytes=int(total_bytes) * max(0, P - 1),
-        op="allgatherv",
-    )
+        staged(machine, arrays, phase)
+    else:
+        machine.synchronize()
+        t = machine.model.tree_collective_time(P, 0.0, machine.topology.diameter())
+        t += (P - 1) / max(P, 1) * total_bytes / machine.model.bandwidth if P > 1 else 0.0
+        t *= machine.comm_factor()
+        t += float(machine.model.copy_time(total_bytes))
+        machine.collective(
+            t, phase, messages=max(0, P - 1), nbytes=int(total_bytes) * max(0, P - 1),
+            op="allgatherv",
+        )
     gathered = np.concatenate(arrays) if arrays else np.empty(0)
     gathered.flags.writeable = False
     return [gathered] * P
@@ -548,11 +521,10 @@ def allreduce(
         item_bytes = float(np.asarray(values[0], dtype=np.float64).nbytes)
     staged = _staged_engine(machine, "allreduce", nbytes=item_bytes)
     if staged is not None:
-        # the staged engine only models (and really ships) the traffic;
-        # the result stays the canonical rank-ordered reduction above,
-        # because a tree reduction would reassociate float sums
-        vecs = [np.ascontiguousarray(np.atleast_1d(stacked[i])) for i in range(P)]
-        staged(machine, vecs, np.ascontiguousarray(np.atleast_1d(result)), phase)
+        # the staged engine only models the traffic; the result stays the
+        # canonical rank-ordered reduction above, because a tree reduction
+        # would reassociate float sums
+        staged(machine, stacked[0], result, phase)
     else:
         machine.synchronize()
         t = machine.model.tree_collective_time(P, item_bytes, machine.topology.diameter())

@@ -16,7 +16,7 @@ import numpy as np
 from repro.simmpi.collectives import Payload, payload_nbytes
 from repro.simmpi.machine import Machine
 
-__all__ = ["send_round", "exchange_pairs", "sendrecv"]
+__all__ = ["charge_round", "send_round", "exchange_pairs", "sendrecv"]
 
 
 def _route(machine: Machine, transfers: Sequence[Tuple[int, int, Payload]]):
@@ -44,27 +44,80 @@ def sendrecv(
     src = machine.check_rank(src)
     dst = machine.check_rank(dst)
     nbytes = payload_nbytes(payload)
-    if machine.auditor is not None:
-        machine.auditor.observe_sendrecv(src, dst, nbytes, phase)
     if src == dst:
         machine.copy(nbytes, phase)
         return payload
-    model = machine.model
-    hops = int(machine.topology.hops(src, dst))
-    token = machine.begin()
-    send_done = machine.clocks[src] + model.overhead + float(model.copy_time(nbytes))
-    # a message is as slow as its slowest endpoint (degraded-NIC perturbation)
-    arrival = (
-        send_done
-        + float(model.msg_time(hops, nbytes)) * machine.comm_factor(src, dst)
-        - model.overhead
-    )
-    machine.clocks[src] = send_done
-    machine.clocks[dst] = max(machine.clocks[dst] + model.overhead, arrival) + float(
-        model.copy_time(nbytes)
-    )
-    machine.commit(token, phase, "sendrecv", 1, nbytes)
+    # a round of one message
+    charge_round(machine, *(np.array([v]) for v in (src, dst, nbytes)), phase, op="sendrecv")
     return _route(machine, [(src, dst, payload)])[0]
+
+
+def charge_round(
+    machine: Machine,
+    src: np.ndarray,
+    dst: np.ndarray,
+    nbytes: np.ndarray,
+    phase: Optional[str] = None,
+    *,
+    op: str = "send_round",
+) -> None:
+    """Audit and charge a round of independent messages, moving no data.
+
+    Message ``k`` travels ``src[k] -> dst[k]`` and is ``nbytes[k]`` long
+    (parallel int64 arrays).  Messages from the same source are serialized
+    (one NIC per rank); messages to the same destination are serialized on
+    receive; a self-message is a local copy.  This is the one round charge
+    of :mod:`repro.simmpi`: :func:`sendrecv`, :func:`send_round`, the staged
+    collective executor (:mod:`repro.simmpi.algos`) and the merge sort's
+    boundary check all charge through it (:func:`exchange_pairs` keeps its
+    own: both directions of a pair overlap, so a side waits for
+    ``max(posted, arrival)``, not for ``max(posted + o, arrival)``).
+
+    ``op`` names the charging primitive in the span stream; the staged
+    engines tag their rounds with the owning algorithm (e.g.
+    ``"alltoallv.bruck"``).
+    """
+    model = machine.model
+    # like a bad alltoallv destination, a bad rank rejects the whole round
+    # before anything is audited or charged
+    _check_ranks(machine, np.stack((src, dst), axis=1))
+    if machine.auditor is not None:
+        machine.auditor.observe_round(src, dst, nbytes, phase)
+    token = machine.begin()
+    clocks = machine.clocks
+    copies = model.copy_time(nbytes)
+    # one topology query for the round
+    wires = model.msg_time(machine.topology.hops(src, dst), nbytes)
+    factors = machine.comm_factors
+    if factors is not None:
+        # a message is as slow as its slowest endpoint (degraded-NIC perturbation)
+        wires = wires * np.maximum(factors[src], factors[dst])
+    local = src == dst
+    arrivals = np.empty(src.shape[0])
+    # sends post first (non-blocking), receives complete afterwards; a rank
+    # that posts (receives) several messages handles them in table order
+    for batch in _occurrences(src):
+        rank = src[batch]
+        posted = clocks[rank] + model.overhead + copies[batch]
+        arrivals[batch] = posted + wires[batch] - model.overhead
+        clocks[rank] = np.where(local[batch], clocks[rank] + copies[batch], posted)
+    remote = np.flatnonzero(~local)
+    for batch in _occurrences(dst[remote]):
+        batch = remote[batch]
+        rank = dst[batch]
+        clocks[rank] = np.maximum(clocks[rank] + model.overhead, arrivals[batch]) + copies[batch]
+    machine.commit(token, phase, op, int(remote.shape[0]), int(nbytes[remote].sum()))
+
+
+def _occurrences(ranks: np.ndarray) -> List[np.ndarray]:
+    """Index sets that each name a rank at most once: set ``k`` holds the
+    position of every rank's ``k``-th occurrence in ``ranks`` — one set
+    unless a rank repeats, so a round is one array pass per set."""
+    order = np.argsort(ranks, kind="stable")
+    grouped = ranks[order]
+    first = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    nth = np.arange(order.shape[0]) - np.repeat(first, np.diff(np.append(first, order.shape[0])))
+    return [order[nth == k] for k in range(int(nth.max(initial=-1)) + 1)]
 
 
 def send_round(
@@ -74,58 +127,18 @@ def send_round(
     *,
     op: str = "send_round",
 ) -> List[List[Tuple[int, Payload]]]:
-    """A round of independent messages ``(src, dst, payload)``.
-
-    Messages from the same source are serialized (one NIC per rank);
-    messages to the same destination are serialized on receive.  Returns
-    ``recv[j]`` as source-sorted ``(src, payload)`` pairs.
-
-    ``op`` names the charging primitive in the span stream; the staged
-    collective engines (:mod:`repro.simmpi.algos`) tag their rounds with
-    the owning algorithm (e.g. ``"alltoallv.bruck"``).
+    """A round of independent messages ``(src, dst, payload)``, charged by
+    :func:`charge_round`.  Returns ``recv[j]`` as source-sorted
+    ``(src, payload)`` pairs.
     """
-    model = machine.model
-    # like a bad alltoallv destination, a bad rank rejects the whole round
-    # before anything is audited, routed or charged
     ends = np.array([t[:2] for t in transfers], dtype=np.int64).reshape(-1, 2)
-    _check_ranks(machine, ends)
-    if machine.auditor is not None:
-        machine.auditor.observe_send_round(transfers, phase)
+    sizes = np.array([payload_nbytes(t[2]) for t in transfers], dtype=np.int64)
+    charge_round(machine, ends[:, 0], ends[:, 1], sizes, phase, op=op)
     recv: List[List[Tuple[int, Payload]]] = [[] for _ in range(machine.nprocs)]
-    token = machine.begin()
-    n_messages = 0
-    total_bytes = 0
-    # sends post first (non-blocking), receives complete afterwards
-    arrivals: List[Tuple[int, float, Payload, int]] = []
-    delivered = _route(machine, transfers)
-    # one topology query for the round (a scalar query per message was most
-    # of its host cost)
-    hops = machine.topology.hops(ends[:, 0], ends[:, 1]).tolist()
-    for (src, dst), hop, transfer, received in zip(ends.tolist(), hops, transfers, delivered):
-        nbytes = payload_nbytes(transfer[2])
-        if src == dst:
-            machine.clocks[src] += float(model.copy_time(nbytes))
-            recv[dst].append((src, received))
-            continue
-        send_done = machine.clocks[src] + model.overhead + float(model.copy_time(nbytes))
-        arrival = (
-            send_done
-            + float(model.msg_time(hop, nbytes)) * machine.comm_factor(src, dst)
-            - model.overhead
-        )
-        machine.clocks[src] = send_done
-        arrivals.append((dst, arrival, received, src))
-        n_messages += 1
-        total_bytes += nbytes
-    for dst, arrival, payload, src in arrivals:
-        nbytes = payload_nbytes(payload)
-        machine.clocks[dst] = max(machine.clocks[dst] + model.overhead, arrival) + float(
-            model.copy_time(nbytes)
-        )
-        recv[dst].append((src, payload))
+    for (src, dst), received in zip(ends.tolist(), _route(machine, transfers)):
+        recv[dst].append((src, received))
     for lst in recv:
         lst.sort(key=lambda item: item[0])
-    machine.commit(token, phase, op, n_messages, total_bytes)
     return recv
 
 

@@ -209,20 +209,14 @@ def merge_exchange_sort(
 def _verify_sorted(machine: Machine, keys: RankMajor, phase: Optional[str]) -> bool:
     """Boundary-key ring check plus a small reduction of the ok-flags."""
     from repro.simmpi.collectives import allreduce
-    from repro.simmpi.p2p import send_round
+    from repro.simmpi.p2p import charge_round
 
-    P = machine.nprocs
-    flat, offsets = keys.data, keys.offsets.tolist()
-    nonempty = np.flatnonzero(keys.counts).tolist()
-    # each non-empty rank sends its max key to the next non-empty rank
-    transfers = [
-        (src, dst, np.asarray([flat[offsets[src + 1] - 1]]))
-        for src, dst in zip(nonempty[:-1], nonempty[1:])
-    ]
-    recv = send_round(machine, transfers, phase)
-    ok = np.ones(P)
-    for r in nonempty[1:]:
-        for _src, payload in recv[r]:
-            if payload[0] > flat[offsets[r]]:
-                ok[r] = 0.0
+    flat, offsets = keys.data, keys.offsets
+    # each non-empty rank sends its max key to the next non-empty rank: one
+    # round of one-key messages
+    nonempty = np.flatnonzero(keys.counts)
+    src, dst = nonempty[:-1], nonempty[1:]
+    charge_round(machine, src, dst, np.full(src.shape, flat.itemsize, dtype=np.int64), phase)
+    ok = np.ones(machine.nprocs)
+    ok[dst[flat[offsets[src + 1] - 1] > flat[offsets[dst]]]] = 0.0
     return bool(allreduce(machine, ok, op="min", phase=phase) > 0.5)

@@ -210,8 +210,8 @@ class CommAuditor:
         #: :attr:`algo_round_ledger` exactly: staged forwarding must
         #: balance in the ledger.
         self.algo_ledger: Dict[str, PhaseLedger] = {}
-        #: per-phase totals independently re-accounted from the raw
-        #: transfer lists of every round executed inside
+        #: per-phase totals independently re-accounted from the message
+        #: arrays of every round executed inside
         #: :meth:`algo_scope` (in addition to the main :attr:`ledger`)
         self.algo_round_ledger: Dict[str, PhaseLedger] = {}
         #: per-``"collective/algorithm"`` call counts (records which
@@ -325,7 +325,7 @@ class CommAuditor:
         """Record a staged engine's schedule-derived planned totals.
 
         The engine then executes its rounds inside :meth:`algo_scope`,
-        where every :func:`~repro.simmpi.p2p.send_round` is independently
+        where every :func:`~repro.simmpi.p2p.charge_round` is independently
         re-accounted into :attr:`algo_round_ledger`; the
         ``collective-algo-accounting`` invariant asserts exact agreement.
         """
@@ -390,7 +390,7 @@ class CommAuditor:
         ``record=False`` runs every validation (rank range, payload sizes,
         neighborhood contract) without touching the ledger — the staged
         algorithm engines use it, because their ledger traffic is
-        re-accounted per round by :meth:`observe_send_round` instead of
+        re-accounted per round by :meth:`observe_round` instead of
         from the send table.
         """
         from repro.simmpi.collectives import message_triples
@@ -401,26 +401,13 @@ class CommAuditor:
             neighborhood=count_exchange == "sparse", record=record,
         )
 
-    def observe_sendrecv(
-        self, src: int, dst: int, nbytes: int, phase: Optional[str]
+    def observe_round(
+        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, phase: Optional[str]
     ) -> None:
-        if src == dst:
-            return
+        """Audit one :func:`~repro.simmpi.p2p.charge_round` round from its
+        ``(src, dst, nbytes)`` message arrays."""
         self.n_p2p_calls += 1
-        self._observe(*(np.array([v], dtype=np.int64) for v in (src, dst, nbytes)), phase)
-
-    def observe_send_round(
-        self,
-        transfers: Sequence[Tuple[int, int, object]],
-        phase: Optional[str],
-    ) -> None:
-        """Audit one send_round call from its raw transfer list."""
-        from repro.simmpi.collectives import payload_nbytes
-
-        self.n_p2p_calls += 1
-        ends = np.array([t[:2] for t in transfers], dtype=np.int64).reshape(-1, 2)
-        sizes = np.array([payload_nbytes(t[2]) for t in transfers], dtype=np.int64)
-        self._observe(ends[:, 0], ends[:, 1], sizes, phase)
+        self._observe(src, dst, nbytes, phase)
 
     def observe_exchange_pairs(
         self,

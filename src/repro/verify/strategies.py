@@ -21,6 +21,8 @@ __all__ = [
     "symmetric_count_tables",
     "multiplicity_maps",
     "rank_layouts",
+    "message_rounds",
+    "exchanges",
 ]
 
 
@@ -162,5 +164,66 @@ def rank_layouts(max_rows: int = 60, max_nprocs: int = 9):
         st.integers(min_value=1, max_value=max_nprocs),
         st.integers(min_value=0, max_value=max_rows),
         st.sampled_from(["spread", "fewer-than-ranks", "one-rank"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ).map(build)
+
+
+def message_rounds(max_nprocs: int = 17, max_messages: int = 40):
+    """One point-to-point round: ``(nprocs, src, dst, nbytes)`` int64 arrays.
+
+    Covers what a round charge must serialize correctly: ranks that post or
+    receive several messages (up to every message on one rank), the same
+    ``(src, dst)`` pair more than once, self-messages, zero-byte messages,
+    the empty round, and rank counts that are not powers of two.
+    """
+    st, _ = _hypothesis()
+
+    def build(drawn):
+        nprocs, n, shape, seed = drawn
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, nprocs, n)
+        dst = rng.integers(0, nprocs, n)
+        if shape == "one-source":
+            src[:] = rng.integers(nprocs)
+        elif shape == "one-destination":
+            dst[:] = rng.integers(nprocs)
+        elif shape == "ring":
+            dst = (src + 1) % nprocs
+        nbytes = rng.integers(0, 5000, n) * (rng.random(n) < 0.8)
+        return nprocs, src.astype(np.int64), dst.astype(np.int64), nbytes.astype(np.int64)
+
+    return st.tuples(
+        st.integers(min_value=1, max_value=max_nprocs),
+        st.integers(min_value=0, max_value=max_messages),
+        st.sampled_from(["any", "one-source", "one-destination", "ring"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ).map(build)
+
+
+def exchanges(max_nprocs: int = 17, max_rows: int = 60):
+    """One all-to-all exchange in buffer form: ``(nprocs, fields)`` with
+    ``fields`` the ``(columns, row_index, msg_src, msg_dst, row_ptr)`` of an
+    :class:`~repro.simmpi.collectives.Exchange`.
+
+    A float ``(n, 3)`` and an ``int32`` column; the message table runs from
+    empty over sparse to every pair, self-sends and zero-row messages
+    included, and ``row_index`` may name a buffer row any number of times.
+    """
+    st, _ = _hypothesis()
+
+    def build(drawn):
+        nprocs, n_rows, density, seed = drawn
+        rng = np.random.default_rng(seed)
+        columns = (rng.random((n_rows, 3)), rng.integers(0, 1000, n_rows).astype(np.int32))
+        pairs = np.flatnonzero(rng.random(nprocs * nprocs) < density)
+        lens = rng.integers(0, 6, pairs.shape[0]) * (n_rows > 0)
+        row_ptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+        row_index = rng.integers(0, max(n_rows, 1), int(row_ptr[-1])).astype(np.int64)
+        return nprocs, (columns, row_index, pairs // nprocs, pairs % nprocs, row_ptr)
+
+    return st.tuples(
+        st.integers(min_value=1, max_value=max_nprocs),
+        st.integers(min_value=0, max_value=max_rows),
+        st.sampled_from([0.0, 0.2, 0.7, 1.0]),
         st.integers(min_value=0, max_value=2**32 - 1),
     ).map(build)

@@ -41,17 +41,19 @@ def process_backend():
     backend.close()
 
 
-@pytest.fixture(params=["direct", "bruck", "pairwise", "process"])
+@pytest.fixture(params=["direct", "bruck", "pairwise", "process", "bruck+process"])
 def make_machine(request):
-    """Audited machines of one variant: ``direct`` delivers an exchange
-    descriptor whole, the other three take it apart into per-message views."""
+    """Audited machines of one variant: closed-form or staged charging,
+    in-process or process-backend delivery.  An exchange descriptor is
+    delivered whole on every one of them."""
 
     def make(nprocs, neighbor_table=None):
         machine = Machine(nprocs)
-        if request.param == "process":
+        algo = request.param.partition("process")[0].rstrip("+")
+        if request.param.endswith("process"):
             machine.attach_backend(request.getfixturevalue("process_backend"))
-        elif request.param != "direct":
-            machine.set_collective_algos(request.param)
+        if algo not in ("", "direct"):
+            machine.set_collective_algos(algo)
         enable_auditing(machine, neighbor_table=neighbor_table)
         return machine
 

@@ -1,5 +1,9 @@
 """Delivery aliasing contract (docs/backends.md).
 
+An exchange descriptor (``Exchange``) is delivered as fresh column buffers
+on every backend and under every algorithm.  For the per-message
+``list[dict]`` entry:
+
 * in-process data plane: inter-rank payloads are delivered **by reference**
   — the received array IS the sender's array object;
 * process data plane: inter-rank payloads arrive as fresh decoded copies;
@@ -9,8 +13,10 @@
 The corollary every call site must honor: received payloads are read-only.
 Mutating one in place corrupts sender state under the in-process engine
 only — a silent cross-backend divergence.  ``ReadOnlyBackend`` turns such a
-mutation into a hard ``ValueError`` and a short simulation matrix sweeps
-the redistribution call sites under it, staged algorithm engines included.
+mutation into a hard ``ValueError`` — on the delivered columns of a
+descriptor too, which is the form every redistribution of the repo takes —
+and a short simulation matrix sweeps the redistribution call sites under
+it, staged algorithm engines included.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from repro.backend.inprocess import InProcessBackend
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi import Machine
-from repro.simmpi.collectives import allgatherv, alltoallv
+from repro.simmpi.collectives import Exchange, allgatherv, alltoallv
 from repro.simmpi.p2p import send_round
 
 
@@ -59,8 +65,8 @@ class TestInProcessAliasing:
         assert delivered is payload
 
     def test_staged_engine_final_recv_references_shipped_columns(self):
-        # pairwise ships each payload exactly once: reference delivery
-        # survives the staged round
+        # a staged engine charges rounds, the one delivery after them is the
+        # direct path's: by reference
         machine = Machine(2)
         machine.set_collective_algos("alltoallv=pairwise")
         block = np.arange(5.0)
@@ -84,15 +90,43 @@ class TestInProcessAliasing:
         assert not allgatherv(Machine(1), [np.arange(3.0)], "sort")[0].flags.writeable
 
     @pytest.mark.parametrize("algo", ["ring", "recursive-doubling"])
-    def test_staged_allgatherv_keeps_per_rank_results(self, algo):
+    def test_staged_allgather_shared(self, algo):
+        """A staged engine charges rounds and moves no data: the result is
+        the direct path's, one read-only array for everyone."""
         machine = Machine(4)
         machine.set_collective_algos(f"allgatherv={algo}")
         parts = [np.full(r + 1, float(r)) for r in range(4)]
         out = allgatherv(machine, parts, "sort")
         direct = allgatherv(Machine(4), parts, "sort")[0]
-        assert len({id(o) for o in out}) == 4
-        for o in out:
-            assert o.dtype == direct.dtype and o.tobytes() == direct.tobytes()
+        assert all(o is out[0] for o in out) and not out[0].flags.writeable
+        assert out[0].dtype == direct.dtype and out[0].tobytes() == direct.tobytes()
+
+
+def one_message_exchange():
+    columns = (np.arange(12.0).reshape(4, 3), np.arange(4))
+    table = Exchange(
+        columns, np.array([2, 0, 1]), np.array([0, 1]), np.array([1, 1]), np.array([0, 2, 3])
+    )
+    return columns, table
+
+
+@pytest.mark.parametrize("variant", ["direct", "bruck", "pairwise", "process", "bruck+process"])
+def test_exchange_buffers_are_fresh_everywhere(variant, request):
+    """A descriptor's delivered columns are the receiver's own on every path
+    (self-send rows included: rank 1 sends itself a row)."""
+    machine = Machine(2)
+    if "process" in variant:
+        machine.attach_backend(request.getfixturevalue("process_backend"))
+    if variant.split("+")[0] in ("bruck", "pairwise"):
+        machine.set_collective_algos(variant.split("+")[0])
+    columns, table = one_message_exchange()
+    delivered, offsets = alltoallv(machine, table, "sort")
+    np.testing.assert_array_equal(offsets, [0, 0, 3])
+    for got, sent in zip(delivered, columns):
+        np.testing.assert_array_equal(got, sent[[2, 0, 1]])
+        assert got.flags.writeable and not np.shares_memory(got, sent)
+        got[...] = 0  # the receiver's to write; the sender's rows stay put
+    np.testing.assert_array_equal(columns[1], np.arange(4))
 
 
 class TestProcessAliasing:
@@ -141,10 +175,14 @@ class ReadOnlyBackend(InProcessBackend):
     under reference delivery, silently divergent under a process backend —
     raises ``ValueError: assignment destination is read-only`` instead.
     Self-transfers keep the original writable object, matching the real
-    engines.
+    engines.  The delivered columns of an exchange descriptor are protected
+    whole (its self-send rows sit in the same buffers): no call site needs
+    to write into what it received.
     """
 
     name = "inprocess-readonly"
+    #: exchange descriptors delivered (the sweep must have gone through here)
+    descriptors = 0
 
     @staticmethod
     def _protect(payload):
@@ -162,6 +200,12 @@ class ReadOnlyBackend(InProcessBackend):
         return [view(a) for a in payload]
 
     def deliver(self, sends, nprocs):
+        if isinstance(sends, Exchange):
+            columns, recv_offsets = super().deliver(sends, nprocs)
+            for column in columns:
+                column.flags.writeable = False
+            self.descriptors += 1
+            return columns, recv_offsets
         protected = [
             {
                 dst: (p if dst == src else self._protect(p))
@@ -187,7 +231,8 @@ class ReadOnlyBackend(InProcessBackend):
 )
 def test_no_call_site_mutates_received_payloads(solver, method, algos):
     machine = Machine(4)
-    machine.attach_backend(ReadOnlyBackend())
+    backend = ReadOnlyBackend()
+    machine.attach_backend(backend)
     system = silica_melt_system(24, seed=0)
     config = SimulationConfig(
         solver=solver, method=method, seed=0, collective_algos=algos
@@ -197,3 +242,6 @@ def test_no_call_site_mutates_received_payloads(solver, method, algos):
         sim.run(2)
     finally:
         sim.fcs.destroy()
+    # the direct solver redistributes nothing; fmm's sorts, resorts and halo
+    # exchanges are all descriptors
+    assert (backend.descriptors > 0) == (solver == "fmm")

@@ -3,9 +3,11 @@
 An :class:`~repro.simmpi.collectives.Exchange` and the equivalent per-message
 send table must be one exchange to everything that observes it: the same
 clocks, trace rows, auditor state and received bytes — on the closed-form
-path (where the descriptor is delivered by one gather), under a staged
-algorithm and on the process backend (where it materializes per-message
-views and takes the ``list[dict]`` path).
+path, under a staged algorithm, on the process backend and on both at once.
+A descriptor stays a descriptor on every one of them: it is charged from its
+``(src, dst, nbytes)`` triples (closed form or staged rounds) and delivered
+by one gather, in-process or by the backend's workers; only the
+``list[dict]`` table still travels message by message.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from redistribution_oracles import observed
+from repro.backend import shm
 from repro.simmpi import Machine
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.collectives import Exchange, alltoallv, neighborhood_alltoallv
@@ -106,21 +109,20 @@ class TestMalformedDescriptor:
         fields.update(changes)
         return Exchange(**fields)
 
-    @pytest.mark.parametrize(
-        "changes, message",
-        [
-            (dict(msg_dst=np.array([1, 9])), "rank 2 sends to invalid rank 9"),
-            (dict(msg_src=np.array([0, 7])), "msg_src outside"),
-            (dict(msg_src=np.array([2, 0])), "sorted by"),
-            (dict(msg_src=np.array([0, 0]), msg_dst=np.array([1, 1])), "sorted by"),
-            (dict(row_ptr=np.array([0, 3])), "ragged"),
-            (dict(row_ptr=np.array([0, 3, 5])), "row_ptr"),
-            (dict(row_ptr=np.array([0, 5, 4])), "row_ptr"),
-            (dict(row_index=np.array([0, 1, 2, 6])), "outside the column buffers"),
-            (dict(columns=(np.arange(6.0), np.arange(5))), "differ in length"),
-            (dict(row_index=np.array([0.0, 1.0, 2.0, 3.0])), "int64"),
-        ],
-    )
+    MALFORMED = [
+        (dict(msg_dst=np.array([1, 9])), "rank 2 sends to invalid rank 9"),
+        (dict(msg_src=np.array([0, 7])), "msg_src outside"),
+        (dict(msg_src=np.array([2, 0])), "sorted by"),
+        (dict(msg_src=np.array([0, 0]), msg_dst=np.array([1, 1])), "sorted by"),
+        (dict(row_ptr=np.array([0, 3])), "ragged"),
+        (dict(row_ptr=np.array([0, 3, 5])), "row_ptr"),
+        (dict(row_ptr=np.array([0, 5, 4])), "row_ptr"),
+        (dict(row_index=np.array([0, 1, 2, 6])), "outside the column buffers"),
+        (dict(columns=(np.arange(6.0), np.arange(5))), "differ in length"),
+        (dict(row_index=np.array([0.0, 1.0, 2.0, 3.0])), "int64"),
+    ]
+
+    @pytest.mark.parametrize("changes, message", MALFORMED)
     def test_rejected_before_any_charge(self, changes, message):
         machine = Machine(4)
         auditor = enable_auditing(machine)
@@ -129,6 +131,42 @@ class TestMalformedDescriptor:
         assert not machine.clocks.any()
         assert machine.trace.items() == []
         assert auditor.ledger == {} and auditor.n_alltoall_calls == 0
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("changes, message", MALFORMED)
+    @pytest.mark.parametrize("variant", ["bruck", "pairwise", "process", "bruck+process"])
+    def test_rejected_before_any_transport(self, changes, message, variant, request, monkeypatch):
+        """...and before a round is planned or a byte is written to an arena:
+        staged, on ``process:2`` and on both.  (Passed on the parent, whose
+        bridge validated before it took the descriptor apart; pinned because
+        the transports now read the descriptor's arrays themselves.)"""
+        machine = Machine(4)
+        backend = None
+        if "process" in variant:
+            backend = request.getfixturevalue("process_backend")
+            machine.attach_backend(backend)
+        if variant.split("+")[0] != "process":
+            machine.set_collective_algos(variant.split("+")[0])
+        auditor = enable_auditing(machine)
+        arenas = []
+        create = shm.ShmArena.__init__
+
+        def counting_create(self, *args, **kwargs):
+            arenas.append(args)
+            create(self, *args, **kwargs)
+
+        monkeypatch.setattr(shm.ShmArena, "__init__", counting_create)
+        counters = dict(backend.counters) if backend is not None else None
+        with pytest.raises(ValueError, match=message):
+            alltoallv(machine, self.table(**changes), "x")
+        assert not machine.clocks.any()
+        assert machine.trace.items() == []
+        assert auditor.state_dict() == enable_auditing(Machine(4)).state_dict()
+        assert arenas == []
+        if backend is not None:
+            assert {k: v for k, v in backend.counters.items() if k != "backend.wait_ns"} == {
+                k: v for k, v in counters.items() if k != "backend.wait_ns"
+            }
 
     def test_well_formed_table_passes(self):
         machine = Machine(4)

@@ -35,6 +35,7 @@ from repro.core.plan import ResortPlan
 from repro.core.resort import apply_resort, initial_numbering, invert_indices
 from repro.core.restore import restore_results
 from repro.simmpi import Machine
+from repro.simmpi.collectives import Exchange
 from repro.sorting.merge_sort import merge_exchange_sort
 from repro.sorting.partition_sort import partition_sort
 
@@ -121,7 +122,8 @@ class MarkingBackend(InProcessBackend):
     """In-process delivery that stamps what it transports: every float array
     crossing ranks arrives as a copy filled with :data:`MARK` (keys and
     control messages are integers and arrive intact).  Self-transfers keep
-    the original object, like the real engines."""
+    the original object, like the real engines; of an exchange descriptor
+    the rows of every inter-rank message are stamped."""
 
     name = "inprocess-marking"
 
@@ -135,6 +137,17 @@ class MarkingBackend(InProcessBackend):
         return tuple(stamped(a) for a in payload)
 
     def deliver(self, sends, nprocs):
+        if isinstance(sends, Exchange):
+            columns, recv_offsets = super().deliver(sends, nprocs)
+            # the received rows are grouped by destination, then source
+            by_dst = np.argsort(sends.msg_dst, kind="stable")
+            crossed = np.repeat(
+                (sends.msg_src != sends.msg_dst)[by_dst], np.diff(sends.row_ptr)[by_dst]
+            )
+            for column in columns:
+                if column.dtype.kind == "f":
+                    column[crossed] = MARK
+            return columns, recv_offsets
         return super().deliver(
             [
                 {dst: (p if dst == src else self._mark(p)) for dst, p in targets.items()}

@@ -9,11 +9,16 @@ every shared-memory segment.
 
 from __future__ import annotations
 
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from repro.backend import BackendError, BackendWorkerError, shm
 from repro.backend.process import ProcessBackend
+from repro.simmpi import Machine
+from repro.simmpi.collectives import Exchange, alltoallv
 
 
 def _sends(nprocs=4):
@@ -66,6 +71,48 @@ def test_crash_mid_exchange_releases_arenas(watchdog):
         with pytest.raises(BackendWorkerError):
             watchdog(lambda: backend.deliver(_sends(), 4), timeout=90.0)
         assert shm.live_segments() == []
+    finally:
+        backend.close()
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("algos", [None, "bruck"])
+def test_worker_killed_while_an_exchange_is_in_flight(watchdog, algos):
+    """The worker dies with the job of a descriptor exchange already in its
+    pipe (``kill_worker`` alone returns only once the corpse is cold, and the
+    *send* fails): the coordinator is left collecting from a dead process.
+    One ``BackendWorkerError`` naming the ranks that went with it, no segment
+    left in ``/dev/shm``, the backend closed — staged rounds or not, since
+    the bytes travel once, after the rounds.  (The per-message transport of
+    the parent passed this too; it is here so the one transport keeps it.)"""
+    backend = ProcessBackend(workers=2, timeout=60.0)
+    send = backend._send
+
+    def dying_send(worker, msg, op, nprocs=None):
+        if worker == 1:
+            backend._conns[1].send(("exit", 3))  # read, and obeyed, before the job
+        send(worker, msg, op, nprocs)
+
+    backend._send = dying_send
+    machine = Machine(4)
+    machine.attach_backend(backend)
+    machine.set_collective_algos(algos)
+    ring = Exchange(
+        (np.arange(8.0),), np.arange(8), np.arange(4), (np.arange(4) + 1) % 4, np.arange(0, 9, 2)
+    )
+    try:
+        with pytest.raises(BackendWorkerError) as exc:
+            watchdog(lambda: alltoallv(machine, ring, "x"), timeout=90.0)
+        message = str(exc.value)
+        assert "worker 1" in message and "virtual ranks 1, 3" in message
+        assert "exitcode=3" in message and "the exchange cannot complete" in message
+        assert backend.closed
+        assert shm.live_segments() == []
+        assert glob.glob(f"/dev/shm/repro-shm-{os.getpid()}-*") == []
+        # one diagnosis: from here on the backend only says that it is closed
+        with pytest.raises(BackendError, match="closed") as again:
+            alltoallv(machine, ring, "x")
+        assert not isinstance(again.value, BackendWorkerError)
     finally:
         backend.close()
 

@@ -14,6 +14,13 @@ repeat on every run; host clocks are not involved.  The structure pins at
 the end keep it that way by construction: one composite-key sort, one place
 that builds an ``Exchange``, no ``for`` over the ranks in the step path's
 glue, one caller of ``ColumnBlock.concat`` (the entry normaliser).
+
+Before a round became three arrays the same held only on the bare path:
+staged (``bruck``) or hosted by the process backend, every exchange was taken
+apart into per-message payloads again — ``payload_nbytes`` once per message
+per round, one shared-memory encode and decode per message.  The pins at
+the end of the first half say what is true now: rounds, arenas and delivery
+calls per exchange do not depend on how many messages it has.
 """
 
 import ast
@@ -24,11 +31,13 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.backend import shm
+from repro.backend.process import ProcessBackend
 from repro.bench.harness import make_system
 from repro.core import fine_grained, resort
 from repro.core.handle import fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
-from repro.simmpi import collectives
+from repro.simmpi import collectives, p2p
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
 from repro.solvers.p2nfft.solver import GridSolver
@@ -64,7 +73,7 @@ def work(monkeypatch, rebind):
     return counts
 
 
-def _one_step(solver, nprocs):
+def _one_step(solver, nprocs, machine=None):
     """One method-B ``fcs_run`` from a random distribution (every rank
     sends to many others, so messages outnumber ranks by far)."""
     system = make_system(N, 1)
@@ -74,7 +83,7 @@ def _one_step(solver, nprocs):
         [system.q[owner == r] for r in range(nprocs)],
         capacity_factor=4.0,
     )
-    machine = Machine(nprocs)
+    machine = machine or Machine(nprocs)
     fcs = fcs_init(solver, machine, compute="skip")
     fcs.set_common(box=system.box, offset=system.offset, periodic=True)
     fcs.set_resort(True)
@@ -257,6 +266,72 @@ def test_fine_grained_has_no_loop_over_messages():
     assert names.count("alltoallv") == names.count("neighborhood_alltoallv") == 1
 
 
+# ------------------------------------------- staged and hosted: still arrays
+
+
+@pytest.mark.parametrize("variant", ["bruck", "process:2"])
+def test_staged_or_hosted_exchange_is_constant_in_messages(work, monkeypatch, rebind, variant):
+    """Method-B steps at P = 64, staged or on the process backend: the first
+    exchanges every pair (thousands of messages), the one after a small
+    displacement a few hundred — and either costs no ``payload_nbytes`` call,
+    at most ⌈log₂P⌉ round charges, one backend delivery and two arenas."""
+    P = 64
+    seen = []  # per delivered exchange: (messages, rounds charged, arenas created)
+    tally = {"rounds": 0, "arenas": 0, "deliveries": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            tally[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    rebind(p2p.charge_round, counting("rounds", p2p.charge_round))
+    monkeypatch.setattr(shm.ShmArena, "__init__", counting("arenas", shm.ShmArena.__init__))
+    monkeypatch.setattr(ProcessBackend, "deliver", counting("deliveries", ProcessBackend.deliver))
+    deliver = collectives._deliver
+
+    def watched(machine, sends):
+        assert isinstance(sends, collectives.Exchange)  # a descriptor stays a descriptor
+        seen.append((int((sends.msg_src != sends.msg_dst).sum()), tally["rounds"], tally["arenas"]))
+        tally["rounds"] = tally["arenas"] = 0
+        return deliver(machine, sends)
+
+    machine = Machine(P)
+    backend = None
+    if variant == "bruck":
+        machine.set_collective_algos("bruck")
+    else:
+        backend = ProcessBackend(workers=2)
+        machine.attach_backend(backend)
+    try:
+        _machine, fcs, particles = _one_step("p2nfft", P, machine)
+        monkeypatch.setattr(collectives, "_deliver", watched)
+        for name in work:
+            work[name] = 0
+        assert fcs.run(particles).changed
+        system = make_system(N, 1)
+        jitter = np.random.default_rng(2)
+        for r in range(P):  # a twentieth of a subdomain: neighbors only
+            step = jitter.normal(scale=0.0125 * system.box.min(), size=particles.pos[r].shape)
+            particles.pos[r][:] = (particles.pos[r] - system.offset + step) % system.box + system.offset
+        assert fcs.run(particles).changed
+    finally:
+        if backend is not None:
+            backend.close()
+    sizes = [messages for messages, _rounds, _arenas in seen]
+    assert min(sizes) < 500 and max(sizes) > 4000, sizes
+    assert work["payload_nbytes"] == 0
+    if variant == "bruck":
+        # rounds were charged before the delivery that follows them
+        assert all(1 <= rounds <= 6 for _m, rounds, _a in seen), seen
+        assert tally["deliveries"] == 0
+    else:
+        assert tally["deliveries"] == len(seen)
+        # the arenas of a delivery are counted at the next one
+        assert [arenas for _m, _r, arenas in seen[1:]] == [2] * (len(seen) - 1), seen
+        assert tally["arenas"] == 2
+
+
 # -------------------------------------------------------- one engine, pinned
 
 SRC = pathlib.Path(fine_grained.__file__).resolve().parents[1]
@@ -379,6 +454,18 @@ def test_step_glue_has_no_loop_over_ranks():
     for module, names in loop_free.items():
         found = {fn.name: _iterated(fn) for fn in _functions(SRC / module) if fn.name in names}
         assert found == dict.fromkeys(names, set()), module
+
+
+def test_verify_sorted_is_one_array_round():
+    """The merge sort's boundary check built P − 1 one-key arrays and walked
+    the received lists rank by rank; it is one ``charge_round`` over the
+    non-empty neighbors, one comparison and the ``allreduce`` of the flags —
+    no loop over ranks, no payload object."""
+    (fn,) = [f for f in _functions(SRC / "sorting/merge_sort.py") if f.name == "_verify_sorted"]
+    assert _iterated(fn) == set()
+    calls = _calls(fn)
+    assert calls.count("charge_round") == calls.count("allreduce") == 1
+    assert "send_round" not in calls and "asarray" not in calls
 
 
 def test_concat_is_the_entry_normaliser_only():

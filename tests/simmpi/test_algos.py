@@ -21,6 +21,7 @@ from repro.simmpi.collectives import (
     alltoallv,
     bcast,
     gatherv,
+    message_triples,
     scatterv,
 )
 from repro.verify.audit import enable_auditing
@@ -301,8 +302,8 @@ def test_auto_prefers_bruck_small_and_avoids_it_large():
     large = [
         {j: np.zeros(8192) for j in range(32) if j != i} for i in range(32)
     ]
-    assert resolve(machine, "alltoallv", "auto", sends=small) == "bruck"
-    assert resolve(machine, "alltoallv", "auto", sends=large) != "bruck"
+    assert resolve(machine, "alltoallv", "auto", triples=message_triples(small)) == "bruck"
+    assert resolve(machine, "alltoallv", "auto", triples=message_triples(large)) != "bruck"
 
 
 def test_auto_records_direct_choice_without_algo_ledger():
@@ -312,7 +313,7 @@ def test_auto_records_direct_choice_without_algo_ledger():
     machine.set_collective_algos("alltoallv=auto")
     auditor = enable_auditing(machine)
     big = [{j: np.zeros(65536) for j in range(8) if j != i} for i in range(8)]
-    resolved = resolve(machine, "alltoallv", "auto", sends=big)
+    resolved = resolve(machine, "alltoallv", "auto", triples=message_triples(big))
     alltoallv(machine, big, "sort")
     assert auditor.algo_counts == {f"alltoallv/{resolved}": 1}
     if resolved == "direct":

@@ -42,6 +42,11 @@ FORBIDDEN = [
     # send/recv matching, no fold of the spans back into the trace
     (r"post_send|complete_recv|assert_quiescent|pending_sends\(|phase_sums"
      r"|comm-quiescent|span-accounting", EVERYWHERE, ()),
+    # a round is three arrays: no Exchange is taken apart into per-message
+    # payloads again and no staged engine forwards payload columns (the old
+    # bodies: tests/round_oracles.py)
+    (r"\.as_sends\(|_payload_cols|_rebuild_payload|observe_send_round|observe_sendrecv",
+     ("src", "benchmarks", "examples"), ()),
 ]
 
 #: ``(module, attribute path)`` that must not resolve
@@ -84,6 +89,12 @@ REMOVED = [
     # nothing read an ``audit.*`` series
     ("repro.verify.audit", "export_metrics"),
     ("repro.obs.spans", "ObsRecorder.phase_sums"),
+    ("repro.simmpi.collectives", "Exchange.as_sends"),
+    ("repro.simmpi.collectives", "Exchange.collect"),
+    ("repro.simmpi.algos", "_payload_cols"),
+    ("repro.simmpi.algos", "_rebuild_payload"),
+    ("repro.verify.audit", "CommAuditor.observe_send_round"),
+    ("repro.verify.audit", "CommAuditor.observe_sendrecv"),
 ]
 
 
@@ -91,7 +102,8 @@ REMOVED = [
     "pattern, trees, allowed",
     FORBIDDEN,
     ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
-         "fuse-resort", "plan-twins", "in-tree-timers", "vacuous-checks"],
+         "fuse-resort", "plan-twins", "in-tree-timers", "vacuous-checks",
+         "per-message-bridge"],
 )
 def test_removed_name_is_not_spelled(pattern, trees, allowed):
     regex = re.compile(pattern)

@@ -92,8 +92,8 @@ class TestP2PMatching:
         """``strict=False`` reports every bad message, in table order,
         instead of stopping at the first."""
         auditor = CommAuditor(4, strict=False)
-        auditor.observe_send_round(
-            [(0, 9, np.zeros(1)), (1, 2, np.zeros(1)), (-1, 3, np.zeros(1))], "x"
+        auditor.observe_round(
+            np.array([0, 1, -1]), np.array([9, 2, 3]), np.array([8, 8, 8]), "x"
         )
         assert len(auditor.violations) == 2
         assert "0->9" in auditor.violations[0] and "-1->3" in auditor.violations[1]
