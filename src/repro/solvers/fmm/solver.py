@@ -45,7 +45,7 @@ from repro.core.resort import initial_numbering
 from repro.simmpi.collectives import allgather_scalars, allgatherv, allreduce
 from repro.simmpi.machine import Machine
 from repro.solvers.base import Solver
-from repro.solvers.fmm.tree import FMMTree
+from repro.solvers.fmm.tree import FMMTree, fmm_tree
 from repro.solvers.fmm.tuning import choose_depth, choose_order, plan_parameters
 from repro.sorting.merge_sort import merge_exchange_sort
 from repro.sorting.partition_sort import partition_sort
@@ -112,10 +112,13 @@ class FMMSolver(Solver):
     # -- tuning ----------------------------------------------------------------
 
     def tune(self, particles: ParticleSet, accuracy: float = 1e-3) -> None:
-        """Choose expansion order and tree depth, build the operators.
+        """Choose expansion order and tree depth, obtain the operators.
 
         Without overrides, the model-driven planner picks the (order,
         depth) pair meeting the accuracy at minimum predicted runtime [8].
+        The tree is shared with every solver tuned to the same parameters
+        (:func:`repro.solvers.fmm.tree.fmm_tree`); the modeled charge is
+        that of building it, hit or miss.
         """
         self.require_common()
         n = particles.total()
@@ -127,7 +130,7 @@ class FMMSolver(Solver):
             p = self._order_override or choose_order(accuracy)
             depth = self._depth_override or choose_depth(n, p, self.periodic)
             self.last_plan = None
-        self.tree = FMMTree(
+        self.tree = fmm_tree(
             depth=depth,
             p=p,
             box=self.box,

@@ -39,9 +39,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.solvers.common.pairs import coulomb_pairs, ragged_cross, segment_starts
+from repro.solvers.common.tables import freeze_arrays, shared_tables, vector_key
 from repro.solvers.fmm.expansions import Expansion
 
-__all__ = ["FMMTree", "FarFieldStats", "leaf_index_of_positions", "OCTANTS"]
+__all__ = ["FMMTree", "FarFieldStats", "fmm_tree", "leaf_index_of_positions", "OCTANTS"]
 
 #: the 8 child-coordinate offsets within a parent box
 OCTANTS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int64)
@@ -99,8 +100,11 @@ class FarFieldStats:
 class FMMTree:
     """Geometry, operators and passes of a uniform FMM tree.
 
-    The tree is reusable across runs as long as ``depth``, ``p`` and the
-    box stay fixed (the tuning contract of ``fcs_tune``).
+    A pure function of its constructor arguments and immutable once built
+    (it copies ``box`` / ``offset`` and freezes every array it owns): the
+    tree is reusable across runs, and shareable between solvers, as long as
+    ``depth``, ``p`` and the box stay fixed (the tuning contract of
+    ``fcs_tune``).  Solvers obtain it from :func:`fmm_tree`.
     """
 
     def __init__(
@@ -119,8 +123,10 @@ class FMMTree:
             raise ValueError("FMM requires depth >= 2 (no far field otherwise)")
         self.depth = int(depth)
         self.p = int(p)
-        self.box = np.asarray(box, dtype=np.float64)
-        self.offset = np.asarray(offset, dtype=np.float64)
+        # copies: a later in-place change of the caller's box must not
+        # rescale tables built for this one
+        self.box = np.array(box, dtype=np.float64)
+        self.offset = np.array(offset, dtype=np.float64)
         self.periodic = bool(periodic)
         self.lattice_shells = int(lattice_shells)
         self.expansion = Expansion(p)
@@ -133,6 +139,8 @@ class FMMTree:
             self._build_m2l_ops()
             if self.periodic:
                 self._build_lattice_operator()
+            self._build_pass_schedule()
+        freeze_arrays(self)
 
     # -- geometry ----------------------------------------------------------------
 
@@ -226,8 +234,11 @@ class FMMTree:
         vec_keep = np.abs(vecs).max(axis=1) >= 2
         T_unique = np.zeros((vecs.shape[0], ncoef2))
         kept = np.flatnonzero(vec_keep)
-        for start in range(0, kept.shape[0], 8192):
-            sel = kept[start:start + 8192]
+        # in chunks: the recurrence's working set is several times its
+        # result, and every vector's tensors are independent of the chunking
+        chunk = 2048
+        for start in range(0, kept.shape[0], chunk):
+            sel = kept[start:start + chunk]
             T_unique[sel] = derivative_tensors(-vecs[sel].astype(np.float64) * w2, 2 * self.p)
 
         def vec_index(v: np.ndarray) -> np.ndarray:
@@ -242,6 +253,63 @@ class FMMTree:
         self._lattice_deltas = deltas
         self._lattice_K = K_lat
 
+    def _build_pass_schedule(self) -> None:
+        """The geometry of the tree passes, which depends on nothing but the
+        tree shape and the boundary condition.
+
+        ``_children[level]``: the ``(nboxes, 8)`` row-major indices of every
+        box's children at ``level + 1`` (M2M / L2L).  ``_m2l_schedule[level]``:
+        the ``(targets, sources, K.T)`` triples of the M2L pass in the order
+        it applies them; ``_m2l_ops[level]`` counts their target boxes.
+
+        Levels with interaction lists go octant by octant through the
+        displacements of the target parity; sources wrap around the box
+        (periodic) or are clipped to the grid (open).  Periodic level 2 is
+        the lattice operator: in-cell displacements of all boxes, no
+        wrapping (the images are inside the pre-summed kernels).
+        """
+        self._children: List[Optional[np.ndarray]] = [None, None]
+        self._m2l_schedule: List[Optional[list]] = [None, None]
+        self._m2l_ops: List[int] = [0, 0]
+        tables = _parity_tables()
+        for level in range(2, self.depth + 1):
+            nside = 1 << level
+            lin = np.arange(nside ** 3, dtype=np.int64)
+            coords = np.stack((lin // (nside * nside), (lin // nside) % nside, lin % nside), axis=1)
+            if level < self.depth:
+                cx, cy, cz = np.moveaxis(2 * coords[:, None, :] + OCTANTS[None, :, :], 2, 0)
+                self._children.append((cx * 2 * nside + cy) * 2 * nside + cz)
+            lattice = level == 2 and self.periodic
+            if lattice:
+                # (targets, displacements, kernel of each displacement)
+                groups = [(lin, self._lattice_deltas, self._lattice_K)]
+            else:
+                K = self._m2l_by_level[level]
+                groups = []
+                for octant in OCTANTS:
+                    displacements = tables[tuple(octant)]
+                    groups.append((
+                        np.flatnonzero((coords % 2 == octant).all(axis=1)),
+                        displacements,
+                        [K[self._disp_position[tuple(d)]] for d in displacements.tolist()],
+                    ))
+            steps = []
+            for targets, displacements, kernels in groups:
+                for d, Kd in zip(displacements, kernels):
+                    tgt, src = targets, coords[targets] + d
+                    if self.periodic and not lattice:
+                        src %= nside
+                    else:
+                        inside = ((src >= 0) & (src < nside)).all(axis=1)
+                        if not inside.any():
+                            continue
+                        tgt, src = targets[inside], src[inside]
+                    # the transposed *view*: a contiguous ``K.T`` takes another
+                    # BLAS path and moves the last bits of the products
+                    steps.append((tgt, (src[:, 0] * nside + src[:, 1]) * nside + src[:, 2], Kd.T))
+            self._m2l_schedule.append(steps)
+            self._m2l_ops.append(sum(tgt.shape[0] for tgt, _src, _Kt in steps))
+
     # -- tree passes -------------------------------------------------------------------
 
     def leaf_moments(self, pos: np.ndarray, q: np.ndarray, leaf_idx: np.ndarray) -> np.ndarray:
@@ -252,27 +320,12 @@ class FMMTree:
         np.add.at(M, leaf_idx, rows)
         return M
 
-    def _children_linear(self, level: int) -> np.ndarray:
-        """(nboxes_level, 8) linear child indices at ``level + 1``."""
-        nside = 1 << level
-        nchild = nside * 2
-        lin = np.arange(nside ** 3, dtype=np.int64)
-        cz = lin % nside
-        cy = (lin // nside) % nside
-        cx = lin // (nside * nside)
-        out = np.empty((nside ** 3, 8), dtype=np.int64)
-        for o, oct_ in enumerate(OCTANTS):
-            out[:, o] = (
-                (2 * cx + oct_[0]) * nchild + (2 * cy + oct_[1])
-            ) * nchild + (2 * cz + oct_[2])
-        return out
-
     def upward(self, M_leaf: np.ndarray, stats: FarFieldStats) -> List[Optional[np.ndarray]]:
         """M2M from leaves up to level 2; returns moments per level."""
         M: List[Optional[np.ndarray]] = [None] * (self.depth + 1)
         M[self.depth] = M_leaf
         for level in range(self.depth - 1, 1, -1):
-            children = self._children_linear(level)
+            children = self._children[level]
             Ml = np.zeros(((1 << level) ** 3, self.ncoef))
             for o in range(8):
                 Ml += M[level + 1][children[:, o]] @ self._m2m[level][o].T
@@ -281,76 +334,22 @@ class FMMTree:
         return M
 
     def interactions(self, M: List[Optional[np.ndarray]], stats: FarFieldStats) -> List[Optional[np.ndarray]]:
-        """M2L at every level; returns local coefficients per level."""
+        """M2L at every level; returns local coefficients per level: the
+        products of :meth:`_build_pass_schedule`, in its order."""
         L: List[Optional[np.ndarray]] = [None] * (self.depth + 1)
         for level in range(2, self.depth + 1):
-            nside = 1 << level
-            nboxes = nside ** 3
-            Ll = np.zeros((nboxes, self.ncoef))
+            Ll = np.zeros(((1 << level) ** 3, self.ncoef))
             Ml = M[level]
-            if level == 2 and self.periodic:
-                # lattice operator: in-cell displacements, no wrapping (the
-                # images are inside the pre-summed kernels)
-                lin = np.arange(nboxes, dtype=np.int64)
-                cz = lin % nside
-                cy = (lin // nside) % nside
-                cx = lin // (nside * nside)
-                for di, delta in enumerate(self._lattice_deltas):
-                    sx = cx + delta[0]
-                    sy = cy + delta[1]
-                    sz = cz + delta[2]
-                    inside = (
-                        (sx >= 0) & (sx < nside)
-                        & (sy >= 0) & (sy < nside)
-                        & (sz >= 0) & (sz < nside)
-                    )
-                    if not inside.any():
-                        continue
-                    src = (sx[inside] * nside + sy[inside]) * nside + sz[inside]
-                    Ll[inside] += Ml[src] @ self._lattice_K[di].T
-                    stats.m2l_ops += int(inside.sum())
-                L[level] = Ll
-                continue
-            K = self._m2l_by_level[level]
-            lin = np.arange(nboxes, dtype=np.int64)
-            cz = lin % nside
-            cy = (lin // nside) % nside
-            cx = lin // (nside * nside)
-            parity_key = ((cx % 2) * 2 + (cy % 2)) * 2 + (cz % 2)
-            tables = _parity_tables()
-            for o, oct_ in enumerate(OCTANTS):
-                targets = np.flatnonzero(parity_key == ((oct_[0] * 2 + oct_[1]) * 2 + oct_[2]))
-                if targets.size == 0:
-                    continue
-                tx, ty, tz = cx[targets], cy[targets], cz[targets]
-                for d in tables[tuple(oct_)]:
-                    sx, sy, sz = tx + d[0], ty + d[1], tz + d[2]
-                    if self.periodic:
-                        sx, sy, sz = sx % nside, sy % nside, sz % nside
-                        sel = slice(None)
-                        tgt = targets
-                    else:
-                        inside = (
-                            (sx >= 0) & (sx < nside)
-                            & (sy >= 0) & (sy < nside)
-                            & (sz >= 0) & (sz < nside)
-                        )
-                        if not inside.any():
-                            continue
-                        sel = inside
-                        tgt = targets[inside]
-                        sx, sy, sz = sx[sel], sy[sel], sz[sel]
-                    src = (sx * nside + sy) * nside + sz
-                    Kd = K[self._disp_position[tuple(d)]]
-                    Ll[tgt] += Ml[src] @ Kd.T
-                    stats.m2l_ops += tgt.shape[0]
+            for tgt, src, Kt in self._m2l_schedule[level]:
+                Ll[tgt] += Ml[src] @ Kt
+            stats.m2l_ops += self._m2l_ops[level]
             L[level] = Ll
         return L
 
     def downward(self, L: List[Optional[np.ndarray]], stats: FarFieldStats) -> np.ndarray:
         """L2L from level 2 down; returns the leaf local coefficients."""
         for level in range(2, self.depth):
-            children = self._children_linear(level)
+            children = self._children[level]
             for o in range(8):
                 L[level + 1][children[:, o]] += L[level] @ self._l2l[level][o].T
             stats.l2l_ops += L[level].shape[0] * 8
@@ -480,3 +479,27 @@ class FMMTree:
         pot = (pot_far + pot_near)[inv]
         field = (field_far + field_near)[inv]
         return pot, field, stats
+
+
+#: one tree: a tree is the large table (tens of MB, and its lattice build
+#: peaks at four times that), and one keeps 94 % of the hits an unbounded
+#: cache gets on the tier-1 suite (docs/performance.md, PR 24)
+@shared_tables(
+    maxsize=1,
+    key=lambda depth, p, box, offset, periodic, lattice_shells, build_operators: (
+        int(depth), int(p), vector_key(box), vector_key(offset), bool(periodic),
+        int(lattice_shells), bool(build_operators),
+    ),
+)
+def fmm_tree(
+    depth: int,
+    p: int,
+    box: np.ndarray,
+    offset: np.ndarray,
+    periodic: bool,
+    lattice_shells: int,
+    build_operators: bool,
+) -> FMMTree:
+    """The shared, immutable :class:`FMMTree` of these tune parameters
+    (:mod:`repro.solvers.common.tables`); a miss is the cold build."""
+    return FMMTree(depth, p, box, offset, periodic, lattice_shells, build_operators)

@@ -25,7 +25,9 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["MeshSolver", "cic_fractions"]
+from repro.solvers.common.tables import freeze_arrays, shared_tables, vector_key
+
+__all__ = ["MeshSolver", "cic_fractions", "mesh_solver"]
 
 
 def cic_fractions(pos: np.ndarray, offset: np.ndarray, h: np.ndarray, M: int):
@@ -43,7 +45,11 @@ def cic_fractions(pos: np.ndarray, offset: np.ndarray, h: np.ndarray, M: int):
 
 
 class MeshSolver:
-    """Reusable FFT mesh for a fixed box / mesh size / splitting parameter."""
+    """Reusable FFT mesh for a fixed box / mesh size / splitting parameter.
+
+    A pure function of its constructor arguments and immutable once built
+    (it copies ``box`` / ``offset`` and freezes every array it owns), so
+    solvers tuned to the same parameters share one: :func:`mesh_solver`."""
 
     def __init__(
         self,
@@ -55,12 +61,15 @@ class MeshSolver:
         if M < 4:
             raise ValueError(f"mesh size must be >= 4, got {M}")
         self.M = int(M)
-        self.box = np.asarray(box, dtype=np.float64)
-        self.offset = np.asarray(offset, dtype=np.float64)
+        # copies: a later in-place change of the caller's box must not
+        # rescale ``h`` under an influence function built for this one
+        self.box = np.array(box, dtype=np.float64)
+        self.offset = np.array(offset, dtype=np.float64)
         self.alpha = float(alpha)
         self.h = self.box / self.M
         self.volume = float(np.prod(self.box))
         self._build_influence()
+        freeze_arrays(self)
 
     #: alias terms per dimension in the optimal influence function
     _ALIAS = 2
@@ -301,3 +310,18 @@ class MeshSolver:
     def background(self, total_charge: float) -> float:
         """Uniform neutralizing-background potential for non-neutral systems."""
         return -math.pi / (self.alpha ** 2 * self.volume) * total_charge
+
+
+#: two meshes (a quarter MB each at M = 32): the smallest size that keeps
+#: 90 % of the hits an unbounded cache gets on the tier-1 suite
+#: (docs/performance.md, PR 24)
+@shared_tables(
+    maxsize=2,
+    key=lambda M, box, offset, alpha: (
+        int(M), vector_key(box), vector_key(offset), float(alpha), MeshSolver._ALIAS
+    ),
+)
+def mesh_solver(M: int, box: np.ndarray, offset: np.ndarray, alpha: float) -> MeshSolver:
+    """The shared, immutable :class:`MeshSolver` of these tune parameters
+    (:mod:`repro.solvers.common.tables`); a miss is the cold build."""
+    return MeshSolver(M, box, offset, alpha)

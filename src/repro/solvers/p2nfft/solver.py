@@ -41,7 +41,7 @@ from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
 from repro.solvers.base import Solver
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
-from repro.solvers.p2nfft.mesh import MeshSolver
+from repro.solvers.p2nfft.mesh import MeshSolver, mesh_solver
 from repro.solvers.p2nfft.tuning import (
     optimize_cutoff,
     suggest_cutoff,
@@ -359,7 +359,11 @@ class P2NFFTSolver(GridSolver):
     # -- tuning ------------------------------------------------------------------
 
     def tune(self, particles: ParticleSet, accuracy: float = 1e-3) -> None:
-        """Choose splitting parameter and mesh size; build grid and cells."""
+        """Choose splitting parameter and mesh size; build grid and cells.
+
+        The mesh tables are shared with every solver tuned to the same
+        parameters (:func:`repro.solvers.p2nfft.mesh.mesh_solver`); the
+        modeled charge is that of building them, hit or miss."""
         self.require_common()
         n = particles.total()
         if self._cutoff_override is not None:
@@ -377,7 +381,7 @@ class P2NFFTSolver(GridSolver):
             M = int(self._mesh_override)
         self.mesh_size = M
         if self.compute_mode == "full":
-            self.mesh = MeshSolver(M, self.box, self.offset, alpha)
+            self.mesh = mesh_solver(M, self.box, self.offset, alpha)
         self._tune_grid(alpha)
         self.machine.compute(kernels.FFT_POINT_STAGE * float(M) ** 3, phase="tune")
 

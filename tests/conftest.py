@@ -24,6 +24,7 @@ from repro.solvers.base import Solver
 from repro.solvers.common.pairs import ragged_cross
 from repro.solvers.fmm.expansions import derivative_tensors
 from repro.solvers.fmm.solver import FMMSolver
+from repro.solvers.fmm.tree import fmm_tree
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 from repro.sorting.merge_sort import local_sort
 from repro.sorting.partition_sort import (
@@ -117,13 +118,17 @@ def counted():
 def oracle_kernels(rebind, monkeypatch, counted):
     """Swap the five vectorized kernels for their scalar oracles
     (``tests/kernel_oracles.py``) for the rest of the test; returns the set
-    of oracle names called so far."""
+    of oracle names called so far.  ``derivative_tensors`` runs only while
+    an FMM tree is built, so the run starts without shared trees, and the
+    trees the oracle built do not outlive it."""
+    fmm_tree.cache_clear()
     for kernel in (ragged_cross, derivative_tensors, partition_destinations, split_by_destination):
         rebind(kernel, counted(getattr(kernel_oracles, kernel.__name__)))
     monkeypatch.setattr(
         LinkedCellNearField, "candidate_pairs", counted(kernel_oracles.candidate_pairs)
     )
-    return counted.called
+    yield counted.called
+    fmm_tree.cache_clear()
 
 
 #: what the ``oracle_store`` fixture swaps in, by name (``counted.called``)

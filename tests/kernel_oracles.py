@@ -1,4 +1,4 @@
-"""The scalar bodies five vectorized kernels had first, kept as test oracles.
+"""The bodies eight production kernels had first, kept as test oracles.
 
 ``ragged_cross`` (per-pair ``divmod`` against the segment table),
 ``candidate_pairs`` (one ``searchsorted`` pair and one cross product per
@@ -12,11 +12,20 @@ named after the kernel they stand for.  The property tests in
 them bit for bit, and the ``oracle_kernels`` fixture of ``tests/conftest.py``
 swaps them in for whole golden trajectories.  Nothing under ``src/`` imports
 this module.
+
+The FMM tree passes ``upward`` / ``interactions`` / ``downward`` are the
+bodies ``FMMTree`` had before the far-field schedule became part of its
+tune-time tables: they derive the pass geometry (children, interaction
+lists, wrapping or clipping) from the level arrays on every call, with
+their own copies of the geometry helpers, and read only the tree's operator
+matrices.  ``tests/solvers/test_tune_tables.py`` holds the scheduled passes
+to them bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import itertools
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -165,3 +174,135 @@ def split_by_destination(block: ColumnBlock, d: np.ndarray) -> Dict[int, ColumnB
     for dst in targets:
         out[int(dst)] = block.take(np.flatnonzero(d == dst))
     return out
+
+
+# ------------------------------------------------------- FMM tree passes
+
+_OCTANTS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int64)
+
+
+def _allowed_displacements(parity: Tuple[int, int, int]) -> np.ndarray:
+    """Interaction-list displacements (source - target) for a target parity."""
+    ranges = [range(-2, 4) if p == 0 else range(-3, 3) for p in parity]
+    out = [
+        d
+        for d in itertools.product(*ranges)
+        if max(abs(c) for c in d) >= 2
+    ]
+    return np.asarray(out, dtype=np.int64)
+
+
+def _parity_tables() -> Dict[Tuple[int, int, int], np.ndarray]:
+    return {tuple(p): _allowed_displacements(tuple(p)) for p in _OCTANTS.tolist()}
+
+
+def _children_linear(level: int) -> np.ndarray:
+    """(nboxes_level, 8) linear child indices at ``level + 1``."""
+    nside = 1 << level
+    nchild = nside * 2
+    lin = np.arange(nside ** 3, dtype=np.int64)
+    cz = lin % nside
+    cy = (lin // nside) % nside
+    cx = lin // (nside * nside)
+    out = np.empty((nside ** 3, 8), dtype=np.int64)
+    for o, oct_ in enumerate(_OCTANTS):
+        out[:, o] = (
+            (2 * cx + oct_[0]) * nchild + (2 * cy + oct_[1])
+        ) * nchild + (2 * cz + oct_[2])
+    return out
+
+
+def upward(self, M_leaf: np.ndarray, stats) -> List[Optional[np.ndarray]]:
+    """Oracle of ``FMMTree.upward``: children derived per call (the
+    original implementation)."""
+    M: List[Optional[np.ndarray]] = [None] * (self.depth + 1)
+    M[self.depth] = M_leaf
+    for level in range(self.depth - 1, 1, -1):
+        children = _children_linear(level)
+        Ml = np.zeros(((1 << level) ** 3, self.ncoef))
+        for o in range(8):
+            Ml += M[level + 1][children[:, o]] @ self._m2m[level][o].T
+        M[level] = Ml
+        stats.m2m_ops += Ml.shape[0] * 8
+    return M
+
+
+def interactions(self, M: List[Optional[np.ndarray]], stats) -> List[Optional[np.ndarray]]:
+    """Oracle of ``FMMTree.interactions``: interaction lists, wrapping and
+    clipping derived from the dense level arrays per call (the original
+    implementation)."""
+    L: List[Optional[np.ndarray]] = [None] * (self.depth + 1)
+    for level in range(2, self.depth + 1):
+        nside = 1 << level
+        nboxes = nside ** 3
+        Ll = np.zeros((nboxes, self.ncoef))
+        Ml = M[level]
+        if level == 2 and self.periodic:
+            # lattice operator: in-cell displacements, no wrapping (the
+            # images are inside the pre-summed kernels)
+            lin = np.arange(nboxes, dtype=np.int64)
+            cz = lin % nside
+            cy = (lin // nside) % nside
+            cx = lin // (nside * nside)
+            for di, delta in enumerate(self._lattice_deltas):
+                sx = cx + delta[0]
+                sy = cy + delta[1]
+                sz = cz + delta[2]
+                inside = (
+                    (sx >= 0) & (sx < nside)
+                    & (sy >= 0) & (sy < nside)
+                    & (sz >= 0) & (sz < nside)
+                )
+                if not inside.any():
+                    continue
+                src = (sx[inside] * nside + sy[inside]) * nside + sz[inside]
+                Ll[inside] += Ml[src] @ self._lattice_K[di].T
+                stats.m2l_ops += int(inside.sum())
+            L[level] = Ll
+            continue
+        K = self._m2l_by_level[level]
+        lin = np.arange(nboxes, dtype=np.int64)
+        cz = lin % nside
+        cy = (lin // nside) % nside
+        cx = lin // (nside * nside)
+        parity_key = ((cx % 2) * 2 + (cy % 2)) * 2 + (cz % 2)
+        tables = _parity_tables()
+        for o, oct_ in enumerate(_OCTANTS):
+            targets = np.flatnonzero(parity_key == ((oct_[0] * 2 + oct_[1]) * 2 + oct_[2]))
+            if targets.size == 0:
+                continue
+            tx, ty, tz = cx[targets], cy[targets], cz[targets]
+            for d in tables[tuple(oct_)]:
+                sx, sy, sz = tx + d[0], ty + d[1], tz + d[2]
+                if self.periodic:
+                    sx, sy, sz = sx % nside, sy % nside, sz % nside
+                    sel = slice(None)
+                    tgt = targets
+                else:
+                    inside = (
+                        (sx >= 0) & (sx < nside)
+                        & (sy >= 0) & (sy < nside)
+                        & (sz >= 0) & (sz < nside)
+                    )
+                    if not inside.any():
+                        continue
+                    sel = inside
+                    tgt = targets[inside]
+                    sx, sy, sz = sx[sel], sy[sel], sz[sel]
+                src = (sx * nside + sy) * nside + sz
+                Kd = K[self._disp_position[tuple(d)]]
+                Ll[tgt] += Ml[src] @ Kd.T
+                stats.m2l_ops += tgt.shape[0]
+        L[level] = Ll
+    return L
+
+
+def downward(self, L: List[Optional[np.ndarray]], stats) -> np.ndarray:
+    """Oracle of ``FMMTree.downward``: children derived per call (the
+    original implementation)."""
+    for level in range(2, self.depth):
+        children = _children_linear(level)
+        for o in range(8):
+            L[level + 1][children[:, o]] += L[level] @ self._l2l[level][o].T
+        stats.l2l_ops += L[level].shape[0] * 8
+    return L[self.depth]
