@@ -254,13 +254,17 @@ class FMMTree:
         self._lattice_K = K_lat
 
     def _build_pass_schedule(self) -> None:
-        """The geometry of the tree passes, which depends on nothing but the
+        """The geometry of the M2L pass, which depends on nothing but the
         tree shape and the boundary condition.
 
-        ``_children[level]``: the ``(nboxes, 8)`` row-major indices of every
-        box's children at ``level + 1`` (M2M / L2L).  ``_m2l_schedule[level]``:
-        the ``(targets, sources, K.T)`` triples of the M2L pass in the order
-        it applies them; ``_m2l_ops[level]`` counts their target boxes.
+        ``_m2l_schedule[level]``: the ``(targets, sources, K.T)`` triples of
+        the pass in the order it applies them, both sides addressing the
+        level's ``(nside, nside, nside)`` box grid: ``targets`` is one slice
+        per axis, ``sources`` the open mesh (``np.ix_``) of the boxes at the
+        kernel's displacement from them.  A box set that is a product of
+        per-axis sets costs three vectors of at most ``nside`` entries, so a
+        level's schedule is ``O(nside)`` bytes per step, not ``O(nside**3)``.
+        ``_m2l_ops[level]`` counts the target boxes of the level's steps.
 
         Levels with interaction lists go octant by octant through the
         displacements of the target parity; sources wrap around the box
@@ -268,47 +272,63 @@ class FMMTree:
         the lattice operator: in-cell displacements of all boxes, no
         wrapping (the images are inside the pre-summed kernels).
         """
-        self._children: List[Optional[np.ndarray]] = [None, None]
         self._m2l_schedule: List[Optional[list]] = [None, None]
         self._m2l_ops: List[int] = [0, 0]
         tables = _parity_tables()
         for level in range(2, self.depth + 1):
             nside = 1 << level
-            lin = np.arange(nside ** 3, dtype=np.int64)
-            coords = np.stack((lin // (nside * nside), (lin // nside) % nside, lin % nside), axis=1)
-            if level < self.depth:
-                cx, cy, cz = np.moveaxis(2 * coords[:, None, :] + OCTANTS[None, :, :], 2, 0)
-                self._children.append((cx * 2 * nside + cy) * 2 * nside + cz)
             lattice = level == 2 and self.periodic
+            wrap = self.periodic and not lattice
             if lattice:
-                # (targets, displacements, kernel of each displacement)
-                groups = [(lin, self._lattice_deltas, self._lattice_K)]
+                # (first target per axis, displacements, kernel of each)
+                stride = 1
+                groups = [((0, 0, 0), self._lattice_deltas, self._lattice_K)]
             else:
+                stride = 2
                 K = self._m2l_by_level[level]
-                groups = []
-                for octant in OCTANTS:
-                    displacements = tables[tuple(octant)]
-                    groups.append((
-                        np.flatnonzero((coords % 2 == octant).all(axis=1)),
-                        displacements,
-                        [K[self._disp_position[tuple(d)]] for d in displacements.tolist()],
-                    ))
+                groups = [
+                    (
+                        octant, tables[octant],
+                        [K[self._disp_position[tuple(d)]] for d in tables[octant].tolist()],
+                    )
+                    for octant in map(tuple, OCTANTS.tolist())
+                ]
+            # the steps of a level share their per-axis vectors
+            along: Dict[Tuple[int, int, int], Optional[Tuple[slice, np.ndarray]]] = {}
+            for axis, first, d in itertools.product(range(3), range(stride), range(-3, 4)):
+                t = np.arange(first, nside, stride)
+                s = t + d
+                if wrap:
+                    s %= nside
+                else:
+                    inside = (s >= 0) & (s < nside)
+                    t, s = t[inside], s[inside]
+                # the targets with a source inside the grid, and those sources
+                # as their axis of an open mesh (``np.ix_``)
+                along[axis, first, d] = (
+                    (slice(int(t[0]), int(t[-1]) + 1, stride), np.ix_(s, s, s)[axis])
+                    if t.size else None
+                )
             steps = []
-            for targets, displacements, kernels in groups:
-                for d, Kd in zip(displacements, kernels):
-                    tgt, src = targets, coords[targets] + d
-                    if self.periodic and not lattice:
-                        src %= nside
-                    else:
-                        inside = ((src >= 0) & (src < nside)).all(axis=1)
-                        if not inside.any():
-                            continue
-                        tgt, src = targets[inside], src[inside]
+            ops = 0
+            for first, displacements, kernels in groups:
+                for d, Kd in zip(np.asarray(displacements).tolist(), kernels):
+                    axes = [along[axis, first[axis], d[axis]] for axis in range(3)]
+                    if None in axes:  # no target has this source inside the grid
+                        continue
+                    tgt, src = zip(*axes)
                     # the transposed *view*: a contiguous ``K.T`` takes another
                     # BLAS path and moves the last bits of the products
-                    steps.append((tgt, (src[:, 0] * nside + src[:, 1]) * nside + src[:, 2], Kd.T))
+                    steps.append((tgt, src, Kd.T))
+                    ops += src[0].size * src[1].size * src[2].size
             self._m2l_schedule.append(steps)
-            self._m2l_ops.append(sum(tgt.shape[0] for tgt, _src, _Kt in steps))
+            self._m2l_ops.append(ops)
+
+    def _grid(self, level: int, coefficients: np.ndarray) -> np.ndarray:
+        """A level's dense ``(nboxes, ncoef)`` array as the view
+        ``(nside, nside, nside, ncoef)`` over its row-major box grid."""
+        nside = 1 << level
+        return coefficients.reshape(nside, nside, nside, self.ncoef)
 
     # -- tree passes -------------------------------------------------------------------
 
@@ -325,10 +345,12 @@ class FMMTree:
         M: List[Optional[np.ndarray]] = [None] * (self.depth + 1)
         M[self.depth] = M_leaf
         for level in range(self.depth - 1, 1, -1):
-            children = self._children[level]
+            finer = self._grid(level + 1, M[level + 1])
             Ml = np.zeros(((1 << level) ** 3, self.ncoef))
-            for o in range(8):
-                Ml += M[level + 1][children[:, o]] @ self._m2m[level][o].T
+            for o, (ox, oy, oz) in enumerate(OCTANTS):
+                # every box's child in octant o, in box order
+                children = finer[ox::2, oy::2, oz::2].reshape(-1, self.ncoef)
+                Ml += children @ self._m2m[level][o].T
             M[level] = Ml
             stats.m2m_ops += Ml.shape[0] * 8
         return M
@@ -339,19 +361,22 @@ class FMMTree:
         L: List[Optional[np.ndarray]] = [None] * (self.depth + 1)
         for level in range(2, self.depth + 1):
             Ll = np.zeros(((1 << level) ** 3, self.ncoef))
-            Ml = M[level]
+            targets, sources = self._grid(level, Ll), self._grid(level, M[level])
             for tgt, src, Kt in self._m2l_schedule[level]:
-                Ll[tgt] += Ml[src] @ Kt
+                block = targets[tgt]
+                block += (sources[src].reshape(-1, self.ncoef) @ Kt).reshape(block.shape)
             stats.m2l_ops += self._m2l_ops[level]
             L[level] = Ll
         return L
 
     def downward(self, L: List[Optional[np.ndarray]], stats: FarFieldStats) -> np.ndarray:
-        """L2L from level 2 down; returns the leaf local coefficients."""
+        """L2L from level 2 down, in place on the (contiguous) level arrays of
+        :meth:`interactions`; returns the leaf local coefficients."""
         for level in range(2, self.depth):
-            children = self._children[level]
-            for o in range(8):
-                L[level + 1][children[:, o]] += L[level] @ self._l2l[level][o].T
+            finer = self._grid(level + 1, L[level + 1])
+            for o, (ox, oy, oz) in enumerate(OCTANTS):
+                children = finer[ox::2, oy::2, oz::2]
+                children += (L[level] @ self._l2l[level][o].T).reshape(children.shape)
             stats.l2l_ops += L[level].shape[0] * 8
         return L[self.depth]
 
@@ -482,8 +507,9 @@ class FMMTree:
 
 
 #: one tree: a tree is the large table (tens of MB, and its lattice build
-#: peaks at four times that), and one keeps 94 % of the hits an unbounded
-#: cache gets on the tier-1 suite (docs/performance.md, PR 24)
+#: peaks at four times that), and every caller that tunes more than once in
+#: a process (``repro.verify``, ``repro.verify dst``, ``repro.ckpt verify``)
+#: re-tunes one parameter set (docs/performance.md, PR 24)
 @shared_tables(
     maxsize=1,
     key=lambda depth, p, box, offset, periodic, lattice_shells, build_operators: (

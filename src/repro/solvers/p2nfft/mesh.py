@@ -312,11 +312,11 @@ class MeshSolver:
         return -math.pi / (self.alpha ** 2 * self.volume) * total_charge
 
 
-#: two meshes (a quarter MB each at M = 32): the smallest size that keeps
-#: 90 % of the hits an unbounded cache gets on the tier-1 suite
-#: (docs/performance.md, PR 24)
+#: one mesh: every caller that tunes more than once in a process
+#: (``repro.verify``, ``repro.verify dst``, ``repro.ckpt verify``) re-tunes
+#: one parameter set (docs/performance.md, PR 24)
 @shared_tables(
-    maxsize=2,
+    maxsize=1,
     key=lambda M, box, offset, alpha: (
         int(M), vector_key(box), vector_key(offset), float(alpha), MeshSolver._ALIAS
     ),
