@@ -161,8 +161,10 @@ def distribute(
 
     order, cuts = rank_order(owner, nprocs)
     offsets = np.concatenate(([0], cuts, [n]))
+    # ``np.take`` copies (n, 3) rows several times faster than ``column[order]``
     pos, q, vel = (
-        RankMajor(column[order], offsets) for column in (system.pos, system.q, system.vel)
+        RankMajor(np.take(column, order, axis=0), offsets)
+        for column in (system.pos, system.q, system.vel)
     )
     # the "single" distribution needs capacity for the whole system on rank
     # 0 and for a balanced share everywhere else

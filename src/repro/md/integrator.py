@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import kernels
+from repro.core.geometry import squared_norms, wrap_into_box
 from repro.core.particles import RankMajor
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.machine import Machine
@@ -49,7 +50,8 @@ def position_update(
     """Leapfrog position update; returns new positions and the *global*
     maximum displacement (one allreduce, charged to the integrator phase).
 
-    Positions wrap into the periodic box when ``box`` is given.
+    Positions wrap into the periodic box when ``box`` is given (only those
+    that left it take ``np.mod``).
     """
     pos = RankMajor.of(pos)
     counts = pos.counts
@@ -62,13 +64,12 @@ def position_update(
     if box is not None:
         off = offset if offset is not None else np.zeros(3)
         xn -= off
-        np.mod(xn, box, out=xn)
+        wrap_into_box(xn, box)
         xn += off
     # per-rank maximum displacement: one reduction over each non-empty rank's rows
     local_max = np.zeros(machine.nprocs)
     filled = np.flatnonzero(counts)
-    np.multiply(step, step, out=step)
-    local_max[filled] = np.sqrt(np.maximum.reduceat(step.sum(axis=1), pos.offsets[filled]))
+    local_max[filled] = np.sqrt(np.maximum.reduceat(squared_norms(step), pos.offsets[filled]))
     machine.compute(kernels.INTEGRATION_STEP * counts, phase)
     max_move = float(allreduce(machine, local_max, op="max", phase=phase))
     return RankMajor(xn, pos.offsets), max_move

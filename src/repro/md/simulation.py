@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.balance import LOAD_BALANCE_MODES, ImbalanceMonitor
+from repro.core.geometry import squared_norms
 from repro.core.handle import FCS, fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor, column_view
 from repro.md.distributions import distribute, rank_order
@@ -656,9 +657,9 @@ class Simulation:
 
     def _random_directions(self, n: int) -> np.ndarray:
         v = self._rng.normal(size=(n, 3))
-        norm = np.linalg.norm(v, axis=1, keepdims=True)
+        norm = np.sqrt(squared_norms(v))
         norm[norm == 0] = 1.0
-        return v / norm
+        return v / norm[:, None]
 
     def _rotate_directions(self, vel: np.ndarray, speed: float) -> np.ndarray:
         """One pass over the velocities of all ranks; the jitter is one draw
@@ -669,9 +670,9 @@ class Simulation:
         v = self._rng.normal(size=vel.shape)
         v *= 0.3
         v += vel / max(speed, 1e-300)
-        norm = np.linalg.norm(v, axis=1, keepdims=True)
+        norm = np.sqrt(squared_norms(v))
         norm[norm == 0] = 1.0
-        v /= norm
+        v /= norm[:, None]
         v *= speed
         return v
 

@@ -116,16 +116,27 @@ class CartGrid:
     # -- geometry ------------------------------------------------------------
 
     def cell_of_positions(self, pos: np.ndarray) -> np.ndarray:
-        """Grid cell coordinates containing each position, shape ``(n, 3)``."""
-        rel = np.asarray(pos, dtype=np.float64) - self.offset
-        rel /= self.cell
-        cells = np.floor(rel, out=rel).astype(np.int64)
-        dims = np.asarray(self.dims, dtype=np.int64)
-        if self.periodic:
-            cells %= dims
-        else:
-            np.clip(cells, 0, dims - 1, out=cells)
-        return cells
+        """Grid cell coordinates containing each position, shape ``(n, 3)``.
+
+        Computed one axis at a time: the result is the transpose of a
+        ``(3, n)`` array, so ``cells[:, k]`` is a contiguous column.  Only the
+        cells outside the grid are wrapped (or clipped)."""
+        pos = np.asarray(pos, dtype=np.float64)
+        cells = np.empty((3, pos.shape[0]), dtype=np.int64)
+        for axis, dim in enumerate(self.dims):
+            rel = pos[:, axis] - self.offset[axis]
+            rel /= self.cell[axis]
+            column = cells[axis]
+            column[:] = np.floor(rel, out=rel)
+            # negative cells are huge as unsigned: one comparison finds both sides
+            outside = np.flatnonzero(column.view(np.uint64) >= dim)
+            if not outside.size:
+                continue
+            if self.periodic:
+                column[outside] %= dim
+            else:
+                column[outside] = np.clip(column[outside], 0, dim - 1)
+        return cells.T
 
     def rank_of_positions(self, pos: np.ndarray) -> np.ndarray:
         """Target rank for each particle position (the P2NFFT distribution

@@ -105,13 +105,24 @@ def pair_displacements(
     Positions come as ``(3, n)`` coordinate rows.  ``r2`` is summed
     ``(dx*dx + dy*dy) + dz*dz`` — the order ``(d*d).sum(axis=1)`` adds a row
     of an ``(npairs, 3)`` array in, which this never builds.
+
+    The image correction ``np.round(dx / L) * L`` is a zero of the sign of
+    ``dx`` for every ``|dx| <= L/2``, so only the other rows (periodic
+    neighbours, NaN, inf) compute it; subtracting that zero changes nothing
+    but ``-0.0``, which becomes ``+0.0`` — what adding ``0.0`` does.
     """
     d = []
     for axis in range(3):
         dx = tcols[axis].take(ti)
         dx -= scols[axis].take(si)
         if box is not None:
-            dx -= np.round(dx / box[axis]) * box[axis]
+            half = 0.5 * box[axis]
+            size = np.abs(dx)
+            if not size.max(initial=0.0) <= half:
+                far = np.flatnonzero(~(size <= half))
+                image = dx[far]
+                dx[far] = image - np.round(image / box[axis]) * box[axis]
+            dx += 0.0
         d.append(dx)
     return d[0] * d[0] + d[1] * d[1] + d[2] * d[2], d
 
@@ -126,8 +137,9 @@ def _pair_sums(
     ``radial(q, r2)`` returns each pair's potential contribution and the
     factor its displacement is scaled by for the field.  Only pairs with
     ``0 < r2 <= cutoff**2`` reach it: the list is walked in blocks of
-    :data:`_BLOCK` and nothing but the accepted rows outlives a block.
-    Contributions are added per target in pair order.
+    :data:`_BLOCK` and nothing but the accepted rows outlives a block — a
+    block that rejected nothing is kept as it is.  Contributions are added
+    per target in pair order.
     """
     n_targets = tpos.shape[0]
     # no copy for a caller whose (n, 3) array is already stored by columns
@@ -137,22 +149,28 @@ def _pair_sums(
     # an empty list still takes one (empty) block, so ``kept`` never is
     for start in range(0, max(ti.shape[0], 1), _BLOCK):
         stop = start + _BLOCK
-        r2, d = pair_displacements(tcols, scols, ti[start:stop], si[start:stop], box)
+        block_ti, block_si = ti[start:stop], si[start:stop]
+        r2, d = pair_displacements(tcols, scols, block_ti, block_si, box)
         mask = r2 > 0.0
         if cutoff is not None:
             mask &= r2 <= cutoff * cutoff
-        keep = np.flatnonzero(mask)
-        kept.append((keep + start, r2.take(keep), *(dx.take(keep) for dx in d)))
-    rows, r2, *d = (np.concatenate(column) for column in zip(*kept))
-    ti = ti.take(rows)
-    pot_c, field_s = radial(sq.take(si.take(rows)), r2)
+        block = (block_ti, block_si, r2, *d)
+        kept.append(block if mask.all() else _accepted(mask, block))
+    ti, si, r2, *d = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
+    pot_c, field_s = radial(sq.take(si), r2)
     # written into float arrays: bincount of nothing into no bins is integer
     pot = np.empty(n_targets, dtype=np.float64)
     pot[:] = np.bincount(ti, weights=pot_c, minlength=n_targets)
     field = np.empty((n_targets, 3), dtype=np.float64)
     for axis, dx in enumerate(d):
         field[:, axis] = np.bincount(ti, weights=dx * field_s, minlength=n_targets)
-    return pot, field, int(rows.shape[0])
+    return pot, field, int(ti.shape[0])
+
+
+def _accepted(mask: np.ndarray, columns) -> Tuple[np.ndarray, ...]:
+    """The rows of each column that ``mask`` accepts: a block's compaction."""
+    keep = np.flatnonzero(mask)
+    return tuple(column.take(keep) for column in columns)
 
 
 def _coulomb_radial(q: np.ndarray, r2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

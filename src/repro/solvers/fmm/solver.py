@@ -300,21 +300,31 @@ class FMMSolver(Solver):
         first = np.flatnonzero(new_box)
         last = np.append(first[1:], keys.shape[0])
         box_rank = rank[first]
-        # the (boxes, 26) table of neighbor box coordinates
+        # per axis, the (boxes, 26) table of neighbor box coordinates
         directions = np.asarray(
             [d for d in itertools.product((-1, 0, 1), repeat=3) if d != (0, 0, 0)],
             dtype=np.int64,
         )
-        coords = np.stack([c.astype(np.int64) for c in morton_decode3(keys[first])], axis=1)
-        nbr = coords[:, None, :] + directions[None, :, :]
+        nbr = [
+            c.astype(np.int64)[:, None] + directions[:, axis]
+            for axis, c in enumerate(morton_decode3(keys[first]))
+        ]
         if self.periodic:
-            nbr %= nside
-        inside = np.flatnonzero(((nbr >= 0) & (nbr < nside)).all(axis=2).ravel())
-        nbr = nbr.reshape(-1, 3)[inside]
+            for coord in nbr:
+                coord &= nside - 1  # ``% nside`` on a power of two
+            inside = slice(None)
+        else:
+            # negative coordinates are huge as unsigned
+            inside = np.flatnonzero(
+                (nbr[0].view(np.uint64) < nside)
+                & (nbr[1].view(np.uint64) < nside)
+                & (nbr[2].view(np.uint64) < nside)
+            )
         ki, owners = self._owners_of_keys(
-            morton_encode3(nbr[:, 0], nbr[:, 1], nbr[:, 2]), rank_ids, min_keys, max_keys
+            morton_encode3(*(coord.ravel()[inside] for coord in nbr)),
+            rank_ids, min_keys, max_keys,
         )
-        box = inside[ki] // directions.shape[0]
+        box = (ki if self.periodic else inside[ki]) // directions.shape[0]
         remote = owners != box_rank[box]
         # distinct (box, destination rank) pairs, sorted: boxes are numbered
         # in row order, so the pairs come out rank by rank

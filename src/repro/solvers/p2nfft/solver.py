@@ -34,6 +34,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.fine_grained import exchange_route, redistribute_flat
+from repro.core.geometry import wrap_into_box
 from repro.core.movement import p2nfft_prefers_neighborhood
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.core.resort import initial_numbering, unpack_resort_index
@@ -64,14 +65,31 @@ def _near_rank_task(near, tpos, spos, sq):
 
 def _cell_columns(grid: CartGrid, pos: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Per axis, as contiguous columns: the cell coordinate of every position
-    (wrapped into the box) and the position within that cell, in [0, cell)."""
-    # a position a hair below the lower face wraps *onto* the box edge in
-    # floating point (``np.mod(-1e-18, L) == L``); the edge is the lower face
-    w = np.mod(pos - grid.offset, grid.box)
-    wrapped = grid.offset + np.where(w < grid.box, w, 0.0)
-    cells = grid.cell_of_positions(wrapped)
-    cell_k = [np.ascontiguousarray(cells[:, k]) for k in range(3)]
-    rel = [wrapped[:, k] - grid.offset[k] - cell_k[k] * grid.cell[k] for k in range(3)]
+    (wrapped into the box) and the position within that cell, in
+    ``[-ulp, cell)``."""
+    # one (3, n) buffer: its transpose is the (n, 3) positions, its rows
+    # contiguous columns
+    w = np.subtract(pos.T, grid.offset[:, None], out=np.empty((3, pos.shape[0])))
+    for axis, rows in enumerate(wrap_into_box(w.T, grid.box)):
+        # a position a hair below the lower face wraps *onto* the box edge in
+        # floating point (``np.mod(-1e-18, L) == L``); the edge is the lower
+        # face.  Only a row the wrap touched can be on it.
+        edge = rows[~(w[axis, rows] < grid.box[axis])]
+        w[axis, edge] = 0.0
+    wrapped = np.add(w, grid.offset[:, None], out=w)
+    cells = grid.cell_of_positions(wrapped.T)
+    cell_k, rel = [], []
+    for k in range(3):
+        cell_k.append(cells[:, k])
+        rel_k = wrapped[k] - grid.offset[k]
+        rel_k -= cell_k[k] * grid.cell[k]
+        # a position a hair below the upper face can round *up* into cell
+        # ``dims``, which wraps to 0: measured from the cell it fell in, it
+        # lies an ulp below that cell's lower face, not a box length above it
+        up = np.flatnonzero(rel_k >= grid.cell[k])
+        up = up[cell_k[k][up] == 0]
+        rel_k[up] = wrapped[k, up] - grid.offset[k] - grid.dims[k] * grid.cell[k]
+        rel.append(rel_k)
     return cell_k, rel
 
 

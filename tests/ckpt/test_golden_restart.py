@@ -9,8 +9,9 @@ checkpoint/restore path that moves a single bit anywhere in a trajectory
 shows up as a digest mismatch naming the cell.
 
 The same goldens are asserted with the scalar oracles of
-``tests/kernel_oracles.py`` standing in for the vectorized kernels (the
-``oracle_kernels`` fixture) — they must reproduce the vectorized
+``tests/kernel_oracles.py`` standing in for the vectorized kernels and those
+of ``tests/row_oracles.py`` for the row passes (the ``oracle_kernels``
+fixture) — they must reproduce the vectorized
 trajectories bitwise (the PR-4 property), and checkpointing must preserve
 that.
 """
@@ -20,6 +21,7 @@ import hashlib
 import pytest
 
 from kernel_oracles import USED_BY
+from row_oracles import used_by
 from repro.ckpt.equivalence import (
     EQUIVALENCE_METHODS,
     EQUIVALENCE_SOLVERS,
@@ -77,7 +79,7 @@ class TestGoldenRestart:
         cell = run_restart_equivalence(solver, method)
         assert cell.ok, cell.detail
         assert cell_digest(cell) == GOLDEN[(solver, method)]
-        assert oracle_kernels == USED_BY[solver]
+        assert oracle_kernels == USED_BY[solver] | used_by(solver)
 
     def test_per_rank_store_same_golden(self, solver, method, oracle_store):
         """The rank-by-rank bodies the flat particle store replaced

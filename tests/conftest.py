@@ -14,19 +14,25 @@ import pytest
 from hypothesis import settings
 
 import kernel_oracles
+import row_oracles
 import store_oracles
+from repro.core.geometry import wrap_into_box
 from repro.core.particles import ParticleSet, RankMajor
 from repro.md import integrator
 from repro.md.simulation import Simulation
 from repro.md.systems import silica_melt_system
+from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
 from repro.solvers.base import Solver
+from repro.solvers.common import pairs
 from repro.solvers.common.pairs import ragged_cross
 from repro.solvers.fmm.expansions import derivative_tensors
 from repro.solvers.fmm.solver import FMMSolver
 from repro.solvers.fmm.tree import fmm_tree
+from repro.solvers.p2nfft import solver as p2nfft_solver
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 from repro.sorting.merge_sort import local_sort
+from repro.zorder.morton import morton_keys_of_positions
 from repro.sorting.partition_sort import (
     partition_destinations,
     partition_sort,
@@ -117,16 +123,25 @@ def counted():
 @pytest.fixture
 def oracle_kernels(rebind, monkeypatch, counted):
     """Swap the five vectorized kernels for their scalar oracles
-    (``tests/kernel_oracles.py``) for the rest of the test; returns the set
-    of oracle names called so far.  ``derivative_tensors`` runs only while
-    an FMM tree is built, so the run starts without shared trees, and the
-    trees the oracle built do not outlive it."""
+    (``tests/kernel_oracles.py``) and the row passes for the full-length
+    bodies they replaced (``tests/row_oracles.py``) for the rest of the
+    test; returns the set of oracle names called so far.
+    ``derivative_tensors`` runs only while an FMM tree is built, so the run
+    starts without shared trees, and the trees the oracle built do not
+    outlive it."""
     fmm_tree.cache_clear()
     for kernel in (ragged_cross, derivative_tensors, partition_destinations, split_by_destination):
         rebind(kernel, counted(getattr(kernel_oracles, kernel.__name__)))
+    for kernel in (
+        wrap_into_box, p2nfft_solver._cell_columns, morton_keys_of_positions, pairs._pair_sums
+    ):
+        rebind(kernel, counted(getattr(row_oracles, kernel.__name__)))
     monkeypatch.setattr(
         LinkedCellNearField, "candidate_pairs", counted(kernel_oracles.candidate_pairs)
     )
+    monkeypatch.setattr(CartGrid, "cell_of_positions", counted(row_oracles.cell_of_positions))
+    for method in ("_random_directions", "_rotate_directions"):
+        monkeypatch.setattr(Simulation, method, counted(getattr(row_oracles, method)))
     yield counted.called
     fmm_tree.cache_clear()
 

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bench.harness import make_system
+from repro.core.geometry import wrap_into_box
 from repro.md.integrator import accelerations, position_update, velocity_update
+from repro.md.simulation import Simulation, SimulationConfig
 from repro.simmpi.machine import Machine
 
 
@@ -100,3 +103,26 @@ class TestLeapfrogProperties:
             acc = an
         assert pos[0][0, 0] == pytest.approx(1.0, abs=1e-10)
         assert vel[0][0, 0] == pytest.approx(-0.3, abs=1e-10)
+
+
+def test_a_steady_step_wraps_only_the_coordinates_that_left_the_box(rebind):
+    """A brownian step of a P = 64 cell moves every particle a little (here
+    1/27 of a subdomain edge): the wrap's ``np.mod`` sees exactly the
+    coordinates the step carried out of ``(0, L)`` — about a hundred of
+    24 576 — and no other."""
+    system = make_system(8192, 1)
+    config = SimulationConfig(
+        solver="fmm", method="B", dynamics="brownian", brownian_step=0.5,
+        solver_kwargs={"compute": "skip"},
+    )
+    sim = Simulation(Machine(64), system, config)
+    sim.run(1)
+    moved = sim.particles.block["pos"] + sim.store.data["vel"] * config.dt
+    left = ~((moved > 0.0) & (moved < system.box))
+    seen = []
+    rebind(wrap_into_box, lambda x, box: seen.append(wrap_into_box(x, box)) or seen[-1])
+    sim.step()
+    (outside,) = seen
+    for axis in range(3):
+        np.testing.assert_array_equal(outside[axis], np.flatnonzero(left[:, axis]))
+    assert 0 < left.sum() < 0.005 * left.size

@@ -3,8 +3,8 @@
 Two pins:
 
 * the snapshot is **identical between the vectorized kernels and their
-  scalar oracles** (``tests/kernel_oracles.py``, swapped in by the
-  ``oracle_kernels`` fixture) — the oracles must not move the modeled clock
+  scalar oracles** (``tests/kernel_oracles.py`` and
+  ``tests/row_oracles.py``, swapped in by the ``oracle_kernels`` fixture) — the oracles must not move the modeled clock
   (or the span stream) by a single bit;
 * the full snapshot digest is pinned, so any change to charge ordering,
   span schema, float accounting or the NDJSON encoding fails loudly here.
@@ -15,6 +15,7 @@ Two pins:
 import hashlib
 
 from kernel_oracles import USED_BY
+from row_oracles import used_by
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.obs.export import read_ndjson, to_ndjson
 from repro.obs.spans import enable_observability
@@ -51,7 +52,7 @@ class TestGoldenSnapshot:
         called = request.getfixturevalue("oracle_kernels")
         _, _, ref = run_snapshot()
         assert vec == ref
-        assert called == USED_BY["fmm"]
+        assert called == USED_BY["fmm"] | used_by("fmm")
 
     def test_flat_and_per_rank_store_identical(self, request):
         """The rank-by-rank bodies the flat particle store replaced

@@ -6,7 +6,8 @@ breakdown of a Fig.-7-shaped run (JUROPA profile, random initial
 distribution, brownian dynamics, solver compute skipped) are pinned here
 bitwise — breakdown times as exact ``float.hex()`` strings, state as sha256
 digests.  The same run is also executed with the scalar oracles of
-``tests/kernel_oracles.py`` standing in for the vectorized kernels (the
+``tests/kernel_oracles.py`` standing in for the vectorized kernels and the
+full-length bodies of ``tests/row_oracles.py`` for the row passes (the
 ``oracle_kernels`` fixture) and must match the goldens identically:
 vectorization may change host speed only.
 
@@ -22,6 +23,7 @@ Regenerate after an *intentional* semantics change with::
 import numpy as np
 import pytest
 
+from row_oracles import used_by
 from repro.bench.harness import make_machine, step_breakdown
 from repro.simmpi.costmodel import JUROPA
 from repro.md.simulation import Simulation, SimulationConfig
@@ -202,7 +204,9 @@ class TestFig7Golden:
         assert got["ledger"] == want["ledger"]
         assert got["breakdown"] == want["breakdown"]
         # with the solver compute skipped only the FMM's sort reaches a kernel
-        assert oracle_kernels == ({"partition_destinations"} if solver == "fmm" else set())
+        assert oracle_kernels == (
+            {"partition_destinations"} if solver == "fmm" else set()
+        ) | used_by(solver, dynamics="brownian", compute="skip")
 
     def test_per_rank_store_matches_golden(self, solver, method, oracle_store):
         """... and so do the rank-by-rank bodies the flat particle store

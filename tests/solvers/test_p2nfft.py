@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from repro.core.handle import fcs_init
@@ -126,6 +128,77 @@ class TestGhostDistribution:
             within = np.flatnonzero((d * d).sum(1) <= rc * rc)
             for j in within:
                 assert j in local[owners[i]], (i, j)
+
+    def test_ghost_copy_a_hair_below_the_upper_face(self):
+        """P = 12 on a unit box is a (3, 2, 2) grid, and ``nextafter(1, 0)``
+        over the cell edge 1/3 rounds up to 3: the particle's cell wraps to
+        0, and measured from the cell it fell in it lies an ulp below the
+        face to x-cell 2.  That cell's rank 11 owns its neighbour at x =
+        0.99 and must receive a copy of it; measured from cell 0 (about a box
+        length away) it received none.  A normal step lands there:
+        ``np.mod(-1e-16, 1.0)`` is exactly ``nextafter(1, 0)``."""
+        grid = CartGrid(12, np.ones(3))
+        assert grid.dims == (3, 2, 2)
+        hair = np.nextafter(1.0, 0.0)
+        assert np.mod(-1e-16, 1.0) == hair
+        pos = np.array([[0.99, 0.75, 0.75], [hair, 0.75, 0.75]])
+        elems, targets, owners = ghost_distribution(grid, pos, rc=0.1)
+        assert owners.tolist() == [11, 3]
+        assert set(zip(elems.tolist(), targets.tolist())) == {(0, 11), (0, 3), (1, 3), (1, 11)}
+
+    @pytest.mark.parametrize("solver", ["p2nfft", "ewald"])
+    def test_near_field_keeps_the_pair_across_the_upper_face(self, solver):
+        """The same two particles end to end: on 12 ranks the potentials are
+        the one-rank potentials (where no cell wraps); without the copy the
+        close pair's ``erfc(alpha r)/r`` of about 83 was missing."""
+        hair = np.nextafter(1.0, 0.0)
+        pos = np.array([[0.99, 0.75, 0.75], [hair, 0.75, 0.75], [0.3, 0.2, 0.4], [0.6, 0.3, 0.1]])
+        q = np.array([1.0, -1.0, 1.0, -1.0])
+        pots = []
+        for P in (1, 12):
+            fcs = fcs_init(solver, Machine(P), cutoff=0.2)
+            fcs.set_common(box=np.ones(3), offset=np.zeros(3), periodic=True)
+            particles = ParticleSet(
+                [pos] + [np.zeros((0, 3))] * (P - 1), [q] + [np.zeros(0)] * (P - 1)
+            )
+            fcs.tune(particles, accuracy=1e-4)
+            fcs.run(particles)
+            pots.append(particles.pot[0].copy())
+        np.testing.assert_allclose(pots[1], pots[0], rtol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(3, 2, 2), (3, 1, 1), (5, 2, 1), (6, 1, 1), (6, 2, 2), (3, 3, 5)]),
+        st.sampled_from([1.0, 0.7, 3.0, 10.0]),
+        st.integers(2, 40),
+        st.floats(0.05, 1.2),
+        st.integers(0, 2**16),
+    )
+    def test_every_pair_within_rc_reaches_the_targets_owner(self, dims, edge, n, rc_in_cells, seed):
+        """Grids whose cell edge is not a binary fraction of the box, and
+        coordinates snapped onto the faces and a hair below them: for every
+        pair closer than ``rc`` the source is on the target's owner rank."""
+        rng = np.random.default_rng(seed)
+        box = np.full(3, edge)
+        grid = CartGrid(int(np.prod(dims)), box, dims=dims)
+        rc = rc_in_cells * float(grid.cell.min())
+        pos = rng.random((n, 3)) * box
+        snaps = np.array([0.0, -0.0, -1e-16, np.nextafter(edge, 0.0), edge])
+        rows, axes = np.nonzero(rng.random((n, 3)) < 0.3)
+        pos[rows, axes] = rng.choice(snaps, rows.size)
+        # the second half takes some coordinates of the first: close pairs
+        # across the snapped faces are common
+        pos[n // 2:] = np.where(rng.random((n - n // 2, 3)) < 0.5, pos[: n - n // 2], pos[n // 2:])
+        elems, targets, owners = ghost_distribution(grid, pos, rc)
+        delivered = set(zip(elems.tolist(), targets.tolist()))
+        w = np.mod(pos, box)
+        w = np.where(w < box, w, 0.0)
+        for i in range(n):
+            d = w - w[i]
+            d -= np.round(d / box) * box
+            # a margin for the rounding of the rule's face distances
+            for j in np.flatnonzero((d * d).sum(1) < (rc * (1.0 - 1e-9)) ** 2):
+                assert (int(j), int(owners[i])) in delivered, (i, j)
 
 
 class TestTuning:

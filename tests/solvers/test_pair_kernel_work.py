@@ -16,6 +16,9 @@ import numpy as np
 
 import near_field_oracles
 from repro.bench.harness import make_system
+from repro.core.handle import fcs_init
+from repro.core.particles import ParticleSet
+from repro.simmpi.machine import Machine
 from repro.solvers.common import pairs
 from repro.solvers.fmm.tree import FMMTree
 from repro.solvers.p2nfft import neighborlist
@@ -131,3 +134,27 @@ def test_verlet_list_builds_no_cross_products_of_its_own():
         or (isinstance(n, ast.alias) and n.name == "ragged_cross")
     ]
     assert not spelled
+
+
+def test_fmm_near_field_compacts_the_self_box_only(rebind):
+    """A periodic depth-3 FMM near field on 8 ranks: of each rank's 27
+    offset blocks only the self box rejects pairs — each target with itself
+    — so one block per rank is compacted, and the others are kept as the
+    kernel computed them."""
+    system = make_system(4096, 2)
+    owner = np.random.default_rng(2).integers(0, 8, system.n)
+    particles = ParticleSet(
+        [system.pos[owner == r] for r in range(8)], [system.q[owner == r] for r in range(8)],
+        capacity_factor=4.0,
+    )
+    fcs = fcs_init("fmm", Machine(8), depth=3, order=2, lattice_shells=1)
+    fcs.set_common(box=system.box, offset=system.offset, periodic=True)
+    fcs.tune(particles)
+    rejected, kernel_calls = [], []
+    accepted, coulomb = pairs._accepted, pairs.coulomb_pairs
+    rebind(accepted, lambda mask, block: rejected.append(int((~mask).sum())) or accepted(mask, block))
+    rebind(coulomb, lambda *a, **k: kernel_calls.append(1) or coulomb(*a, **k))
+    fcs.run(particles)
+    assert len(kernel_calls) == 8 * 27
+    assert len(rejected) == 8
+    assert sum(rejected) == system.n
