@@ -11,7 +11,9 @@ returning multiple (element, target) pairs per particle.
 Data plane: one rank-major :class:`~repro.core.particles.RankMajor` block
 in (per-rank blocks handed in by a caller are concatenated once, at entry);
 all (element, target) pairs of all ranks are sorted once by ``(source,
-target)`` into a *route* (:func:`exchange_route`), and the whole exchange
+target)`` into a *route* (:func:`exchange_route`; a producer that sorts its
+own pairs in route order — the grid placement, the FMM halo — hands them to
+its tail, :func:`sorted_route`), and the whole exchange
 goes to :func:`~repro.simmpi.collectives.alltoallv` (or the neighborhood
 variant) as one :class:`~repro.simmpi.collectives.Exchange`; the one
 delivered buffer and its receive offsets out, again as a ``RankMajor``.
@@ -38,7 +40,9 @@ __all__ = [
     "DistResult",
     "exchange_route",
     "fine_grained_redistribute",
+    "pair_key_bits",
     "redistribute_flat",
+    "sorted_route",
 ]
 
 #: the structured communication strategies of a redistribution exchange (what
@@ -130,16 +134,49 @@ def exchange_route(row_offsets: np.ndarray, elements: np.ndarray, targets: np.nd
     if order is not None:
         key = key[order]
         elements = elements[order]
+    return sorted_route(key, P, elements)
+
+
+def sorted_route(
+    key: np.ndarray, base: int, row_index: np.ndarray, rows: Optional[np.ndarray] = None
+) -> Exchange:
+    """The route of pairs listed in route order already: the tail of
+    :func:`exchange_route`, and what a producer that sorts its own pairs
+    builds its route with.
+
+    ``key`` is ``src * base + dst`` per pair, non-decreasing (``base`` at
+    least the rank count); equal keys are one message.  ``rows`` is the
+    number of consecutive ``row_index`` rows each pair stands for (``None``:
+    one).  ``row_index`` is kept, not copied.
+    """
     first = np.ones(key.shape[0], dtype=bool)
     first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
+    row_ptr = np.append(starts, key.shape[0])
+    if rows is not None:
+        row_ptr = np.concatenate(([0], np.cumsum(rows)))[row_ptr]
     return Exchange(
         columns=(),
-        row_index=elements,
-        msg_src=key[starts] // P,
-        msg_dst=key[starts] % P,
-        row_ptr=np.append(starts, key.shape[0]),
+        row_index=row_index,
+        msg_src=key[starts] // base,
+        msg_dst=key[starts] % base,
+        row_ptr=row_ptr,
     )
+
+
+def pair_key_bits(nprocs: int, n: int) -> Tuple[int, int]:
+    """``(rank bits, item bits)`` of a packed ``(source, target, item)`` key
+    over ``n`` items on ``nprocs`` ranks: ``bits(P − 1)`` and
+    ``bits(n − 1)``.  Two rank fields and the item field must fit the 63
+    value bits of an int64; a key that would not raises ``ValueError``
+    naming P and n."""
+    rank_bits, item_bits = (nprocs - 1).bit_length(), max(n - 1, 0).bit_length()
+    if 2 * rank_bits + item_bits > 63:
+        raise ValueError(
+            f"a route over {n} rows on {nprocs} ranks needs a "
+            f"{2 * rank_bits + item_bits}-bit (source, target, row) key; at most 63 bits fit"
+        )
+    return rank_bits, item_bits
 
 
 def _route_of(blocks: RankMajor, distribution: Union[DistFn, DistResult]) -> Exchange:

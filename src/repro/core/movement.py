@@ -3,8 +3,8 @@
 Within a particle dynamics simulation the positions "change only slightly
 from one time step to the next" (Sect. III-B).  The application can
 determine the maximum movement of the particles during the position update
-and pass it to the solver, which uses it to pick cheaper redistribution
-strategies:
+(:func:`repro.md.integrator.position_update` returns it) and pass it to the
+solver, which uses it to pick cheaper redistribution strategies:
 
 * **FMM** — if the maximum movement is less than the side length of a cube
   holding the average per-process volume of the system, the particles are
@@ -18,48 +18,18 @@ strategies:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.simmpi.cart import CartGrid
-from repro.simmpi.collectives import allreduce
-from repro.simmpi.machine import Machine
 
 __all__ = [
-    "max_movement",
     "process_cube_side",
     "fmm_prefers_merge_sort",
     "p2nfft_prefers_neighborhood",
     "MovementTracker",
 ]
-
-
-def max_movement(
-    machine: Machine,
-    old_pos: Sequence[np.ndarray],
-    new_pos: Sequence[np.ndarray],
-    box: Optional[np.ndarray] = None,
-    phase: Optional[str] = None,
-) -> float:
-    """Global maximum particle displacement between two position sets.
-
-    Computed locally per rank, then reduced with an allreduce(max) — the
-    communication the application pays to enable the heuristics.  With a
-    periodic ``box``, displacements use the minimum image convention.
-    """
-    local = np.zeros(machine.nprocs, dtype=np.float64)
-    for r, (a, b) in enumerate(zip(old_pos, new_pos)):
-        if a.shape != b.shape:
-            raise ValueError(f"rank {r}: position shapes differ: {a.shape} vs {b.shape}")
-        if a.size == 0:
-            continue
-        d = b - a
-        if box is not None:
-            d -= np.round(d / box) * box
-        local[r] = float(np.sqrt((d * d).sum(axis=1).max()))
-        machine.compute(1.0e-9 * a.shape[0], phase)
-    return float(allreduce(machine, local, op="max", phase=phase))
 
 
 def process_cube_side(box: np.ndarray, nprocs: int) -> float:

@@ -3,14 +3,14 @@
 The P2NFFT solver distributes the particle system uniformly among a
 Cartesian grid of processes (Sect. II-C of the paper); the "process grid"
 initial particle distribution of Fig. 6 uses the same object.  A
-:class:`CartGrid` maps ranks to grid coordinates, enumerates the neighbor
-ranks used by the neighborhood communication of Sect. III-B, and computes
-target ranks from particle positions.
+:class:`CartGrid` maps ranks to grid coordinates, tabulates the rank a
+fixed number of subdomains away from every rank (the neighbors of the
+neighborhood communication of Sect. III-B, the targets of the ghost rule),
+and computes target ranks from particle positions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import List, Sequence, Tuple
 
@@ -153,29 +153,14 @@ class CartGrid:
 
     # -- neighborhoods ---------------------------------------------------------
 
-    def neighbor_ranks(self, rank: int, include_self: bool = False) -> np.ndarray:
-        """The (up to) 26 face/edge/corner neighbor ranks of ``rank``.
-
-        For non-periodic grids, neighbors outside the grid are dropped; for
-        small dims, duplicate wrapped neighbors are deduplicated.
-        """
-        c = self.coords_of(rank)
-        out = []
-        dims = np.asarray(self.dims, dtype=np.int64)
-        for d in itertools.product((-1, 0, 1), repeat=3):
-            if d == (0, 0, 0) and not include_self:
-                continue
-            nc = c + np.asarray(d, dtype=np.int64)
-            if self.periodic:
-                nc = nc % dims
-            elif np.any(nc < 0) or np.any(nc >= dims):
-                continue
-            out.append(int(self.rank_of(nc)))
-        return np.unique(np.asarray(out, dtype=np.int64))
-
-    def neighbor_table(self, include_self: bool = False) -> List[np.ndarray]:
-        """Neighbor ranks for every rank (cached by callers as needed)."""
-        return [self.neighbor_ranks(r, include_self) for r in range(self.nprocs)]
+    def shifted_ranks(self, shift: Sequence[int]) -> np.ndarray:
+        """The ``(P,)`` table of the rank ``shift`` subdomains away from
+        every rank: entry ``r`` is ``rank_of(coords_of(r) + shift)``, so a
+        periodic grid wraps and a non-periodic one rejects a shift off its
+        edge."""
+        coords = self.coords_of(np.arange(self.nprocs))
+        coords += np.asarray(shift, dtype=np.int64)
+        return self.rank_of(coords)
 
     def max_neighbor_extent(self) -> float:
         """Smallest subdomain edge — the distance bound under which particle

@@ -1,15 +1,16 @@
 """Point-to-point communication primitives.
 
-These are the transport of the merge-based parallel sorting method [15]
-(pairwise merge-exchange steps of Batcher's network) and of generic
-send/receive rounds.  Unlike the collectives, point-to-point operations only
-advance the clocks of the ranks involved, so load imbalance and pipelining
-across rounds are modeled faithfully.
+These charge the merge-based parallel sorting method [15] (pairwise
+merge-exchange steps of Batcher's network, whose windows the sort merges in
+its own flat block) and carry generic send/receive rounds.  Unlike the
+collectives, point-to-point operations only advance the clocks of the ranks
+involved, so load imbalance and pipelining across rounds are modeled
+faithfully.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,8 +71,9 @@ def charge_round(
     of :mod:`repro.simmpi`: :func:`sendrecv`, :func:`send_round`, the staged
     collective executor (:mod:`repro.simmpi.algos`) and the merge sort's
     boundary check all charge through it (:func:`exchange_pairs` keeps its
-    own: both directions of a pair overlap, so a side waits for
-    ``max(posted, arrival)``, not for ``max(posted + o, arrival)``).
+    own charge, over the same kind of arrays: both directions of a pair
+    overlap, so a side waits for ``max(posted, arrival)``, not for
+    ``max(posted + o, arrival)``).
 
     ``op`` names the charging primitive in the span stream; the staged
     engines tag their rounds with the owning algorithm (e.g.
@@ -144,49 +146,37 @@ def send_round(
 
 def exchange_pairs(
     machine: Machine,
-    exchanges: Sequence[Tuple[int, int, Payload, Payload]],
+    ends: np.ndarray,
+    nbytes: np.ndarray,
     phase: Optional[str] = None,
-) -> Dict[Tuple[int, int], Tuple[Payload, Payload]]:
-    """Simultaneous pairwise exchanges ``(a, b, payload_a_to_b, payload_b_to_a)``.
+) -> None:
+    """Audit and charge a round of simultaneous pairwise exchanges, moving
+    no data: row ``k`` of the ``(k, 2)`` int64 arrays is the pair ``(a, b)``
+    and the bytes ``(a -> b, b -> a)``.
 
     Both directions overlap (MPI_Sendrecv): each side pays its send overhead
     plus the arrival of the other side's message.  Each rank may appear in at
-    most one pair per call (a comparator round of a sorting network).
-
-    Returns a dict mapping ``(a, b)`` to ``(received_at_a, received_at_b)``
-    i.e. ``(payload_b_to_a, payload_a_to_b)``.
+    most one pair per call (a comparator round of a sorting network); a bad
+    or repeated rank rejects the round before anything is audited or charged.
     """
     model = machine.model
-    ends = np.array([pair[:2] for pair in exchanges], dtype=np.int64).reshape(-1, 2)
     _check_disjoint(machine, ends)
     if machine.auditor is not None:
-        machine.auditor.observe_exchange_pairs(exchanges, phase)
+        machine.auditor.observe_round(ends.ravel(), ends[:, ::-1].ravel(), nbytes.ravel(), phase)
     token = machine.begin()
-    # both directions of every pair ship as one backend round
-    delivered = _route(
-        machine,
-        [m for a, b, pa, pb in exchanges for m in ((a, b, pa), (b, a, pb))],
-    )
     # The pairs of a round are disjoint, so the round is charged as one set
     # of array operations over (pair, direction) — the same float operations
-    # in the same order as a pair at a time, which was the largest host cost
-    # of a comparator round.  Column 0 is a and its message to b, column 1 is
-    # b and its message to a.
-    sizes = np.asarray(
-        [(payload_nbytes(pa), payload_nbytes(pb)) for _a, _b, pa, pb in exchanges], dtype=np.int64
-    ).reshape(-1, 2)
-    copies = model.copy_time(sizes)
-    wires = model.msg_time(machine.topology.hops(ends[:, 0], ends[:, 1])[:, None], sizes)
+    # in the same order as a pair at a time.  Column 0 is a and its message
+    # to b, column 1 is b and its message to a.
+    copies = model.copy_time(nbytes)
+    wires = model.msg_time(machine.topology.hops(ends[:, 0], ends[:, 1])[:, None], nbytes)
     # a message is as slow as its slowest endpoint (degraded-NIC perturbation)
     factors = machine.comm_factors
     pair_factor = 1.0 if factors is None else factors[ends].max(axis=1)[:, None]
     posted = machine.clocks[ends] + model.overhead + copies
     arrived = posted + wires * pair_factor - model.overhead
     machine.clocks[ends] = np.maximum(posted, arrived[:, ::-1]) + copies[:, ::-1]
-    machine.commit(token, phase, "exchange_pairs", 2 * len(exchanges), int(sizes.sum()))
-    return {
-        (a, b): (delivered[2 * i + 1], delivered[2 * i]) for i, (a, b) in enumerate(ends.tolist())
-    }
+    machine.commit(token, phase, "exchange_pairs", 2 * ends.shape[0], int(nbytes.sum()))
 
 
 def _check_ranks(machine: Machine, ends: np.ndarray) -> None:

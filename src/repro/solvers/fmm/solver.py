@@ -38,7 +38,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.fine_grained import fine_grained_redistribute
+from repro.core.fine_grained import pair_key_bits, redistribute_flat, sorted_route
 from repro.core.movement import fmm_prefers_merge_sort
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.core.resort import initial_numbering
@@ -326,24 +326,29 @@ class FMMSolver(Solver):
         )
         box = (ki if self.periodic else inside[ki]) // directions.shape[0]
         remote = owners != box_rank[box]
-        # distinct (box, destination rank) pairs, sorted: boxes are numbered
-        # in row order, so the pairs come out rank by rank
-        packed = box[remote] * np.int64(P) + owners[remote]
+        # the distinct (box, destination) pairs in route order, by (source
+        # rank, destination, box), as one packed int64 each; every row of a
+        # box goes where the box goes, so the rows come out in route order
+        # with no sort of their own
+        rank_bits, box_bits = pair_key_bits(P, first.shape[0])
+        box = box[remote]
+        packed = box_rank[box] << rank_bits
+        packed |= owners[remote]
+        packed <<= box_bits
+        packed |= box
         packed.sort()
         distinct = np.ones(packed.shape[0], dtype=bool)
         distinct[1:] = packed[1:] != packed[:-1]
         packed = packed[distinct]
-        box, dest = packed // P, packed % P
-        # every row of each such box goes to the pair's destination
+        box = packed & ((1 << box_bits) - 1)
+        packed >>= box_bits
         seg_len = (last - first)[box]
         seg_end = np.cumsum(seg_len)
         elems = np.repeat(first[box] - (seg_end - seg_len), seg_len) + np.arange(
             int(seg_len.sum())
         )
-        return fine_grained_redistribute(
-            self.machine, halo_in, (elems, np.repeat(dest, seg_len)),
-            phase="halo", comm="neighborhood",
-        )
+        route = sorted_route(packed, 1 << rank_bits, elems, rows=seg_len)
+        return redistribute_flat(self.machine, halo_in.data, route, "halo", "neighborhood")
 
     def _estimate_far_stats(self, n_total: int):
         """Analytic far-field workload for the skip-compute mode."""

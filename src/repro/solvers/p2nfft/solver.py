@@ -33,12 +33,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.fine_grained import exchange_route, redistribute_flat
+from repro.core.fine_grained import pair_key_bits, redistribute_flat, sorted_route
 from repro.core.geometry import wrap_into_box
 from repro.core.movement import p2nfft_prefers_neighborhood
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.core.resort import initial_numbering, unpack_resort_index
 from repro.simmpi.cart import CartGrid
+from repro.simmpi.collectives import Exchange
 from repro.simmpi.machine import Machine
 from repro.solvers.base import Solver
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
@@ -97,22 +98,29 @@ def ghost_distribution(
     grid: CartGrid,
     pos: np.ndarray,
     rc: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(elements, targets, owner)``: the (element, target) pairs of owner
-    plus ghost duplicates within ``rc``, and the owning rank of every element.
+    row_offsets: np.ndarray,
+) -> Tuple[Exchange, np.ndarray]:
+    """``(route, owner)``: the route of the placement — every row to its
+    owner plus ghost duplicates within ``rc`` — and the owning rank of every
+    row.
 
     The distribution function of the generalized fine-grained
     redistribution: each particle goes to the rank owning its position, and
     copies go to every rank whose subdomain lies within the cutoff radius
-    (the ghost-creation rule of Sect. II-C).  Duplicate (element, target)
-    pairs arising from periodic wrap-around on small grids are removed; the
-    pairs come sorted by ``(element, target)``.  ``owner`` is where this
-    function sends the one copy of each element that is not a ghost — the
-    only place a position is turned into an owning rank.
+    (the ghost-creation rule of Sect. II-C).  ``pos`` are the rank-major
+    rows cut by ``row_offsets``.  Every (row, target) pair is named once;
+    within a message the rows rise.  ``owner`` is where the one copy of each
+    row that is not a ghost goes — the only place a position is turned into
+    an owning rank.
+
+    Raises ``ValueError`` before any work when the packed ``(source,
+    target, row)`` key of the route would not fit 63 bits.
     """
     n = pos.shape[0]
+    rank_bits, row_bits = pair_key_bits(grid.nprocs, n)
     if n == 0:
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+        empty = np.empty(0, dtype=np.int64)
+        return sorted_route(empty, 1 << rank_bits, empty), empty
     cell = grid.cell
     # from here on one contiguous column per axis: the cell coordinate, the
     # position within the cell and, the rank of a cell being a sum over the
@@ -126,12 +134,14 @@ def ghost_distribution(
     owner = share[0][cell_k[0]] + share[1][cell_k[1]] + share[2][cell_k[2]]
     ring = [max(int(np.ceil(rc / cell[k])), 1) for k in range(3)]
     spans = [range(-ring[k], ring[k] + 1) for k in range(3)]
+    # Along an axis at least 2·ring + 1 subdomains wide, the offsets within
+    # the ring land on distinct ranks, none of them the owner: only a
+    # narrower grid wraps a ghost back onto its owner or two onto one rank.
+    narrow = any(grid.dims[k] < 2 * ring[k] + 1 for k in range(3))
     rc2 = rc * rc
     # per axis and non-zero component: every row's squared distance to the
-    # subdomain that many cells away, and the rank difference the hop makes
-    # from each cell coordinate (periodic wrap included)
+    # subdomain that many cells away
     face2 = {}
-    hop = {}
     for k in range(3):
         for c in spans[k]:
             if c > 0:
@@ -141,7 +151,6 @@ def ghost_distribution(
             else:
                 continue
             face2[k, c] = dk * dk
-            hop[k, c] = np.roll(share[k], -c) - share[k]
 
     def within(k: int, c: int, rows, d2):
         """``(rows, d2)`` one component further: of ``rows`` (``None``: all
@@ -157,12 +166,18 @@ def ghost_distribution(
         near = np.flatnonzero(d2 < rc2)
         return rows[near], d2[near]
 
+    # Every (row, target) pair is one int64 — source rank, target, row, from
+    # the high bits down — so one sort of the values is the route order and,
+    # on a narrow grid, the dedup.  ``head`` is the source and row part.
+    head = np.repeat(
+        np.arange(grid.nprocs, dtype=np.int64) << (rank_bits + row_bits), np.diff(row_offsets)
+    )
+    head |= np.arange(n, dtype=np.int64)
+    packed = [head | (owner << row_bits)]
     # An offset is at least as far as its leading components, so each axis
     # only looks at the rows the axes before it left within the cutoff; the
     # sums run in axis order, so each comparison is bitwise the one a pass
     # over all rows for that offset alone would make.
-    elems = [np.arange(n, dtype=np.int64)]
-    targets = [owner]
     for c0 in spans[0]:
         rows0, d0 = within(0, c0, None, None)
         if rows0 is not None and not rows0.size:
@@ -176,24 +191,22 @@ def ghost_distribution(
                 if rows is None or not rows.size:  # None: the subdomain itself
                     continue
                 mine = owner[rows]
-                target = mine.copy()
-                for k, c in enumerate((c0, c1, c2)):
-                    if c:
-                        target += hop[k, c][cell_k[k][rows]]
-                # unless the hops wrapped back onto the owner itself
-                ghost = np.flatnonzero(target != mine)
-                elems.append(rows[ghost])
-                targets.append(target[ghost])
-    # sort and dedup on a packed 1-D key (much cheaper than a 2-column unique)
-    bits = (grid.nprocs - 1).bit_length()
-    packed = np.concatenate(elems)
-    packed <<= bits
-    packed |= np.concatenate(targets)
+                target = grid.shifted_ranks((c0, c1, c2))[mine]
+                if narrow:  # unless the offset wrapped back onto the owner itself
+                    ghost = np.flatnonzero(target != mine)
+                    rows, target = rows[ghost], target[ghost]
+                target <<= row_bits
+                target |= head[rows]
+                packed.append(target)
+    packed = np.concatenate(packed)
     packed.sort()
-    distinct = np.ones(packed.shape[0], dtype=bool)
-    distinct[1:] = packed[1:] != packed[:-1]
-    packed = packed[distinct]
-    return packed >> bits, packed & ((1 << bits) - 1), owner
+    if narrow:  # two offsets wrapped onto one rank
+        distinct = np.ones(packed.shape[0], dtype=bool)
+        distinct[1:] = packed[1:] != packed[:-1]
+        packed = packed[distinct]
+    rows = packed & ((1 << row_bits) - 1)
+    packed >>= row_bits
+    return sorted_route(packed, 1 << rank_bits, rows), owner
 
 
 def charge_parallel_fft(machine: Machine, M: int, n_transforms: int, phase: str) -> None:
@@ -271,6 +284,10 @@ class GridSolver(Solver):
         comm = "neighborhood" if neighborhood else "alltoall"
 
         offsets = particles.offsets
+        # the route (owners + ghost duplicates) of all ranks in one pass over
+        # the rank-major positions, before anything is charged; it is also
+        # the one decision who owns which particle
+        route, owner = ghost_distribution(self.grid, particles.block["pos"], self.rc, offsets)
         # the redistribution gathers from these into fresh buffers, so the
         # application's columns can be handed over as they are
         rows = ColumnBlock(
@@ -279,14 +296,7 @@ class GridSolver(Solver):
             index=initial_numbering(particles.counts()).data,
         )
         machine.compute(kernels.KEY_GENERATION * particles.counts(), phase="keygen")
-
-        # the distribution (owners + ghost duplicates) of all ranks in one
-        # pass over the rank-major positions; it is also the one decision
-        # who owns which particle
-        elements, targets, owner = ghost_distribution(self.grid, rows["pos"], self.rc)
-        local_all = redistribute_flat(
-            machine, rows, exchange_route(offsets, elements, targets), phase="sort", comm=comm
-        )
+        local_all = redistribute_flat(machine, rows, route, phase="sort", comm=comm)
 
         # a copy knows the element it is a copy of from the origin it
         # carries, and is the owned one iff it arrived at that element's owner

@@ -19,7 +19,7 @@ stays on its current process" translates into tiny redistribution times
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -122,12 +122,10 @@ def merge_exchange_sort(
         return current, True
 
     # Counts never change, so the distributed array stays one flat block cut
-    # at fixed offsets and a comparator round is a handful of array
-    # operations over the rows of all its windows; only the two searches and
-    # the two message payloads of a window are still made pair by pair.
+    # at fixed offsets, and a comparator round is a handful of array
+    # operations over its pairs and the rows of all its windows.
     flat, offsets = current.data, current.offsets
     counts = current.counts
-    start = offsets.tolist()
     keys = flat[key]
     # rows a merge may write: the local sort's own gather, else a copy made
     # by the first round that moves data
@@ -138,72 +136,76 @@ def merge_exchange_sort(
     control[:, 0] = counts
 
     for round_pairs in merge_exchange_rounds(P):
+        ends = np.asarray(round_pairs, dtype=np.int64)
         # 1. control exchange: (count, min, max) both ways for every pair
         control[filled, 1] = keys[first]
         control[filled, 2] = keys[last]
-        received = exchange_pairs(
-            machine, [(a, b, control[a], control[b]) for a, b in round_pairs], phase
-        )
+        exchange_pairs(machine, ends, np.full(ends.shape, control[0].nbytes), phase)
         # 2. decide which pairs actually overlap: both non-empty and
         #    a.max > b.min; already ordered pairs move no particle data
-        got = np.concatenate([c for pair in round_pairs for c in received[pair]])
-        ctrl_b, ctrl_a = got.reshape(-1, 2, 3).transpose(1, 0, 2)  # received at a: b's control
-        overlap = (ctrl_a[:, 0] > 0) & (ctrl_b[:, 0] > 0) & (ctrl_a[:, 2] > ctrl_b[:, 1])
-        hits = np.flatnonzero(overlap).tolist()
-        if not hits:
+        ctrl_a, ctrl_b = control[ends[:, 0]], control[ends[:, 1]]
+        hits = np.flatnonzero(
+            (ctrl_a[:, 0] > 0) & (ctrl_b[:, 0] > 0) & (ctrl_a[:, 2] > ctrl_b[:, 1])
+        )
+        if not hits.size:
             continue
         if not writable:
             flat, writable = flat.copy(), True
             keys = flat[key]
-        columns = flat.payload()
         # windows are a suffix of a (keys >= b.min) and a prefix of b
-        # (keys <= a.max), both non-empty whenever the runs overlap
-        exchanges = []
-        bounds: List[int] = []  # per window: a's start, a's end, b's start, b's end
-        merge_cost = np.zeros(P, dtype=np.float64)
-        for i in hits:
-            a, b = round_pairs[i]
-            end_a, start_b = start[a + 1], start[b]
-            na_win = end_a - start[a] - int(
-                np.searchsorted(keys[start[a]:end_a], ctrl_b[i, 1], side="left")
-            )
-            nb_win = int(np.searchsorted(keys[start_b:start[b + 1]], ctrl_a[i, 2], side="right"))
-            bounds += (end_a - na_win, end_a, start_b, start_b + nb_win)
-            exchanges.append((
-                a,
-                b,
-                tuple(c[end_a - na_win:end_a] for c in columns),
-                tuple(c[start_b:start_b + nb_win] for c in columns),
-            ))
-            w = na_win + nb_win
-            if w > 1:
-                merge_cost[a] = merge_cost[b] = kernels.SORT_STEP * w * np.log2(w)
+        # (keys <= a.max), both non-empty whenever the runs overlap; per
+        # window: a's start, a's end, b's start, b's end
+        a, b = ends[hits, 0], ends[hits, 1]
+        spans = np.stack((
+            _insertion_points(keys, offsets[a], offsets[a + 1], ctrl_b[hits, 1], "left"),
+            offsets[a + 1],
+            offsets[b],
+            _insertion_points(keys, offsets[b], offsets[b + 1], ctrl_a[hits, 2], "right"),
+        ), axis=1).reshape(-1, 2)
+        sizes = spans[:, 1] - spans[:, 0]
         # 3. window exchange (both directions overlap, one message each way)
-        exchanged = exchange_pairs(machine, exchanges, phase)
+        exchange_pairs(machine, ends[hits], sizes.reshape(-1, 2) * flat.row_nbytes, phase)
         # 4. each side merges its own window with the one it received and
         #    keeps its share of the original counts: a the lowest na_win, b
         #    the highest nb_win.  Both sides sort the same combined window
         #    (a-window, b-window) stably, so the merged rows of a window go
         #    back, in order, to the very rows they came from — and one
-        #    stable (window, key) sort of the delivered rows of the whole
-        #    round is every pair's merge at once.
-        spans = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
-        sizes = spans[:, 1] - spans[:, 0]
-        total = int(sizes.sum())
-        rows = np.arange(total) + np.repeat(spans[:, 0] - (np.cumsum(sizes) - sizes), sizes)
-        window = np.repeat(np.arange(len(hits)), sizes.reshape(-1, 2).sum(axis=1))
-        # delivered in (a-window, b-window) order: what b received, then what a received
-        arrived = [exchanged[pair[:2]][side] for pair in exchanges for side in (1, 0)]
-        staged = [np.concatenate(pieces) for pieces in zip(*arrived)]
-        order = np.lexsort((staged[flat.names().index(key)], window))
-        for column, merged in zip(columns, staged):
-            column[rows] = np.take(merged, order, axis=0)
+        #    stable (window, key) sort of the rows of the whole round is
+        #    every pair's merge at once.
+        rows = np.repeat(spans[:, 0] - (np.cumsum(sizes) - sizes), sizes)
+        rows += np.arange(rows.shape[0])
+        w = sizes.reshape(-1, 2).sum(axis=1)
+        merged = rows[np.lexsort((keys[rows], np.repeat(np.arange(hits.size), w)))]
+        for column in flat.payload():
+            column[rows] = np.take(column, merged, axis=0)
+        merge_cost = np.zeros(P, dtype=np.float64)
+        big = w > 1
+        merge_cost[a[big]] = merge_cost[b[big]] = kernels.SORT_STEP * w[big] * np.log2(w[big])
         machine.compute(merge_cost, phase)
 
     current = RankMajor(flat, offsets)
     if not verify:
         return current, True
     return current, _verify_sorted(machine, current.column(key), phase)
+
+
+def _insertion_points(
+    keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, values: np.ndarray, side: str
+) -> np.ndarray:
+    """Per ``i``, where ``np.searchsorted(keys[lo[i]:hi[i]], values[i],
+    side)`` would insert, as an index into ``keys``: one bisection over all
+    the searches at once, comparing in the common type ``searchsorted``
+    compares in."""
+    common = np.result_type(keys.dtype, values.dtype)
+    values = values.astype(common, copy=False)
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        live = lo < hi
+        mid = (lo + hi) >> 1
+        probe = keys[np.where(live, mid, 0)].astype(common, copy=False)
+        right = live & ((probe < values) if side == "left" else (probe <= values))
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(live & ~right, mid, hi)
+    return lo
 
 
 def _verify_sorted(machine: Machine, keys: RankMajor, phase: Optional[str]) -> bool:

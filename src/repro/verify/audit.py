@@ -167,7 +167,9 @@ class CommAuditor:
         rank count of the machine being audited.
     neighbor_table:
         optional per-rank arrays of allowed peer ranks for neighborhood
-        exchanges (e.g. ``CartGrid.neighbor_table(include_self=True)``).
+        exchanges (e.g. the distinct entries of row ``r`` of the
+        ``CartGrid.shifted_ranks`` tables of the 27 offsets in
+        ``{-1, 0, 1}³``).
         When set, any sparse-count-exchange message outside the table
         raises.  Self-sends are always allowed.
     strict:
@@ -404,27 +406,12 @@ class CommAuditor:
     def observe_round(
         self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, phase: Optional[str]
     ) -> None:
-        """Audit one :func:`~repro.simmpi.p2p.charge_round` round from its
-        ``(src, dst, nbytes)`` message arrays."""
+        """Audit one point-to-point round from its ``(src, dst, nbytes)``
+        message arrays: a :func:`~repro.simmpi.p2p.charge_round` round, or
+        an :func:`~repro.simmpi.p2p.exchange_pairs` round (a Batcher
+        comparator round: two messages per pair, ``a -> b`` then ``b -> a``)."""
         self.n_p2p_calls += 1
         self._observe(src, dst, nbytes, phase)
-
-    def observe_exchange_pairs(
-        self,
-        exchanges: Sequence[Tuple[int, int, object, object]],
-        phase: Optional[str],
-    ) -> None:
-        """Audit one exchange_pairs round (a Batcher comparator round): two
-        messages per pair, ``a -> b`` then ``b -> a``."""
-        from repro.simmpi.collectives import payload_nbytes
-
-        self.n_p2p_calls += 1
-        ends = np.array([x[:2] for x in exchanges], dtype=np.int64).reshape(-1, 2)
-        sizes = np.array(
-            [(payload_nbytes(pa), payload_nbytes(pb)) for _a, _b, pa, pb in exchanges],
-            dtype=np.int64,
-        )
-        self._observe(ends.ravel(), ends[:, ::-1].ravel(), sizes.ravel(), phase)
 
     # -- checkpointing ------------------------------------------------------------
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cart_neighbors import neighbor_table
 from redistribution_oracles import observed
 from repro.backend import shm
 from repro.simmpi import Machine
@@ -74,7 +75,7 @@ def test_descriptor_is_the_same_exchange(make_machine, seed, count_exchange):
 def test_neighborhood_peer_check_fires_on_a_descriptor(make_machine):
     nprocs = 16
     grid = CartGrid(nprocs, box=(10.0, 10.0, 10.0), dims=(4, 2, 2))
-    table = grid.neighbor_table(include_self=True)
+    table = neighbor_table(grid, include_self=True)
     stranger = next(r for r in range(nprocs) if r not in set(table[0].tolist()))
     column = np.arange(4.0)
 
@@ -84,7 +85,7 @@ def test_neighborhood_peer_check_fires_on_a_descriptor(make_machine):
         )
 
     machine = make_machine(nprocs, table)
-    neighbor = int(grid.neighbor_table(include_self=False)[0][0])
+    neighbor = int(neighbor_table(grid, include_self=False)[0][0])
     (received,), offsets = neighborhood_alltoallv(machine, one_message(neighbor), "halo")
     np.testing.assert_array_equal(received, column)
     assert offsets[neighbor + 1] - offsets[neighbor] == 4

@@ -8,6 +8,7 @@ same delivered rows *in the same order* and the same charges: the clock
 vector bit for bit, every ``Trace`` row and the auditor's whole state.
 """
 
+import contextlib
 import dataclasses
 import itertools
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import redistribution_oracles
 from redistribution_oracles import (
     ResortPlanLoop,
     apply_resort_loop,
@@ -31,6 +33,7 @@ from redistribution_oracles import (
     partition_sort_loop,
     restore_results_loop,
 )
+from round_oracles import FunnelLog
 from repro.core.fine_grained import _stable_order, exchange_route, fine_grained_redistribute
 from repro.core.handle import fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet
@@ -39,7 +42,9 @@ from repro.core.resort import apply_resort, invert_indices, pack_resort_index
 from repro.core.restore import restore_results
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
+from repro.solvers.fmm import solver as fmm_solver
 from repro.solvers.p2nfft.solver import ghost_distribution
+from repro.sorting.batcher import merge_exchange_rounds
 from repro.sorting.merge_sort import merge_exchange_sort
 from repro.sorting.partition_sort import partition_sort
 from repro.verify.audit import enable_auditing
@@ -254,9 +259,36 @@ class TestExchangeRouteAgainstArgsort:
         assert calls == [{"kind": "stable"}]
 
 
-GRIDS = st.sampled_from(
-    [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 3), (5, 1, 2)]
-)
+#: grids narrower than 2·ring + 1 subdomains along some axis (a ghost may
+#: wrap onto its owner, two onto one rank) and, for ``rc`` up to one cell
+#: (ring 1) or up to two (ring 2, ``(5, 5, 5)``), grids that are not
+GRIDS = st.sampled_from([
+    (1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (4, 2, 2), (5, 1, 2),
+    (3, 3, 3), (4, 3, 3), (5, 5, 5),
+])
+
+
+def pairs_of(route):
+    """A route's ``(row, target)`` pairs, in route order."""
+    return route.row_index, np.repeat(route.msg_dst, np.diff(route.row_ptr))
+
+
+def placement(grid, pos, rc, seed):
+    """``ghost_distribution`` over the rows of ``rank_counts`` ranks (empty
+    ranks likely), and the routes the two oracles' pairs make: ``(route,
+    [want, want], owner)``."""
+    counts = rank_counts(pos.shape[0], grid.nprocs, seed)
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    got, owner = ghost_distribution(grid, pos, rc, offsets)
+    wants = [exchange_route_argsort(offsets, *oracle(grid, pos, rc))
+             for oracle in (ghost_distribution_rows, ghost_distribution_loop)]
+    return got, wants, owner
+
+
+def assert_same_route(got, want):
+    assert_same_arrays(
+        [getattr(got, f) for f in ROUTE_FIELDS], [getattr(want, f) for f in ROUTE_FIELDS]
+    )
 
 
 def on_faces(pos, grid, rng):
@@ -311,17 +343,44 @@ class TestGhostDistributionAgainstLoop:
             pos = on_faces(pos, grid, rng)
         elif special == "hair":
             pos = hair_outside(pos, grid, rng)
-        elements, targets, owner = ghost_distribution(grid, pos, rc)
-        for oracle in (ghost_distribution_rows, ghost_distribution_loop):
-            assert_same_arrays([elements, targets], oracle(grid, pos, rc))
+        route, wants, owner = placement(grid, pos, rc, seed)
+        # field for field the route the stable ``argsort`` makes of either
+        # oracle's pairs: the same messages, rows in the same order
+        for want in wants:
+            assert_same_route(route, want)
+        dataclasses.replace(route, columns=(np.zeros(n),)).validate(grid.nprocs)
         # the owner it hands back is the one non-ghost target of every element
         assert owner.dtype == np.int64 and owner.shape == (n,)
         w = np.mod(pos - offset, box)
         np.testing.assert_array_equal(
             owner, grid.rank_of_positions(offset + np.where(w < box, w, 0.0))
         )
+        elements, targets = pairs_of(route)
         owned = elements[targets == owner[elements]]
         np.testing.assert_array_equal(np.bincount(owned, minlength=n), 1)
+
+    @pytest.mark.parametrize(
+        "dims, narrow",
+        [((4, 2, 2), True), ((2, 2, 2), True), ((3, 3, 3), False), ((4, 4, 3), False)],
+    )
+    @pytest.mark.parametrize("rc_in_cells", [0.4, 0.99])
+    def test_narrow_and_wide_grids(self, dims, narrow, rc_in_cells):
+        """A ring of one subdomain: a grid narrower than three subdomains
+        along some axis takes the wrap filter and the dedup, a wider one
+        neither, and the route is the oracles' either way.  Rows sit on
+        faces and a hair outside the box; ``rank_counts`` leaves ranks
+        empty."""
+        assert any(d < 3 for d in dims) == narrow
+        rng = np.random.default_rng(11)
+        box = np.array([6.0, 5.0, 4.0])
+        grid = CartGrid(int(np.prod(dims)), box, dims=dims)
+        pos = hair_outside(on_faces(rng.random((300, 3)) * box, grid, rng), grid, rng)
+        route, wants, _owner = placement(grid, pos, rc_in_cells * grid.cell.min(), 3)
+        for want in wants:
+            assert_same_route(route, want)
+        # every (row, target) pair once, wrapped or not
+        rows, targets = pairs_of(route)
+        assert np.unique(rows * grid.nprocs + targets).size == rows.size
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 1), (4, 3, 2)])
     @pytest.mark.parametrize("rc_in_cells", [0.3, 1.0, 1.4])
@@ -349,7 +408,8 @@ class TestGhostDistributionAgainstLoop:
                 d2 = np.minimum(d2, (gap * gap).sum(axis=1))
             for i in np.flatnonzero((d2 < rc * rc) | (owner == rank)):
                 expected.add((int(i), rank))
-        elems, targets, _owner = ghost_distribution(grid, pos, rc)
+        route, _owner = ghost_distribution(grid, pos, rc, np.array([0] + [len(pos)] * grid.nprocs))
+        elems, targets = pairs_of(route)
         got = set(zip(elems.tolist(), targets.tolist()))
         # exactly on a face the brute force and the rule may round the face
         # distance differently: everything the rule sends is expected, and
@@ -362,6 +422,22 @@ class TestGhostDistributionAgainstLoop:
                 for s in shifts
             ]
             assert min(float((g * g).sum()) for g in gaps) == pytest.approx(rc * rc, rel=1e-9)
+
+
+@contextlib.contextmanager
+def spying(module, name):
+    """Record every ``(args, kwargs)`` ``module.name`` is called with."""
+    original, calls = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    setattr(module, name, spy)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
 
 
 def fmm_state(nprocs, n, seed, periodic, clustered):
@@ -405,11 +481,25 @@ class TestHaloAgainstLoop:
         consecutive ranks; with n < P some ranks are empty."""
         build = fmm_state(nprocs, n, seed, periodic, clustered)
         want_machine, want_solver, blocks = build()
-        want = halo_exchange_loop(want_solver, blocks, want_solver._ownership(blocks))
+        with spying(redistribution_oracles, "fine_grained_redistribute_loop") as loop_calls:
+            want = halo_exchange_loop(want_solver, blocks, want_solver._ownership(blocks))
         machine, solver, blocks = build()
-        got = solver._halo_exchange(blocks, solver._ownership(blocks))
+        with spying(fmm_solver, "redistribute_flat") as calls:
+            got = solver._halo_exchange(blocks, solver._ownership(blocks))
         assert_same_blocks(got, want)
         assert observed(machine) == observed(want_machine)
+        # the route it built from its box pairs is the stable ``argsort``'s
+        # route of the loop's (element, target) pairs
+        (_loop_machine, halo_in, dist), _kwargs = loop_calls[0]
+        pairs = [dist(r, b) for r, b in enumerate(halo_in)]
+        offsets = blocks.offsets
+        want_route = exchange_route_argsort(
+            offsets,
+            np.concatenate([e + offsets[r] for r, (e, _t) in enumerate(pairs)]),
+            np.concatenate([t for _e, t in pairs]),
+        )
+        (_machine, _block, route, _phase, _comm), _kwargs = calls[0]
+        assert_same_route(route, want_route)
 
 
 # ------------------------------------------------ resort plan and scatters
@@ -657,7 +747,14 @@ class TestMergeExchangeSortAgainstPairwise:
                 made = [b.take(np.argsort(b["key"], kind="stable")) for b in made]
             return made
 
+        self.check(nprocs, blocks, presorted, verify)
+
+    @staticmethod
+    def check(nprocs, blocks, presorted=False, verify=True):
+        """Rows, flag, every charge in order (op, messages, bytes, clocks) and
+        the auditor's ledger; returns the charge stream."""
         want_machine, machine = audited(nprocs), audited(nprocs)
+        want_machine.obs, machine.obs = FunnelLog(), FunnelLog()
         want, want_ok = merge_exchange_sort_pairwise(
             want_machine, blocks(), "key", "sort", presorted=presorted, verify=verify
         )
@@ -667,6 +764,41 @@ class TestMergeExchangeSortAgainstPairwise:
         )
         assert ok == want_ok
         assert_same_blocks(got, want)
+        assert machine.obs.stream == want_machine.obs.stream
         assert observed(machine) == observed(want_machine)
         # the rounds write into the sort's own flat copy, never the caller's rows
         assert_same_blocks(given_blocks, blocks())
+        return machine.obs.stream
+
+    @pytest.mark.parametrize("nprocs", [5, 6, 8])
+    @pytest.mark.parametrize("case", ["empty_ranks", "equal_keys", "reversed"])
+    def test_corner_rounds(self, nprocs, case):
+        """Ranks left empty, every key equal (no pair overlaps), and runs in
+        reverse order, where every pair of the first round overlaps — on
+        rank counts that are and are not a power of two."""
+        counts = [7] * nprocs
+        if case == "empty_ranks":
+            counts[1::2] = [0] * len(counts[1::2])
+        keys = np.arange(sum(counts), dtype=np.uint64)[::-1] % 23
+        if case == "equal_keys":
+            keys[:] = 5
+        elif case == "reversed":
+            keys = np.arange(sum(counts), dtype=np.uint64)[::-1].copy()
+        cuts = np.cumsum(counts)[:-1]
+
+        def blocks():
+            return [
+                ColumnBlock(key=k, ident=np.arange(k.size) + 100 * r, vec=np.full((k.size, 3), r))
+                for r, k in enumerate(np.split(keys.copy(), cuts))
+            ]
+
+        stream = self.check(nprocs, blocks)
+        rounds = [e for e in stream if e[0] == "charge" and e[2] == "exchange_pairs"]
+        if case == "equal_keys":
+            # control messages only: no window moves
+            assert len(rounds) == len(merge_exchange_rounds(nprocs))
+        if case == "reversed":
+            # the first round's window exchange names every pair the control
+            # exchange named
+            control, windows = rounds[0], rounds[1]
+            assert windows[6] == control[6] == 2 * len(merge_exchange_rounds(nprocs)[0])

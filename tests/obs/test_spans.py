@@ -38,7 +38,7 @@ class TestChargeCapture:
         log = spy_on_trace(machine4)
         sendrecv(machine4, 0, 1, np.zeros(16), "a")
         send_round(machine4, [(0, 2, np.zeros(4)), (1, 3, np.zeros(8))], "b")
-        exchange_pairs(machine4, [(0, 1, np.zeros(2), np.zeros(2))], "c")
+        exchange_pairs(machine4, np.array([[0, 1]]), np.array([[16, 16]]), "c")
         assert len(log) == 3
         assert_same_floats(log, rec)
 

@@ -12,7 +12,9 @@ later, the row-array ``ghost_distribution`` and the always-``argsort``
 ``exchange_route`` the grid placement ran on before it decided ownership
 once (:func:`ghost_distribution_rows`, :func:`exchange_route_argsort`), and
 the ``merge_exchange_sort`` that merged every overlapping pair of a comparator
-round on its own (:func:`merge_exchange_sort_pairwise`).
+round on its own (:func:`merge_exchange_sort_pairwise`), with the payload
+form of ``exchange_pairs`` it ran on (:func:`exchange_pairs_payloads`; the
+only edit: its auditor hook takes ``(src, dst, nbytes)`` arrays now).
 The loops run on the ``list[dict]`` form of ``alltoallv``; the property tests in
 ``tests/core/test_redistribution_oracles.py`` hold the production code to
 them row for row and charge for charge (:func:`observed` is what "charge"
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +37,15 @@ from repro.core.plan import COMPILE_PHASE, ResortPlanStats
 from repro.core.resort import initial_numbering, inverse_permutation, unpack_resort_index
 from repro.obs.spans import machine_span
 from repro.simmpi.cart import CartGrid
-from repro.simmpi.collectives import Exchange, alltoallv, neighborhood_alltoallv
+from repro.simmpi.collectives import (
+    Exchange,
+    Payload,
+    alltoallv,
+    neighborhood_alltoallv,
+    payload_nbytes,
+)
 from repro.simmpi.machine import Machine
-from repro.simmpi.p2p import exchange_pairs
+from repro.simmpi.p2p import _check_disjoint, _route
 from repro.sorting.batcher import merge_exchange_rounds
 from repro.sorting.merge_sort import _verify_sorted, local_sort
 from repro.sorting.partition_sort import (
@@ -598,6 +606,53 @@ def partition_sort_loop(
     return out
 
 
+def exchange_pairs_payloads(
+    machine: Machine,
+    exchanges: Sequence[Tuple[int, int, Payload, Payload]],
+    phase: Optional[str] = None,
+) -> Dict[Tuple[int, int], Tuple[Payload, Payload]]:
+    """Simultaneous pairwise exchanges ``(a, b, payload_a_to_b, payload_b_to_a)``.
+
+    Both directions overlap (MPI_Sendrecv): each side pays its send overhead
+    plus the arrival of the other side's message.  Each rank may appear in at
+    most one pair per call (a comparator round of a sorting network).
+
+    Returns a dict mapping ``(a, b)`` to ``(received_at_a, received_at_b)``
+    i.e. ``(payload_b_to_a, payload_a_to_b)``.
+    """
+    model = machine.model
+    ends = np.array([pair[:2] for pair in exchanges], dtype=np.int64).reshape(-1, 2)
+    _check_disjoint(machine, ends)
+    # The pairs of a round are disjoint, so the round is charged as one set
+    # of array operations over (pair, direction) — the same float operations
+    # in the same order as a pair at a time, which was the largest host cost
+    # of a comparator round.  Column 0 is a and its message to b, column 1 is
+    # b and its message to a.
+    sizes = np.asarray(
+        [(payload_nbytes(pa), payload_nbytes(pb)) for _a, _b, pa, pb in exchanges], dtype=np.int64
+    ).reshape(-1, 2)
+    if machine.auditor is not None:
+        machine.auditor.observe_round(ends.ravel(), ends[:, ::-1].ravel(), sizes.ravel(), phase)
+    token = machine.begin()
+    # both directions of every pair ship as one backend round
+    delivered = _route(
+        machine,
+        [m for a, b, pa, pb in exchanges for m in ((a, b, pa), (b, a, pb))],
+    )
+    copies = model.copy_time(sizes)
+    wires = model.msg_time(machine.topology.hops(ends[:, 0], ends[:, 1])[:, None], sizes)
+    # a message is as slow as its slowest endpoint (degraded-NIC perturbation)
+    factors = machine.comm_factors
+    pair_factor = 1.0 if factors is None else factors[ends].max(axis=1)[:, None]
+    posted = machine.clocks[ends] + model.overhead + copies
+    arrived = posted + wires * pair_factor - model.overhead
+    machine.clocks[ends] = np.maximum(posted, arrived[:, ::-1]) + copies[:, ::-1]
+    machine.commit(token, phase, "exchange_pairs", 2 * len(exchanges), int(sizes.sum()))
+    return {
+        (a, b): (delivered[2 * i + 1], delivered[2 * i]) for i, (a, b) in enumerate(ends.tolist())
+    }
+
+
 def _control_payload(block: ColumnBlock, key: str) -> np.ndarray:
     """(count, min key, max key) as a 3-element array (24-byte message)."""
     keys = block[key]
@@ -627,7 +682,7 @@ def merge_exchange_sort_pairwise(
 
     for round_pairs in merge_exchange_rounds(P):
         # 1. control exchange: (count, min, max) both ways for every pair
-        controls = exchange_pairs(
+        controls = exchange_pairs_payloads(
             machine,
             [
                 (a, b, _control_payload(current[a], key), _control_payload(current[b], key))
@@ -657,7 +712,7 @@ def merge_exchange_sort_pairwise(
         if not windows:
             continue
         # 3. window exchange (both directions overlap, one message each way)
-        exchanged = exchange_pairs(
+        exchanged = exchange_pairs_payloads(
             machine,
             [(a, b, wa.payload(), wb.payload()) for a, b, wa, wb, _, _ in windows],
             phase,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cart_neighbors import neighbor_ranks
 from repro.simmpi.cart import CartGrid, dims_create
 
 
@@ -55,25 +56,25 @@ class TestCartGrid:
 
     def test_neighbors_26(self):
         g = self.grid(64)
-        nb = g.neighbor_ranks(0)
+        nb = neighbor_ranks(g, 0)
         assert len(nb) == 26
         assert 0 not in nb
 
     def test_neighbors_small_grid_dedup(self):
         g = self.grid(8)  # 2x2x2: every other rank is a neighbor
-        nb = g.neighbor_ranks(0)
+        nb = neighbor_ranks(g, 0)
         assert set(nb.tolist()) == set(range(1, 8))
 
     def test_neighbors_include_self(self):
         g = self.grid(27)
-        nb = g.neighbor_ranks(13, include_self=True)
+        nb = neighbor_ranks(g, 13, include_self=True)
         assert 13 in nb
 
     def test_neighbor_symmetry(self):
         g = self.grid(27)
         for r in (0, 5, 13):
-            for nb in g.neighbor_ranks(r):
-                assert r in g.neighbor_ranks(int(nb))
+            for nb in neighbor_ranks(g, r):
+                assert r in neighbor_ranks(g, int(nb))
 
     def test_max_neighbor_extent(self):
         g = CartGrid(8, (10.0, 20.0, 30.0))

@@ -131,7 +131,7 @@ def _exercise(machine):
     collectives.alltoallv(machine, [{(r + 1) % machine.nprocs: a} for r in range(machine.nprocs)], "x")
     sendrecv(machine, 0, 1, a, "p")
     send_round(machine, [(0, 1, a), (2, 3, a)], "p")
-    exchange_pairs(machine, [(0, 1, a, a), (2, 3, a, a)], "p")
+    exchange_pairs(machine, np.array([[0, 1], [2, 3]]), np.full((2, 2), a.nbytes), "p")
     run_spmd(machine, lambda ctx: ctx.sendrecv((ctx.rank + 1) % ctx.nprocs, a,
                                                (ctx.rank - 1) % ctx.nprocs))
     machine.count("events", 3)
@@ -248,7 +248,8 @@ class TestWallAttribution:
             for _ in range(3):
                 exchange_pairs(
                     machine,
-                    [(0, 1, payload, payload), (2, 3, payload, payload)],
+                    np.array([[0, 1], [2, 3]]),
+                    np.full((2, 2), payload.nbytes),
                     "only-exchange-pairs",
                 )
         assert machine.trace.phase("only-exchange-pairs").wall_ns > 0

@@ -52,33 +52,32 @@ class TestSendRound:
         assert one > m2.clocks[0]
 
 
+def pairs(*ends):
+    """``(k, 2)`` int64 pair or byte arrays."""
+    return np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+
+
 class TestExchangePairs:
     def test_swap(self, machine4):
-        out = exchange_pairs(
-            machine4, [(0, 1, np.array([10.0]), np.array([20.0]))], "x"
-        )
-        got_at_0, got_at_1 = out[(0, 1)]
-        assert got_at_0[0] == 20.0
-        assert got_at_1[0] == 10.0
+        """Naming a pair the other way round, with its byte columns
+        swapped, is the same exchange."""
+        exchange_pairs(machine4, pairs((0, 1)), pairs((80, 160)), "x")
+        m2 = Machine(4)
+        exchange_pairs(m2, pairs((1, 0)), pairs((160, 80)), "x")
+        assert [c.hex() for c in m2.clocks] == [c.hex() for c in machine4.clocks]
+        assert machine4.clocks[0] != machine4.clocks[1]
 
     def test_disjointness_enforced(self, machine4):
         with pytest.raises(ValueError):
-            exchange_pairs(
-                machine4,
-                [
-                    (0, 1, np.zeros(1), np.zeros(1)),
-                    (1, 2, np.zeros(1), np.zeros(1)),
-                ],
-                "x",
-            )
+            exchange_pairs(machine4, pairs((0, 1), (1, 2)), pairs((8, 8), (8, 8)), "x")
 
     def test_self_pair_rejected(self, machine4):
         with pytest.raises(ValueError):
-            exchange_pairs(machine4, [(1, 1, np.zeros(1), np.zeros(1))], "x")
+            exchange_pairs(machine4, pairs((1, 1)), pairs((8, 8)), "x")
 
     def test_overlapping_directions(self, machine4):
         """A symmetric exchange costs about one message time, not two."""
-        exchange_pairs(machine4, [(0, 1, np.zeros(800), np.zeros(800))], "x")
+        exchange_pairs(machine4, pairs((0, 1)), pairs((6400, 6400)), "x")
         t_pair = machine4.elapsed()
         m2 = Machine(4)
         sendrecv(m2, 0, 1, np.zeros(800), "x")
@@ -86,11 +85,7 @@ class TestExchangePairs:
         assert t_pair < m2.elapsed()
 
     def test_counts(self, machine4):
-        exchange_pairs(
-            machine4,
-            [(0, 1, np.zeros(10), np.zeros(20)), (2, 3, np.zeros(5), np.zeros(5))],
-            "x",
-        )
+        exchange_pairs(machine4, pairs((0, 1), (2, 3)), pairs((80, 160), (40, 40)), "x")
         st = machine4.trace.get("x")
         assert st.messages == 4
         assert st.bytes == (10 + 20 + 5 + 5) * 8
@@ -139,7 +134,12 @@ class TestExchangePairsRoundQueries:
                 (int(a), int(b), np.zeros(rng.integers(5000)), np.zeros(rng.integers(3), np.uint8))
                 for a, b in ranks.reshape(-1, 2)
             ]
-            exchange_pairs(got, exchanges, "x")
+            exchange_pairs(
+                got,
+                pairs(*[(a, b) for a, b, _pa, _pb in exchanges]),
+                pairs(*[(pa.nbytes, pb.nbytes) for _a, _b, pa, pb in exchanges]),
+                "x",
+            )
             exchange_pairs_scalar(want, exchanges)
             assert [c.hex() for c in got.clocks.tolist()] == [c.hex() for c in want.clocks.tolist()]
         stats = got.trace.get("x")
@@ -147,8 +147,7 @@ class TestExchangePairsRoundQueries:
 
     def test_bad_rank_is_named_as_before(self, machine4):
         with pytest.raises(ValueError, match=r"rank 7 out of range \[0, 4\)"):
-            one = np.zeros(1)
-            exchange_pairs(machine4, [(0, 1, one, one), (2, 7, one, one)], "x")
+            exchange_pairs(machine4, pairs((0, 1), (2, 7)), pairs((8, 8), (8, 8)), "x")
 
 
 def _listeners(name):
@@ -210,8 +209,8 @@ class TestRejectedRound:
     ])
     def test_exchange_pairs(self, listeners, pairs, message):
         machine = _listeners(listeners)
-        one = np.zeros(1)
+        ends = np.asarray(pairs, dtype=np.int64)
         with pytest.raises(ValueError, match=message) as err:
-            exchange_pairs(machine, [(a, b, one, one) for a, b in pairs], "p")
+            exchange_pairs(machine, ends, np.full(ends.shape, 8), "p")
         assert type(err.value) is ValueError
         _untouched(machine)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from repro.core.fine_grained import pair_key_bits
 from repro.core.handle import fcs_init
 from repro.core.particles import ParticleSet
 from repro.simmpi.cart import CartGrid
@@ -82,11 +83,19 @@ class TestLinkedCell:
         assert pot.shape == (0,) and pairs == 0
 
 
+def ghost_pairs(grid, pos, rc):
+    """``(elements, targets, owner)``: the (row, target) pairs of the
+    placement route of ``pos``, every row held by rank 0, and the owners."""
+    offsets = np.array([0] + [pos.shape[0]] * grid.nprocs, dtype=np.int64)
+    route, owner = ghost_distribution(grid, pos, rc, offsets)
+    return route.row_index, np.repeat(route.msg_dst, np.diff(route.row_ptr)), owner
+
+
 class TestGhostDistribution:
     def test_owner_always_included(self, rng):
         grid = CartGrid(8, np.full(3, 10.0))
         pos = rng.uniform(0, 10, (50, 3))
-        elems, targets, owners = ghost_distribution(grid, pos, rc=1.0)
+        elems, targets, owners = ghost_pairs(grid, pos, rc=1.0)
         np.testing.assert_array_equal(owners, grid.rank_of_positions(pos))
         for i in range(50):
             assert owners[i] in targets[elems == i]
@@ -95,20 +104,20 @@ class TestGhostDistribution:
         grid = CartGrid(8, np.full(3, 10.0))
         # center of rank-0 subdomain (0..5)^3, far from all boundaries
         pos = np.array([[2.5, 2.5, 2.5]])
-        elems, targets, _owner = ghost_distribution(grid, pos, rc=1.0)
+        elems, targets, _owner = ghost_pairs(grid, pos, rc=1.0)
         assert elems.shape[0] == 1
 
     def test_boundary_particles_duplicated(self):
         grid = CartGrid(8, np.full(3, 10.0))
         # near the +x face of rank 0's subdomain
         pos = np.array([[4.9, 2.5, 2.5]])
-        elems, targets, _owner = ghost_distribution(grid, pos, rc=1.0)
+        elems, targets, _owner = ghost_pairs(grid, pos, rc=1.0)
         assert elems.shape[0] == 2  # owner + one face neighbor
 
     def test_corner_particle_eight_targets(self):
         grid = CartGrid(8, np.full(3, 10.0))
         pos = np.array([[4.95, 4.95, 4.95]])
-        elems, targets, _owner = ghost_distribution(grid, pos, rc=1.0)
+        elems, targets, _owner = ghost_pairs(grid, pos, rc=1.0)
         assert elems.shape[0] == 8  # owner + 7 (corner of a 2x2x2 grid)
 
     def test_ghost_completeness(self, rng):
@@ -118,7 +127,7 @@ class TestGhostDistribution:
         n = 80
         rc = 1.2
         pos = rng.uniform(0, 10, (n, 3))
-        elems, targets, owners = ghost_distribution(grid, pos, rc)
+        elems, targets, owners = ghost_pairs(grid, pos, rc)
         # local content per rank
         local = {r: set(elems[targets == r].tolist()) for r in range(8)}
         box = 10.0
@@ -142,9 +151,43 @@ class TestGhostDistribution:
         hair = np.nextafter(1.0, 0.0)
         assert np.mod(-1e-16, 1.0) == hair
         pos = np.array([[0.99, 0.75, 0.75], [hair, 0.75, 0.75]])
-        elems, targets, owners = ghost_distribution(grid, pos, rc=0.1)
+        elems, targets, owners = ghost_pairs(grid, pos, rc=0.1)
         assert owners.tolist() == [11, 3]
         assert set(zip(elems.tolist(), targets.tolist())) == {(0, 11), (0, 3), (1, 3), (1, 11)}
+
+    def test_key_width_fits_at_63_bits_and_is_refused_at_64(self):
+        """The route's (source, target, row) key takes 2·bits(P − 1) +
+        bits(n − 1) bits: 48 at the paper's 16 384 ranks and 829 440
+        particles.  At 2^20 ranks, 2^23 rows fill 63 bits and one row more
+        does not; 2^30 ranks leave room for 8 rows, not 9."""
+        assert pair_key_bits(16384, 829440) == (14, 20)
+        assert pair_key_bits(2**20, 2**23) == (20, 23)
+        with pytest.raises(ValueError, match="8388609 rows on 1048576 ranks"):
+            pair_key_bits(2**20, 2**23 + 1)
+        # refused before any work: no table of 2^30 entries is ever built
+        grid = CartGrid(2**30, np.full(3, 10.0))
+        with pytest.raises(ValueError, match="9 rows on 1073741824 ranks needs a 64-bit"):
+            offsets = np.broadcast_to(np.int64(0), (2**30 + 1,))  # no memory behind it
+            ghost_distribution(grid, np.zeros((9, 3)), 0.1, offsets)
+
+    @pytest.mark.parametrize("solver", ["p2nfft", "ewald"])
+    def test_placement_too_wide_to_key_is_refused_before_any_charge(self, solver):
+        """A placement whose key would not fit raises from ``fcs_run`` with
+        clocks, trace and the application's rows untouched.  (The grid is
+        swapped for one of 2^30 ranks: a machine that size does not fit.)"""
+        box = np.full(3, 4.0)
+        machine = Machine(2)
+        fcs = fcs_init(solver, machine, cutoff=1.0, compute="skip")
+        fcs.set_common(box=box, offset=np.zeros(3), periodic=True)
+        pos = np.random.default_rng(0).random((9, 3)) * box
+        particles = ParticleSet([pos, np.zeros((0, 3))], [np.ones(9), np.zeros(0)])
+        fcs.tune(particles)
+        fcs.solver.grid = CartGrid(2**30, box)
+        clocks, items = machine.clocks.copy(), machine.trace.items()
+        with pytest.raises(ValueError, match="9 rows on 1073741824 ranks"):
+            fcs.run(particles)
+        assert np.array_equal(machine.clocks, clocks) and machine.trace.items() == items
+        np.testing.assert_array_equal(particles.pos[0], pos)
 
     @pytest.mark.parametrize("solver", ["p2nfft", "ewald"])
     def test_near_field_keeps_the_pair_across_the_upper_face(self, solver):
@@ -189,7 +232,7 @@ class TestGhostDistribution:
         # the second half takes some coordinates of the first: close pairs
         # across the snapped faces are common
         pos[n // 2:] = np.where(rng.random((n - n // 2, 3)) < 0.5, pos[: n - n // 2], pos[n // 2:])
-        elems, targets, owners = ghost_distribution(grid, pos, rc)
+        elems, targets, owners = ghost_pairs(grid, pos, rc)
         delivered = set(zip(elems.tolist(), targets.tolist()))
         w = np.mod(pos, box)
         w = np.where(w < box, w, 0.0)

@@ -95,6 +95,15 @@ REMOVED = [
     ("repro.simmpi.algos", "_rebuild_payload"),
     ("repro.verify.audit", "CommAuditor.observe_send_round"),
     ("repro.verify.audit", "CommAuditor.observe_sendrecv"),
+    # the position update measures the movement bound; this per-rank loop
+    # billed every rank for every rank's rows and had no caller
+    ("repro.core.movement", "max_movement"),
+    # a comparator round is audited as the (src, dst, nbytes) arrays it is
+    ("repro.verify.audit", "CommAuditor.observe_exchange_pairs"),
+    # nothing under src/ asks for a neighbor set: tests/cart_neighbors.py
+    # builds it from CartGrid.shifted_ranks
+    ("repro.simmpi.cart", "CartGrid.neighbor_ranks"),
+    ("repro.simmpi.cart", "CartGrid.neighbor_table"),
 ]
 
 

@@ -4,6 +4,7 @@ observers, neighbor contract."""
 import numpy as np
 import pytest
 
+from cart_neighbors import neighbor_table
 from repro.core.particles import ColumnBlock
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.collectives import alltoallv, allreduce, neighborhood_alltoallv
@@ -114,9 +115,7 @@ class TestP2PMatching:
     def test_exchange_pairs_audited(self):
         machine = Machine(4)
         auditor = enable_auditing(machine)
-        exchange_pairs(
-            machine, [(0, 1, np.zeros(8), np.zeros(3))], phase="x"
-        )
+        exchange_pairs(machine, np.array([[0, 1]]), np.array([[64, 24]]), phase="x")
         assert vars(auditor.ledger["x"]) == {"messages": 2, "bytes": 88}
 
 
@@ -158,7 +157,7 @@ class TestNeighborContract:
     def _grid_machine(cls):
         machine = Machine(cls.NPROCS)
         grid = CartGrid(machine.nprocs, box=(10.0, 10.0, 10.0), dims=(4, 2, 2))
-        table = grid.neighbor_table(include_self=True)
+        table = neighbor_table(grid, include_self=True)
         auditor = enable_auditing(machine, neighbor_table=table)
         return machine, grid, auditor
 
@@ -166,13 +165,13 @@ class TestNeighborContract:
     def _stranger(cls, grid):
         neighbors = {
             int(x)
-            for x in np.asarray(grid.neighbor_table(include_self=True)[0]).ravel()
+            for x in np.asarray(neighbor_table(grid, include_self=True)[0]).ravel()
         }
         return next(r for r in range(cls.NPROCS) if r not in neighbors)
 
     def test_neighbor_traffic_accepted(self):
         machine, grid, auditor = self._grid_machine()
-        neighbor = int(grid.neighbor_table(include_self=False)[0][0])
+        neighbor = int(neighbor_table(grid, include_self=False)[0][0])
         sends = [{} for _ in range(self.NPROCS)]
         sends[0] = {neighbor: np.zeros(8)}
         neighborhood_alltoallv(machine, sends, phase="halo")
@@ -200,7 +199,7 @@ class TestNeighborContract:
         from repro.core.fine_grained import fine_grained_redistribute
 
         machine, grid, auditor = self._grid_machine()
-        table = grid.neighbor_table(include_self=False)
+        table = neighbor_table(grid, include_self=False)
         blocks = [
             ColumnBlock(x=np.full(2, float(r))) for r in range(self.NPROCS)
         ]
