@@ -42,11 +42,10 @@ without the observability layer at all.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,13 +67,16 @@ MACHINE_RANK = -1
 ROOT_SPAN = -1
 
 
-@dataclasses.dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One observed interval: ``(rank, phase, parent, t_start, t_end, attrs)``.
 
     ``time`` is the span's attributed duration; for ``kind="charge"`` it is
     the exact critical-path seconds charged into the trace (``t_end -
     t_start`` up to float rounding — ``time`` is authoritative for sums).
+
+    A named tuple: immutable and compared field by field like the frozen
+    dataclass it replaces, at a fraction of the construction cost (a traced
+    run builds one per rank per charge).
     """
 
     id: int
@@ -168,40 +170,23 @@ class ObsRecorder:
         the exact charged ``time``, plus per-rank ``rank`` spans for every
         rank whose clock moved (when ``per_rank``)."""
         label = phase if phase is not None else "other"
+        parent = self._parent()
+        # the hot path builds spans positionally (a third of the keyword
+        # cost): id, parent, rank, phase, op, kind, t_start, t_end, time, ...
         self._append(
             MACHINE_RANK,
-            Span(
-                id=next(self._ids),
-                parent=self._parent(),
-                rank=MACHINE_RANK,
-                phase=label,
-                op=op,
-                kind="charge",
-                t_start=t_start,
-                t_end=t_end,
-                time=time,
-                messages=messages,
-                nbytes=nbytes,
-            ),
+            Span(next(self._ids), parent, MACHINE_RANK, label, op, "charge",
+                 t_start, t_end, time, messages, nbytes),
         )
         if rank_before is not None and self.per_rank:
-            parent = self._parent()
-            for r in range(self.nprocs):
-                delta = clocks[r] - rank_before[r]
+            # Python floats subtract bit for bit as float64 scalars do
+            for r, (before, after) in enumerate(zip(rank_before.tolist(), clocks.tolist())):
+                delta = after - before
                 if delta != 0.0:
                     self._append(
                         r,
-                        Span(
-                            id=next(self._ids),
-                            parent=parent,
-                            rank=r,
-                            phase=label,
-                            op=op,
-                            kind="rank",
-                            t_start=float(rank_before[r]),
-                            t_end=float(clocks[r]),
-                            time=float(delta),
-                        ),
+                        Span(next(self._ids), parent, r, label, op, "rank",
+                             before, after, delta),
                     )
         self._count_traffic(label, messages, nbytes)
 

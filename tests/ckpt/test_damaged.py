@@ -1,8 +1,9 @@
 """Damaged checkpoint files and interrupted writes (ROADMAP 4c).
 
 A damaged file is rejected by one ``ValueError`` that names the path and
-the offending record(s) — the missing / duplicated record kinds, or the
-1-based number of the line that is not a complete JSON record — before any
+the offending record(s) — the missing / duplicated record kinds, the
+1-based number of the line that is not a complete JSON record, or the
+record that is not an object, lacks a field or does not decode — before any
 :class:`Checkpoint` is constructed; a reordered but complete file keeps
 loading.  An interrupted write never leaves a partial file under the final
 name.
@@ -14,6 +15,7 @@ import pytest
 
 import repro.ckpt.checkpoint as checkpoint_module
 from repro.ckpt import capture_checkpoint, load_checkpoint, write_checkpoint
+from repro.ckpt.format import dumps
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
@@ -73,8 +75,70 @@ def duplicate_rank(lines):
     return lines + [lines[_kinds(lines).index("rank")]], r"duplicated record\(s\) rank 0"
 
 
+# -- malformed records: each used to escape as an unnamed AttributeError,
+# KeyError or TypeError, or a ValueError that named no record
+
+
+def _edit_record(lines, kind, edit):
+    """Re-encode the first record of ``kind`` after ``edit`` mutates it."""
+    at = _kinds(lines).index(kind)
+    rec = json.loads(lines[at])
+    edit(rec)
+    return lines[:at] + [dumps(rec)] + lines[at + 1:]
+
+
+def number_line(lines):
+    return lines[:1] + ["3"] + lines[1:], r"record 2 is a JSON int, not an object"
+
+
+def list_line(lines):
+    return lines + ["[]"], rf"record {len(lines) + 1} is a JSON list, not an object"
+
+
+def rank_without_data(lines):
+    return (
+        _edit_record(lines, "rank", lambda rec: rec.pop("data")),
+        r"rank 0 record has no 'data' field",
+    )
+
+
+def rank_without_capacity(lines):
+    return (
+        _edit_record(lines, "rank", lambda rec: rec["data"].pop("capacity")),
+        r"rank 0 record has no 'capacity' field",
+    )
+
+
+def meta_without_version(lines):
+    return (
+        _edit_record(lines, "meta", lambda rec: rec.pop("version")),
+        r"meta record has no 'version' field",
+    )
+
+
+def unknown_dtype(lines):
+    at = _kinds(lines).index("rank")
+    bad = lines[at].replace('"dtype":"<f8"', '"dtype":"<zz"', 1)
+    return (
+        lines[:at] + [bad] + lines[at + 1:],
+        r"rank 0 record does not decode: TypeError: data type '<zz' not understood",
+    )
+
+
+def payload_misfit(lines):
+    """One float short of its shape: still hex, no longer an (n, 3) block."""
+    at = _kinds(lines).index("rank")
+    start = lines[at].index('"hex":"') + len('"hex":"')
+    bad = lines[at][:start] + lines[at][start + 16:]
+    return (
+        lines[:at] + [bad] + lines[at + 1:],
+        r"rank 0 record does not decode: ValueError: cannot reshape",
+    )
+
+
 DAMAGES = [drop_tail, drop_one_kind, drop_one_rank, cut_mid_line, duplicate_kind,
-           duplicate_rank]
+           duplicate_rank, number_line, list_line, rank_without_data,
+           rank_without_capacity, meta_without_version, unknown_dtype, payload_misfit]
 
 
 @pytest.mark.parametrize("damage", DAMAGES, ids=lambda fn: fn.__name__)

@@ -67,7 +67,7 @@ class TestNdjson:
     def test_round_trip_bit_exact(self):
         _, rec = small_run()
         meta, spans, metrics = read_ndjson(to_ndjson(rec))
-        assert spans == list(rec.spans())  # frozen dataclass equality: bitwise
+        assert spans == list(rec.spans())  # named-tuple equality, field by field
         assert meta["complete"] is True
         assert meta["nprocs"] == 4
         assert len(metrics) == len(rec.metrics.samples())

@@ -33,6 +33,19 @@ class TestChargeCapture:
             assert span.t_end == machine4.clocks[r]
         assert_same_floats(log, rec)
 
+    def test_rank_spans_carry_the_float64_bits_and_are_immutable(self, machine4):
+        rec = enable_observability(machine4)
+        machine4.advance(np.array([0.1, 0.2, 0.0, 0.3]), "w")
+        before = machine4.clocks.copy()
+        machine4.advance(np.array([0.25, 0.7, 0.0, 1 / 3]), "w")
+        for r in (0, 1, 3):
+            _, span = rec.spans(r)
+            assert type(span.time) is float
+            assert span.time.hex() == float(machine4.clocks[r] - before[r]).hex()
+            assert span.t_start.hex() == float(before[r]).hex()
+        with pytest.raises(AttributeError):
+            span.time = 0.0
+
     def test_p2p_parity(self, machine4):
         rec = enable_observability(machine4)
         log = spy_on_trace(machine4)
