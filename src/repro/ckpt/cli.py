@@ -87,20 +87,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_save(args) -> int:
-    from repro.md.simulation import Simulation, SimulationConfig
-    from repro.md.systems import silica_melt_system
-    from repro.simmpi.machine import Machine
+    from repro.verify.trajectory import build_run
 
-    sim = Simulation(
-        Machine(args.nprocs),
-        silica_melt_system(args.particles, seed=args.seed),
-        SimulationConfig(
-            solver=args.solver,
-            method=args.method,
-            seed=args.seed,
-            track_energy=True,
-        ),
-    )
+    sim = build_run(
+        args.solver, args.method, args.nprocs,
+        n_particles=args.particles, seed=args.seed, audit=False,
+    ).sim
     try:
         sim.run(args.steps)
         n_bytes = sim.save_checkpoint(args.out)
@@ -114,19 +106,11 @@ def _cmd_save(args) -> int:
 
 
 def _cmd_restore(args) -> int:
-    from repro.ckpt import load_checkpoint, restore_simulation
-    from repro.verify.invariants import InvariantChecker, state_fingerprint
+    from repro.ckpt import load_checkpoint
+    from repro.verify.trajectory import play, restore_run
 
     ckpt = load_checkpoint(args.path)
-    sim = restore_simulation(ckpt)
-    try:
-        checker = InvariantChecker(sim)
-        if args.steps:
-            sim.run(args.steps)
-        checker.assert_ok()
-        fp = state_fingerprint(sim)
-    finally:
-        sim.fcs.destroy()
+    fp = play(restore_run(ckpt), args.steps).steps[-1]
     print(
         f"restored {args.path}: step {ckpt.step_index} + {args.steps} "
         f"continuation step(s), {ckpt.n_particles} particles on "

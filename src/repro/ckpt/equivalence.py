@@ -6,10 +6,9 @@ For every (solver, method) cell, :func:`run_restart_equivalence`
    machine and fingerprints its final state
    (:func:`~repro.verify.invariants.state_fingerprint`) and auditor
    ledgers (:func:`~repro.verify.dst.ledger_fingerprint`);
-2. runs the **same** trajectory for ``steps`` steps on a fresh machine,
-   captures a checkpoint (optionally through a save→load file round-trip),
-   destroys the simulation ("the job was killed"), restores onto a third
-   fresh audited machine and runs ``steps`` more;
+2. runs the **same** trajectory for ``steps`` steps, resumes it ("the job
+   was killed", :meth:`repro.verify.trajectory.CheckedRun.resume`) and
+   runs ``steps`` more;
 3. arms the ``ckpt-restart-equivalence`` invariant with the uninterrupted
    fingerprints and asserts it on the restored simulation.
 
@@ -26,16 +25,9 @@ the CI ``verify`` job runs.
 from __future__ import annotations
 
 import dataclasses
-import os
 import tempfile
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.ckpt.checkpoint import (
-    capture_checkpoint,
-    load_checkpoint,
-    write_checkpoint,
-)
-from repro.ckpt.restore import restore_simulation
+from contextlib import nullcontext
+from typing import Callable, Dict, List, Optional, Sequence
 
 __all__ = [
     "EQUIVALENCE_METHODS",
@@ -81,27 +73,6 @@ class EquivalenceCell:
     breakdown: List[Dict[str, str]]
 
 
-def _build(solver: str, method: str, *, nprocs, n_particles, system_seed,
-           solver_kwargs, track_energy=True):
-    from repro.md.simulation import Simulation, SimulationConfig
-    from repro.md.systems import silica_melt_system
-    from repro.simmpi.machine import Machine
-    from repro.verify.audit import enable_auditing
-
-    machine = Machine(nprocs)
-    system = silica_melt_system(n_particles, seed=system_seed)
-    config = SimulationConfig(
-        solver=solver,
-        method=method,
-        seed=system_seed,
-        track_energy=track_energy,
-        solver_kwargs=dict(solver_kwargs or {}),
-    )
-    sim = Simulation(machine, system, config)
-    auditor = enable_auditing(machine)
-    return sim, auditor
-
-
 def run_restart_equivalence(
     solver: str,
     method: str,
@@ -115,59 +86,42 @@ def run_restart_equivalence(
 ) -> EquivalenceCell:
     """Check run-2N ≡ run-N + save + restore + run-N for one cell.
 
-    ``via_file=True`` routes the checkpoint through an NDJSON save→load
-    round-trip in a temporary directory (exercising the serialization);
-    the default hands the in-memory :class:`Checkpoint` straight to the
-    restore.
+    ``via_file=True`` resumes through an NDJSON file in a temporary
+    directory; the default resumes from the in-memory checkpoint.
     """
-    from repro.simmpi.machine import Machine
-    from repro.verify.audit import enable_auditing
     from repro.verify.dst import ledger_fingerprint
-    from repro.verify.invariants import InvariantChecker, state_fingerprint
+    from repro.verify.invariants import state_fingerprint
+    from repro.verify.trajectory import build_run
+
+    def build():
+        return build_run(
+            solver, method, nprocs, n_particles=n_particles,
+            seed=system_seed, solver_kwargs=solver_kwargs,
+        )
 
     # -- the uninterrupted run: 2N steps ------------------------------------
-    sim_straight, auditor_straight = _build(
-        solver, method, nprocs=nprocs, n_particles=n_particles,
-        system_seed=system_seed, solver_kwargs=solver_kwargs,
-    )
+    straight = build()
     try:
-        sim_straight.run(2 * steps)
-        straight_state = state_fingerprint(sim_straight)
-        straight_ledger = ledger_fingerprint(auditor_straight)
-        straight_breakdown = step_breakdown_hex(sim_straight.records)
+        straight.sim.run(2 * steps)
+        expected = {
+            "state": state_fingerprint(straight.sim),
+            "ledger": ledger_fingerprint(straight.auditor),
+        }
+        straight_breakdown = step_breakdown_hex(straight.sim.records)
     finally:
-        sim_straight.fcs.destroy()
+        straight.sim.fcs.destroy()
 
     # -- the split run: N steps, kill, restore, N more ----------------------
-    sim_first, _auditor_first = _build(
-        solver, method, nprocs=nprocs, n_particles=n_particles,
-        system_seed=system_seed, solver_kwargs=solver_kwargs,
-    )
+    split = build()
     try:
-        sim_first.run(steps)
-        if via_file:
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "equivalence.ckpt.ndjson")
-                write_checkpoint(capture_checkpoint(sim_first), path)
-                ckpt = load_checkpoint(path)
-        else:
-            ckpt = capture_checkpoint(sim_first)
-    finally:
-        sim_first.fcs.destroy()
-
-    machine = Machine(nprocs)
-    auditor = enable_auditing(machine)
-    sim = restore_simulation(ckpt, machine=machine)
-    try:
-        sim.run(steps)
-        checker = InvariantChecker(sim)
-        checker.expected_restart = {
-            "state": straight_state,
-            "ledger": straight_ledger,
-        }
-        results = checker.run(["ckpt-restart-equivalence"])
+        split.sim.run(steps)
+        with tempfile.TemporaryDirectory() if via_file else nullcontext() as tmp:
+            split.resume(tmp)
+        split.sim.run(steps)
+        split.checker.expected_restart = expected
+        results = split.checker.run(["ckpt-restart-equivalence"])
         problems = [f"{r.name}: {r.detail}" for r in results if r.failed]
-        breakdown = step_breakdown_hex(sim.records)
+        breakdown = step_breakdown_hex(split.sim.records)
         if breakdown != straight_breakdown:
             first_bad = next(
                 i
@@ -179,7 +133,7 @@ def run_restart_equivalence(
                 f"run (first at step {first_bad})"
             )
     finally:
-        sim.fcs.destroy()
+        split.sim.fcs.destroy()
 
     return EquivalenceCell(
         solver=solver,
@@ -188,8 +142,8 @@ def run_restart_equivalence(
         nprocs=nprocs,
         ok=not problems,
         detail="; ".join(problems) if problems else "ok",
-        state_fingerprint=straight_state,
-        ledger_fingerprint=straight_ledger,
+        state_fingerprint=expected["state"],
+        ledger_fingerprint=expected["ledger"],
         breakdown=breakdown,
     )
 

@@ -21,6 +21,8 @@ executable checks:
   loop re-run under seeded machine perturbations
   (:mod:`repro.simmpi.chaos`), asserting bitwise-identical physics and
   ledgers across every seed (only virtual clocks may differ).
+* :mod:`repro.verify.trajectory` — the one place the bitwise harnesses
+  build, fingerprint and resume a checked run.
 
 Run the differential oracle from the command line::
 

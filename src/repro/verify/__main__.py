@@ -228,51 +228,34 @@ def main_dst(argv: List[str]) -> int:
             seed_list=args.seed_list,
             progress=print,
         )
-        print(report.summary())
-        for failure in report.failures:
-            print(
-                f"  seed {failure.seed} "
-                f"[{failure.solver}/{failure.method}]: {failure.detail}"
-            )
-            print(
-                "  reproduce: "
-                + failure.repro_command(
-                    nprocs=report.nprocs,
-                    steps=report.steps,
-                    particles=report.particles,
-                )
-            )
-        return 1 if report.failures else 0
-    solvers = args.solvers or list(DEFAULT_SOLVERS)
-    methods = args.methods or list(DEFAULT_METHODS)
-    distributions = args.distributions or list(DEFAULT_DISTRIBUTIONS)
-    algos = None
-    if args.algos:
-        # "--algos bruck,pairwise" sweeps two specs; '+' combines
-        # collectives within one spec
-        algos = [
-            None if spec == "direct" else spec
-            for token in args.algos
-            for spec in token.split(",")
-            if spec
-        ]
-    report = run_dst(
-        solvers,
-        methods,
-        seeds=args.seeds,
-        steps=args.steps,
-        nprocs=args.nprocs,
-        n_particles=args.particles,
-        seed_list=args.seed_list,
-        system_seed=args.system_seed,
-        distributions=distributions,
-        obs_export_dir=args.obs_export_dir,
-        kill_at=args.kill_at,
-        ckpt_dir=args.ckpt_dir,
-        backend=args.backend,
-        algos=algos,
-        progress=print,
-    )
+    else:
+        algos = None
+        if args.algos:
+            # "--algos bruck,pairwise" sweeps two specs; '+' combines
+            # collectives within one spec
+            algos = [
+                None if spec == "direct" else spec
+                for token in args.algos
+                for spec in token.split(",")
+                if spec
+            ]
+        report = run_dst(
+            args.solvers or list(DEFAULT_SOLVERS),
+            args.methods or list(DEFAULT_METHODS),
+            seeds=args.seeds,
+            steps=args.steps,
+            nprocs=args.nprocs,
+            n_particles=args.particles,
+            seed_list=args.seed_list,
+            system_seed=args.system_seed,
+            distributions=args.distributions or list(DEFAULT_DISTRIBUTIONS),
+            obs_export_dir=args.obs_export_dir,
+            kill_at=args.kill_at,
+            ckpt_dir=args.ckpt_dir,
+            backend=args.backend,
+            algos=algos,
+            progress=print,
+        )
     print(report.summary())
     for failure in report.failures:
         print(f"  seed {failure.seed} [{failure.solver}/{failure.method}]: {failure.detail}")

@@ -24,16 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.md.simulation import (
-    REDISTRIBUTION_PHASES,
-    Simulation,
-    SimulationConfig,
-    StepRecord,
-)
-from repro.md.systems import silica_melt_system
-from repro.simmpi.machine import Machine
-from repro.verify.audit import enable_auditing
-from repro.verify.invariants import InvariantChecker
+from repro.md.simulation import REDISTRIBUTION_PHASES, StepRecord
+from repro.verify.trajectory import build_run
 
 __all__ = [
     "METHODS",
@@ -113,36 +105,22 @@ def run_trajectory(
     hosts the payload data plane on an execution engine ("process" /
     "process:N"); observable state is backend-independent.
     """
-    machine = Machine(nprocs)
-    system = silica_melt_system(n_particles, seed=seed)
-    config = SimulationConfig(
-        solver=solver,
-        method=method,
-        distribution=distribution,
-        seed=seed,
-        track_energy=True,
-        solver_kwargs=dict(solver_kwargs or {}),
-        backend=backend,
+    run = build_run(
+        solver, method, nprocs, n_particles=n_particles, seed=seed,
+        placement=distribution, solver_kwargs=solver_kwargs, backend=backend,
+        audit=audit,
     )
-    sim = Simulation(machine, system, config)
-    if audit:
-        enable_auditing(machine)
-    checker = InvariantChecker(sim) if check_invariants else None
-
-    sim.initialize()
-    if checker is not None:
-        checker.assert_ok()
-    for _ in range(steps):
-        sim.step()
-        if checker is not None:
-            checker.assert_ok()
+    sim, checker = run.sim, run.checker if check_invariants else None
+    try:
+        for advance in [sim.initialize] + [sim.step] * steps:
+            advance()
+            if checker is not None:
+                checker.assert_ok()
+    finally:
+        sim.fcs.destroy()
 
     nbytes, messages = redistribution_volume(sim.records)
-    passed = skipped = 0
-    if checker is not None:
-        passed = sum(1 for r in checker.history if r.status == "passed")
-        skipped = sum(1 for r in checker.history if r.status == "skipped")
-    sim.fcs.destroy()
+    history = checker.history if checker is not None else []
     return TrajectoryResult(
         solver=solver,
         method=method,
@@ -152,8 +130,8 @@ def run_trajectory(
         records=sim.records,
         redistribution_bytes=nbytes,
         redistribution_messages=messages,
-        invariants_passed=passed,
-        invariants_skipped=skipped,
+        invariants_passed=sum(1 for r in history if r.status == "passed"),
+        invariants_skipped=sum(1 for r in history if r.status == "skipped"),
     )
 
 

@@ -36,19 +36,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import shlex
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.md.distributions import clustered_system
-from repro.md.simulation import Simulation, SimulationConfig
-from repro.md.systems import silica_melt_system
+from repro.ckpt import load_checkpoint
+from repro.obs import write_ndjson
 from repro.simmpi.chaos import Perturbation
 from repro.simmpi.machine import Machine
 from repro.simmpi.spmd import SPMDDeadlock, run_spmd
-from repro.verify.audit import LEDGERS, enable_auditing
-from repro.verify.invariants import InvariantChecker, state_fingerprint
+from repro.verify.audit import LEDGERS
+from repro.verify.trajectory import WORKLOADS, CheckedRun, build_run, play, restore_run
 
 __all__ = [
     "DEFAULT_DISTRIBUTIONS",
@@ -71,12 +72,8 @@ DEFAULT_SOLVERS = ("direct", "ewald", "fmm", "p2nfft")
 #: depends on the perturbation
 DEFAULT_METHODS = ("A", "B", "B+move")
 
-#: the workload axis: ``"homogeneous"`` is the silica-melt analogue;
-#: ``"clustered"`` is the two-cluster system run with *dynamic load
-#: balancing* at an aggressive trigger — the balance decision reads only
-#: nominal (pre-perturbation) rank work, so rebalances must fire at the
-#: same steps and produce bitwise-identical physics under every schedule
-DST_DISTRIBUTIONS = ("homogeneous", "clustered")
+#: the workload axis (:data:`repro.verify.trajectory.WORKLOADS`)
+DST_DISTRIBUTIONS = WORKLOADS
 
 #: default sweep stays on the homogeneous workload (cost); pass
 #: ``--distributions clustered`` to exercise the balancing path
@@ -123,6 +120,11 @@ class DstFailure:
     resume_from: Optional[str] = None
     #: collective-algorithm spec the cell ran under (``None`` = direct)
     algos: Optional[str] = None
+    #: system/trajectory seed, execution backend and kill-checkpoint
+    #: directory of the sweep the failure came from
+    system_seed: int = 0
+    backend: Optional[str] = None
+    ckpt_dir: Optional[str] = None
 
     def repro_command(self, *, nprocs: int, steps: int, particles: int) -> str:
         """One-line command reproducing exactly this failing cell.
@@ -134,23 +136,28 @@ class DstFailure:
         """
         if self.resume_from is not None:
             return (
-                f"python -m repro.verify dst --resume-from {self.resume_from} "
+                f"python -m repro.verify dst --resume-from "
+                f"{shlex.quote(self.resume_from)} "
                 f"--steps {steps} --seed-list {self.seed}"
             )
-        if self.solver == "spmd-probe":
-            return (
-                f"python -m repro.verify dst --solvers direct --methods A "
-                f"--steps 1 --particles {particles} --nprocs {nprocs} "
-                f"--seed-list {self.seed}"
-            )
-        kill = f" --kill-at {self.kill_at}" if self.kill_at is not None else ""
-        algos = f" --algos {self.algos}" if self.algos is not None else ""
-        return (
-            f"python -m repro.verify dst --solvers {self.solver} "
-            f"--methods {self.method!r} --steps {steps} "
-            f"--particles {particles} --nprocs {nprocs} "
-            f"--distributions {self.distribution} "
-            f"--seed-list {self.seed}{kill}{algos}"
+        probe = self.solver == "spmd-probe"
+        if probe:
+            cell = "--solvers direct --methods A --steps 1"
+        else:
+            cell = f"--solvers {self.solver} --methods {self.method!r} --steps {steps}"
+        options = {
+            "--particles": particles,
+            "--nprocs": nprocs,
+            "--distributions": None if probe else self.distribution,
+            "--seed-list": self.seed,
+            "--kill-at": self.kill_at,
+            "--algos": self.algos,
+            "--system-seed": self.system_seed or None,
+            "--backend": self.backend,
+            "--ckpt-dir": None if self.ckpt_dir is None else shlex.quote(self.ckpt_dir),
+        }
+        return f"python -m repro.verify dst {cell}" + "".join(
+            f" {flag} {value}" for flag, value in options.items() if value is not None
         )
 
 
@@ -189,178 +196,6 @@ class DstReport:
             f"steps={self.steps} nprocs={self.nprocs} "
             f"particles={self.particles}"
         )
-
-
-@dataclasses.dataclass
-class _Reference:
-    """Reference-schedule fingerprints of one (solver, method) cell."""
-
-    checkpoints: List[Dict[str, str]]
-    ledger: str
-
-
-def _run_cell(
-    solver: str,
-    method: str,
-    nprocs: int,
-    *,
-    steps: int,
-    n_particles: int,
-    system_seed: int,
-    perturbation: Optional[Perturbation],
-    reference: Optional[_Reference],
-    solver_kwargs: Optional[dict] = None,
-    distribution: str = "homogeneous",
-    obs_export_path: Optional[str] = None,
-    obs_meta: Optional[Dict[str, object]] = None,
-    kill_at: Optional[int] = None,
-    ckpt_dir: Optional[str] = None,
-    backend: Optional[str] = None,
-    algos: Optional[str] = None,
-) -> _Reference:
-    """Run one trajectory; check against ``reference`` when given.
-
-    The reference run (``reference=None``) asserts the full invariant
-    registry after every step and records the fingerprint at every
-    checkpoint; perturbed runs assert ``schedule-independence`` against the
-    recorded fingerprints (so a divergence is pinned to the first step it
-    appears in, per component).
-
-    ``distribution="clustered"`` swaps in the two-cluster system and turns
-    on dynamic load balancing with an aggressive trigger, so the weighted
-    repartition runs inside the perturbed schedule — the monitor reads
-    only nominal work, hence the fingerprints must not move.
-
-    ``obs_export_path`` attaches a span recorder (:mod:`repro.obs`) and, on
-    success, writes the perturbation-tagged NDJSON snapshot there.  The
-    recorder observes clocks out-of-band, so fingerprints are unaffected.
-
-    ``kill_at=K`` kills *perturbed* trajectories right after the step-``K``
-    fingerprint check: the simulation is checkpointed (through an NDJSON
-    file round-trip when ``ckpt_dir`` is given), destroyed, and restored
-    onto a fresh machine under the *same* perturbation — the resumed
-    trajectory must then keep matching the uninterrupted reference
-    schedule's fingerprints and final ledger.  This is the chaos-resume
-    workflow: kill + restore is itself a schedule event and must not move
-    the physics.  The reference run (``reference=None``) is never killed.
-    """
-    if distribution not in DST_DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown distribution {distribution!r}; pick from {DST_DISTRIBUTIONS}"
-        )
-    if kill_at is not None and not 0 <= kill_at <= steps:
-        raise ValueError(
-            f"kill_at must be within 0..steps ({steps}), got {kill_at!r}"
-        )
-    machine = Machine(nprocs)
-    if backend is not None:
-        from repro.backend import resolve_backend
-
-        machine.attach_backend(resolve_backend(backend))
-    recorder = None
-    if obs_export_path is not None:
-        from repro.obs import enable_observability
-
-        recorder = enable_observability(machine)
-    balance_kwargs: Dict = {}
-    if distribution == "clustered":
-        system = clustered_system("two-cluster", n_particles, seed=system_seed)
-        balance_kwargs = dict(
-            load_balance="dynamic",
-            balance_trigger=1.02,
-            balance_rearm=1.01,
-            capacity_factor=6.0,
-        )
-        if solver == "fmm":
-            solver_kwargs = dict(solver_kwargs or {}, work_model="density")
-    else:
-        system = silica_melt_system(n_particles, seed=system_seed)
-    config = SimulationConfig(
-        solver=solver,
-        method=method,
-        seed=system_seed,
-        track_energy=True,
-        solver_kwargs=dict(solver_kwargs or {}),
-        perturbation=perturbation,
-        collective_algos=algos,
-        **balance_kwargs,
-    )
-    sim = Simulation(machine, system, config)
-    auditor = enable_auditing(machine)
-    checker = InvariantChecker(sim)
-
-    checkpoints: List[Dict[str, str]] = []
-
-    def checkpoint(k: int) -> None:
-        if reference is None:
-            checkpoints.append(state_fingerprint(sim))
-            checker.assert_ok()
-        else:
-            checker.expected_fingerprint = reference.checkpoints[k]
-            checker.assert_ok(["schedule-independence"])
-
-    def maybe_kill(k: int) -> None:
-        """Kill + checkpoint-resume this (perturbed) trajectory at step k."""
-        nonlocal sim, machine, auditor, checker, recorder
-        if kill_at is None or k != kill_at or reference is None:
-            return
-        from repro.ckpt import (
-            capture_checkpoint,
-            load_checkpoint,
-            restore_simulation,
-            write_checkpoint,
-        )
-
-        if ckpt_dir is not None:
-            os.makedirs(ckpt_dir, exist_ok=True)
-            slug = method.replace("+", "_")
-            path = os.path.join(
-                ckpt_dir, f"{solver}-{slug}-kill{k}.ckpt.ndjson"
-            )
-            write_checkpoint(capture_checkpoint(sim), path)
-            ckpt = load_checkpoint(path)
-        else:
-            ckpt = capture_checkpoint(sim)
-        sim.fcs.destroy()
-        machine = Machine(nprocs)
-        if backend is not None:
-            from repro.backend import resolve_backend
-
-            machine.attach_backend(resolve_backend(backend))
-        if recorder is not None:
-            from repro.obs import enable_observability
-
-            recorder = enable_observability(machine)
-        auditor = enable_auditing(machine)
-        sim = restore_simulation(ckpt, machine=machine, perturbation=perturbation)
-        checker = InvariantChecker(sim)
-
-    try:
-        sim.initialize()
-        checkpoint(0)
-        maybe_kill(0)
-        for k in range(steps):
-            sim.step()
-            checkpoint(k + 1)
-            maybe_kill(k + 1)
-        ledger = ledger_fingerprint(auditor)
-        if reference is not None and ledger != reference.ledger:
-            raise AssertionError(
-                "auditor ledger fingerprint diverged from the reference schedule "
-                f"(perturbation [{machine.trace.notes().get('perturbation', '?')}])"
-            )
-    finally:
-        sim.fcs.destroy()
-    if recorder is not None:
-        from repro.obs import write_ndjson
-
-        meta: Dict[str, object] = {
-            "cell": f"{solver}/{method}/{distribution}",
-            "perturbation": machine.trace.notes().get("perturbation", "none"),
-        }
-        meta.update(obs_meta or {})
-        write_ndjson(obs_export_path, recorder, meta=meta)
-    return _Reference(checkpoints=checkpoints, ledger=ledger)
 
 
 # -- SPMD order-invariance probe ---------------------------------------------
@@ -413,46 +248,58 @@ def run_order_invariance_probe(
         rng = np.random.default_rng([_PROBE_SALT, system_seed, rnd])
         sends, expected = _probe_traffic(nprocs, rng)
 
-        def run_once(perturbation: Optional[Perturbation]):
-            machine = (
-                Machine(nprocs, perturbation=perturbation)
-                if perturbation is not None
-                else Machine(nprocs)
-            )
-            return run_spmd(machine, _probe_program, sends, expected)
-
-        reference = run_once(None)
+        reference = run_spmd(Machine(nprocs), _probe_program, sends, expected)
         for seed in seeds:
             if seed == 0:
                 continue
+            machine = Machine(nprocs, perturbation=Perturbation.sample(seed))
             try:
-                result = run_once(Perturbation.sample(seed))
+                result = run_spmd(machine, _probe_program, sends, expected)
             except SPMDDeadlock as exc:
-                failures.append(
-                    DstFailure(
-                        solver="spmd-probe",
-                        method=f"round-{rnd}",
-                        seed=seed,
-                        detail=f"deadlock detector fired: {exc}",
-                    )
+                detail = f"deadlock detector fired: {exc}"
+            else:
+                if result == reference:
+                    continue
+                detail = "wildcard-receive results diverged from the reference schedule"
+            failures.append(
+                DstFailure(
+                    "spmd-probe", f"round-{rnd}", seed, detail, system_seed=system_seed
                 )
-                continue
-            if result != reference:
-                failures.append(
-                    DstFailure(
-                        solver="spmd-probe",
-                        method=f"round-{rnd}",
-                        seed=seed,
-                        detail=(
-                            "wildcard-receive results diverged from the "
-                            "reference schedule"
-                        ),
-                    )
-                )
+            )
     return failures
 
 
-# -- the sweep ----------------------------------------------------------------
+# -- the sweeps ---------------------------------------------------------------
+
+
+def _sweep_seeds(
+    checked_run: Callable[[Optional[int]], CheckedRun],
+    steps: int,
+    seeds: Sequence[int],
+    template: DstFailure,
+    export: Callable[[CheckedRun, int], None] = lambda run, seed: None,
+    **kill,
+) -> List[DstFailure]:
+    """Play the reference run (chaos seed ``None``), then one run per seed
+    held to it; each divergence or deadlock becomes a copy of ``template``.
+    ``export`` sees every run that passed (the reference as seed 0)."""
+    run = checked_run(None)
+    reference = play(run, steps)
+    export(run, 0)
+    failures: List[DstFailure] = []
+    for seed in seeds:
+        run = checked_run(seed)
+        try:
+            play(run, steps, reference=reference, **kill)
+        except SPMDDeadlock as exc:
+            detail = f"deadlock: {exc}"
+        except AssertionError as exc:
+            detail = str(exc)
+        else:
+            export(run, seed)
+            continue
+        failures.append(dataclasses.replace(template, seed=seed, detail=detail))
+    return failures
 
 
 def run_dst(
@@ -477,30 +324,18 @@ def run_dst(
     """Sweep every (solver, method, distribution) cell under ``seeds``
     perturbation seeds.
 
+    Each cell plays its unperturbed reference schedule, then one run per
+    chaos seed held to it (:mod:`repro.verify.trajectory`).
     ``seed_list`` overrides the default ``1..seeds`` range (reproducing a
-    recorded failure).  Seed 0 is the null perturbation and is always the
-    reference; listing it explicitly re-checks byte-identity of the null
-    perturbation against the unperturbed reference.
-    ``distributions`` extends the sweep along the workload axis — pass
-    ``("clustered",)`` (or both) to chaos-test the dynamic load balancer.
-    ``obs_export_dir`` writes one chaos-seed-tagged NDJSON span snapshot
-    per trajectory (``{solver}-{method}-{distribution}-seed{N}.ndjson``;
-    the reference schedule is ``seed0``).
-    ``kill_at=K`` kills every *perturbed* trajectory after its step-``K``
-    fingerprint check and resumes it from a :mod:`repro.ckpt` checkpoint
-    (written under ``ckpt_dir`` when given, else in-memory); the resumed
-    trajectory is still held to the uninterrupted reference's fingerprints
-    and ledger — the chaos-resume property.
-    ``backend`` routes every trajectory's payload data plane through the
-    named execution engine (``"process"`` / ``"process:N"``); fingerprints
-    and ledgers are backend-independent, so the sweep's assertions are
-    unchanged — running it under the process engine differentially tests
-    the shared-memory transport against the chaos schedules.
-    ``algos`` extends the sweep along the collective-algorithm axis: each
-    entry is a :func:`repro.simmpi.algos.parse_algos` spec string (``None``
-    meaning the direct default) and gets its own reference schedule —
-    staged algorithms change modeled clocks and message counts, but within
-    one spec the chaos property holds unchanged.
+    recorded failure).  ``distributions`` and ``algos`` (spec strings of
+    :func:`repro.simmpi.algos.parse_algos`, ``None`` = direct) add sweep
+    axes, each cell with its own reference.  ``obs_export_dir`` writes one
+    NDJSON span snapshot per passing run
+    (``{solver}-{method}-{distribution}-seed{N}.ndjson``, the reference is
+    ``seed0``).  ``kill_at=K`` resumes every perturbed run after its
+    step-``K`` check, through a file under ``ckpt_dir`` when given.
+    ``backend`` hosts the payload data plane on an execution engine;
+    fingerprints and ledgers must not move.
     """
     say = progress if progress is not None else (lambda msg: None)
     chosen = list(seed_list) if seed_list is not None else list(range(1, seeds + 1))
@@ -508,102 +343,51 @@ def run_dst(
     failures: List[DstFailure] = []
     trajectories = 0
 
-    def obs_path(
-        solver: str, method: str, distribution: str, spec: Optional[str], seed: int
-    ):
-        if obs_export_dir is None:
-            return None
-        os.makedirs(obs_export_dir, exist_ok=True)
-        slug = method.replace("+", "_")
-        tag = ""
-        if spec is not None:
-            tag = "-" + spec.replace("+", "_").replace("=", "-")
-        return os.path.join(
-            obs_export_dir,
-            f"{solver}-{slug}-{distribution}{tag}-seed{seed}.ndjson",
-        )
-
     for distribution in distributions:
-        for solver in solvers:
-            for method in methods:
-                for spec in algo_specs:
-                    cell = f"{solver}/{method}/{distribution}"
-                    if spec is not None:
-                        cell += f"/{spec}"
-                    say(f"dst: {cell} reference schedule ...")
-                    reference = _run_cell(
-                        solver,
-                        method,
-                        nprocs,
-                        steps=steps,
-                        n_particles=n_particles,
-                        system_seed=system_seed,
-                        perturbation=None,
-                        reference=None,
-                        distribution=distribution,
-                        obs_export_path=obs_path(
-                            solver, method, distribution, spec, 0
-                        ),
-                        obs_meta={"chaos_seed": 0},
-                        backend=backend,
-                        algos=spec,
-                    )
-                    trajectories += 1
-                    for seed in chosen:
-                        perturbation = Perturbation.sample(seed)
-                        try:
-                            _run_cell(
-                                solver,
-                                method,
-                                nprocs,
-                                steps=steps,
-                                n_particles=n_particles,
-                                system_seed=system_seed,
-                                perturbation=perturbation,
-                                reference=reference,
-                                distribution=distribution,
-                                obs_export_path=obs_path(
-                                    solver, method, distribution, spec, seed
-                                ),
-                                obs_meta={"chaos_seed": seed},
-                                kill_at=kill_at,
-                                ckpt_dir=ckpt_dir,
-                                backend=backend,
-                                algos=spec,
-                            )
-                        except SPMDDeadlock as exc:
-                            failures.append(
-                                DstFailure(
-                                    solver, method, seed, f"deadlock: {exc}",
-                                    distribution=distribution, kill_at=kill_at,
-                                    algos=spec,
-                                )
-                            )
-                        except AssertionError as exc:
-                            failures.append(
-                                DstFailure(
-                                    solver, method, seed, str(exc),
-                                    distribution=distribution, kill_at=kill_at,
-                                    algos=spec,
-                                )
-                            )
-                        trajectories += 1
-                    failed_cell = any(
-                        f.solver == solver
-                        and f.method == method
-                        and f.distribution == distribution
-                        and f.algos == spec
-                        for f in failures
-                    )
-                    say(
-                        f"dst: {cell} {len(chosen)} seeds "
-                        f"{'FAILED' if failed_cell else 'ok'}"
-                    )
+        for solver, method, spec in itertools.product(solvers, methods, algo_specs):
+            cell = f"{solver}/{method}/{distribution}"
+            if spec is not None:
+                cell += f"/{spec}"
+            tag = "" if spec is None else "-" + spec.replace("+", "_").replace("=", "-")
+            slug = method.replace("+", "_")
 
-    probe_failures = run_order_invariance_probe(
-        nprocs, chosen, rounds=probe_rounds, system_seed=system_seed
+            def checked_run(chaos_seed: Optional[int]) -> CheckedRun:
+                return build_run(
+                    solver, method, nprocs, n_particles=n_particles,
+                    seed=system_seed, workload=distribution, chaos_seed=chaos_seed,
+                    backend=backend, algos=spec, spans=obs_export_dir is not None,
+                )
+
+            def export(run: CheckedRun, seed: int) -> None:
+                if obs_export_dir is None:
+                    return
+                os.makedirs(obs_export_dir, exist_ok=True)
+                meta = {
+                    "cell": f"{solver}/{method}/{distribution}",
+                    "perturbation": run.machine.trace.notes().get("perturbation", "none"),
+                    "chaos_seed": seed,
+                }
+                name = f"{solver}-{slug}-{distribution}{tag}-seed{seed}.ndjson"
+                write_ndjson(os.path.join(obs_export_dir, name), run.recorder, meta=meta)
+
+            say(f"dst: {cell} reference schedule ...")
+            template = DstFailure(
+                solver, method, 0, "", distribution=distribution, kill_at=kill_at,
+                algos=spec, system_seed=system_seed, backend=backend, ckpt_dir=ckpt_dir,
+            )
+            found = _sweep_seeds(
+                checked_run, steps, chosen, template, export,
+                kill_at=kill_at, ckpt_dir=ckpt_dir,
+            )
+            failures.extend(found)
+            trajectories += 1 + len(chosen)
+            say(f"dst: {cell} {len(chosen)} seeds {'FAILED' if found else 'ok'}")
+
+    failures.extend(
+        run_order_invariance_probe(
+            nprocs, chosen, rounds=probe_rounds, system_seed=system_seed
+        )
     )
-    failures.extend(probe_failures)
     probes = probe_rounds * (1 + sum(1 for s in chosen if s != 0))
 
     return DstReport(
@@ -621,9 +405,6 @@ def run_dst(
     )
 
 
-# -- checkpoint-resume sweep ---------------------------------------------------
-
-
 def run_resume_sweep(
     resume_from: str,
     *,
@@ -634,81 +415,28 @@ def run_resume_sweep(
 ) -> DstReport:
     """Resume one saved checkpoint under ``seeds`` perturbation seeds.
 
-    The operational recovery question DST cannot answer from fresh starts
-    alone: given a checkpoint file a dead job left behind (e.g. from
-    ``SimulationConfig.checkpoint_every`` or a ``--ckpt-dir`` chaos run),
-    does resuming it give one trajectory, regardless of the machine the
-    resumed job lands on?  The **null-perturbation resume is the
-    reference**: it runs with the full invariant registry asserted after
-    every step and records per-step fingerprints and the final ledger;
-    every perturbed resume is then held to those via
-    ``schedule-independence``.  Failures carry a one-line
-    ``--resume-from`` repro command.
+    Given a checkpoint file a dead job left behind (``checkpoint_every`` or
+    a ``--ckpt-dir`` chaos run), does resuming it give one trajectory on
+    any machine?  The unperturbed resume is the reference.
     """
-    from repro.ckpt import load_checkpoint, restore_simulation
-
     say = progress if progress is not None else (lambda msg: None)
     ckpt = load_checkpoint(resume_from)
     chosen = list(seed_list) if seed_list is not None else list(range(1, seeds + 1))
-    solver = str(ckpt.config.get("solver", "?"))
-    method = str(ckpt.config.get("method", "?"))
-    distribution = str(ckpt.config.get("distribution", "?"))
-    failures: List[DstFailure] = []
-
-    def run_once(
-        perturbation: Optional[Perturbation], reference: Optional[_Reference]
-    ) -> _Reference:
-        machine = Machine(ckpt.nprocs)
-        auditor = enable_auditing(machine)
-        sim = restore_simulation(ckpt, machine=machine, perturbation=perturbation)
-        checker = InvariantChecker(sim)
-        checkpoints: List[Dict[str, str]] = []
-        try:
-            if not ckpt.initialized:
-                sim.initialize()
-            for k in range(steps):
-                sim.step()
-                if reference is None:
-                    checkpoints.append(state_fingerprint(sim))
-                    checker.assert_ok()
-                else:
-                    checker.expected_fingerprint = reference.checkpoints[k]
-                    checker.assert_ok(["schedule-independence"])
-            ledger = ledger_fingerprint(auditor)
-            if reference is not None and ledger != reference.ledger:
-                raise AssertionError(
-                    "auditor ledger fingerprint of the resumed run diverged "
-                    "from the null-perturbation resume"
-                )
-        finally:
-            sim.fcs.destroy()
-        return _Reference(checkpoints=checkpoints, ledger=ledger)
-
+    solver, method, distribution = (
+        str(ckpt.config.get(key, "?")) for key in ("solver", "method", "distribution")
+    )
     say(
         f"dst: resume {solver}/{method} from {resume_from} "
         f"(step {ckpt.step_index}) — reference schedule ..."
     )
-    reference = run_once(None, None)
-    trajectories = 1
-    for seed in chosen:
-        perturbation = Perturbation.sample(seed) if seed != 0 else None
-        try:
-            run_once(perturbation, reference)
-        except SPMDDeadlock as exc:
-            failures.append(
-                DstFailure(
-                    solver, method, seed, f"deadlock: {exc}",
-                    distribution=distribution, resume_from=resume_from,
-                )
-            )
-        except AssertionError as exc:
-            failures.append(
-                DstFailure(
-                    solver, method, seed, str(exc),
-                    distribution=distribution, resume_from=resume_from,
-                )
-            )
-        trajectories += 1
+    failures = _sweep_seeds(
+        lambda chaos_seed: restore_run(ckpt, chaos_seed=chaos_seed),
+        steps,
+        chosen,
+        DstFailure(
+            solver, method, 0, "", distribution=distribution, resume_from=resume_from
+        ),
+    )
     say(
         f"dst: resume {solver}/{method} {len(chosen)} seeds "
         f"{'FAILED' if failures else 'ok'}"
@@ -720,7 +448,7 @@ def run_resume_sweep(
         steps=steps,
         particles=ckpt.n_particles,
         seeds=chosen,
-        trajectories=trajectories,
+        trajectories=1 + len(chosen),
         probes=0,
         failures=failures,
         distributions=(distribution,),

@@ -5,20 +5,18 @@ import pytest
 
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
-from repro.simmpi.chaos import Perturbation
 from repro.simmpi.machine import Machine
 from repro.verify.audit import enable_auditing
 from repro.verify.dst import (
     DEFAULT_METHODS,
     DEFAULT_SOLVERS,
     DstFailure,
-    _Reference,
-    _run_cell,
     ledger_fingerprint,
     run_dst,
     run_order_invariance_probe,
 )
 from repro.verify.invariants import state_fingerprint
+from repro.verify.trajectory import Fingerprint, build_run, play
 
 
 class TestSweep:
@@ -73,33 +71,25 @@ class TestSweep:
 class TestDivergenceDetection:
     """Negative paths: a tampered reference must be caught and reported."""
 
-    def run_cell(self, perturbation=None, reference=None):
-        return _run_cell(
-            "direct",
-            "B",
-            4,
-            steps=2,
-            n_particles=16,
-            system_seed=0,
-            perturbation=perturbation,
-            reference=reference,
-        )
+    def play(self, chaos_seed=None, reference=None):
+        run = build_run("direct", "B", 4, n_particles=16, chaos_seed=chaos_seed)
+        return play(run, 2, reference=reference)
 
     def test_tampered_state_fingerprint_fails(self):
-        reference = self.run_cell()
-        bad = _Reference(
-            checkpoints=[dict(c) for c in reference.checkpoints],
+        reference = self.play()
+        bad = Fingerprint(
+            steps=[dict(c) for c in reference.steps],
             ledger=reference.ledger,
         )
-        bad.checkpoints[1]["positions"] = "0" * 64
+        bad.steps[1]["positions"] = "0" * 64
         with pytest.raises(AssertionError, match="schedule-independence"):
-            self.run_cell(perturbation=Perturbation.sample(3), reference=bad)
+            self.play(chaos_seed=3, reference=bad)
 
     def test_tampered_ledger_fails(self):
-        reference = self.run_cell()
-        bad = _Reference(checkpoints=reference.checkpoints, ledger="deadbeef")
+        reference = self.play()
+        bad = Fingerprint(steps=reference.steps, ledger="deadbeef")
         with pytest.raises(AssertionError, match="ledger"):
-            self.run_cell(perturbation=Perturbation.sample(3), reference=bad)
+            self.play(chaos_seed=3, reference=bad)
 
     def test_sweep_reports_failure_with_repro_command(self):
         """An injected time->physics coupling must surface as a DstFailure
