@@ -27,6 +27,12 @@ Boundary conditions:
   the exact Ewald reference.  Periodic runs require ``depth >= 3`` so that
   the minimum image convention identifies the adjacent-box image uniquely
   in the near field.
+
+The near field (:meth:`FMMTree.near_field_morton`) is one run table — a run
+per (neighbour offset, target): the target against that leaf box's sorted
+sources — handed whole to the pair kernel, which sweeps it source slot by
+source slot (:mod:`repro.solvers.common.pairs`).  Zero targets make empty
+sums.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.solvers.common.pairs import coulomb_pairs, ragged_cross, segment_starts
+from repro.solvers.common.pairs import coulomb_pairs
 from repro.solvers.common.tables import freeze_arrays, shared_tables, vector_key
 from repro.solvers.fmm.expansions import Expansion
 
@@ -437,22 +443,22 @@ class FMMTree:
         evaluation (targets == sources == everything) and by each rank of
         the parallel solver (targets = owned, sources = owned + halo).
 
-        Returns ``(pot, field, pair_count)`` aligned with the targets.
+        Returns ``(pot, field, pair_count)`` aligned with the targets (empty
+        for no targets).
         """
         from repro.zorder.morton import morton_decode3, morton_encode3
 
         nside = self.nside_leaf
-        # unique populated target boxes and their segments
-        t_boxes, t_first = np.unique(t_keys_sorted, return_index=True)
-        t_last = np.concatenate((t_first[1:], [t_keys_sorted.shape[0]]))
+        # populated target boxes, and each target's among them
+        t_boxes, t_box = np.unique(t_keys_sorted, return_inverse=True)
         # source box of every (neighbor offset, target box), (27, nboxes)
         sx, sy, sz = (
             c.astype(np.int64)[None, :] + _NEIGHBOR_OFFSETS[:, axis, None]
             for axis, c in enumerate(morton_decode3(t_boxes))
         )
-        src_keys = morton_encode3(sx % nside, sy % nside, sz % nside).ravel()
-        s_start = np.searchsorted(s_keys_sorted, src_keys, side="left")
-        s_end = np.searchsorted(s_keys_sorted, src_keys, side="right")
+        src_keys = morton_encode3(sx % nside, sy % nside, sz % nside)
+        first = np.searchsorted(s_keys_sorted, src_keys, side="left")
+        length = np.searchsorted(s_keys_sorted, src_keys, side="right") - first
         if not self.periodic:
             # open boundaries: a displacement that leaves the grid pairs
             # with nothing
@@ -460,29 +466,16 @@ class FMMTree:
                 (sx < 0) | (sx >= nside)
                 | (sy < 0) | (sy >= nside)
                 | (sz < 0) | (sz >= nside)
-            ).ravel()
-            s_end[outside] = s_start[outside]
-        # every offset's pairs from one cross product, offset-major
-        ti, si = ragged_cross(np.tile(t_first, 27), np.tile(t_last, 27), s_start, s_end)
-        per_offset = ((t_last - t_first) * (s_end - s_start).reshape(27, -1)).sum(axis=1)
-        stops = np.cumsum(per_offset)
-        # the kernel reads positions by columns: transpose once, not per offset
-        tpos = np.ascontiguousarray(tpos.T).T
-        spos = np.ascontiguousarray(spos.T).T
-        pot = np.zeros(tpos.shape[0])
-        field = np.zeros((tpos.shape[0], 3))
-        pair_count = 0
-        box = self.box if self.periodic else None
-        # a target's sum is formed per offset first, then added: that
-        # association is part of the result's bits
-        for start, stop in zip(stops - per_offset, stops):
-            if start == stop:
-                continue
-            p, f, c = coulomb_pairs(tpos, spos, sq, ti[start:stop], si[start:stop], box=box)
-            pot += p
-            field += f
-            pair_count += c
-        return pot, field, pair_count
+            )
+            length[outside] = 0
+        # one run per (offset, target), offset-major: a target's sum is its
+        # 27 neighbour boxes' sums, each in source order, added in offset
+        # order (that association is part of the result's bits)
+        n_targets = tpos.shape[0]
+        return coulomb_pairs(
+            tpos, spos, sq, np.tile(np.arange(n_targets), 27), first[:, t_box].ravel(),
+            lengths=length[:, t_box].ravel(), box=self.box if self.periodic else None,
+        )
 
     def evaluate(self, pos: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, FarFieldStats]:
         """Sequential full FMM evaluation (far + near) in input order.

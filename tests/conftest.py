@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 import kernel_oracles
+import near_field_oracles
 import row_oracles
 import store_oracles
 from repro.core.geometry import wrap_into_box
@@ -132,10 +133,10 @@ def oracle_kernels(rebind, monkeypatch, counted):
     fmm_tree.cache_clear()
     for kernel in (ragged_cross, derivative_tensors, partition_destinations, split_by_destination):
         rebind(kernel, counted(getattr(kernel_oracles, kernel.__name__)))
-    for kernel in (
-        wrap_into_box, p2nfft_solver._cell_columns, morton_keys_of_positions, pairs._pair_sums
-    ):
+    for kernel in (wrap_into_box, p2nfft_solver._cell_columns, morton_keys_of_positions):
         rebind(kernel, counted(getattr(row_oracles, kernel.__name__)))
+    # the FMM hands it run tables: each run a target of its own, then folded
+    rebind(pairs._pair_sums, counted(near_field_oracles.over_runs(row_oracles._pair_sums)))
     monkeypatch.setattr(
         LinkedCellNearField, "candidate_pairs", counted(kernel_oracles.candidate_pairs)
     )

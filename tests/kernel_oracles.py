@@ -33,13 +33,15 @@ from repro.core.particles import ColumnBlock
 from repro.solvers.fmm.expansions import multi_index_set
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 
-#: the oracles a force-computing run of each solver reaches (the linked-cell
-#: oracle builds its pairs with this module's ``ragged_cross`` directly)
+#: the oracles a force-computing run of each solver reaches: the linked cell
+#: expands the runs its cutoff can reach with ``ragged_cross`` (only the
+#: Verlet list asks for ``candidate_pairs``); the FMM hands its runs to the
+#: kernel whole
 USED_BY = {
     "direct": set(),
-    "ewald": {"candidate_pairs"},
-    "p2nfft": {"candidate_pairs"},
-    "fmm": {"derivative_tensors", "partition_destinations", "ragged_cross"},
+    "ewald": {"ragged_cross"},
+    "p2nfft": {"ragged_cross"},
+    "fmm": {"derivative_tensors", "partition_destinations"},
 }
 
 _OFFSETS = np.array(

@@ -337,9 +337,72 @@ class TestPairKernelArithmetic:
             assert np.array_equal(col - np.round(col / box[axis]) * box[axis], rows[:, axis])
 
 
+def _lattice_edges(edge):
+    """Coordinates on and a hair beside both faces and the middle of the
+    box, ``-0.0`` included."""
+    return np.array([
+        0.0, -0.0, np.nextafter(0.0, -1.0), np.nextafter(edge, 0.0),
+        0.5 * edge, np.nextafter(0.5 * edge, 0.0),
+    ])
+
+
+@st.composite
+def near_field_layouts(draw):
+    """``(pos, q, n_targets, rng)`` in the box ``[0, 8)**3`` of a depth-3
+    tree (leaves of edge 1)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 90))
+    layout = draw(st.sampled_from(["uniform", "one leaf", "faces", "corner"]))
+    if layout == "uniform":
+        pos = rng.uniform(0.0, 8.0, (n, 3))
+    elif layout == "one leaf":
+        pos = 3.0 + rng.uniform(0.0, 1.0, (n, 3))
+    elif layout == "corner":
+        pos = rng.uniform(0.0, 2.5, (n, 3))
+    else:
+        # on leaf faces (quarter lattice), the box edges and its middle
+        pos = np.minimum(rng.integers(0, 32, (n, 3)) / 4.0, np.nextafter(8.0, 0.0))
+        special = rng.random((n, 3)) < 0.3
+        pos[special] = rng.choice(_lattice_edges(8.0), int(special.sum()))
+    shared = draw(st.integers(0, min(3, n - 1)))
+    pos[n - shared:] = pos[:shared]  # coincident with a particle elsewhere
+    n_targets = draw(st.integers(1, n))
+    return pos, rng.uniform(-1.0, 1.0, n), n_targets, rng
+
+
+@st.composite
+def linked_cell_layouts(draw):
+    """``(near, tpos, spos, sq)`` of a linked cell whose cutoff and edges sit
+    on the quarter lattice."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    rc = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    edges = np.array([draw(st.integers(8, 36)) for _ in range(3)]) / 4.0
+    edges = np.maximum(edges, 2.0 * rc)
+    near = LinkedCellNearField(edges, np.zeros(3), rc, alpha=0.7)
+    ns = draw(st.integers(0, 60))
+    layout = draw(st.sampled_from(["uniform", "one cell", "lattice"]))
+    if layout == "uniform":
+        spos = rng.uniform(0.0, 1.0, (ns, 3)) * edges
+    elif layout == "one cell":
+        spos = rng.uniform(0.0, 1.0, (ns, 3)) * near.cell
+    else:
+        # quarter lattice: cell faces, exact rc apart, at L/2, a hair below L
+        spos = np.minimum(rng.integers(0, 40, (ns, 3)) / 4.0, np.nextafter(edges, 0.0))
+        special = rng.random((ns, 3)) < 0.3
+        for axis in range(3):
+            rows = np.flatnonzero(special[:, axis])
+            spos[rows, axis] = rng.choice(_lattice_edges(edges[axis]), rows.size)
+    nt = draw(st.integers(1, 25))
+    if ns and draw(st.booleans()):
+        tpos = spos[np.sort(rng.choice(ns, min(nt, ns), replace=False))]
+    else:
+        tpos = rng.uniform(0.0, 1.0, (nt, 3)) * edges
+    return near, tpos, spos, rng.uniform(-1.0, 1.0, ns)
+
+
 class TestNearFieldMorton:
-    """One segment-table build for all 27 offsets against the per-offset
-    loop ``near_field_morton`` used to be."""
+    """The run-table sweep against the per-offset loop ``near_field_morton``
+    used to be."""
 
     @pytest.mark.parametrize("periodic", [True, False])
     @pytest.mark.parametrize("n_targets", [1, 300])
@@ -359,6 +422,79 @@ class TestNearFieldMorton:
             tree.near_field_morton(*args),
             near_field_oracles.near_field_morton_loop(tree, *args),
         )
+
+    @given(near_field_layouts(), st.booleans(), st.sampled_from([1, 7, pairs._BLOCK]))
+    @settings(max_examples=80, deadline=None)
+    def test_sweep_bitwise(self, problem, periodic, block):
+        """Around the sweep's exceptions: one leaf holding everything (one
+        run as long as n), empty neighbour boxes, open boundaries, targets
+        that coincide with a source in the middle of a run, coordinates on
+        leaf faces, at ``-0.0`` and a hair beside the box faces, a single
+        target — and runs split over blocks of the table."""
+        pos, q, n_targets, rng = problem
+        tree = FMMTree(3, 2, np.full(3, 8.0), np.zeros(3), periodic, build_operators=False)
+        keys = tree.morton_keys(pos)
+        order = np.argsort(keys, kind="stable")
+        pos, q, keys = pos[order], q[order], keys[order]
+        t_sel = np.sort(rng.choice(pos.shape[0], n_targets, replace=False))
+        args = (pos[t_sel], keys[t_sel], pos, q, keys)
+        with mock.patch.object(pairs, "_BLOCK", block):
+            got = tree.near_field_morton(*args)
+        assert_same_sums(got, near_field_oracles.near_field_morton_loop(tree, *args))
+
+    def test_no_targets(self):
+        """Zero targets (and an empty evaluation) make empty sums."""
+        tree = FMMTree(3, 2, np.full(3, 8.0), np.zeros(3), True)
+        pos = np.random.default_rng(0).uniform(0.0, 8.0, (50, 3))
+        keys = np.sort(tree.morton_keys(pos))
+        empty_keys = keys[:0]
+        pot, field, count = tree.near_field_morton(pos[:0], empty_keys, pos, np.ones(50), keys)
+        assert pot.shape == (0,) and field.shape == (0, 3) and count == 0
+        pot, field, stats = tree.evaluate(pos[:0], np.ones(0))
+        assert pot.shape == (0,) and field.shape == (0, 3) and stats.near_pairs == 0
+
+
+class TestLinkedCell:
+    """The linked cell's cutoff bound against ``near_field_oracles.erfc_pairs``
+    over the ``kernel_oracles`` candidate pairs."""
+
+    @given(linked_cell_layouts())
+    @settings(max_examples=100, deadline=None)
+    def test_compute_bitwise(self, problem):
+        """Around the bound's exceptions: everything in one cell, pairs at
+        exactly ``r2 == rc**2``, coordinates on cell faces, at ``L/2``, at
+        ``-0.0`` and a hair beside the box faces (corners straddling
+        ``+-L/2``), dims < 3 (deduplicated), a single target, targets that
+        are also sources."""
+        near, tpos, spos, sq = problem
+        assert_same_sums(
+            near.compute(tpos, spos, sq),
+            near_field_oracles.linked_cell_compute(
+                near, tpos, spos, sq, kernel_oracles.candidate_pairs, near_field_oracles.erfc_pairs
+            ),
+        )
+
+    @given(linked_cell_layouts())
+    @settings(max_examples=100, deadline=None)
+    def test_bound_never_exceeds_a_members_r2(self, problem):
+        """The bound of every (target, source cell) run is at most the
+        ``r2`` the kernel computes for each of the cell's members."""
+        near, tpos, spos, _sq = problem
+        if not spos.shape[0]:
+            return
+        cells = near.cell_ids(spos)
+        order = np.argsort(cells, kind="stable")
+        scols = np.ascontiguousarray(spos[order].T)
+        s_cells, first = np.unique(cells[order], return_index=True)
+        lo = np.minimum.reduceat(scols, first, axis=1)
+        hi = np.maximum.reduceat(scols, first, axis=1)
+        member_cell = np.searchsorted(s_cells, cells[order])
+        tcols = np.ascontiguousarray(tpos.T)
+        ti = np.repeat(np.arange(tpos.shape[0]), spos.shape[0])
+        si = np.tile(np.arange(spos.shape[0]), tpos.shape[0])
+        r2, _ = pairs.pair_displacements(tcols, scols, ti, si, near.box)
+        bound = pairs.pair_distance_bounds(tcols, lo, hi, ti, member_cell[si], near.box)
+        assert np.all(bound <= r2)
 
 
 def _trajectory(solver, periodic):
@@ -382,10 +518,11 @@ def _trajectory(solver, periodic):
     [("fmm", True), ("fmm", False), ("p2nfft", True), ("ewald", True)],
 )
 def test_trajectory_with_oracle_kernels(solver, periodic, rebind, counted):
-    """Whole runs cannot tell the production kernels from the oracles."""
+    """Whole runs cannot tell the production kernels from the oracles (each
+    run of a run table summed by the oracle as a target of its own)."""
     production = _trajectory(solver, periodic)
-    rebind(pairs.coulomb_pairs, counted(near_field_oracles.coulomb_pairs))
-    rebind(pairs.erfc_pairs, counted(near_field_oracles.erfc_pairs))
+    rebind(pairs.coulomb_pairs, counted(near_field_oracles.over_runs(near_field_oracles.coulomb_pairs)))
+    rebind(pairs.erfc_pairs, counted(near_field_oracles.over_runs(near_field_oracles.erfc_pairs)))
     assert _trajectory(solver, periodic) == production
     assert counted.called == {"coulomb_pairs" if solver == "fmm" else "erfc_pairs"}
 
