@@ -6,12 +6,11 @@ experiment and never depend on where Python code actually executes.  An
 :class:`ExecutionBackend` decides the *hosting*: where payload bytes travel
 when ranks communicate and where per-rank work runs on the host.
 
-Two engines ship:
+With no backend attached (the default, spelled ``None`` or
+``"inprocess"``) every virtual rank lives in the calling process and
+payload delivery is :func:`~repro.simmpi.collectives.deliver_inprocess`.
+One engine ships:
 
-* :class:`~repro.backend.inprocess.InProcessBackend` (default) — every
-  virtual rank lives in the calling process; payload delivery is the
-  historical in-process list shuffle, byte-identical to a build without
-  this package.
 * :class:`~repro.backend.process.ProcessBackend` — each virtual rank is
   owned by a real ``multiprocessing`` worker (rank ``r`` → worker
   ``r % workers``); alltoallv/p2p payload bytes physically traverse
@@ -20,6 +19,9 @@ Two engines ship:
   modeled costs are still charged centrally
   so traces, ledgers and state fingerprints stay **bitwise identical** to
   the in-process run.
+
+Test doubles subclass :class:`ExecutionBackend` directly and deliver through
+``deliver_inprocess``.
 
 Backends are deliberately *transport + task* layers, not schedulers: the
 charging code in :mod:`repro.simmpi` never moves, which is what makes the
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import atexit
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BACKEND_NAMES",
@@ -61,14 +63,13 @@ class ExecutionBackend:
     payload is ``None``, an ``ndarray``, or a tuple/list of ndarrays.
     """
 
-    #: engine name ("inprocess", "process")
+    #: engine name ("process")
     name: str = "abstract"
     #: number of worker processes (0 = the calling process hosts all ranks)
     workers: int = 0
 
     def __init__(self) -> None:
-        #: monotonic transport counters (exported as ``backend.*`` metrics
-        #: by :func:`repro.backend.export_metrics`)
+        #: monotonic host-side transport counters
         self.counters: Dict[str, int] = {
             "backend.exchanges": 0,
             "backend.messages": 0,
@@ -199,41 +200,38 @@ def _parse_spec(spec: str) -> Tuple[str, Optional[int]]:
     return name, workers
 
 
-def resolve_backend(spec) -> ExecutionBackend:
-    """Resolve a backend knob value to a live engine.
+def resolve_backend(spec) -> Optional[ExecutionBackend]:
+    """Resolve a backend knob value to a live engine, or ``None``.
 
     ``spec`` may be an :class:`ExecutionBackend` (returned as-is), ``None``
-    or ``"inprocess"`` (the shared in-process engine), ``"process"`` (a
-    process-wide shared :class:`ProcessBackend` with the default worker
-    count) or ``"process:N"``.  Shared engines are created lazily, reused
-    across calls — spawning workers is expensive — and closed at
-    interpreter exit.
+    or ``"inprocess"`` (no engine: the calling process hosts every rank),
+    ``"process"`` (a process-wide shared :class:`ProcessBackend` with the
+    default worker count) or ``"process:N"``.  Shared engines are created
+    lazily, reused across calls — spawning workers is expensive — and
+    closed at interpreter exit.
     """
     if isinstance(spec, ExecutionBackend):
         if spec.closed:
             raise BackendError(f"backend {spec!r} is closed")
         return spec
     if spec is None:
-        spec = "inprocess"
+        return None
     if not isinstance(spec, str):
         raise BackendError(
             f"backend must be None, a spec string or an ExecutionBackend, "
             f"got {type(spec).__name__}"
         )
     name, workers = _parse_spec(spec)
+    if name == "inprocess":
+        return None
     key = name if workers is None else f"{name}:{workers}"
     with _singletons_lock:
         engine = _singletons.get(key)
         if engine is not None and not engine.closed:
             return engine
-        if name == "inprocess":
-            from repro.backend.inprocess import InProcessBackend
+        from repro.backend.process import ProcessBackend, default_worker_count
 
-            engine = InProcessBackend()
-        else:
-            from repro.backend.process import ProcessBackend, default_worker_count
-
-            engine = ProcessBackend(workers=workers or default_worker_count())
+        engine = ProcessBackend(workers=workers or default_worker_count())
         _singletons[key] = engine
         return engine
 

@@ -40,19 +40,31 @@ work (``closed``), since rank state is gone.
 
 from __future__ import annotations
 
+import importlib
 import os
 import threading
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend import shm as _shm
 from repro.backend.base import BackendError, BackendWorkerError, ExecutionBackend
-from repro.backend.inprocess import import_task
 
-__all__ = ["ProcessBackend", "default_worker_count"]
+__all__ = ["ProcessBackend", "default_worker_count", "import_task"]
+
+
+def import_task(fn_path: str) -> Callable:
+    """Resolve a dotted ``module.attr`` path to a callable (the spawn-safe
+    cross-process way to name code)."""
+    module_name, _, attr = fn_path.rpartition(".")
+    if not module_name:
+        raise ValueError(f"task path {fn_path!r} must be 'module.callable'")
+    fn = getattr(importlib.import_module(module_name), attr)
+    if not callable(fn):
+        raise TypeError(f"task path {fn_path!r} does not name a callable")
+    return fn
 
 
 def default_worker_count() -> int:
@@ -237,6 +249,8 @@ class ProcessBackend(ExecutionBackend):
                     except (EOFError, OSError):
                         reply = None
                     if reply is None:
+                        # the pipe closes before the corpse is reaped
+                        proc.join(timeout=1.0)
                         self._fail_worker(worker, op, nprocs, proc.exitcode)
                     break
                 if not proc.is_alive():

@@ -248,12 +248,9 @@ def fig7(preset: str = "default", quiet: bool = False, backend=None) -> Dict:
     scale = PRESETS[preset]
     steps = scale.steps_fig7
     cells = [(solver, method) for solver in ("fmm", "p2nfft") for method in ("A", "B")]
-    if backend is not None:
-        from repro.backend import resolve_backend
+    from repro.backend import resolve_backend
 
-        engine = resolve_backend(backend)
-    else:
-        engine = None
+    engine = resolve_backend(backend)
     if engine is not None and engine.workers:
         all_series = engine.map_tasks(
             "repro.bench.figures.fig7_cell",

@@ -3,11 +3,12 @@
 The enabling observation (Sudarsan & Ribbens, "Efficient Multidimensional
 Data Redistribution for Resizable Parallel Computations"): a P→Q resize is
 *just another redistribution*, so the paper's fine-grained machinery applies
-unchanged.  A :class:`ResizePlan` is compiled onto the fused
+unchanged.  A :class:`ResizePlan` is compiled onto the
 :class:`~repro.core.plan.ResortPlan` engine over a scratch machine with
 ``max(P, Q)`` ranks (the superset on which both layouts exist — source
 ranks ≥ P hold nothing, target ranks ≥ Q receive nothing) and moves **all
-seven checkpointed particle columns in one fused byte-packed exchange**.
+seven checkpointed particle columns, each in its own dtype, in one
+exchange**.
 
 Target layout: the **canonical (globally id-ordered) decomposition** for Q
 ranks.  Partition bounds come from :mod:`repro.core.balance` —

@@ -7,11 +7,11 @@ on the few ranks owning the dense regions.  This module provides the three
 ingredients of weighted space-filling-curve partitioning (PetFMM-style,
 see docs/load_balancing.md):
 
-* **per-particle work weights** — :func:`occupancy_weights` estimates each
-  particle's near-field pair count from the occupancy of its linked-cell /
-  FMM leaf box (particles in dense boxes interact with more neighbors);
-  uniform weights are the fallback and reduce everything to the existing
-  count-based behavior,
+* **per-particle work weights** — each particle's near-field pair count
+  estimated from the occupancy of its linked-cell / FMM leaf box (particles
+  in dense boxes interact with more neighbors; the solvers build them,
+  e.g. ``FMMSolver._attach_weights``); uniform weights are the fallback and
+  reduce everything to the existing count-based behavior,
 * **weighted split bounds** — :func:`work_split_bounds` places the part
   boundaries at equal *cumulative work* instead of equal counts; no part
   exceeds the mean work by more than the heaviest single particle,
@@ -38,33 +38,11 @@ __all__ = [
     "ImbalanceMonitor",
     "count_split_bounds",
     "load_imbalance",
-    "occupancy_weights",
     "work_split_bounds",
 ]
 
 #: the accepted values of ``SimulationConfig.load_balance``
 LOAD_BALANCE_MODES = ("off", "static", "dynamic")
-
-
-# -- weights ---------------------------------------------------------------------
-
-
-def occupancy_weights(keys: np.ndarray) -> np.ndarray:
-    """Near-field work weight of each particle: its leaf-box occupancy.
-
-    A particle in a box holding ``k`` particles contributes ``O(k)`` pair
-    interactions (against its own box and, for near-uniform neighborhoods,
-    proportionally against the 26 adjacent boxes), so the multiplicity of
-    its key in ``keys`` is the linked-cell pair estimate up to a constant
-    factor — and constant factors cancel in the split bounds.  Uniform
-    distributions therefore get (near-)uniform weights and the weighted
-    split reduces to the count-based one.
-    """
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return counts[inverse].astype(np.float64)
 
 
 # -- split bounds -----------------------------------------------------------------

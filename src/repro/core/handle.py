@@ -23,7 +23,7 @@ engine: :meth:`FCS.resort_plan` compiles the run's resort indices once into
 a reusable :class:`~repro.core.plan.ResortPlan` (cached across calls *and*
 across time steps while the distribution is unchanged), and
 :meth:`FCS.resort` moves any number of mixed-dtype data columns in a single
-fused exchange.  The historical per-dtype entry points
+exchange.  The historical per-dtype entry points
 (``resort_floats``/``resort_ints``/``resort_bytes``) were removed in API
 v2 (``tests/test_removed_apis.py`` pins them gone).
 """
@@ -40,21 +40,10 @@ from repro.obs.spans import machine_span
 from repro.simmpi.machine import Machine
 from repro.solvers.base import RunReport, Solver
 
-__all__ = ["FCS", "fcs_init", "register_solver", "available_solvers"]
+__all__ = ["FCS", "fcs_init", "available_solvers"]
 
 
 _REGISTRY: Dict[str, Callable[..., Solver]] = {}
-
-
-def register_solver(name: str, factory: Callable[..., Solver]) -> None:
-    """Register a solver factory under an ``fcs_init`` method name.
-
-    This is the extension point for third-party solvers: any callable with
-    the signature ``factory(machine, **kwargs) -> Solver`` can be registered
-    and then constructed by name through :func:`fcs_init`, exactly like the
-    built-in methods.  Re-registering a name replaces the previous factory.
-    """
-    _REGISTRY[name] = factory
 
 
 def _ensure_builtin_registry() -> None:
@@ -75,9 +64,7 @@ def _ensure_builtin_registry() -> None:
 def available_solvers() -> List[str]:
     """Names accepted by :func:`fcs_init`.
 
-    Contains the built-in methods ("direct", "ewald", "fmm", "p2nfft") plus
-    anything added through :func:`register_solver`; custom solvers appear
-    here as soon as they are registered.
+    The built-in methods: "direct", "ewald", "fmm", "p2nfft".
     """
     _ensure_builtin_registry()
     return sorted(_REGISTRY)
@@ -88,13 +75,12 @@ def fcs_init(
 ) -> "FCS":
     """Create a new solver handle (``fcs_init``).
 
-    ``method`` selects the solver — either a registry name ("fmm",
-    "p2nfft", "direct", "ewald", or anything added via
-    :func:`register_solver`) or an already-constructed :class:`Solver`
-    instance, which lets applications wrap solvers that take rich
-    construction arguments without registering a factory.  ``machine``
-    plays the role of the MPI communicator specifying the group of parallel
-    processes that execute the solver.
+    ``method`` selects the solver — either a built-in name ("fmm",
+    "p2nfft", "direct", "ewald") or an already-constructed :class:`Solver`
+    instance, which lets applications bring their own solver or one that
+    takes rich construction arguments.  ``machine`` plays the role of the
+    MPI communicator specifying the group of parallel processes that
+    execute the solver.
     """
     if isinstance(method, Solver):
         if solver_kwargs:

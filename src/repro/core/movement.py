@@ -18,8 +18,6 @@ solver, which uses it to pick cheaper redistribution strategies:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.simmpi.cart import CartGrid
@@ -28,7 +26,6 @@ __all__ = [
     "process_cube_side",
     "fmm_prefers_merge_sort",
     "p2nfft_prefers_neighborhood",
-    "MovementTracker",
 ]
 
 
@@ -56,30 +53,3 @@ def p2nfft_prefers_neighborhood(grid: CartGrid, max_move: float) -> bool:
     within direct grid neighbors."""
     return max_move < grid.max_neighbor_extent()
 
-
-class MovementTracker:
-    """Tracks the maximum particle movement across time steps.
-
-    The application updates the tracker during each position update
-    (:meth:`observe`); solvers read :attr:`current` through the library's
-    ``set_max_particle_move`` path.  ``None`` means "unknown" — solvers then
-    must assume arbitrary movement and use the general strategies.
-    """
-
-    def __init__(self) -> None:
-        self.current: Optional[float] = None
-        self.history: list[float] = []
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if value < 0:
-            raise ValueError(f"movement must be non-negative, got {value}")
-        self.current = value
-        self.history.append(value)
-
-    def invalidate(self) -> None:
-        """Forget the bound (e.g. after an external modification of positions)."""
-        self.current = None
-
-    def __repr__(self) -> str:
-        return f"MovementTracker(current={self.current}, steps={len(self.history)})"

@@ -25,13 +25,11 @@ communication schedule:
   ``MPI_Alltoall`` count exchange (``count_exchange="cached"``).
 
 Executing a plan moves arbitrarily many data columns of mixed dtype in **one**
-fused exchange: the columns of all ranks are packed once, row-wise, into one
-contiguous byte record per row, the stored route is bound to that one record
-column and shipped as one :class:`~repro.simmpi.collectives.Exchange`, and
-the placed records are split back into typed columns.  Sending ``k`` columns
+exchange: the stored route is bound to the typed columns of all ranks as
+they are and shipped as one :class:`~repro.simmpi.collectives.Exchange`, and
+each arrived column is put in place with one gather.  Sending ``k`` columns
 therefore costs one message round instead of ``k`` — exactly the per-array
-savings the ``FCS.resort`` redesign exposes to applications — and one array
-per message whatever ``k`` is (what a staged engine or a backend pays for).
+savings the ``FCS.resort`` redesign exposes to applications.
 
 Plans carry their own statistics (:class:`ResortPlanStats`) and report them
 into the machine trace counters (``resort_plan.*``) and, when a
@@ -40,10 +38,10 @@ independent plan ledger so the savings are observable *and* cross-checked.
 
 Plan executions call :func:`~repro.simmpi.collectives.alltoallv` and hence
 compose with the staged collective-algorithm engines
-(:mod:`repro.simmpi.algos`): under e.g. ``alltoallv=bruck`` the fused byte
-records route through the staged rounds, still with ``count_exchange=
-"cached"`` (the plan's cached counts spare even the staged engines their
-dense count exchange), and the delivered records stay bitwise identical.
+(:mod:`repro.simmpi.algos`): under e.g. ``alltoallv=bruck`` the columns
+route through the staged rounds, still with ``count_exchange="cached"``
+(the plan's cached counts spare even the staged engines their dense count
+exchange), and the delivered columns stay bitwise identical.
 """
 
 from __future__ import annotations
@@ -118,8 +116,8 @@ def _flat_column(
 
     A :class:`RankMajor` column is taken as it is; one array per rank (what a
     caller outside the library holds) is validated — same dtype and trailing
-    shape on every rank — and concatenated once.  Either way the rows per
-    rank must be the plan's original counts.
+    shape on every rank — and concatenated once, in that dtype.  Either way
+    the rows per rank must be the plan's original counts.
     """
     nprocs = offsets.shape[0] - 1
     if len(column) != nprocs:
@@ -136,7 +134,12 @@ def _flat_column(
                     f"column {index}: rank {r} has trailing shape {arr.shape[1:]}, "
                     f"rank 0 has {first.shape[1:]}"
                 )
-        column = RankMajor.of(column)
+        # concatenated in the column's own dtype: numpy would make a
+        # non-native byte order native
+        column = RankMajor(
+            np.concatenate(column, dtype=first.dtype),
+            np.concatenate(([0], np.cumsum([len(arr) for arr in column], dtype=np.int64))),
+        )
     if 0 in column.data.shape[1:]:
         raise ValueError(f"column {index}: zero-size rows cannot be redistributed")
     r = column.first_ragged(offsets)
@@ -157,9 +160,8 @@ class ResortPlan:
     groups the rows by target into the route of one exchange and
     distributes the target positions to their owners along it.  Every
     subsequent :meth:`execute` is then pure data movement: bind the stored
-    route to the byte records of the columns, one fused exchange, one gather
-    into place — no index columns on the wire, no count exchange, no
-    revalidation.
+    route to the columns, one exchange, one gather per column into place —
+    no index columns on the wire, no count exchange, no revalidation.
 
     Parameters
     ----------
@@ -339,37 +341,22 @@ class ResortPlan:
             machine, "resort_plan.execute", op="plan.execute",
             columns=len(flat), comm=self.comm,
         ):
-            # fuse the columns once, for all ranks, into one byte record per
-            # row: a staged engine or a backend then ships one array per
-            # message however many columns ride along (docs/performance.md)
-            total = self.total_rows
-            widths = [col.itemsize * int(np.prod(col.shape[1:], dtype=np.int64)) for col in flat]
-            bounds = np.concatenate(([0], np.cumsum(widths))).tolist()
-            records = np.empty((total, bounds[-1]), dtype=np.uint8)
-            for c, col in enumerate(flat):
-                records[:, bounds[c]:bounds[c + 1]] = col.view(np.uint8).reshape(total, widths[c])
-            exchange = dataclasses.replace(self._route, columns=(records,))
-            record_bytes = exchange.row_nbytes
-            machine.copy(np.asarray(self.old_counts, dtype=np.float64) * record_bytes, phase)
+            exchange = dataclasses.replace(self._route, columns=tuple(flat))
+            row_bytes = exchange.row_nbytes
+            machine.copy(np.asarray(self.old_counts, dtype=np.float64) * row_bytes, phase)
             if self.comm == "neighborhood":
                 transport = neighborhood_alltoallv
             else:
                 # counts are part of the plan: skip the dense count exchange
                 transport = functools.partial(alltoallv, count_exchange="cached")
-            (arrived,), _ = transport(machine, exchange, phase)
-            placed = np.take(arrived, self._place, axis=0)
+            arrived, _ = transport(machine, exchange, phase)
             out = [
-                RankMajor(
-                    np.ascontiguousarray(placed[:, bounds[c]:bounds[c + 1]])
-                    .view(col.dtype)
-                    .reshape(col.shape),
-                    self._new_offsets,
-                )
-                for c, col in enumerate(flat)
+                RankMajor(np.take(col, self._place, axis=0), self._new_offsets)
+                for col in arrived
             ]
-            machine.copy(np.asarray(self.new_counts, dtype=np.float64) * record_bytes, phase)
+            machine.copy(np.asarray(self.new_counts, dtype=np.float64) * row_bytes, phase)
             self._count_execution(
-                phase, len(flat), self._inter_messages, self._moved_rows * record_bytes
+                phase, len(flat), self._inter_messages, self._moved_rows * row_bytes
             )
         return out
 

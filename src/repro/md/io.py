@@ -56,7 +56,7 @@ def read_xyz(path: str, frame: int = 0):
     comment = lines[start + 1]
     rows = [lines[start + 2 + i].split() for i in range(n)]
     q = np.asarray([1.0 if r[0] == "Na" else -1.0 for r in rows])
-    pos = np.asarray([[float(v) for v in r[1:4]] for r in rows])
+    pos = np.asarray([[float(v) for v in r[1:4]] for r in rows]).reshape(n, 3)
     vel = None
     if rows and len(rows[0]) >= 7:
         vel = np.asarray([[float(v) for v in r[4:7]] for r in rows])

@@ -109,8 +109,8 @@ class SimulationConfig:
     #: ``step-NNNNNN.ckpt.ndjson``); required when ``checkpoint_every > 0``
     checkpoint_dir: Optional[str] = None
     #: execution backend hosting the payload data plane: ``None`` (default)
-    #: leaves the machine's current attachment untouched, ``"inprocess"`` /
-    #: ``"process"`` / ``"process:N"`` resolve via
+    #: leaves the machine's current attachment untouched, ``"inprocess"``
+    #: detaches it, ``"process"`` / ``"process:N"`` resolve via
     #: :func:`repro.backend.resolve_backend`, or pass a live
     #: :class:`~repro.backend.ExecutionBackend`.  Purely a hosting choice:
     #: traces, ledgers and state fingerprints are backend-independent
@@ -132,8 +132,7 @@ class SimulationConfig:
         failure mode of a benchmark harness — every constraint below raises
         immediately with the accepted values spelled out.  Note what is
         deliberately *not* checked here: the solver name (``fcs_init``
-        already raises with the live registry contents, which may grow via
-        ``register_solver`` after this config is built) and
+        already raises with the registry contents) and
         ``load_balance="dynamic"`` with non-rebalanceable solvers or with
         method A (legal — the mode is recorded and simply never fires, a
         combination the conformance and DST suites exercise on purpose).

@@ -170,8 +170,8 @@ class FMMSolver(Solver):
         One allgather of the local key arrays (phase ``"balance"``) gives
         every rank the global box histogram.  A particle's weight is its
         modeled per-particle execution cost — the linked-cell near-field
-        pair estimate (``27 * occupancy`` interactions, the global-histogram
-        version of :func:`repro.core.balance.occupancy_weights`) plus the
+        pair estimate (``27 * occupancy`` interactions, the occupancy read
+        from the global box histogram) plus the
         per-particle far-field share (P2M/L2P plus an even split of the
         tree-pass operator cost, which :meth:`_charge_far_field` charges
         proportionally to owned counts).  Balancing the weight column

@@ -82,30 +82,6 @@ class LinkedCellNearField:
         s_end = np.searchsorted(s_sorted, ncell, side="right")
         return ncell, s_start, s_end
 
-    def candidate_pairs(
-        self,
-        t_first: np.ndarray,
-        t_last: np.ndarray,
-        s_sorted: np.ndarray,
-        cx: np.ndarray,
-        cy: np.ndarray,
-        cz: np.ndarray,
-        n_sources: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate (target, source) pairs over the 27 neighbor offsets.
-
-        All segment tables (one per offset x occupied target cell) are built
-        in one shot and handed to a single :func:`ragged_cross` call; the
-        scalar oracle in ``tests/kernel_oracles.py`` issues one searchsorted
-        + cross product per offset (the original 27-iteration loop).  Both
-        emit pairs offset-major, cell-major — bitwise identical index arrays.
-        """
-        _, s_start, s_end = self._neighbour_segments(s_sorted, cx, cy, cz)
-        ti, si = ragged_cross(
-            np.tile(t_first, 27), np.tile(t_last, 27), s_start.ravel(), s_end.ravel()
-        )
-        return self._dedup(ti, si, n_sources)
-
     def _dedup(
         self, ti: np.ndarray, si: np.ndarray, n_sources: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -132,10 +108,9 @@ class LinkedCellNearField:
         Targets and sources are sorted by cell (``s_sorted``); ``t_cell``
         indexes each target's cell in the occupied target ``cells``.  There
         is one run per (target, offset) with sources, target-major, each
-        target's offset-major — the order :meth:`candidate_pairs` puts a
-        target's pairs in.  A run goes when :func:`pair_distance_bounds` on
-        its source cell's member extents exceeds ``rc**2``: each of its pairs
-        would fail the kernel's ``r2 <= rc**2`` bit for bit.
+        target's offset-major.  A run goes when :func:`pair_distance_bounds`
+        on its source cell's member extents exceeds ``rc**2``: each of its
+        pairs would fail the kernel's ``r2 <= rc**2`` bit for bit.
         """
         cz = cells % self.dims[2]
         cy = (cells // self.dims[2]) % self.dims[1]

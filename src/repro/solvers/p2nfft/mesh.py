@@ -303,10 +303,6 @@ class MeshSolver:
             field = field - self_field
         return pot, field
 
-    def self_energy(self, q: np.ndarray) -> np.ndarray:
-        """Per-particle self-interaction correction ``-2 alpha/sqrt(pi) q``."""
-        return -2.0 * self.alpha / math.sqrt(math.pi) * q
-
     def background(self, total_charge: float) -> float:
         """Uniform neutralizing-background potential for non-neutral systems."""
         return -math.pi / (self.alpha ** 2 * self.volume) * total_charge

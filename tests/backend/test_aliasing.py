@@ -24,11 +24,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend.inprocess import InProcessBackend
+from repro.backend import ExecutionBackend
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi import Machine
-from repro.simmpi.collectives import Exchange, allgatherv, alltoallv
+from repro.simmpi.collectives import (
+    Exchange,
+    allgatherv,
+    alltoallv,
+    deliver_inprocess,
+)
 from repro.simmpi.p2p import send_round
 
 
@@ -168,7 +173,7 @@ class TestProcessAliasing:
 # --------------------------------------- mutation sweep over the call sites
 
 
-class ReadOnlyBackend(InProcessBackend):
+class ReadOnlyBackend(ExecutionBackend):
     """In-process delivery with inter-rank arrays delivered write-protected.
 
     Any call site that mutates a received payload in place — legal-looking
@@ -180,7 +185,7 @@ class ReadOnlyBackend(InProcessBackend):
     to write into what it received.
     """
 
-    name = "inprocess-readonly"
+    name = "readonly"
     #: exchange descriptors delivered (the sweep must have gone through here)
     descriptors = 0
 
@@ -201,7 +206,7 @@ class ReadOnlyBackend(InProcessBackend):
 
     def deliver(self, sends, nprocs):
         if isinstance(sends, Exchange):
-            columns, recv_offsets = super().deliver(sends, nprocs)
+            columns, recv_offsets = deliver_inprocess(sends, nprocs)
             for column in columns:
                 column.flags.writeable = False
             self.descriptors += 1
@@ -213,16 +218,10 @@ class ReadOnlyBackend(InProcessBackend):
             }
             for src, targets in enumerate(sends)
         ]
-        return super().deliver(protected, nprocs)
+        return deliver_inprocess(protected, nprocs)
 
     def route(self, transfers, nprocs):
-        return super().route(
-            [
-                (src, dst, p if dst == src else self._protect(p))
-                for src, dst, p in transfers
-            ],
-            nprocs,
-        )
+        return [p if dst == src else self._protect(p) for src, dst, p in transfers]
 
 
 @pytest.mark.parametrize("solver,method", [("direct", "A"), ("fmm", "B+move")])

@@ -1,11 +1,10 @@
-"""Backend observability: the ``backend.*`` gauge schema.
+"""Backend observability: the host-side transport counters.
 
-Every engine keeps host-side transport counters (exchanges, messages, shm
-bytes, tickets, tasks, spawn/wait nanoseconds) that
-:func:`repro.backend.export_metrics` publishes into a
-:class:`~repro.obs.metrics.MetricsRegistry` as ``backend.*`` gauges.
-These are *host* observability — none of them feed modeled time — so the
-only contract is schema stability and that real traffic moves them.
+Every engine keeps monotonic ``backend.*`` counters (exchanges, messages,
+shm bytes, tickets, tasks, spawn/wait nanoseconds) in
+:attr:`~repro.backend.ExecutionBackend.counters`.  They are *host*
+observability — none of them feed modeled time — so the only contract is
+that real traffic moves them.
 """
 
 from __future__ import annotations
@@ -13,46 +12,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import export_metrics, resolve_backend
-from repro.obs.metrics import MetricsRegistry
-
-EXPECTED_GAUGES = {
-    "backend.exchanges",
-    "backend.messages",
-    "backend.shm_bytes",
-    "backend.tickets",
-    "backend.tasks",
-    "backend.spawn_ns",
-    "backend.wait_ns",
-    "backend.workers",
-}
-
-
-def _exported(backend):
-    registry = MetricsRegistry()
-    export_metrics(backend, registry)
-    return {s["name"]: s["value"] for s in registry.samples()}
-
-
-def test_inprocess_schema_is_complete_and_zero_cost():
-    backend = resolve_backend("inprocess")
-    table = _exported(backend)
-    assert EXPECTED_GAUGES <= set(table)
-    # the in-process engine never touches shared memory or spawns anything
-    assert table["backend.shm_bytes"] == 0.0
-    assert table["backend.spawn_ns"] == 0.0
-
 
 @pytest.mark.timeout(120)
 def test_process_counters_track_real_traffic(process_backend):
-    before = _exported(process_backend)
+    before = dict(process_backend.counters)
     payload = np.arange(32, dtype=np.float64)
     process_backend.deliver(
         [{1: payload}, {2: payload}, {3: payload}, {0: payload}], 4
     )
-    after = _exported(process_backend)
-    assert after["backend.workers"] == float(process_backend.workers)
+    after = process_backend.counters
+    assert set(after) == {
+        "backend.exchanges", "backend.messages", "backend.shm_bytes", "backend.tickets",
+        "backend.tasks", "backend.spawn_ns", "backend.wait_ns",
+    }
     assert after["backend.exchanges"] == before["backend.exchanges"] + 1
     assert after["backend.messages"] == before["backend.messages"] + 4
     assert after["backend.shm_bytes"] > before["backend.shm_bytes"]
-    assert after["backend.spawn_ns"] > 0.0  # workers were actually spawned
+    assert after["backend.spawn_ns"] > 0  # workers were actually spawned

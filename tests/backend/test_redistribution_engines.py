@@ -31,13 +31,13 @@ from redistribution_oracles import (
     partition_sort_loop,
     restore_results_loop,
 )
-from repro.backend.inprocess import InProcessBackend
+from repro.backend import ExecutionBackend
 from repro.core.particles import ColumnBlock, ParticleSet
 from repro.core.plan import ResortPlan
 from repro.core.resort import apply_resort, initial_numbering, invert_indices
 from repro.core.restore import restore_results
 from repro.simmpi import Machine
-from repro.simmpi.collectives import Exchange
+from repro.simmpi.collectives import Exchange, deliver_inprocess
 from repro.sorting.merge_sort import merge_exchange_sort
 from repro.sorting.partition_sort import partition_sort
 
@@ -120,14 +120,14 @@ def test_partition_sort_matches_the_loop(make_machine):
 MARK = -7.0
 
 
-class MarkingBackend(InProcessBackend):
+class MarkingBackend(ExecutionBackend):
     """In-process delivery that stamps what it transports: every float array
     crossing ranks arrives as a copy filled with :data:`MARK` (keys and
     control messages are integers and arrive intact).  Self-transfers keep
     the original object, like the real engines; of an exchange descriptor
     the rows of every inter-rank message are stamped."""
 
-    name = "inprocess-marking"
+    name = "marking"
 
     @staticmethod
     def _mark(payload):
@@ -140,7 +140,7 @@ class MarkingBackend(InProcessBackend):
 
     def deliver(self, sends, nprocs):
         if isinstance(sends, Exchange):
-            columns, recv_offsets = super().deliver(sends, nprocs)
+            columns, recv_offsets = deliver_inprocess(sends, nprocs)
             # the received rows are grouped by destination, then source
             by_dst = np.argsort(sends.msg_dst, kind="stable")
             crossed = np.repeat(
@@ -150,7 +150,7 @@ class MarkingBackend(InProcessBackend):
                 if column.dtype.kind == "f":
                     column[crossed] = MARK
             return columns, recv_offsets
-        return super().deliver(
+        return deliver_inprocess(
             [
                 {dst: (p if dst == src else self._mark(p)) for dst, p in targets.items()}
                 for src, targets in enumerate(sends)
@@ -159,10 +159,7 @@ class MarkingBackend(InProcessBackend):
         )
 
     def route(self, transfers, nprocs):
-        return super().route(
-            [(src, dst, p if dst == src else self._mark(p)) for src, dst, p in transfers],
-            nprocs,
-        )
+        return [p if dst == src else self._mark(p) for src, dst, p in transfers]
 
 
 def sort_under(backend, sort):

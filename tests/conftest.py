@@ -31,7 +31,6 @@ from repro.solvers.fmm.expansions import derivative_tensors
 from repro.solvers.fmm.solver import FMMSolver
 from repro.solvers.fmm.tree import fmm_tree
 from repro.solvers.p2nfft import solver as p2nfft_solver
-from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 from repro.sorting.merge_sort import local_sort
 from repro.zorder.morton import morton_keys_of_positions
 from repro.sorting.partition_sort import (
@@ -137,9 +136,6 @@ def oracle_kernels(rebind, monkeypatch, counted):
         rebind(kernel, counted(getattr(row_oracles, kernel.__name__)))
     # the FMM hands it run tables: each run a target of its own, then folded
     rebind(pairs._pair_sums, counted(near_field_oracles.over_runs(row_oracles._pair_sums)))
-    monkeypatch.setattr(
-        LinkedCellNearField, "candidate_pairs", counted(kernel_oracles.candidate_pairs)
-    )
     monkeypatch.setattr(CartGrid, "cell_of_positions", counted(row_oracles.cell_of_positions))
     for method in ("_random_directions", "_rotate_directions"):
         monkeypatch.setattr(Simulation, method, counted(getattr(row_oracles, method)))

@@ -18,7 +18,6 @@ from repro.core.balance import (
     ImbalanceMonitor,
     LOAD_BALANCE_MODES,
     load_imbalance,
-    occupancy_weights,
 )
 from repro.md.distributions import CLUSTERED_KINDS, clustered_system
 from repro.md.simulation import Simulation, SimulationConfig
@@ -68,17 +67,6 @@ class TestLoadImbalance:
     def test_no_work_is_balanced(self):
         assert load_imbalance(np.zeros(4)) == 1.0
         assert load_imbalance(np.zeros(0)) == 1.0
-
-
-class TestOccupancyWeights:
-    def test_weights_are_box_occupancy(self):
-        keys = np.asarray([5, 5, 5, 9, 9, 2], dtype=np.uint64)
-        np.testing.assert_array_equal(
-            occupancy_weights(keys), [3.0, 3.0, 3.0, 2.0, 2.0, 1.0]
-        )
-
-    def test_empty(self):
-        assert occupancy_weights(np.empty(0, dtype=np.uint64)).shape == (0,)
 
 
 # -- the monitor ---------------------------------------------------------------

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core.movement import (
-    MovementTracker,
     fmm_prefers_merge_sort,
     p2nfft_prefers_neighborhood,
     process_cube_side,
@@ -62,22 +61,3 @@ class TestHeuristics:
         with pytest.raises(ValueError):
             process_cube_side(np.ones(3), 0)
 
-
-class TestTracker:
-    def test_observe(self):
-        t = MovementTracker()
-        assert t.current is None
-        t.observe(0.5)
-        t.observe(0.2)
-        assert t.current == 0.2
-        assert t.history == [0.5, 0.2]
-
-    def test_invalidate(self):
-        t = MovementTracker()
-        t.observe(1.0)
-        t.invalidate()
-        assert t.current is None
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            MovementTracker().observe(-1.0)

@@ -7,7 +7,9 @@ coefficient), ``partition_destinations`` (one slice assignment per
 destination rank) and ``split_by_destination`` (one boolean scan per present
 destination) are the ``*_reference`` implementations that used to live next
 to their vectorized replacements under ``src/``, moved here verbatim and
-named after the kernel they stand for.  The property tests in
+named after the kernel they stand for (``candidate_pairs`` outlived its
+production twin: it lists the candidates the linked cell's cutoff bound
+is measured against).  The property tests in
 ``tests/perf/test_oracle_equivalence.py`` hold the production kernels to
 them bit for bit, and the ``oracle_kernels`` fixture of ``tests/conftest.py``
 swaps them in for whole golden trajectories.  Nothing under ``src/`` imports
@@ -34,9 +36,9 @@ from repro.solvers.fmm.expansions import multi_index_set
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 
 #: the oracles a force-computing run of each solver reaches: the linked cell
-#: expands the runs its cutoff can reach with ``ragged_cross`` (only the
-#: Verlet list asks for ``candidate_pairs``); the FMM hands its runs to the
-#: kernel whole
+#: expands the runs its cutoff can reach with ``ragged_cross`` (nothing under
+#: ``src/`` lists every candidate pair: ``candidate_pairs`` is what the tests
+#: hold the cutoff bound against); the FMM hands its runs to the kernel whole
 USED_BY = {
     "direct": set(),
     "ewald": {"ragged_cross"},
@@ -95,9 +97,10 @@ def candidate_pairs(
     cz: np.ndarray,
     n_sources: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar oracle of ``LinkedCellNearField.candidate_pairs``: one
-    searchsorted and cross product per neighbor offset (the original
-    implementation)."""
+    """Every candidate (target, source) pair of the 27 neighbour cells,
+    offset-major, cell-major: one searchsorted and cross product per
+    neighbor offset (the original implementation; bitwise the
+    ``LinkedCellNearField.candidate_pairs`` method it outlived)."""
     pair_ti = []
     pair_si = []
     for d in _OFFSETS:

@@ -46,6 +46,32 @@ class TestXYZ:
         with pytest.raises(ValueError):
             read_xyz(path, frame=5)
 
+    def test_empty_frame_roundtrip(self, tmp_path):
+        """An n = 0 frame reads back as (0, 3) positions and (0,) charges,
+        so it can be written again."""
+        path = str(tmp_path / "empty.xyz")
+        write_xyz(path, np.zeros((0, 3)), np.zeros(0), comment="empty")
+        pos, q, vel, comment = read_xyz(path)
+        assert pos.shape == (0, 3) and q.shape == (0,) and vel is None
+        assert comment == "empty"
+        again = str(tmp_path / "again.xyz")
+        write_xyz(again, pos, q, comment=comment)
+        with open(path) as fh, open(again) as gh:
+            assert gh.read() == fh.read()
+
+    def test_empty_frame_after_a_two_particle_frame(self, tmp_path):
+        path = str(tmp_path / "traj.xyz")
+        two = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
+        write_xyz(path, two, np.array([1.0, -1.0]), comment="two")
+        write_xyz(path, np.zeros((0, 3)), np.zeros(0), comment="none", append=True)
+        pos, q, _, comment = read_xyz(path, frame=1)
+        assert pos.shape == (0, 3) and q.shape == (0,) and comment == "none"
+        write_xyz(path, pos, q, comment="none again", append=True)
+        p0, q0, _, _ = read_xyz(path, frame=0)
+        np.testing.assert_array_equal(p0, two)
+        np.testing.assert_array_equal(q0, [1.0, -1.0])
+        assert read_xyz(path, frame=2)[0].shape == (0, 3)
+
     def test_bad_shapes(self, tmp_path):
         with pytest.raises(ValueError):
             write_xyz(str(tmp_path / "x.xyz"), np.zeros((2, 3)), np.zeros(3))

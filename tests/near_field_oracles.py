@@ -357,7 +357,7 @@ def linked_cell_compute(
     tpos: np.ndarray,
     spos: np.ndarray,
     sq: np.ndarray,
-    candidates: Callable = LinkedCellNearField.candidate_pairs,
+    candidates: Callable = kernel_oracles.candidate_pairs,
     kernel: Callable = erfc_pairs_blocked,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """``LinkedCellNearField.compute`` with every ``candidates`` pair of the

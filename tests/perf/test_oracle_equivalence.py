@@ -11,6 +11,7 @@ orders, identical modeled clocks, traces and error messages.  Host speed is
 the only thing the vectorization is allowed to change.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -155,58 +156,6 @@ class TestDerivativeTensors:
         vec = derivative_tensors(d, 6)
         ref = kernel_oracles.derivative_tensors(d, 6)
         assert_same_arrays(vec, ref)
-
-
-# ----------------------------------------------------- linked-cell pairs
-
-@st.composite
-def linked_cell_problems(draw):
-    # small boxes exercise the dims < 3 dedup branch, large ones the
-    # common 27-distinct-neighbors geometry
-    rc = draw(st.floats(0.8, 2.5))
-    edges = draw(
-        st.tuples(
-            st.floats(2.0, 9.0), st.floats(2.0, 9.0), st.floats(2.0, 9.0)
-        )
-    )
-    seed = draw(st.integers(0, 2**31 - 1))
-    nt = draw(st.integers(0, 25))
-    ns = draw(st.integers(0, 60))
-    box = np.array(edges) * rc
-    return box, rc, seed, nt, ns
-
-
-class TestCandidatePairs:
-    @given(linked_cell_problems())
-    @settings(max_examples=60, deadline=None)
-    def test_bitwise(self, problem):
-        box, rc, seed, nt, ns = problem
-        nf = LinkedCellNearField(box, np.zeros(3), rc, alpha=0.7)
-        rng = np.random.default_rng(seed)
-        tpos = rng.uniform(0.0, 1.0, (nt, 3)) * box
-        spos = rng.uniform(0.0, 1.0, (ns, 3)) * box
-        s_sorted = np.sort(nf.cell_ids(spos))
-        t_ids = nf.cell_ids(tpos)
-        t_sorted = np.sort(t_ids)
-        cells, first = np.unique(t_sorted, return_index=True)
-        if first.size:
-            last = np.concatenate((first[1:], [t_sorted.shape[0]])).astype(first.dtype)
-        else:
-            last = first.copy()
-        cx = cells // (nf.dims[1] * nf.dims[2])
-        cy = (cells // nf.dims[2]) % nf.dims[1]
-        cz = cells % nf.dims[2]
-        vec = nf.candidate_pairs(first, last, s_sorted, cx, cy, cz, ns)
-        ref = kernel_oracles.candidate_pairs(nf, first, last, s_sorted, cx, cy, cz, ns)
-        for a, b in zip(vec, ref):
-            assert_same_arrays(a, b)
-
-    def test_dedup_geometry_is_exercised(self):
-        """dims < 3 (wrapped neighbors coincide) must flow through _dedup."""
-        nf = LinkedCellNearField(np.array([2.0, 2.0, 2.0]), np.zeros(3), 1.0, 0.7)
-        assert nf.needs_dedup
-        big = LinkedCellNearField(np.array([9.0, 9.0, 9.0]), np.zeros(3), 1.0, 0.7)
-        assert not big.needs_dedup
 
 
 # ------------------------------------------------- near-field pair kernels
@@ -458,6 +407,13 @@ class TestLinkedCell:
     """The linked cell's cutoff bound against ``near_field_oracles.erfc_pairs``
     over the ``kernel_oracles`` candidate pairs."""
 
+    def test_dedup_geometry_is_exercised(self):
+        """dims < 3 (wrapped neighbors coincide) must flow through _dedup."""
+        nf = LinkedCellNearField(np.array([2.0, 2.0, 2.0]), np.zeros(3), 1.0, 0.7)
+        assert nf.needs_dedup
+        big = LinkedCellNearField(np.array([9.0, 9.0, 9.0]), np.zeros(3), 1.0, 0.7)
+        assert not big.needs_dedup
+
     @given(linked_cell_layouts())
     @settings(max_examples=100, deadline=None)
     def test_compute_bitwise(self, problem):
@@ -616,3 +572,39 @@ class TestResortPlan:
         with pytest.raises(ValueError) as exc:
             plan.execute(bad)
         assert "column 1, rank 3" in str(exc.value)
+
+    @pytest.mark.parametrize("algos", [None, "bruck"])
+    @pytest.mark.parametrize("comm", ["alltoall", "neighborhood"])
+    @pytest.mark.parametrize("n, P, seed", [(97, 5, 2), (40, 6, 9)])
+    def test_typed_columns(self, n, P, seed, comm, algos):
+        """Columns of every layout a caller may hand in travel as they are:
+        ``bool``, ``uint8 (n, 2)``, ``int32``, big-endian ``>f8`` and a
+        strided view keep dtype, shape and bytes, and no two arrive in
+        shared memory."""
+        idx, counts, _ = _resort_problem(n, P, seed)
+        rng = np.random.default_rng(seed)
+        wide = [rng.standard_normal((c, 6)) for c in counts]
+        cols = [
+            [rng.random(c) > 0.5 for c in counts],
+            [rng.integers(0, 256, (c, 2), dtype=np.uint8) for c in counts],
+            [rng.integers(-(2**31), 2**31, c, dtype=np.int32) for c in counts],
+            [rng.standard_normal(c).astype(">f8") for c in counts],
+            [w[:, 1::2] for w in wide],
+        ]
+        assert not cols[4][0].flags.c_contiguous
+        runs = []
+        for plan_type in (ResortPlan, ResortPlanLoop):
+            machine = Machine(P)
+            machine.set_collective_algos(algos)
+            out = plan_type(machine, idx, counts, counts, comm=comm).execute(cols)
+            runs.append((machine, out))
+        (m_vec, out_vec), (m_ref, out_ref) = runs
+        for c, (cv, cr) in enumerate(zip(out_vec, out_ref)):
+            for av, ar, src in zip(cv, cr, cols[c]):
+                assert av.dtype == ar.dtype == src.dtype
+                assert av.shape == ar.shape == (ar.shape[0],) + src.shape[1:]
+                assert av.tobytes() == ar.tobytes()
+        for a, b in itertools.combinations(out_vec, 2):
+            assert not np.shares_memory(a.data, b.data)
+        assert np.array_equal(m_vec.clocks, m_ref.clocks)
+        assert m_vec.trace.snapshot() == m_ref.trace.snapshot()

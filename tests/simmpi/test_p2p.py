@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend import ExecutionBackend
 from repro.simmpi import costmodel
 from repro.simmpi.chaos import Perturbation
 from repro.simmpi.collectives import payload_nbytes
@@ -152,7 +153,6 @@ class TestExchangePairsRoundQueries:
 
 def _listeners(name):
     """A 4-rank machine with the named listeners / data plane attached."""
-    from repro.backend.inprocess import InProcessBackend
     from repro.obs.spans import enable_observability
     from repro.verify.audit import enable_auditing
 
@@ -162,8 +162,16 @@ def _listeners(name):
     if "obs" in name:
         enable_observability(machine)
     if name == "inprocess":
-        machine.attach_backend(InProcessBackend())
+        machine.attach_backend(_CountingBackend())
     return machine
+
+
+class _CountingBackend(ExecutionBackend):
+    """An in-process data plane that counts the payloads it is handed."""
+
+    def route(self, transfers, nprocs):
+        self.counters["backend.messages"] += len(transfers)
+        return [payload for _src, _dst, payload in transfers]
 
 
 def _untouched(machine):

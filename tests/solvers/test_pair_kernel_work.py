@@ -16,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 
+import kernel_oracles
 import near_field_oracles
 from repro.bench.harness import make_system
 from repro.core.handle import fcs_init
@@ -24,7 +25,6 @@ from repro.md.simulation import Simulation, SimulationConfig
 from repro.simmpi.machine import Machine
 from repro.solvers.common import pairs
 from repro.solvers.fmm.tree import FMMTree
-from repro.solvers.p2nfft import neighborlist
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 from repro.zorder import morton
 
@@ -151,9 +151,9 @@ def test_linked_cell_drops_a_third_of_the_candidates_on_physics_force_p8(rebind,
         cells, first = np.unique(np.sort(t_cells), return_index=True)
         last = np.append(first[1:], t_cells.shape[0])
         dims = self.dims
-        ti, _ = self.candidate_pairs(
-            first, last, s_cells, cells // (dims[1] * dims[2]), (cells // dims[2]) % dims[1],
-            cells % dims[2], spos.shape[0],
+        ti, _ = kernel_oracles.candidate_pairs(
+            self, first, last, s_cells, cells // (dims[1] * dims[2]),
+            (cells // dims[2]) % dims[1], cells % dims[2], spos.shape[0],
         )
         all_pairs[0] += ti.shape[0]
         return compute(self, tpos, spos, sq)
@@ -187,8 +187,7 @@ def test_pairs_has_no_scatter_add_and_no_row_sum():
 
 
 def test_one_function_subtracts_source_from_target():
-    """One displacement / minimum-image implementation for both kernels (and
-    for the Verlet list, which imports it)."""
+    """One displacement / minimum-image implementation for both kernels."""
     subtracting = []
     for fn in _functions(pairs):
         for n in ast.walk(fn):
@@ -208,12 +207,3 @@ def test_the_two_kernels_only_choose_a_radial_function():
         calls = [getattr(n.func, "id", None) for n in nodes if isinstance(n, ast.Call)]
         assert calls.count("_pair_sums") == 1
 
-
-def test_verlet_list_builds_no_cross_products_of_its_own():
-    tree = ast.parse(inspect.getsource(neighborlist))
-    spelled = [
-        n for n in ast.walk(tree)
-        if getattr(n, "id", None) == "ragged_cross" or getattr(n, "attr", None) == "ragged_cross"
-        or (isinstance(n, ast.alias) and n.name == "ragged_cross")
-    ]
-    assert not spelled

@@ -47,6 +47,12 @@ FORBIDDEN = [
     # bodies: tests/round_oracles.py)
     (r"\.as_sends\(|_payload_cols|_rebuild_payload|observe_send_round|observe_sendrecv",
      ("src", "benchmarks", "examples"), ()),
+    # capabilities no entry point reached: no in-process engine (no backend
+    # attached is the in-process data plane), no Verlet list, no movement
+    # tracker; candidate_pairs lives on as a test oracle only
+    (r"InProcessBackend|VerletNeighborList|neighborlist|MovementTracker|occupancy_weights"
+     r"|export_metrics|register_solver|self_energy|candidate_pairs",
+     ("src", "benchmarks", "examples", "perfbench"), ()),
 ]
 
 #: ``(module, attribute path)`` that must not resolve
@@ -104,6 +110,16 @@ REMOVED = [
     # builds it from CartGrid.shifted_ranks
     ("repro.simmpi.cart", "CartGrid.neighbor_ranks"),
     ("repro.simmpi.cart", "CartGrid.neighbor_table"),
+    # no entry point reached these (tests/ aside)
+    ("repro.backend", "InProcessBackend"),
+    ("repro.backend", "inprocess"),
+    ("repro.backend", "export_metrics"),
+    ("repro.solvers.p2nfft", "neighborlist"),
+    ("repro.solvers.p2nfft.linked_cell", "LinkedCellNearField.candidate_pairs"),
+    ("repro.core.movement", "MovementTracker"),
+    ("repro.core.balance", "occupancy_weights"),
+    ("repro.core.handle", "register_solver"),
+    ("repro.solvers.p2nfft.mesh", "MeshSolver.self_energy"),
 ]
 
 
@@ -112,7 +128,7 @@ REMOVED = [
     FORBIDDEN,
     ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
          "fuse-resort", "plan-twins", "in-tree-timers", "vacuous-checks",
-         "per-message-bridge"],
+         "per-message-bridge", "unreached-capabilities"],
 )
 def test_removed_name_is_not_spelled(pattern, trees, allowed):
     regex = re.compile(pattern)
