@@ -43,6 +43,7 @@ __all__ = [
     "pair_key_bits",
     "redistribute_flat",
     "sorted_route",
+    "stable_order",
 ]
 
 #: the structured communication strategies of a redistribution exchange (what
@@ -81,29 +82,30 @@ def _normalize(n: int, result: DistResult) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(n, dtype=np.int64), targets
 
 
-def _stable_order(key: np.ndarray, bound: int) -> Optional[np.ndarray]:
-    """The permutation that sorts ``key`` (int64, ``0 <= key < bound``)
-    stably, or ``None`` when ``key`` is in order already.
+def stable_order(key: np.ndarray) -> Optional[np.ndarray]:
+    """The permutation that sorts ``key`` (NaN-free) stably, or ``None``
+    when one comparison pass finds it in order (the method-B steady state).
 
-    One comparison pass settles the common case: pairs listed rank by rank
-    towards rising targets — a sorted layout resorted in place, the paper's
-    method-B steady state — need no sort at all.  Otherwise the position of
-    every key is packed into its low bits and the packed *values* are sorted:
-    distinct values, so any sort is the stable one, at a fraction of the
-    cost of a stable ``argsort``.  Only keys too wide to leave room for the
-    positions in 63 bits take the ``argsort``.
+    Each integer key's offset from the smallest goes into the high bits of
+    a ``uint64``, its position into the low bits, and the packed *values*
+    are sorted: distinct values, so any sort is the stable one, at a
+    fraction of the cost of a stable ``argsort``.  Keys that are not
+    integers, or too wide to leave room for the positions in 64 bits, take
+    the stable ``argsort`` on their own dtype.
     """
     if not np.any(key[1:] < key[:-1]):
         return None
-    m = key.shape[0]
-    bits = (m - 1).bit_length()
-    if bound << bits > 1 << 63:
+    bits = (key.shape[0] - 1).bit_length()
+    lo = int(key.min()) if key.dtype.kind in "iu" else None
+    if lo is None or (int(key.max()) - lo).bit_length() + bits > 64:
         return np.argsort(key, kind="stable")
-    packed = key << bits
-    packed |= np.arange(m, dtype=np.int64)
+    packed = key.astype(np.uint64)
+    packed -= np.uint64(lo % (1 << 64))  # wraps negative keys into order
+    packed <<= np.uint64(bits)
+    packed |= np.arange(key.shape[0], dtype=np.uint64)
     packed.sort()
-    packed &= (1 << bits) - 1
-    return packed
+    packed &= np.uint64((1 << bits) - 1)
+    return packed.view(np.int64)
 
 
 def exchange_route(row_offsets: np.ndarray, elements: np.ndarray, targets: np.ndarray) -> Exchange:
@@ -130,7 +132,7 @@ def exchange_route(row_offsets: np.ndarray, elements: np.ndarray, targets: np.nd
     key = sources
     key *= P
     key += targets
-    order = _stable_order(key, P * P)
+    order = stable_order(key)
     if order is not None:
         key = key[order]
         elements = elements[order]

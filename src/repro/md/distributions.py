@@ -33,6 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.fine_grained import stable_order
 from repro.core.particles import ParticleSet, RankMajor
 from repro.md.systems import PAPER_BOX_EDGE, PAPER_N, ParticleSystem
 from repro.simmpi.cart import CartGrid
@@ -130,7 +131,8 @@ def rank_order(owner: np.ndarray, nprocs: int) -> Tuple[np.ndarray, np.ndarray]:
     ``np.split(column[order], cuts)[r]`` is ``column[owner == r]`` without one
     scan of ``owner`` per rank (``np.split(order, cuts)[r]`` the rows
     themselves)."""
-    order = np.argsort(owner, kind="stable").astype(np.int64, copy=False)
+    order = stable_order(owner)
+    order = np.arange(owner.shape[0]) if order is None else order
     return order, np.cumsum(np.bincount(owner, minlength=nprocs))[:-1]
 
 

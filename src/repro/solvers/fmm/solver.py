@@ -38,7 +38,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.fine_grained import pair_key_bits, redistribute_flat, sorted_route
+from repro.core.fine_grained import pair_key_bits, redistribute_flat, sorted_route, stable_order
 from repro.core.movement import fmm_prefers_merge_sort
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.core.resort import initial_numbering
@@ -426,8 +426,9 @@ class FMMSolver(Solver):
             src = own
             if far.n:
                 src = {name: np.concatenate([own[name], far[name]]) for name in far}
-                order = np.argsort(src["key"], kind="stable")
-                src = {name: column[order] for name, column in src.items()}
+                order = stable_order(src["key"])
+                if order is not None:
+                    src = {name: column[order] for name, column in src.items()}
             pot[starts[r]:starts[r + 1]], field[starts[r]:starts[r + 1]], pairs[r] = (
                 self.tree.near_field_morton(own["pos"], own["key"], src["pos"], src["q"], src["key"])
             )

@@ -27,6 +27,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.fine_grained import stable_order
 from repro.solvers.common.pairs import erfc_pairs, pair_distance_bounds, ragged_cross
 
 __all__ = ["LinkedCellNearField"]
@@ -157,8 +158,9 @@ class LinkedCellNearField:
 
         t_cells = self.cell_ids(tpos)
         s_cells = self.cell_ids(spos)
-        t_order = np.argsort(t_cells, kind="stable")
-        s_order = np.argsort(s_cells, kind="stable")
+        t_order, s_order = stable_order(t_cells), stable_order(s_cells)
+        t_order = np.arange(nt) if t_order is None else t_order
+        s_order = np.arange(spos.shape[0]) if s_order is None else s_order
         # stored by columns, the way the kernel reads them: no copy per call
         tpos_s = np.ascontiguousarray(tpos[t_order].T).T
         spos_s = np.ascontiguousarray(spos[s_order].T).T

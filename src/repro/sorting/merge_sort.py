@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import kernels
+from repro.core.fine_grained import stable_order
 from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.machine import Machine
 from repro.simmpi.p2p import exchange_pairs
@@ -32,24 +33,32 @@ from repro.sorting.batcher import merge_exchange_rounds
 __all__ = ["merge_exchange_sort", "local_sort"]
 
 
-def order_within_ranks(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def order_within_ranks(keys: np.ndarray, offsets: np.ndarray) -> Optional[np.ndarray]:
     """The permutation that sorts every rank's rows stably by key, for all
-    ranks at once: rank-major rows stay rank-major.
+    ranks at once, or ``None`` when they are in order already.
 
-    The rank goes into the bits above the widest key and one stable sort of
-    the composite orders everything — timsort, so rows already in order
-    (the method-B steady state) cost one pass.  Keys that leave no room for
-    the rank (or are not non-negative integers) take a two-key ``lexsort``.
+    The rank goes into the bits above the widest key and one
+    :func:`~repro.core.fine_grained.stable_order` of the composite orders
+    everything.  Keys that leave no room for the rank (or are not
+    non-negative integers) are ordered by key, then stably by rank.
     """
     P = offsets.shape[0] - 1
     rank = np.repeat(np.arange(P, dtype=np.uint64), np.diff(offsets))
     integral = keys.dtype.kind == "u" or (keys.dtype.kind == "i" and not np.any(keys < 0))
     bits = int(keys.max()).bit_length() if integral and keys.size else 0
     if not integral or bits + (P - 1).bit_length() > 64:
-        return np.lexsort((keys, rank))
+        by_key = stable_order(keys)
+        by_rank = None if by_key is None else stable_order(rank[by_key])
+        return by_key if by_rank is None else by_key[by_rank]
     rank <<= np.uint64(bits)
     rank |= keys.astype(np.uint64, copy=False)
-    return np.argsort(rank, kind="stable")
+    return stable_order(rank)
+
+
+def sorted_within_ranks(blocks: RankMajor, key: str) -> ColumnBlock:
+    """A fresh copy of ``blocks``' rows, every rank's stably sorted by ``key``."""
+    order = order_within_ranks(blocks.data[key], blocks.offsets)
+    return blocks.data.copy() if order is None else blocks.data.take(order)
 
 
 def local_sort(
@@ -62,7 +71,7 @@ def local_sort(
     rank is concatenated once, here): one gather over the rank-major block."""
     blocks = RankMajor.of(blocks)
     keys, offsets = blocks.data[key], blocks.offsets
-    out = RankMajor(blocks.data.take(order_within_ranks(keys, offsets)), offsets)
+    out = RankMajor(sorted_within_ranks(blocks, key), offsets)
     # adaptive (timsort-like) cost: nearly sorted runs cost a single pass,
     # disordered data the full n log n — this is what makes method B's
     # steady-state local sorts cheap.  A descent counts for the rank holding
@@ -175,7 +184,8 @@ def merge_exchange_sort(
         rows = np.repeat(spans[:, 0] - (np.cumsum(sizes) - sizes), sizes)
         rows += np.arange(rows.shape[0])
         w = sizes.reshape(-1, 2).sum(axis=1)
-        merged = rows[np.lexsort((keys[rows], np.repeat(np.arange(hits.size), w)))]
+        merged = order_within_ranks(keys[rows], np.concatenate(([0], np.cumsum(w))))
+        merged = rows if merged is None else rows[merged]
         for column in flat.payload():
             column[rows] = np.take(column, merged, axis=0)
         merge_cost = np.zeros(P, dtype=np.float64)

@@ -22,11 +22,11 @@ import numpy as np
 
 from repro import kernels
 from repro.core.balance import work_split_bounds
-from repro.core.fine_grained import fine_grained_redistribute
+from repro.core.fine_grained import fine_grained_redistribute, stable_order
 from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.collectives import allgatherv
 from repro.simmpi.machine import Machine
-from repro.sorting.merge_sort import local_sort, order_within_ranks
+from repro.sorting.merge_sort import local_sort, sorted_within_ranks
 
 __all__ = [
     "partition_sort",
@@ -92,9 +92,9 @@ def select_splitters(
     gathered = allgatherv(machine, samples, phase)[0]
     if weights is not None:
         gathered_w = allgatherv(machine, wsamples, phase)[0]
-        sorder = np.argsort(gathered, kind="stable")
-        gathered = gathered[sorder]
-        gathered_w = gathered_w[sorder]
+        sorder = stable_order(gathered)
+        if sorder is not None:
+            gathered, gathered_w = gathered[sorder], gathered_w[sorder]
     else:
         gathered = np.sort(gathered)
     if gathered.size == 0 or P == 1:
@@ -134,7 +134,7 @@ def split_by_destination(block: ColumnBlock, d: np.ndarray) -> Dict[int, ColumnB
     """Split ``block`` into per-destination sub-blocks, keyed by destination
     in ascending order.
 
-    A single stable argsort of the destination array yields every
+    A single stable sort of the destination array yields every
     destination's element indices as a contiguous run (in original order,
     because the sort is stable), replacing per-destination ``d == dst``
     scans (the scalar oracle in ``tests/kernel_oracles.py``).  Both return
@@ -143,7 +143,8 @@ def split_by_destination(block: ColumnBlock, d: np.ndarray) -> Dict[int, ColumnB
     out: Dict[int, ColumnBlock] = {}
     if not block.n:
         return out
-    sorder = np.argsort(d, kind="stable")
+    sorder = stable_order(d)
+    sorder = np.arange(d.shape[0]) if sorder is None else sorder
     dsorted = d[sorder]
     targets, first = np.unique(dsorted, return_index=True)
     last = np.concatenate((first[1:], [dsorted.shape[0]]))
@@ -225,7 +226,8 @@ def partition_sort(
 
     # data plane: exact global partition at the prefix boundaries of
     # target_counts, ties broken by (rank, position) so the split is stable
-    order = np.argsort(current.data[key], kind="stable")  # stable = (rank, pos) tie order
+    order = stable_order(current.data[key])  # stable = (rank, pos) tie order
+    order = np.arange(current.data.n) if order is None else order
     if balance_key is not None:
         bounds = work_split_bounds(current.data[balance_key][order], P)
     else:
@@ -239,7 +241,7 @@ def partition_sort(
     pair = np.repeat(np.arange(P, dtype=np.int64) * P, current.counts) + dest
     pair = pair[np.diff(pair, prepend=-1) != 0]
     runs = np.bincount(np.unique(pair) % P, minlength=P)
-    merged = received.data.take(order_within_ranks(received.data[key], received.offsets))
+    merged = sorted_within_ranks(received, key)
     # k-way merge of sorted runs: n log k
     n = received.counts
     merge_cost = np.zeros(P, dtype=np.float64)

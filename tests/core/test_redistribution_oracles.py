@@ -34,7 +34,7 @@ from redistribution_oracles import (
     restore_results_loop,
 )
 from round_oracles import FunnelLog
-from repro.core.fine_grained import _stable_order, exchange_route, fine_grained_redistribute
+from repro.core.fine_grained import exchange_route, fine_grained_redistribute, stable_order
 from repro.core.handle import fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet
 from repro.core.plan import ResortPlan
@@ -226,37 +226,56 @@ class TestExchangeRouteAgainstArgsort:
             exchange_route(offsets, elements, targets)
         assert str(got.value) == str(want.value)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
+        st.sampled_from([np.int32, np.int64, np.uint64]),
         st.integers(0, 200),
-        st.sampled_from([1, 3, 1000, 2**40]),
-        st.sampled_from([None, 1 << 62]),
+        st.sampled_from(["random", "equal", "sorted", "reversed"]),
+        st.sampled_from([1, 3, 1000, 2**31, 2**62, 2**64]),
+        st.booleans(),
         st.integers(0, 2**16),
     )
-    def test_stable_order(self, m, key_range, bound, seed):
-        """The packed value sort and the 63-bit fallback (keys declared too
-        wide to leave room for the positions) give the stable permutation;
-        keys in order give ``None``."""
-        key = np.random.default_rng(seed).integers(0, key_range, m)
+    def test_stable_order(self, dtype, m, layout, key_range, top, seed):
+        """Every key dtype — negative keys, ``uint64`` keys with bit 63 set
+        (``top``), keys spanning the whole dtype — and every layout — no
+        rows, one row, all keys equal, reverse order — give the permutation
+        of the stable ``argsort``, through the packed value sort or its
+        fallback; keys in order give ``None``, and the keys are not
+        written."""
+        info = np.iinfo(dtype)
+        span = min(key_range, int(info.max) - int(info.min) + 1)
+        low = int(info.max) + 1 - span if top else int(info.min)
+        key = np.random.default_rng(seed).integers(low, low + span, m, dtype=dtype)
+        if layout == "equal":
+            key[:] = key[:1]
+        elif layout != "random":
+            key.sort()
+            key = key[::-1].copy() if layout == "reversed" else key
+        kept = key.copy()
         want = np.argsort(key, kind="stable")
-        got = _stable_order(key.copy(), key_range if bound is None else bound)
+        got = stable_order(key)
         if np.array_equal(want, np.arange(m)):
             assert got is None
         else:
             assert_same_arrays([got], [want])
+        assert_same_arrays([key], [kept])
 
     def test_keys_too_wide_to_pack_take_the_argsort(self, monkeypatch):
+        """Keys whose span and 3 position bits need 62, 63 or 64 bits are
+        packed — bit 63 of the ``uint64`` composite included —, 65 bits take
+        the stable ``argsort`` on the keys' own dtype."""
         calls = []
         argsort = np.argsort
         monkeypatch.setattr(
             np, "argsort", lambda *args, **kwargs: calls.append(kwargs) or argsort(*args, **kwargs)
         )
-        key = np.array([5, 1, 5, 0, 1], dtype=np.int64) << 57
-        # 3 position bits under keys below 2**60 fill 63 bits exactly; one more does not fit
-        np.testing.assert_array_equal(_stable_order(key, 1 << 60), [3, 1, 4, 0, 2])
-        assert calls == []
-        np.testing.assert_array_equal(_stable_order(key, (1 << 60) + 1), [3, 1, 4, 0, 2])
-        assert calls == [{"kind": "stable"}]
+        for width in (62, 63, 64, 65):
+            calls.clear()
+            # keys spanning width - 3 bits, under which 5 rows need 3 position bits
+            key = np.array([5, 1, 5, 0, 1], dtype=np.uint64) << np.uint64(width - 6)
+            for keys in (key, key.astype(np.int64) - (1 << 62)):
+                np.testing.assert_array_equal(stable_order(keys), [3, 1, 4, 0, 2])
+            assert calls == ([] if width <= 64 else [{"kind": "stable"}] * 2)
 
 
 #: grids narrower than 2·ring + 1 subdomains along some axis (a ghost may

@@ -361,11 +361,8 @@ def _times_p(node):
 
 def test_one_composite_key_sort():
     """Exactly one function under ``core`` and ``sorting`` orders rows by a
-    ``src * P + dst`` key: the route builder.  It is also the only caller of
-    the packed value sort — ``local_sort``, the Batcher merges and the
-    partition sort's key sort see sorted keys in the steady state, where the
-    stable ``argsort`` (timsort) is the faster one."""
-    sorters, packers = [], []
+    ``src * P + dst`` key: the route builder."""
+    sorters = []
     for path in sorted((SRC / "core").glob("*.py")) + sorted((SRC / "sorting").glob("*.py")):
         for fn in _functions(path):
             keys = set()
@@ -379,13 +376,51 @@ def test_one_composite_key_sort():
                 if not isinstance(n, ast.Call):
                     continue
                 name = getattr(n.func, "attr", getattr(n.func, "id", None))
-                if name == "_stable_order":
-                    packers.append(f"{path.name}:{fn.name}")
-                if name in ("argsort", "_stable_order"):
+                if name in ("argsort", "stable_order"):
                     if ast.unparse(n.args[0]) in keys or _times_p(n.args[0]):
                         sorters.append(f"{path.name}:{fn.name}")
     assert sorters == ["fine_grained.py:exchange_route"]
-    assert packers == ["fine_grained.py:exchange_route"]
+
+
+#: the modules whose stable key sorts all go through ``stable_order``
+STABLE_ORDER_MODULES = (
+    "core/fine_grained.py",
+    "sorting/merge_sort.py",
+    "sorting/partition_sort.py",
+    "md/distributions.py",
+    "solvers/p2nfft/linked_cell.py",
+    "solvers/fmm/solver.py",
+)
+
+
+def _stable_sorts(node):
+    """Line numbers of the ``lexsort`` and ``argsort(..., kind="stable")``
+    calls under ``node``."""
+    lines = []
+    for n in ast.walk(node):
+        if not isinstance(n, ast.Call):
+            continue
+        name = getattr(n.func, "attr", getattr(n.func, "id", None))
+        stable = any(k.arg == "kind" and getattr(k.value, "value", None) == "stable" for k in n.keywords)
+        if name == "lexsort" or (name == "argsort" and stable):
+            lines.append(n.lineno)
+    return lines
+
+
+def test_stable_key_sorts_go_through_stable_order():
+    """The local sorts, the partition sort, rank grouping, the Batcher merge
+    windows, the linked cell's cell orders and the FMM near field's merge
+    sort packed values: no stable ``argsort`` or ``lexsort`` is left in their
+    modules but ``stable_order``'s own fallback (found, so the search
+    works)."""
+    left, fallbacks = [], []
+    for module in STABLE_ORDER_MODULES:
+        path = SRC / module
+        own = [line for fn in _functions(path) if fn.name == "stable_order" for line in _stable_sorts(fn)]
+        fallbacks += [f"{module}:{line}" for line in own]
+        left += [f"{module}:{line}" for line in _stable_sorts(ast.parse(path.read_text())) if line not in own]
+    assert left == []
+    assert len(fallbacks) == 1 and fallbacks[0].startswith("core/fine_grained.py:")
 
 
 def test_exchange_is_built_in_one_place():

@@ -196,18 +196,23 @@ class TestSortsAgainstRanks:
         assert_same_blocks(local_sort(audited(len(counts)), RankMajor.of(blocks), "key", "sort"), want)
 
     @settings(**FEW)
-    @given(rank_layouts(), st.sampled_from([np.int64, np.int32, np.float64]))
+    @given(rank_layouts(), st.sampled_from([np.int64, np.int32, np.float64, np.uint64]))
     def test_order_within_ranks_takes_any_key(self, layout, dtype):
-        """Signed and float keys — negative ones too — order like a stable
-        sort of every rank on its own."""
+        """Signed and float keys — negative ones too — and ``uint64`` keys
+        whose bits and the rank's total exactly 64 order like a stable sort
+        of every rank on its own."""
         counts, seed = layout
-        keys = (np.random.default_rng(seed).integers(-4, 5, int(counts.sum()))).astype(dtype)
+        ints = np.random.default_rng(seed).integers(-4, 5, int(counts.sum()))
+        keys = ints.astype(dtype)
+        if dtype is np.uint64:  # the rank's bits and the keys' total exactly 64
+            keys = (ints + 4).astype(dtype) | np.uint64(1 << (63 - (len(counts) - 1).bit_length()))
         offsets = np.concatenate(([0], np.cumsum(counts)))
         want = np.concatenate(
             [np.argsort(k, kind="stable") + o for k, o in zip(cut(keys, counts), offsets)]
             + [np.empty(0, dtype=np.int64)]
         )
-        np.testing.assert_array_equal(order_within_ranks(keys, offsets), want)
+        got = order_within_ranks(keys, offsets)
+        np.testing.assert_array_equal(np.arange(keys.size) if got is None else got, want)
 
     @settings(**FEW)
     @given(rank_layouts(), KEY_BITS, st.sampled_from(["counts", "targets", "weights"]), st.booleans())
