@@ -53,6 +53,8 @@ def main(argv=None) -> int:
         help="render ASCII charts of the main series",
     )
     args = parser.parse_args(argv)
+    if args.steps is not None and args.figure not in ("fig8", "all"):
+        parser.error(f"--steps applies to fig8 only, not {args.figure}")
 
     runners = {
         "fig6": lambda: fig6(args.preset),

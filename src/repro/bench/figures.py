@@ -1,8 +1,10 @@
 """Per-figure experiment definitions (the paper's evaluation, Sect. IV).
 
-Each ``figN`` function runs the scaled experiment, prints the paper-style
-table/series and returns the structured results for assertions by the
-benchmark suite.  All times are modeled (virtual-clock) seconds from the
+Each ``figN`` function is a list of
+:class:`~repro.verify.trajectory.CellSpec` cells, run by
+:func:`~repro.verify.trajectory.run_cells`, plus a table: it prints the
+paper-style table/series and returns the structured results for assertions
+by the benchmark suite.  All times are modeled (virtual-clock) seconds from the
 simulated machine; shapes — who wins, by what factor, where crossovers
 fall — are the reproduction target, not absolute values (DESIGN.md §5).
 """
@@ -13,63 +15,32 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bench.harness import (
-    BenchScale,
-    PRESETS,
-    make_clustered_system,
-    make_machine,
-    make_system,
-    step_breakdown,
-)
+from repro.bench.harness import BenchScale, PRESETS, step_breakdown
 from repro.bench.report import format_series, format_table, print_header
 from repro.md.distributions import CLUSTERED_KINDS
-from repro.md.simulation import Simulation, SimulationConfig
-from repro.md.systems import ParticleSystem
-from repro.simmpi.costmodel import JUQUEEN, JUROPA, SystemProfile
+from repro.verify.trajectory import CellResult, CellSpec, run_cells
 
-__all__ = ["fig6", "fig7", "fig7_cell", "fig8", "fig9", "phases"]
+__all__ = ["fig6", "fig7", "fig8", "fig9", "phases"]
 
 
-def _simulate(
-    scale: BenchScale,
-    *,
-    n: int,
-    nprocs: int,
-    profile: SystemProfile,
-    solver: str,
-    method: str,
-    distribution: str,
-    steps: int,
-    dt: float = 0.01,
-    accuracy: float = 1e-3,
-    dynamics: str = "force",
-    brownian_step: float = 0.0,
-    skip_compute: bool = False,
-    system: Optional[ParticleSystem] = None,
-    load_balance: str = "off",
-    solver_kwargs: Optional[dict] = None,
-) -> Simulation:
-    machine = make_machine(nprocs, profile)
-    if system is None:
-        system = make_system(n, scale.seed)
-    kwargs = dict(solver_kwargs or {})
-    if skip_compute:
-        kwargs.setdefault("compute", "skip")
-    cfg = SimulationConfig(
-        solver=solver,
-        method=method,
-        dt=dt,
-        accuracy=accuracy,
-        distribution=distribution,
-        seed=scale.seed,
-        dynamics=dynamics,
-        brownian_step=brownian_step,
-        solver_kwargs=kwargs,
-        load_balance=load_balance,
+def _cell(scale: BenchScale, solver: str, method: str, placement: str, **fields) -> CellSpec:
+    """A figure cell: compute skipped, the preset's size and seed, JuRoPA
+    unless ``fields`` say otherwise."""
+    fields = {"nprocs": scale.nprocs, "n": scale.n, "profile": "JUROPA", **fields}
+    return CellSpec(
+        solver, method, seed=scale.seed, placement=placement, physics=False, **fields
     )
-    sim = Simulation(machine, system, cfg)
-    sim.run(steps)
-    return sim
+
+
+def _run(cells: Dict, backend=None) -> Dict[object, CellResult]:
+    """Run the ``{key: CellSpec}`` cells; their results by the same keys."""
+    return dict(zip(cells, run_cells(list(cells.values()), backend)))
+
+
+def _series(records, keys: Sequence[str]) -> Dict[str, List[float]]:
+    """The :func:`step_breakdown` entries ``keys`` of ``records``, per step."""
+    breakdowns = [step_breakdown(rec) for rec in records]
+    return {k: [b[k] for b in breakdowns] for k in keys}
 
 
 # ------------------------------------------------------------------------- phases
@@ -83,29 +54,16 @@ def phases(preset: str = "default", quiet: bool = False) -> Dict:
     resort-index creation and the application's resort.
     """
     scale = PRESETS[preset]
-    system = make_system(scale.n, scale.seed)
-    subdomain = float(system.box.min()) / round(scale.nprocs ** (1.0 / 3.0))
+    cells = {
+        (solver, method): _cell(scale, solver, method, "grid", drift=((3, 0.01, 1),))
+        for solver in ("fmm", "p2nfft")
+        for method in ("A", "B", "B+move")
+    }
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for solver in ("fmm", "p2nfft"):
-        results[solver] = {}
-        for method in ("A", "B", "B+move"):
-            sim = _simulate(
-                scale,
-                n=scale.n,
-                nprocs=scale.nprocs,
-                profile=JUROPA,
-                solver=solver,
-                method=method,
-                distribution="grid",
-                steps=3,
-                dynamics="brownian",
-                brownian_step=0.01 * subdomain,
-                skip_compute=True,
-            )
-            rec = sim.records[-1]
-            results[solver][method] = {
-                label: stats.time for label, stats in rec.phases.items_sorted()
-            }
+    for (solver, method), cell in _run(cells).items():
+        results.setdefault(solver, {})[method] = {
+            label: stats.time for label, stats in cell.records[-1].phases.items_sorted()
+        }
     if not quiet:
         all_labels = sorted(
             {l for s in results.values() for m in s.values() for l in m}
@@ -114,13 +72,11 @@ def phases(preset: str = "default", quiet: bool = False) -> Dict:
             f"Per-phase breakdown of one steady-state step "
             f"({scale.nprocs} procs, n={scale.n}; modeled seconds)"
         )
-        rows = []
-        for solver in results:
-            for method in results[solver]:
-                row = [solver, method] + [
-                    results[solver][method].get(l, 0.0) for l in all_labels
-                ]
-                rows.append(row)
+        rows = [
+            [solver, method] + [times.get(l, 0.0) for l in all_labels]
+            for solver in results
+            for method, times in results[solver].items()
+        ]
         print(format_table(["solver", "method"] + all_labels, rows, "{:.2e}"))
     return results
 
@@ -147,89 +103,32 @@ def fig6(preset: str = "default", quiet: bool = False) -> Dict:
     (:mod:`repro.core.balance`) exists for.
     """
     scale = PRESETS[preset]
-    results: Dict[str, Dict[str, Dict[str, float]]] = {}
+    cells = {}
     for solver in ("fmm", "p2nfft"):
-        results[solver] = {}
         for dist in ("single", "random", "grid"):
-            sim = _simulate(
-                scale,
-                n=scale.n,
-                nprocs=scale.nprocs,
-                profile=JUROPA,
-                solver=solver,
-                method="A",
-                distribution=dist,
-                steps=0,
-                skip_compute=True,
-            )
-            b = step_breakdown(sim.records[0])
-            results[solver][dist] = b
+            cells[solver, dist] = _cell(scale, solver, "A", dist)
         for kind in CLUSTERED_KINDS:
-            sim = _simulate(
-                scale,
-                n=scale.n,
-                nprocs=scale.nprocs,
-                profile=JUROPA,
-                solver=solver,
-                method="A",
-                distribution="grid",
-                steps=0,
-                skip_compute=True,
-                system=make_clustered_system(kind, scale.n, scale.seed),
-                solver_kwargs=(
-                    {"work_model": "density"} if solver == "fmm" else None
-                ),
+            cells[solver, f"clustered:{kind}"] = _cell(
+                scale, solver, "A", "grid", system=kind
             )
-            results[solver][f"clustered:{kind}"] = step_breakdown(sim.records[0])
+    results: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for (solver, row), cell in _run(cells).items():
+        results.setdefault(solver, {})[row] = step_breakdown(cell.records[0])
     if not quiet:
         print_header(
             f"Fig. 6 — initial particle distribution (method A, {scale.nprocs} procs, "
             f"n={scale.n}, JuRoPA profile; modeled seconds)"
         )
-        rows = []
-        for solver in results:
-            for dist in results[solver]:
-                b = results[solver][dist]
-                rows.append([solver, dist, b["total"], b["sort"], b["restore"]])
+        rows = [
+            [solver, dist, b["total"], b["sort"], b["restore"]]
+            for solver in results
+            for dist, b in results[solver].items()
+        ]
         print(format_table(["solver", "distribution", "total", "sort", "restore"], rows))
     return results
 
 
 # --------------------------------------------------------------------------- fig 7
-
-
-def fig7_cell(preset: str, solver: str, method: str) -> Dict[str, List[float]]:
-    """One independent Fig. 7 cell: the per-step phase series of one
-    (solver, method) combination.
-
-    Top-level so :func:`fig7` can fan the four cells out over an execution
-    backend's worker processes (each cell is a full simulation with its own
-    machine); results are deterministic, so a fan-out returns bitwise the
-    sequential series.
-    """
-    scale = PRESETS[preset]
-    steps = scale.steps_fig7
-    system = make_system(scale.n, scale.seed)
-    subdomain = float(system.box.min()) / round(scale.nprocs ** (1.0 / 3.0))
-    sim = _simulate(
-        scale,
-        n=scale.n,
-        nprocs=scale.nprocs,
-        profile=JUROPA,
-        solver=solver,
-        method=method,
-        distribution="random",
-        steps=steps,
-        dynamics="brownian",
-        brownian_step=0.005 * subdomain,
-        skip_compute=True,
-    )
-    series: Dict[str, List[float]] = {"sort": [], "restore": [], "resort": [], "total": []}
-    for rec in sim.records:
-        b = step_breakdown(rec)
-        for k in series:
-            series[k].append(b[k])
-    return series
 
 
 def fig7(preset: str = "default", quiet: bool = False, backend=None) -> Dict:
@@ -247,20 +146,18 @@ def fig7(preset: str = "default", quiet: bool = False, backend=None) -> Dict:
     """
     scale = PRESETS[preset]
     steps = scale.steps_fig7
-    cells = [(solver, method) for solver in ("fmm", "p2nfft") for method in ("A", "B")]
-    from repro.backend import resolve_backend
-
-    engine = resolve_backend(backend)
-    if engine is not None and engine.workers:
-        all_series = engine.map_tasks(
-            "repro.bench.figures.fig7_cell",
-            [(preset, solver, method) for solver, method in cells],
+    cells = {
+        (solver, method): _cell(
+            scale, solver, method, "random", drift=((steps, 0.005, 1),)
         )
-    else:
-        all_series = [fig7_cell(preset, solver, method) for solver, method in cells]
+        for solver in ("fmm", "p2nfft")
+        for method in ("A", "B")
+    }
     results: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
-    for (solver, method), series in zip(cells, all_series):
-        results.setdefault(solver, {})[method] = series
+    for (solver, method), cell in _run(cells, backend).items():
+        results.setdefault(solver, {})[method] = _series(
+            cell.records, ("sort", "restore", "resort", "total")
+        )
     if not quiet:
         for solver in results:
             print_header(
@@ -297,42 +194,29 @@ def fig8(
     small.
     """
     scale = PRESETS[preset]
-    steps = steps or scale.steps_fig8
+    if steps is None:
+        steps = scale.steps_fig8
+    elif steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
     # the melt's diffusive drift is modeled with the brownian surrogate
-    # (DESIGN.md §5): per-step displacement such that particles cross a few
-    # subdomain widths over the run — the regime where Fig. 8's method A
-    # cost growth appears
-    system = make_system(scale.n, scale.seed)
-    subdomain = float(system.box.min()) / round(scale.nprocs ** (1.0 / 3.0))
-    # ~6 subdomain widths of cumulative drift over the run: by the end the
-    # initial decomposition is deeply mixed, the regime of the paper's
-    # late-run measurements
-    brownian_step = 6.0 * subdomain / steps
+    # (DESIGN.md §5): ~6 subdomain widths of cumulative drift over the run,
+    # so by the end the initial decomposition is deeply mixed — the regime
+    # of the paper's late-run measurements, where method A's cost growth
+    # appears
+    cells = {
+        (solver, method): _cell(
+            scale, solver, method, "grid", dt=scale.dt_fig8, drift=((steps, 6.0, steps),)
+        )
+        for solver in ("fmm", "p2nfft")
+        for method in ("A", "B")
+    }
     results: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
-    for solver in ("fmm", "p2nfft"):
-        results[solver] = {}
-        for method in ("A", "B"):
-            sim = _simulate(
-                scale,
-                n=scale.n,
-                nprocs=scale.nprocs,
-                profile=JUROPA,
-                solver=solver,
-                method=method,
-                distribution="grid",
-                steps=steps,
-                dt=scale.dt_fig8,
-                dynamics="brownian",
-                brownian_step=brownian_step,
-                skip_compute=True,
-            )
-            series: Dict[str, List[float]] = {"redist": [], "total": [], "max_move": []}
-            for rec in sim.records[1:]:
-                b = step_breakdown(rec)
-                series["redist"].append(b["redist"])
-                series["total"].append(b["total"])
-                series["max_move"].append(rec.max_move)
-            results[solver][method] = series
+    for (solver, method), cell in _run(cells).items():
+        records = cell.records[1:]
+        results.setdefault(solver, {})[method] = {
+            **_series(records, ("redist", "total")),
+            "max_move": [rec.max_move for rec in records],
+        }
     if not quiet:
         stride = max(1, steps // 20)
         for solver in results:
@@ -368,64 +252,56 @@ def fig9(
     B+movement slightly slower than B on the fat tree; P2NFFT/torus — B
     *slower* than A at high process counts (the extra resort communication
     step), while B+movement keeps scaling and ends well below A.
+    ``results[solver]["fallback"]`` holds, per method and process count,
+    the share of B steps whose solver kept the input layout (method B fell
+    back to A's redistribution).
     """
     scale = PRESETS[preset]
-    steps = scale.steps_fig9
     configs = {
-        "fmm": (JUROPA, scale.fig9_fmm_procs),
-        "p2nfft": (JUQUEEN, scale.fig9_p2nfft_procs),
+        "fmm": ("JUROPA", scale.fig9_fmm_procs),
+        "p2nfft": ("JUQUEEN", scale.fig9_p2nfft_procs),
     }
-    system = make_system(scale.fig9_n, scale.seed)
+    # warmup: drift the particles ~1.5 subdomain widths away from the
+    # initial decomposition (the average displacement over the paper's
+    # 1000-step runs, which is what method A keeps paying for), then
+    # measure steady-state steps with small per-step movement
     warmup = 4
+    drift = ((warmup, 1.5, warmup), (scale.steps_fig9, 0.02, 1))
+    methods = ("A", "B", "B+move")
     results: Dict[str, Dict] = {}
     for solver in solvers:
         profile, proc_list = configs[solver]
-        per_method: Dict[str, List[float]] = {"A": [], "B": [], "B+move": []}
-        for nprocs in proc_list:
-            subdomain = float(system.box.min()) / round(nprocs ** (1.0 / 3.0))
-            for method in ("A", "B", "B+move"):
-                # warmup: drift the particles ~1.5 subdomain widths away
-                # from the initial decomposition (the average displacement
-                # over the paper's 1000-step runs, which is what method A
-                # keeps paying for), then measure steady-state steps with
-                # small per-step movement
-                sim = _simulate(
-                    scale,
-                    n=scale.fig9_n,
-                    nprocs=nprocs,
-                    profile=profile,
-                    solver=solver,
-                    method=method,
-                    distribution="grid",
-                    steps=0,
-                    dynamics="brownian",
-                    brownian_step=1.5 * subdomain / warmup,
-                    skip_compute=True,
-                )
-                for _ in range(warmup):
-                    sim.step()
-                sim.config.brownian_step = 0.02 * subdomain
-                measured = [sim.step() for _ in range(steps)]
-                per_step = [step_breakdown(r)["total"] for r in measured]
-                per_method[method].append(float(np.mean(per_step)) * 1000.0)
-        results[solver] = {"procs": list(proc_list), **per_method}
+        cells = {
+            (nprocs, method): _cell(
+                scale, solver, method, "grid",
+                nprocs=nprocs, n=scale.fig9_n, profile=profile, drift=drift,
+            )
+            for nprocs in proc_list
+            for method in methods
+        }
+        per_method: Dict[str, List[float]] = {m: [] for m in methods}
+        fallback: Dict[str, List[float]] = {m: [] for m in methods}
+        for (nprocs, method), cell in _run(cells).items():
+            per_step = [step_breakdown(r)["total"] for r in cell.records[1 + warmup :]]
+            per_method[method].append(float(np.mean(per_step)) * 1000.0)
+            fallback[method].append(cell.fallback)
+        results[solver] = {"procs": list(proc_list), **per_method, "fallback": fallback}
     if not quiet:
         for solver in results:
             profile, _ = configs[solver]
             print_header(
                 f"Fig. 9 — total parallel runtimes with the {solver.upper()} solver "
-                f"({profile.name} profile, n={scale.fig9_n}; projected 1000-step modeled seconds)"
+                f"({profile.lower()} profile, n={scale.fig9_n}; projected 1000-step modeled seconds)"
             )
             r = results[solver]
-            print(
-                format_series(
-                    "procs",
-                    r["procs"],
-                    {
-                        "method A": r["A"],
-                        "method B": r["B"],
-                        "B + max movement": r["B+move"],
-                    },
-                )
-            )
+            series = {"method A": r["A"], "method B": r["B"], "B + max movement": r["B+move"]}
+            print(format_series("procs", r["procs"], series))
+            fell_back = [
+                f"{method} P={p} {share:.0%}"
+                for method, shares in r["fallback"].items()
+                for p, share in zip(r["procs"], shares)
+                if share
+            ]
+            if fell_back:
+                print("share of B steps that fell back to A: " + ", ".join(fell_back))
     return results

@@ -87,12 +87,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_save(args) -> int:
-    from repro.verify.trajectory import build_run
+    from repro.verify.trajectory import CellSpec, build_run
 
-    sim = build_run(
-        args.solver, args.method, args.nprocs,
-        n_particles=args.particles, seed=args.seed, audit=False,
-    ).sim
+    spec = CellSpec(args.solver, args.method, args.nprocs, args.particles, seed=args.seed)
+    sim = build_run(spec, audit=False).sim
     try:
         sim.run(args.steps)
         n_bytes = sim.save_checkpoint(args.out)

@@ -91,16 +91,14 @@ def run_restart_equivalence(
     """
     from repro.verify.dst import ledger_fingerprint
     from repro.verify.invariants import state_fingerprint
-    from repro.verify.trajectory import build_run
+    from repro.verify.trajectory import CellSpec, build_run
 
-    def build():
-        return build_run(
-            solver, method, nprocs, n_particles=n_particles,
-            seed=system_seed, solver_kwargs=solver_kwargs,
-        )
+    spec = CellSpec(
+        solver, method, nprocs, n_particles, seed=system_seed, solver_kwargs=solver_kwargs
+    )
 
     # -- the uninterrupted run: 2N steps ------------------------------------
-    straight = build()
+    straight = build_run(spec)
     try:
         straight.sim.run(2 * steps)
         expected = {
@@ -112,7 +110,7 @@ def run_restart_equivalence(
         straight.sim.fcs.destroy()
 
     # -- the split run: N steps, kill, restore, N more ----------------------
-    split = build()
+    split = build_run(spec)
     try:
         split.sim.run(steps)
         with tempfile.TemporaryDirectory() if via_file else nullcontext() as tmp:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.md.simulation import REDISTRIBUTION_PHASES, StepRecord
-from repro.verify.trajectory import build_run
+from repro.verify.trajectory import CellSpec, build_run
 
 __all__ = [
     "METHODS",
@@ -105,11 +105,11 @@ def run_trajectory(
     hosts the payload data plane on an execution engine ("process" /
     "process:N"); observable state is backend-independent.
     """
-    run = build_run(
-        solver, method, nprocs, n_particles=n_particles, seed=seed,
-        placement=distribution, solver_kwargs=solver_kwargs, backend=backend,
-        audit=audit,
+    spec = CellSpec(
+        solver, method, nprocs, n_particles, seed=seed,
+        placement=distribution, solver_kwargs=solver_kwargs,
     )
+    run = build_run(spec, backend=backend, audit=audit)
     sim, checker = run.sim, run.checker if check_invariants else None
     try:
         for advance in [sim.initialize] + [sim.step] * steps:

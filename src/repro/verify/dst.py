@@ -49,7 +49,14 @@ from repro.simmpi.chaos import Perturbation
 from repro.simmpi.machine import Machine
 from repro.simmpi.spmd import SPMDDeadlock, run_spmd
 from repro.verify.audit import LEDGERS
-from repro.verify.trajectory import WORKLOADS, CheckedRun, build_run, play, restore_run
+from repro.verify.trajectory import (
+    WORKLOADS,
+    CellSpec,
+    CheckedRun,
+    build_run,
+    play,
+    restore_run,
+)
 
 __all__ = [
     "DEFAULT_DISTRIBUTIONS",
@@ -73,7 +80,7 @@ DEFAULT_SOLVERS = ("direct", "ewald", "fmm", "p2nfft")
 DEFAULT_METHODS = ("A", "B", "B+move")
 
 #: the workload axis (:data:`repro.verify.trajectory.WORKLOADS`)
-DST_DISTRIBUTIONS = WORKLOADS
+DST_DISTRIBUTIONS = tuple(WORKLOADS)
 
 #: default sweep stays on the homogeneous workload (cost); pass
 #: ``--distributions clustered`` to exercise the balancing path
@@ -344,6 +351,10 @@ def run_dst(
     trajectories = 0
 
     for distribution in distributions:
+        if distribution not in WORKLOADS:
+            raise ValueError(
+                f"unknown distribution {distribution!r}; pick from {DST_DISTRIBUTIONS}"
+            )
         for solver, method, spec in itertools.product(solvers, methods, algo_specs):
             cell = f"{solver}/{method}/{distribution}"
             if spec is not None:
@@ -351,11 +362,15 @@ def run_dst(
             tag = "" if spec is None else "-" + spec.replace("+", "_").replace("=", "-")
             slug = method.replace("+", "_")
 
+            cell_spec = CellSpec(
+                solver, method, nprocs, n_particles, seed=system_seed,
+                **WORKLOADS[distribution],
+            )
+
             def checked_run(chaos_seed: Optional[int]) -> CheckedRun:
                 return build_run(
-                    solver, method, nprocs, n_particles=n_particles,
-                    seed=system_seed, workload=distribution, chaos_seed=chaos_seed,
-                    backend=backend, algos=spec, spans=obs_export_dir is not None,
+                    cell_spec, chaos_seed=chaos_seed, backend=backend, algos=spec,
+                    spans=obs_export_dir is not None,
                 )
 
             def export(run: CheckedRun, seed: int) -> None:

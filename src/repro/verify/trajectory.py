@@ -1,26 +1,33 @@
-"""Checked trajectories: build, fingerprint and resume one audited run.
+"""Cell specs and checked trajectories: build, play, fingerprint, resume.
 
-Every bitwise harness of this package — the A/B/B+move differential sweep
+Every simulated run of this package is one :class:`CellSpec` built by
+:func:`build_run`: the figure cells of :mod:`repro.bench.figures`
+(through :func:`run_cells`), the A/B/B+move differential sweep
 (:mod:`repro.verify.differential`), the DST chaos sweep and its checkpoint
 resume sweep (:mod:`repro.verify.dst`) and the restart-equivalence kit
-(:mod:`repro.ckpt.equivalence`) — runs its trajectories through this
-module, which owns the four decisions they share:
+(:mod:`repro.ckpt.equivalence`).  This module owns the decisions they
+share:
 
-* **How a checked run is built** (:func:`build_run`).  The backend and the
-  collective-algorithm spec go through
+* **How a run is built** (:func:`build_run`).  The spec fixes the system,
+  machine profile, solver, method, placement and dynamics; the chaos seed,
+  the backend and the collective-algorithm spec go through
   :class:`~repro.md.simulation.SimulationConfig`.  An optional span
   recorder is attached *before* the :class:`~repro.md.simulation.Simulation`
   is built and the auditor *after* it: the ledgers and the NDJSON bytes
-  depend on that order.  The workload is the homogeneous silica melt or
-  the two-cluster system with dynamic load balancing at an aggressive
-  trigger.
+  depend on that order.
+* **How a figure cell is played** (:func:`run_cell`).  Unaudited: the
+  initial run, then the spec's brownian drift schedule, returning the step
+  records, the share of method-B steps that fell back
+  (:func:`fallback_fraction`) and the final state fingerprint.
+  :func:`run_cells` fans a list of cells out over an execution backend's
+  workers.
 * **How a run is resumed** (:meth:`CheckedRun.resume`,
   :func:`restore_run`).  Capture a checkpoint, optionally round-trip it
   through an NDJSON file in a directory, destroy the donor, then restore
   onto a fresh machine with the recorder and the auditor attached *before*
   :func:`~repro.ckpt.restore.restore_simulation` (which overwrites their
   state from the checkpoint), under the donor's perturbation.
-* **What a run's fingerprint is** (:class:`Fingerprint`, :func:`play`).
+* **What a checked run's fingerprint is** (:class:`Fingerprint`, :func:`play`).
   The :func:`~repro.verify.invariants.state_fingerprint` at the start
   point and after every step, plus the final
   :func:`~repro.verify.dst.ledger_fingerprint`.
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ckpt import (
     Checkpoint,
@@ -43,10 +50,9 @@ from repro.ckpt import (
     restore_simulation,
     write_checkpoint,
 )
-from repro.md.distributions import clustered_system
-from repro.md.simulation import Simulation, SimulationConfig
-from repro.md.systems import silica_melt_system
+from repro.md.simulation import Simulation, SimulationConfig, StepRecord
 from repro.obs import ObsRecorder, enable_observability
+from repro.simmpi import costmodel
 from repro.simmpi.chaos import Perturbation
 from repro.simmpi.machine import Machine
 from repro.verify.audit import CommAuditor, enable_auditing
@@ -54,20 +60,81 @@ from repro.verify.invariants import InvariantChecker, state_fingerprint
 
 __all__ = [
     "WORKLOADS",
+    "CellResult",
+    "CellSpec",
     "CheckedRun",
     "Fingerprint",
     "build_run",
+    "fallback_fraction",
     "play",
     "restore_run",
+    "run_cell",
+    "run_cells",
 ]
 
-#: ``"homogeneous"`` is the silica-melt analogue; ``"clustered"`` is the
-#: two-cluster system under dynamic load balancing (the balance decision
-#: reads only nominal rank work, so rebalances fire at the same steps under
-#: every perturbation)
-WORKLOADS = ("homogeneous", "clustered")
 
-_CLUSTERED_BALANCE = dict(
+@dataclasses.dataclass(frozen=True)
+class CellSpec:
+    """One simulated trajectory: a figure cell or a checked run.
+
+    ``seed`` seeds the system and the simulation.  ``system`` is
+    ``"melt"`` (the silica-melt analogue) or one of
+    :data:`~repro.md.distributions.CLUSTERED_KINDS`; the FMM runs a
+    clustered system under its density work model.  ``balance`` turns on
+    dynamic load balancing at an aggressive trigger.  ``placement`` is the
+    initial particle distribution over the ranks
+    (``SimulationConfig.distribution``) and ``profile`` names a
+    :mod:`repro.simmpi.costmodel` profile (``"JUROPA"``, ``"JUQUEEN"``;
+    ``None`` is the default switch machine).
+    """
+
+    solver: str
+    method: str
+    nprocs: int
+    n: int
+    seed: int = 0
+    system: str = "melt"
+    balance: bool = False
+    placement: str = "random"
+    profile: Optional[str] = None
+    dt: float = 0.01
+    solver_kwargs: Optional[dict] = None
+    #: force dynamics with real solver compute and energy tracking;
+    #: otherwise the solver skips its compute and the particles follow
+    #: ``drift``
+    physics: bool = True
+    #: the brownian drift schedule ``((steps, width, divisor), ...)``: each
+    #: entry runs ``steps`` steps of per-step displacement
+    #: ``width * subdomain / divisor``, where ``subdomain`` is the box edge
+    #: over the ranks per dimension (:func:`run_cell` plays it; empty is an
+    #: init-only cell)
+    drift: Tuple[Tuple[int, float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.physics and self.drift:
+            raise ValueError("a drift schedule needs physics=False (brownian dynamics)")
+
+
+@dataclasses.dataclass
+class CellResult:
+    """What :func:`run_cell` returns: the step records, the
+    :func:`fallback_fraction` and the final state fingerprint."""
+
+    records: List[StepRecord]
+    fallback: float
+    fingerprint: Dict[str, str]
+
+
+#: the DST workload axis as :class:`CellSpec` fields: ``"homogeneous"`` is
+#: the silica-melt analogue; ``"clustered"`` is the two-cluster system under
+#: dynamic load balancing (the balance decision reads only nominal rank
+#: work, so rebalances fire at the same steps under every perturbation)
+WORKLOADS: Dict[str, Dict] = {
+    "homogeneous": {},
+    "clustered": dict(system="two-cluster", balance=True),
+}
+
+_DYNAMIC_BALANCE = dict(
     load_balance="dynamic",
     balance_trigger=1.02,
     balance_rearm=1.01,
@@ -130,55 +197,91 @@ class CheckedRun:
 
 
 def build_run(
-    solver: str,
-    method: str,
-    nprocs: int,
+    spec: CellSpec,
     *,
-    n_particles: int,
-    seed: int = 0,
-    workload: str = "homogeneous",
-    placement: str = "random",
     chaos_seed: Optional[int] = None,
     backend: Optional[str] = None,
     algos: Optional[str] = None,
-    solver_kwargs: Optional[dict] = None,
     spans: bool = False,
     audit: bool = True,
 ) -> CheckedRun:
-    """A fresh, not yet initialized run of one seeded trajectory.
+    """A fresh, not yet initialized run of ``spec`` (see the module doc)."""
+    from repro.bench.harness import make_clustered_system, make_system  # bench imports this module
 
-    ``seed`` seeds the system and the simulation; ``placement`` is the
-    initial particle distribution over the ranks
-    (``SimulationConfig.distribution``).
-    """
-    if workload not in WORKLOADS:
-        raise ValueError(f"unknown distribution {workload!r}; pick from {WORKLOADS}")
-    machine = Machine(nprocs)
+    profile = None if spec.profile is None else getattr(costmodel, spec.profile)
+    machine = Machine(spec.nprocs, profile=profile)
     recorder = enable_observability(machine) if spans else None
-    solver_kwargs = dict(solver_kwargs or {})
-    balance: Dict = {}
-    if workload == "clustered":
-        system = clustered_system("two-cluster", n_particles, seed=seed)
-        balance = _CLUSTERED_BALANCE
-        if solver == "fmm":
-            solver_kwargs["work_model"] = "density"
+    solver_kwargs = dict(spec.solver_kwargs or {})
+    if spec.system == "melt":
+        system = make_system(spec.n, spec.seed)
     else:
-        system = silica_melt_system(n_particles, seed=seed)
+        system = make_clustered_system(spec.system, spec.n, spec.seed)
+        if spec.solver == "fmm":
+            solver_kwargs["work_model"] = "density"
+    if not spec.physics:
+        solver_kwargs.setdefault("compute", "skip")
+    knobs = dict(_DYNAMIC_BALANCE) if spec.balance else {}
+    if spec.drift:
+        knobs.update(dynamics="brownian", brownian_step=_drift_widths(spec, system)[0][1])
     config = SimulationConfig(
-        solver=solver,
-        method=method,
-        distribution=placement,
-        seed=seed,
-        track_energy=True,
+        solver=spec.solver,
+        method=spec.method,
+        dt=spec.dt,
+        distribution=spec.placement,
+        seed=spec.seed,
+        track_energy=spec.physics,
         solver_kwargs=solver_kwargs,
         perturbation=_perturbation(chaos_seed),
         backend=backend,
         collective_algos=algos,
-        **balance,
+        **knobs,
     )
     sim = Simulation(machine, system, config)
     auditor = enable_auditing(machine) if audit else None
     return CheckedRun(sim, auditor, recorder, chaos_seed)
+
+
+def _drift_widths(spec: CellSpec, system) -> List[Tuple[int, float]]:
+    """``spec.drift`` as ``(steps, brownian_step)`` pairs for ``system``."""
+    subdomain = float(system.box.min()) / round(spec.nprocs ** (1.0 / 3.0))
+    return [(steps, width * subdomain / divisor) for steps, width, divisor in spec.drift]
+
+
+def fallback_fraction(records: Sequence[StepRecord]) -> float:
+    """The share of method-B steps after the initial run whose solver kept
+    the input layout (``changed`` False): B fell back to A's redistribution."""
+    changed = [r.changed for r in records[1:] if r.method in ("B", "B+move")]
+    return changed.count(False) / len(changed) if changed else 0.0
+
+
+def run_cell(spec: CellSpec) -> CellResult:
+    """Build ``spec`` unaudited, initialize it and play its drift schedule."""
+    sim = build_run(spec, audit=False).sim
+    try:
+        sim.initialize()
+        for steps, width in _drift_widths(spec, sim.system):
+            sim.config.brownian_step = width
+            for _ in range(steps):
+                sim.step()
+        return CellResult(sim.records, fallback_fraction(sim.records), state_fingerprint(sim))
+    finally:
+        sim.fcs.destroy()
+
+
+def run_cells(specs: Sequence[CellSpec], backend=None) -> List[CellResult]:
+    """:func:`run_cell` over ``specs``, in order.
+
+    ``backend``: an optional :class:`~repro.backend.ExecutionBackend` (or
+    spec string) whose workers run the cells; each cell is a whole
+    simulation on its own machine, so the results are bitwise the serial
+    ones.
+    """
+    from repro.backend import resolve_backend
+
+    engine = resolve_backend(backend)
+    if engine is not None and engine.workers:
+        return engine.map_tasks("repro.verify.trajectory.run_cell", [(s,) for s in specs])
+    return [run_cell(spec) for spec in specs]
 
 
 def restore_run(

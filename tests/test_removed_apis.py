@@ -120,6 +120,9 @@ REMOVED = [
     ("repro.core.balance", "occupancy_weights"),
     ("repro.core.handle", "register_solver"),
     ("repro.solvers.p2nfft.mesh", "MeshSolver.self_energy"),
+    # a figure cell is a CellSpec that repro.verify.trajectory.build_run builds
+    ("repro.bench.figures", "fig7_cell"),
+    ("repro.bench.figures", "_simulate"),
 ]
 
 

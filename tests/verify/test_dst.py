@@ -16,7 +16,7 @@ from repro.verify.dst import (
     run_order_invariance_probe,
 )
 from repro.verify.invariants import state_fingerprint
-from repro.verify.trajectory import Fingerprint, build_run, play
+from repro.verify.trajectory import CellSpec, Fingerprint, build_run, play
 
 
 class TestSweep:
@@ -72,7 +72,7 @@ class TestDivergenceDetection:
     """Negative paths: a tampered reference must be caught and reported."""
 
     def play(self, chaos_seed=None, reference=None):
-        run = build_run("direct", "B", 4, n_particles=16, chaos_seed=chaos_seed)
+        run = build_run(CellSpec("direct", "B", 4, 16), chaos_seed=chaos_seed)
         return play(run, 2, reference=reference)
 
     def test_tampered_state_fingerprint_fails(self):

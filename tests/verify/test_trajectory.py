@@ -9,7 +9,7 @@ import repro.verify.invariants as invariants
 from repro.obs import read_ndjson
 from repro.verify.__main__ import _dst_parser, main_dst
 from repro.verify.dst import run_dst
-from repro.verify.trajectory import build_run, play
+from repro.verify.trajectory import CellSpec, build_run, play
 
 
 def kill_cell(**kwargs):
@@ -83,20 +83,31 @@ class TestReproCommand:
 
 class TestKit:
     def test_null_seed_is_the_null_perturbation(self):
-        run = build_run("direct", "A", 2, n_particles=12, chaos_seed=0)
+        spec = CellSpec("direct", "A", 2, 12)
+        run = build_run(spec, chaos_seed=0)
         assert run.machine.perturbation.is_null
-        assert build_run("direct", "A", 2, n_particles=12).machine.perturbation is None
-        reference = play(build_run("direct", "A", 2, n_particles=12), 1)
+        assert build_run(spec).machine.perturbation is None
+        reference = play(build_run(spec), 1)
         assert len(reference.steps) == 2
         assert play(run, 1, reference=reference).steps == []
 
+    def test_figure_cell_plays_as_checked_run(self):
+        """A figure spec (profile, skipped compute, brownian drift) passes the
+        invariant registry and is schedule-independent under chaos."""
+        spec = CellSpec(
+            "fmm", "B", 8, 512, seed=1, profile="JUROPA", physics=False,
+            drift=((2, 0.005, 1),),
+        )
+        reference = play(build_run(spec), 2)
+        assert play(build_run(spec, chaos_seed=3), 2, reference=reference).steps == []
+
     def test_kill_at_out_of_range_raises(self):
-        run = build_run("direct", "A", 2, n_particles=12)
+        run = build_run(CellSpec("direct", "A", 2, 12))
         with pytest.raises(ValueError, match="kill_at"):
             play(run, 1, kill_at=2)
 
     def test_resume_keeps_the_perturbation_and_recorder(self, tmp_path):
-        run = build_run("direct", "B", 2, n_particles=12, chaos_seed=4, spans=True)
+        run = build_run(CellSpec("direct", "B", 2, 12), chaos_seed=4, spans=True)
         run.sim.initialize()
         donor = run.sim
         run.resume(str(tmp_path))
