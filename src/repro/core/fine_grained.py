@@ -152,7 +152,7 @@ def sorted_route(
     one).  ``row_index`` is kept, not copied.
     """
     first = np.ones(key.shape[0], dtype=bool)
-    first[1:] = key[1:] != key[:-1]
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     row_ptr = np.append(starts, key.shape[0])
     if rows is not None:

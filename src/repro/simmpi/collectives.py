@@ -166,6 +166,15 @@ class Exchange:
         if np.any(np.diff(self.msg_src * np.int64(nprocs) + self.msg_dst) <= 0):
             raise ValueError("Exchange messages must be sorted by (src, dst), pairs unique")
 
+    def _receive_order(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(by_dst, lens, starts)``: the messages in the order the receive
+        buffer holds them, their lengths and where each starts in it."""
+        # the table is source-sorted, so a stable sort by destination leaves
+        # every receiver's messages in source order
+        by_dst = np.argsort(self.msg_dst, kind="stable")
+        lens = np.diff(self.row_ptr)[by_dst]
+        return by_dst, lens, np.cumsum(lens) - lens
+
     def recv_rows(self, nprocs: int) -> Tuple[np.ndarray, np.ndarray]:
         """Which buffer row every received row is a copy of, in ``(dst,
         src)`` order, and the ``recv_offsets`` splitting them by receiver.
@@ -174,17 +183,33 @@ class Exchange:
         messages by destination are composed into one index vector, so no
         send buffer is materialized between the two.
         """
-        lens = np.diff(self.row_ptr)
-        # the table is source-sorted, so a stable sort by destination leaves
-        # every receiver's messages in source order
-        by_dst = np.argsort(self.msg_dst, kind="stable")
-        recv_lens = lens[by_dst]
-        recv_ends = np.cumsum(recv_lens)
-        gather = np.repeat(self.row_ptr[:-1][by_dst] - (recv_ends - recv_lens), recv_lens)
+        by_dst, lens, starts = self._receive_order()
+        gather = np.repeat(self.row_ptr[:-1][by_dst] - starts, lens)
         gather += np.arange(self.row_index.shape[0])
+        # every index is in range; ``clip`` lets the gather overwrite its own
+        # index vector unbuffered (entry i is read before entry i is written)
+        np.take(self.row_index, gather, out=gather, mode="clip")
         rows_to = np.zeros(nprocs, dtype=np.int64)
-        np.add.at(rows_to, self.msg_dst, lens)
-        return self.row_index[gather], np.concatenate(([0], np.cumsum(rows_to)))
+        np.add.at(rows_to, self.msg_dst, np.diff(self.row_ptr))
+        return gather, np.concatenate(([0], np.cumsum(rows_to)))
+
+    def recv_positions(self, positions: np.ndarray) -> np.ndarray:
+        """Where the rows at the ascending route ``positions`` (indices into
+        ``row_index``) land among the rows :meth:`recv_rows` lists, ascending.
+
+        Message by message: one bisection per message finds its share of
+        ``positions``, and the shares move whole, in receive order, each by
+        its message's offset — no route-sized array is made.
+        """
+        by_dst, _lens, starts = self._receive_order()
+        route_starts = self.row_ptr[:-1][by_dst]
+        cut = np.searchsorted(positions, self.row_ptr)
+        count = np.diff(cut)[by_dst]
+        index = np.repeat(cut[:-1][by_dst] - (np.cumsum(count) - count), count)
+        index += np.arange(positions.shape[0])
+        out = positions[index]
+        out += np.repeat(starts - route_starts, count)
+        return out
 
     def deliver(self, nprocs: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
         """The received rows, as one gather per column into fresh buffers."""

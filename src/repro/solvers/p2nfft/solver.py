@@ -37,7 +37,7 @@ from repro.core.fine_grained import pair_key_bits, redistribute_flat, sorted_rou
 from repro.core.geometry import wrap_into_box
 from repro.core.movement import p2nfft_prefers_neighborhood
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
-from repro.core.resort import initial_numbering, unpack_resort_index
+from repro.core.resort import initial_numbering
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.collectives import Exchange
 from repro.simmpi.machine import Machine
@@ -100,18 +100,20 @@ def ghost_distribution(
     rc: float,
     row_offsets: np.ndarray,
 ) -> Tuple[Exchange, np.ndarray]:
-    """``(route, owner)``: the route of the placement — every row to its
-    owner plus ghost duplicates within ``rc`` — and the owning rank of every
-    row.
+    """``(route, owned)``: the route of the placement — every row to its
+    owner plus ghost duplicates within ``rc`` — and the route positions of
+    the owner copies, ascending, one per row.
 
     The distribution function of the generalized fine-grained
     redistribution: each particle goes to the rank owning its position, and
     copies go to every rank whose subdomain lies within the cutoff radius
     (the ghost-creation rule of Sect. II-C).  ``pos`` are the rank-major
     rows cut by ``row_offsets``.  Every (row, target) pair is named once;
-    within a message the rows rise.  ``owner`` is where the one copy of each
-    row that is not a ghost goes — the only place a position is turned into
-    an owning rank.
+    within a message the rows rise.  This is the only place a position is
+    turned into an owning rank: the copy of a row that is not a ghost is the
+    pair whose target is that rank, marked while the route is made
+    (:meth:`~repro.simmpi.collectives.Exchange.recv_positions` says where
+    it lands).
 
     Raises ``ValueError`` before any work when the packed ``(source,
     target, row)`` key of the route would not fit 63 bits.
@@ -202,11 +204,23 @@ def ghost_distribution(
     packed.sort()
     if narrow:  # two offsets wrapped onto one rank
         distinct = np.ones(packed.shape[0], dtype=bool)
-        distinct[1:] = packed[1:] != packed[:-1]
+        np.not_equal(packed[1:], packed[:-1], out=distinct[1:])
         packed = packed[distinct]
-    rows = packed & ((1 << row_bits) - 1)
+    # A pair is its row's owner copy iff its target is the row's owner (a
+    # ghost never targets it, so every row has exactly one).  One buffer
+    # holds each pair's row, then the owner of that row shifted onto the
+    # target bits, then their difference — and at last the rows again.
+    row_mask = (1 << row_bits) - 1
+    mark = packed & row_mask
+    # rows are in range; ``clip`` gathers over the index vector unbuffered
+    np.take(owner, mark, out=mark, mode="clip")
+    mark <<= row_bits
+    mark ^= packed
+    mark &= ((1 << rank_bits) - 1) << row_bits
+    owned = np.flatnonzero(mark == 0)
+    rows = np.bitwise_and(packed, row_mask, out=mark)
     packed >>= row_bits
-    return sorted_route(packed, 1 << rank_bits, rows), owner
+    return sorted_route(packed, 1 << rank_bits, rows), owned
 
 
 def charge_parallel_fft(machine: Machine, M: int, n_transforms: int, phase: str) -> None:
@@ -277,17 +291,17 @@ class GridSolver(Solver):
         included (phase ``sort``); returns the owned and the owned+ghost
         particles, both rank-major."""
         machine = self.machine
-        P = machine.nprocs
         neighborhood = (
             max_move is not None and p2nfft_prefers_neighborhood(self.grid, max_move)
         )
         comm = "neighborhood" if neighborhood else "alltoall"
 
-        offsets = particles.offsets
         # the route (owners + ghost duplicates) of all ranks in one pass over
         # the rank-major positions, before anything is charged; it is also
         # the one decision who owns which particle
-        route, owner = ghost_distribution(self.grid, particles.block["pos"], self.rc, offsets)
+        route, owned_pairs = ghost_distribution(
+            self.grid, particles.block["pos"], self.rc, particles.offsets
+        )
         # the redistribution gathers from these into fresh buffers, so the
         # application's columns can be handed over as they are
         rows = ColumnBlock(
@@ -298,11 +312,9 @@ class GridSolver(Solver):
         machine.compute(kernels.KEY_GENERATION * particles.counts(), phase="keygen")
         local_all = redistribute_flat(machine, rows, route, phase="sort", comm=comm)
 
-        # a copy knows the element it is a copy of from the origin it
-        # carries, and is the owned one iff it arrived at that element's owner
-        src, row = unpack_resort_index(local_all.data["index"])
-        arrived_at = np.repeat(np.arange(P, dtype=np.int64), local_all.counts)
-        own = np.flatnonzero(owner[offsets[src] + row] == arrived_at)
+        # the owner copies were marked on the route; the route says where
+        # each of its messages lands, so the delivered copies are not read
+        own = route.recv_positions(owned_pairs)
         owned = RankMajor(local_all.data.take(own), np.searchsorted(own, local_all.offsets))
         return owned, local_all, comm, f"grid+{comm}"
 

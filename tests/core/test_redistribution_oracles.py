@@ -30,6 +30,7 @@ from redistribution_oracles import (
     invert_indices_loop,
     merge_exchange_sort_pairwise,
     observed,
+    owned_copies_by_origin,
     partition_sort_loop,
     restore_results_loop,
 )
@@ -295,12 +296,17 @@ def pairs_of(route):
 def placement(grid, pos, rc, seed):
     """``ghost_distribution`` over the rows of ``rank_counts`` ranks (empty
     ranks likely), and the routes the two oracles' pairs make: ``(route,
-    [want, want], owner)``."""
+    [want, want], owner)``, ``owner`` the targets of the pairs the route
+    marks as owner copies — which are exactly the pairs targeting them."""
     counts = rank_counts(pos.shape[0], grid.nprocs, seed)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    got, owner = ghost_distribution(grid, pos, rc, offsets)
+    got, owned = ghost_distribution(grid, pos, rc, offsets)
     wants = [exchange_route_argsort(offsets, *oracle(grid, pos, rc))
              for oracle in (ghost_distribution_rows, ghost_distribution_loop)]
+    elements, targets = pairs_of(got)
+    owner = np.full(pos.shape[0], -1, dtype=np.int64)
+    owner[elements[owned]] = targets[owned]
+    np.testing.assert_array_equal(owned, np.flatnonzero(targets == owner[elements]))
     return got, wants, owner
 
 
@@ -427,7 +433,7 @@ class TestGhostDistributionAgainstLoop:
                 d2 = np.minimum(d2, (gap * gap).sum(axis=1))
             for i in np.flatnonzero((d2 < rc * rc) | (owner == rank)):
                 expected.add((int(i), rank))
-        route, _owner = ghost_distribution(grid, pos, rc, np.array([0] + [len(pos)] * grid.nprocs))
+        route, _owned = ghost_distribution(grid, pos, rc, np.array([0] + [len(pos)] * grid.nprocs))
         elems, targets = pairs_of(route)
         got = set(zip(elems.tolist(), targets.tolist()))
         # exactly on a face the brute force and the rule may round the face
@@ -821,3 +827,80 @@ class TestMergeExchangeSortAgainstPairwise:
             # exchange named
             control, windows = rounds[0], rounds[1]
             assert windows[6] == control[6] == 2 * len(merge_exchange_rounds(nprocs)[0])
+
+
+#: rank counts of the grid placement: every grid ``CartGrid`` picks for
+#: them, wide and narrow, and a single rank
+PLACEMENT_RANKS = st.sampled_from([1, 2, 3, 4, 8, 27, 64])
+
+
+def placement_positions(layout, n, grid, rng):
+    """``n`` positions laid out to be hostile to the placement."""
+    box, offset = grid.box, grid.offset
+    if layout == "one cell":
+        # every particle inside one subdomain, some of them on one point
+        corner = offset + rng.integers(0, grid.dims) * grid.cell
+        pos = corner + rng.random((n, 3)) * grid.cell
+        pos[: n // 3] = pos[:1]
+        return pos
+    pos = offset + (rng.random((n, 3)) * 1.2 - 0.1) * box
+    if layout == "faces":
+        return on_faces(pos, grid, rng)
+    if layout == "upper face":
+        # rows a hair below the upper box face, drawn with repetition
+        axis = rng.integers(0, 3, n)
+        pos[np.arange(n), axis] = np.nextafter(offset[axis] + box[axis], -np.inf)
+        return pos[np.sort(rng.integers(0, n, n))] if n else pos
+    return pos
+
+
+class TestGridPlacementAgainstOrigins:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        PLACEMENT_RANKS,
+        st.integers(0, 150),
+        st.floats(0.05, 1.6),
+        st.sampled_from(["inside", "faces", "one cell", "upper face"]),
+        st.sampled_from([None, 0.01]),
+        st.integers(0, 2**16),
+    )
+    def test_same_owned_copies(self, nprocs, n, rc_in_cells, layout, max_move, seed):
+        """``_place`` takes the owner copies the route marked, at the
+        receive positions the route says they land at; the oracle picks them
+        from the origin every delivered copy carries.  Same positions, same
+        owned rows bit for bit — on narrow grids where ghosts wrap onto the
+        owner and the dedup runs, with empty ranks, fewer rows than ranks,
+        no rows at all, every row in one subdomain and repeated rows a hair
+        below the upper face; and the ``fcs_run`` of that input completes."""
+        rng = np.random.default_rng(seed)
+        box, offset = np.array([7.0, 5.0, 6.0]), np.array([-1.0, 0.5, 2.0])
+        grid = CartGrid(nprocs, box, offset)
+        # the tuner admits a cutoff up to half the shortest box side
+        rc = min(rc_in_cells * float(grid.cell.min()), 2.5)
+        pos = placement_positions(layout, n, grid, rng)
+        counts = rank_counts(n, nprocs, seed)
+        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        q = rng.uniform(-1.0, 1.0, n)
+        particles = ParticleSet(
+            [pos[a:b] for a, b in zip(offsets[:-1], offsets[1:])],
+            [q[a:b] for a, b in zip(offsets[:-1], offsets[1:])],
+            capacity_factor=float(nprocs),
+        )
+        fcs = fcs_init("p2nfft", Machine(nprocs), cutoff=rc, compute="skip")
+        fcs.set_common(box=box, offset=offset, periodic=True)
+        fcs.set_resort(True)
+        fcs.tune(particles)
+        assert fcs.solver.grid.dims == grid.dims
+
+        owned, local_all, _comm, _strategy = fcs.solver._place(particles, max_move)
+        w = np.mod(pos - offset, box)
+        owner = grid.rank_of_positions(offset + np.where(w < box, w, 0.0))
+        want_own, want = owned_copies_by_origin(local_all, owner, offsets)
+        route, marked = ghost_distribution(grid, pos, rc, offsets)
+        assert_same_arrays([route.recv_positions(marked)], [want_own])
+        np.testing.assert_array_equal(owned.offsets, want.offsets)
+        assert_same_blocks([owned.data], [want.data])
+
+        report = fcs.run(particles)
+        if report.changed:
+            np.testing.assert_array_equal(report.new_counts, want.counts)

@@ -27,6 +27,7 @@ import ast
 import gc
 import inspect
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
 from repro.simmpi import collectives, p2p
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
+from repro.solvers.p2nfft import solver as p2nfft_solver
 from repro.solvers.p2nfft.solver import GridSolver
 from repro.sorting.batcher import comparator_count
 from repro.sorting.merge_sort import merge_exchange_sort
@@ -113,9 +115,8 @@ def test_p2nfft_step_is_constant_in_ranks(work, P):
     assert work["ColumnBlock"] <= BLOCKS_PER_RUN["p2nfft"]
     assert work["payload_nbytes"] == 0
     assert work["morton_encode3"] == 0
-    # _place: the origin every delivered copy carries; invert_indices: the
-    # targets before the exchange, the slots after it
-    assert work["unpack_resort_index"] == 3
+    # invert_indices: the targets before the exchange, the slots after it
+    assert work["unpack_resort_index"] == 2
     assert work["inverse_permutation"] == 0
 
     # fcs.resort of three columns: one compile, then pure data movement —
@@ -250,6 +251,37 @@ def test_grid_placement_leaves_nothing_to_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_grid_placement_picks_owned_copies_without_reading_the_delivery(monkeypatch):
+    """At P = 512 the placement delivers 10.5 copies per particle.  Once the
+    exchange has returned, ``_place`` allocates the owned rows (position,
+    charge, origin: 5 · 8n bytes) and the owner-copy positions (8n bytes) —
+    under 8 · 8n, where re-deriving ownership from the origin every
+    delivered copy carries took 52 · 8n.  The particles start on their owners
+    (the layout of the step before), so the route has ~27 messages a rank."""
+    machine, fcs, particles = _one_step("p2nfft", 512)
+    fcs.run(particles)
+    n = particles.total()
+    after = {}
+    deliver = p2nfft_solver.redistribute_flat
+
+    def delivered(*args, **kwargs):
+        local_all = deliver(*args, **kwargs)
+        after["delivered"] = local_all.data.n
+        tracemalloc.reset_peak()
+        after["base"] = tracemalloc.get_traced_memory()[0]
+        return local_all
+
+    monkeypatch.setattr(p2nfft_solver, "redistribute_flat", delivered)
+    tracemalloc.start()
+    try:
+        fcs.solver._place(particles, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert after["delivered"] > 10 * n
+    assert peak - after["base"] < 8 * 8 * n
 
 
 def test_fine_grained_has_no_loop_over_messages():

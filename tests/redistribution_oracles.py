@@ -10,7 +10,9 @@ full pass per neighbor offset, one key loop per rank), and the bodies
 became callers of that one exchange, moved here verbatim — and, one step
 later, the row-array ``ghost_distribution`` and the always-``argsort``
 ``exchange_route`` the grid placement ran on before it decided ownership
-once (:func:`ghost_distribution_rows`, :func:`exchange_route_argsort`), and
+once (:func:`ghost_distribution_rows`, :func:`exchange_route_argsort`), the
+placement's receiver-side pick of the owned copies from every delivered
+copy's origin (:func:`owned_copies_by_origin`), and
 the ``merge_exchange_sort`` that merged every overlapping pair of a comparator
 round on its own (:func:`merge_exchange_sort_pairwise`), with the payload
 form of ``exchange_pairs`` it ran on (:func:`exchange_pairs_payloads`; the
@@ -323,6 +325,24 @@ def exchange_route_argsort(
         row_ptr=np.append(starts, key.shape[0]),
     )
 
+
+def owned_copies_by_origin(
+    local_all: RankMajor, owner: np.ndarray, offsets: np.ndarray
+) -> Tuple[np.ndarray, RankMajor]:
+    """``(own, owned)``: the receive positions of a grid placement's owner
+    copies, ascending, and those rows rank-major — the tail of
+    ``GridSolver._place`` before ``ghost_distribution`` marked the owner
+    copies on the route: every delivered copy's origin is unpacked and its
+    receiving rank compared with the owner of the row it is a copy of.
+    ``owner`` is that owner per rank-major input row, cut by ``offsets``."""
+    P = offsets.shape[0] - 1
+    # a copy knows the element it is a copy of from the origin it
+    # carries, and is the owned one iff it arrived at that element's owner
+    src, row = unpack_resort_index(local_all.data["index"])
+    arrived_at = np.repeat(np.arange(P, dtype=np.int64), local_all.counts)
+    own = np.flatnonzero(owner[offsets[src] + row] == arrived_at)
+    owned = RankMajor(local_all.data.take(own), np.searchsorted(own, local_all.offsets))
+    return own, owned
 
 
 def halo_exchange_loop(

@@ -85,10 +85,16 @@ class TestLinkedCell:
 
 def ghost_pairs(grid, pos, rc):
     """``(elements, targets, owner)``: the (row, target) pairs of the
-    placement route of ``pos``, every row held by rank 0, and the owners."""
-    offsets = np.array([0] + [pos.shape[0]] * grid.nprocs, dtype=np.int64)
-    route, owner = ghost_distribution(grid, pos, rc, offsets)
-    return route.row_index, np.repeat(route.msg_dst, np.diff(route.row_ptr)), owner
+    placement route of ``pos``, every row held by rank 0, and the owners —
+    the targets of the pairs the route marks as owner copies, one per row."""
+    n = pos.shape[0]
+    offsets = np.array([0] + [n] * grid.nprocs, dtype=np.int64)
+    route, owned = ghost_distribution(grid, pos, rc, offsets)
+    elems, targets = route.row_index, np.repeat(route.msg_dst, np.diff(route.row_ptr))
+    np.testing.assert_array_equal(np.sort(elems[owned]), np.arange(n))
+    owner = np.empty(n, dtype=np.int64)
+    owner[elems[owned]] = targets[owned]
+    return elems, targets, owner
 
 
 class TestGhostDistribution:
