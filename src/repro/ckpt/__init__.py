@@ -5,8 +5,8 @@ package applies the same machinery to the one robustness shape every
 long-running parallel code needs: **stop, resume, resize**.
 
 * :mod:`repro.ckpt.format` — bit-exact NDJSON codec (``float.hex`` bit
-  patterns, hex-encoded array buffers) following the
-  :mod:`repro.obs.export` conventions;
+  patterns, hex-encoded array buffers, a crc32 seal per record) following
+  the :mod:`repro.obs.export` conventions;
 * :mod:`repro.ckpt.checkpoint` — :class:`~repro.ckpt.checkpoint.Checkpoint`
   capture/save/load of a full :class:`~repro.md.simulation.Simulation`
   (per-rank particle columns, solver resort state, RNG, Trace/auditor

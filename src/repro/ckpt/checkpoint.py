@@ -29,9 +29,9 @@ it charges nothing to the machine, so a run with ``checkpoint_every`` set
 produces bit-identical trajectories and traces to one without.
 
 The on-disk format is deterministic NDJSON (see :mod:`repro.ckpt.format`):
-one ``kind``-tagged object per line, sorted keys, ``float.hex`` bit
-patterns, hex-encoded array buffers.  ``save → load`` round-trips every
-field bit-exactly, and saving the same checkpoint twice produces identical
+one ``kind``-tagged object per line, sealed by its crc32, sorted keys,
+``float.hex`` bit patterns, hex-encoded array buffers.  ``save → load``
+round-trips every field bit-exactly, and saving the same checkpoint twice produces identical
 bytes.
 """
 
@@ -51,6 +51,7 @@ from repro.ckpt.format import (
     dumps,
     encode_line,
     read_lines,
+    seal,
     write_lines,
 )
 
@@ -89,7 +90,6 @@ def _config_fields(cfg) -> Dict[str, Any]:
         for f in dataclasses.fields(cfg)
         if f.name not in ("perturbation", "backend")
     }
-    fields["balance_phases"] = list(cfg.balance_phases)
     # a live backend instance is host machinery, not simulation state:
     # persist the engine spec string so a restore on any host (or under a
     # different engine) rebuilds an equivalent run
@@ -223,24 +223,13 @@ class Checkpoint:
         """Rebuild the :class:`SimulationConfig` (optionally perturbed)."""
         from repro.md.simulation import SimulationConfig
 
-        fields = dict(self.config)
-        # retired knob: checkpoints written before its removal carry it; the
-        # fused exchange it defaulted to is now the only resort path
-        if not fields.pop("fuse_resort", True):
-            raise ValueError(
-                "checkpoint was written with the retired SimulationConfig field "
-                "fuse_resort=False; the per-column resort path no longer exists. "
-                "Trajectories are identical on the fused path: delete the field "
-                "from the checkpoint's config record to continue there"
-            )
-        fields["solver_kwargs"] = copy.deepcopy(fields.get("solver_kwargs", {}))
-        fields["balance_phases"] = tuple(fields.get("balance_phases", ()))
+        fields = copy.deepcopy(self.config)
         return SimulationConfig(perturbation=perturbation, **fields)
 
     # -- NDJSON (de)serialization -------------------------------------------------
 
     def to_lines(self) -> List[str]:
-        """Deterministic NDJSON lines (meta header first, obs convention)."""
+        """Deterministic sealed NDJSON lines (meta header first)."""
 
         def section(kind: str) -> dict:
             return {"kind": kind, "data": getattr(self, kind)}
@@ -265,20 +254,22 @@ class Checkpoint:
             for r in range(self.nprocs)
         ]
         recs = [*map(section, HEAD_KINDS), *ranks, *map(section, TAIL_KINDS)]
-        return [dumps(meta), *map(encode_line, recs)]
+        return [seal(dumps(meta)), *(seal(encode_line(rec)) for rec in recs)]
 
     @classmethod
     def from_records(cls, parsed: List[dict]) -> "Checkpoint":
         """Build a checkpoint from parsed records, in any order.
 
-        A damaged record set — a missing or duplicated record kind or rank
-        line, a record that is not an object or lacks a field it needs, data
-        that does not decode — raises one ``ValueError`` naming the
-        offenders before anything is constructed.
+        A damaged record set — a missing, duplicated or unsealed record kind
+        or rank line, a record that is not an object or lacks a field it
+        needs, data that does not decode — or another format version raises
+        one ``ValueError`` naming the offenders before anything is
+        constructed.
         """
         singles: Dict[str, dict] = {}
         ranks: Dict[int, dict] = {}
         duplicated: List[str] = []
+        unsealed: List[str] = []
         for number, rec in enumerate(parsed, start=1):
             if not isinstance(rec, dict):
                 raise ValueError(
@@ -292,27 +283,28 @@ class Checkpoint:
                 table, key, name = singles, kind, str(kind)
             if key in table:
                 duplicated.append(name)
+            if "crc" not in rec:
+                unsealed.append(name)
             table[key] = rec
         meta = singles.get("meta")
         if meta is None or meta.get("format") != "repro.ckpt":
             raise ValueError("not a repro.ckpt checkpoint (missing meta header)")
         version = _int_field(meta, "version", "meta")
-        if version > CKPT_VERSION:
+        if version != CKPT_VERSION:
             raise ValueError(
-                f"checkpoint version {meta['version']} is newer than the "
-                f"supported {CKPT_VERSION}"
+                f"checkpoint format version {version} is not the supported "
+                f"version {CKPT_VERSION}; files of another version are refused"
             )
         nprocs = _int_field(meta, "nprocs", "meta")
         kinds = HEAD_KINDS + TAIL_KINDS
         missing = [k for k in kinds if k not in singles]
         missing += [f"rank {r}" for r in range(nprocs) if r not in ranks]
-        if missing or duplicated:
+        damage = (("missing", missing), ("duplicated", duplicated), ("unsealed", unsealed))
+        if any(names for _what, names in damage):
             raise ValueError(
                 "damaged checkpoint (truncated or corrupted): "
                 + "; ".join(
-                    f"{what} record(s) {', '.join(names)}"
-                    for what, names in (("missing", missing), ("duplicated", duplicated))
-                    if names
+                    f"{what} record(s) {', '.join(names)}" for what, names in damage if names
                 )
             )
         per_rank = [_rank_data(ranks[r], r) for r in range(nprocs)]
@@ -469,10 +461,11 @@ def save_checkpoint(sim, path: str, *, thermostat=None) -> int:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint file back into a :class:`Checkpoint`, bit-exactly.
 
-    A damaged file raises one ``ValueError`` naming ``path`` and the
-    1-based number of the unparsable line, the missing / duplicated
-    record kinds or the malformed record, before any :class:`Checkpoint`
-    is constructed.
+    A damaged file or another format version raises one ``ValueError``
+    naming ``path`` and the 1-based number of the unparsable line, the
+    record whose checksum does not match, the missing / duplicated record
+    kinds, the malformed record or the version, before any
+    :class:`Checkpoint` is constructed.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -30,11 +30,18 @@ an array, unless a user dict claims the reserved key.  :func:`encode_line`
 therefore counts ``"__ndarray__"`` (which catches every such key) and
 takes the general path unless the count matches the arrays it encoded.
 Loading is ``decode_value(json.loads(line))``.
+
+:func:`seal` prefixes a written line with ``"crc"``, the crc32 of the line
+as :func:`encode_line`/:func:`dumps` wrote it: ``{"crc":"0a1b2c3d",…}``.
+``crc`` sorts first, so keys stay sorted, and each record checks itself, so
+records may come in any order.  :func:`read_lines` verifies every seal it
+meets before anything decodes the record.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from typing import Any, IO, Iterable, Iterator, List, Optional
 
 import numpy as np
@@ -46,11 +53,18 @@ __all__ = [
     "encode_line",
     "encode_value",
     "read_lines",
+    "seal",
     "write_lines",
 ]
 
-#: bump when the on-disk layout changes incompatibly
-CKPT_VERSION = 1
+#: bump when the on-disk layout changes; files of any other version are refused
+CKPT_VERSION = 2
+
+#: where a sealed line's checksum digits sit, and its length: ``{"crc":"``
+#: + eight hex digits + ``",``
+_SEAL_DIGITS, _SEAL_LEN = slice(8, 16), len('{"crc":"00000000",')
+#: crc32 of the ``{`` a sealed line's content starts with
+_CRC_OPEN = zlib.crc32(b"{")
 
 #: the text every encoded array starts with, and the key its payload follows
 _ARRAY_OPEN = '{"__ndarray__":{"dtype":"'
@@ -137,6 +151,12 @@ def decode_value(value: Any) -> Any:
     return value
 
 
+def seal(line: str) -> str:
+    """``line`` (one JSON object with at least one key) with its crc32
+    carried as a leading ``"crc"`` key."""
+    return '{"crc":"%08x",' % zlib.crc32(line.encode("utf-8")) + line[1:]
+
+
 def write_lines(stream: IO[str], lines: Iterable[str]) -> int:
     """Write NDJSON lines; returns the total bytes written (UTF-8)."""
     total = 0
@@ -148,20 +168,30 @@ def write_lines(stream: IO[str], lines: Iterable[str]) -> int:
     return total
 
 
-def read_lines(stream: IO[str]) -> Iterator[dict]:
+def read_lines(stream: IO[str]) -> Iterator[Any]:
     """Yield parsed NDJSON records, skipping blank lines.
 
     An unparsable line (e.g. one cut mid-record) raises ``ValueError``
-    naming its 1-based line number.
+    naming its 1-based line number; a record whose ``crc`` is not the
+    :func:`seal` of its text raises one naming the line and the record.
     """
     for number, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            yield json.loads(line)
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"line {number} is not a complete JSON record "
                 f"(truncated or corrupted): {exc}"
             ) from None
+        if (
+            isinstance(rec, dict) and "crc" in rec
+            and line[_SEAL_DIGITS] != "%08x" % zlib.crc32(
+                memoryview(line.encode("utf-8"))[_SEAL_LEN:], _CRC_OPEN
+            )
+        ):
+            name = f"rank {rec.get('rank')}" if rec.get("kind") == "rank" else rec.get("kind")
+            raise ValueError(f"line {number}: {name} record fails its checksum (corrupted)")
+        yield rec

@@ -35,8 +35,8 @@ address P ranks), the per-rank trace ``rank_work`` vectors are dropped
 (shape P), capacities are recomputed for Q ranks, and the Q clocks all
 start at the checkpoint's elapsed (max) clock — the machine-model analogue
 of "every new rank joins at the wall time the old allocation stopped".
-Aggregate history (trace phases/counters/notes, auditor ledgers, step
-records, RNG, monitor) is carried over unchanged.
+Aggregate history (trace phases/counters, auditor ledgers, step records,
+RNG, monitor) is carried over unchanged.
 """
 
 from __future__ import annotations

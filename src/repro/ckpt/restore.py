@@ -121,10 +121,6 @@ def restore_simulation(
     # -- phase 5: machine clocks / trace / auditor (wipes rebuild costs) -----
     machine.clocks[:] = ckpt.machine["clocks"]
     machine.trace.load_state(ckpt.machine["trace"])
-    if machine.perturbation is not None:
-        # the note describes *this* execution's chaos schedule, not the
-        # donor's
-        machine.trace.note("perturbation", machine.perturbation.describe())
     if machine.auditor is not None:
         auditor_state = ckpt.auditor
         if auditor_state is None:

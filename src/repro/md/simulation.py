@@ -39,7 +39,9 @@ from repro.obs.spans import machine_span
 from repro.simmpi.machine import Machine
 from repro.simmpi.tracing import PhaseStats
 
-__all__ = ["REDISTRIBUTION_PHASES", "Simulation", "SimulationConfig", "StepRecord"]
+__all__ = [
+    "BALANCE_PHASES", "REDISTRIBUTION_PHASES", "Simulation", "SimulationConfig", "StepRecord",
+]
 
 METHODS = ("A", "B", "B+move", "adaptive")
 
@@ -48,6 +50,11 @@ METHODS = ("A", "B", "B+move", "adaptive")
 #: resort of application data with its resort-index creation and the plan
 #: engine's schedule-compilation exchanges
 REDISTRIBUTION_PHASES = ("sort", "restore", "resort", "resort_index", "resort_plan")
+
+#: trace phases whose per-rank nominal work feeds λ — near is the
+#: distribution-sensitive cost, far is count-proportional, and the weighted
+#: splitter balances their sum, so λ watches both
+BALANCE_PHASES = ("near", "far")
 
 
 @dataclasses.dataclass
@@ -95,10 +102,6 @@ class SimulationConfig:
     #: layout is count-unequal by design, so balanced runs typically need
     #: more headroom than the homogeneous default
     capacity_factor: float = 3.0
-    #: trace phases whose per-rank nominal work feeds λ — near is the
-    #: distribution-sensitive cost, far is count-proportional, and the
-    #: weighted splitter balances their sum, so λ watches both
-    balance_phases: tuple = ("near", "far")
     #: write a :mod:`repro.ckpt` checkpoint to ``checkpoint_dir`` every N
     #: steps (after initialization and whenever ``step_index % N == 0``);
     #: 0 disables auto-checkpointing.  Checkpoint capture is an out-of-band
@@ -210,13 +213,6 @@ class SimulationConfig:
             from repro.simmpi.algos import parse_algos
 
             parse_algos(self.collective_algos)  # raises ValueError on bad specs
-        if self.load_balance != "off" and not tuple(self.balance_phases):
-            raise ValueError(
-                f"conflicting knobs: load_balance={self.load_balance!r} needs "
-                "at least one entry in balance_phases (the monitor would "
-                "observe zero work and never fire); pass load_balance='off' "
-                "or keep the default ('near', 'far')"
-            )
 
 
 @dataclasses.dataclass
@@ -635,7 +631,7 @@ class Simulation:
             return None
         delta = self.machine.trace.rank_work_delta(rank_work_snapshot)
         work = np.zeros(self.machine.nprocs, dtype=np.float64)
-        for phase in self.config.balance_phases:
+        for phase in BALANCE_PHASES:
             contribution = delta.get(phase)
             if contribution is not None:
                 work += contribution

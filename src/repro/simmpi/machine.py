@@ -204,8 +204,6 @@ class Machine:
         self.trace.clear()
         if self.obs is not None:
             self.obs.clear()
-        if self.perturbation is not None:
-            self.trace.note("perturbation", self.perturbation.describe())
 
     def synchronize(self, ranks: Optional[Sequence[int]] = None) -> float:
         """Align clocks of ``ranks`` (default: all) to their maximum.

@@ -54,10 +54,8 @@ class PhaseStats:
     wall_ns:
         Host wall nanoseconds attributed to the phase — populated only while
         :func:`repro.perf.instrument.wall_phases` is active; always 0
-        otherwise.  The *modeled* fields above never depend on it.
-    alloc_bytes:
-        Always 0: nothing counts host allocations any more; the field stays
-        because checkpoint format v1 writes it.
+        otherwise.  The *modeled* fields above never depend on it.  A fact
+        about this host's execution, so it is not checkpointed.
     """
 
     time: float = 0.0
@@ -65,7 +63,6 @@ class PhaseStats:
     bytes: int = 0
     calls: int = 0
     wall_ns: int = 0
-    alloc_bytes: int = 0
 
     def add(self, time: float = 0.0, messages: int = 0, nbytes: int = 0, calls: int = 1) -> None:
         self.time += time
@@ -74,9 +71,10 @@ class PhaseStats:
         self.calls += calls
 
     def state_dict(self) -> Dict[str, object]:
-        """The fields by name — checkpoint-plain; ``PhaseStats(**state)`` is
-        the inverse (fields an older checkpoint lacks take their defaults)."""
-        return dict(vars(self))
+        """The modeled fields by name — checkpoint-plain; ``PhaseStats(**state)``
+        is the inverse (``wall_ns`` loads as 0)."""
+        return {"time": self.time, "messages": self.messages,
+                "bytes": self.bytes, "calls": self.calls}
 
     def merged(self, other: "PhaseStats") -> "PhaseStats":
         return PhaseStats(
@@ -266,7 +264,12 @@ class Trace:
     # -- free-form annotations --------------------------------------------------
 
     def note(self, key: str, value: str) -> None:
-        """Attach a free-form annotation (e.g. the active perturbation)."""
+        """Attach a free-form annotation (e.g. the active perturbation).
+
+        Annotations describe the machine this trace runs on, not the
+        accumulated statistics: :meth:`clear` and :meth:`load_state` keep
+        them, and :meth:`state_dict` does not carry them.
+        """
         self._notes[str(key)] = str(value)
 
     def notes(self) -> Dict[str, str]:
@@ -316,37 +319,35 @@ class Trace:
         :func:`repro.ckpt.format.encode_value` writes the result as-is;
         :meth:`load_state` is the exact inverse.  Together they let
         :mod:`repro.ckpt` freeze a trace mid-run and reinstate it bit-exactly
-        on a fresh machine (phases, event counters, annotations and the
-        per-rank nominal work vectors).
+        on a fresh machine (phases, event counters and the per-rank nominal
+        work vectors; the annotations and host wall time describe the
+        writing run and stay behind).
         """
         return {
             "phases": {k: v.state_dict() for k, v in self._phases.items()},
             "counters": dict(self._counters),
-            "notes": dict(self._notes),
             "rank_work": {k: v.copy() for k, v in self._rank_work.items()},
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Replace the entire trace content with a :meth:`state_dict` copy.
+        """Replace the accumulated statistics with a :meth:`state_dict` copy.
 
         Copies the input, so the caller's state dict (e.g. a held
-        checkpoint) is never aliased by the live trace; absent keys (and the
-        host-side phase fields older checkpoints lack) load as empty/zero.
+        checkpoint) is never aliased by the live trace; absent keys load as
+        empty.  This machine's annotations are kept.
         """
         self.clear()
         for label, stats in state.get("phases", {}).items():  # type: ignore[union-attr]
             self._phases[str(label)] = PhaseStats(**stats)
         for name, value in state.get("counters", {}).items():  # type: ignore[union-attr]
             self._counters[str(name)] = int(value)
-        for key, value in state.get("notes", {}).items():  # type: ignore[union-attr]
-            self._notes[str(key)] = str(value)
         for label, work in state.get("rank_work", {}).items():  # type: ignore[union-attr]
             self._rank_work[str(label)] = np.asarray(work, dtype=np.float64).copy()
 
     def clear(self) -> None:
+        """Drop the accumulated statistics; the annotations stay."""
         self._phases.clear()
         self._counters.clear()
-        self._notes.clear()
         self._rank_work.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -68,11 +68,6 @@ class RunReport:
     #: instead of sniffing the :attr:`strategy` string.
     comm: str = "alltoall"
 
-    #: per-rank nominal near-field compute seconds of this run (the work
-    #: distribution the load-balancing subsystem equalizes); ``None`` when
-    #: the solver does not report it
-    rank_work: Optional[np.ndarray] = None
-
     def __post_init__(self) -> None:
         if self.comm not in COMM_KINDS:
             raise ValueError(
@@ -263,10 +258,10 @@ class Solver:
         old_counts = particles.counts()
         placed, ghosts, comm, strategy = self._place(particles, max_move)
         new_counts = placed.counts
-        pot, field, rank_work = self._compute(placed, ghosts)
+        pot, field = self._compute(placed, ghosts)
 
         origin = placed.column(self.origin_column)
-        ran = dict(old_counts=old_counts, strategy=strategy, comm=comm, rank_work=rank_work)
+        ran = dict(old_counts=old_counts, strategy=strategy, comm=comm)
         if resort and particles.fits(new_counts):
             particles.install(
                 ColumnBlock(pos=placed.data["pos"], q=placed.data["q"], pot=pot, field=field),
@@ -299,12 +294,11 @@ class Solver:
         """
         raise NotImplementedError
 
-    def _compute(
-        self, placed: RankMajor, ghosts: RankMajor
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    def _compute(self, placed: RankMajor, ghosts: RankMajor) -> Tuple[np.ndarray, np.ndarray]:
         """Potentials and fields of the owned particles, rank-major over the
-        rows of ``placed``, plus the per-rank work of
-        :attr:`RunReport.rank_work` (or ``None``)."""
+        rows of ``placed`` (the per-rank work the load balancer reads is
+        what the hook charges: :meth:`Trace.rank_work
+        <repro.simmpi.tracing.Trace.rank_work>`)."""
         raise NotImplementedError
 
     def destroy(self) -> None:

@@ -98,7 +98,7 @@ class EwaldSolver(GridSolver):
         pot, field, near_cost = self._near_field(owned, local_all)
         self.machine.compute(near_cost, phase="near")
         pot_k, field_k = self._k_space(owned)
-        return pot + pot_k, field + field_k, None
+        return pot + pot_k, field + field_k
 
     def _k_space(self, owned):
         """Rank-split k-space sums with one structure-factor allreduce;

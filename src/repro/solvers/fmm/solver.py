@@ -473,7 +473,7 @@ class FMMSolver(Solver):
                 new_counts.astype(np.float64),
                 min(self.tree.nboxes_leaf, n_total),
             )
-            return pot, field, near_cost
+            return pot, field
         gpos, gq = blocks.data["pos"], blocks.data["q"]
         linear = self.tree.linear_of_morton(blocks.data["key"])
         pot_far, field_far, stats = self.tree.far_field(gpos, gq, linear)
@@ -497,4 +497,4 @@ class FMMSolver(Solver):
             for a, b in zip(bounds[:-1], bounds[1:]):
                 pot[a:b] -= coef * (gpos[a:b] @ dipole)
             field = field + coef * dipole
-        return pot, field, near_cost
+        return pot, field

@@ -457,4 +457,4 @@ class P2NFFTSolver(GridSolver):
             nbytes=int(surface * 8.0 * 6 * P),
         )
         charge_parallel_fft(machine, self.mesh_size, 5, phase="fft")
-        return pot, field, near_cost
+        return pot, field

@@ -132,14 +132,7 @@ LEDGERS = {
 }
 
 #: the auditor's running call totals (diagnostics), named once likewise
-COUNTERS = (
-    "n_plan_compiles",
-    "n_plan_executions",
-    "n_plan_fused_columns",
-    "n_alltoall_calls",
-    "n_p2p_calls",
-    "n_algo_calls",
-)
+COUNTERS = ("n_alltoall_calls", "n_p2p_calls")
 
 
 @dataclasses.dataclass
@@ -201,10 +194,6 @@ class CommAuditor:
         #: a plan may never claim more traffic for a phase than its audited
         #: exchanges actually produced
         self.plan_ledger: Dict[str, PhaseLedger] = {}
-        #: running totals of plan-engine activity (diagnostics)
-        self.n_plan_compiles = 0
-        self.n_plan_executions = 0
-        self.n_plan_fused_columns = 0
         #: per-phase staged-collective totals *as planned by the algorithm
         #: engines themselves* (:mod:`repro.simmpi.algos`) before their
         #: rounds run — derived from the schedule alone.  The
@@ -219,8 +208,6 @@ class CommAuditor:
         #: per-``"collective/algorithm"`` call counts (records which
         #: algorithm ``auto`` resolved to on every call)
         self.algo_counts: Dict[str, int] = {}
-        #: running total of staged-engine collective calls (diagnostics)
-        self.n_algo_calls = 0
         self._algo_scope_depth = 0
         #: trace snapshot taken at attach time so the ledger (which only
         #: sees post-attach traffic) compares against trace *deltas*
@@ -285,18 +272,11 @@ class CommAuditor:
 
     def on_count(self, name: str, value: int, labels: Dict[str, object]) -> None:
         """Fold one :meth:`Machine.count
-        <repro.simmpi.machine.Machine.count>` event into the plan/
-        algorithm-engine diagnostics; ``comm.algo.calls`` also records which
-        algorithm the call resolved to (including ``auto`` falling back to
-        ``direct``)."""
-        if name == "resort_plan.compiles":
-            self.n_plan_compiles += value
-        elif name == "resort_plan.executions":
-            self.n_plan_executions += value
-        elif name == "resort_plan.fused_columns":
-            self.n_plan_fused_columns += value
-        elif name == "comm.algo.calls":
-            self.n_algo_calls += value
+        <repro.simmpi.machine.Machine.count>` event into :attr:`algo_counts`:
+        ``comm.algo.calls`` records which algorithm each staged call resolved
+        to (including ``auto`` falling back to ``direct``).  The plan
+        engine's counts are the trace's ``resort_plan.*`` counters."""
+        if name == "comm.algo.calls":
             key = f"{labels['collective']}/{labels['algo']}"
             self.algo_counts[key] = self.algo_counts.get(key, 0) + value
 
@@ -424,9 +404,7 @@ class CommAuditor:
         :func:`ledger_fingerprint <repro.verify.dst.ledger_fingerprint>` and
         the accounting invariants read.  The neighbor table and ``strict``
         flag are *configuration*, not run state, and are left to the
-        restoring caller.  ``pending_sends`` is a constant of checkpoint
-        format v1 (the send/receive matching it serialized is gone);
-        :meth:`load_state` ignores it.
+        restoring caller.
         """
         state: Dict[str, object] = {
             name: {k: v.state_dict() for k, v in getattr(self, name).items()}
@@ -436,7 +414,6 @@ class CommAuditor:
         state.update(
             algo_counts=dict(self.algo_counts),
             trace_baseline={k: v.state_dict() for k, v in self.trace_baseline.items()},
-            pending_sends=[],
             violations=list(self.violations),
         )
         return state
@@ -448,8 +425,7 @@ class CommAuditor:
         act: the restored machine's auditor continues the checkpointed
         ledgers exactly where the original run left them, so the prefix +
         continuation ledger equals the uninterrupted run's.  Absent keys
-        load as empty/zero (checkpoints written before the staged collective
-        engines carry no algo ledgers).
+        load as empty/zero.
         """
         for name in LEDGERS:
             setattr(self, name, {

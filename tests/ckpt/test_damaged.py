@@ -1,21 +1,25 @@
 """Damaged checkpoint files and interrupted writes (ROADMAP 4c).
 
 A damaged file is rejected by one ``ValueError`` that names the path and
-the offending record(s) — the missing / duplicated record kinds, the
-1-based number of the line that is not a complete JSON record, or the
-record that is not an object, lacks a field or does not decode — before any
+the offending record(s) — the record whose checksum does not match its
+line, the missing / duplicated / unsealed record kinds, the 1-based number
+of the line that is not a complete JSON record, or the record that is not
+an object, lacks a field or does not decode — before any
 :class:`Checkpoint` is constructed; a reordered but complete file keeps
 loading.  An interrupted write never leaves a partial file under the final
-name.
+name.  The malformed-record cases below re-seal the line they edit, so
+they reach the check behind the checksum.
 """
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 import repro.ckpt.checkpoint as checkpoint_module
 from repro.ckpt import capture_checkpoint, load_checkpoint, write_checkpoint
-from repro.ckpt.format import dumps
+from repro.ckpt.format import dumps, seal
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
@@ -79,12 +83,21 @@ def duplicate_rank(lines):
 # KeyError or TypeError, or a ValueError that named no record
 
 
+def _resealed(line):
+    """``line`` sealed by the checksum of its (edited) content."""
+    rec = json.loads(line)
+    del rec["crc"]
+    return seal(dumps(rec))
+
+
 def _edit_record(lines, kind, edit):
-    """Re-encode the first record of ``kind`` after ``edit`` mutates it."""
+    """Re-encode and re-seal the first record of ``kind`` after ``edit``
+    mutates it."""
     at = _kinds(lines).index(kind)
     rec = json.loads(lines[at])
+    del rec["crc"]
     edit(rec)
-    return lines[:at] + [dumps(rec)] + lines[at + 1:]
+    return lines[:at] + [seal(dumps(rec))] + lines[at + 1:]
 
 
 def number_line(lines):
@@ -118,7 +131,7 @@ def meta_without_version(lines):
 
 def unknown_dtype(lines):
     at = _kinds(lines).index("rank")
-    bad = lines[at].replace('"dtype":"<f8"', '"dtype":"<zz"', 1)
+    bad = _resealed(lines[at].replace('"dtype":"<f8"', '"dtype":"<zz"', 1))
     return (
         lines[:at] + [bad] + lines[at + 1:],
         r"rank 0 record does not decode: TypeError: data type '<zz' not understood",
@@ -129,16 +142,24 @@ def payload_misfit(lines):
     """One float short of its shape: still hex, no longer an (n, 3) block."""
     at = _kinds(lines).index("rank")
     start = lines[at].index('"hex":"') + len('"hex":"')
-    bad = lines[at][:start] + lines[at][start + 16:]
+    bad = _resealed(lines[at][:start] + lines[at][start + 16:])
     return (
         lines[:at] + [bad] + lines[at + 1:],
         r"rank 0 record does not decode: ValueError: cannot reshape",
     )
 
 
+def unsealed_rank(lines):
+    """A rank line without its ``crc`` key: nothing vouches for its content."""
+    at = _kinds(lines).index("rank")
+    unsealed = "{" + lines[at][len('{"crc":"00000000",'):]
+    return lines[:at] + [unsealed] + lines[at + 1:], r"unsealed record\(s\) rank 0"
+
+
 DAMAGES = [drop_tail, drop_one_kind, drop_one_rank, cut_mid_line, duplicate_kind,
            duplicate_rank, number_line, list_line, rank_without_data,
-           rank_without_capacity, meta_without_version, unknown_dtype, payload_misfit]
+           rank_without_capacity, meta_without_version, unknown_dtype, payload_misfit,
+           unsealed_rank]
 
 
 @pytest.mark.parametrize("damage", DAMAGES, ids=lambda fn: fn.__name__)
@@ -157,6 +178,68 @@ def test_damaged_file_is_one_value_error_naming_path_and_record(
         load_checkpoint(str(path))
     assert type(caught.value) is ValueError  # not a bare JSONDecodeError
     assert str(path) in str(caught.value)
+
+
+HEXDIGITS = "0123456789abcdef"
+
+
+def flip_digit(line):
+    """One hex digit inside a JSON string of a record's content changed (not
+    its kind, rank number or seal): the line is still one JSON object."""
+    body = line[: line.index('"kind":')]
+    inside, spots = False, []
+    for i, char in enumerate(body):
+        if char == '"':
+            inside = not inside
+        elif inside and char in HEXDIGITS and i >= len('{"crc":"00000000",'):
+            spots.append(i)
+    at = spots[len(spots) // 2]
+    return line[:at] + "%x" % ((int(line[at], 16) + 1) % 16) + line[at + 1:]
+
+
+def _record_names(lines):
+    return [
+        f"rank {rec['rank']}" if rec["kind"] == "rank" else rec["kind"]
+        for rec in map(json.loads, lines)
+    ]
+
+
+def test_digit_flip_in_any_record_is_named(ckpt, tmp_path):
+    """A one-digit flip inside a well-formed line loads no record of the
+    file, whichever record it hits: its checksum names it."""
+    lines = ckpt.to_lines()
+    names = _record_names(lines)
+    assert {"meta", "config", "system", "rank 0", "rank 1", "records", "sim", "fcs",
+            "solver", "monitor", "machine", "auditor", "thermostat"} == set(names)
+    for at, name in enumerate(names):
+        damaged = lines[:at] + [flip_digit(lines[at])] + lines[at + 1:]
+        json.loads(damaged[at])  # still one JSON object
+        path = tmp_path / f"flipped-{at}.ckpt.ndjson"
+        path.write_text("".join(line + "\n" for line in damaged))
+        with pytest.raises(ValueError) as caught:
+            load_checkpoint(str(path))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == (
+            f"{path}: line {at + 1}: {name} record fails its checksum (corrupted)"
+        )
+
+
+def test_resize_cli_refuses_a_damaged_file_and_writes_nothing(ckpt, tmp_path):
+    lines = ckpt.to_lines()
+    at = _kinds(lines).index("rank") + 1
+    damaged = tmp_path / "damaged.ckpt.ndjson"
+    damaged.write_text("".join(
+        (flip_digit(line) if k == at else line) + "\n" for k, line in enumerate(lines)
+    ))
+    out = tmp_path / "resized.ckpt.ndjson"
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.ckpt", "resize", "--path", str(damaged),
+         "--nprocs", "3", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode != 0
+    assert "rank 1 record fails its checksum" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [damaged.name]
 
 
 def test_reordered_complete_file_still_loads(ckpt, tmp_path):

@@ -21,12 +21,13 @@ from repro.md.thermostat import BerendsenThermostat
 from repro.simmpi.machine import Machine
 from repro.verify.audit import enable_auditing
 
-#: sha256 of the file written for :func:`every_section_checkpoint`, computed
-#: at the commit *before* the checkpoint sections moved to their owners'
-#: ``state_dict()``.  It moves only with a deliberate format change
+#: sha256 of the file written for :func:`every_section_checkpoint`, recorded
+#: with format version 2 (per-record checksums; the copies, dead fields and
+#: execution facts of version 1 dropped — every remaining field decodes as
+#: it did in version 1).  It moves only with a deliberate format change
 #: (``CKPT_VERSION`` bump) or a physics/cost-model change that also moves
 #: the goldens of ``test_golden_restart.py``.
-GOLDEN_FILE_SHA256 = "3b7b34f5e3cd6f25b526559583881aaef61b7732b5fd9476210d7fbc1f883867"
+GOLDEN_FILE_SHA256 = "f1353936a5c8c2af67a5dc7151c632864e98b7a9c7899c4e9230b33102d2dd4b"
 
 
 def every_section_checkpoint():

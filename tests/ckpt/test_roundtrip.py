@@ -1,6 +1,7 @@
 """Checkpoint capture / NDJSON serialization / restore round-trips."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -48,6 +49,25 @@ def sim_factory():
         )
 
     return build
+
+
+def write_v1_file(ckpt, path, **config):
+    """Write ``ckpt`` as format 1 wrote it: unsealed records, version 1 in
+    the header, the auditor keys version 2 dropped, and ``config`` added to
+    the config record."""
+    records = []
+    for line in ckpt.to_lines():
+        rec = json.loads(line)
+        del rec["crc"]
+        if rec["kind"] == "meta":
+            rec["version"] = 1
+        elif rec["kind"] == "config":
+            rec["data"].update(config)
+        elif rec["kind"] == "auditor":
+            rec["data"] = {"pending_sends": [], "n_plan_compiles": 1}
+        records.append(dumps(rec))
+    path.write_text("".join(line + "\n" for line in records))
+    return path
 
 
 class TestCodec:
@@ -171,9 +191,10 @@ class TestCaptureRoundtrip:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(str(path))
 
-    def test_retired_fuse_resort_field(self, sim_factory):
-        """Checkpoints written before the field's removal carry it: the
-        default is dropped, the retired per-column path is refused by name."""
+    def test_retired_fuse_resort_field(self, sim_factory, tmp_path):
+        """Only format-1 files carry the retired field: a capture does not
+        write it, and a format-1 file carrying either value is refused by
+        its version before the field is read."""
         sim = sim_factory(nprocs=2, n=12)
         try:
             sim.run(1)
@@ -181,15 +202,65 @@ class TestCaptureRoundtrip:
         finally:
             sim.fcs.destroy()
         assert "fuse_resort" not in ckpt.config
-        ckpt.config["fuse_resort"] = True
-        restored = restore_simulation(ckpt)
+        for value in (True, False):
+            path = write_v1_file(ckpt, tmp_path / f"v1_{value}.ckpt.ndjson", fuse_resort=value)
+            with pytest.raises(ValueError, match="format version 1 is not the supported"):
+                load_checkpoint(str(path))
+
+    def test_v1_file_is_refused(self, sim_factory, tmp_path):
+        """Format 1 has no upgrade path: a file of it (unsealed records that
+        carry the fields version 2 dropped) is refused by version, not
+        reported as damaged and not loaded."""
+        sim = sim_factory(nprocs=2, n=12)
         try:
-            assert state_fingerprint(restored) == state_fingerprint(sim)
+            sim.run(1)
+            ckpt = capture_checkpoint(sim)
         finally:
-            restored.fcs.destroy()
-        ckpt.config["fuse_resort"] = False
-        with pytest.raises(ValueError, match="retired.*fuse_resort=False"):
-            ckpt.make_config()
+            sim.fcs.destroy()
+        path = write_v1_file(ckpt, tmp_path / "v1.ckpt.ndjson")
+        with pytest.raises(ValueError) as caught:
+            load_checkpoint(str(path))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == (
+            f"{path}: checkpoint format version 1 is not the supported version "
+            f"{CKPT_VERSION}; files of another version are refused"
+        )
+        assert CKPT_VERSION == 2
+
+    def test_restore_notes_describe_the_restoring_machine(self, sim_factory, tmp_path):
+        """A trace note is a fact about one execution: a perturbed donor's
+        note does not survive a restore onto an unperturbed machine, and a
+        perturbed restore notes its own schedule (trace and NDJSON header
+        agree)."""
+        from repro.obs.export import to_ndjson
+        from repro.simmpi.chaos import Perturbation
+
+        donor_chaos, own_chaos = Perturbation.sample(3), Perturbation.sample(5)
+        sim = sim_factory(nprocs=4, n=24, perturbation=donor_chaos)
+        try:
+            sim.run(2)
+            assert sim.machine.trace.notes() == {"perturbation": donor_chaos.describe()}
+            path = str(tmp_path / "chaos.ckpt.ndjson")
+            save_checkpoint(sim, path)
+        finally:
+            sim.fcs.destroy()
+        for perturbation, notes in (
+            (None, {}),
+            (own_chaos, {"perturbation": own_chaos.describe()}),
+        ):
+            ckpt = load_checkpoint(path)
+            machine = Machine(4)
+            recorder = enable_observability(machine)
+            restored = restore_simulation(ckpt, machine=machine, perturbation=perturbation)
+            try:
+                assert machine.perturbation is perturbation
+                assert machine.trace.notes() == notes
+                restored.run(1)
+                assert machine.trace.notes() == notes
+                header = json.loads(to_ndjson(recorder)[0])
+                assert header["notes"] == notes
+            finally:
+                restored.fcs.destroy()
 
     def test_trace_counter_keys_are_the_historical_set(self, sim_factory):
         """The ``counters`` payload of ``Trace.state_dict()`` is checkpoint

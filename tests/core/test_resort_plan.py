@@ -269,9 +269,10 @@ class TestAuditedPlan:
         ]
         plan.execute(cols)
         plan.execute(cols)
-        assert auditor.n_plan_compiles == 1
-        assert auditor.n_plan_executions == 2
-        assert auditor.n_plan_fused_columns == 4
+        counter = machine.trace.counter
+        assert counter("resort_plan.compiles") == 1
+        assert counter("resort_plan.executions") == 2
+        assert counter("resort_plan.fused_columns") == 4
         planned = auditor.plan_ledger["resort"]
         audited = auditor.ledger["resort"]
         # the audited exchange is recomputed independently from the raw send
@@ -423,8 +424,9 @@ class TestSimulationIntegration:
         for key in a:
             np.testing.assert_array_equal(a[key], b[key])
         # same plans either way; fusion only collapses the exchange count
-        assert aud_fused.n_plan_executions < aud_split.n_plan_executions
-        assert aud_fused.n_plan_fused_columns == aud_split.n_plan_fused_columns
+        fused_count, split_count = fused.machine.trace.counter, split.machine.trace.counter
+        assert fused_count("resort_plan.executions") < split_count("resort_plan.executions")
+        assert fused_count("resort_plan.fused_columns") == split_count("resort_plan.fused_columns")
         assert (
             2 * aud_fused.ledger["resort"].messages
             <= aud_split.ledger["resort"].messages

@@ -56,10 +56,6 @@ class TestConflictingKnobs:
         with pytest.raises(ValueError, match="conflicting balance knobs"):
             SimulationConfig(balance_trigger=1.5, balance_rearm=0.9)
 
-    def test_dynamic_balance_without_phases(self):
-        with pytest.raises(ValueError, match="balance_phases"):
-            SimulationConfig(load_balance="dynamic", balance_phases=())
-
     def test_legal_combinations_accepted(self):
         # deliberately unchecked: dynamic balancing with method A or a
         # non-rebalanceable solver (DST/conformance exercise these)

@@ -90,7 +90,7 @@ class TestSingleWriter:
     def test_every_counter_the_auditor_dispatches_on_is_emitted(self):
         """``CommAuditor.on_count`` folds events by name; a name nobody
         passes to ``machine.count`` would silently freeze checkpointed
-        auditor state (``n_plan_*``, ``algo_counts``)."""
+        auditor state (``algo_counts``)."""
         audit = ast.parse((SRC / "verify" / "audit.py").read_text())
         on_count = next(
             node for node in ast.walk(audit)

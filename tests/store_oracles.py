@@ -272,13 +272,13 @@ def solver_run_ranks(
     placed, ghosts, comm, strategy = self._place(particles, max_move)
     blocks = list(placed)
     new_counts = np.asarray([b.n for b in blocks], dtype=np.int64)
-    pot, field, rank_work = self._compute(placed, ghosts)
+    pot, field = self._compute(placed, ghosts)
     pots = list(RankMajor(pot, placed.offsets))
     fields = list(RankMajor(field, placed.offsets))
 
     origin = [b[self.origin_column] for b in blocks]
     counts = [int(c) for c in old_counts]
-    ran = dict(old_counts=old_counts, strategy=strategy, comm=comm, rank_work=rank_work)
+    ran = dict(old_counts=old_counts, strategy=strategy, comm=comm)
     if resort and particles.fits(new_counts):
         particles.install(
             ColumnBlock.concat([

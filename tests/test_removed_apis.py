@@ -28,8 +28,9 @@ FORBIDDEN = [
     (r"_begin_staged|_charge_count_exchange|_alltoallv_bruck|_allreduce_rhd", EVERYWHERE, ()),
     # the auditor checks peers against one sorted key array, not per-rank sets
     (r"\._neighbors\b", EVERYWHERE, ()),
-    # the retired config field may only be named where old checkpoints are read
-    (r"fuse_resort", EVERYWHERE, ("src/repro/ckpt/checkpoint.py", "tests/ckpt/")),
+    # the retired config field is spelled only by the test that writes a
+    # format-1 file to see it refused
+    (r"fuse_resort", EVERYWHERE, ("tests/ckpt/test_roundtrip.py",)),
     # a resort plan is a stored exchange route: its per-rank schedule tables,
     # byte records and twin implementations live on as test oracles only
     (r"_execute_reference|_execute_vectorized|_compile_schedules|_byte_rows|_gather_order"
@@ -53,6 +54,16 @@ FORBIDDEN = [
     (r"InProcessBackend|VerletNeighborList|neighborlist|MovementTracker|occupancy_weights"
      r"|export_metrics|register_solver|self_energy|candidate_pairs",
      ("src", "benchmarks", "examples", "perfbench"), ()),
+    # checkpoint format 2 holds each fact once: the auditor's copies of the
+    # trace's resort_plan.* counters and of sum(algo_counts), the constant
+    # pending_sends, the dead alloc_bytes, the one-value balance_phases knob
+    # and the per-run work copy on RunReport are gone (the staged-algos
+    # golden still derives the call total; the format-1 refusal test writes
+    # the old keys)
+    (r"n_plan_(compiles|executions|fused_columns)|n_algo_calls|pending_sends|alloc_bytes"
+     r"|balance_phases|report\.rank_work", EVERYWHERE,
+     ("tests/simmpi/test_algos_golden.py", "tests/simmpi/algos_golden.json",
+      "tests/ckpt/test_roundtrip.py")),
 ]
 
 #: ``(module, attribute path)`` that must not resolve
@@ -123,6 +134,10 @@ REMOVED = [
     # a figure cell is a CellSpec that repro.verify.trajectory.build_run builds
     ("repro.bench.figures", "fig7_cell"),
     ("repro.bench.figures", "_simulate"),
+    # checkpoint format 2: one copy of each fact
+    ("repro.md.simulation", "SimulationConfig.balance_phases"),
+    ("repro.simmpi.tracing", "PhaseStats.alloc_bytes"),
+    ("repro.solvers.base", "RunReport.rank_work"),
 ]
 
 
@@ -131,7 +146,7 @@ REMOVED = [
     FORBIDDEN,
     ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
          "fuse-resort", "plan-twins", "in-tree-timers", "vacuous-checks",
-         "per-message-bridge", "unreached-capabilities"],
+         "per-message-bridge", "unreached-capabilities", "ckpt-v1-copies"],
 )
 def test_removed_name_is_not_spelled(pattern, trees, allowed):
     regex = re.compile(pattern)
