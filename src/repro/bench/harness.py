@@ -11,13 +11,11 @@ deltas of a :class:`~repro.md.simulation.StepRecord` onto those labels.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.md.distributions import clustered_system
 from repro.md.simulation import StepRecord
 from repro.md.systems import ParticleSystem, silica_melt_system
-from repro.simmpi.costmodel import SystemProfile
-from repro.simmpi.machine import Machine
 
 __all__ = [
     "BenchScale",
@@ -27,7 +25,6 @@ __all__ = [
     "RESORT_PHASES",
     "SOLVER_PHASES",
     "step_breakdown",
-    "make_machine",
     "make_system",
     "make_clustered_system",
 ]
@@ -145,22 +142,6 @@ PRESETS: Dict[str, BenchScale] = {
         dt_fig8=0.03,
     ),
 }
-
-
-def make_machine(
-    nprocs: int,
-    profile: SystemProfile,
-    *,
-    perturbation=None,
-) -> Machine:
-    """A fresh simulated machine for one benchmark configuration.
-
-    ``perturbation`` optionally applies a seeded
-    :class:`~repro.simmpi.chaos.Perturbation` (chaos-harness fault
-    injection) before any cost is charged; benchmarks normally leave it
-    ``None``.
-    """
-    return Machine(nprocs, profile=profile, perturbation=perturbation)
 
 
 _SYSTEM_CACHE: Dict[tuple, ParticleSystem] = {}

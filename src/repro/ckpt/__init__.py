@@ -13,14 +13,16 @@ long-running parallel code needs: **stop, resume, resize**.
   snapshots, machine clocks);
 * :mod:`repro.ckpt.restore` — :func:`~repro.ckpt.restore.restore_simulation`
   rebuilding a live simulation whose continuation is byte-identical to the
-  uninterrupted run (the ``ckpt-restart-equivalence`` invariant);
+  uninterrupted run at every step;
 * :mod:`repro.ckpt.resize` — P→Q elastic restore: a
   :class:`~repro.ckpt.resize.ResizePlan` compiled onto the fused
   :class:`~repro.core.plan.ResortPlan` engine redistributes every
   checkpointed column in one exchange and recomputes weighted partition
   bounds for the new rank count;
-* :mod:`repro.ckpt.equivalence` — the restart-equivalence test kit
-  (imported lazily: it pulls in :mod:`repro.verify`);
+* :mod:`repro.ckpt.equivalence` — the restart-equivalence test kit: the
+  cell played by :func:`repro.verify.trajectory.play` with a kill, held to
+  the uninterrupted run at every step (imported lazily: it pulls in
+  :mod:`repro.verify`);
 * ``python -m repro.ckpt save/restore/resize/verify`` — the CLI.
 
 See ``docs/checkpointing.md`` for the file format and guarantees.

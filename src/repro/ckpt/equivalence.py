@@ -1,21 +1,23 @@
 """Restart-equivalence test kit: run 2N ≡ run N + save + restore + run N.
 
-For every (solver, method) cell, :func:`run_restart_equivalence`
+For every (solver, method) cell, :func:`run_restart_equivalence` plays the
+cell twice with :func:`repro.verify.trajectory.play`:
 
-1. runs an **uninterrupted** trajectory for ``2·steps`` steps on an audited
-   machine and fingerprints its final state
-   (:func:`~repro.verify.invariants.state_fingerprint`) and auditor
-   ledgers (:func:`~repro.verify.dst.ledger_fingerprint`);
-2. runs the **same** trajectory for ``steps`` steps, resumes it ("the job
-   was killed", :meth:`repro.verify.trajectory.CheckedRun.resume`) and
-   runs ``steps`` more;
-3. arms the ``ckpt-restart-equivalence`` invariant with the uninterrupted
-   fingerprints and asserts it on the restored simulation.
+1. the **uninterrupted** run, ``2·steps`` checked steps, whose per-step
+   state fingerprints (:func:`~repro.verify.invariants.state_fingerprint`)
+   and final auditor ledger (:func:`~repro.verify.dst.ledger_fingerprint`)
+   are the reference;
+2. the **same** run killed after step ``steps`` and resumed from its
+   checkpoint (``kill_at``, :meth:`repro.verify.trajectory.CheckedRun.resume`),
+   held to the reference's state fingerprint at every step and to its
+   ledger at the end.
 
-Byte-identity of both fingerprint sets is the whole checkpointing
-contract; any divergence (a forgotten RNG stream, a re-tuned table that
-depends on layout, a charge not wiped by the clock restore) fails here with
-the diverging components named.
+On top of what :func:`play` checks, the kit compares the per-step
+``float.hex`` phase-time breakdown of both runs (:func:`step_breakdown_hex`):
+without chaos both runs charge bitwise-identical virtual time.  Any
+divergence (a forgotten RNG stream, a re-tuned table that depends on layout,
+a charge not wiped by the clock restore) fails the cell with the diverging
+components and the step named.
 
 :func:`run_equivalence_suite` sweeps the full 4-solver × 3-method matrix —
 the programmatic backbone of the ``python -m repro.ckpt verify`` CLI, which
@@ -89,59 +91,39 @@ def run_restart_equivalence(
     ``via_file=True`` resumes through an NDJSON file in a temporary
     directory; the default resumes from the in-memory checkpoint.
     """
-    from repro.verify.dst import ledger_fingerprint
-    from repro.verify.invariants import state_fingerprint
-    from repro.verify.trajectory import CellSpec, build_run
+    from repro.verify.trajectory import CellSpec, build_run, play
 
     spec = CellSpec(
         solver, method, nprocs, n_particles, seed=system_seed, solver_kwargs=solver_kwargs
     )
-
-    # -- the uninterrupted run: 2N steps ------------------------------------
     straight = build_run(spec)
-    try:
-        straight.sim.run(2 * steps)
-        expected = {
-            "state": state_fingerprint(straight.sim),
-            "ledger": ledger_fingerprint(straight.auditor),
-        }
-        straight_breakdown = step_breakdown_hex(straight.sim.records)
-    finally:
-        straight.sim.fcs.destroy()
-
-    # -- the split run: N steps, kill, restore, N more ----------------------
+    reference = play(straight, 2 * steps)
     split = build_run(spec)
     try:
-        split.sim.run(steps)
         with tempfile.TemporaryDirectory() if via_file else nullcontext() as tmp:
-            split.resume(tmp)
-        split.sim.run(steps)
-        split.checker.expected_restart = expected
-        results = split.checker.run(["ckpt-restart-equivalence"])
-        problems = [f"{r.name}: {r.detail}" for r in results if r.failed]
-        breakdown = step_breakdown_hex(split.sim.records)
-        if breakdown != straight_breakdown:
-            first_bad = next(
-                i
-                for i, (a, b) in enumerate(zip(breakdown, straight_breakdown))
-                if a != b
-            )
-            problems.append(
-                "per-step phase breakdown diverged from the uninterrupted "
-                f"run (first at step {first_bad})"
-            )
-    finally:
-        split.sim.fcs.destroy()
+            play(split, 2 * steps, reference=reference, kill_at=steps, ckpt_dir=tmp)
+    except AssertionError as exc:
+        detail = str(exc)
+    else:
+        detail = "ok"
+    breakdown = step_breakdown_hex(split.sim.records)
+    expected = step_breakdown_hex(straight.sim.records)
+    if detail == "ok" and breakdown != expected:
+        first_bad = next(i for i, (a, b) in enumerate(zip(breakdown, expected)) if a != b)
+        detail = (
+            "per-step phase breakdown diverged from the uninterrupted "
+            f"run (first at step {first_bad})"
+        )
 
     return EquivalenceCell(
         solver=solver,
         method=method,
         steps=steps,
         nprocs=nprocs,
-        ok=not problems,
-        detail="; ".join(problems) if problems else "ok",
-        state_fingerprint=expected["state"],
-        ledger_fingerprint=expected["ledger"],
+        ok=detail == "ok",
+        detail=detail,
+        state_fingerprint=reference.steps[-1],
+        ledger_fingerprint=reference.ledger,
         breakdown=breakdown,
     )
 

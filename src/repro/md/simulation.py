@@ -37,7 +37,7 @@ from repro.md.observables import kinetic_energy, potential_energy
 from repro.md.systems import ParticleSystem
 from repro.obs.spans import machine_span
 from repro.simmpi.machine import Machine
-from repro.simmpi.tracing import PhaseStats
+from repro.simmpi.tracing import PhaseStats, PhaseTable
 
 __all__ = [
     "BALANCE_PHASES", "REDISTRIBUTION_PHASES", "Simulation", "SimulationConfig", "StepRecord",
@@ -220,7 +220,8 @@ class StepRecord:
     """Per-step timing and diagnostics."""
 
     step: int
-    #: per-phase virtual-time/message/byte deltas of this step
+    #: per-phase virtual-time/message/byte deltas of this step (a
+    #: :class:`~repro.simmpi.tracing.PhaseTable`, also when restored)
     phases: Dict[str, PhaseStats]
     #: total virtual-time delta of the step
     total_time: float
@@ -254,7 +255,9 @@ class StepRecord:
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "StepRecord":
         """Inverse of :meth:`state_dict`."""
-        phases = {label: PhaseStats(**s) for label, s in state["phases"].items()}
+        phases = PhaseTable(
+            (label, PhaseStats(**s)) for label, s in state["phases"].items()
+        )
         return cls(**{**state, "phases": phases})
 
 

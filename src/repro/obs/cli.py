@@ -1,8 +1,9 @@
 """``python -m repro.obs`` — run a scenario with the recorder attached and
 emit the trace artifacts.
 
-Runs a fig7-style coupled simulation (random initial distribution, brownian
-drift, modeled compute skipped), writes
+Runs a fig7-style coupled simulation, one
+:class:`~repro.verify.trajectory.CellSpec` (JUROPA profile, random initial
+distribution, brownian drift, modeled compute skipped), writes
 
 * ``trace.json`` — Chrome ``trace_event`` JSON; open in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``,
@@ -64,36 +65,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run_scenario(args: argparse.Namespace) -> int:
-    from repro.bench.harness import make_machine, make_system, step_breakdown
-    from repro.md.simulation import Simulation, SimulationConfig
-    from repro.simmpi.chaos import Perturbation
-    from repro.simmpi.costmodel import JUROPA
+    from repro.bench.harness import step_breakdown
+    from repro.verify.trajectory import CellSpec, build_run
 
     nprocs = 8 if args.quick else args.nprocs
     n = 1024 if args.quick else args.particles
     steps = 2 if args.quick else args.steps
 
-    perturbation: Optional[Perturbation] = None
-    if args.chaos_seed is not None:
-        perturbation = Perturbation.sample(args.chaos_seed)
-
-    machine = make_machine(nprocs, JUROPA, perturbation=perturbation)
+    spec = CellSpec(
+        args.solver, args.method, nprocs, n, seed=1, placement="random",
+        profile="JUROPA", physics=False, drift=((steps, 0.005, 1.0),),
+    )
+    run = build_run(spec, chaos_seed=args.chaos_seed, audit=False)
+    machine, sim = run.machine, run.sim
+    perturbation = machine.perturbation
+    # building a simulation charges nothing: the recorder sees the whole run
     recorder = enable_observability(
         machine, capacity=args.capacity, per_rank=not args.no_per_rank
     )
-    system = make_system(n, seed=1)
-    subdomain = float(system.box.min()) / round(nprocs ** (1.0 / 3.0))
-    config = SimulationConfig(
-        solver=args.solver,
-        method=args.method,
-        distribution="random",
-        seed=1,
-        dynamics="brownian",
-        brownian_step=0.005 * subdomain,
-        solver_kwargs={"compute": "skip"},
-        perturbation=perturbation,
-    )
-    sim = Simulation(machine, system, config)
     sim.run(steps)
 
     meta: Dict[str, Any] = {

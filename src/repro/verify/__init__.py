@@ -21,8 +21,10 @@ executable checks:
   loop re-run under seeded machine perturbations
   (:mod:`repro.simmpi.chaos`), asserting bitwise-identical physics and
   ledgers across every seed (only virtual clocks may differ).
-* :mod:`repro.verify.trajectory` — the one place the bitwise harnesses
-  build, fingerprint and resume a checked run.
+* :mod:`repro.verify.trajectory` — the one place a checked run is built
+  (``build_run``) and played (``play``): held to the invariant registry or
+  to a reference run at every step, optionally killed and resumed from its
+  checkpoint.
 
 Run the differential oracle from the command line::
 
@@ -71,7 +73,6 @@ from repro.verify.invariants import (
     run_invariants,
     state_fingerprint,
 )
-from repro.verify.testing import auto_verify
 
 __all__ = [
     "CommAuditError",
@@ -102,5 +103,4 @@ __all__ = [
     "ledger_fingerprint",
     "run_dst",
     "run_order_invariance_probe",
-    "auto_verify",
 ]

@@ -11,7 +11,9 @@ because B's application layout tracks the solver layout (steady-state
 self-sends are free) while A ships every particle back each step.
 
 :func:`differential_check` runs one (solver, machine shape) cell;
-:func:`sweep` runs the full grid.  Every trajectory runs with a
+:func:`sweep` runs the full grid.  Every trajectory is a
+:func:`~repro.verify.trajectory.play` of an audited
+:func:`~repro.verify.trajectory.build_run`: a
 :class:`~repro.verify.audit.CommAuditor` attached and the full invariant
 registry asserted after every step, so a differential run doubles as an
 integration test of the other two verification layers.
@@ -25,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.md.simulation import REDISTRIBUTION_PHASES, StepRecord
-from repro.verify.trajectory import CellSpec, build_run
+from repro.verify.trajectory import CellSpec, build_run, play
 
 __all__ = [
     "METHODS",
@@ -92,12 +94,10 @@ def run_trajectory(
     n_particles: int = 48,
     seed: int = 0,
     distribution: str = "random",
-    audit: bool = True,
-    check_invariants: bool = True,
     solver_kwargs: Optional[dict] = None,
     backend: Optional[str] = None,
 ) -> TrajectoryResult:
-    """Run one seeded MD trajectory and return its observable state.
+    """Play one seeded, audited MD trajectory and return its observable state.
 
     The system, seed, step count and dynamics are identical for every
     method; only the redistribution transport differs — which is exactly
@@ -109,18 +109,10 @@ def run_trajectory(
         solver, method, nprocs, n_particles, seed=seed,
         placement=distribution, solver_kwargs=solver_kwargs,
     )
-    run = build_run(spec, backend=backend, audit=audit)
-    sim, checker = run.sim, run.checker if check_invariants else None
-    try:
-        for advance in [sim.initialize] + [sim.step] * steps:
-            advance()
-            if checker is not None:
-                checker.assert_ok()
-    finally:
-        sim.fcs.destroy()
-
+    run = build_run(spec, backend=backend)
+    play(run, steps)
+    sim, history = run.sim, run.checker.history
     nbytes, messages = redistribution_volume(sim.records)
-    history = checker.history if checker is not None else []
     return TrajectoryResult(
         solver=solver,
         method=method,

@@ -9,49 +9,50 @@ the current configuration (e.g. energy drift without energy tracking).
 
 The catalog covers the failure modes a redistribution bug produces:
 
-============================  ====================================================
-``particle-count``            global particle count conserved across every
-                              redistribution (no lost/duplicated particles)
-``charge-conservation``       total charge conserved (redistribution moves
-                              charges, never creates them)
-``identity-permutation``      the tracked particle identities are exactly a
-                              permutation of the initial ids (method B's
-                              ``fcs_resort_ints`` bookkeeping stays intact)
-``local-shape-consistency``   per-rank velocity/acceleration/id array lengths
-                              match the per-rank particle counts
-``capacity-respected``        no rank holds more particles than its declared
-                              local array capacity (the method-B gate)
-``resort-permutation``        the last run's resort indices hit each packed
-                              (target rank, target position) exactly once
-``results-finite``            potentials and fields contain no NaN/Inf
-``trace-accounting``          per-phase ``messages``/``bytes`` in the machine
-                              trace equal the sums the audited collectives
-                              report (requires an attached CommAuditor)
-``plan-accounting``           the resort-plan engine's self-reported fused
-                              traffic never exceeds what its audited
-                              exchanges actually carried — messages and
-                              bytes, bytes only where Bruck staging forwarded
-                              aggregated blocks (requires an attached
-                              CommAuditor and executed plans)
-``energy-drift``              bounded total-energy drift in energy-tracked runs
-``momentum-bounded``          total momentum stays near zero under force
-                              dynamics (forces sum to zero pairwise)
-``schedule-independence``     the physics state fingerprint is bitwise
-                              identical to the reference schedule's (armed by
-                              the DST runner via ``expected_fingerprint``)
-``ckpt-restart-equivalence``  a restored run's state *and* auditor-ledger
-                              fingerprints are byte-identical to the
-                              uninterrupted run's — run 2N ≡ run N + save +
-                              restore + run N (armed by the
-                              :mod:`repro.ckpt.equivalence` kit via
-                              ``expected_restart``)
-``balance-conservation``      weighted rebalancing permutes but never drops
-                              particles, and the observed imbalance factor
-                              after a triggered rebalance never exceeds the
-                              factor that triggered it
-``clock-monotonicity``        virtual clocks and per-phase times never go
-                              negative
-============================  ====================================================
+==============================  ====================================================
+``particle-count``              global particle count conserved across every
+                                redistribution (no lost/duplicated particles)
+``charge-conservation``         total charge conserved (redistribution moves
+                                charges, never creates them)
+``identity-permutation``        the tracked particle identities are exactly a
+                                permutation of the initial ids (method B's
+                                ``fcs_resort_ints`` bookkeeping stays intact)
+``local-shape-consistency``     per-rank velocity/acceleration/id array lengths
+                                match the per-rank particle counts
+``capacity-respected``          no rank holds more particles than its declared
+                                local array capacity (the method-B gate)
+``resort-permutation``          the last run's resort indices hit each packed
+                                (target rank, target position) exactly once
+``results-finite``              potentials and fields contain no NaN/Inf
+``trace-accounting``            per-phase ``messages``/``bytes`` in the machine
+                                trace equal the sums the audited collectives
+                                report (requires an attached CommAuditor)
+``plan-accounting``             the resort-plan engine's self-reported fused
+                                traffic never exceeds what its audited
+                                exchanges actually carried — messages and
+                                bytes, bytes only where Bruck staging forwarded
+                                aggregated blocks (requires an attached
+                                CommAuditor and executed plans)
+``collective-algo-accounting``  a staged collective engine's planned messages
+                                and bytes equal what its audited rounds carried
+                                (requires an attached CommAuditor and a staged
+                                algorithm spec)
+``energy-drift``                bounded total-energy drift in energy-tracked runs
+``momentum-bounded``            total momentum stays near zero under force
+                                dynamics (forces sum to zero pairwise)
+``schedule-independence``       the physics state fingerprint is bitwise
+                                identical to the reference run's at the same
+                                step (armed by
+                                :func:`~repro.verify.trajectory.play` via
+                                ``expected_fingerprint``): a chaos schedule, or
+                                a run killed and resumed from its checkpoint
+``balance-conservation``        weighted rebalancing permutes but never drops
+                                particles, and the observed imbalance factor
+                                after a triggered rebalance never exceeds the
+                                factor that triggered it
+``clock-monotonicity``          virtual clocks and per-phase times never go
+                                negative
+==============================  ====================================================
 
 Register additional checks with the :func:`invariant` decorator::
 
@@ -622,50 +623,11 @@ def _check_schedule_independence(checker: InvariantChecker) -> object:
     actual = state_fingerprint(checker.sim)
     diverged = [name for name in expected if actual.get(name) != expected[name]]
     if diverged:
-        pert = checker.machine.trace.notes().get("perturbation", "unknown")
+        pert = checker.machine.trace.notes().get("perturbation", "none")
         return (
-            f"component(s) {diverged} diverged from the reference schedule "
-            f"under perturbation [{pert}]"
+            f"component(s) {diverged} diverged from the reference run at step "
+            f"{checker.sim.step_index} under perturbation [{pert}]"
         )
-    return None
-
-
-@invariant(
-    "ckpt-restart-equivalence",
-    "restored-run state and auditor-ledger fingerprints are byte-identical "
-    "to the uninterrupted run's (armed via expected_restart)",
-)
-def _check_ckpt_restart_equivalence(checker: InvariantChecker) -> object:
-    expected = getattr(checker, "expected_restart", None)
-    if expected is None:
-        return SKIPPED
-    actual = state_fingerprint(checker.sim)
-    expected_state = expected.get("state") or {}
-    diverged = [
-        name for name in expected_state if actual.get(name) != expected_state[name]
-    ]
-    if diverged:
-        return (
-            f"component(s) {diverged} of the restored run diverged from the "
-            "uninterrupted run (run-2N vs run-N+save+restore+run-N)"
-        )
-    expected_ledger = expected.get("ledger")
-    if expected_ledger is not None:
-        auditor = checker.machine.auditor
-        if auditor is None:
-            return (
-                "a ledger fingerprint is expected but no CommAuditor is "
-                "attached to the restored machine (attach it with "
-                "enable_auditing BEFORE restore_simulation)"
-            )
-        from repro.verify.dst import ledger_fingerprint
-
-        if ledger_fingerprint(auditor) != expected_ledger:
-            return (
-                "auditor ledger fingerprint of the restored run diverged "
-                "from the uninterrupted run's (prefix + continuation traffic "
-                "must equal the straight run's)"
-            )
     return None
 
 

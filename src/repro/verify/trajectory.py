@@ -27,10 +27,14 @@ share:
   onto a fresh machine with the recorder and the auditor attached *before*
   :func:`~repro.ckpt.restore.restore_simulation` (which overwrites their
   state from the checkpoint), under the donor's perturbation.
-* **What a checked run's fingerprint is** (:class:`Fingerprint`, :func:`play`).
-  The :func:`~repro.verify.invariants.state_fingerprint` at the start
-  point and after every step, plus the final
-  :func:`~repro.verify.dst.ledger_fingerprint`.
+* **How a checked run is played** (:func:`play`, the one loop for it).
+  Its fingerprint (:class:`Fingerprint`) is the
+  :func:`~repro.verify.invariants.state_fingerprint` at the start point
+  and after every step, plus the final
+  :func:`~repro.verify.dst.ledger_fingerprint`.  A run held to a reference
+  (a chaos schedule, or a run killed and resumed from its checkpoint) must
+  match the reference's fingerprint at every step and its ledger at the
+  end: DST, the resume sweep and restart equivalence are all this.
 * **How chaos seed k maps to a perturbation**:
   :meth:`Perturbation.sample(k) <repro.simmpi.chaos.Perturbation.sample>`
   for every listed seed, including 0 (the null perturbation); ``None``
@@ -340,7 +344,7 @@ def play(
         if reference is not None and ledger != reference.ledger:
             raise AssertionError(
                 "auditor ledger fingerprint diverged from the reference schedule "
-                f"(perturbation [{run.machine.trace.notes().get('perturbation', '?')}])"
+                f"(perturbation [{run.machine.trace.notes().get('perturbation', 'none')}])"
             )
     finally:
         run.sim.fcs.destroy()

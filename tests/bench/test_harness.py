@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.bench.harness import PRESETS, make_machine, make_system, step_breakdown
+from repro.bench.harness import PRESETS, make_system, step_breakdown
 from repro.bench.report import format_series, format_table
 from repro.md.simulation import Simulation, SimulationConfig
-from repro.simmpi.costmodel import JUQUEEN, JUROPA
 from repro.simmpi.machine import Machine
 
 
@@ -45,10 +44,6 @@ class TestStepBreakdown:
 
 
 class TestFactories:
-    def test_make_machine(self):
-        assert make_machine(16, JUROPA).nprocs == 16
-        assert make_machine(16, JUQUEEN).topology.name == "torus"
-
     def test_make_system_cached(self):
         a = make_system(400, 1)
         b = make_system(400, 1)

@@ -172,6 +172,23 @@ class TestCaptureRoundtrip:
         finally:
             restored.fcs.destroy()
 
+    def test_restored_records_keep_the_phase_table_api(self, sim_factory):
+        """A restored step record reads like the live one it stands for:
+        ``phases`` is the ``PhaseTable`` that ``Trace.delta_since`` returns."""
+        sim = sim_factory(nprocs=2, n=12)
+        try:
+            sim.run(1)
+            restored = restore_simulation(capture_checkpoint(sim))
+        finally:
+            sim.fcs.destroy()
+        try:
+            live, back = sim.records[1].phases, restored.records[1].phases
+            assert type(back) is type(live)
+            assert back.time("sort") == live.time("sort") > 0.0
+            assert back.totals() == live.totals()
+        finally:
+            restored.fcs.destroy()
+
     def test_load_rejects_foreign_file(self, tmp_path):
         bad = tmp_path / "bad.ndjson"
         bad.write_text(dumps({"kind": "meta", "format": "other"}) + "\n")

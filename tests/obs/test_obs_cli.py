@@ -1,13 +1,34 @@
 """``python -m repro.obs`` driven in-process (what the CI ``obs-smoke`` job
 ran as a subprocess): exit 0, both artifacts written, the NDJSON snapshot
-round-trips through ``read_ndjson``."""
+round-trips through ``read_ndjson``, and both files carry their pinned
+bytes."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.obs.cli import main
 from repro.obs.export import read_ndjson
+
+
+#: sha256 of ``(spans.ndjson, trace.json)`` per scenario: the recorded
+#: stream is deterministic, so any change to what the scenario builds, charges
+#: or records moves these
+DIGESTS = {
+    "quick": (
+        "756ce31d008bbb9efff2a758df107a745118343bfd101dd6396d5efe2a30f2e1",
+        "fd567c11bd30170d73f689e5d53f7faddac108d8af2930d5c27a645cadd9851a",
+    ),
+    "chaos-seed-17": (
+        "c314ff642b79f7b99ccbfafe16b869cc5f4a80339a7df529a12939ab9b2c0e0c",
+        "abd948c40eef00ef8cd735de27c9a6db7e2978642110f56bb278e636fc8d5276",
+    ),
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("extra", [[], ["--chaos-seed", "17"]], ids=["quick", "chaos-seed-17"])
@@ -30,3 +51,6 @@ def test_quick_scenario_writes_both_artifacts(tmp_path, capsys, extra):
         assert meta["chaos_seed"] == 17 and meta["perturbation"]
     else:
         assert "chaos_seed" not in meta
+
+    scenario = "chaos-seed-17" if extra else "quick"
+    assert (sha256(tmp_path / "spans.ndjson"), sha256(tmp_path / "trace.json")) == DIGESTS[scenario]

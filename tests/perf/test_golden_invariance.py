@@ -24,10 +24,11 @@ import numpy as np
 import pytest
 
 from row_oracles import used_by
-from repro.bench.harness import make_machine, step_breakdown
+from repro.bench.harness import step_breakdown
 from repro.simmpi.costmodel import JUROPA
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
+from repro.simmpi.machine import Machine
 from repro.verify.audit import enable_auditing
 from repro.verify.dst import ledger_fingerprint
 from repro.verify.invariants import state_fingerprint
@@ -38,7 +39,7 @@ N, NPROCS, STEPS, SEED = 256, 8, 2, 42
 
 
 def run_fig7_small(solver, method):
-    machine = make_machine(NPROCS, JUROPA)
+    machine = Machine(NPROCS, profile=JUROPA)
     auditor = enable_auditing(machine)
     system = silica_melt_system(N, seed=SEED)
     subdomain = float(system.box.min()) / round(NPROCS ** (1.0 / 3.0))

@@ -64,6 +64,14 @@ FORBIDDEN = [
      r"|balance_phases|report\.rank_work", EVERYWHERE,
      ("tests/simmpi/test_algos_golden.py", "tests/simmpi/algos_golden.json",
       "tests/ckpt/test_roundtrip.py")),
+    # one loop plays every checked run: restart equivalence is ``play`` with a
+    # kill, held to the uninterrupted run at every step; no Simulation
+    # monkeypatching opt-in, no restart invariant armed for the last step
+    (r"auto_verify|repro\.verify\.testing|expected_restart|ckpt-restart-equivalence",
+     EVERYWHERE, ()),
+    # a machine is ``Machine(nprocs, profile=, perturbation=)``; tests/backend
+    # has a fixture of that name
+    (r"make_machine", ("src", "benchmarks", "examples"), ()),
 ]
 
 #: ``(module, attribute path)`` that must not resolve
@@ -134,6 +142,8 @@ REMOVED = [
     # a figure cell is a CellSpec that repro.verify.trajectory.build_run builds
     ("repro.bench.figures", "fig7_cell"),
     ("repro.bench.figures", "_simulate"),
+    ("repro.bench.harness", "make_machine"),
+    ("repro.verify", "auto_verify"),
     # checkpoint format 2: one copy of each fact
     ("repro.md.simulation", "SimulationConfig.balance_phases"),
     ("repro.simmpi.tracing", "PhaseStats.alloc_bytes"),
@@ -146,7 +156,8 @@ REMOVED = [
     FORBIDDEN,
     ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
          "fuse-resort", "plan-twins", "in-tree-timers", "vacuous-checks",
-         "per-message-bridge", "unreached-capabilities", "ckpt-v1-copies"],
+         "per-message-bridge", "unreached-capabilities", "ckpt-v1-copies",
+         "one-checked-loop", "machine-factory"],
 )
 def test_removed_name_is_not_spelled(pattern, trees, allowed):
     regex = re.compile(pattern)

@@ -6,15 +6,6 @@ from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
 from repro.verify import InvariantChecker, enable_auditing
-from repro.verify.testing import auto_verify
-
-
-@pytest.fixture
-def verified():
-    """One-decorator opt-in as a fixture: every Simulation constructed inside
-    the test is audited and invariant-checked after each step."""
-    with auto_verify():
-        yield
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
 from repro.verify.dst import DstFailure, run_dst, run_resume_sweep
-from repro.verify.invariants import all_invariants
 
 
 class TestKillResume:
@@ -130,9 +129,3 @@ class TestResumeSweep:
         )
         assert rc == 0
         assert "[ok]" in capsys.readouterr().out
-
-
-def test_restart_equivalence_invariant_registered():
-    assert "ckpt-restart-equivalence" in {
-        inv.name for inv in all_invariants()
-    }

@@ -21,12 +21,14 @@ class TestRegistry:
     def test_at_least_eight_invariants(self):
         assert len(all_invariants()) >= 8
 
-    def test_catalog_is_sixteen_checks_that_can_fail(self):
+    def test_catalog_is_fifteen_checks_that_can_fail(self):
         """Each accounting invariant compares two independently derived
         quantities (docs/verification.md, "Evidence"); the two that were true
-        by construction are gone."""
+        by construction are gone, and restart equivalence is ``play``'s
+        per-step ``schedule-independence`` check, not an invariant of its
+        own."""
         names = [i.name for i in all_invariants()]
-        assert len(names) == 16
+        assert len(names) == 15
         assert {"trace-accounting", "plan-accounting", "collective-algo-accounting"} <= set(names)
         assert not any("quiescent" in n or n.startswith("span-") for n in names)
 
@@ -256,44 +258,3 @@ class TestResortPermutationCheck:
         report.resort_indices[r][1] = report.resort_indices[r][0]
         results = {r.name: r for r in checker.run()}
         assert results["resort-permutation"].failed
-
-
-class TestAutoVerify:
-    def test_decorator_instruments_simulation(self, verified, sim_factory):
-        sim, _, _ = sim_factory()
-        sim.run(2)  # implicit asserts after initialize and each step
-        assert hasattr(sim, "_verify_checker")
-        assert any(
-            r.status == "passed" for r in sim._verify_checker.history
-        )
-
-    def test_scope_restores_methods(self):
-        from repro.md.simulation import Simulation
-        from repro.verify.testing import auto_verify
-
-        original_step = Simulation.step
-        with auto_verify():
-            assert Simulation.step is not original_step
-        assert Simulation.step is original_step
-
-    def test_catches_corruption_inside_scope(self, sim_factory):
-        from repro.md.simulation import Simulation
-        from repro.verify.testing import auto_verify
-
-        original_step = Simulation.step
-
-        def corrupting_step(self):
-            record = original_step(self)
-            r = next(i for i, q in enumerate(self.particles.q) if q.shape[0])
-            self.particles.q[r][:] += 1.0  # through the view
-            return record
-
-        Simulation.step = corrupting_step
-        try:
-            with auto_verify():
-                sim, _, _ = sim_factory()
-                sim.initialize()
-                with pytest.raises(InvariantViolation):
-                    sim.step()
-        finally:
-            Simulation.step = original_step

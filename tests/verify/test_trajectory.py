@@ -1,14 +1,19 @@
-"""The checked-trajectory kit: what one resume must re-create, and repro
-commands that replay the sweep they came from."""
+"""The checked-trajectory kit: what one resume must re-create, repro
+commands that replay the sweep they came from, and the one loop failing
+when the run it plays is wrong."""
 
 import shlex
 
 import pytest
 
 import repro.verify.invariants as invariants
+import repro.verify.trajectory as trajectory
+from repro.ckpt.equivalence import run_restart_equivalence
+from repro.md.simulation import Simulation
 from repro.obs import read_ndjson
 from repro.verify.__main__ import _dst_parser, main_dst
 from repro.verify.dst import run_dst
+from repro.verify.invariants import InvariantViolation
 from repro.verify.trajectory import CellSpec, build_run, play
 
 
@@ -120,3 +125,34 @@ class TestKit:
             assert [p.name for p in tmp_path.iterdir()] == ["direct-B-kill0.ckpt.ndjson"]
         finally:
             run.sim.fcs.destroy()
+
+
+class TestTheLoopCanFail:
+    def test_play_catches_a_step_that_corrupts_a_charge(self, monkeypatch):
+        honest = Simulation.step
+
+        def corrupting_step(sim):
+            record = honest(sim)
+            r = next(i for i, q in enumerate(sim.particles.q) if q.shape[0])
+            sim.particles.q[r][:] += 1.0  # through the view
+            return record
+
+        monkeypatch.setattr(Simulation, "step", corrupting_step)
+        with pytest.raises(InvariantViolation, match="charge-conservation"):
+            play(build_run(CellSpec("direct", "B", 2, 12)), 1)
+
+    def test_restart_kit_reports_a_corrupted_restore(self, monkeypatch):
+        """A restore that damages one restored column fails the cell, and
+        the detail names the diverged component and the step."""
+        honest = trajectory.restore_simulation
+
+        def corrupting_restore(ckpt, **kwargs):
+            sim = honest(ckpt, **kwargs)
+            r = next(i for i, v in enumerate(sim.vel) if v.shape[0])
+            sim.vel[r][0] += 1.0
+            return sim
+
+        monkeypatch.setattr(trajectory, "restore_simulation", corrupting_restore)
+        cell = run_restart_equivalence("direct", "B")
+        assert not cell.ok
+        assert "velocities" in cell.detail and "at step 3" in cell.detail
