@@ -74,6 +74,7 @@ class ExecutionBackend:
             "backend.exchanges": 0,
             "backend.messages": 0,
             "backend.shm_bytes": 0,
+            # no caller; kept only because perfbench/trace.py::LAYERS traces the ticket trio
             "backend.tickets": 0,
             "backend.tasks": 0,
             "backend.spawn_ns": 0,
@@ -100,19 +101,6 @@ class ExecutionBackend:
         order (self-transfers are returned as-is, like an MPI local
         delivery).
         """
-        raise NotImplementedError
-
-    def post_ticket(self, payload) -> object:
-        """Hand a payload to the transport (SPMD send side); returns a
-        claim ticket."""
-        raise NotImplementedError
-
-    def claim_ticket(self, ticket):
-        """Redeem a ticket posted by :meth:`post_ticket` (SPMD recv side)."""
-        raise NotImplementedError
-
-    def discard_ticket(self, ticket) -> None:
-        """Drop an unclaimed ticket (failed SPMD runs), freeing resources."""
         raise NotImplementedError
 
     # -- host-side execution ---------------------------------------------------------

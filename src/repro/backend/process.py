@@ -15,7 +15,7 @@ duplex pipes; bulk payload bytes flow through POSIX shared memory
   send arena, and every worker gathers the received rows of the ranks it
   owns into one receive arena.
 * :meth:`ProcessBackend.post_ticket` / :meth:`~ProcessBackend.claim_ticket`
-  — the SPMD mailbox seam: one arena per in-flight message.
+  — one arena per parked payload; nothing calls them.
 * :meth:`ProcessBackend.rank_map` / :meth:`ProcessBackend.map_tasks` —
   per-rank compute and generic task fan-out on the workers (tasks are
   named by dotted import path, the spawn-safe way to reference code).
@@ -417,7 +417,7 @@ class ProcessBackend(ExecutionBackend):
     def route(self, transfers: Sequence[Tuple[int, int, object]], nprocs: int) -> List[object]:
         return self._ship(list(transfers), nprocs, "p2p round")
 
-    # -- SPMD tickets ----------------------------------------------------------------
+    # -- tickets: no caller; kept only because perfbench/trace.py::LAYERS traces them ----
 
     def post_ticket(self, payload):
         self._check_open()

@@ -171,11 +171,12 @@ def encode_payloads(
     describes ``payloads[i]`` and ``flat_columns`` lists every column in
     arena order (what :func:`write_columns` will copy in).
 
-    With ``allow_pickle=True`` a payload that is not array-structured (the
-    SPMD mailboxes carry arbitrary Python objects) is shipped as one pickled
-    byte column instead of being rejected.  The structured transports
-    (alltoallv / p2p) keep the strict default so exotic payloads fail loudly
-    rather than silently taking the slow path.
+    With ``allow_pickle=True`` a payload that is not array-structured is
+    shipped as one pickled byte column instead of being rejected; only the
+    ticket path passes it, kept only because perfbench/trace.py::LAYERS
+    traces that path.  The structured transports (alltoallv / p2p) keep the
+    strict default so exotic payloads fail loudly rather than silently
+    taking the slow path.
     """
     kinds: List[str] = []
     all_columns: List[List[np.ndarray]] = []

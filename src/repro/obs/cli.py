@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.export import write_chrome_trace, write_ndjson
 from repro.obs.spans import enable_observability
+from repro.simmpi.chaos import chaos_seed
 
 __all__ = ["main", "run_scenario"]
 
@@ -46,7 +47,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--particles", type=int, default=4096, help="particle count")
     parser.add_argument("--steps", type=int, default=3, help="time steps")
     parser.add_argument(
-        "--chaos-seed", type=int, default=None, metavar="N",
+        "--chaos-seed", type=chaos_seed, default=None, metavar="N",
         help="apply the DST chaos harness perturbation sampled from seed N",
     )
     parser.add_argument(

@@ -1,7 +1,7 @@
 """Span-based structured tracing over the simulated machine.
 
 Every cost the :class:`~repro.simmpi.machine.Machine` charges — clock
-advances, collectives, point-to-point rounds, SPMD sends/receives — emits a
+advances, collectives, point-to-point rounds — emits a
 :class:`Span` into a bounded per-rank ring buffer when an
 :class:`ObsRecorder` is attached (``machine.obs``, the second listener of
 the charge funnel beside ``machine.auditor``).  Higher layers add *section* spans
@@ -202,8 +202,9 @@ class ObsRecorder:
         messages: int = 0,
         nbytes: int = 0,
     ) -> None:
-        """Record a charge originating on a single rank (SPMD send/recv):
-        the machine-wide ``charge`` span plus the one rank-local span."""
+        """Record a charge originating on a single rank: the machine-wide
+        ``charge`` span plus the one rank-local span.  No caller; kept only
+        because perfbench/trace.py::LAYERS traces it."""
         label = phase if phase is not None else "other"
         self._append(
             MACHINE_RANK,

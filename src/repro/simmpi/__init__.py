@@ -32,7 +32,7 @@ contract, only the modeled clocks and message counts differ.
 """
 
 from repro.simmpi.algos import ALGO_CHOICES, CollectiveAlgos, parse_algos
-from repro.simmpi.chaos import MailboxScheduler, Perturbation
+from repro.simmpi.chaos import Perturbation
 from repro.simmpi.costmodel import CostModel, SystemProfile, JUROPA, JUQUEEN, LOCAL
 from repro.simmpi.machine import Machine
 from repro.simmpi.topology import (
@@ -43,7 +43,6 @@ from repro.simmpi.topology import (
 )
 from repro.simmpi.tracing import Trace
 from repro.simmpi.cart import CartGrid, dims_create
-from repro.simmpi.spmd import SPMDContext, SPMDDeadlock, run_spmd
 
 __all__ = [
     "ALGO_CHOICES",
@@ -55,10 +54,7 @@ __all__ = [
     "JUROPA",
     "LOCAL",
     "Machine",
-    "MailboxScheduler",
     "Perturbation",
-    "SPMDContext",
-    "SPMDDeadlock",
     "SwitchTopology",
     "SystemProfile",
     "Topology",

@@ -3,10 +3,9 @@
 The simulated MPI layer is only trustworthy if the physics it transports is
 *schedule-independent*: positions, forces, energies, resort outcomes and the
 auditor's communication ledgers must be bitwise identical no matter how fast
-individual ranks run, how degraded individual links are, or in which legal
-order messages are delivered.  Only the virtual clocks and the per-phase
-trace times may respond to such perturbations (and should, the way the
-LogGP model predicts).
+individual ranks run or how degraded individual links are.  Only the virtual
+clocks and the per-phase trace times may respond to such perturbations (and
+should, the way the LogGP model predicts).
 
 This module provides the seeded fault/schedule injection that the
 deterministic-simulation-test runner (:mod:`repro.verify.dst`) sweeps:
@@ -17,10 +16,6 @@ deterministic-simulation-test runner (:mod:`repro.verify.dst`) sweeps:
   at startup.  A machine consults it when charging costs (never when moving
   data), so a perturbation can change *when* things happen but not *what*
   happens.
-* :class:`MailboxScheduler` — a seeded scheduler shim for the SPMD layer
-  that permutes message delivery order and thread wake order among the
-  *legal* choices (MPI non-overtaking order per source is preserved;
-  wildcard receives may consume sources in any order).
 
 A perturbation with every knob at zero is the null perturbation: applying it
 leaves the machine byte-identical to an unperturbed one (all scale factors
@@ -29,25 +24,21 @@ are exactly ``1.0`` and no model constant is touched).
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
-import random
-import time
-from typing import List, Optional, Sequence, TypeVar
+from typing import Optional
 
 import numpy as np
 
 from repro.simmpi.costmodel import CostModel
 
-__all__ = ["Perturbation", "MailboxScheduler"]
-
-T = TypeVar("T")
+__all__ = ["Perturbation", "chaos_seed"]
 
 #: independent RNG stream salts (stable across releases: fingerprints of
 #: recorded failing seeds must keep reproducing)
 _SALT_COMPUTE = 0x5EED_C0DE
 _SALT_COMM = 0x11_4B
 _SALT_SKEW = 0xC10C
-_SALT_SCHED = 0x5C_4ED
 _SALT_SAMPLE = 0xD57
 
 
@@ -58,8 +49,8 @@ class Perturbation:
     Attributes
     ----------
     seed:
-        drives every per-rank draw below; two machines perturbed with equal
-        configurations are perturbed identically.
+        non-negative; drives every per-rank draw below; two machines
+        perturbed with equal configurations are perturbed identically.
     compute_jitter:
         lognormal sigma of the per-rank compute-rate factors (0 = uniform
         ranks); models OS noise and DVFS wobble.
@@ -80,9 +71,6 @@ class Perturbation:
     clock_skew:
         per-rank virtual clocks start uniformly in ``[0, clock_skew)``
         instead of at zero (unsynchronized node boot).
-    reorder:
-        permute SPMD mailbox delivery and thread wake order among legal
-        choices (see :class:`MailboxScheduler`).
     """
 
     seed: int = 0
@@ -94,9 +82,10 @@ class Perturbation:
     degraded_link_slowdown: float = 2.0
     extra_latency: float = 0.0
     clock_skew: float = 0.0
-    reorder: bool = False
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"chaos seed must be non-negative, got {self.seed}")
         for name in ("compute_jitter", "extra_latency", "clock_skew"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -116,10 +105,11 @@ class Perturbation:
         """Draw a full perturbation from one integer seed (the DST sweep).
 
         ``seed == 0`` is reserved for the null perturbation — the reference
-        schedule every other seed is compared against.
+        schedule every other seed is compared against; a negative seed is
+        refused before anything is drawn.
         """
-        if seed == 0:
-            return cls(seed=0)
+        if seed <= 0:
+            return cls(seed=int(seed))
         rng = np.random.default_rng([_SALT_SAMPLE, int(seed)])
         return cls(
             seed=int(seed),
@@ -131,7 +121,6 @@ class Perturbation:
             degraded_link_slowdown=float(rng.uniform(1.5, 5.0)),
             extra_latency=float(rng.uniform(0.0, 1e-4)),
             clock_skew=float(rng.uniform(0.0, 1e-3)),
-            reorder=True,
         )
 
     # -- queries ------------------------------------------------------------
@@ -146,7 +135,6 @@ class Perturbation:
             and self.degraded_link_fraction == 0.0
             and self.extra_latency == 0.0
             and self.clock_skew == 0.0
-            and not self.reorder
         )
 
     def describe(self) -> str:
@@ -170,8 +158,6 @@ class Perturbation:
             knobs.append(f"lat+{self.extra_latency:.3g}s")
         if self.clock_skew:
             knobs.append(f"skew={self.clock_skew:.3g}s")
-        if self.reorder:
-            knobs.append("reorder")
         return f"seed={self.seed} " + " ".join(knobs)
 
     # -- what the machine consults ------------------------------------------
@@ -225,52 +211,11 @@ class Perturbation:
             bandwidth_factor=1.0 - self.bandwidth_degradation,
         )
 
-    def scheduler(self) -> Optional["MailboxScheduler"]:
-        """A fresh seeded SPMD scheduler shim, or ``None`` without reorder."""
-        if not self.reorder:
-            return None
-        return MailboxScheduler(seed=(_SALT_SCHED << 32) ^ self.seed)
 
-
-class MailboxScheduler:
-    """Seeded permutation of SPMD delivery and wake order among legal choices.
-
-    *Legal* means MPI matching semantics are preserved: messages from one
-    source that match the same receive pattern are consumed in posting order
-    (non-overtaking), but a wildcard receive facing several eligible sources
-    may pick any of them.  Thread wake order is perturbed by injecting tiny
-    seeded sleeps before threads contend for the runtime lock, so the OS
-    interleaves rank programs differently under every seed.
-
-    Schedule choices are drawn from a seeded :class:`random.Random`; because
-    real OS threads race for the shim, the exact interleaving is best-effort
-    reproducible — which is fine, since the property under test must hold
-    for *every* legal schedule, not one specific schedule.
-    """
-
-    def __init__(self, seed: int = 0, *, yield_probability: float = 0.5,
-                 max_sleep: float = 1e-4) -> None:
-        self._rng = random.Random(seed)
-        self.yield_probability = float(yield_probability)
-        self.max_sleep = float(max_sleep)
-
-    def choose(self, n: int) -> int:
-        """Pick one of ``n`` legal delivery candidates."""
-        if n <= 1:
-            return 0
-        return self._rng.randrange(n)
-
-    def shuffled(self, items: Sequence[T]) -> List[T]:
-        """A permuted copy (used for rank-thread start order)."""
-        out = list(items)
-        self._rng.shuffle(out)
-        return out
-
-    def maybe_yield(self) -> None:
-        """Possibly stall the calling thread briefly to perturb wake order.
-
-        Must be called WITHOUT the runtime lock held.
-        """
-        r = self._rng.random()
-        if r < self.yield_probability:
-            time.sleep(r * self.max_sleep)
+def chaos_seed(text: str) -> int:
+    """``argparse`` type of a command-line chaos seed: a non-negative integer,
+    refused at parse time instead of after the runs it would perturb."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"chaos seed must be non-negative, got {seed}")
+    return seed

@@ -222,23 +222,16 @@ class Machine:
 
     # -- charging: the funnel -------------------------------------------------
 
-    def begin(self, rank: Optional[int] = None) -> tuple:
+    def begin(self) -> tuple:
         """Open a charge: snapshot what :meth:`commit` attributes it against.
 
         Every site that moves clocks brackets the move with ``begin`` /
-        ``commit``.  ``rank`` marks a charge originating on one rank (SPMD
-        send/recv).  The snapshot is the critical-path clock and — only
-        when an attached recorder wants per-rank spans — the clock vector,
-        or the one clock of a single-rank charge.
+        ``commit``.  The snapshot is the critical-path clock and — only
+        when an attached recorder wants per-rank spans — the clock vector.
         """
         obs = self.obs
-        if obs is None or not obs.per_rank:
-            rank_before = None
-        elif rank is None:
-            rank_before = self.clocks.copy()
-        else:
-            rank_before = float(self.clocks[rank])
-        return self.clocks.max(), rank, rank_before
+        rank_before = self.clocks.copy() if obs is not None and obs.per_rank else None
+        return self.clocks.max(), rank_before
 
     def commit(
         self,
@@ -249,7 +242,6 @@ class Machine:
         nbytes: int = 0,
         *,
         mirror: bool = False,
-        overlapped: bool = False,
     ) -> None:
         """Close a charge opened by :meth:`begin` — the only write path of
         the modeled accounting.
@@ -264,9 +256,7 @@ class Machine:
         ``mirror`` (set by :meth:`collective` only) marks totals that come
         from the cost model rather than from a send table: an attached
         auditor has nothing to recompute them from and takes them into its
-        ledger as stated.  ``overlapped`` marks a posted non-blocking send,
-        whose messages count now but whose time is never on the critical
-        path.
+        ledger as stated.
 
         While :func:`repro.perf.instrument.wall_phases` is active, the host
         wall nanoseconds since this machine's previous charge point are
@@ -274,9 +264,9 @@ class Machine:
         owns the host time leading up to it); the modeled fields are
         byte-identical with and without the attribution.
         """
-        before, rank, rank_before = token
+        before, rank_before = token
         after = self.clocks.max()
-        t = 0.0 if overlapped else float(after - before)
+        t = float(after - before)
         self.trace.record(phase, time=t, messages=messages, nbytes=nbytes)
         if instrument.wall_phases_enabled():
             now = instrument.wall_anchor()
@@ -287,18 +277,10 @@ class Machine:
             self._wall_anchor = None
         if mirror and self.auditor is not None:
             self.auditor.on_mirrored_charge(phase, messages, nbytes)
-        obs = self.obs
-        if obs is None:
-            return
-        if rank is None:
-            obs.on_charge(
+        if self.obs is not None:
+            self.obs.on_charge(
                 phase, op, t, float(before), float(after),
                 messages, nbytes, rank_before, self.clocks,
-            )
-        else:
-            obs.on_rank_charge(
-                phase, op, t, rank, rank_before, float(self.clocks[rank]),
-                float(after), messages, nbytes,
             )
 
     def count(self, name: str, value: int = 1, **labels) -> None:

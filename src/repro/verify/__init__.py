@@ -58,7 +58,6 @@ from repro.verify.dst import (
     DstReport,
     ledger_fingerprint,
     run_dst,
-    run_order_invariance_probe,
 )
 from repro.verify.invariants import (
     CheckResult,
@@ -102,5 +101,4 @@ __all__ = [
     "DstReport",
     "ledger_fingerprint",
     "run_dst",
-    "run_order_invariance_probe",
 ]

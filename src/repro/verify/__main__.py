@@ -21,6 +21,7 @@ import argparse
 import sys
 from typing import List
 
+from repro.simmpi.chaos import chaos_seed
 from repro.verify.differential import DifferentialReport, sweep
 from repro.verify.invariants import all_invariants
 
@@ -84,20 +85,30 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"a chaos sweep needs at least one seed, got {count} (--seed-list 0 "
+            "runs the null perturbation)"
+        )
+    return count
+
+
 def _dst_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify dst",
         description=(
             "deterministic simulation testing: run the full MD loop under N "
             "seeded machine perturbations (compute jitter, stragglers, "
-            "degraded links, extra latency, clock skew, mailbox reordering) "
+            "degraded links, extra latency, clock skew) "
             "and assert that physics state and communication ledgers are "
             "bitwise identical across every seed"
         ),
     )
     parser.add_argument(
         "--seeds",
-        type=int,
+        type=_seed_count,
         default=10,
         help="number of perturbation seeds to sweep (seeds 1..N; default 10)",
     )
@@ -127,7 +138,7 @@ def _dst_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed-list",
         nargs="+",
-        type=int,
+        type=chaos_seed,
         default=None,
         metavar="SEED",
         help="explicit perturbation seeds to run (reproduce a failure)",

@@ -4,8 +4,8 @@ FoundationDB-style chaos testing for the simulated MPI layer: the same
 seeded MD trajectory is run once on an unperturbed machine (the *reference
 schedule*) and then under ``N`` seeded machine perturbations
 (:class:`~repro.simmpi.chaos.Perturbation` — compute jitter, stragglers,
-degraded links, extra latency, clock skew, mailbox reordering).  The core
-property under test:
+degraded links, extra latency, clock skew).  The core property under
+test:
 
     positions, forces, energies, resort outcomes and the communication
     auditor's ledgers are **bitwise identical** across every seed; only the
@@ -17,11 +17,6 @@ time back into physics (a real bug class: e.g. an adaptive decision reading
 ``machine.elapsed()``) breaks the fingerprint and is caught here.  The
 ``adaptive`` redistribution method intentionally couples cost to behavior
 and is therefore excluded from the sweep.
-
-Alongside the MD sweep, an SPMD *order-invariance probe* runs a random
-sparse-traffic program (wildcard receives, written order-invariantly)
-under every seed's mailbox scheduler, asserting identical results and that
-deadlock detection never fires.
 
 Every failure is reported with a one-line repro command, e.g.::
 
@@ -41,13 +36,8 @@ import os
 import shlex
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.ckpt import load_checkpoint
 from repro.obs import write_ndjson
-from repro.simmpi.chaos import Perturbation
-from repro.simmpi.machine import Machine
-from repro.simmpi.spmd import SPMDDeadlock, run_spmd
 from repro.verify.audit import LEDGERS
 from repro.verify.trajectory import (
     WORKLOADS,
@@ -67,7 +57,6 @@ __all__ = [
     "DstReport",
     "ledger_fingerprint",
     "run_dst",
-    "run_order_invariance_probe",
     "run_resume_sweep",
 ]
 
@@ -85,8 +74,6 @@ DST_DISTRIBUTIONS = tuple(WORKLOADS)
 #: default sweep stays on the homogeneous workload (cost); pass
 #: ``--distributions clustered`` to exercise the balancing path
 DEFAULT_DISTRIBUTIONS = ("homogeneous",)
-
-_PROBE_SALT = 0x0B5E_12E
 
 
 def ledger_fingerprint(auditor) -> str:
@@ -113,7 +100,7 @@ def ledger_fingerprint(auditor) -> str:
 
 @dataclasses.dataclass
 class DstFailure:
-    """One divergence, invariant violation or deadlock under one seed."""
+    """One divergence or invariant violation under one seed."""
 
     solver: str
     method: str
@@ -134,28 +121,18 @@ class DstFailure:
     ckpt_dir: Optional[str] = None
 
     def repro_command(self, *, nprocs: int, steps: int, particles: int) -> str:
-        """One-line command reproducing exactly this failing cell.
-
-        Probe failures carry synthetic ``spmd-probe``/``round-N`` labels that
-        are not a real (solver, method) cell; the probe runs in every sweep,
-        so the repro pins the seed and minimizes the trajectory work around
-        it instead of passing the labels through.
-        """
+        """One-line command reproducing exactly this failing cell."""
         if self.resume_from is not None:
             return (
                 f"python -m repro.verify dst --resume-from "
                 f"{shlex.quote(self.resume_from)} "
                 f"--steps {steps} --seed-list {self.seed}"
             )
-        probe = self.solver == "spmd-probe"
-        if probe:
-            cell = "--solvers direct --methods A --steps 1"
-        else:
-            cell = f"--solvers {self.solver} --methods {self.method!r} --steps {steps}"
+        cell = f"--solvers {self.solver} --methods {self.method!r} --steps {steps}"
         options = {
             "--particles": particles,
             "--nprocs": nprocs,
-            "--distributions": None if probe else self.distribution,
+            "--distributions": self.distribution,
             "--seed-list": self.seed,
             "--kill-at": self.kill_at,
             "--algos": self.algos,
@@ -179,7 +156,6 @@ class DstReport:
     particles: int
     seeds: List[int]
     trajectories: int
-    probes: int
     failures: List[DstFailure]
     distributions: Tuple[str, ...] = DEFAULT_DISTRIBUTIONS
     #: collective-algorithm specs swept (``None`` entries mean direct)
@@ -195,8 +171,8 @@ class DstReport:
         if any(spec is not None for spec in self.algos):
             algos = f" algos={[spec or 'direct' for spec in self.algos]}"
         return (
-            f"[{status}] dst: {self.trajectories} trajectories + "
-            f"{self.probes} spmd probes, solvers={list(self.solvers)} "
+            f"[{status}] dst: {self.trajectories} trajectories, "
+            f"solvers={list(self.solvers)} "
             f"methods={list(self.methods)} "
             f"distributions={list(self.distributions)}{algos} "
             f"seeds={len(self.seeds)} "
@@ -205,78 +181,17 @@ class DstReport:
         )
 
 
-# -- SPMD order-invariance probe ---------------------------------------------
-
-
-def _probe_program(ctx, sends, expected):
-    """Random sparse traffic consumed through wildcard receives.
-
-    Written order-invariantly: the received multiset is sorted before use,
-    so any legal delivery order must yield the same return value.
-    """
-    for dst, value in sends:
-        ctx.send(dst, float(value), tag=1)
-    received = [float(ctx.recv()) for _ in range(expected)]
-    received.sort()
-    total = ctx.allreduce(sum(received))
-    return received, total
-
-
-def _probe_traffic(nprocs: int, rng: np.random.Generator):
-    """A random sparse traffic pattern plus per-rank receive counts."""
-    sends: List[List[Tuple[int, float]]] = [[] for _ in range(nprocs)]
-    expected = [0] * nprocs
-    n_messages = int(rng.integers(nprocs, 4 * nprocs + 1))
-    for _ in range(n_messages):
-        src = int(rng.integers(nprocs))
-        dst = int(rng.integers(nprocs))
-        value = float(np.round(rng.uniform(0.0, 100.0), 6))
-        sends[src].append((dst, value))
-        expected[dst] += 1
-    return sends, expected
-
-
-def run_order_invariance_probe(
-    nprocs: int,
-    seeds: Sequence[int],
-    *,
-    rounds: int = 3,
-    system_seed: int = 0,
-) -> List[DstFailure]:
-    """Run the wildcard-receive probe under every seed's scheduler.
-
-    The traffic pattern is fixed per round (drawn from ``system_seed``, not
-    the perturbation seed); only the delivery/wake schedule varies.  Results
-    must match the unperturbed run exactly and deadlock detection must
-    never fire.
-    """
-    failures: List[DstFailure] = []
-    for rnd in range(rounds):
-        rng = np.random.default_rng([_PROBE_SALT, system_seed, rnd])
-        sends, expected = _probe_traffic(nprocs, rng)
-
-        reference = run_spmd(Machine(nprocs), _probe_program, sends, expected)
-        for seed in seeds:
-            if seed == 0:
-                continue
-            machine = Machine(nprocs, perturbation=Perturbation.sample(seed))
-            try:
-                result = run_spmd(machine, _probe_program, sends, expected)
-            except SPMDDeadlock as exc:
-                detail = f"deadlock detector fired: {exc}"
-            else:
-                if result == reference:
-                    continue
-                detail = "wildcard-receive results diverged from the reference schedule"
-            failures.append(
-                DstFailure(
-                    "spmd-probe", f"round-{rnd}", seed, detail, system_seed=system_seed
-                )
-            )
-    return failures
-
-
 # -- the sweeps ---------------------------------------------------------------
+
+
+def _chosen_seeds(seeds: int, seed_list: Optional[Sequence[int]]) -> List[int]:
+    """The chaos seeds a sweep runs: ``seed_list`` as given, else ``1..seeds``
+    (a sweep over no seed would check nothing and report success)."""
+    if seed_list is not None:
+        return list(seed_list)
+    if seeds < 1:
+        raise ValueError(f"a chaos sweep needs seeds >= 1, got {seeds}")
+    return list(range(1, seeds + 1))
 
 
 def _sweep_seeds(
@@ -288,7 +203,7 @@ def _sweep_seeds(
     **kill,
 ) -> List[DstFailure]:
     """Play the reference run (chaos seed ``None``), then one run per seed
-    held to it; each divergence or deadlock becomes a copy of ``template``.
+    held to it; each divergence becomes a copy of ``template``.
     ``export`` sees every run that passed (the reference as seed 0)."""
     run = checked_run(None)
     reference = play(run, steps)
@@ -298,8 +213,6 @@ def _sweep_seeds(
         run = checked_run(seed)
         try:
             play(run, steps, reference=reference, **kill)
-        except SPMDDeadlock as exc:
-            detail = f"deadlock: {exc}"
         except AssertionError as exc:
             detail = str(exc)
         else:
@@ -319,7 +232,6 @@ def run_dst(
     n_particles: int = 24,
     seed_list: Optional[Sequence[int]] = None,
     system_seed: int = 0,
-    probe_rounds: int = 3,
     distributions: Sequence[str] = DEFAULT_DISTRIBUTIONS,
     obs_export_dir: Optional[str] = None,
     kill_at: Optional[int] = None,
@@ -345,7 +257,7 @@ def run_dst(
     fingerprints and ledgers must not move.
     """
     say = progress if progress is not None else (lambda msg: None)
-    chosen = list(seed_list) if seed_list is not None else list(range(1, seeds + 1))
+    chosen = _chosen_seeds(seeds, seed_list)
     algo_specs: List[Optional[str]] = list(algos) if algos else [None]
     failures: List[DstFailure] = []
     trajectories = 0
@@ -398,13 +310,6 @@ def run_dst(
             trajectories += 1 + len(chosen)
             say(f"dst: {cell} {len(chosen)} seeds {'FAILED' if found else 'ok'}")
 
-    failures.extend(
-        run_order_invariance_probe(
-            nprocs, chosen, rounds=probe_rounds, system_seed=system_seed
-        )
-    )
-    probes = probe_rounds * (1 + sum(1 for s in chosen if s != 0))
-
     return DstReport(
         solvers=tuple(solvers),
         methods=tuple(methods),
@@ -413,7 +318,6 @@ def run_dst(
         particles=n_particles,
         seeds=chosen,
         trajectories=trajectories,
-        probes=probes,
         failures=failures,
         distributions=tuple(distributions),
         algos=tuple(algo_specs),
@@ -436,7 +340,7 @@ def run_resume_sweep(
     """
     say = progress if progress is not None else (lambda msg: None)
     ckpt = load_checkpoint(resume_from)
-    chosen = list(seed_list) if seed_list is not None else list(range(1, seeds + 1))
+    chosen = _chosen_seeds(seeds, seed_list)
     solver, method, distribution = (
         str(ckpt.config.get(key, "?")) for key in ("solver", "method", "distribution")
     )
@@ -464,7 +368,6 @@ def run_resume_sweep(
         particles=ckpt.n_particles,
         seeds=chosen,
         trajectories=1 + len(chosen),
-        probes=0,
         failures=failures,
         distributions=(distribution,),
     )

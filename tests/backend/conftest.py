@@ -63,8 +63,8 @@ def make_machine(request):
 @pytest.fixture
 def watchdog():
     """Hang-proofing helper: run a callable on a daemon thread and fail the
-    test if it doesn't finish (the ``tests/simmpi/test_spmd`` pattern — a
-    stuck exchange must become a test failure, never a stuck pytest).
+    test if it doesn't finish — a stuck exchange must become a test
+    failure, never a stuck pytest.
     Returns the callable's value, re-raises its exception.
     """
 

@@ -165,7 +165,7 @@ def test_tuple_of_non_arrays_rejected_by_default():
 
 
 def test_pickle_fallback_roundtrips_arbitrary_objects():
-    """The SPMD mailboxes carry arbitrary objects — pickle lane only."""
+    """Arbitrary objects take the pickle lane, and only when asked to."""
     batch = [("hello", 3), {"k": [1, 2]}, 1.5, np.arange(4)]
     decoded = roundtrip(batch, allow_pickle=True)
     assert decoded[0] == ("hello", 3)

@@ -21,8 +21,8 @@ DIGESTS = {
         "fd567c11bd30170d73f689e5d53f7faddac108d8af2930d5c27a645cadd9851a",
     ),
     "chaos-seed-17": (
-        "c314ff642b79f7b99ccbfafe16b869cc5f4a80339a7df529a12939ab9b2c0e0c",
-        "abd948c40eef00ef8cd735de27c9a6db7e2978642110f56bb278e636fc8d5276",
+        "91723026ac0084abc8db6e322d686aa89a78f55fd2205e3c8195093caeb8f193",
+        "45cd7c49e1894f1150b75c53d83a3d7a3480fa68a4d90f7e953605ee08f168c2",
     ),
 }
 
@@ -54,3 +54,12 @@ def test_quick_scenario_writes_both_artifacts(tmp_path, capsys, extra):
 
     scenario = "chaos-seed-17" if extra else "quick"
     assert (sha256(tmp_path / "spans.ndjson"), sha256(tmp_path / "trace.json")) == DIGESTS[scenario]
+
+
+def test_negative_chaos_seed_exits_2_naming_the_flag(tmp_path, capsys):
+    # was: the run started and died in the RNG with a numpy traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", "--chaos-seed", "-1", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --chaos-seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1,9 +1,9 @@
-"""Chaos harness: Perturbation sampling, machine wiring, scheduler legality."""
+"""Chaos harness: Perturbation sampling and machine wiring."""
 
 import numpy as np
 import pytest
 
-from repro.simmpi.chaos import MailboxScheduler, Perturbation
+from repro.simmpi.chaos import Perturbation
 from repro.simmpi.collectives import alltoallv
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.machine import Machine
@@ -23,7 +23,6 @@ class TestPerturbationConfig:
         assert not a.is_null
         assert a == b
         assert a != Perturbation.sample(8)
-        assert a.reorder
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -43,14 +42,20 @@ class TestPerturbationConfig:
             Perturbation(**kwargs)
 
     def test_describe_mentions_active_knobs(self):
-        p = Perturbation(
-            seed=3, compute_jitter=0.2, extra_latency=1e-5, reorder=True
-        )
+        p = Perturbation(seed=3, compute_jitter=0.2, extra_latency=1e-5)
         text = p.describe()
         assert "seed=3" in text
         assert "jitter=" in text
         assert "lat+" in text
-        assert "reorder" in text
+
+    @pytest.mark.parametrize(
+        "make", [Perturbation.sample, lambda seed: Perturbation(seed=seed)],
+        ids=["sample", "constructor"],
+    )
+    def test_negative_seed_is_refused_naming_it(self, make):
+        # was a raw numpy "expected non-negative integer" from the RNG draw
+        with pytest.raises(ValueError, match="chaos seed must be non-negative, got -1"):
+            make(-1)
 
 
 class TestPerturbationDraws:
@@ -59,7 +64,6 @@ class TestPerturbationDraws:
         assert p.compute_factors(8) is None
         assert p.comm_factors(8) is None
         assert p.initial_clocks(8) is None
-        assert p.scheduler() is None
 
     def test_draws_are_seed_deterministic(self):
         p = Perturbation.sample(5)
@@ -176,40 +180,3 @@ class TestMachinePerturb:
                 assert sa == sb
                 np.testing.assert_array_equal(pa, pb)
         assert chaotic.elapsed() > plain.elapsed()
-
-
-class TestMailboxScheduler:
-    def test_choose_is_legal_and_seeded(self):
-        s1, s2 = MailboxScheduler(42), MailboxScheduler(42)
-        picks1 = [s1.choose(5) for _ in range(50)]
-        picks2 = [s2.choose(5) for _ in range(50)]
-        assert picks1 == picks2
-        assert all(0 <= p < 5 for p in picks1)
-        assert len(set(picks1)) > 1  # actually permutes
-
-    def test_choose_single_candidate_is_forced(self):
-        s = MailboxScheduler(1)
-        assert all(s.choose(1) == 0 for _ in range(10))
-        assert s.choose(0) == 0
-
-    def test_shuffled_is_permutation(self):
-        s = MailboxScheduler(7)
-        items = list(range(10))
-        out = s.shuffled(items)
-        assert sorted(out) == items
-        assert items == list(range(10))  # input untouched
-
-    def test_maybe_yield_is_bounded(self):
-        import time
-
-        s = MailboxScheduler(3, yield_probability=1.0, max_sleep=1e-4)
-        start = time.perf_counter()
-        for _ in range(20):
-            s.maybe_yield()
-        assert time.perf_counter() - start < 1.0
-
-    def test_perturbation_scheduler_is_fresh_each_call(self):
-        p = Perturbation.sample(11)
-        a, b = p.scheduler(), p.scheduler()
-        assert a is not b
-        assert [a.choose(7) for _ in range(20)] == [b.choose(7) for _ in range(20)]

@@ -21,7 +21,6 @@ from repro.perf import instrument
 from repro.simmpi import collectives
 from repro.simmpi.machine import Machine
 from repro.simmpi.p2p import exchange_pairs, send_round, sendrecv
-from repro.simmpi.spmd import run_spmd
 from repro.verify.audit import enable_auditing
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -34,7 +33,6 @@ WRITE_HOOKS = (
     ("trace", "bump"),
     (None, "record_wall"),
     (None, "on_charge"),
-    (None, "on_rank_charge"),
     (None, "on_mirrored_charge"),
     (None, "on_count"),
 )
@@ -132,8 +130,6 @@ def _exercise(machine):
     sendrecv(machine, 0, 1, a, "p")
     send_round(machine, [(0, 1, a), (2, 3, a)], "p")
     exchange_pairs(machine, np.array([[0, 1], [2, 3]]), np.full((2, 2), a.nbytes), "p")
-    run_spmd(machine, lambda ctx: ctx.sendrecv((ctx.rank + 1) % ctx.nprocs, a,
-                                               (ctx.rank - 1) % ctx.nprocs))
     machine.count("events", 3)
     machine.count("labeled", solver="fmm")
 

@@ -8,7 +8,6 @@ import pytest
 EXAMPLES = [
     ("domain_decomposition_viz.py", ["4", "8"]),
     ("resort_indices_demo.py", []),
-    ("spmd_halo_exchange.py", []),
     ("quickstart.py", []),
     ("md_coupled_simulation.py", ["2"]),
     ("thermostatted_md.py", ["2"]),

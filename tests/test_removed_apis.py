@@ -72,6 +72,10 @@ FORBIDDEN = [
     # a machine is ``Machine(nprocs, profile=, perturbation=)``; tests/backend
     # has a fixture of that name
     (r"make_machine", ("src", "benchmarks", "examples"), ()),
+    # no figure, solver, checkpoint or CLI ran a rank program: the SPMD
+    # runtime, the DST probe that only tested it and its mailbox example are gone
+    (r"run_spmd|SPMDContext|SPMDDeadlock|MailboxScheduler|run_order_invariance_probe"
+     r"|probe_rounds|spmd-probe|spmd_halo_exchange", EVERYWHERE, ()),
 ]
 
 #: ``(module, attribute path)`` that must not resolve
@@ -148,6 +152,11 @@ REMOVED = [
     ("repro.md.simulation", "SimulationConfig.balance_phases"),
     ("repro.simmpi.tracing", "PhaseStats.alloc_bytes"),
     ("repro.solvers.base", "RunReport.rank_work"),
+    # the SPMD runtime and what acted only through it
+    ("repro.simmpi", "spmd"),
+    ("repro.simmpi.chaos", "Perturbation.scheduler"),
+    ("repro.simmpi.chaos", "Perturbation.reorder"),
+    ("repro.backend.base", "ExecutionBackend.post_ticket"),
 ]
 
 
@@ -157,7 +166,7 @@ REMOVED = [
     ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
          "fuse-resort", "plan-twins", "in-tree-timers", "vacuous-checks",
          "per-message-bridge", "unreached-capabilities", "ckpt-v1-copies",
-         "one-checked-loop", "machine-factory"],
+         "one-checked-loop", "machine-factory", "spmd-runtime"],
 )
 def test_removed_name_is_not_spelled(pattern, trees, allowed):
     regex = re.compile(pattern)

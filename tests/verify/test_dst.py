@@ -1,6 +1,5 @@
-"""DST runner: schedule-independence sweep, probes, failure reporting."""
+"""DST runner: schedule-independence sweep, failure reporting."""
 
-import numpy as np
 import pytest
 
 from repro.md.simulation import Simulation, SimulationConfig
@@ -13,7 +12,6 @@ from repro.verify.dst import (
     DstFailure,
     ledger_fingerprint,
     run_dst,
-    run_order_invariance_probe,
 )
 from repro.verify.invariants import state_fingerprint
 from repro.verify.trajectory import CellSpec, Fingerprint, build_run, play
@@ -28,12 +26,10 @@ class TestSweep:
             steps=2,
             nprocs=4,
             n_particles=16,
-            probe_rounds=1,
         )
         assert report.ok, report.failures
         # 2 cells x (1 reference + 2 seeds)
         assert report.trajectories == 6
-        assert report.probes == 3  # 1 round x (reference + 2 seeds)
         assert "ok" in report.summary()
 
     def test_explicit_seed_list_including_null(self):
@@ -44,7 +40,6 @@ class TestSweep:
             nprocs=4,
             n_particles=16,
             seed_list=[0, 5],
-            probe_rounds=1,
         )
         assert report.ok, report.failures
         assert report.seeds == [0, 5]
@@ -58,10 +53,14 @@ class TestSweep:
             steps=1,
             nprocs=4,
             n_particles=16,
-            probe_rounds=0,
             progress=lines.append,
         )
         assert any("direct/A" in line for line in lines)
+
+    def test_zero_seed_sweep_is_refused(self):
+        # was: an "[ok]" report that had checked no perturbed run
+        with pytest.raises(ValueError, match="seeds >= 1, got 0"):
+            run_dst(["direct"], ["A"], seeds=0, steps=1, nprocs=2, n_particles=8)
 
     def test_default_matrix_excludes_adaptive(self):
         assert "adaptive" not in DEFAULT_METHODS
@@ -211,18 +210,20 @@ class TestCli:
         assert code == 0
         assert "distributions=['clustered']" in out
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--seed-list", "-1"], "--seed-list"), (["--seeds", "0"], "--seeds")],
+    )
+    def test_bad_seed_flags_exit_2_before_any_run(self, capsys, flags, named):
+        """Was: ``--seed-list -1`` played the reference schedule, then died
+        in the RNG with a numpy traceback; ``--seeds 0`` reported success."""
+        from repro.verify.__main__ import main_dst
 
-class TestOrderInvarianceProbe:
-    def test_probe_passes_for_sampled_seeds(self):
-        failures = run_order_invariance_probe(4, [1, 2, 3], rounds=2)
-        assert failures == []
-
-    def test_probe_flags_divergence_not_silence(self):
-        """The probe program really exercises wildcard receives: the traffic
-        pattern must contain at least one rank with several sources."""
-        from repro.verify.dst import _PROBE_SALT, _probe_traffic
-
-        rng = np.random.default_rng([_PROBE_SALT, 0, 0])
-        sends, expected = _probe_traffic(4, rng)
-        assert sum(expected) == sum(len(s) for s in sends)
-        assert max(expected) >= 1
+        cell = ["--solvers", "direct", "--methods", "A", "--steps", "1",
+                "--particles", "8", "--nprocs", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main_dst(cell + flags)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {named}" in captured.err
+        assert "reference schedule" not in captured.out

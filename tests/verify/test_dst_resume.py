@@ -26,7 +26,6 @@ class TestKillResume:
             steps=3,
             nprocs=2,
             n_particles=12,
-            probe_rounds=0,
             kill_at=2,
         )
         assert report.ok, [f.detail for f in report.failures]
@@ -41,7 +40,6 @@ class TestKillResume:
                 steps=2,
                 nprocs=2,
                 n_particles=12,
-                probe_rounds=0,
                 kill_at=kill_at,
             )
             assert report.ok, [f.detail for f in report.failures]
@@ -54,7 +52,6 @@ class TestKillResume:
             steps=2,
             nprocs=2,
             n_particles=12,
-            probe_rounds=0,
             kill_at=1,
             ckpt_dir=str(tmp_path),
         )
@@ -65,7 +62,7 @@ class TestKillResume:
         with pytest.raises(ValueError, match="kill_at"):
             run_dst(
                 ["direct"], ["A"], seed_list=[1], steps=2, nprocs=2,
-                n_particles=12, probe_rounds=0, kill_at=5,
+                n_particles=12, kill_at=5,
             )
 
     def test_failure_repro_command_carries_kill_at(self):

@@ -156,7 +156,7 @@ class TestPlanAccounting:
         the plan's direct route is what Bruck forwarding does."""
         report = run_dst(
             [solver], ["B"], seeds=1, steps=3, nprocs=nprocs, n_particles=n,
-            algos=["bruck"], probe_rounds=0,
+            algos=["bruck"],
         )
         assert report.ok, report.failures
 

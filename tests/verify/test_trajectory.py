@@ -19,7 +19,7 @@ from repro.verify.trajectory import CellSpec, build_run, play
 
 def kill_cell(**kwargs):
     cell = dict(
-        seed_list=[3], steps=3, nprocs=4, n_particles=24, probe_rounds=0, kill_at=2
+        seed_list=[3], steps=3, nprocs=4, n_particles=24, kill_at=2
     )
     cell.update(kwargs)
     report = run_dst(["fmm"], ["B+move"], **cell)
