@@ -74,7 +74,7 @@ class SimulationConfig:
     #: ``"brownian"`` replaces the forces by persistent randomly rotating
     #: velocities of fixed per-step displacement ``brownian_step`` — a
     #: surrogate for the melt's diffusive drift used by the long-running
-    #: redistribution benchmarks (all redistribution stays data-real)
+    #: redistribution benchmarks (every redistribution stays charged in full)
     dynamics: str = "force"
     brownian_step: float = 0.05
     #: for ``method="adaptive"``: how many steps between re-evaluations of

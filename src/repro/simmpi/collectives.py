@@ -114,6 +114,10 @@ class Exchange:
     ``(columns, recv_offsets)``: rank ``j`` received the rows
     ``recv_offsets[j]:recv_offsets[j + 1]`` of the returned column buffers,
     grouped by source rank.
+
+    ``keep``, when set, names the ascending receive positions (of the rows
+    :meth:`recv_rows` lists without it) to deliver; the rest are charged,
+    audited and traced as travelling but not copied.
     """
 
     columns: Tuple[np.ndarray, ...]
@@ -121,6 +125,7 @@ class Exchange:
     msg_src: np.ndarray
     msg_dst: np.ndarray
     row_ptr: np.ndarray
+    keep: Optional[np.ndarray] = None
 
     @property
     def row_nbytes(self) -> int:
@@ -153,6 +158,12 @@ class Exchange:
             self.row_index.min() < 0 or self.row_index.max() >= n_rows
         ):
             raise ValueError("Exchange.row_index points outside the column buffers")
+        keep = self.keep
+        if keep is not None and not (
+            keep.ndim == 1 and keep.dtype == np.int64 and np.all(np.diff(keep) > 0)
+            and (not keep.size or 0 <= keep[0] and keep[-1] < self.row_index.shape[0])
+        ):
+            raise ValueError("Exchange.keep must be ascending, distinct int64 receive positions")
         if n_messages == 0:
             return
         if self.msg_src.min() < 0 or self.msg_src.max() >= nprocs:
@@ -176,22 +187,31 @@ class Exchange:
         return by_dst, lens, np.cumsum(lens) - lens
 
     def recv_rows(self, nprocs: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Which buffer row every received row is a copy of, in ``(dst,
-        src)`` order, and the ``recv_offsets`` splitting them by receiver.
+        """Which buffer row every received row (every kept one, when
+        :attr:`keep` is set) is a copy of, in ``(dst, src)`` order, and the
+        ``recv_offsets`` splitting them by receiver.
 
         The send-side order ``row_index`` and the regrouping of whole
         messages by destination are composed into one index vector, so no
-        send buffer is materialized between the two.
+        send buffer is materialized between the two; a kept subset is found
+        message by message (one bisection each), never cut out of the whole.
         """
         by_dst, lens, starts = self._receive_order()
+        rows_to = np.zeros(nprocs, dtype=np.int64)
+        np.add.at(rows_to, self.msg_dst, np.diff(self.row_ptr))
+        recv_offsets = np.concatenate(([0], np.cumsum(rows_to)))
+        if self.keep is None:
+            positions = np.arange(self.row_index.shape[0])
+        else:
+            positions = self.keep
+            lens = np.diff(np.searchsorted(positions, np.append(starts, self.row_index.shape[0])))
+            recv_offsets = np.searchsorted(positions, recv_offsets)
         gather = np.repeat(self.row_ptr[:-1][by_dst] - starts, lens)
-        gather += np.arange(self.row_index.shape[0])
+        gather += positions
         # every index is in range; ``clip`` lets the gather overwrite its own
         # index vector unbuffered (entry i is read before entry i is written)
         np.take(self.row_index, gather, out=gather, mode="clip")
-        rows_to = np.zeros(nprocs, dtype=np.int64)
-        np.add.at(rows_to, self.msg_dst, np.diff(self.row_ptr))
-        return gather, np.concatenate(([0], np.cumsum(rows_to)))
+        return gather, recv_offsets
 
     def recv_positions(self, positions: np.ndarray) -> np.ndarray:
         """Where the rows at the ascending route ``positions`` (indices into

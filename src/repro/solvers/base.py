@@ -175,10 +175,12 @@ class Solver:
             raise ValueError(f"rank {rank}: non-finite particle position or charge")
 
     def _set_compute_mode(self, compute: str) -> None:
-        """``"skip"`` omits the force arithmetic (results are zeros) while
-        keeping every redistribution operation data-real and charging the
-        solver compute from analytic workload estimates — used by the
-        long-running scaling benchmarks (DESIGN.md §5)."""
+        """``"skip"`` omits the force arithmetic (results are zeros) and
+        charges the solver compute from analytic workload estimates — used
+        by the long-running scaling benchmarks (DESIGN.md §5).  Every row a
+        later phase reads still goes through the transport; the ghost and
+        halo copies only the skipped arithmetic would read are charged in
+        full, not copied."""
         if compute not in ("full", "skip"):
             raise ValueError(f"compute must be 'full' or 'skip', got {compute!r}")
         self.compute_mode = compute
@@ -287,7 +289,8 @@ class Solver:
         rank-major, with ``pos``, ``q`` and the :attr:`origin_column`; the
         near field's sources as the solver keeps them, rank-major (the FMM's
         halo copies, the grid solvers' owned + ghost particles — handed to
-        :meth:`_compute` unread); the :data:`COMM_KINDS` entry describing the
+        :meth:`_compute` unread; in skip mode only what the transport
+        delivered, no halo or ghost copy); the :data:`COMM_KINDS` entry describing the
         exchange that ran (the resort indices and any follow-up resort use
         the same); and the free-form strategy label of
         :attr:`RunReport.strategy`.

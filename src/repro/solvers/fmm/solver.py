@@ -32,6 +32,7 @@ construction; DESIGN.md §5 records the simplification.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Optional, Tuple
 
@@ -286,7 +287,8 @@ class FMMSolver(Solver):
         blocks: RankMajor,
         ownership: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> RankMajor:
-        """Send boundary-box particle copies to ranks owning adjacent boxes."""
+        """Send boundary-box particle copies to ranks owning adjacent boxes
+        (charged in full; delivered only when the near field runs)."""
         rank_ids, min_keys, max_keys = ownership
         P = self.machine.nprocs
         nside = self.tree.nside_leaf
@@ -348,6 +350,8 @@ class FMMSolver(Solver):
             int(seg_len.sum())
         )
         route = sorted_route(packed, 1 << rank_bits, elems, rows=seg_len)
+        if self.compute_mode == "skip":  # only the near field reads a halo copy
+            route = dataclasses.replace(route, keep=np.empty(0, dtype=np.int64))
         return redistribute_flat(self.machine, halo_in.data, route, "halo", "neighborhood")
 
     def _estimate_far_stats(self, n_total: int):

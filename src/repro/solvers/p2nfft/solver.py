@@ -27,6 +27,7 @@ Execution of one ``fcs_run`` (Sect. II-C / III of the paper); steps 1-2 are
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import List, Optional, Tuple
 
@@ -276,6 +277,8 @@ class GridSolver(Solver):
         self.alpha: Optional[float] = None
         self.near: Optional[LinkedCellNearField] = None
         self.grid: Optional[CartGrid] = None
+        #: per-rank owned + ghost copies the last placement routed
+        self.copies: Optional[np.ndarray] = None
 
     def _tune_grid(self, alpha: float) -> None:
         """Adopt the tuned splitting: build cells and process grid, agree."""
@@ -289,7 +292,10 @@ class GridSolver(Solver):
     def _place(self, particles: ParticleSet, max_move: Optional[float]):
         """One fine-grained redistribution to the owning grid ranks, ghosts
         included (phase ``sort``); returns the owned and the owned+ghost
-        particles, both rank-major."""
+        particles, both rank-major.  Skipping the force arithmetic, no ghost
+        is read: the exchange is charged in full but delivers the owner copies
+        alone, returned twice.  Cell binning is charged on the route's
+        :attr:`copies`."""
         machine = self.machine
         neighborhood = (
             max_move is not None and p2nfft_prefers_neighborhood(self.grid, max_move)
@@ -310,11 +316,15 @@ class GridSolver(Solver):
             index=initial_numbering(particles.counts()).data,
         )
         machine.compute(kernels.KEY_GENERATION * particles.counts(), phase="keygen")
-        local_all = redistribute_flat(machine, rows, route, phase="sort", comm=comm)
-
         # the owner copies were marked on the route; the route says where
         # each of its messages lands, so the delivered copies are not read
         own = route.recv_positions(owned_pairs)
+        self.copies = np.bincount(route.msg_dst, np.diff(route.row_ptr), self.grid.nprocs)
+        keep = own if self.compute_mode == "skip" else None
+        route = dataclasses.replace(route, keep=keep)
+        local_all = redistribute_flat(machine, rows, route, phase="sort", comm=comm)
+        if keep is not None:
+            return local_all, local_all, comm, f"grid+{comm}"
         owned = RankMajor(local_all.data.take(own), np.searchsorted(own, local_all.offsets))
         return owned, local_all, comm, f"grid+{comm}"
 
@@ -434,7 +444,7 @@ class P2NFFTSolver(GridSolver):
         P = machine.nprocs
         new_counts = owned.counts
         pot, field, near_cost = self._near_field(owned, local_all)
-        bin_cost = kernels.CELL_BINNING * local_all.counts.astype(np.float64)
+        bin_cost = kernels.CELL_BINNING * self.copies
         machine.compute(near_cost + bin_cost, phase="near")
 
         if self.compute_mode == "full":

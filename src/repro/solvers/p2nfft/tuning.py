@@ -28,11 +28,12 @@ _REFERENCE_ACCURACY = 1e-3
 
 
 def suggest_cutoff(box: np.ndarray, n: int) -> float:
-    """A density-balanced default cutoff (~25 neighbors per particle)."""
+    """A density-balanced default cutoff (~25 neighbors per particle), at
+    most half the shortest box side (that, for no particles)."""
     box = np.asarray(box, dtype=np.float64)
     volume = float(np.prod(box))
     rho = n / volume
-    rc = (3.0 * 25.0 / (4.0 * math.pi * rho)) ** (1.0 / 3.0)
+    rc = (3.0 * 25.0 / (4.0 * math.pi * rho)) ** (1.0 / 3.0) if rho > 0 else math.inf
     return min(rc, 0.5 * float(box.min()))
 
 

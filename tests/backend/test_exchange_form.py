@@ -12,6 +12,8 @@ by one gather, in-process or by the backend's workers; only the
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,43 @@ def test_descriptor_is_the_same_exchange(make_machine, seed, count_exchange):
     assert observed(as_buffer) == observed(as_dicts)
 
 
+def kept_positions(exchange, seed):
+    """Receive positions to keep: none, every one, and a random subset
+    that keeps no row of any message to one receiving rank."""
+    total = exchange.row_index.shape[0]
+    rng = np.random.default_rng(seed)
+    _rows, offsets = exchange.recv_rows(P)
+    dropped = int(rng.integers(0, P))
+    subset = np.flatnonzero(rng.random(total) < 0.6)
+    subset = subset[(subset < offsets[dropped]) | (subset >= offsets[dropped + 1])]
+    return {"none": np.empty(0, dtype=np.int64), "every": np.arange(total), "subset": subset}
+
+
+@pytest.mark.timeout(300)
+@pytest.mark.parametrize("seed", range(8))
+def test_kept_rows_are_the_delivery_indexed(make_machine, seed):
+    """An exchange with ``keep`` delivers exactly the rows the whole
+    delivery holds at those positions, cut by receiver — and is charged,
+    traced and audited as the whole exchange; over ``process:2`` only the
+    kept rows are written to shared memory."""
+    exchange, _sends = random_exchange(seed)
+    whole = make_machine(P)
+    columns, offsets = alltoallv(whole, exchange, "x")
+    for name, keep in kept_positions(exchange, seed).items():
+        machine = make_machine(P)
+        backend = machine.backend
+        before = backend.counters["backend.shm_bytes"] if backend is not None else 0
+        got, got_offsets = alltoallv(machine, dataclasses.replace(exchange, keep=keep), "x")
+        for g, c in zip(got, columns):
+            assert g.dtype == c.dtype
+            np.testing.assert_array_equal(g, c[keep])
+        np.testing.assert_array_equal(got_offsets, np.searchsorted(keep, offsets))
+        assert observed(machine) == observed(whole), name
+        if backend is not None:
+            shipped = backend.counters["backend.shm_bytes"] - before
+            assert shipped == sum(c[keep].nbytes for c in columns), name
+
+
 @pytest.mark.timeout(300)
 def test_neighborhood_peer_check_fires_on_a_descriptor(make_machine):
     nprocs = 16
@@ -121,6 +160,11 @@ class TestMalformedDescriptor:
         (dict(row_index=np.array([0, 1, 2, 6])), "outside the column buffers"),
         (dict(columns=(np.arange(6.0), np.arange(5))), "differ in length"),
         (dict(row_index=np.array([0.0, 1.0, 2.0, 3.0])), "int64"),
+        (dict(keep=np.array([2, 1])), "Exchange.keep"),
+        (dict(keep=np.array([1, 1])), "Exchange.keep"),
+        (dict(keep=np.array([0, 4])), "Exchange.keep"),
+        (dict(keep=np.array([-1, 0])), "Exchange.keep"),
+        (dict(keep=np.array([0.0, 1.0])), "Exchange.keep"),
     ]
 
     @pytest.mark.parametrize("changes, message", MALFORMED)

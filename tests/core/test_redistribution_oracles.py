@@ -481,9 +481,9 @@ def fmm_state(nprocs, n, seed, periodic, clustered):
         capacity_factor=8.0,
     )
 
-    def build():
+    def build(compute="full"):
         machine = audited(nprocs)
-        fcs = fcs_init("fmm", machine, order=2, depth=depth, lattice_shells=1, compute="skip")
+        fcs = fcs_init("fmm", machine, order=2, depth=depth, lattice_shells=1, compute=compute)
         fcs.set_common(box=box, periodic=periodic)
         fcs.tune(pset)
         blocks, _ = fcs.solver._sort(fcs.solver._make_blocks(pset), None)
@@ -503,7 +503,9 @@ class TestHaloAgainstLoop:
     )
     def test_same_halo(self, nprocs, n, seed, periodic, clustered):
         """Periodic and open trees; clustered particles make a box straddle
-        consecutive ranks; with n < P some ranks are empty."""
+        consecutive ranks; with n < P some ranks are empty.  Skipping the
+        force arithmetic, the same exchange is charged and no copy is
+        delivered."""
         build = fmm_state(nprocs, n, seed, periodic, clustered)
         want_machine, want_solver, blocks = build()
         with spying(redistribution_oracles, "fine_grained_redistribute_loop") as loop_calls:
@@ -525,6 +527,12 @@ class TestHaloAgainstLoop:
         )
         (_machine, _block, route, _phase, _comm), _kwargs = calls[0]
         assert_same_route(route, want_route)
+
+        skip_machine, skip_solver, blocks = build("skip")
+        skipped = skip_solver._halo_exchange(blocks, skip_solver._ownership(blocks))
+        assert skipped.data.names() == got.data.names()
+        assert skipped.data.n == 0 and not skipped.offsets.any()
+        assert observed(skip_machine) == observed(want_machine)
 
 
 # ------------------------------------------------ resort plan and scatters
@@ -871,7 +879,9 @@ class TestGridPlacementAgainstOrigins:
         owned rows bit for bit — on narrow grids where ghosts wrap onto the
         owner and the dedup runs, with empty ranks, fewer rows than ranks,
         no rows at all, every row in one subdomain and repeated rows a hair
-        below the upper face; and the ``fcs_run`` of that input completes."""
+        below the upper face; and the ``fcs_run`` of that input completes.
+        Skipping the force arithmetic, the transport delivers those owned
+        rows and nothing else, charged the same."""
         rng = np.random.default_rng(seed)
         box, offset = np.array([7.0, 5.0, 6.0]), np.array([-1.0, 0.5, 2.0])
         grid = CartGrid(nprocs, box, offset)
@@ -886,13 +896,19 @@ class TestGridPlacementAgainstOrigins:
             [q[a:b] for a, b in zip(offsets[:-1], offsets[1:])],
             capacity_factor=float(nprocs),
         )
-        fcs = fcs_init("p2nfft", Machine(nprocs), cutoff=rc, compute="skip")
-        fcs.set_common(box=box, offset=offset, periodic=True)
-        fcs.set_resort(True)
-        fcs.tune(particles)
-        assert fcs.solver.grid.dims == grid.dims
+        solvers = {}
+        for compute in ("full", "skip"):
+            fcs = fcs_init("p2nfft", Machine(nprocs), cutoff=rc, compute="skip")
+            fcs.set_common(box=box, offset=offset, periodic=True)
+            fcs.set_resort(True)
+            fcs.tune(particles)
+            assert fcs.solver.grid.dims == grid.dims
+            # a full-compute placement without the near-field cells and mesh
+            # a full-compute tune builds (at a tiny cutoff, gigabytes of cells)
+            fcs.solver._set_compute_mode(compute)
+            solvers[compute] = fcs
 
-        owned, local_all, _comm, _strategy = fcs.solver._place(particles, max_move)
+        owned, local_all, _comm, _strategy = solvers["full"].solver._place(particles, max_move)
         w = np.mod(pos - offset, box)
         owner = grid.rank_of_positions(offset + np.where(w < box, w, 0.0))
         want_own, want = owned_copies_by_origin(local_all, owner, offsets)
@@ -901,6 +917,16 @@ class TestGridPlacementAgainstOrigins:
         np.testing.assert_array_equal(owned.offsets, want.offsets)
         assert_same_blocks([owned.data], [want.data])
 
+        skipped, delivered, _comm, _strategy = solvers["skip"].solver._place(particles, max_move)
+        assert delivered is skipped
+        np.testing.assert_array_equal(skipped.offsets, want.offsets)
+        assert_same_blocks([skipped.data], [want.data])
+        np.testing.assert_array_equal(solvers["skip"].solver.copies, local_all.counts)
+        assert [i for i in solvers["skip"].machine.trace.items() if i[0] == "sort"] == [
+            i for i in solvers["full"].machine.trace.items() if i[0] == "sort"
+        ]
+
+        fcs = solvers["skip"]
         report = fcs.run(particles)
         if report.changed:
             np.testing.assert_array_equal(report.new_counts, want.counts)

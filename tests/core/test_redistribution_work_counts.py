@@ -94,13 +94,15 @@ def _one_step(solver, nprocs, machine=None):
 
 
 #: ``ColumnBlock`` constructions of one method-B ``fcs_run``, whatever P is.
-#: P2NFFT — _place: the input rows, the delivered buffer, the owned rows;
+#: P2NFFT — _place: the input rows, the delivered buffer (the owned rows:
+#: skipping the arithmetic, no ghost is delivered to be cut away);
 #: run: the new layout, and the store's own block of it on install;
 #: invert_indices: its rows, the delivered buffer, its index-free view, the
 #: placed buffer.  FMM — keygen rows, the local sort's gather, the sort's
 #: delivered buffer, its merge gather, the halo's column-dropped view and
-#: delivered buffer, then the same six.
-BLOCKS_PER_RUN = {"p2nfft": 9, "fmm": 12}
+#: (empty) delivered buffer, then the same six.  (P2NFFT was 9 while every
+#: ghost was delivered.)
+BLOCKS_PER_RUN = {"p2nfft": 8, "fmm": 12}
 
 
 @pytest.mark.parametrize("P", [128, 512])
@@ -180,9 +182,11 @@ def test_merge_exchange_round_is_array_work(work):
 def test_grid_placement_decides_ownership_once(solver, monkeypatch, rebind):
     """One ``fcs_run`` of a grid solver turns n positions into cells — not
     the n + delivered (ghosts included, 11.5 n at P = 512) it took to
-    re-derive ownership from every delivered row —, cuts the owned blocks
-    out of one gather whatever P is, and never reaches a stable ``argsort``
-    from the route builder."""
+    re-derive ownership from every delivered row —, takes the owned blocks
+    from the transport with no gather of its own (skip compute; was one),
+    or cuts them out of one gather when every copy is delivered (full
+    compute), whatever P is, and never reaches a stable ``argsort`` from
+    the route builder."""
     seen = {"cell_rows": [], "takes": 0, "place_takes": [], "route_depth": 0, "argsorts": 0}
 
     cell_of_positions = CartGrid.cell_of_positions
@@ -234,7 +238,11 @@ def test_grid_placement_decides_ownership_once(solver, monkeypatch, rebind):
         assert report.changed
         assert machine.trace.totals().messages > 10 * P
         assert seen["cell_rows"] == [N]
-        assert seen["place_takes"] == [1]
+        assert seen["place_takes"] == [0]
+        fcs.solver._set_compute_mode("full")
+        fcs.solver._place(particles, None)
+        fcs.solver._set_compute_mode("skip")
+        assert seen["place_takes"] == [0, 1]
         fcs.resort([[np.zeros((c, 3)) for c in report.old_counts]])
     assert seen["argsorts"] == 0
 
@@ -254,12 +262,15 @@ def test_grid_placement_leaves_nothing_to_the_cycle_collector():
 
 
 def test_grid_placement_picks_owned_copies_without_reading_the_delivery(monkeypatch):
-    """At P = 512 the placement delivers 10.5 copies per particle.  Once the
-    exchange has returned, ``_place`` allocates the owned rows (position,
-    charge, origin: 5 · 8n bytes) and the owner-copy positions (8n bytes) —
+    """At P = 512 the placement routes 10.5 copies per particle.  Delivering
+    them all (full compute), once the exchange has returned ``_place``
+    allocates the owned rows (position, charge, origin: 5 · 8n bytes) —
     under 8 · 8n, where re-deriving ownership from the origin every
-    delivered copy carries took 52 · 8n.  The particles start on their owners
-    (the layout of the step before), so the route has ~27 messages a rank."""
+    delivered copy carries took 52 · 8n.  Skipping the force arithmetic the
+    transport delivers those owned rows alone, n of them, and ``_place``
+    allocates nothing n-sized after it.  The particles start on their
+    owners (the layout of the step before), so the route has ~27 messages a
+    rank."""
     machine, fcs, particles = _one_step("p2nfft", 512)
     fcs.run(particles)
     n = particles.total()
@@ -274,14 +285,21 @@ def test_grid_placement_picks_owned_copies_without_reading_the_delivery(monkeypa
         return local_all
 
     monkeypatch.setattr(p2nfft_solver, "redistribute_flat", delivered)
-    tracemalloc.start()
-    try:
-        fcs.solver._place(particles, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert after["delivered"] > 10 * n
-    assert peak - after["base"] < 8 * 8 * n
+    placed = {}
+    for compute in ("full", "skip"):
+        fcs.solver._set_compute_mode(compute)
+        tracemalloc.start()
+        try:
+            placed[compute] = fcs.solver._place(particles, None)[0]
+            after[compute] = after["delivered"], tracemalloc.get_traced_memory()[1] - after["base"]
+        finally:
+            tracemalloc.stop()
+    (delivered_full, grown_full), (delivered_skip, grown_skip) = after["full"], after["skip"]
+    assert delivered_full > 10 * n and grown_full < 8 * 8 * n
+    assert delivered_skip == n and grown_skip < n  # not a byte per particle
+    np.testing.assert_array_equal(placed["skip"].offsets, placed["full"].offsets)
+    for name in placed["full"].data.names():
+        np.testing.assert_array_equal(placed["skip"].data[name], placed["full"].data[name])
 
 
 def test_fine_grained_has_no_loop_over_messages():

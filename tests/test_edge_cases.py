@@ -58,6 +58,29 @@ class TestMoreRanksThanParticlesPerRank:
         assert int(report.new_counts.sum()) == tiny_system.n
 
 
+class TestNoParticles:
+    """n = 0: a grid solver tunes and runs on an empty system.  (The Ewald
+    solver's density-based cutoff divided by the density and raised a bare
+    ``ZeroDivisionError``; the P2NFFT solver's cost-model cutoff did not.)"""
+
+    @pytest.mark.parametrize("compute", ["full", "skip"])
+    @pytest.mark.parametrize("solver", ["p2nfft", "ewald"])
+    @pytest.mark.parametrize("resort", [False, True])
+    def test_tune_and_run(self, solver, compute, resort):
+        P = 4
+        m = Machine(P)
+        pset = ParticleSet([np.empty((0, 3))] * P, [np.empty(0)] * P)
+        fcs = fcs_init(solver, m, compute=compute)
+        fcs.set_common(box=(6.0, 6.0, 6.0), periodic=True)
+        fcs.set_resort(resort)
+        fcs.tune(pset)
+        assert 0.0 < fcs.solver.rc <= 3.0
+        report = fcs.run(pset)
+        assert report.changed == resort
+        np.testing.assert_array_equal(report.new_counts, np.zeros(P))
+        assert pset.total() == 0 and all(pot.shape == (0,) for pot in pset.pot)
+
+
 class TestSingleRank:
     @pytest.mark.parametrize("solver", ["fmm", "p2nfft", "direct"])
     def test_p1(self, tiny_system, solver):
