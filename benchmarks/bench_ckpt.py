@@ -12,7 +12,8 @@ subsystem on a seeded FMM/method-B trajectory:
   inter-rank payload of the fused seven-column exchange (also exported by
   the obs counter ``resize.moved_bytes``);
 * a restart-equivalence spot check (run 2N ≡ run N + save + restore +
-  run N) so the numbers always describe a *correct* checkpoint path.
+  run N: the DST cell at chaos seed 0 killed halfway) so the numbers always
+  describe a *correct* checkpoint path.
 
 Writes ``BENCH_ckpt.json``.
 
@@ -35,10 +36,10 @@ from repro.ckpt import (
     restore_simulation,
     write_checkpoint,
 )
-from repro.ckpt.equivalence import run_restart_equivalence
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
+from repro.verify.dst import run_dst
 
 
 def build(nprocs, n, steps, seed):
@@ -95,9 +96,9 @@ def main(argv=None):
     up, up_plan = resize_checkpoint(ckpt, args.resize_to)
     down, down_plan = resize_checkpoint(up, args.nprocs)
 
-    cell = run_restart_equivalence("fmm", "B", steps=2, nprocs=2, n_particles=16)
-    if not cell.ok:
-        print(f"restart-equivalence spot check FAILED: {cell.detail}")
+    report = run_dst(["fmm"], ["B"], seed_list=[0], kill_at=2, steps=4, nprocs=2, n_particles=16)
+    if not report.ok:
+        print(f"restart-equivalence spot check FAILED: {report.failures[0].detail}")
         return 1
 
     payload = {
@@ -130,7 +131,7 @@ def main(argv=None):
                 "moved_bytes": down_plan.moved_bytes,
             },
         },
-        "equivalence_ok": cell.ok,
+        "equivalence_ok": report.ok,
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)

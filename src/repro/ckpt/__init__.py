@@ -19,11 +19,12 @@ long-running parallel code needs: **stop, resume, resize**.
   :class:`~repro.core.plan.ResortPlan` engine redistributes every
   checkpointed column in one exchange and recomputes weighted partition
   bounds for the new rank count;
-* :mod:`repro.ckpt.equivalence` — the restart-equivalence test kit: the
-  cell played by :func:`repro.verify.trajectory.play` with a kill, held to
-  the uninterrupted run at every step (imported lazily: it pulls in
-  :mod:`repro.verify`);
-* ``python -m repro.ckpt save/restore/resize/verify`` — the CLI.
+* ``python -m repro.ckpt save/restore/resize/verify`` — the CLI.  Its
+  ``verify`` is the restart-equivalence suite: each cell is the DST cell
+  at chaos seed 0 killed halfway (:func:`repro.verify.dst.run_dst`), which
+  :func:`repro.verify.trajectory.play` holds to the uninterrupted run's
+  state at every step, its ledger and, on the null-perturbed machine, its
+  per-step phase breakdown.
 
 See ``docs/checkpointing.md`` for the file format and guarantees.
 """

@@ -18,13 +18,20 @@ a different rank count through the fused exchange and reports the moved
 bytes.  ``verify`` runs the restart-equivalence suite (run 2N ≡ run N +
 save + restore + run N) over the solver × method grid and exits non-zero
 on any divergence — the checkpoint entry point of the CI ``verify`` job.
+Each cell is the DST cell at chaos seed 0 killed halfway
+(:func:`repro.verify.dst.run_dst` with ``seed_list=[0], kill_at=N,
+steps=2N``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
+from contextlib import nullcontext
 from typing import List, Optional
+
+from repro.md.simulation import step_count
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -42,7 +49,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     save.add_argument("--solver", default="fmm")
     save.add_argument("--method", default="B")
-    save.add_argument("--steps", type=int, default=3)
+    save.add_argument("--steps", type=step_count, default=3)
     save.add_argument("--nprocs", type=int, default=4)
     save.add_argument("--particles", type=int, default=24)
     save.add_argument("--seed", type=int, default=0)
@@ -54,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     restore.add_argument("--path", required=True, metavar="PATH")
     restore.add_argument(
-        "--steps", type=int, default=0, help="continuation steps (default 0)"
+        "--steps", type=step_count, default=0, help="continuation steps (default 0)"
     )
 
     resize = sub.add_parser(
@@ -70,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--solvers", nargs="+", default=None, metavar="SOLVER")
     verify.add_argument("--methods", nargs="+", default=None, metavar="METHOD")
-    verify.add_argument("--steps", type=int, default=2)
+    verify.add_argument("--steps", type=step_count, default=2)
     verify.add_argument("--nprocs", type=int, default=2)
     verify.add_argument("--particles", type=int, default=16)
     verify.add_argument(
@@ -135,33 +142,24 @@ def _cmd_resize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from repro.ckpt.equivalence import (
-        EQUIVALENCE_METHODS,
-        EQUIVALENCE_SOLVERS,
-        run_equivalence_suite,
-    )
+    from repro.verify.dst import DEFAULT_METHODS, DEFAULT_SOLVERS, run_dst
 
     if args.quick:
         solvers = args.solvers or ["direct", "fmm"]
         methods = args.methods or ["A", "B+move"]
     else:
-        solvers = args.solvers or list(EQUIVALENCE_SOLVERS)
-        methods = args.methods or list(EQUIVALENCE_METHODS)
-    cells = run_equivalence_suite(
-        solvers,
-        methods,
-        steps=args.steps,
-        nprocs=args.nprocs,
-        n_particles=args.particles,
-        via_file=args.via_file,
-        progress=print,
-    )
-    failed = [c for c in cells if not c.ok]
-    print(
-        f"restart-equivalence: {len(cells) - len(failed)}/{len(cells)} "
-        f"cells ok"
-    )
-    return 1 if failed else 0
+        solvers = args.solvers or list(DEFAULT_SOLVERS)
+        methods = args.methods or list(DEFAULT_METHODS)
+    with tempfile.TemporaryDirectory() if args.via_file else nullcontext() as ckpt_dir:
+        report = run_dst(
+            solvers, methods, seed_list=[0], steps=2 * args.steps, kill_at=args.steps,
+            nprocs=args.nprocs, n_particles=args.particles, ckpt_dir=ckpt_dir, progress=print,
+        )
+    for failure in report.failures:
+        print(f"ckpt: {failure.solver}/{failure.method} FAILED — {failure.detail}")
+    cells = len(solvers) * len(methods)
+    print(f"restart-equivalence: {cells - len(report.failures)}/{cells} cells ok")
+    return 1 if report.failures else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -6,9 +6,10 @@ redistribution method,
     run 2N steps  ≡  run N + save + restore + run N
 
 with byte-identical state fingerprints after every step, and identical step
-records, traces and auditor ledgers.  :mod:`repro.ckpt.equivalence` holds
-it: :func:`~repro.verify.trajectory.play` with ``kill_at=N`` against the
-uninterrupted run.  The implementation reaches that in five ordered phases:
+records, traces and auditor ledgers.  The DST cell at chaos seed 0 with
+``kill_at=N`` (``python -m repro.ckpt verify``) holds it:
+:func:`~repro.verify.trajectory.play` against the uninterrupted run.  The
+implementation reaches that in five ordered phases:
 
 1. build a fresh :class:`~repro.md.simulation.Simulation` from the
    checkpointed global state (construction charges no machine cost);

@@ -21,6 +21,7 @@ deltas — the data behind each of the paper's figures.
 
 from __future__ import annotations
 
+import argparse
 import copy
 import dataclasses
 from typing import Any, Dict, List, Optional
@@ -41,6 +42,7 @@ from repro.simmpi.tracing import PhaseStats, PhaseTable
 
 __all__ = [
     "BALANCE_PHASES", "REDISTRIBUTION_PHASES", "Simulation", "SimulationConfig", "StepRecord",
+    "step_count",
 ]
 
 METHODS = ("A", "B", "B+move", "adaptive")
@@ -55,6 +57,16 @@ REDISTRIBUTION_PHASES = ("sort", "restore", "resort", "resort_index", "resort_pl
 #: distribution-sensitive cost, far is count-proportional, and the weighted
 #: splitter balances their sum, so λ watches both
 BALANCE_PHASES = ("near", "far")
+
+
+def step_count(text: str) -> int:
+    """``argparse`` type of a command-line step count: a non-negative
+    integer, refused at parse time instead of after the runs it would
+    schedule."""
+    steps = int(text)
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative step count, got {steps}")
+    return steps
 
 
 @dataclasses.dataclass
@@ -455,8 +467,11 @@ class Simulation:
 
         With ``config.checkpoint_every > 0`` a restartable checkpoint is
         written to ``config.checkpoint_dir`` after initialization and after
-        every N-th step — see :mod:`repro.ckpt`.
+        every N-th step — see :mod:`repro.ckpt`.  A negative ``steps`` is
+        refused before anything runs.
         """
+        if steps < 0:
+            raise ValueError(f"steps must be non-negative, got {steps!r}")
         if not self._initialized:
             self.initialize()
             self._maybe_checkpoint()

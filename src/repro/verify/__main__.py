@@ -21,6 +21,7 @@ import argparse
 import sys
 from typing import List
 
+from repro.md.simulation import step_count
 from repro.simmpi.chaos import chaos_seed
 from repro.verify.differential import DifferentialReport, sweep
 from repro.verify.invariants import all_invariants
@@ -63,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
         help="machine shapes (rank counts) to sweep (default: 4 8)",
     )
     parser.add_argument(
-        "--steps", type=int, default=None, help="MD steps per trajectory"
+        "--steps", type=step_count, default=None, help="MD steps per trajectory"
     )
     parser.add_argument(
         "--particles", type=int, default=None, help="particles in the test system"
@@ -113,7 +114,7 @@ def _dst_parser() -> argparse.ArgumentParser:
         help="number of perturbation seeds to sweep (seeds 1..N; default 10)",
     )
     parser.add_argument(
-        "--steps", type=int, default=5, help="MD steps per trajectory (default 5)"
+        "--steps", type=step_count, default=5, help="MD steps per trajectory (default 5)"
     )
     parser.add_argument(
         "--solvers",
@@ -169,7 +170,7 @@ def _dst_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kill-at",
-        type=int,
+        type=step_count,
         default=None,
         metavar="K",
         help=(
@@ -230,7 +231,13 @@ def main_dst(argv: List[str]) -> int:
         run_resume_sweep,
     )
 
-    args = _dst_parser().parse_args(argv)
+    parser = _dst_parser()
+    args = parser.parse_args(argv)
+    if args.kill_at is not None and args.kill_at > args.steps:
+        parser.error(
+            f"argument --kill-at: must be within 0..--steps ({args.steps}), "
+            f"got {args.kill_at}"
+        )
     if args.resume_from is not None:
         report = run_resume_sweep(
             args.resume_from,

@@ -254,10 +254,14 @@ def run_dst(
     ``seed0``).  ``kill_at=K`` resumes every perturbed run after its
     step-``K`` check, through a file under ``ckpt_dir`` when given.
     ``backend`` hosts the payload data plane on an execution engine;
-    fingerprints and ledgers must not move.
+    fingerprints and ledgers must not move.  Restart equivalence is the
+    cell ``seed_list=[0], kill_at=N, steps=2N``: the null perturbation also
+    holds the killed run to the reference's per-step phase breakdown.
     """
     say = progress if progress is not None else (lambda msg: None)
     chosen = _chosen_seeds(seeds, seed_list)
+    if kill_at is not None and not 0 <= kill_at <= steps:
+        raise ValueError(f"kill_at must be within 0..steps ({steps}), got {kill_at!r}")
     algo_specs: List[Optional[str]] = list(algos) if algos else [None]
     failures: List[DstFailure] = []
     trajectories = 0

@@ -3,10 +3,9 @@
 Every simulated run of this package is one :class:`CellSpec` built by
 :func:`build_run`: the figure cells of :mod:`repro.bench.figures`
 (through :func:`run_cells`), the A/B/B+move differential sweep
-(:mod:`repro.verify.differential`), the DST chaos sweep and its checkpoint
-resume sweep (:mod:`repro.verify.dst`) and the restart-equivalence kit
-(:mod:`repro.ckpt.equivalence`).  This module owns the decisions they
-share:
+(:mod:`repro.verify.differential`) and the DST chaos sweep with its kill
+cells and its checkpoint resume sweep (:mod:`repro.verify.dst`).  This
+module owns the decisions they share:
 
 * **How a run is built** (:func:`build_run`).  The spec fixes the system,
   machine profile, solver, method, placement and dynamics; the chaos seed,
@@ -30,11 +29,14 @@ share:
 * **How a checked run is played** (:func:`play`, the one loop for it).
   Its fingerprint (:class:`Fingerprint`) is the
   :func:`~repro.verify.invariants.state_fingerprint` at the start point
-  and after every step, plus the final
-  :func:`~repro.verify.dst.ledger_fingerprint`.  A run held to a reference
-  (a chaos schedule, or a run killed and resumed from its checkpoint) must
+  and after every step, the final
+  :func:`~repro.verify.dst.ledger_fingerprint` and the per-step phase-time
+  breakdown (:func:`step_breakdown_hex`).  A run held to a reference (a
+  chaos schedule, or a run killed and resumed from its checkpoint) must
   match the reference's fingerprint at every step and its ledger at the
-  end: DST, the resume sweep and restart equivalence are all this.
+  end; on an unperturbed or null-perturbed machine it must also match the
+  reference's breakdown.  DST, the resume sweep and restart equivalence
+  (the null-seed kill cell) are all this.
 * **How chaos seed k maps to a perturbation**:
   :meth:`Perturbation.sample(k) <repro.simmpi.chaos.Perturbation.sample>`
   for every listed seed, including 0 (the null perturbation); ``None``
@@ -74,6 +76,7 @@ __all__ = [
     "restore_run",
     "run_cell",
     "run_cells",
+    "step_breakdown_hex",
 ]
 
 
@@ -152,10 +155,22 @@ def _perturbation(chaos_seed: Optional[int]) -> Optional[Perturbation]:
 
 @dataclasses.dataclass
 class Fingerprint:
-    """Per-step state fingerprints of one run plus its final ledger."""
+    """Per-step state fingerprints of one run, its final ledger and the
+    :func:`step_breakdown_hex` of all its step records."""
 
     steps: List[Dict[str, str]]
     ledger: str
+    breakdown: List[Dict[str, str]]
+
+
+def step_breakdown_hex(records: Sequence[StepRecord]) -> List[Dict[str, str]]:
+    """Per-step phase-time breakdown as ``float.hex`` bit patterns: two runs
+    agree on it iff every phase of every step charged bitwise-identical
+    virtual time."""
+    return [
+        {label: float(stats.time).hex() for label, stats in sorted(rec.phases.items())}
+        for rec in records
+    ]
 
 
 @dataclasses.dataclass
@@ -315,14 +330,18 @@ def play(
     are checked.  Without ``reference`` the full invariant registry is
     asserted and the state fingerprint recorded; with one, only
     ``schedule-independence`` is asserted against the reference's
-    fingerprint of the same step, and the final ledger must match.
-    ``kill_at=K`` resumes the run (:meth:`CheckedRun.resume`) right after
-    the check of step ``K``.
+    fingerprint of the same step, and the final ledger must match.  On a
+    machine without a perturbation, or with the null one, the per-step
+    phase-time breakdown must match the reference's too: without chaos a
+    run charges bitwise-identical virtual time.  ``kill_at=K`` resumes the
+    run (:meth:`CheckedRun.resume`) right after the check of step ``K``.
     """
     from repro.verify.dst import ledger_fingerprint  # dst imports this module
 
     fingerprints: List[Dict[str, str]] = []
     try:
+        if steps < 0:
+            raise ValueError(f"steps must be non-negative, got {steps!r}")
         if kill_at is not None and not 0 <= kill_at <= steps:
             raise ValueError(
                 f"kill_at must be within 0..steps ({steps}), got {kill_at!r}"
@@ -346,6 +365,16 @@ def play(
                 "auditor ledger fingerprint diverged from the reference schedule "
                 f"(perturbation [{run.machine.trace.notes().get('perturbation', 'none')}])"
             )
+        breakdown = step_breakdown_hex(run.sim.records)
+        perturbation = run.machine.perturbation
+        if reference is not None and (perturbation is None or perturbation.is_null):
+            for step, (got, want) in enumerate(zip(breakdown, reference.breakdown)):
+                if got != want:
+                    phases = ", ".join(sorted({label for label, _ in got.items() ^ want.items()}))
+                    raise AssertionError(
+                        "per-step phase breakdown diverged from the reference schedule "
+                        f"at step {step} (phases {phases})"
+                    )
     finally:
         run.sim.fcs.destroy()
-    return Fingerprint(fingerprints, ledger)
+    return Fingerprint(fingerprints, ledger, breakdown)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import pytest
 
 from repro.ckpt import capture_checkpoint, restore_simulation
-from repro.ckpt.equivalence import step_breakdown_hex
 from repro.md.distributions import clustered_system
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
@@ -31,6 +30,7 @@ from repro.simmpi.machine import Machine
 from repro.verify.audit import enable_auditing
 from repro.verify.dst import ledger_fingerprint
 from repro.verify.invariants import state_fingerprint
+from repro.verify.trajectory import step_breakdown_hex
 
 SOLVERS = ("direct", "ewald", "fmm", "p2nfft")
 METHODS = ("A", "B", "B+move")

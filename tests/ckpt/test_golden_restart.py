@@ -1,12 +1,14 @@
 """Golden restart-equivalence suite: all four solvers × A/B/B+move.
 
-Every cell runs ``run 2N`` and ``run N + save + restore + run N`` at 2
-ranks and must agree byte-for-byte on the component state fingerprints,
-the auditor ledger fingerprint and the per-step ``float.hex`` phase-time
-breakdown.  The triple is pinned as one sha256 **golden digest per cell**:
-a change to any solver's cost model, the redistribution machinery, or the
-checkpoint/restore path that moves a single bit anywhere in a trajectory
-shows up as a digest mismatch naming the cell.
+Every cell is the DST cell at chaos seed 0 killed halfway: the reference
+runs 2N steps, and the same run killed after step N and resumed from its
+checkpoint is held by :func:`repro.verify.trajectory.play` to the
+reference's component state fingerprints, auditor ledger fingerprint and
+(on the null-perturbed machine) per-step ``float.hex`` phase-time
+breakdown, at 2 ranks.  The triple is pinned as one sha256 **golden digest
+per cell**: a change to any solver's cost model, the redistribution
+machinery, or the checkpoint/restore path that moves a single bit anywhere
+in a trajectory shows up as a digest mismatch naming the cell.
 
 The same goldens are asserted with the scalar oracles of
 ``tests/kernel_oracles.py`` standing in for the vectorized kernels and those
@@ -22,22 +24,15 @@ import pytest
 
 from kernel_oracles import USED_BY
 from row_oracles import used_by
-from repro.ckpt.equivalence import (
-    EQUIVALENCE_METHODS,
-    EQUIVALENCE_SOLVERS,
-    run_restart_equivalence,
-)
 from repro.ckpt.format import dumps
+from repro.verify.dst import DEFAULT_METHODS, DEFAULT_SOLVERS
+from repro.verify.trajectory import CellSpec, build_run, play
 
-CELLS = [
-    (solver, method)
-    for solver in EQUIVALENCE_SOLVERS
-    for method in EQUIVALENCE_METHODS
-]
+CELLS = [(solver, method) for solver in DEFAULT_SOLVERS for method in DEFAULT_METHODS]
 
 #: sha256 over the canonical JSON of {state fingerprints, ledger
 #: fingerprint, per-step float-hex breakdown} of each cell's uninterrupted
-#: run (steps=2, nprocs=2, n_particles=16, system_seed=0).  Regenerate via
+#: run (4 steps, nprocs=2, n_particles=16, system_seed=0).  Regenerate via
 #: the loop in this file's docstring history only when a deliberate
 #: physics/cost-model change is being made.
 GOLDEN = {
@@ -56,13 +51,19 @@ GOLDEN = {
 }
 
 
-def cell_digest(cell) -> str:
+def restart_digest(solver, method, ckpt_dir=None) -> str:
+    """Play the reference and the run killed after step 2 (one run each);
+    the digest is the reference's, which the killed run was held to."""
+    spec = CellSpec(solver, method, 2, 16)
+    reference = play(build_run(spec), 4)
+    killed = build_run(spec, chaos_seed=0)
+    play(killed, 4, reference=reference, kill_at=2, ckpt_dir=ckpt_dir)
     return hashlib.sha256(
         dumps(
             {
-                "state": cell.state_fingerprint,
-                "ledger": cell.ledger_fingerprint,
-                "breakdown": cell.breakdown,
+                "state": reference.steps[-1],
+                "ledger": reference.ledger,
+                "breakdown": reference.breakdown,
             }
         ).encode()
     ).hexdigest()
@@ -71,27 +72,20 @@ def cell_digest(cell) -> str:
 @pytest.mark.parametrize("solver,method", CELLS, ids=lambda v: str(v))
 class TestGoldenRestart:
     def test_vectorized(self, solver, method):
-        cell = run_restart_equivalence(solver, method)
-        assert cell.ok, cell.detail
-        assert cell_digest(cell) == GOLDEN[(solver, method)]
+        assert restart_digest(solver, method) == GOLDEN[(solver, method)]
 
-    def test_reference_mode_same_golden(self, solver, method, oracle_kernels):
-        cell = run_restart_equivalence(solver, method)
-        assert cell.ok, cell.detail
-        assert cell_digest(cell) == GOLDEN[(solver, method)]
+    def test_oracle_kernels_same_golden(self, solver, method, oracle_kernels):
+        assert restart_digest(solver, method) == GOLDEN[(solver, method)]
         assert oracle_kernels == USED_BY[solver] | used_by(solver)
 
     def test_per_rank_store_same_golden(self, solver, method, oracle_store):
         """The rank-by-rank bodies the flat particle store replaced
         (``tests/store_oracles.py``) restart into the same golden."""
-        cell = run_restart_equivalence(solver, method)
-        assert cell.ok, cell.detail
-        assert cell_digest(cell) == GOLDEN[(solver, method)]
+        assert restart_digest(solver, method) == GOLDEN[(solver, method)]
         assert "position_update_ranks" in oracle_store
         assert ("solver_run_ranks" in oracle_store) == (solver != "direct")
 
 
-def test_via_file_round_trip_same_golden():
-    cell = run_restart_equivalence("fmm", "B+move", via_file=True)
-    assert cell.ok, cell.detail
-    assert cell_digest(cell) == GOLDEN[("fmm", "B+move")]
+def test_via_file_round_trip_same_golden(tmp_path):
+    assert restart_digest("fmm", "B+move", str(tmp_path)) == GOLDEN[("fmm", "B+move")]
+    assert [p.name for p in tmp_path.iterdir()] == ["fmm-B_move-kill2.ckpt.ndjson"]

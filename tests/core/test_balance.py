@@ -305,7 +305,7 @@ class TestGoldenSnapshot:
     def test_vectorized_matches_golden(self):
         assert run_golden() == self.GOLDEN
 
-    def test_reference_mode_matches_golden(self, oracle_kernels):
+    def test_oracle_kernels_matches_golden(self, oracle_kernels):
         assert run_golden() == self.GOLDEN
         # the weighted splitter arithmetic under test feeds this kernel
         assert oracle_kernels == {"partition_destinations"} | used_by(

@@ -197,7 +197,7 @@ class TestFig7Golden:
         assert got["ledger"] == want["ledger"]
         assert got["breakdown"] == want["breakdown"]
 
-    def test_reference_mode_matches_golden(self, solver, method, oracle_kernels):
+    def test_oracle_kernels_matches_golden(self, solver, method, oracle_kernels):
         """The scalar oracles reproduce the goldens bit for bit too."""
         got = observables(solver, method)
         want = GOLDEN[f"{solver}/{method}"]

@@ -76,6 +76,10 @@ FORBIDDEN = [
     # runtime, the DST probe that only tested it and its mailbox example are gone
     (r"run_spmd|SPMDContext|SPMDDeadlock|MailboxScheduler|run_order_invariance_probe"
      r"|probe_rounds|spmd-probe|spmd_halo_exchange", EVERYWHERE, ()),
+    # restart equivalence is the DST cell at chaos seed 0 with a kill: no
+    # second sweep, report type or solver/method grid of its own
+    (r"repro\.ckpt\.equivalence|run_restart_equivalence|run_equivalence_suite"
+     r"|EquivalenceCell|EQUIVALENCE_(SOLVERS|METHODS)", EVERYWHERE + ("perfbench",), ()),
 ]
 
 #: ``(module, attribute path)`` that must not resolve
@@ -157,6 +161,7 @@ REMOVED = [
     ("repro.simmpi.chaos", "Perturbation.scheduler"),
     ("repro.simmpi.chaos", "Perturbation.reorder"),
     ("repro.backend.base", "ExecutionBackend.post_ticket"),
+    ("repro.ckpt", "equivalence"),
 ]
 
 
@@ -166,7 +171,7 @@ REMOVED = [
     ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
          "fuse-resort", "plan-twins", "in-tree-timers", "vacuous-checks",
          "per-message-bridge", "unreached-capabilities", "ckpt-v1-copies",
-         "one-checked-loop", "machine-factory", "spmd-runtime"],
+         "one-checked-loop", "machine-factory", "spmd-runtime", "restart-kit"],
 )
 def test_removed_name_is_not_spelled(pattern, trees, allowed):
     regex = re.compile(pattern)

@@ -1,5 +1,7 @@
 """DST runner: schedule-independence sweep, failure reporting."""
 
+import dataclasses
+
 import pytest
 
 from repro.md.simulation import Simulation, SimulationConfig
@@ -14,7 +16,7 @@ from repro.verify.dst import (
     run_dst,
 )
 from repro.verify.invariants import state_fingerprint
-from repro.verify.trajectory import CellSpec, Fingerprint, build_run, play
+from repro.verify.trajectory import CellSpec, build_run, play
 
 
 class TestSweep:
@@ -76,17 +78,14 @@ class TestDivergenceDetection:
 
     def test_tampered_state_fingerprint_fails(self):
         reference = self.play()
-        bad = Fingerprint(
-            steps=[dict(c) for c in reference.steps],
-            ledger=reference.ledger,
-        )
+        bad = dataclasses.replace(reference, steps=[dict(c) for c in reference.steps])
         bad.steps[1]["positions"] = "0" * 64
         with pytest.raises(AssertionError, match="schedule-independence"):
             self.play(chaos_seed=3, reference=bad)
 
     def test_tampered_ledger_fails(self):
         reference = self.play()
-        bad = Fingerprint(steps=reference.steps, ledger="deadbeef")
+        bad = dataclasses.replace(reference, ledger="deadbeef")
         with pytest.raises(AssertionError, match="ledger"):
             self.play(chaos_seed=3, reference=bad)
 

@@ -4,14 +4,15 @@ when the run it plays is wrong."""
 
 import shlex
 
+import numpy as np
 import pytest
 
 import repro.verify.invariants as invariants
 import repro.verify.trajectory as trajectory
-from repro.ckpt.equivalence import run_restart_equivalence
+from repro.ckpt.cli import main as ckpt_main
 from repro.md.simulation import Simulation
 from repro.obs import read_ndjson
-from repro.verify.__main__ import _dst_parser, main_dst
+from repro.verify.__main__ import _dst_parser, main, main_dst
 from repro.verify.dst import run_dst
 from repro.verify.invariants import InvariantViolation
 from repro.verify.trajectory import CellSpec, build_run, play
@@ -141,7 +142,7 @@ class TestTheLoopCanFail:
         with pytest.raises(InvariantViolation, match="charge-conservation"):
             play(build_run(CellSpec("direct", "B", 2, 12)), 1)
 
-    def test_restart_kit_reports_a_corrupted_restore(self, monkeypatch):
+    def test_restart_kit_reports_a_corrupted_restore(self, monkeypatch, capsys):
         """A restore that damages one restored column fails the cell, and
         the detail names the diverged component and the step."""
         honest = trajectory.restore_simulation
@@ -153,6 +154,96 @@ class TestTheLoopCanFail:
             return sim
 
         monkeypatch.setattr(trajectory, "restore_simulation", corrupting_restore)
-        cell = run_restart_equivalence("direct", "B")
-        assert not cell.ok
-        assert "velocities" in cell.detail and "at step 3" in cell.detail
+        assert ckpt_main(["verify", "--solvers", "direct", "--methods", "B"]) == 1
+        out = capsys.readouterr().out
+        detail = out.split("ckpt: direct/B FAILED — ", 1)[1]
+        assert "velocities" in detail and "at step 3" in detail
+        assert out.splitlines()[-1] == "restart-equivalence: 0/1 cells ok"
+
+    def test_null_seed_kill_cell_holds_the_phase_breakdown(self, monkeypatch):
+        """A restore that moves one restored step record's phase time by one
+        ulp leaves state and ledger alone, but the null-seed kill cell still
+        fails, naming that step and phase."""
+        honest = trajectory.restore_simulation
+
+        def nudging_restore(ckpt, **kwargs):
+            sim = honest(ckpt, **kwargs)
+            stats = sim.records[1].phases["near"]
+            stats.time = float(np.nextafter(stats.time, np.inf))
+            return sim
+
+        monkeypatch.setattr(trajectory, "restore_simulation", nudging_restore)
+        report = run_dst(
+            ["direct"], ["B"], seed_list=[0], kill_at=2, steps=4, nprocs=2, n_particles=16
+        )
+        (failure,) = report.failures
+        assert failure.detail == (
+            "per-step phase breakdown diverged from the reference schedule "
+            "at step 1 (phases near)"
+        )
+        # a perturbed machine charges other times anyway: only seed 0 checks
+        assert run_dst(
+            ["direct"], ["B"], seed_list=[1], kill_at=2, steps=4, nprocs=2, n_particles=16
+        ).ok
+
+
+class TestStepCounts:
+    def test_play_and_run_refuse_a_negative_step_count(self):
+        run = build_run(CellSpec("direct", "A", 2, 8))
+        with pytest.raises(ValueError, match="non-negative"):
+            play(run, -1)
+        assert run.sim.records == []
+        sim = build_run(CellSpec("direct", "A", 2, 8), audit=False).sim
+        try:
+            with pytest.raises(ValueError, match="non-negative"):
+                sim.run(-1)
+            assert sim.records == []
+        finally:
+            sim.fcs.destroy()
+
+    def test_run_dst_refuses_kill_at_before_the_reference_plays(self):
+        said = []
+        for kill_at in (5, -1):
+            with pytest.raises(ValueError, match="kill_at"):
+                run_dst(
+                    ["direct"], ["A"], seed_list=[1], steps=1, nprocs=2, n_particles=8,
+                    kill_at=kill_at, progress=said.append,
+                )
+        assert said == []
+
+    DST = ["dst", "--solvers", "direct", "--methods", "A", "--particles", "8",
+           "--nprocs", "2", "--seed-list", "1"]
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (DST + ["--steps", "-1"], "--steps"),
+            (DST + ["--steps", "1", "--kill-at", "5"], "--kill-at"),
+            (DST + ["--steps", "1", "--kill-at", "-1"], "--kill-at"),
+            (["--solvers", "direct", "--shapes", "2", "--steps", "-1"], "--steps"),
+        ],
+        ids=["dst-steps", "dst-kill-at-past-steps", "dst-kill-at-negative", "differential-steps"],
+    )
+    def test_verify_cli_refuses_at_parse_time(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"argument {flag}:" in err
+        assert "reference schedule" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["save", "--steps", "-2", "--out", "x.ckpt.ndjson"],
+            ["restore", "--path", "x.ckpt.ndjson", "--steps", "-1"],
+            ["verify", "--steps", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_ckpt_cli_refuses_a_negative_step_count(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            ckpt_main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "argument --steps:" in err and out == ""
