@@ -31,7 +31,7 @@ import tempfile
 from contextlib import nullcontext
 from typing import List, Optional
 
-from repro.md.simulation import step_count
+from repro.md.simulation import particle_count, rank_count, step_count
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -50,8 +50,8 @@ def _parser() -> argparse.ArgumentParser:
     save.add_argument("--solver", default="fmm")
     save.add_argument("--method", default="B")
     save.add_argument("--steps", type=step_count, default=3)
-    save.add_argument("--nprocs", type=int, default=4)
-    save.add_argument("--particles", type=int, default=24)
+    save.add_argument("--nprocs", type=rank_count, default=4)
+    save.add_argument("--particles", type=particle_count, default=24)
     save.add_argument("--seed", type=int, default=0)
     save.add_argument("--out", required=True, metavar="PATH")
 
@@ -68,7 +68,7 @@ def _parser() -> argparse.ArgumentParser:
         "resize", help="redistribute a checkpoint onto a different rank count"
     )
     resize.add_argument("--path", required=True, metavar="PATH")
-    resize.add_argument("--nprocs", type=int, required=True, metavar="Q")
+    resize.add_argument("--nprocs", type=rank_count, required=True, metavar="Q")
     resize.add_argument("--out", required=True, metavar="PATH")
 
     verify = sub.add_parser(
@@ -78,8 +78,8 @@ def _parser() -> argparse.ArgumentParser:
     verify.add_argument("--solvers", nargs="+", default=None, metavar="SOLVER")
     verify.add_argument("--methods", nargs="+", default=None, metavar="METHOD")
     verify.add_argument("--steps", type=step_count, default=2)
-    verify.add_argument("--nprocs", type=int, default=2)
-    verify.add_argument("--particles", type=int, default=16)
+    verify.add_argument("--nprocs", type=rank_count, default=2)
+    verify.add_argument("--particles", type=particle_count, default=16)
     verify.add_argument(
         "--quick",
         action="store_true",

@@ -140,7 +140,11 @@ def exchange_route(row_offsets: np.ndarray, elements: np.ndarray, targets: np.nd
 
 
 def sorted_route(
-    key: np.ndarray, base: int, row_index: np.ndarray, rows: Optional[np.ndarray] = None
+    key: np.ndarray,
+    base: int,
+    row_index: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+    sent: Optional[np.ndarray] = None,
 ) -> Exchange:
     """The route of pairs listed in route order already: the tail of
     :func:`exchange_route`, and what a producer that sorts its own pairs
@@ -149,7 +153,10 @@ def sorted_route(
     ``key`` is ``src * base + dst`` per pair, non-decreasing (``base`` at
     least the rank count); equal keys are one message.  ``rows`` is the
     number of consecutive ``row_index`` rows each pair stands for (``None``:
-    one).  ``row_index`` is kept, not copied.
+    one).  ``sent``, when given, is the number of rows each pair is charged
+    as carrying, listed or not: a message is charged their sum
+    (:attr:`~repro.simmpi.collectives.Exchange.sent`) and delivers only the
+    rows it lists.  ``row_index`` is kept, not copied.
     """
     first = np.ones(key.shape[0], dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
@@ -157,12 +164,15 @@ def sorted_route(
     row_ptr = np.append(starts, key.shape[0])
     if rows is not None:
         row_ptr = np.concatenate(([0], np.cumsum(rows)))[row_ptr]
+    if sent is not None:
+        sent = np.add.reduceat(sent, starts)
     return Exchange(
         columns=(),
         row_index=row_index,
         msg_src=key[starts] // base,
         msg_dst=key[starts] % base,
         row_ptr=row_ptr,
+        sent=sent,
     )
 
 

@@ -42,7 +42,7 @@ from repro.simmpi.tracing import PhaseStats, PhaseTable
 
 __all__ = [
     "BALANCE_PHASES", "REDISTRIBUTION_PHASES", "Simulation", "SimulationConfig", "StepRecord",
-    "step_count",
+    "particle_count", "rank_count", "step_count",
 ]
 
 METHODS = ("A", "B", "B+move", "adaptive")
@@ -67,6 +67,25 @@ def step_count(text: str) -> int:
     if steps < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative step count, got {steps}")
     return steps
+
+
+def rank_count(text: str) -> int:
+    """``argparse`` type of a command-line rank count: at least one rank,
+    refused at parse time instead of by the machine the run would build."""
+    nprocs = int(text)
+    if nprocs < 1:
+        raise argparse.ArgumentTypeError(f"must be a rank count >= 1, got {nprocs}")
+    return nprocs
+
+
+def particle_count(text: str) -> int:
+    """``argparse`` type of a command-line particle count: even (the test
+    systems are charge-neutral ±1 pairs) and at least 2, refused at parse
+    time instead of by the system builder."""
+    n = int(text)
+    if n < 2 or n % 2:
+        raise argparse.ArgumentTypeError(f"must be an even particle count >= 2, got {n}")
+    return n
 
 
 @dataclasses.dataclass

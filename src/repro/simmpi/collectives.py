@@ -115,9 +115,11 @@ class Exchange:
     ``recv_offsets[j]:recv_offsets[j + 1]`` of the returned column buffers,
     grouped by source rank.
 
-    ``keep``, when set, names the ascending receive positions (of the rows
-    :meth:`recv_rows` lists without it) to deliver; the rest are charged,
-    audited and traced as travelling but not copied.
+    ``sent``, when set, is how many rows each message is charged, audited
+    and traced as carrying; the table then lists only the rows that are
+    delivered (of message ``k`` at most ``sent[k]``), and the rest travel in
+    the charge alone — a placement whose copies no later phase reads sends
+    their counts, not a listing of them.
     """
 
     columns: Tuple[np.ndarray, ...]
@@ -125,12 +127,17 @@ class Exchange:
     msg_src: np.ndarray
     msg_dst: np.ndarray
     row_ptr: np.ndarray
-    keep: Optional[np.ndarray] = None
+    sent: Optional[np.ndarray] = None
 
     @property
     def row_nbytes(self) -> int:
         """Bytes one row occupies across all columns."""
         return sum(c.dtype.itemsize * int(np.prod(c.shape[1:])) for c in self.columns)
+
+    def charged_rows(self) -> np.ndarray:
+        """The rows each message is charged as carrying: :attr:`sent`, or
+        every row it lists."""
+        return np.diff(self.row_ptr) if self.sent is None else self.sent
 
     def validate(self, nprocs: int) -> None:
         """Reject a malformed table before anything is audited or charged."""
@@ -158,12 +165,15 @@ class Exchange:
             self.row_index.min() < 0 or self.row_index.max() >= n_rows
         ):
             raise ValueError("Exchange.row_index points outside the column buffers")
-        keep = self.keep
-        if keep is not None and not (
-            keep.ndim == 1 and keep.dtype == np.int64 and np.all(np.diff(keep) > 0)
-            and (not keep.size or 0 <= keep[0] and keep[-1] < self.row_index.shape[0])
+        sent = self.sent
+        if sent is not None and not (
+            sent.shape == (n_messages,) and sent.dtype == np.int64
+            and np.all(sent >= np.diff(self.row_ptr))
         ):
-            raise ValueError("Exchange.keep must be ascending, distinct int64 receive positions")
+            raise ValueError(
+                "Exchange.sent must be one int64 row count per message, "
+                "at least the rows the message lists"
+            )
         if n_messages == 0:
             return
         if self.msg_src.min() < 0 or self.msg_src.max() >= nprocs:
@@ -187,27 +197,19 @@ class Exchange:
         return by_dst, lens, np.cumsum(lens) - lens
 
     def recv_rows(self, nprocs: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Which buffer row every received row (every kept one, when
-        :attr:`keep` is set) is a copy of, in ``(dst, src)`` order, and the
-        ``recv_offsets`` splitting them by receiver.
+        """Which buffer row every received row is a copy of, in ``(dst,
+        src)`` order, and the ``recv_offsets`` splitting them by receiver.
 
         The send-side order ``row_index`` and the regrouping of whole
         messages by destination are composed into one index vector, so no
-        send buffer is materialized between the two; a kept subset is found
-        message by message (one bisection each), never cut out of the whole.
+        send buffer is materialized between the two.
         """
         by_dst, lens, starts = self._receive_order()
         rows_to = np.zeros(nprocs, dtype=np.int64)
         np.add.at(rows_to, self.msg_dst, np.diff(self.row_ptr))
         recv_offsets = np.concatenate(([0], np.cumsum(rows_to)))
-        if self.keep is None:
-            positions = np.arange(self.row_index.shape[0])
-        else:
-            positions = self.keep
-            lens = np.diff(np.searchsorted(positions, np.append(starts, self.row_index.shape[0])))
-            recv_offsets = np.searchsorted(positions, recv_offsets)
         gather = np.repeat(self.row_ptr[:-1][by_dst] - starts, lens)
-        gather += positions
+        gather += np.arange(self.row_index.shape[0])
         # every index is in range; ``clip`` lets the gather overwrite its own
         # index vector unbuffered (entry i is read before entry i is written)
         np.take(self.row_index, gather, out=gather, mode="clip")
@@ -246,7 +248,7 @@ def message_triples(sends: SendTable) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     one entry per message, self-sends included — what the all-to-all charge
     and the auditor's recomputation are both made from."""
     if isinstance(sends, Exchange):
-        return sends.msg_src, sends.msg_dst, np.diff(sends.row_ptr) * sends.row_nbytes
+        return sends.msg_src, sends.msg_dst, sends.charged_rows() * sends.row_nbytes
     table = np.array(
         [
             (src, dst, payload_nbytes(payload))

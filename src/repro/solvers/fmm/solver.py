@@ -32,7 +32,6 @@ construction; DESIGN.md §5 records the simplification.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Optional, Tuple
 
@@ -345,13 +344,17 @@ class FMMSolver(Solver):
         box = packed & ((1 << box_bits) - 1)
         packed >>= box_bits
         seg_len = (last - first)[box]
-        seg_end = np.cumsum(seg_len)
-        elems = np.repeat(first[box] - (seg_end - seg_len), seg_len) + np.arange(
-            int(seg_len.sum())
-        )
-        route = sorted_route(packed, 1 << rank_bits, elems, rows=seg_len)
-        if self.compute_mode == "skip":  # only the near field reads a halo copy
-            route = dataclasses.replace(route, keep=np.empty(0, dtype=np.int64))
+        if self.compute_mode == "skip":
+            # only the near field reads a halo copy: every message is charged
+            # its rows by count and lists none
+            none = np.zeros(seg_len.shape[0], dtype=np.int64)
+            route = sorted_route(packed, 1 << rank_bits, none[:0], rows=none, sent=seg_len)
+        else:
+            seg_end = np.cumsum(seg_len)
+            elems = np.repeat(first[box] - (seg_end - seg_len), seg_len) + np.arange(
+                int(seg_len.sum())
+            )
+            route = sorted_route(packed, 1 << rank_bits, elems, rows=seg_len)
         return redistribute_flat(self.machine, halo_in.data, route, "halo", "neighborhood")
 
     def _estimate_far_stats(self, n_total: int):

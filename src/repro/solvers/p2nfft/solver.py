@@ -27,14 +27,18 @@ Execution of one ``fcs_run`` (Sect. II-C / III of the paper); steps 1-2 are
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import kernels
-from repro.core.fine_grained import pair_key_bits, redistribute_flat, sorted_route
+from repro.core.fine_grained import (
+    exchange_route,
+    pair_key_bits,
+    redistribute_flat,
+    sorted_route,
+)
 from repro.core.geometry import wrap_into_box
 from repro.core.movement import p2nfft_prefers_neighborhood
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
@@ -95,11 +99,22 @@ def _cell_columns(grid: CartGrid, pos: np.ndarray) -> Tuple[List[np.ndarray], Li
     return cell_k, rel
 
 
+def _union(parts: List[np.ndarray], n: int) -> np.ndarray:
+    """The rows in any of ``parts`` (subsets of ``range(n)``), each once."""
+    if len(parts) == 1:
+        return parts[0]
+    seen = np.zeros(n, dtype=bool)
+    for rows in parts:
+        seen[rows] = True
+    return np.flatnonzero(seen)
+
+
 def ghost_distribution(
     grid: CartGrid,
     pos: np.ndarray,
     rc: float,
     row_offsets: np.ndarray,
+    counted: bool = False,
 ) -> Tuple[Exchange, np.ndarray]:
     """``(route, owned)``: the route of the placement — every row to its
     owner plus ghost duplicates within ``rc`` — and the route positions of
@@ -116,11 +131,19 @@ def ghost_distribution(
     (:meth:`~repro.simmpi.collectives.Exchange.recv_positions` says where
     it lands).
 
+    ``counted`` (a placement whose ghosts no phase reads) lists the owner
+    copies alone and charges each message its ghost copies by count
+    (:attr:`~repro.simmpi.collectives.Exchange.sent`): the same messages and
+    row counts as the listed route, and it delivers the owner copies in the
+    order the listed route delivers them, but no ghost pair is made.  Every
+    route position is then an owner copy.
+
     Raises ``ValueError`` before any work when the packed ``(source,
-    target, row)`` key of the route would not fit 63 bits.
+    target, row)`` key of the route would not fit 63 bits, counted or not.
     """
     n = pos.shape[0]
-    rank_bits, row_bits = pair_key_bits(grid.nprocs, n)
+    P = grid.nprocs
+    rank_bits, row_bits = pair_key_bits(P, n)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return sorted_route(empty, 1 << rank_bits, empty), empty
@@ -137,10 +160,6 @@ def ghost_distribution(
     owner = share[0][cell_k[0]] + share[1][cell_k[1]] + share[2][cell_k[2]]
     ring = [max(int(np.ceil(rc / cell[k])), 1) for k in range(3)]
     spans = [range(-ring[k], ring[k] + 1) for k in range(3)]
-    # Along an axis at least 2·ring + 1 subdomains wide, the offsets within
-    # the ring land on distinct ranks, none of them the owner: only a
-    # narrower grid wraps a ghost back onto its owner or two onto one rank.
-    narrow = any(grid.dims[k] < 2 * ring[k] + 1 for k in range(3))
     rc2 = rc * rc
     # per axis and non-zero component: every row's squared distance to the
     # subdomain that many cells away
@@ -169,14 +188,13 @@ def ghost_distribution(
         near = np.flatnonzero(d2 < rc2)
         return rows[near], d2[near]
 
-    # Every (row, target) pair is one int64 — source rank, target, row, from
-    # the high bits down — so one sort of the values is the route order and,
-    # on a narrow grid, the dedup.  ``head`` is the source and row part.
-    head = np.repeat(
-        np.arange(grid.nprocs, dtype=np.int64) << (rank_bits + row_bits), np.diff(row_offsets)
-    )
-    head |= np.arange(n, dtype=np.int64)
-    packed = [head | (owner << row_bits)]
+    # Offsets equal modulo the grid dims land on one rank for every owner: a
+    # *target class*.  Class (0, 0, 0) is the owner itself.  Along an axis
+    # at least 2·ring + 1 subdomains wide the offsets within the ring are
+    # distinct classes, none of them the owner: only a narrower grid wraps a
+    # ghost back onto its owner or two offsets onto one class, whose copy of
+    # a row within the cutoff of both is one copy.
+    reach = {}
     # An offset is at least as far as its leading components, so each axis
     # only looks at the rows the axes before it left within the cutoff; the
     # sums run in axis order, so each comparison is bitwise the one a pass
@@ -193,20 +211,29 @@ def ghost_distribution(
                 rows, _ = within(2, c2, rows1, d1)
                 if rows is None or not rows.size:  # None: the subdomain itself
                     continue
-                mine = owner[rows]
-                target = grid.shifted_ranks((c0, c1, c2))[mine]
-                if narrow:  # unless the offset wrapped back onto the owner itself
-                    ghost = np.flatnonzero(target != mine)
-                    rows, target = rows[ghost], target[ghost]
-                target <<= row_bits
-                target |= head[rows]
-                packed.append(target)
+                shift = (c0 % grid.dims[0], c1 % grid.dims[1], c2 % grid.dims[2])
+                if any(shift):
+                    reach.setdefault(shift, []).append(rows)
+    # one entry per class, consumed (popped) by either assembly so that a
+    # class's rows are freed once they are packed or counted
+    ghosts = [(grid.shifted_ranks(shift), _union(reach.pop(shift), n)) for shift in list(reach)]
+
+    if counted:
+        return _counted_route(P, owner, row_offsets, ghosts), np.arange(n)
+    # Every (row, target) pair is one int64 — source rank, target, row, from
+    # the high bits down — so one sort of the values is the route order.
+    # ``head`` is the source and row part.
+    head = np.repeat(np.arange(P, dtype=np.int64) << (rank_bits + row_bits), np.diff(row_offsets))
+    head |= np.arange(n, dtype=np.int64)
+    packed = [head | (owner << row_bits)]
+    while ghosts:
+        shifted, rows = ghosts.pop()
+        target = shifted[owner[rows]]
+        target <<= row_bits
+        target |= head[rows]
+        packed.append(target)
     packed = np.concatenate(packed)
     packed.sort()
-    if narrow:  # two offsets wrapped onto one rank
-        distinct = np.ones(packed.shape[0], dtype=bool)
-        np.not_equal(packed[1:], packed[:-1], out=distinct[1:])
-        packed = packed[distinct]
     # A pair is its row's owner copy iff its target is the row's owner (a
     # ghost never targets it, so every row has exactly one).  One buffer
     # holds each pair's row, then the owner of that row shifted onto the
@@ -222,6 +249,62 @@ def ghost_distribution(
     rows = np.bitwise_and(packed, row_mask, out=mark)
     packed >>= row_bits
     return sorted_route(packed, 1 << rank_bits, rows), owned
+
+
+def _counted_route(
+    P: int,
+    owner: np.ndarray,
+    row_offsets: np.ndarray,
+    ghosts: List[Tuple[np.ndarray, np.ndarray]],
+) -> Exchange:
+    """The placement's route listing the owner copies alone, its ghosts
+    charged by count: ``ghosts`` holds, per target class, the shifted-rank
+    table and the rows (each once) with a copy there; it is emptied as the
+    copies are counted.
+
+    The owner copies travel as the plain ``(source, owner, row)`` route
+    (:func:`~repro.core.fine_grained.exchange_route`), one *row group* per
+    message.  Every row of a group has its class's copy on the one rank the
+    class shifts the group's owner to, so the copies of a class are counted
+    per group — one ``bincount`` over the groups, or one entry per copy
+    where the class has fewer copies than there are groups; a row's copies
+    go to distinct ranks, none its owner.  The ``(source, target, count)``
+    entries, packed into one ``uint64`` each, are merged into messages by
+    one sort of the values.
+    """
+    n = owner.shape[0]
+    owners = exchange_route(row_offsets, np.arange(n), owner)
+    size = np.diff(owners.row_ptr)
+    n_groups = size.shape[0]
+    group = np.empty(n, dtype=np.int64)
+    group[owners.row_index] = np.repeat(np.arange(n_groups), size)
+    group_src, group_owner = owners.msg_src * P, owners.msg_dst
+    group_key = group_src + group_owner
+    # a count is at most n: ``count_bits`` hold it below the (source,
+    # target) key, which ``pair_key_bits`` leaves room for
+    count_bits = np.uint64(n.bit_length())
+    entries = [(group_key.astype(np.uint64) << count_bits) | size.astype(np.uint64)]
+    while ghosts:
+        shifted, rows = ghosts.pop()
+        hit = group[rows]
+        count = np.uint64(1)
+        if hit.shape[0] >= n_groups:
+            count = np.bincount(hit, minlength=n_groups)
+            hit = np.flatnonzero(count)
+            count = count[hit].astype(np.uint64)
+        entry = group_src[hit]
+        entry += shifted[group_owner[hit]]
+        entry = entry.astype(np.uint64) << count_bits
+        entry |= count
+        entries.append(entry)
+    entries = np.concatenate(entries)
+    entries.sort()
+    key = (entries >> count_bits).view(np.int64)
+    entries &= (np.uint64(1) << count_bits) - np.uint64(1)
+    # the owner copies a message lists are its row group's, if it has one
+    rows = np.zeros(key.shape[0], dtype=np.int64)
+    rows[np.searchsorted(key, group_key)] = size
+    return sorted_route(key, P, owners.row_index, rows=rows, sent=entries.view(np.int64))
 
 
 def charge_parallel_fft(machine: Machine, M: int, n_transforms: int, phase: str) -> None:
@@ -293,20 +376,22 @@ class GridSolver(Solver):
         """One fine-grained redistribution to the owning grid ranks, ghosts
         included (phase ``sort``); returns the owned and the owned+ghost
         particles, both rank-major.  Skipping the force arithmetic, no ghost
-        is read: the exchange is charged in full but delivers the owner copies
-        alone, returned twice.  Cell binning is charged on the route's
-        :attr:`copies`."""
+        is read: the exchange is charged in full but lists and delivers the
+        owner copies alone, returned twice.  Cell binning is charged on the
+        route's :attr:`copies`."""
         machine = self.machine
         neighborhood = (
             max_move is not None and p2nfft_prefers_neighborhood(self.grid, max_move)
         )
         comm = "neighborhood" if neighborhood else "alltoall"
+        skip = self.compute_mode == "skip"
 
-        # the route (owners + ghost duplicates) of all ranks in one pass over
-        # the rank-major positions, before anything is charged; it is also
-        # the one decision who owns which particle
+        # the route (owners + ghost duplicates, the ghosts only counted when
+        # skipping) of all ranks in one pass over the rank-major positions,
+        # before anything is charged; it is also the one decision who owns
+        # which particle
         route, owned_pairs = ghost_distribution(
-            self.grid, particles.block["pos"], self.rc, particles.offsets
+            self.grid, particles.block["pos"], self.rc, particles.offsets, counted=skip
         )
         # the redistribution gathers from these into fresh buffers, so the
         # application's columns can be handed over as they are
@@ -316,15 +401,13 @@ class GridSolver(Solver):
             index=initial_numbering(particles.counts()).data,
         )
         machine.compute(kernels.KEY_GENERATION * particles.counts(), phase="keygen")
+        self.copies = np.bincount(route.msg_dst, route.charged_rows(), self.grid.nprocs)
+        local_all = redistribute_flat(machine, rows, route, phase="sort", comm=comm)
+        if skip:
+            return local_all, local_all, comm, f"grid+{comm}"
         # the owner copies were marked on the route; the route says where
         # each of its messages lands, so the delivered copies are not read
         own = route.recv_positions(owned_pairs)
-        self.copies = np.bincount(route.msg_dst, np.diff(route.row_ptr), self.grid.nprocs)
-        keep = own if self.compute_mode == "skip" else None
-        route = dataclasses.replace(route, keep=keep)
-        local_all = redistribute_flat(machine, rows, route, phase="sort", comm=comm)
-        if keep is not None:
-            return local_all, local_all, comm, f"grid+{comm}"
         owned = RankMajor(local_all.data.take(own), np.searchsorted(own, local_all.offsets))
         return owned, local_all, comm, f"grid+{comm}"
 

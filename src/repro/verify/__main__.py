@@ -18,10 +18,11 @@ command.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import List
 
-from repro.md.simulation import step_count
+from repro.md.simulation import particle_count, rank_count, step_count
 from repro.simmpi.chaos import chaos_seed
 from repro.verify.differential import DifferentialReport, sweep
 from repro.verify.invariants import all_invariants
@@ -58,7 +59,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shapes",
         nargs="+",
-        type=int,
+        type=rank_count,
         default=None,
         metavar="NPROCS",
         help="machine shapes (rank counts) to sweep (default: 4 8)",
@@ -67,7 +68,7 @@ def _parser() -> argparse.ArgumentParser:
         "--steps", type=step_count, default=None, help="MD steps per trajectory"
     )
     parser.add_argument(
-        "--particles", type=int, default=None, help="particles in the test system"
+        "--particles", type=particle_count, default=None, help="particles in the test system"
     )
     parser.add_argument("--seed", type=int, default=0, help="system/trajectory seed")
     parser.add_argument(
@@ -97,6 +98,10 @@ def _seed_count(text: str) -> int:
 
 
 def _dst_parser() -> argparse.ArgumentParser:
+    from repro.verify.dst import run_dst
+
+    # what a left-out flag means: run_dst's own keyword defaults
+    defaults = {name: p.default for name, p in inspect.signature(run_dst).parameters.items()}
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify dst",
         description=(
@@ -130,11 +135,20 @@ def _dst_parser() -> argparse.ArgumentParser:
         metavar="METHOD",
         help="redistribution methods to sweep (default: A B B+move)",
     )
+    # --nprocs, --particles and --system-seed left out are None, so that
+    # --resume-from can tell a given value from a default: run_dst's own
+    # defaults apply
     parser.add_argument(
-        "--nprocs", type=int, default=4, help="machine rank count (default 4)"
+        "--nprocs",
+        type=rank_count,
+        default=None,
+        help=f"machine rank count (default {defaults['nprocs']})",
     )
     parser.add_argument(
-        "--particles", type=int, default=24, help="particles in the test system"
+        "--particles",
+        type=particle_count,
+        default=None,
+        help=f"particles in the test system (even; default {defaults['n_particles']})",
     )
     parser.add_argument(
         "--seed-list",
@@ -145,7 +159,10 @@ def _dst_parser() -> argparse.ArgumentParser:
         help="explicit perturbation seeds to run (reproduce a failure)",
     )
     parser.add_argument(
-        "--system-seed", type=int, default=0, help="system/trajectory seed"
+        "--system-seed",
+        type=int,
+        default=None,
+        help=f"system/trajectory seed (default {defaults['system_seed']})",
     )
     parser.add_argument(
         "--distributions",
@@ -195,7 +212,8 @@ def _dst_parser() -> argparse.ArgumentParser:
         help=(
             "resume the given checkpoint file under the perturbation seeds "
             "instead of sweeping fresh trajectories (run_resume_sweep); "
-            "--steps counts continuation steps"
+            "--steps counts continuation steps, and the checkpoint fixes "
+            "everything a fresh sweep's flags would choose"
         ),
     )
     parser.add_argument(
@@ -222,6 +240,14 @@ def _dst_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the ``repro.verify dst`` options that choose or shape fresh trajectories:
+#: a resumed checkpoint fixes all of them itself
+_FRESH_SWEEP_ONLY = (
+    "solvers", "methods", "nprocs", "particles", "system_seed", "distributions",
+    "obs_export_dir", "kill_at", "ckpt_dir", "backend", "algos",
+)
+
+
 def main_dst(argv: List[str]) -> int:
     from repro.verify.dst import (
         DEFAULT_DISTRIBUTIONS,
@@ -233,6 +259,17 @@ def main_dst(argv: List[str]) -> int:
 
     parser = _dst_parser()
     args = parser.parse_args(argv)
+    if args.resume_from is not None:
+        given = [
+            "--" + name.replace("_", "-")
+            for name in _FRESH_SWEEP_ONLY
+            if getattr(args, name) is not None
+        ]
+        if given:
+            parser.error(
+                f"argument --resume-from: not allowed with {', '.join(given)} "
+                "(the checkpoint fixes what a fresh sweep would choose)"
+            )
     if args.kill_at is not None and args.kill_at > args.steps:
         parser.error(
             f"argument --kill-at: must be within 0..--steps ({args.steps}), "
@@ -257,15 +294,16 @@ def main_dst(argv: List[str]) -> int:
                 for spec in token.split(",")
                 if spec
             ]
+        chosen = {
+            "nprocs": args.nprocs, "n_particles": args.particles, "system_seed": args.system_seed
+        }
         report = run_dst(
             args.solvers or list(DEFAULT_SOLVERS),
             args.methods or list(DEFAULT_METHODS),
             seeds=args.seeds,
             steps=args.steps,
-            nprocs=args.nprocs,
-            n_particles=args.particles,
             seed_list=args.seed_list,
-            system_seed=args.system_seed,
+            **{name: value for name, value in chosen.items() if value is not None},
             distributions=args.distributions or list(DEFAULT_DISTRIBUTIONS),
             obs_export_dir=args.obs_export_dir,
             kill_at=args.kill_at,

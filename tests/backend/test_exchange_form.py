@@ -18,11 +18,16 @@ import numpy as np
 import pytest
 
 from cart_neighbors import neighbor_table
-from redistribution_oracles import observed
+from redistribution_oracles import observed, recv_rows_kept
 from repro.backend import shm
 from repro.simmpi import Machine
 from repro.simmpi.cart import CartGrid
-from repro.simmpi.collectives import Exchange, alltoallv, neighborhood_alltoallv
+from repro.simmpi.collectives import (
+    Exchange,
+    alltoallv,
+    message_triples,
+    neighborhood_alltoallv,
+)
 from repro.verify.audit import CommAuditError, enable_auditing
 
 P = 6
@@ -73,36 +78,52 @@ def test_descriptor_is_the_same_exchange(make_machine, seed, count_exchange):
     assert observed(as_buffer) == observed(as_dicts)
 
 
-def kept_positions(exchange, seed):
-    """Receive positions to keep: none, every one, and a random subset
-    that keeps no row of any message to one receiving rank."""
+def listed_positions(exchange, seed):
+    """Route positions to list: none, every one, and a random subset that
+    lists no row of any message to one receiving rank."""
     total = exchange.row_index.shape[0]
     rng = np.random.default_rng(seed)
-    _rows, offsets = exchange.recv_rows(P)
     dropped = int(rng.integers(0, P))
-    subset = np.flatnonzero(rng.random(total) < 0.6)
-    subset = subset[(subset < offsets[dropped]) | (subset >= offsets[dropped + 1])]
+    to_dropped = np.repeat(exchange.msg_dst, np.diff(exchange.row_ptr)) == dropped
+    subset = np.flatnonzero((rng.random(total) < 0.6) & ~to_dropped)
     return {"none": np.empty(0, dtype=np.int64), "every": np.arange(total), "subset": subset}
+
+
+def counted(exchange, listed):
+    """``exchange`` charged whole (``sent``) but listing only the rows at
+    the ascending route positions ``listed``."""
+    return dataclasses.replace(
+        exchange,
+        row_index=exchange.row_index[listed],
+        row_ptr=np.searchsorted(listed, exchange.row_ptr).astype(np.int64),
+        sent=np.diff(exchange.row_ptr),
+    )
 
 
 @pytest.mark.timeout(300)
 @pytest.mark.parametrize("seed", range(8))
 def test_kept_rows_are_the_delivery_indexed(make_machine, seed):
-    """An exchange with ``keep`` delivers exactly the rows the whole
-    delivery holds at those positions, cut by receiver — and is charged,
-    traced and audited as the whole exchange; over ``process:2`` only the
-    kept rows are written to shared memory."""
+    """An exchange with ``sent`` delivers exactly the rows it lists: what
+    the whole delivery holds at their receive positions, cut by receiver,
+    and what a listing of every row with those positions kept delivered
+    (``recv_rows_kept``) — and is charged, traced and audited as the whole
+    exchange; over ``process:2`` only the listed rows are written to shared
+    memory."""
     exchange, _sends = random_exchange(seed)
     whole = make_machine(P)
     columns, offsets = alltoallv(whole, exchange, "x")
-    for name, keep in kept_positions(exchange, seed).items():
+    for name, listed in listed_positions(exchange, seed).items():
+        keep = exchange.recv_positions(listed)
+        kept_rows, kept_offsets = recv_rows_kept(exchange, keep, P)
         machine = make_machine(P)
         backend = machine.backend
         before = backend.counters["backend.shm_bytes"] if backend is not None else 0
-        got, got_offsets = alltoallv(machine, dataclasses.replace(exchange, keep=keep), "x")
-        for g, c in zip(got, columns):
+        got, got_offsets = alltoallv(machine, counted(exchange, listed), "x")
+        for g, c, sent in zip(got, columns, exchange.columns):
             assert g.dtype == c.dtype
             np.testing.assert_array_equal(g, c[keep])
+            np.testing.assert_array_equal(g, sent[kept_rows])
+        np.testing.assert_array_equal(got_offsets, kept_offsets)
         np.testing.assert_array_equal(got_offsets, np.searchsorted(keep, offsets))
         assert observed(machine) == observed(whole), name
         if backend is not None:
@@ -160,11 +181,11 @@ class TestMalformedDescriptor:
         (dict(row_index=np.array([0, 1, 2, 6])), "outside the column buffers"),
         (dict(columns=(np.arange(6.0), np.arange(5))), "differ in length"),
         (dict(row_index=np.array([0.0, 1.0, 2.0, 3.0])), "int64"),
-        (dict(keep=np.array([2, 1])), "Exchange.keep"),
-        (dict(keep=np.array([1, 1])), "Exchange.keep"),
-        (dict(keep=np.array([0, 4])), "Exchange.keep"),
-        (dict(keep=np.array([-1, 0])), "Exchange.keep"),
-        (dict(keep=np.array([0.0, 1.0])), "Exchange.keep"),
+        (dict(sent=np.array([2, 1])), "Exchange.sent"),
+        (dict(sent=np.array([3, 0])), "Exchange.sent"),
+        (dict(sent=np.array([3, 1, 0])), "Exchange.sent"),
+        (dict(sent=np.array([3, -1])), "Exchange.sent"),
+        (dict(sent=np.array([3.0, 1.0])), "Exchange.sent"),
     ]
 
     @pytest.mark.parametrize("changes, message", MALFORMED)
@@ -218,3 +239,9 @@ class TestMalformedDescriptor:
         (a, b), offsets = alltoallv(machine, self.table(), "x")
         np.testing.assert_array_equal(a, [3.0, 0.0, 1.0, 2.0])
         np.testing.assert_array_equal(offsets, [0, 1, 4, 4, 4])
+        # charged as carrying more rows than it lists: the listed ones arrive
+        counted = self.table(sent=np.array([5, 1]))
+        (a, b), offsets = alltoallv(machine, counted, "x")
+        np.testing.assert_array_equal(a, [3.0, 0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(offsets, [0, 1, 4, 4, 4])
+        np.testing.assert_array_equal(message_triples(counted)[2], [5 * 16, 16])

@@ -32,6 +32,7 @@ from redistribution_oracles import (
     observed,
     owned_copies_by_origin,
     partition_sort_loop,
+    recv_rows_kept,
     restore_results_loop,
 )
 from round_oracles import FunnelLog
@@ -42,6 +43,7 @@ from repro.core.plan import ResortPlan
 from repro.core.resort import apply_resort, invert_indices, pack_resort_index
 from repro.core.restore import restore_results
 from repro.simmpi.cart import CartGrid
+from repro.simmpi.collectives import message_triples
 from repro.simmpi.machine import Machine
 from repro.solvers.fmm import solver as fmm_solver
 from repro.solvers.p2nfft.solver import ghost_distribution
@@ -353,7 +355,7 @@ class TestGhostDistributionAgainstLoop:
         st.integers(0, 2**16),
     )
     def test_same_pairs(self, dims, n, rc_in_cells, special, shifted, seed):
-        """Small dims wrap two offsets onto one rank (the dedup case),
+        """Small dims wrap two offsets onto one rank (one target class),
         ``rc`` above one or two cells reaches the second and third ring;
         positions lie outside the box, on subdomain faces, and a hair below
         the lower box face."""
@@ -391,8 +393,8 @@ class TestGhostDistributionAgainstLoop:
     @pytest.mark.parametrize("rc_in_cells", [0.4, 0.99])
     def test_narrow_and_wide_grids(self, dims, narrow, rc_in_cells):
         """A ring of one subdomain: a grid narrower than three subdomains
-        along some axis takes the wrap filter and the dedup, a wider one
-        neither, and the route is the oracles' either way.  Rows sit on
+        along some axis wraps offsets onto the owner and into one target
+        class, a wider one neither, and the route is the oracles' either way.  Rows sit on
         faces and a hair outside the box; ``rank_counts`` leaves ranks
         empty."""
         assert any(d < 3 for d in dims) == narrow
@@ -447,6 +449,92 @@ class TestGhostDistributionAgainstLoop:
                 for s in shifts
             ]
             assert min(float((g * g).sum()) for g in gaps) == pytest.approx(rc * rc, rel=1e-9)
+
+
+def below_faces(pos, grid, rng):
+    """Move a third of the positions a hair below a subdomain face."""
+    faced = on_faces(pos, grid, rng)
+    return np.where(faced != pos, np.nextafter(faced, -np.inf), pos)
+
+
+#: position layouts of the counted placement: inside and a little outside
+#: the box, exactly on subdomain faces, a hair below them, on (and a hair
+#: below) the box edge, every row in one subdomain, a hair below the upper
+#: box face
+COUNTED_LAYOUTS = ["inside", "faces", "below faces", "box edge", "one cell", "upper face"]
+
+
+def counted_positions(layout, n, grid, rng):
+    if layout in ("one cell", "upper face"):
+        return placement_positions(layout, n, grid, rng)
+    pos = grid.offset + (rng.random((n, 3)) * 1.2 - 0.1) * grid.box
+    hostile = {"faces": on_faces, "below faces": below_faces, "box edge": hair_outside}
+    return hostile[layout](pos, grid, rng) if layout in hostile else pos
+
+
+class TestCountedPlacement:
+    """Skipping the force arithmetic, the grid placement counts its ghost
+    copies instead of listing them.  The counted route is the listed one
+    message for message — source, destination and row count — and delivers
+    the owner copies the listed route delivered with exactly those receive
+    positions kept (``recv_rows_kept``, the delivery it replaced)."""
+
+    def check(self, grid, pos, rc, seed):
+        n, P = pos.shape[0], grid.nprocs
+        counts = rank_counts(n, P, seed)
+        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        listed, owned = ghost_distribution(grid, pos, rc, offsets)
+        route, every = ghost_distribution(grid, pos, rc, offsets, counted=True)
+        assert_same_arrays(
+            [route.msg_src, route.msg_dst, route.charged_rows(), every],
+            [listed.msg_src, listed.msg_dst, np.diff(listed.row_ptr), np.arange(n)],
+        )
+        columns = (pos, np.zeros(n, dtype=np.int32))
+        assert_same_arrays(
+            message_triples(dataclasses.replace(route, columns=columns)),
+            message_triples(dataclasses.replace(listed, columns=columns)),
+        )
+        dataclasses.replace(route, columns=columns).validate(P)
+        assert_same_arrays(
+            route.recv_rows(P), recv_rows_kept(listed, listed.recv_positions(owned), P)
+        )
+        # ``GridSolver.copies``, owned + ghost copies per receiving rank
+        assert_same_arrays(
+            [np.bincount(route.msg_dst, route.charged_rows(), P)],
+            [np.bincount(listed.msg_dst, np.diff(listed.row_ptr), P)],
+        )
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        GRIDS,
+        st.integers(0, 60),
+        st.floats(0.02, 2.3),
+        st.sampled_from(COUNTED_LAYOUTS),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    def test_counted_route_is_the_listed_route(self, dims, n, rc_in_cells, layout, shifted, seed):
+        """Narrow grids (two offsets in one target class, a ghost wrapped
+        onto its owner), ``rc`` reaching the second and third ring, no rows,
+        fewer rows than ranks and empty ranks."""
+        rng = np.random.default_rng(seed)
+        box = np.array([7.0, 5.0, 6.0])
+        offset = np.array([-1.0, 0.5, 2.0]) if shifted else np.zeros(3)
+        grid = CartGrid(int(np.prod(dims)), box, offset, dims=dims)
+        pos = counted_positions(layout, n, grid, rng)
+        self.check(grid, pos, rc_in_cells * float(grid.cell.min()), seed)
+
+    @pytest.mark.parametrize("dims", [(4, 2, 2), (2, 2, 2), (3, 3, 3), (8, 8, 8)])
+    @pytest.mark.parametrize("rc_in_cells", [0.4, 0.99, 1.7])
+    @pytest.mark.parametrize("layout", COUNTED_LAYOUTS)
+    def test_counted_route_on_fixed_grids(self, dims, rc_in_cells, layout):
+        """``payload_p16``'s (4, 2, 2) grid, the all-narrow (2, 2, 2), a
+        grid just wide enough for ring 1 and one wide enough for ring 2, 400
+        rows (fewer than the 512 ranks of the last)."""
+        rng = np.random.default_rng(5)
+        grid = CartGrid(int(np.prod(dims)), np.array([6.0, 5.0, 4.0]), dims=dims)
+        pos = counted_positions(layout, 400, grid, rng)
+        self.check(grid, pos, rc_in_cells * float(grid.cell.min()), 5)
 
 
 @contextlib.contextmanager
@@ -529,10 +617,18 @@ class TestHaloAgainstLoop:
         assert_same_route(route, want_route)
 
         skip_machine, skip_solver, blocks = build("skip")
-        skipped = skip_solver._halo_exchange(blocks, skip_solver._ownership(blocks))
+        with spying(fmm_solver, "redistribute_flat") as calls:
+            skipped = skip_solver._halo_exchange(blocks, skip_solver._ownership(blocks))
         assert skipped.data.names() == got.data.names()
         assert skipped.data.n == 0 and not skipped.offsets.any()
         assert observed(skip_machine) == observed(want_machine)
+        # it lists no row and counts every message's rows: the listed route's
+        (_machine, _block, counted, _phase, _comm), _kwargs = calls[0]
+        assert counted.row_index.size == 0 and not counted.row_ptr.any()
+        assert_same_arrays(
+            [counted.msg_src, counted.msg_dst, counted.charged_rows()],
+            [route.msg_src, route.msg_dst, np.diff(route.row_ptr)],
+        )
 
 
 # ------------------------------------------------ resort plan and scatters
@@ -877,7 +973,7 @@ class TestGridPlacementAgainstOrigins:
         receive positions the route says they land at; the oracle picks them
         from the origin every delivered copy carries.  Same positions, same
         owned rows bit for bit — on narrow grids where ghosts wrap onto the
-        owner and the dedup runs, with empty ranks, fewer rows than ranks,
+        owner and two offsets share a class, with empty ranks, fewer rows than ranks,
         no rows at all, every row in one subdomain and repeated rows a hair
         below the upper face; and the ``fcs_run`` of that input completes.
         Skipping the force arithmetic, the transport delivers those owned

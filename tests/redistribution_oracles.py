@@ -12,7 +12,9 @@ later, the row-array ``ghost_distribution`` and the always-``argsort``
 ``exchange_route`` the grid placement ran on before it decided ownership
 once (:func:`ghost_distribution_rows`, :func:`exchange_route_argsort`), the
 placement's receiver-side pick of the owned copies from every delivered
-copy's origin (:func:`owned_copies_by_origin`), and
+copy's origin (:func:`owned_copies_by_origin`), the delivery of the kept
+receive positions of a listed skip-compute exchange (:func:`recv_rows_kept`),
+and
 the ``merge_exchange_sort`` that merged every overlapping pair of a comparator
 round on its own (:func:`merge_exchange_sort_pairwise`), with the payload
 form of ``exchange_pairs`` it ran on (:func:`exchange_pairs_payloads`; the
@@ -343,6 +345,38 @@ def owned_copies_by_origin(
     own = np.flatnonzero(owner[offsets[src] + row] == arrived_at)
     owned = RankMajor(local_all.data.take(own), np.searchsorted(own, local_all.offsets))
     return own, owned
+
+
+def recv_rows_kept(
+    self: Exchange, keep: Optional[np.ndarray], nprocs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``Exchange.recv_rows`` while a skip-compute placement listed every
+    copy and named the ascending receive positions to deliver (``keep``,
+    then a field of the exchange, now an argument; the body is verbatim):
+    which buffer row every kept received row is a copy of, in ``(dst,
+    src)`` order, and the ``recv_offsets`` splitting them by receiver.
+
+    The send-side order ``row_index`` and the regrouping of whole
+    messages by destination are composed into one index vector, so no
+    send buffer is materialized between the two; a kept subset is found
+    message by message (one bisection each), never cut out of the whole.
+    """
+    by_dst, lens, starts = self._receive_order()
+    rows_to = np.zeros(nprocs, dtype=np.int64)
+    np.add.at(rows_to, self.msg_dst, np.diff(self.row_ptr))
+    recv_offsets = np.concatenate(([0], np.cumsum(rows_to)))
+    if keep is None:
+        positions = np.arange(self.row_index.shape[0])
+    else:
+        positions = keep
+        lens = np.diff(np.searchsorted(positions, np.append(starts, self.row_index.shape[0])))
+        recv_offsets = np.searchsorted(positions, recv_offsets)
+    gather = np.repeat(self.row_ptr[:-1][by_dst] - starts, lens)
+    gather += positions
+    # every index is in range; ``clip`` lets the gather overwrite its own
+    # index vector unbuffered (entry i is read before entry i is written)
+    np.take(self.row_index, gather, out=gather, mode="clip")
+    return gather, recv_offsets
 
 
 def halo_exchange_loop(

@@ -170,16 +170,19 @@ class TestGhostDistribution:
         assert pair_key_bits(2**20, 2**23) == (20, 23)
         with pytest.raises(ValueError, match="8388609 rows on 1048576 ranks"):
             pair_key_bits(2**20, 2**23 + 1)
-        # refused before any work: no table of 2^30 entries is ever built
+        # refused before any work, whether the ghosts would be listed or
+        # counted: no table of 2^30 entries is ever built
         grid = CartGrid(2**30, np.full(3, 10.0))
-        with pytest.raises(ValueError, match="9 rows on 1073741824 ranks needs a 64-bit"):
-            offsets = np.broadcast_to(np.int64(0), (2**30 + 1,))  # no memory behind it
-            ghost_distribution(grid, np.zeros((9, 3)), 0.1, offsets)
+        offsets = np.broadcast_to(np.int64(0), (2**30 + 1,))  # no memory behind it
+        for counted in (False, True):
+            with pytest.raises(ValueError, match="9 rows on 1073741824 ranks needs a 64-bit"):
+                ghost_distribution(grid, np.zeros((9, 3)), 0.1, offsets, counted=counted)
 
     @pytest.mark.parametrize("solver", ["p2nfft", "ewald"])
     def test_placement_too_wide_to_key_is_refused_before_any_charge(self, solver):
         """A placement whose key would not fit raises from ``fcs_run`` with
-        clocks, trace and the application's rows untouched.  (The grid is
+        clocks, trace and the application's rows untouched, whether it
+        would count its ghosts (skip) or list them (full).  (The grid is
         swapped for one of 2^30 ranks: a machine that size does not fit.)"""
         box = np.full(3, 4.0)
         machine = Machine(2)
@@ -190,10 +193,13 @@ class TestGhostDistribution:
         fcs.tune(particles)
         fcs.solver.grid = CartGrid(2**30, box)
         clocks, items = machine.clocks.copy(), machine.trace.items()
-        with pytest.raises(ValueError, match="9 rows on 1073741824 ranks"):
-            fcs.run(particles)
-        assert np.array_equal(machine.clocks, clocks) and machine.trace.items() == items
-        np.testing.assert_array_equal(particles.pos[0], pos)
+        # a full-compute placement without the near-field cells a full tune builds
+        for compute in ("skip", "full"):
+            fcs.solver._set_compute_mode(compute)
+            with pytest.raises(ValueError, match="9 rows on 1073741824 ranks"):
+                fcs.run(particles)
+            assert np.array_equal(machine.clocks, clocks) and machine.trace.items() == items
+            np.testing.assert_array_equal(particles.pos[0], pos)
 
     @pytest.mark.parametrize("solver", ["p2nfft", "ewald"])
     def test_near_field_keeps_the_pair_across_the_upper_face(self, solver):

@@ -124,6 +124,9 @@ REMOVED = [
     ("repro.obs.spans", "ObsRecorder.phase_sums"),
     ("repro.simmpi.collectives", "Exchange.as_sends"),
     ("repro.simmpi.collectives", "Exchange.collect"),
+    # a skip-compute exchange lists the rows it delivers and counts the rest
+    # (``Exchange.sent``); no receive positions pick from a full listing
+    ("repro.simmpi.collectives", "Exchange.keep"),
     ("repro.simmpi.algos", "_payload_cols"),
     ("repro.simmpi.algos", "_rebuild_payload"),
     ("repro.verify.audit", "CommAuditor.observe_send_round"),

@@ -247,3 +247,39 @@ class TestStepCounts:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert "argument --steps:" in err and out == ""
+
+    COUNTS = [(["--nprocs", "0"], "--nprocs"), (["--particles", "0"], "--particles"),
+              (["--particles", "7"], "--particles")]
+
+    @pytest.mark.parametrize("args,flag", COUNTS, ids=["nprocs-0", "particles-0", "particles-odd"])
+    @pytest.mark.parametrize("cli", ["dst", "ckpt-verify"])
+    def test_bad_counts_are_refused_at_parse_time(self, cli, args, flag, capsys):
+        """Was: the first ``reference schedule`` line, then a raw
+        ``ValueError`` traceback from the machine or the system builder."""
+        with pytest.raises(SystemExit) as exc:
+            if cli == "dst":
+                main(["dst", "--solvers", "direct", "--methods", "A", "--steps", "1",
+                      "--seed-list", "1", *args])
+            else:
+                ckpt_main(["verify", "--solvers", "direct", "--methods", "A", *args])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"argument {flag}:" in err
+        assert "reference schedule" not in out
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--kill-at", "1"], ["--ckpt-dir", "d"], ["--algos", "bruck"], ["--backend", "process"],
+         ["--distributions", "clustered"], ["--system-seed", "3"], ["--solvers", "fmm"],
+         ["--methods", "B"], ["--nprocs", "2"], ["--particles", "8"], ["--obs-export-dir", "d"]],
+        ids=lambda args: args[0],
+    )
+    def test_resume_from_refuses_the_flags_a_checkpoint_fixes(self, args, capsys):
+        """Was: the resumed sweep ran with the flag silently dropped (the
+        checkpoint is never read here: the refusal comes first)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["dst", "--resume-from", "missing.ckpt.ndjson", "--steps", "1", *args])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "argument --resume-from:" in err and args[0] in err
+        assert out == ""
