@@ -21,7 +21,9 @@ Every redistribution of the repo is this operation:
 this module is the only place outside :mod:`repro.simmpi` that builds an
 ``Exchange`` — the parallel sort's all-to-all, the resort-index scatters
 (:mod:`repro.core.resort`, :mod:`repro.core.restore`) and the stored
-schedule of a :class:`~repro.core.plan.ResortPlan` are callers.
+schedule of a :class:`~repro.core.plan.ResortPlan` are callers.  Those three
+know every row's slot first: they charge a :func:`counted_route` and gather
+the rows into place themselves.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.simmpi.machine import Machine
 __all__ = [
     "COMM_KINDS",
     "DistResult",
+    "counted_route",
     "exchange_route",
     "fine_grained_redistribute",
     "pair_key_bits",
@@ -137,6 +140,19 @@ def exchange_route(row_offsets: np.ndarray, elements: np.ndarray, targets: np.nd
         key = key[order]
         elements = elements[order]
     return sorted_route(key, P, elements)
+
+
+def counted_route(row_offsets: np.ndarray, targets: np.ndarray) -> Exchange:
+    """:func:`exchange_route` of every rank-major row ``i`` to rank
+    ``targets[i]``, charged by count: the same messages, each carrying its
+    row count as :attr:`~repro.simmpi.collectives.Exchange.sent`, and no row
+    listed, so it delivers nothing — for callers that know every row's slot
+    and gather the rows there themselves."""
+    listed = exchange_route(row_offsets, np.arange(targets.shape[0], dtype=np.int64), targets)
+    return dataclasses.replace(
+        listed, row_index=listed.row_index[:0], row_ptr=np.zeros_like(listed.row_ptr),
+        sent=np.diff(listed.row_ptr),
+    )
 
 
 def sorted_route(

@@ -13,21 +13,20 @@ collectives applies directly.
 communication schedule:
 
 * the *route* of the fine-grained redistribution
-  (:func:`~repro.core.fine_grained.exchange_route`): every row grouped by
-  ``(source, target)`` rank into the messages of one exchange — the same
-  descriptor every other redistribution of the repo builds and throws away,
-* one *placement* permutation scattering the arriving rows into their target
-  positions — built from **one** schedule-distribution exchange of the
-  target positions at compile time, after which data exchanges no longer
-  carry any index column at all,
+  (:func:`~repro.core.fine_grained.counted_route`): the ``(source, target)``
+  messages of one exchange and the rows each carries, counted, not listed,
+* one *placement* permutation gathering every original row into its target
+  position, read straight off the indices; the **one** schedule-distribution
+  exchange of the target positions is charged at compile time, after which
+  data exchanges no longer carry any index column at all,
 * the communication strategy (general or neighborhood all-to-all).  Because
   the counts are part of the plan, executions skip the dense
   ``MPI_Alltoall`` count exchange (``count_exchange="cached"``).
 
 Executing a plan moves arbitrarily many data columns of mixed dtype in **one**
 exchange: the stored route is bound to the typed columns of all ranks as
-they are and shipped as one :class:`~repro.simmpi.collectives.Exchange`, and
-each arrived column is put in place with one gather.  Sending ``k`` columns
+they are and charged as one :class:`~repro.simmpi.collectives.Exchange`, and
+each column goes from the caller's buffer into place with one gather.  Sending ``k`` columns
 therefore costs one message round instead of ``k`` — exactly the per-array
 savings the ``FCS.resort`` redesign exposes to applications.
 
@@ -38,10 +37,10 @@ independent plan ledger so the savings are observable *and* cross-checked.
 
 Plan executions call :func:`~repro.simmpi.collectives.alltoallv` and hence
 compose with the staged collective-algorithm engines
-(:mod:`repro.simmpi.algos`): under e.g. ``alltoallv=bruck`` the columns
-route through the staged rounds, still with ``count_exchange="cached"``
+(:mod:`repro.simmpi.algos`): under e.g. ``alltoallv=bruck`` the exchange is
+charged through the staged rounds, still with ``count_exchange="cached"``
 (the plan's cached counts spare even the staged engines their dense count
-exchange), and the delivered columns stay bitwise identical.
+exchange), and the placed columns stay bitwise identical.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.fine_grained import COMM_KINDS, exchange_route
+from repro.core.fine_grained import COMM_KINDS, counted_route
 from repro.core.particles import RankMajor
 from repro.core.resort import RESORT_POS_BITS, check_target_slots, unpack_resort_index
 from repro.obs.spans import machine_span
@@ -157,11 +156,12 @@ class ResortPlan:
 
     Compiling unpacks every packed (target rank, target position) value,
     validates once that the targets form a permutation onto the new layout,
-    groups the rows by target into the route of one exchange and
-    distributes the target positions to their owners along it.  Every
-    subsequent :meth:`execute` is then pure data movement: bind the stored
-    route to the columns, one exchange, one gather per column into place —
-    no index columns on the wire, no count exchange, no revalidation.
+    counts the rows per target into the route of one exchange and charges
+    the distribution of the target positions to their owners along it.
+    Every subsequent :meth:`execute` is then pure data movement: the stored
+    route bound to the columns is charged as one exchange, and one gather
+    per column puts the rows in place — no index columns on the wire, no
+    count exchange, no revalidation.
 
     Parameters
     ----------
@@ -235,25 +235,24 @@ class ResortPlan:
             ),
         )
         total = ranks.shape[0]
-        #: the stored schedule: every row's message, without column buffers
-        self._route = exchange_route(self._old_offsets, np.arange(total, dtype=np.int64), ranks)
+        #: the stored schedule: every message and its row count, no row listed
+        self._route = counted_route(self._old_offsets, ranks)
         inter = self._route.msg_src != self._route.msg_dst
         self._inter_messages = int(inter.sum())
-        self._moved_rows = int(np.diff(self._route.row_ptr)[inter].sum())
+        self._moved_rows = int(self._route.sent[inter].sum())
         self._new_offsets = np.concatenate(([0], np.cumsum(self.new_counts, dtype=np.int64)))
 
         with machine_span(machine, "resort_plan.compile", op="plan.compile", comm=comm):
             # schedule distribution: the one-off exchange that tells every
             # destination which incoming row lands where.  This is the only
-            # time index data travels; executions ship pure payload.
+            # time index data is charged; executions charge pure payload.
             transport = neighborhood_alltoallv if comm == "neighborhood" else alltoallv
-            (arrived,), recv_offsets = transport(
+            transport(
                 machine, dataclasses.replace(self._route, columns=(positions,)), COMPILE_PHASE
             )
-            slots = np.repeat(recv_offsets[:-1], np.diff(recv_offsets)) + arrived
-            #: placement permutation: ``out[p] = arrived[place[p]]``
+            #: placement permutation, read off the indices: ``out[p] = column[place[p]]``
             self._place = np.empty(total, dtype=np.int64)
-            self._place[slots] = np.arange(total, dtype=np.int64)
+            self._place[self._new_offsets[ranks] + positions] = np.arange(total, dtype=np.int64)
             # building the inverse permutation is a local 8-byte scatter per row
             machine.copy(
                 8.0 * np.asarray(self.new_counts, dtype=np.float64), COMPILE_PHASE
@@ -349,11 +348,8 @@ class ResortPlan:
             else:
                 # counts are part of the plan: skip the dense count exchange
                 transport = functools.partial(alltoallv, count_exchange="cached")
-            arrived, _ = transport(machine, exchange, phase)
-            out = [
-                RankMajor(np.take(col, self._place, axis=0), self._new_offsets)
-                for col in arrived
-            ]
+            transport(machine, exchange, phase)  # charged; the gathers move the rows
+            out = [RankMajor(np.take(col, self._place, axis=0), self._new_offsets) for col in flat]
             machine.copy(np.asarray(self.new_counts, dtype=np.float64) * row_bytes, phase)
             self._count_execution(
                 phase, len(flat), self._inter_messages, self._moved_rows * row_bytes

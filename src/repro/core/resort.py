@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.fine_grained import exchange_route, redistribute_flat
+from repro.core.fine_grained import counted_route, redistribute_flat
 from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.machine import Machine
 
@@ -159,7 +159,9 @@ def deliver_to_slots(
     """Send each row of the rank-major block ``rows`` to the ``(rank,
     position)`` packed in its ``index`` column and store it there: one
     fine-grained redistribution followed by the local permutation, for all
-    ranks at once.
+    ranks at once.  Every slot is known before anything moves, so the
+    exchange (index column included) is charged from its message counts
+    and every column is gathered once, straight into the slots.
 
     Returns the other columns as one block over the slots of all ranks
     (rank ``r`` owns ``counts[r]`` rows from row ``sum(counts[:r])`` on).
@@ -168,15 +170,13 @@ def deliver_to_slots(
     before anything is exchanged or charged.
     """
     ranks, positions = unpack_resort_index(rows.data[index])
-    route = exchange_route(rows.offsets, np.arange(ranks.shape[0], dtype=np.int64), ranks)
+    route = counted_route(rows.offsets, ranks)
     check_target_slots(ranks, positions, counts, count_error)
-    received = redistribute_flat(machine, rows.data, route, phase, comm)
-    delivered, recv_offsets = received.data, received.offsets
-    # every receiver reads the slot off the index value it was sent
-    ranks, positions = unpack_resort_index(delivered[index])
-    place = np.empty(delivered.n, dtype=np.int64)
-    place[recv_offsets[ranks] + positions] = np.arange(delivered.n, dtype=np.int64)
-    return delivered.drop(index).take(place)
+    redistribute_flat(machine, rows.data, route, phase, comm)  # charged, nothing delivered
+    slots = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))[ranks] + positions
+    place = np.empty_like(slots)
+    place[slots] = np.arange(slots.shape[0], dtype=np.int64)
+    return rows.data.drop(index).take(place)
 
 
 def invert_indices(

@@ -119,7 +119,8 @@ class Exchange:
     and traced as carrying; the table then lists only the rows that are
     delivered (of message ``k`` at most ``sent[k]``), and the rest travel in
     the charge alone — a placement whose copies no later phase reads sends
-    their counts, not a listing of them.
+    their counts, not a listing of them.  A table that lists no row (a
+    :func:`~repro.core.fine_grained.counted_route`) reaches no backend.
     """
 
     columns: Tuple[np.ndarray, ...]
@@ -452,6 +453,10 @@ def alltoallv(
         _charge_alltoall(machine, triples, phase, count_exchange)
     else:
         staged(machine, triples, phase, count_exchange=count_exchange)
+    if isinstance(sends, Exchange) and not sends.row_index.size:
+        # every row travels in the charge alone: no backend carries it
+        columns = tuple(np.empty((0,) + c.shape[1:], c.dtype) for c in sends.columns)
+        return columns, np.zeros(machine.nprocs + 1, dtype=np.int64)
     return _deliver(machine, sends)
 
 

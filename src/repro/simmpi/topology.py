@@ -190,6 +190,9 @@ class TorusTopology(Topology):
         for i in range(len(self.dims) - 1, -1, -1):
             self._strides[i] = s
             s *= self.dims[i]
+        #: every node's coordinates, so that a hop count is a gather
+        self._coords = self.node_coords(np.arange(self.nnodes))
+        self._dims = np.asarray(self.dims, dtype=np.int64)
 
     def node_coords(self, nodes: np.ndarray | int) -> np.ndarray:
         """Coordinates of each node in the torus, shape ``(..., ndims)``."""
@@ -200,15 +203,9 @@ class TorusTopology(Topology):
         return coords
 
     def hops(self, src, dst):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        ca = self.node_coords(self.node_of(src))
-        cb = self.node_coords(self.node_of(dst))
-        ca, cb = np.broadcast_arrays(ca, cb)
-        delta = np.abs(ca - cb)
-        dims = np.asarray(self.dims, dtype=np.int64)
-        wrapped = np.minimum(delta, dims - delta)
-        return wrapped.sum(axis=-1)
+        delta = self._coords[self.node_of(src)] - self._coords[self.node_of(dst)]
+        np.abs(delta, out=delta)
+        return np.minimum(delta, self._dims - delta).sum(axis=-1)
 
     def diameter(self) -> int:
         return int(sum(d // 2 for d in self.dims))

@@ -70,13 +70,18 @@ def local_sort(
     """Stable sort of every rank's rows by the ``key`` column (one block per
     rank is concatenated once, here): one gather over the rank-major block."""
     blocks = RankMajor.of(blocks)
-    keys, offsets = blocks.data[key], blocks.offsets
-    out = RankMajor(sorted_within_ranks(blocks, key), offsets)
+    out = RankMajor(sorted_within_ranks(blocks, key), blocks.offsets)
+    charge_local_sort(machine, blocks.column(key), phase)
+    return out
+
+
+def charge_local_sort(machine: Machine, keys: RankMajor, phase: Optional[str]) -> None:
+    """Charge the local sorts of the rank-major ``keys``, read from them alone."""
     # adaptive (timsort-like) cost: nearly sorted runs cost a single pass,
     # disordered data the full n log n — this is what makes method B's
     # steady-state local sorts cheap.  A descent counts for the rank holding
     # both rows.
-    n = blocks.counts
+    n, offsets, keys = keys.counts, keys.offsets, keys.data
     rows = np.flatnonzero(keys[1:] < keys[:-1]) + 1  # the lower row of every descent
     rank = np.searchsorted(offsets, rows, side="right") - 1
     descents = np.bincount(rank[offsets[rank] != rows], minlength=n.shape[0])
@@ -85,7 +90,6 @@ def local_sort(
     disorder = descents[many] / (n[many] - 1)
     cost[many] = kernels.SORT_STEP * n[many] * (1.0 + disorder * np.log2(n[many]))
     machine.compute(cost, phase)
-    return out
 
 
 def merge_exchange_sort(

@@ -22,11 +22,11 @@ import numpy as np
 
 from repro import kernels
 from repro.core.balance import work_split_bounds
-from repro.core.fine_grained import fine_grained_redistribute, stable_order
+from repro.core.fine_grained import counted_route, redistribute_flat, stable_order
 from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.collectives import allgatherv
 from repro.simmpi.machine import Machine
-from repro.sorting.merge_sort import local_sort, sorted_within_ranks
+from repro.sorting.merge_sort import charge_local_sort, order_within_ranks
 
 __all__ = [
     "partition_sort",
@@ -188,35 +188,47 @@ def partition_sort(
     Cost model: local sorts, the splitter agreement (sample allgather plus
     a bounded number of exact-partition refinement rounds, as in [12]),
     one collective all-to-all for the payload, and the local multi-way
-    merges.  The data plane computes the exact partition directly.
+    merges.  The data plane computes the exact partition directly: the
+    all-to-all is charged from its message counts, and every column is
+    gathered once, by the local order composed with the global one.
     """
     if len(blocks) != machine.nprocs:
         raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
     if balance_key is not None and target_counts is not None:
         raise ValueError("pass either balance_key or target_counts, not both")
     P = machine.nprocs
-    current = RankMajor.of(blocks) if presorted else local_sort(machine, blocks, key, phase)
+    blocks = RankMajor.of(blocks)
+    keys, offsets = blocks.data[key], blocks.offsets
+    local = None if presorted else order_within_ranks(keys, offsets)
+    if not presorted:
+        charge_local_sort(machine, RankMajor(keys, offsets), phase)
     if balance_key is None:
         if target_counts is None:
-            target_counts = current.counts
+            target_counts = blocks.counts
         else:
             target_counts = np.asarray([int(c) for c in target_counts], dtype=np.int64)
-            total = current.data.n
+            total = blocks.data.n
             if target_counts.sum() != total:
                 raise ValueError(
                     f"target_counts sum {int(target_counts.sum())} != total elements {total}"
                 )
     if P == 1:
-        return current
+        if local is not None:
+            return RankMajor(blocks.data.take(local), offsets)
+        return blocks if presorted else RankMajor(blocks.data.copy(), offsets)
+
+    weights = None if balance_key is None else blocks.data[balance_key]
+    if local is not None:  # splitters and bounds read the locally sorted keys and weights
+        keys, weights = keys[local], None if weights is None else weights[local]
 
     # communication of the splitter agreement: one sample allgather plus an
     # exact-partitioning refinement round of scalar reductions [12]
     select_splitters(
         machine,
-        current.column(key),
+        RankMajor(keys, offsets),
         oversampling,
         phase,
-        weights=None if balance_key is None else current.column(balance_key),
+        weights=None if weights is None else RankMajor(weights, offsets),
     )
     machine.collective(
         machine.model.tree_collective_time(P, 16.0, machine.topology.diameter()),
@@ -226,26 +238,24 @@ def partition_sort(
 
     # data plane: exact global partition at the prefix boundaries of
     # target_counts, ties broken by (rank, position) so the split is stable
-    order = stable_order(current.data[key])  # stable = (rank, pos) tie order
-    order = np.arange(current.data.n) if order is None else order
+    order = stable_order(keys)  # stable = (rank, pos) tie order
+    order = np.arange(keys.shape[0]) if order is None else order
     if balance_key is not None:
-        bounds = work_split_bounds(current.data[balance_key][order], P)
+        bounds = work_split_bounds(weights[order], P)
     else:
         bounds = np.concatenate(([0], np.cumsum(target_counts)))
     dest = partition_destinations(order, bounds)
-    received = fine_grained_redistribute(machine, current, dest, phase)
+    # the locally sorted rows go out in order, so their keys need no sort
+    route = counted_route(offsets, dest)
+    redistribute_flat(machine, blocks.data, route, phase, "alltoall")  # charged only
+    merged = blocks.data.take(order if local is None else local[order])
 
     # every destination merges one sorted run per source that sent it rows:
-    # count the distinct (source, destination) pairs, which change rarely
-    # along the locally sorted rows
-    pair = np.repeat(np.arange(P, dtype=np.int64) * P, current.counts) + dest
-    pair = pair[np.diff(pair, prepend=-1) != 0]
-    runs = np.bincount(np.unique(pair) % P, minlength=P)
-    merged = sorted_within_ranks(received, key)
-    # k-way merge of sorted runs: n log k
-    n = received.counts
+    # one per (source, destination) message; k-way merge of sorted runs: n log k
+    runs = np.bincount(route.msg_dst, minlength=P)
+    n = np.diff(bounds)
     merge_cost = np.zeros(P, dtype=np.float64)
     many = n > 1
     merge_cost[many] = kernels.SORT_STEP * n[many] * np.log2(np.maximum(runs[many], 2))
     machine.compute(merge_cost, phase)
-    return RankMajor(merged, received.offsets)
+    return RankMajor(merged, bounds)

@@ -314,7 +314,8 @@ def main_dst(argv: List[str]) -> int:
         )
     print(report.summary())
     for failure in report.failures:
-        print(f"  seed {failure.seed} [{failure.solver}/{failure.method}]: {failure.detail}")
+        who = "reference" if failure.seed is None else f"seed {failure.seed}"
+        print(f"  [FAIL] {who} [{failure.solver}/{failure.method}]: {failure.detail}")
         print(
             "  reproduce: "
             + failure.repro_command(

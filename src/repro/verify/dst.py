@@ -100,11 +100,12 @@ def ledger_fingerprint(auditor) -> str:
 
 @dataclasses.dataclass
 class DstFailure:
-    """One divergence or invariant violation under one seed."""
+    """One divergence or invariant violation under one seed (``None``: the
+    reference schedule itself failed, before any seed played)."""
 
     solver: str
     method: str
-    seed: int
+    seed: Optional[int]
     detail: str
     distribution: str = "homogeneous"
     #: step at which the trajectory was killed and resumed from checkpoint
@@ -123,10 +124,10 @@ class DstFailure:
     def repro_command(self, *, nprocs: int, steps: int, particles: int) -> str:
         """One-line command reproducing exactly this failing cell."""
         if self.resume_from is not None:
+            seeds = "" if self.seed is None else f" --seed-list {self.seed}"
             return (
                 f"python -m repro.verify dst --resume-from "
-                f"{shlex.quote(self.resume_from)} "
-                f"--steps {steps} --seed-list {self.seed}"
+                f"{shlex.quote(self.resume_from)} --steps {steps}{seeds}"
             )
         cell = f"--solvers {self.solver} --methods {self.method!r} --steps {steps}"
         options = {
@@ -203,10 +204,14 @@ def _sweep_seeds(
     **kill,
 ) -> List[DstFailure]:
     """Play the reference run (chaos seed ``None``), then one run per seed
-    held to it; each divergence becomes a copy of ``template``.
+    held to it; each divergence, or a failing reference alone (seed
+    ``None``), becomes a copy of ``template``.
     ``export`` sees every run that passed (the reference as seed 0)."""
     run = checked_run(None)
-    reference = play(run, steps)
+    try:
+        reference = play(run, steps)
+    except AssertionError as exc:
+        return [dataclasses.replace(template, seed=None, detail=f"reference schedule: {exc}")]
     export(run, 0)
     failures: List[DstFailure] = []
     for seed in seeds:
@@ -252,7 +257,8 @@ def run_dst(
     NDJSON span snapshot per passing run
     (``{solver}-{method}-{distribution}-seed{N}.ndjson``, the reference is
     ``seed0``).  ``kill_at=K`` resumes every perturbed run after its
-    step-``K`` check, through a file under ``ckpt_dir`` when given.
+    step-``K`` check, through a file under ``ckpt_dir`` when given, named
+    the same way (``...-seed{N}-kill{K}.ckpt.ndjson``).
     ``backend`` hosts the payload data plane on an execution engine;
     fingerprints and ledgers must not move.  Restart equivalence is the
     cell ``seed_list=[0], kill_at=N, steps=2N``: the null perturbation also
@@ -284,10 +290,13 @@ def run_dst(
             )
 
             def checked_run(chaos_seed: Optional[int]) -> CheckedRun:
-                return build_run(
+                run = build_run(
                     cell_spec, chaos_seed=chaos_seed, backend=backend, algos=spec,
                     spans=obs_export_dir is not None,
                 )
+                # file names call the reference seed 0
+                run.name = f"{solver}-{slug}-{distribution}{tag}-seed{chaos_seed or 0}"
+                return run
 
             def export(run: CheckedRun, seed: int) -> None:
                 if obs_export_dir is None:
@@ -298,8 +307,8 @@ def run_dst(
                     "perturbation": run.machine.trace.notes().get("perturbation", "none"),
                     "chaos_seed": seed,
                 }
-                name = f"{solver}-{slug}-{distribution}{tag}-seed{seed}.ndjson"
-                write_ndjson(os.path.join(obs_export_dir, name), run.recorder, meta=meta)
+                path = os.path.join(obs_export_dir, f"{run.name}.ndjson")
+                write_ndjson(path, run.recorder, meta=meta)
 
             say(f"dst: {cell} reference schedule ...")
             template = DstFailure(

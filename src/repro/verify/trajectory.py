@@ -183,6 +183,8 @@ class CheckedRun:
     recorder: Optional[ObsRecorder] = None
     #: the run's perturbation is ``Perturbation.sample(chaos_seed)``
     chaos_seed: Optional[int] = None
+    #: its kill checkpoint files' name (``None``: ``{solver}-{method}``)
+    name: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.checker = InvariantChecker(self.sim)
@@ -195,16 +197,15 @@ class CheckedRun:
         """Kill this run and continue it, in place, from its checkpoint.
 
         With ``ckpt_dir`` the checkpoint goes through
-        ``{solver}-{method}-kill{step}.ckpt.ndjson`` in that directory.
+        ``{name}-kill{step}.ckpt.ndjson`` in that directory (a DST sweep
+        names its runs after the cell and the chaos seed).
         """
         sim = self.sim
         ckpt = capture_checkpoint(sim)
         if ckpt_dir is not None:
             os.makedirs(ckpt_dir, exist_ok=True)
-            slug = sim.config.method.replace("+", "_")
-            path = os.path.join(
-                ckpt_dir, f"{sim.config.solver}-{slug}-kill{sim.step_index}.ckpt.ndjson"
-            )
+            name = self.name or f"{sim.config.solver}-{sim.config.method.replace('+', '_')}"
+            path = os.path.join(ckpt_dir, f"{name}-kill{sim.step_index}.ckpt.ndjson")
             write_checkpoint(ckpt, path)
             ckpt = load_checkpoint(path)
         sim.fcs.destroy()

@@ -6,13 +6,12 @@ Two things the closed-form in-process path cannot show:
   resort-index scatters) agree with the per-rank loops they replaced when the
   descriptor is taken apart into per-message views — under a staged algorithm
   and on the process backend;
-* the partition sort builds its output from what was *delivered*:
-  ``MarkingBackend`` stamps every float that crosses ranks, and the stamp
-  must show in the sorted blocks.  It used to read the senders' own objects
-  and throw the transported ones away, so a transport fault on the FMM path
-  was invisible to every cross-backend fingerprint.  The merge sort's
-  comparator rounds are charged and merged in the sort's flat block, and
-  hand the backend nothing.
+* neither sort hands the backend a row: ``MarkingBackend`` stamps every
+  float that crosses ranks, and no stamp may show in the sorted blocks.
+  The partition sort's all-to-all is charged from its message counts and
+  every row is gathered straight into its slot (it once delivered the rows
+  and merged them again); the merge sort's comparator rounds are charged
+  and merged in the sort's flat block.
 """
 
 from __future__ import annotations
@@ -174,32 +173,28 @@ def sort_under(backend, sort):
 
 
 @pytest.mark.parametrize(
-    "sort, transported",
+    "sort",
     [
-        (lambda machine, blocks: partition_sort(machine, blocks, "key", "sort"), True),
-        (lambda machine, blocks: merge_exchange_sort(machine, blocks, "key", "sort")[0], False),
+        lambda machine, blocks: partition_sort(machine, blocks, "key", "sort"),
+        lambda machine, blocks: merge_exchange_sort(machine, blocks, "key", "sort")[0],
     ],
     ids=["partition_sort", "merge_exchange_sort"],
 )
-def test_sorts_return_what_was_delivered(sort, transported):
-    """The partition sort's exchange goes through the transport: every row
-    that ends on another rank than it started on carries the mark.  The
-    merge sort's comparator rounds are charged, not transported — a round
-    merges its windows in the sort's one flat block — so nothing it returns
-    is marked.  Either way the modeled charges do not see the difference."""
+def test_sorts_return_what_was_delivered(sort):
+    """Both sorts are charged, not transported: the partition sort's
+    all-to-all is charged from its message counts and gathers every row into
+    its slot, and a merge-sort round merges its windows in the sort's one
+    flat block.  Nothing either returns is marked, though many rows end on
+    another rank than they started on, and the modeled charges do not see
+    the difference."""
     bare, bare_machine = sort_under(None, sort)
     marked, marked_machine = sort_under(MarkingBackend(), sort)
     moved = 0
     for rank, (b, m) in enumerate(zip(bare, marked)):
         np.testing.assert_array_equal(m["key"], b["key"])
         np.testing.assert_array_equal(m["home"], b["home"])
-        crossed = m["home"] != rank
-        moved += int(crossed.sum())
-        if transported:
-            assert (m["val"][crossed] == MARK).all()
-            np.testing.assert_array_equal(m["val"][~crossed], b["val"][~crossed])
-        else:
-            np.testing.assert_array_equal(m["val"], b["val"])
+        moved += int((m["home"] != rank).sum())
+        np.testing.assert_array_equal(m["val"], b["val"])
     assert moved > 10
     assert [c.hex() for c in marked_machine.clocks] == [c.hex() for c in bare_machine.clocks]
     assert marked_machine.trace.items() == bare_machine.trace.items()

@@ -97,12 +97,13 @@ def _one_step(solver, nprocs, machine=None):
 #: P2NFFT — _place: the input rows, the delivered buffer (the owned rows:
 #: skipping the arithmetic, no ghost is delivered to be cut away);
 #: run: the new layout, and the store's own block of it on install;
-#: invert_indices: its rows, the delivered buffer, its index-free view, the
-#: placed buffer.  FMM — keygen rows, the local sort's gather, the sort's
-#: delivered buffer, its merge gather, the halo's column-dropped view and
-#: (empty) delivered buffer, then the same six.  (P2NFFT was 9 while every
-#: ghost was delivered.)
-BLOCKS_PER_RUN = {"p2nfft": 8, "fmm": 12}
+#: invert_indices: its rows, the (empty) delivered buffer of its counted
+#: exchange, its index-free view, the placed buffer.  FMM — keygen rows, the
+#: sort's (empty) delivered buffer and its one gather into place, the halo's
+#: column-dropped view and (empty) delivered buffer, then the same six.
+#: (P2NFFT was 9 while every ghost was delivered; FMM 12 while the sort
+#: gathered, delivered and merged its rows.)
+BLOCKS_PER_RUN = {"p2nfft": 8, "fmm": 11}
 
 
 @pytest.mark.parametrize("P", [128, 512])
@@ -117,8 +118,9 @@ def test_p2nfft_step_is_constant_in_ranks(work, P):
     assert work["ColumnBlock"] <= BLOCKS_PER_RUN["p2nfft"]
     assert work["payload_nbytes"] == 0
     assert work["morton_encode3"] == 0
-    # invert_indices: the targets before the exchange, the slots after it
-    assert work["unpack_resort_index"] == 2
+    # invert_indices: the targets and slots, once, before the exchange (the
+    # slots were unpacked again after it while the rows were delivered)
+    assert work["unpack_resort_index"] == 1
     assert work["inverse_permutation"] == 0
 
     # fcs.resort of three columns: one compile, then pure data movement —
@@ -152,7 +154,7 @@ def test_fmm_step_is_constant_in_ranks(work, P):
     # one key generation over the positions of all ranks and one encode for
     # the whole halo
     assert work["morton_encode3"] <= 2
-    assert work["unpack_resort_index"] == 2
+    assert work["unpack_resort_index"] == 1
     assert work["inverse_permutation"] == 0
 
 
@@ -323,10 +325,12 @@ def test_fine_grained_has_no_loop_over_messages():
 def test_staged_or_hosted_exchange_is_constant_in_messages(work, monkeypatch, rebind, variant):
     """Method-B steps at P = 64, staged or on the process backend: the first
     exchanges every pair (thousands of messages), the one after a small
-    displacement a few hundred — and either costs no ``payload_nbytes`` call,
-    at most ⌈log₂P⌉ round charges, one backend delivery and two arenas."""
+    displacement a few hundred — and either costs no ``payload_nbytes`` call
+    and at most ⌈log₂P⌉ round charges; an exchange that lists its rows (the
+    placement) one backend delivery and two arenas, one charged from its
+    message counts (the index inversion) none."""
     P = 64
-    seen = []  # per delivered exchange: (messages, rounds charged, arenas created)
+    seen = []  # per exchange: (messages, lists rows, rounds, arenas, deliveries)
     tally = {"rounds": 0, "arenas": 0, "deliveries": 0}
 
     def counting(key, fn):
@@ -338,13 +342,17 @@ def test_staged_or_hosted_exchange_is_constant_in_messages(work, monkeypatch, re
     rebind(p2p.charge_round, counting("rounds", p2p.charge_round))
     monkeypatch.setattr(shm.ShmArena, "__init__", counting("arenas", shm.ShmArena.__init__))
     monkeypatch.setattr(ProcessBackend, "deliver", counting("deliveries", ProcessBackend.deliver))
-    deliver = collectives._deliver
+    alltoallv = collectives.alltoallv
 
-    def watched(machine, sends):
+    def watched(machine, sends, *args, **kwargs):
         assert isinstance(sends, collectives.Exchange)  # a descriptor stays a descriptor
-        seen.append((int((sends.msg_src != sends.msg_dst).sum()), tally["rounds"], tally["arenas"]))
-        tally["rounds"] = tally["arenas"] = 0
-        return deliver(machine, sends)
+        before = dict(tally)
+        out = alltoallv(machine, sends, *args, **kwargs)
+        seen.append((
+            int((sends.msg_src != sends.msg_dst).sum()), bool(sends.row_index.size),
+            *(tally[key] - before[key] for key in ("rounds", "arenas", "deliveries")),
+        ))
+        return out
 
     machine = Machine(P)
     backend = None
@@ -355,7 +363,7 @@ def test_staged_or_hosted_exchange_is_constant_in_messages(work, monkeypatch, re
         machine.attach_backend(backend)
     try:
         _machine, fcs, particles = _one_step("p2nfft", P, machine)
-        monkeypatch.setattr(collectives, "_deliver", watched)
+        rebind(alltoallv, watched)
         for name in work:
             work[name] = 0
         assert fcs.run(particles).changed
@@ -368,18 +376,18 @@ def test_staged_or_hosted_exchange_is_constant_in_messages(work, monkeypatch, re
     finally:
         if backend is not None:
             backend.close()
-    sizes = [messages for messages, _rounds, _arenas in seen]
+    sizes = [messages for messages, *_ in seen]
     assert min(sizes) < 500 and max(sizes) > 4000, sizes
+    assert {listed for _m, listed, *_ in seen} == {True, False}
     assert work["payload_nbytes"] == 0
     if variant == "bruck":
-        # rounds were charged before the delivery that follows them
-        assert all(1 <= rounds <= 6 for _m, rounds, _a in seen), seen
+        assert all(1 <= rounds <= 6 for _m, _l, rounds, _a, _d in seen), seen
         assert tally["deliveries"] == 0
     else:
-        assert tally["deliveries"] == len(seen)
-        # the arenas of a delivery are counted at the next one
-        assert [arenas for _m, _r, arenas in seen[1:]] == [2] * (len(seen) - 1), seen
-        assert tally["arenas"] == 2
+        assert all(
+            (arenas, deliveries) == ((2, 1) if listed else (0, 0))
+            for _m, listed, _r, arenas, deliveries in seen
+        ), seen
 
 
 # -------------------------------------------------------- one engine, pinned
@@ -569,12 +577,15 @@ def test_concat_is_the_entry_normaliser_only():
 
 def test_plan_is_a_stored_route():
     """``core/plan.py`` hands an exchange to a transport exactly twice
-    (compile, execute), builds no route of its own and times nothing."""
+    (compile, execute), builds no route of its own — one counted route, no
+    listed one (it delivered its rows and placed them again) — and times
+    nothing."""
     tree = ast.parse((SRC / "core/plan.py").read_text())
     calls = _calls(tree)
     assert calls.count("transport") == 2
     assert calls.count("alltoallv") == calls.count("neighborhood_alltoallv") == 0
-    assert calls.count("exchange_route") == 1
+    assert calls.count("counted_route") == 1
+    assert calls.count("exchange_route") == 0
     assert "argsort" not in calls
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert "instrument" not in names and "time" not in names

@@ -22,6 +22,10 @@ lists, wrapping or clipping) from the level arrays on every call, with
 their own copies of the geometry helpers, and read only the tree's operator
 matrices.  ``tests/solvers/test_tune_tables.py`` holds the scheduled passes
 to them bit for bit.
+
+``torus_hops`` is the body ``TorusTopology.hops`` had before it gathered
+coordinates from a table built once per topology;
+``tests/simmpi/test_topology.py`` holds the gather to it bit for bit.
 """
 
 from __future__ import annotations
@@ -179,6 +183,21 @@ def split_by_destination(block: ColumnBlock, d: np.ndarray) -> Dict[int, ColumnB
     for dst in targets:
         out[int(dst)] = block.take(np.flatnonzero(d == dst))
     return out
+
+
+def torus_hops(self, src, dst):
+    """``TorusTopology.hops`` before it read a per-node coordinate table:
+    both ends' torus coordinates by per-dimension ``//`` and ``%``
+    (``node_coords``) on every call."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    ca = self.node_coords(self.node_of(src))
+    cb = self.node_coords(self.node_of(dst))
+    ca, cb = np.broadcast_arrays(ca, cb)
+    delta = np.abs(ca - cb)
+    dims = np.asarray(self.dims, dtype=np.int64)
+    wrapped = np.minimum(delta, dims - delta)
+    return wrapped.sum(axis=-1)
 
 
 # ------------------------------------------------------- FMM tree passes

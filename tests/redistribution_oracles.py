@@ -18,7 +18,11 @@ and
 the ``merge_exchange_sort`` that merged every overlapping pair of a comparator
 round on its own (:func:`merge_exchange_sort_pairwise`), with the payload
 form of ``exchange_pairs`` it ran on (:func:`exchange_pairs_payloads`; the
-only edit: its auditor hook takes ``(src, dst, nbytes)`` arrays now).
+only edit: its auditor hook takes ``(src, dst, nbytes)`` arrays now), and
+the resort scatter, the plan and the partition sort of the listed route,
+which delivered every row in receive order before putting it in its slot
+(:func:`deliver_to_slots_delivered`, :class:`ResortPlanDelivered`,
+:func:`partition_sort_delivered`).
 The loops run on the ``list[dict]`` form of ``alltoallv``; the property tests in
 ``tests/core/test_redistribution_oracles.py`` hold the production code to
 them row for row and charge for charge (:func:`observed` is what "charge"
@@ -28,17 +32,32 @@ means there).  Nothing under ``src/`` imports this module.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import kernels
 from repro.core.balance import work_split_bounds
-from repro.core.fine_grained import COMM_KINDS, DistFn, DistResult
+from repro.core.fine_grained import (
+    COMM_KINDS,
+    DistFn,
+    DistResult,
+    exchange_route,
+    fine_grained_redistribute,
+    redistribute_flat,
+    stable_order,
+)
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
-from repro.core.plan import COMPILE_PHASE, ResortPlanStats
-from repro.core.resort import initial_numbering, inverse_permutation, unpack_resort_index
+from repro.core.plan import COMPILE_PHASE, ResortPlan, ResortPlanStats, _flat_column
+from repro.core.resort import (
+    RESORT_POS_BITS,
+    check_target_slots,
+    initial_numbering,
+    inverse_permutation,
+    unpack_resort_index,
+)
 from repro.obs.spans import machine_span
 from repro.simmpi.cart import CartGrid
 from repro.simmpi.collectives import (
@@ -51,7 +70,7 @@ from repro.simmpi.collectives import (
 from repro.simmpi.machine import Machine
 from repro.simmpi.p2p import _check_disjoint, _route
 from repro.sorting.batcher import merge_exchange_rounds
-from repro.sorting.merge_sort import _verify_sorted, local_sort
+from repro.sorting.merge_sort import _verify_sorted, local_sort, sorted_within_ranks
 from repro.sorting.partition_sort import (
     partition_destinations,
     select_splitters,
@@ -1062,3 +1081,280 @@ class ResortPlanLoop:
         machine.count("resort_plan.bytes_moved", moved)
         if machine.auditor is not None:
             machine.auditor.observe_plan_execution(phase, messages, moved)
+
+
+# ------------------------------------ delivered, then put in place (two copies)
+#
+# The bodies ``deliver_to_slots``, ``ResortPlan.__init__``/``execute`` and
+# ``partition_sort`` had while they delivered every row in receive order
+# through the transport and then moved it again into its slot (the partition
+# sort: gathered by the local sort, delivered, then merged by a third
+# gather).  Moved verbatim; production now charges the same exchange from
+# its message counts and gathers every column once, straight into place.
+
+
+def deliver_to_slots_delivered(
+    machine: Machine,
+    rows: RankMajor,
+    index: str,
+    counts: Sequence[int],
+    phase: Optional[str],
+    comm: str,
+    count_error: Callable[[int, int, int], Exception],
+) -> ColumnBlock:
+    """Send each row of the rank-major block ``rows`` to the ``(rank,
+    position)`` packed in its ``index`` column and store it there: one
+    fine-grained redistribution followed by the local permutation, for all
+    ranks at once.
+
+    Returns the other columns as one block over the slots of all ranks
+    (rank ``r`` owns ``counts[r]`` rows from row ``sum(counts[:r])`` on).
+    A ghost index, a target that is not a rank, a rank sent more or fewer
+    rows than it has slots (``count_error``) or a slot named twice raise
+    before anything is exchanged or charged.
+    """
+    ranks, positions = unpack_resort_index(rows.data[index])
+    route = exchange_route(rows.offsets, np.arange(ranks.shape[0], dtype=np.int64), ranks)
+    check_target_slots(ranks, positions, counts, count_error)
+    received = redistribute_flat(machine, rows.data, route, phase, comm)
+    delivered, recv_offsets = received.data, received.offsets
+    # every receiver reads the slot off the index value it was sent
+    ranks, positions = unpack_resort_index(delivered[index])
+    place = np.empty(delivered.n, dtype=np.int64)
+    place[recv_offsets[ranks] + positions] = np.arange(delivered.n, dtype=np.int64)
+    return delivered.drop(index).take(place)
+
+
+class ResortPlanDelivered(ResortPlan):
+    """``ResortPlan`` whose compile delivered the target positions along the
+    listed route and whose executions delivered every column in receive
+    order before one gather per column put it in place."""
+
+    def __init__(
+        self,
+        machine: Machine,
+        resort_indices: Sequence[np.ndarray],
+        old_counts: Sequence[int],
+        new_counts: Sequence[int],
+        *,
+        comm: str = "alltoall",
+        phase: str = "resort",
+    ) -> None:
+        P = machine.nprocs
+        if not (len(resort_indices) == len(old_counts) == len(new_counts) == P):
+            raise ValueError("per-rank sequences must have one entry per rank")
+        if comm not in COMM_KINDS:
+            raise ValueError(f"comm must be one of {COMM_KINDS}, got {comm!r}")
+        self.machine = machine
+        self.comm = comm
+        self.phase = phase
+        self.old_counts = [int(c) for c in old_counts]
+        self.new_counts = [int(c) for c in new_counts]
+        self.stats = ResortPlanStats()
+
+        resort_indices = RankMajor.of(resort_indices)
+        #: the plan's key: the resort indices, rank-major
+        self._indices = np.asarray(resort_indices.data, dtype=np.int64)
+        self._old_offsets = np.concatenate(([0], np.cumsum(self.old_counts, dtype=np.int64)))
+        r = resort_indices.first_ragged(self._old_offsets)
+        if r is not None:
+            raise ValueError(
+                f"rank {r}: {int(resort_indices.counts[r])} resort indices for "
+                f"{self.old_counts[r]} original particles"
+            )
+        idx = self._indices
+        bad = np.flatnonzero((idx < 0) | (idx >> RESORT_POS_BITS >= P))
+        if bad.size:
+            r = int(np.searchsorted(self._old_offsets, bad[0], side="right")) - 1
+            mine = idx[self._old_offsets[r]:self._old_offsets[r + 1]]
+            if np.any(mine < 0):
+                raise ValueError(f"rank {r}: invalid (ghost) resort index cannot be planned")
+            raise ValueError(
+                f"rank {r}: target rank {int(mine.max() >> RESORT_POS_BITS)} "
+                f"out of range [0, {P})"
+            )
+        ranks, positions = unpack_resort_index(idx)
+        check_target_slots(
+            ranks, positions, self.new_counts,
+            lambda dst, sent, n: ValueError(
+                f"rank {dst}: {sent} resort targets for {n} new-layout slots"
+            ),
+        )
+        total = ranks.shape[0]
+        #: the stored schedule: every row's message, without column buffers
+        self._route = exchange_route(self._old_offsets, np.arange(total, dtype=np.int64), ranks)
+        inter = self._route.msg_src != self._route.msg_dst
+        self._inter_messages = int(inter.sum())
+        self._moved_rows = int(np.diff(self._route.row_ptr)[inter].sum())
+        self._new_offsets = np.concatenate(([0], np.cumsum(self.new_counts, dtype=np.int64)))
+
+        with machine_span(machine, "resort_plan.compile", op="plan.compile", comm=comm):
+            # schedule distribution: the one-off exchange that tells every
+            # destination which incoming row lands where.  This is the only
+            # time index data travels; executions ship pure payload.
+            transport = neighborhood_alltoallv if comm == "neighborhood" else alltoallv
+            (arrived,), recv_offsets = transport(
+                machine, dataclasses.replace(self._route, columns=(positions,)), COMPILE_PHASE
+            )
+            slots = np.repeat(recv_offsets[:-1], np.diff(recv_offsets)) + arrived
+            #: placement permutation: ``out[p] = arrived[place[p]]``
+            self._place = np.empty(total, dtype=np.int64)
+            self._place[slots] = np.arange(total, dtype=np.int64)
+            # building the inverse permutation is a local 8-byte scatter per row
+            machine.copy(
+                8.0 * np.asarray(self.new_counts, dtype=np.float64), COMPILE_PHASE
+            )
+
+        self.stats.compiles += 1
+        machine.count("resort_plan.compiles")
+
+    def execute(
+        self,
+        columns: Sequence[Union[RankMajor, Sequence[np.ndarray]]],
+        *,
+        phase: Optional[str] = None,
+    ) -> List[RankMajor]:
+        """Redistribute data columns in one fused exchange.
+
+        Parameters
+        ----------
+        columns:
+            each column rank-major (a :class:`RankMajor` array) in the
+            *original* order and distribution, or as one array per rank
+            (``columns[c][r]``, concatenated once, here); columns may mix
+            dtypes and trailing shapes (``(n,)``, ``(n, k)``, ...), but each
+            column must be consistent across ranks and row counts must equal
+            the plan's original counts.  Malformed columns raise before
+            anything is exchanged or charged.
+
+        Returns
+        -------
+        The columns in the changed order and distribution, same dtypes as
+        the input: one :class:`RankMajor` array per column, each its own
+        buffer cut by the new counts.
+        """
+        machine = self.machine
+        phase = phase if phase is not None else self.phase
+        if not columns:
+            raise ValueError("at least one data column is required")
+        flat = [_flat_column(col, c, self._old_offsets) for c, col in enumerate(columns)]
+        with machine_span(
+            machine, "resort_plan.execute", op="plan.execute",
+            columns=len(flat), comm=self.comm,
+        ):
+            exchange = dataclasses.replace(self._route, columns=tuple(flat))
+            row_bytes = exchange.row_nbytes
+            machine.copy(np.asarray(self.old_counts, dtype=np.float64) * row_bytes, phase)
+            if self.comm == "neighborhood":
+                transport = neighborhood_alltoallv
+            else:
+                # counts are part of the plan: skip the dense count exchange
+                transport = functools.partial(alltoallv, count_exchange="cached")
+            arrived, _ = transport(machine, exchange, phase)
+            out = [
+                RankMajor(np.take(col, self._place, axis=0), self._new_offsets)
+                for col in arrived
+            ]
+            machine.copy(np.asarray(self.new_counts, dtype=np.float64) * row_bytes, phase)
+            self._count_execution(
+                phase, len(flat), self._inter_messages, self._moved_rows * row_bytes
+            )
+        return out
+
+
+def partition_sort_delivered(
+    machine: Machine,
+    blocks: Union[RankMajor, Sequence[ColumnBlock]],
+    key: str,
+    phase: Optional[str] = None,
+    *,
+    target_counts: Optional[Sequence[int]] = None,
+    oversampling: int = 32,
+    presorted: bool = False,
+    balance_key: Optional[str] = None,
+) -> RankMajor:
+    """Globally sort distributed rows by ``key`` into exact part sizes.
+
+    ``blocks`` holds the rows of all ranks, rank-major (one block per rank
+    is concatenated once, here).  The partitioning algorithm [12] produces
+    parts of *specified* sizes: ``target_counts`` defaults to the current
+    per-rank counts, matching the ScaFaCoS FMM which "performs no further
+    load balancing" — with a single-process initial distribution the sorted
+    particles therefore stay on that process and the solver computes
+    sequentially (Fig. 6).  Pass balanced counts to rebalance instead.
+
+    Alternatively pass ``balance_key`` naming a per-element work-weight
+    column: the part boundaries are then chosen to equalize *cumulative
+    work* along the sorted key order (weighted space-filling-curve
+    partitioning) instead of honoring externally fixed counts — the
+    load-balanced mode of :mod:`repro.core.balance`.  Mutually exclusive
+    with ``target_counts``.
+
+    Returns the rows rank-major again: locally sorted, globally partitioned
+    (all keys on rank ``i`` <= all keys on rank ``j`` for ``i < j``) with
+    exactly ``target_counts[i]`` elements on rank ``i``.
+
+    Cost model: local sorts, the splitter agreement (sample allgather plus
+    a bounded number of exact-partition refinement rounds, as in [12]),
+    one collective all-to-all for the payload, and the local multi-way
+    merges.  The data plane computes the exact partition directly.
+    """
+    if len(blocks) != machine.nprocs:
+        raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
+    if balance_key is not None and target_counts is not None:
+        raise ValueError("pass either balance_key or target_counts, not both")
+    P = machine.nprocs
+    current = RankMajor.of(blocks) if presorted else local_sort(machine, blocks, key, phase)
+    if balance_key is None:
+        if target_counts is None:
+            target_counts = current.counts
+        else:
+            target_counts = np.asarray([int(c) for c in target_counts], dtype=np.int64)
+            total = current.data.n
+            if target_counts.sum() != total:
+                raise ValueError(
+                    f"target_counts sum {int(target_counts.sum())} != total elements {total}"
+                )
+    if P == 1:
+        return current
+
+    # communication of the splitter agreement: one sample allgather plus an
+    # exact-partitioning refinement round of scalar reductions [12]
+    select_splitters(
+        machine,
+        current.column(key),
+        oversampling,
+        phase,
+        weights=None if balance_key is None else current.column(balance_key),
+    )
+    machine.collective(
+        machine.model.tree_collective_time(P, 16.0, machine.topology.diameter()),
+        phase,
+        messages=2 * (P - 1),
+    )
+
+    # data plane: exact global partition at the prefix boundaries of
+    # target_counts, ties broken by (rank, position) so the split is stable
+    order = stable_order(current.data[key])  # stable = (rank, pos) tie order
+    order = np.arange(current.data.n) if order is None else order
+    if balance_key is not None:
+        bounds = work_split_bounds(current.data[balance_key][order], P)
+    else:
+        bounds = np.concatenate(([0], np.cumsum(target_counts)))
+    dest = partition_destinations(order, bounds)
+    received = fine_grained_redistribute(machine, current, dest, phase)
+
+    # every destination merges one sorted run per source that sent it rows:
+    # count the distinct (source, destination) pairs, which change rarely
+    # along the locally sorted rows
+    pair = np.repeat(np.arange(P, dtype=np.int64) * P, current.counts) + dest
+    pair = pair[np.diff(pair, prepend=-1) != 0]
+    runs = np.bincount(np.unique(pair) % P, minlength=P)
+    merged = sorted_within_ranks(received, key)
+    # k-way merge of sorted runs: n log k
+    n = received.counts
+    merge_cost = np.zeros(P, dtype=np.float64)
+    many = n > 1
+    merge_cost[many] = kernels.SORT_STEP * n[many] * np.log2(np.maximum(runs[many], 2))
+    machine.compute(merge_cost, phase)
+    return RankMajor(merged, received.offsets)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_oracles import torus_hops
 from repro.simmpi.topology import (
     FatTreeTopology,
     SwitchTopology,
@@ -111,3 +112,39 @@ def test_hops_zero_on_self():
     ):
         ranks = np.arange(16)
         np.testing.assert_array_equal(topo.hops(ranks, ranks), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 700),
+    st.integers(1, 16),
+    st.booleans(),
+    st.sampled_from(["scalar", "array", "scalar-array", "broadcast", "list"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_torus_hops_table_matches_coordinate_arithmetic(nprocs, node_size, roomy, form, seed):
+    """The coordinate-table gather gives the arithmetic's hop counts — same
+    values, dtype and shape — for scalar, array, scalar-against-array,
+    broadcast ``(k, 1)`` against ``(1, m)`` and list arguments, on balanced
+    tori and on tori with more nodes than ranks fill."""
+    rng = np.random.default_rng(seed)
+    nnodes = -(-nprocs // node_size)
+    dims = balanced_torus_dims(nnodes)
+    if roomy:
+        dims = tuple(d + int(rng.integers(0, 3)) for d in dims)
+    t = TorusTopology(nprocs, dims=dims, node_size=node_size)
+
+    def ranks(shape):
+        return rng.integers(0, nprocs, shape)
+
+    src, dst = {
+        "scalar": lambda: (int(ranks(())), int(ranks(()))),
+        "array": lambda: (ranks(40), ranks(40)),
+        "scalar-array": lambda: (int(ranks(())), ranks(17)),
+        "broadcast": lambda: (ranks((9, 1)), ranks((1, 7))),
+        "list": lambda: (ranks(5).tolist(), ranks(5).tolist()),
+    }[form]()
+    got, want = t.hops(src, dst), torus_hops(t, src, dst)
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.md.simulation import Simulation, SimulationConfig
+from repro.md.simulation import Simulation, SimulationConfig, StepRecord
 from repro.md.systems import silica_melt_system
 from repro.simmpi.machine import Machine
 from repro.verify.dst import DstFailure, run_dst, run_resume_sweep
@@ -56,7 +56,7 @@ class TestKillResume:
             ckpt_dir=str(tmp_path),
         )
         assert report.ok, [f.detail for f in report.failures]
-        assert os.listdir(tmp_path) == ["ewald-B-kill1.ckpt.ndjson"]
+        assert os.listdir(tmp_path) == ["ewald-B-homogeneous-seed4-kill1.ckpt.ndjson"]
 
     def test_kill_at_out_of_range_raises(self):
         with pytest.raises(ValueError, match="kill_at"):
@@ -126,3 +126,67 @@ class TestResumeSweep:
         )
         assert rc == 0
         assert "[ok]" in capsys.readouterr().out
+
+
+#: the CI "Chaos kill/resume cell": one staged B+move cell on both workloads,
+#: killed after step 2 and resumed through a file
+CHAOS_KILL_CELL = dict(
+    seed_list=[3], steps=3, nprocs=2, n_particles=12, kill_at=2, algos=["bruck"],
+    distributions=("homogeneous", "clustered"),
+)
+
+
+class TestFailurePaths:
+    def test_every_cell_keeps_its_own_kill_file(self, tmp_path):
+        """Kill files are named after the whole cell and the seed: the
+        clustered cell no longer overwrites the homogeneous one's."""
+        report = run_dst(["fmm"], ["B+move"], ckpt_dir=str(tmp_path), **CHAOS_KILL_CELL)
+        assert report.ok, [f.detail for f in report.failures]
+        assert sorted(os.listdir(tmp_path)) == [
+            "fmm-B_move-clustered-bruck-seed3-kill2.ckpt.ndjson",
+            "fmm-B_move-homogeneous-bruck-seed3-kill2.ckpt.ndjson",
+        ]
+
+    def test_failing_resumed_reference_is_a_reported_failure(self, tmp_path, capsys):
+        """Resumed at the default five steps, the clustered kill file's
+        unperturbed reference drifts past the energy tolerance: a ``[FAIL]``
+        line naming the invariant and a repro command, exit 1 (was: a raw
+        ``InvariantViolation`` traceback)."""
+        from repro.verify.__main__ import main
+
+        cell = dict(CHAOS_KILL_CELL, distributions=("clustered",))
+        assert run_dst(["fmm"], ["B+move"], ckpt_dir=str(tmp_path), **cell).ok
+        (name,) = os.listdir(tmp_path)
+        path = str(tmp_path / name)
+        capsys.readouterr()
+        assert main(["dst", "--resume-from", path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        (fail,) = [line for line in lines if "[FAIL]" in line]
+        assert fail.startswith("  [FAIL] reference [fmm/B+move]: reference schedule:")
+        assert any("energy-drift" in line for line in lines)
+        (repro,) = [line for line in lines if "reproduce:" in line]
+        assert repro.endswith(f"dst --resume-from {path} --steps 5")
+
+    def test_failing_fresh_reference_is_a_reported_failure(self, monkeypatch, capsys):
+        """A fresh sweep whose reference breaks an invariant reports it once,
+        plays no seed against it and exits 1."""
+        from repro.verify.__main__ import main
+
+        honest = Simulation.step
+
+        def corrupting_step(sim) -> StepRecord:
+            record = honest(sim)
+            r = next(i for i, q in enumerate(sim.particles.q) if q.shape[0])
+            sim.particles.q[r][:] += 1.0
+            return record
+
+        monkeypatch.setattr(Simulation, "step", corrupting_step)
+        argv = ["dst", "--solvers", "direct", "--methods", "B", "--steps", "1",
+                "--particles", "12", "--nprocs", "2", "--seed-list", "1", "2"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        (fail,) = [line for line in lines if "[FAIL]" in line]
+        assert fail.startswith("  [FAIL] reference [direct/B]: reference schedule:")
+        assert any("charge-conservation" in line for line in lines)
+        (repro,) = [line for line in lines if "reproduce:" in line]
+        assert "--seed-list" not in repro and "--solvers direct --methods 'B'" in repro

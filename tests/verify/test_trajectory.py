@@ -39,7 +39,7 @@ class TestKillResumeRecreates:
         obs_dir, ckpt_dir = tmp_path / "obs", tmp_path / "ckpt"
         kill_cell(obs_export_dir=str(obs_dir), ckpt_dir=str(ckpt_dir))
         assert [p.name for p in ckpt_dir.iterdir()] == [
-            "fmm-B_move-kill2.ckpt.ndjson"
+            "fmm-B_move-homogeneous-seed3-kill2.ckpt.ndjson"
         ]
         headers = {}
         for seed in (0, 3):
