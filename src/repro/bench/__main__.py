@@ -17,9 +17,14 @@ import time
 
 from repro.bench.figures import fig6, fig7, fig8, fig9, phases
 from repro.bench.harness import PRESETS
+from repro.run_args import add_run_args, resolve_run_args
 
 
-def main(argv=None) -> int:
+#: the figures' run-description field: ``--steps`` left out runs the preset's
+DEFAULTS = dict(steps=None)
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Reproduce the paper's evaluation figures (modeled runtimes).",
@@ -35,12 +40,7 @@ def main(argv=None) -> int:
         default="default",
         help="problem scale (quick / default / full)",
     )
-    parser.add_argument(
-        "--steps",
-        type=int,
-        default=None,
-        help="override the number of time steps (fig8 only)",
-    )
+    add_run_args(parser, DEFAULTS)
     parser.add_argument(
         "--csv",
         metavar="DIR",
@@ -52,9 +52,22 @@ def main(argv=None) -> int:
         action="store_true",
         help="render ASCII charts of the main series",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def parse(argv=None) -> argparse.Namespace:
+    """The figure run ``argv`` describes (exit 2 on a bad flag)."""
+    parser = _parser()
+    args = resolve_run_args(parser.parse_args(argv), DEFAULTS)
     if args.steps is not None and args.figure not in ("fig8", "all"):
         parser.error(f"--steps applies to fig8 only, not {args.figure}")
+    if args.steps is not None and args.steps < 1:
+        parser.error(f"argument --steps: fig8 needs at least one step, got {args.steps}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse(argv)
 
     runners = {
         "fig6": lambda: fig6(args.preset),
@@ -84,52 +97,21 @@ def main(argv=None) -> int:
 def _charts(name: str, results) -> None:
     from repro.bench.export import ascii_chart
 
-    if name == "fig7":
-        for solver in results:
-            print(f"\n{solver} (per-step redistribution, log scale):")
-            print(
-                ascii_chart(
-                    {
-                        "sort+restore A": [
-                            a + b
-                            for a, b in zip(
-                                results[solver]["A"]["sort"],
-                                results[solver]["A"]["restore"],
-                            )
-                        ],
-                        "sort+resort B": [
-                            a + b
-                            for a, b in zip(
-                                results[solver]["B"]["sort"],
-                                results[solver]["B"]["resort"],
-                            )
-                        ],
-                    }
-                )
-            )
-    elif name == "fig8":
-        for solver in results:
-            print(f"\n{solver} (per-step redistribution, log scale):")
-            print(
-                ascii_chart(
-                    {
-                        "A": results[solver]["A"]["redist"],
-                        "B": results[solver]["B"]["redist"],
-                    }
-                )
-            )
-    elif name == "fig9":
-        for solver in results:
-            print(f"\n{solver} (projected totals, log scale):")
-            print(
-                ascii_chart(
-                    {
-                        "A": results[solver]["A"],
-                        "B": results[solver]["B"],
-                        "B+move": results[solver]["B+move"],
-                    }
-                )
-            )
+    if name not in ("fig7", "fig8", "fig9"):
+        return
+    for solver, r in results.items():
+        if name == "fig7":
+            series = {
+                "sort+restore A": [a + b for a, b in zip(r["A"]["sort"], r["A"]["restore"])],
+                "sort+resort B": [a + b for a, b in zip(r["B"]["sort"], r["B"]["resort"])],
+            }
+        elif name == "fig8":
+            series = {"A": r["A"]["redist"], "B": r["B"]["redist"]}
+        else:
+            series = {"A": r["A"], "B": r["B"], "B+move": r["B+move"]}
+        what = "projected totals" if name == "fig9" else "per-step redistribution"
+        print(f"\n{solver} ({what}, log scale):")
+        print(ascii_chart(series))
 
 
 if __name__ == "__main__":

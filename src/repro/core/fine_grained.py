@@ -45,6 +45,7 @@ __all__ = [
     "fine_grained_redistribute",
     "pair_key_bits",
     "redistribute_flat",
+    "send_route",
     "sorted_route",
     "stable_order",
 ]
@@ -147,12 +148,37 @@ def counted_route(row_offsets: np.ndarray, targets: np.ndarray) -> Exchange:
     ``targets[i]``, charged by count: the same messages, each carrying its
     row count as :attr:`~repro.simmpi.collectives.Exchange.sent`, and no row
     listed, so it delivers nothing — for callers that know every row's slot
-    and gather the rows there themselves."""
-    listed = exchange_route(row_offsets, np.arange(targets.shape[0], dtype=np.int64), targets)
+    and gather the rows there themselves (:func:`send_route` charges it).
+    Built from the sorted ``(source, target)`` keys alone."""
+    P = row_offsets.shape[0] - 1
+    if targets.size and (targets.min() < 0 or targets.max() >= P):
+        first_bad = np.flatnonzero((targets < 0) | (targets >= P))[0]
+        rank = np.searchsorted(row_offsets, first_bad, side="right") - 1
+        raise ValueError(f"rank {rank}: target ranks out of range")
+    key = np.repeat(np.arange(0, P * P, P, dtype=np.int64), np.diff(row_offsets))
+    key += targets
+    if np.any(key[1:] < key[:-1]):
+        key.sort()
+    route = sorted_route(key, P, key[:0])
     return dataclasses.replace(
-        listed, row_index=listed.row_index[:0], row_ptr=np.zeros_like(listed.row_ptr),
-        sent=np.diff(listed.row_ptr),
+        route, row_ptr=np.zeros_like(route.row_ptr), sent=np.diff(route.row_ptr)
     )
+
+
+def send_route(
+    machine: Machine, route: Exchange, block: ColumnBlock, phase: Optional[str], comm: str
+) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """Bind the columns of the rank-major ``block`` to ``route`` (built over
+    the same rows) and hand the exchange to the collective ``comm`` names:
+    its ``(columns, recv_offsets)``.  A :func:`counted_route` is charged and
+    delivers nothing.
+
+    An unknown ``comm`` raises before anything is exchanged or charged.
+    """
+    if comm not in COMM_KINDS:
+        raise ValueError(f"comm must be one of {COMM_KINDS}, got {comm!r}")
+    transport = alltoallv if comm == "alltoall" else neighborhood_alltoallv
+    return transport(machine, dataclasses.replace(route, columns=block.payload()), phase)
 
 
 def sorted_route(
@@ -231,19 +257,12 @@ def redistribute_flat(
     phase: Optional[str],
     comm: str,
 ) -> RankMajor:
-    """Ship the rows of the rank-major ``block`` along ``route`` (built over
-    the same rows): one block holding what every rank received, cut by the
-    receive offsets, in source rank order and, within one source, route
+    """Ship the rows of the rank-major ``block`` along ``route``
+    (:func:`send_route`): one block holding what every rank received, cut by
+    the receive offsets, in source rank order and, within one source, route
     order.  The route gathers from ``block`` into fresh buffers: the caller's
-    columns are read, never kept.
-
-    An unknown ``comm`` raises before anything is exchanged or charged.
-    """
-    if comm not in COMM_KINDS:
-        raise ValueError(f"comm must be one of {COMM_KINDS}, got {comm!r}")
-    exchange = dataclasses.replace(route, columns=block.payload())
-    transport = alltoallv if comm == "alltoall" else neighborhood_alltoallv
-    columns, recv_offsets = transport(machine, exchange, phase)
+    columns are read, never kept."""
+    columns, recv_offsets = send_route(machine, route, block, phase, comm)
     return RankMajor(ColumnBlock(**dict(zip(block.names(), columns))), recv_offsets)
 
 

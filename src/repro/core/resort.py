@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.fine_grained import counted_route, redistribute_flat
+from repro.core.fine_grained import counted_route, send_route
 from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.machine import Machine
 
@@ -172,7 +172,7 @@ def deliver_to_slots(
     ranks, positions = unpack_resort_index(rows.data[index])
     route = counted_route(rows.offsets, ranks)
     check_target_slots(ranks, positions, counts, count_error)
-    redistribute_flat(machine, rows.data, route, phase, comm)  # charged, nothing delivered
+    send_route(machine, route, rows.data, phase, comm)
     slots = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))[ranks] + positions
     place = np.empty_like(slots)
     place[slots] = np.arange(slots.shape[0], dtype=np.int64)

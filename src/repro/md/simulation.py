@@ -21,7 +21,6 @@ deltas — the data behind each of the paper's figures.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import dataclasses
 from typing import Any, Dict, List, Optional
@@ -42,7 +41,6 @@ from repro.simmpi.tracing import PhaseStats, PhaseTable
 
 __all__ = [
     "BALANCE_PHASES", "REDISTRIBUTION_PHASES", "Simulation", "SimulationConfig", "StepRecord",
-    "particle_count", "rank_count", "step_count",
 ]
 
 METHODS = ("A", "B", "B+move", "adaptive")
@@ -57,35 +55,6 @@ REDISTRIBUTION_PHASES = ("sort", "restore", "resort", "resort_index", "resort_pl
 #: distribution-sensitive cost, far is count-proportional, and the weighted
 #: splitter balances their sum, so λ watches both
 BALANCE_PHASES = ("near", "far")
-
-
-def step_count(text: str) -> int:
-    """``argparse`` type of a command-line step count: a non-negative
-    integer, refused at parse time instead of after the runs it would
-    schedule."""
-    steps = int(text)
-    if steps < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative step count, got {steps}")
-    return steps
-
-
-def rank_count(text: str) -> int:
-    """``argparse`` type of a command-line rank count: at least one rank,
-    refused at parse time instead of by the machine the run would build."""
-    nprocs = int(text)
-    if nprocs < 1:
-        raise argparse.ArgumentTypeError(f"must be a rank count >= 1, got {nprocs}")
-    return nprocs
-
-
-def particle_count(text: str) -> int:
-    """``argparse`` type of a command-line particle count: even (the test
-    systems are charge-neutral ±1 pairs) and at least 2, refused at parse
-    time instead of by the system builder."""
-    n = int(text)
-    if n < 2 or n % 2:
-        raise argparse.ArgumentTypeError(f"must be an even particle count >= 2, got {n}")
-    return n
 
 
 @dataclasses.dataclass

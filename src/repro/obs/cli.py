@@ -21,13 +21,19 @@ from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.export import write_chrome_trace, write_ndjson
 from repro.obs.spans import enable_observability
-from repro.simmpi.chaos import chaos_seed
+from repro.run_args import add_run_args, positive_count, resolve_run_args
+from repro.verify.trajectory import CellSpec, build_run
 
-__all__ = ["main", "run_scenario"]
+__all__ = ["main", "parse", "run_scenario"]
+
+#: the scenario's run-description fields and their defaults
+DEFAULTS = dict(solver="fmm", method="B", nprocs=16, particles=4096, steps=3, chaos_seed=None)
+#: ``--quick``: the small smoke scenario
+QUICK = dict(nprocs=8, particles=1024, steps=2)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -35,23 +41,9 @@ def _parser() -> argparse.ArgumentParser:
         prog="python -m repro.obs",
         description="run an observed scenario and export span/metric artifacts",
     )
+    add_run_args(parser, DEFAULTS, QUICK)
     parser.add_argument(
-        "--quick", action="store_true",
-        help="small smoke scenario (8 ranks, 1024 particles, 2 steps)",
-    )
-    parser.add_argument("--solver", default="fmm", help="solver name (default: fmm)")
-    parser.add_argument(
-        "--method", default="B", help="redistribution method (default: B)"
-    )
-    parser.add_argument("--nprocs", type=int, default=16, help="virtual ranks")
-    parser.add_argument("--particles", type=int, default=4096, help="particle count")
-    parser.add_argument("--steps", type=int, default=3, help="time steps")
-    parser.add_argument(
-        "--chaos-seed", type=chaos_seed, default=None, metavar="N",
-        help="apply the DST chaos harness perturbation sampled from seed N",
-    )
-    parser.add_argument(
-        "--capacity", type=int, default=1 << 20,
+        "--capacity", type=positive_count, default=1 << 20,
         help="per-rank span ring capacity (default: 1Mi spans)",
     )
     parser.add_argument(
@@ -65,18 +57,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_scenario(args: argparse.Namespace) -> int:
+def parse(argv: Optional[List[str]]) -> Tuple[argparse.Namespace, CellSpec]:
+    """The scenario ``argv`` describes and its cell (exit 2 on a bad flag)."""
+    parser = _parser()
+    args = resolve_run_args(parser.parse_args(argv), DEFAULTS, QUICK)
+    try:
+        spec = CellSpec(
+            args.solver, args.method, args.nprocs, args.particles, seed=1,
+            placement="random", profile="JUROPA", physics=False,
+            drift=((args.steps, 0.005, 1.0),),
+        )
+    except ValueError as exc:
+        parser.error(f"argument --solver: {exc}")
+    return args, spec
+
+
+def run_scenario(args: argparse.Namespace, spec: CellSpec) -> int:
     from repro.bench.harness import step_breakdown
-    from repro.verify.trajectory import CellSpec, build_run
 
-    nprocs = 8 if args.quick else args.nprocs
-    n = 1024 if args.quick else args.particles
-    steps = 2 if args.quick else args.steps
-
-    spec = CellSpec(
-        args.solver, args.method, nprocs, n, seed=1, placement="random",
-        profile="JUROPA", physics=False, drift=((steps, 0.005, 1.0),),
-    )
     run = build_run(spec, chaos_seed=args.chaos_seed, audit=False)
     machine, sim = run.machine, run.sim
     perturbation = machine.perturbation
@@ -84,15 +82,15 @@ def run_scenario(args: argparse.Namespace) -> int:
     recorder = enable_observability(
         machine, capacity=args.capacity, per_rank=not args.no_per_rank
     )
-    sim.run(steps)
+    sim.run(args.steps)
 
     meta: Dict[str, Any] = {
         "scenario": "fig7-step",
         "solver": args.solver,
         "method": args.method,
-        "nprocs": nprocs,
-        "particles": n,
-        "steps": steps,
+        "nprocs": args.nprocs,
+        "particles": args.particles,
+        "steps": args.steps,
     }
     if perturbation is not None:
         meta["chaos_seed"] = args.chaos_seed
@@ -155,5 +153,4 @@ def _report(machine, recorder, sim, step_breakdown) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
-    return run_scenario(args)
+    return run_scenario(*parse(argv))

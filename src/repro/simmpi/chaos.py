@@ -24,7 +24,6 @@ are exactly ``1.0`` and no model constant is touched).
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 from typing import Optional
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from repro.simmpi.costmodel import CostModel
 
-__all__ = ["Perturbation", "chaos_seed"]
+__all__ = ["Perturbation"]
 
 #: independent RNG stream salts (stable across releases: fingerprints of
 #: recorded failing seeds must keep reproducing)
@@ -210,12 +209,3 @@ class Perturbation:
             extra_overhead=self.extra_latency,
             bandwidth_factor=1.0 - self.bandwidth_degradation,
         )
-
-
-def chaos_seed(text: str) -> int:
-    """``argparse`` type of a command-line chaos seed: a non-negative integer,
-    refused at parse time instead of after the runs it would perturb."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"chaos seed must be non-negative, got {seed}")
-    return seed

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.balance import work_split_bounds
-from repro.core.fine_grained import counted_route, redistribute_flat, stable_order
+from repro.core.fine_grained import counted_route, send_route, stable_order
 from repro.core.particles import ColumnBlock, RankMajor
 from repro.simmpi.collectives import allgatherv
 from repro.simmpi.machine import Machine
@@ -247,7 +247,7 @@ def partition_sort(
     dest = partition_destinations(order, bounds)
     # the locally sorted rows go out in order, so their keys need no sort
     route = counted_route(offsets, dest)
-    redistribute_flat(machine, blocks.data, route, phase, "alltoall")  # charged only
+    send_route(machine, route, blocks.data, phase, "alltoall")
     merged = blocks.data.take(order if local is None else local[order])
 
     # every destination merges one sorted run per source that sent it rows:

@@ -34,6 +34,7 @@ __all__ = [
     "REDISTRIBUTION_PHASES",
     "DifferentialFailure",
     "DifferentialReport",
+    "SWEEP_DEFAULTS",
     "TrajectoryResult",
     "compare_states",
     "differential_check",
@@ -262,15 +263,21 @@ def differential_check(
     return report
 
 
+#: what a left-out argument means to :func:`sweep` and ``python -m repro.verify``
+SWEEP_DEFAULTS = dict(
+    solvers=("direct", "fmm", "p2nfft"), shapes=(4, 8), steps=3, particles=48, seed=0, rtol=1e-6
+)
+
+
 def sweep(
-    solvers: Sequence[str] = ("direct", "fmm", "p2nfft"),
-    shapes: Sequence[int] = (4, 8),
+    solvers: Sequence[str] = SWEEP_DEFAULTS["solvers"],
+    shapes: Sequence[int] = SWEEP_DEFAULTS["shapes"],
     *,
-    steps: int = 3,
-    n_particles: int = 48,
-    seed: int = 0,
+    steps: int = SWEEP_DEFAULTS["steps"],
+    n_particles: int = SWEEP_DEFAULTS["particles"],
+    seed: int = SWEEP_DEFAULTS["seed"],
     distribution: str = "random",
-    rtol: float = 1e-6,
+    rtol: float = SWEEP_DEFAULTS["rtol"],
     atol: float = 1e-9,
     backend: Optional[str] = None,
 ) -> List[DifferentialReport]:

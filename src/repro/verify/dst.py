@@ -52,6 +52,7 @@ __all__ = [
     "DEFAULT_DISTRIBUTIONS",
     "DEFAULT_METHODS",
     "DEFAULT_SOLVERS",
+    "DST_DEFAULTS",
     "DST_DISTRIBUTIONS",
     "DstFailure",
     "DstReport",
@@ -74,6 +75,10 @@ DST_DISTRIBUTIONS = tuple(WORKLOADS)
 #: default sweep stays on the homogeneous workload (cost); pass
 #: ``--distributions clustered`` to exercise the balancing path
 DEFAULT_DISTRIBUTIONS = ("homogeneous",)
+
+#: what a left-out argument means to :func:`run_dst`, :func:`run_resume_sweep`
+#: and ``python -m repro.verify dst``
+DST_DEFAULTS = dict(seeds=10, steps=5, nprocs=4, particles=24, system_seed=0)
 
 
 def ledger_fingerprint(auditor) -> str:
@@ -227,16 +232,24 @@ def _sweep_seeds(
     return failures
 
 
+def _played(found: Sequence[DstFailure], seeds: Sequence[int]) -> Tuple[int, str]:
+    """The runs a :func:`_sweep_seeds` played, and its verdict: a failed
+    reference plays no seed."""
+    if found and found[0].seed is None:
+        return 1, "reference FAILED"
+    return 1 + len(seeds), f"{len(seeds)} seeds {'FAILED' if found else 'ok'}"
+
+
 def run_dst(
     solvers: Sequence[str] = DEFAULT_SOLVERS,
     methods: Sequence[str] = DEFAULT_METHODS,
     *,
-    seeds: int = 10,
-    steps: int = 5,
-    nprocs: int = 4,
-    n_particles: int = 24,
+    seeds: int = DST_DEFAULTS["seeds"],
+    steps: int = DST_DEFAULTS["steps"],
+    nprocs: int = DST_DEFAULTS["nprocs"],
+    n_particles: int = DST_DEFAULTS["particles"],
     seed_list: Optional[Sequence[int]] = None,
-    system_seed: int = 0,
+    system_seed: int = DST_DEFAULTS["system_seed"],
     distributions: Sequence[str] = DEFAULT_DISTRIBUTIONS,
     obs_export_dir: Optional[str] = None,
     kill_at: Optional[int] = None,
@@ -320,8 +333,9 @@ def run_dst(
                 kill_at=kill_at, ckpt_dir=ckpt_dir,
             )
             failures.extend(found)
-            trajectories += 1 + len(chosen)
-            say(f"dst: {cell} {len(chosen)} seeds {'FAILED' if found else 'ok'}")
+            played, verdict = _played(found, chosen)
+            trajectories += played
+            say(f"dst: {cell} {verdict}")
 
     return DstReport(
         solvers=tuple(solvers),
@@ -340,8 +354,8 @@ def run_dst(
 def run_resume_sweep(
     resume_from: str,
     *,
-    steps: int = 3,
-    seeds: int = 5,
+    steps: int = DST_DEFAULTS["steps"],
+    seeds: int = DST_DEFAULTS["seeds"],
     seed_list: Optional[Sequence[int]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> DstReport:
@@ -354,9 +368,10 @@ def run_resume_sweep(
     say = progress if progress is not None else (lambda msg: None)
     ckpt = load_checkpoint(resume_from)
     chosen = _chosen_seeds(seeds, seed_list)
-    solver, method, distribution = (
-        str(ckpt.config.get(key, "?")) for key in ("solver", "method", "distribution")
-    )
+    solver, method = (str(ckpt.config.get(key, "?")) for key in ("solver", "method"))
+    # the file records no system kind; the workloads differ in balance state
+    balanced = ckpt.config.get("load_balance") == "dynamic"
+    distribution = next(w for w, cell in WORKLOADS.items() if cell.get("balance", False) == balanced)
     say(
         f"dst: resume {solver}/{method} from {resume_from} "
         f"(step {ckpt.step_index}) — reference schedule ..."
@@ -369,10 +384,8 @@ def run_resume_sweep(
             solver, method, 0, "", distribution=distribution, resume_from=resume_from
         ),
     )
-    say(
-        f"dst: resume {solver}/{method} {len(chosen)} seeds "
-        f"{'FAILED' if failures else 'ok'}"
-    )
+    played, verdict = _played(failures, chosen)
+    say(f"dst: resume {solver}/{method} {verdict}")
     return DstReport(
         solvers=(solver,),
         methods=(method,),
@@ -380,7 +393,7 @@ def run_resume_sweep(
         steps=steps,
         particles=ckpt.n_particles,
         seeds=chosen,
-        trajectories=1 + len(chosen),
+        trajectories=played,
         failures=failures,
         distributions=(distribution,),
     )

@@ -107,8 +107,8 @@ class CellSpec:
     dt: float = 0.01
     solver_kwargs: Optional[dict] = None
     #: force dynamics with real solver compute and energy tracking;
-    #: otherwise the solver skips its compute and the particles follow
-    #: ``drift``
+    #: otherwise the solver skips its compute (``direct`` cannot) and the
+    #: particles follow ``drift``
     physics: bool = True
     #: the brownian drift schedule ``((steps, width, divisor), ...)``: each
     #: entry runs ``steps`` steps of per-step displacement
@@ -120,6 +120,11 @@ class CellSpec:
     def __post_init__(self) -> None:
         if self.physics and self.drift:
             raise ValueError("a drift schedule needs physics=False (brownian dynamics)")
+        if not self.physics and self.solver == "direct":
+            raise ValueError(
+                "solver 'direct' has no skip-compute mode: physics=False needs "
+                "ewald, fmm or p2nfft"
+            )
 
 
 @dataclasses.dataclass

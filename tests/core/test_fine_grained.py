@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fine_grained import fine_grained_redistribute
+from repro.core.fine_grained import counted_route, fine_grained_redistribute
 from repro.core.particles import ColumnBlock
 from repro.simmpi.machine import Machine
 from repro.verify.audit import CommAuditor, enable_auditing
@@ -302,3 +302,15 @@ class TestRejectedBeforeCharging:
         with pytest.raises(ValueError, match="rank 1: column 'a' is float64"):
             fine_grained_redistribute(machine, blocks, np.zeros(3, dtype=np.int64), "x")
         assert not machine.clocks.any()
+
+
+def test_counted_route_holds_nothing_rank_pair_sized():
+    """At 2**20 ranks a table over (source, target) pairs would hold 2**40
+    entries: the counted route is built from its rows' sorted keys alone."""
+    P = 1 << 20
+    offsets = np.zeros(P + 1, dtype=np.int64)
+    offsets[P // 2 + 1:] = 3  # rank P/2 holds all three rows
+    route = counted_route(offsets, np.array([P - 1, 0, P - 1]))
+    assert route.msg_src.tolist() == [P // 2, P // 2]
+    assert route.msg_dst.tolist() == [0, P - 1]
+    assert route.sent.tolist() == [1, 2] and route.row_index.size == 0

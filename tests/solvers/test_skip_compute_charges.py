@@ -18,8 +18,6 @@ import pytest
 from repro.core import fine_grained
 from repro.core.handle import fcs_init
 from repro.simmpi.machine import Machine
-from repro.solvers.fmm import solver as fmm_solver
-from repro.solvers.p2nfft import solver as p2nfft_solver
 from repro.verify.audit import enable_auditing
 from conftest import random_particle_set
 
@@ -43,16 +41,18 @@ def one_run(system, solver, method, compute, monkeypatch):
     fcs.set_resort(method == "B")
     fcs.tune(particles)
     delivered = {}
-    for module in (fine_grained, partition_sort, fmm_solver, p2nfft_solver):
-        original = module.redistribute_flat
+    # every placement exchange goes through send_route: redistribute_flat's
+    # (the FMM halo, the grid placement) and the partition sort's own
+    for module in (fine_grained, partition_sort):
+        original = module.send_route
 
-        def spy(machine, block, route, phase, comm, original=original):
-            received = original(machine, block, route, phase, comm)
+        def spy(machine, route, block, phase, comm, original=original):
+            columns, recv_offsets = original(machine, route, block, phase, comm)
             if phase in EXCHANGES:
-                delivered[phase] = delivered.get(phase, 0) + received.data.n
-            return received
+                delivered[phase] = delivered.get(phase, 0) + int(recv_offsets[-1])
+            return columns, recv_offsets
 
-        monkeypatch.setattr(module, "redistribute_flat", spy)
+        monkeypatch.setattr(module, "send_route", spy)
     fcs.run(particles)
     monkeypatch.undo()
     charged = {

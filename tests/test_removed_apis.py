@@ -165,6 +165,13 @@ REMOVED = [
     ("repro.simmpi.chaos", "Perturbation.reorder"),
     ("repro.backend.base", "ExecutionBackend.post_ticket"),
     ("repro.ckpt", "equivalence"),
+    # every front end's run-description flags are declared once, in repro.run_args
+    ("repro.md.simulation", "step_count"),
+    ("repro.md.simulation", "rank_count"),
+    ("repro.md.simulation", "particle_count"),
+    ("repro.simmpi.chaos", "chaos_seed"),
+    ("repro.verify.__main__", "_FRESH_SWEEP_ONLY"),
+    ("repro.verify.__main__", "_seed_count"),
 ]
 
 

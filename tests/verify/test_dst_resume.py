@@ -167,6 +167,29 @@ class TestFailurePaths:
         (repro,) = [line for line in lines if "reproduce:" in line]
         assert repro.endswith(f"dst --resume-from {path} --steps 5")
 
+    def test_failed_resumed_reference_counts_one_run_of_its_workload(self, tmp_path, capsys):
+        """The summary of a resume whose reference failed counts the one run
+        played and names the checkpoint's workload (was: ``11 trajectories``
+        over no seed, ``distributions=['random']`` — the particle placement —
+        and a progress line saying ``10 seeds FAILED``)."""
+        from repro.verify.__main__ import main
+
+        cell = dict(CHAOS_KILL_CELL, distributions=("clustered",))
+        assert run_dst(["fmm"], ["B+move"], ckpt_dir=str(tmp_path), **cell).ok
+        (name,) = os.listdir(tmp_path)
+        capsys.readouterr()
+        assert main(["dst", "--resume-from", str(tmp_path / name)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "dst: resume fmm/B+move reference FAILED"
+        assert lines[2] == (
+            "[FAILED (1)] dst: 1 trajectories, solvers=['fmm'] methods=['B+move'] "
+            "distributions=['clustered'] seeds=10 steps=5 nprocs=2 particles=12"
+        )
+
+    def test_resumed_homogeneous_checkpoint_names_its_workload(self, checkpoint_file):
+        report = run_resume_sweep(checkpoint_file, steps=1, seed_list=[1])
+        assert report.ok and report.distributions == ("homogeneous",)
+
     def test_failing_fresh_reference_is_a_reported_failure(self, monkeypatch, capsys):
         """A fresh sweep whose reference breaks an invariant reports it once,
         plays no seed against it and exits 1."""
@@ -190,3 +213,6 @@ class TestFailurePaths:
         assert any("charge-conservation" in line for line in lines)
         (repro,) = [line for line in lines if "reproduce:" in line]
         assert "--seed-list" not in repro and "--solvers direct --methods 'B'" in repro
+        # one run played, not the reference and two seeds
+        assert "dst: direct/B/homogeneous reference FAILED" in lines
+        assert any(line.startswith("[FAILED (1)] dst: 1 trajectories,") for line in lines)
