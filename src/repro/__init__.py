@@ -22,6 +22,14 @@ a quickstart and DESIGN.md for the full system inventory.
 
 __version__ = "1.0.0"
 
-from repro.core.handle import FCS, fcs_init
-
 __all__ = ["FCS", "fcs_init", "__version__"]
+
+
+def __getattr__(name: str):
+    # resolved on first use, not at package import: a process-backend worker
+    # imports ``repro.backend`` alone and never loads the handle's layers
+    if name in ("FCS", "fcs_init"):
+        from repro.core import handle
+
+        return getattr(handle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

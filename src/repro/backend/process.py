@@ -84,23 +84,25 @@ def _probe_worker_state() -> dict:
     live shm registries, warmed caches — leaks into them by fork.  The
     fork-state regression suite asserts on this report: a worker
     interpreter holds only the modules the backend itself needs, and none
-    of the coordinator's mutable registries carry entries.
+    of the coordinator's mutable registries carry entries.  The module list
+    is taken before the probe reads anything, and the solver registry is
+    read only where a task already loaded it (empty otherwise).
     """
     import multiprocessing
     import sys
 
     from repro.backend import base as _base
-    from repro.core import handle as _handle
 
+    loaded = sorted(name for name in sys.modules if name.startswith("repro"))
+    handle = sys.modules.get("repro.core.handle")
     return {
         "pid": os.getpid(),
         "is_child": multiprocessing.parent_process() is not None,
-        "repro_modules": sorted(
-            name for name in sys.modules if name.startswith("repro")
-        ),
+        "repro_modules": loaded,
         "backend_singletons": len(_base._singletons),
-        "solver_registry": sorted(_handle._REGISTRY),
+        "solver_registry": sorted(handle._REGISTRY) if handle is not None else [],
         "live_shm_segments": _shm.live_segments(),
+        "scipy_loaded": "scipy" in sys.modules,
     }
 
 

@@ -25,7 +25,6 @@ Public entry points
     maximum-movement bookkeeping and the heuristics of Sect. III-B.
 """
 
-from repro.core.handle import FCS, fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet
 from repro.core.plan import ResortPlan, ResortPlanStats
 from repro.core.resort import (
@@ -45,3 +44,13 @@ __all__ = [
     "pack_resort_index",
     "unpack_resort_index",
 ]
+
+
+def __getattr__(name: str):
+    # the handle sits above the solvers, whose base class imports this
+    # package's lower layers: importing it here would close that cycle
+    if name in ("FCS", "fcs_init"):
+        from repro.core import handle
+
+        return getattr(handle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,7 +38,14 @@ from repro.core.particles import ParticleSet, RankMajor
 from repro.md.systems import PAPER_BOX_EDGE, PAPER_N, ParticleSystem
 from repro.simmpi.cart import CartGrid
 
-__all__ = ["distribute", "rank_order", "clustered_system", "CLUSTERED_KINDS", "DISTRIBUTIONS"]
+__all__ = [
+    "distribute",
+    "distribute_rows",
+    "rank_order",
+    "clustered_system",
+    "CLUSTERED_KINDS",
+    "DISTRIBUTIONS",
+]
 
 DISTRIBUTIONS = ("single", "random", "grid")
 
@@ -149,6 +156,20 @@ def distribute(
     like the set's own columns, and ``owner`` mapping each global particle
     index to its initial rank.
     """
+    return distribute_rows(system, nprocs, kind, seed, capacity_factor)[:3]
+
+
+def distribute_rows(
+    system: ParticleSystem,
+    nprocs: int,
+    kind: str,
+    seed: int = 0,
+    capacity_factor: float = 3.0,
+) -> Tuple[ParticleSet, RankMajor, np.ndarray, np.ndarray]:
+    """:func:`distribute`, plus the global index of every rank-major row:
+    ``(particle_set, velocities, owner, order)`` with ``order`` the first
+    half of :func:`rank_order` (the rows grouped by rank, stably), computed
+    once for both the columns and the caller's particle ids."""
     n = system.n
     if kind == "single":
         owner = np.zeros(n, dtype=np.int64)
@@ -175,4 +196,4 @@ def distribute(
     else:
         per = max(1, -(-n // nprocs))
         capacities = np.maximum(int(np.ceil(capacity_factor * per)), np.diff(offsets))
-    return ParticleSet(pos, q, capacities=capacities), vel, owner
+    return ParticleSet(pos, q, capacities=capacities), vel, owner, order

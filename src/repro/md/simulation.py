@@ -31,7 +31,7 @@ from repro.core.balance import LOAD_BALANCE_MODES, ImbalanceMonitor
 from repro.core.geometry import squared_norms
 from repro.core.handle import FCS, fcs_init
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor, column_view
-from repro.md.distributions import distribute, rank_order
+from repro.md.distributions import distribute_rows
 from repro.md.integrator import accelerations, position_update, velocity_update
 from repro.md.observables import kinetic_energy, potential_energy
 from repro.md.systems import ParticleSystem
@@ -294,7 +294,7 @@ class Simulation:
         if cfg.collective_algos is not None:
             machine.set_collective_algos(cfg.collective_algos)
 
-        self.particles, vel, owner = distribute(
+        self.particles, vel, _, order = distribute_rows(
             system,
             machine.nprocs,
             cfg.distribution,
@@ -306,7 +306,7 @@ class Simulation:
             ColumnBlock(
                 vel=vel.data,
                 acc=np.zeros_like(vel.data),
-                ids=rank_order(owner, machine.nprocs)[0],
+                ids=order,
             ),
             vel.offsets,
         )

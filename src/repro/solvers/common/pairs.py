@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "ragged_cross",
@@ -388,6 +387,10 @@ def erfc_pairs(
 
 
 def _erfc_radial(alpha: float) -> Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    # bound here, not at import: a run that skips the solver arithmetic
+    # never loads scipy
+    from scipy.special import erfc
+
     def radial(q: np.ndarray, r2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         r = np.sqrt(r2)
         inv_r = 1.0 / r

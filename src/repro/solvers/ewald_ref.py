@@ -23,7 +23,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = ["ewald_sum", "ewald_energy", "suggest_alpha"]
 
@@ -86,6 +85,9 @@ def ewald_sum(
     field = np.zeros((n, 3), dtype=np.float64)
 
     # --- real space: loop over the image shells needed to cover rcut -------
+    # scipy is bound here, not at import: only a run that sums pairs loads it
+    from scipy.special import erfc
+
     # raw pair displacements lie in (-L, L) per dimension, so images within
     # rcut need shifts in [-(floor(rcut/L) + 1), floor(rcut/L) + 1]
     shells = (np.floor(rcut / box) + 1).astype(np.int64)

@@ -22,6 +22,16 @@ import os
 import pytest
 
 from backend.test_equivalence_matrix import assert_cells_identical, run_cell
+from repro.backend.process import ProcessBackend
+
+#: what a worker that has run no task holds of the package
+IDLE_WORKER_MODULES = [
+    "repro",
+    "repro.backend",
+    "repro.backend.base",
+    "repro.backend.process",
+    "repro.backend.shm",
+]
 
 
 @pytest.mark.timeout(120)
@@ -40,6 +50,23 @@ def test_workers_are_spawned_children_not_forks(process_backend):
         # of its own at rest
         assert report["backend_singletons"] == 0
         assert report["live_shm_segments"] == []
+
+
+@pytest.mark.timeout(120)
+def test_idle_worker_imports_the_backend_alone():
+    """A fresh engine's workers, before any task, hold the backend modules
+    and nothing else of the package, and no scipy: the package init leaves
+    the handle out and the pair kernels bind ``erfc`` where they run."""
+    backend = ProcessBackend(workers=2, timeout=120.0)
+    try:
+        reports = backend.map_tasks(
+            "repro.backend.process._probe_worker_state", [() for _ in range(backend.workers)]
+        )
+    finally:
+        backend.close()
+    for report in reports:
+        assert report["repro_modules"] == IDLE_WORKER_MODULES
+        assert report["scipy_loaded"] is False
 
 
 @pytest.mark.timeout(120)
