@@ -144,14 +144,14 @@ class TestResortIndexCreation:
         perm = rng.permutation(P * per)
         origloc = [numbering[perm[r * per:(r + 1) * per]] for r in range(P)]
         invert_indices(m, origloc, counts, "inv")
-        t_invert = m.trace.get("inv").time
+        t_invert = m.trace.phase("inv").time
 
         m2 = Machine(P, profile=JUROPA)
         blocks = [ColumnBlock(x=np.zeros((per, 2))) for _ in range(P)]
         fine_grained_redistribute(
             m2, blocks, lambda r, b: rng.integers(0, P, b.n), "fw"
         )
-        t_redist = m2.trace.get("fw").time
+        t_redist = m2.trace.phase("fw").time
         assert 0.2 * t_redist < t_invert < 5 * t_redist
 
     def test_benchmark_invert(self, benchmark, rng):

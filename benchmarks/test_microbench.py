@@ -9,6 +9,9 @@ or bitwise determinism — so a behavioral regression of a hot primitive
 fails loudly, machine speed notwithstanding.
 """
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -25,6 +28,10 @@ from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
 from repro.solvers.p2nfft.mesh import MeshSolver
 from repro.verify.audit import enable_auditing
 from repro.zorder.morton import morton_keys_of_positions
+
+# the FMM's sequential evaluation is a test instrument, kept next to the tests
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from instruments import fmm_evaluate  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +198,8 @@ def test_fmm_evaluate(system):
     tree = FMMTree(
         4, 4, system.box, system.offset, periodic=True, lattice_shells=2
     )
-    pot, field, stats = tree.evaluate(system.pos, system.q)
-    pot2, field2, stats2 = tree.evaluate(system.pos, system.q)
+    pot, field, stats = fmm_evaluate(tree, system.pos, system.q)
+    pot2, field2, stats2 = fmm_evaluate(tree, system.pos, system.q)
     assert pot.shape == (system.n,) and field.shape == (system.n, 3)
     assert np.isfinite(pot).all() and np.isfinite(field).all()
     # bitwise deterministic, including every workload counter

@@ -67,9 +67,6 @@ __all__ = [
 #: order (the resize plan moves exactly these in one exchange)
 COLUMNS = ("pos", "q", "pot", "field", "vel", "acc", "ids")
 
-#: the columns holding one 3-vector per particle (the others hold a scalar)
-VECTOR_COLUMNS = ("pos", "field", "vel", "acc")
-
 #: the one-line record kinds written before and after the ``rank`` lines, in
 #: file order.  Each is the :class:`Checkpoint` field of the same name and is
 #: written and read back untouched.
@@ -189,14 +186,6 @@ class Checkpoint:
     def step_index(self) -> int:
         return int(self.sim.get("step_index", 0))
 
-    @property
-    def initialized(self) -> bool:
-        return bool(self.sim.get("initialized", False))
-
-    @property
-    def rng_state(self) -> Optional[Dict[str, Any]]:
-        return self.sim.get("rng_state")
-
     def columns(self, name: str) -> List[np.ndarray]:
         """The per-rank arrays of one checkpointed column."""
         if name not in COLUMNS:
@@ -315,67 +304,6 @@ class Checkpoint:
             capacities=[rank["capacity"] for rank in per_rank],
             **{name: [rank[name] for rank in per_rank] for name in COLUMNS},
             **sections,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        pos: List[np.ndarray],
-        q: List[np.ndarray],
-        ids: List[np.ndarray],
-        *,
-        box: np.ndarray,
-        offset: Optional[np.ndarray] = None,
-        capacities: Optional[List[int]] = None,
-        config: Optional[Dict[str, Any]] = None,
-        **columns: List[np.ndarray],
-    ) -> "Checkpoint":
-        """Build a minimal valid checkpoint from raw per-rank columns.
-
-        A convenience for the resize machinery and its tests: only the
-        particle columns and the box are physical inputs (``columns`` takes
-        any of the remaining :data:`COLUMNS` by name; absent ones are
-        zeros); all bookkeeping starts from a fresh-simulation default.
-        """
-        from repro.md.simulation import SimulationConfig
-
-        given = dict(columns, pos=pos, q=q, ids=ids)
-        unknown = sorted(set(given) - set(COLUMNS))
-        if unknown:
-            raise TypeError(f"unknown column(s) {unknown}, have {COLUMNS}")
-        cols: Dict[str, List[np.ndarray]] = {}
-        for name in COLUMNS:  # pos first: it sizes the absent columns
-            dtype = np.int64 if name == "ids" else np.float64
-            width = (3,) if name in VECTOR_COLUMNS else ()
-            if name in given:
-                cols[name] = [
-                    np.ascontiguousarray(a, dtype=dtype).reshape((-1,) + width)
-                    for a in given[name]
-                ]
-            else:
-                cols[name] = [
-                    np.zeros((len(p),) + width, dtype=dtype) for p in cols["pos"]
-                ]
-        nprocs = len(pos)
-        counts = [len(p) for p in cols["pos"]]
-        if config is None:
-            config = _config_fields(SimulationConfig())
-        n = int(sum(counts))
-        if capacities is None:
-            per_rank = max(1, -(-n // max(nprocs, 1)))
-            cap = int(np.ceil(float(config.get("capacity_factor", 3.0)) * per_rank))
-            capacities = [max(cap, c) for c in counts]
-        as_vector = lambda a: np.ascontiguousarray(a, dtype=np.float64).reshape(3)
-        return cls(
-            nprocs=nprocs,
-            config=config,
-            system={
-                "box": as_vector(box),
-                "offset": np.zeros(3) if offset is None else as_vector(offset),
-            },
-            capacities=[int(c) for c in capacities],
-            machine={"clocks": np.zeros(nprocs), "trace": {}},
-            **cols,
         )
 
 

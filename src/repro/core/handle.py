@@ -136,22 +136,6 @@ class FCS:
         (and anything else on the machine) has charged."""
         return self.machine.trace
 
-    @property
-    def metrics(self):
-        """A :class:`~repro.obs.metrics.MetricsRegistry` view of this run.
-
-        When an :class:`~repro.obs.spans.ObsRecorder` is attached
-        (``repro.obs.enable_observability``) this is its *live* registry;
-        otherwise a snapshot registry is derived from the machine trace on
-        each access (counters and per-phase comm aggregates only).
-        """
-        from repro.obs.metrics import from_trace
-
-        obs = self.machine.obs
-        if obs is not None:
-            return obs.metrics
-        return from_trace(self.machine.trace)
-
     def set_common(
         self, *, box, offset=(0.0, 0.0, 0.0), periodic: bool = True
     ) -> None:

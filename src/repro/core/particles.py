@@ -88,15 +88,6 @@ class ColumnBlock:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def empty_like(cls, template: "ColumnBlock", n: int = 0) -> "ColumnBlock":
-        """A block with the same columns/dtypes as ``template`` and ``n`` rows."""
-        out = cls()
-        out._n = n
-        for name, arr in template._cols.items():
-            out._cols[name] = np.empty((n,) + arr.shape[1:], dtype=arr.dtype)
-        return out
-
-    @classmethod
     def concat(cls, blocks: Sequence["ColumnBlock"]) -> "ColumnBlock":
         """Concatenate blocks with identical column sets (order preserved)."""
         blocks = [b for b in blocks]
@@ -138,14 +129,6 @@ class ColumnBlock:
         for name, arr in self._cols.items():
             out._cols[name] = arr.copy()
         return out
-
-    def permute_inplace(self, perm: np.ndarray) -> None:
-        """Reorder rows so new[i] = old[perm[i]] for every column."""
-        perm = np.asarray(perm)
-        if perm.shape != (self.n,):
-            raise ValueError(f"perm has shape {perm.shape}, block has n={self.n}")
-        for name, arr in self._cols.items():
-            self._cols[name] = arr[perm]
 
     def drop(self, *names: str) -> "ColumnBlock":
         """A view-block without the given columns."""
@@ -356,24 +339,14 @@ class ParticleSet:
     def total(self) -> int:
         return self.block.n
 
-    def nlocal(self, rank: int) -> int:
-        return int(self.offsets[rank + 1] - self.offsets[rank])
-
     # -- whole-system copies (testing / observables) --------------------------------
 
-    def gather_positions(self) -> np.ndarray:
-        """All positions, rank-major (no communication cost — an out-of-band
-        observer copy for tests and observables)."""
-        return self.block["pos"].copy()
 
     def gather_charges(self) -> np.ndarray:
         return self.block["q"].copy()
 
     def gather_potentials(self) -> np.ndarray:
         return self.block["pot"].copy()
-
-    def gather_fields(self) -> np.ndarray:
-        return self.block["field"].copy()
 
     # -- updates ----------------------------------------------------------------
 

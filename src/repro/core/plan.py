@@ -302,10 +302,6 @@ class ResortPlan:
 
     # -- execution ----------------------------------------------------------------
 
-    @property
-    def total_rows(self) -> int:
-        return int(sum(self.old_counts))
-
     def execute(
         self,
         columns: Sequence[Union[RankMajor, Sequence[np.ndarray]]],
@@ -374,6 +370,6 @@ class ResortPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ResortPlan(nprocs={self.machine.nprocs}, rows={self.total_rows}, "
+            f"ResortPlan(nprocs={self.machine.nprocs}, rows={int(sum(self.old_counts))}, "
             f"comm={self.comm!r}, executions={self.stats.executions})"
         )

@@ -1,25 +1,18 @@
 """Physical observables of the coupled simulation.
 
-Used by the examples and tests to check that the numerics behave like a
-particle dynamics simulation should: the total energy (kinetic +
-electrostatic) is approximately conserved, the total momentum stays zero,
-and the cumulative drift of particles away from their initial positions —
-the quantity behind Fig. 8's growing method-A redistribution cost — is
-measurable.
+The kinetic and electrostatic energy over all ranks, whose sum is
+the energy each step of :class:`~repro.md.simulation.Simulation` records.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "kinetic_energy",
     "potential_energy",
-    "total_momentum",
-    "max_drift",
-    "mean_drift",
 ]
 
 
@@ -31,40 +24,3 @@ def kinetic_energy(vel: Sequence[np.ndarray], mass: float = 1.0) -> float:
 def potential_energy(q: Sequence[np.ndarray], pot: Sequence[np.ndarray]) -> float:
     """Electrostatic energy ``0.5 sum q_i phi_i`` over all ranks."""
     return float(sum(0.5 * (qi * pi).sum() for qi, pi in zip(q, pot)))
-
-
-def total_momentum(vel: Sequence[np.ndarray], mass: float = 1.0) -> np.ndarray:
-    """Vector total momentum over all ranks."""
-    out = np.zeros(3)
-    for v in vel:
-        if v.shape[0]:
-            out += mass * v.sum(axis=0)
-    return out
-
-
-def _displacements(
-    initial: np.ndarray, current: np.ndarray, box: Optional[np.ndarray]
-) -> np.ndarray:
-    d = current - initial
-    if box is not None:
-        d -= np.round(d / box) * box
-    return np.sqrt((d * d).sum(axis=1))
-
-
-def max_drift(
-    initial: np.ndarray, current: np.ndarray, box: Optional[np.ndarray] = None
-) -> float:
-    """Maximum displacement of any particle from its initial position
-    (minimum-image if ``box`` given; both arrays in the same order)."""
-    if initial.shape[0] == 0:
-        return 0.0
-    return float(_displacements(initial, current, box).max())
-
-
-def mean_drift(
-    initial: np.ndarray, current: np.ndarray, box: Optional[np.ndarray] = None
-) -> float:
-    """Mean displacement of the particles from their initial positions."""
-    if initial.shape[0] == 0:
-        return 0.0
-    return float(_displacements(initial, current, box).mean())

@@ -22,7 +22,6 @@ the subsystem.
 """
 
 from repro.obs.export import (
-    read_ndjson,
     to_chrome_trace,
     to_ndjson,
     write_chrome_trace,
@@ -52,7 +51,6 @@ __all__ = [
     "Span",
     "enable_observability",
     "machine_span",
-    "read_ndjson",
     "to_chrome_trace",
     "to_ndjson",
     "write_chrome_trace",

@@ -19,14 +19,13 @@ additionally carry their exact bit pattern in ``*_hex`` fields
 (``float.hex``), making bit-for-bit regressions visible in diffs.  The
 header line carries run metadata (rank count, perturbation/chaos seed tag,
 dropped-span counts); span lines follow in stream order, then one line per
-metric sample.  :func:`read_ndjson` parses a snapshot back into
-``(meta, spans, metrics)`` for round-trip tests and offline tooling.
+metric sample.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.obs.spans import MACHINE_RANK, ObsRecorder, Span
 
@@ -35,7 +34,6 @@ __all__ = [
     "write_chrome_trace",
     "to_ndjson",
     "write_ndjson",
-    "read_ndjson",
 ]
 
 NDJSON_VERSION = 1
@@ -182,47 +180,3 @@ def write_ndjson(
         for line in to_ndjson(recorder, meta=meta):
             fh.write(line)
             fh.write("\n")
-
-
-def read_ndjson(
-    lines: Iterable[str],
-) -> Tuple[Dict[str, Any], List[Span], List[Dict[str, Any]]]:
-    """Parse NDJSON lines (or an open file) back into ``(meta, spans,
-    metrics)``.
-
-    Span floats are restored from the ``*_hex`` fields, so a parsed span
-    stream is bit-for-bit equal to the recorded one (the round-trip
-    property the chaos-tagged export test asserts).
-    """
-    meta: Dict[str, Any] = {}
-    spans: List[Span] = []
-    metrics: List[Dict[str, Any]] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        kind = obj.get("kind")
-        if kind == "meta":
-            meta = obj
-        elif kind == "metric":
-            metrics.append(obj)
-        else:
-            attrs = obj.get("attrs", {})
-            spans.append(
-                Span(
-                    id=int(obj["id"]),
-                    parent=int(obj["parent"]),
-                    rank=int(obj["rank"]),
-                    phase=obj["phase"],
-                    op=obj["op"],
-                    kind=kind,
-                    t_start=float.fromhex(obj["t_start_hex"]),
-                    t_end=float.fromhex(obj["t_end_hex"]),
-                    time=float.fromhex(obj["time_hex"]),
-                    messages=int(obj.get("messages", 0)),
-                    nbytes=int(obj.get("nbytes", 0)),
-                    attrs=tuple(sorted(attrs.items())),
-                )
-            )
-    return meta, spans, metrics

@@ -33,7 +33,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BYTE_BOUNDS",
-    "from_trace",
 ]
 
 #: default histogram bucket upper bounds for payload sizes (bytes)
@@ -168,20 +167,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricsRegistry({len(self._metrics)} instruments)"
-
-
-def from_trace(trace) -> MetricsRegistry:
-    """Build a snapshot registry from a bare :class:`Trace` — the fallback
-    behind :attr:`FCS.metrics <repro.core.handle.FCS.metrics>` when no
-    recorder is attached.  Trace event counters become counters; per-phase
-    messages/bytes become ``comm.*{phase}`` counters."""
-    registry = MetricsRegistry()
-    for name, value in sorted(trace.counters().items()):
-        registry.counter(name).inc(value)
-    for label in trace.labels():
-        stats = trace.phase(label)
-        if stats.messages:
-            registry.counter("comm.messages", phase=label).inc(stats.messages)
-        if stats.bytes:
-            registry.counter("comm.bytes", phase=label).inc(stats.bytes)
-    return registry

@@ -346,9 +346,8 @@ class ObsRecorder:
         return out
 
     def clear(self) -> None:
-        """Drop all buffered spans, dropped counts and metrics (the machine
-        calls this from ``reset_clocks`` so spans never outlive the trace
-        they mirror)."""
+        """Drop all buffered spans, dropped counts and metrics (a checkpoint
+        restore calls this so spans never outlive the trace they mirror)."""
         for ring in self._rings.values():
             ring.clear()
         self._dropped.clear()

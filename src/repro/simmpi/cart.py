@@ -145,12 +145,6 @@ class CartGrid:
         # the cells are already wrapped (or clipped) into the grid
         return self.cell_of_positions(pos) @ np.asarray(self._strides, dtype=np.int64)
 
-    def subdomain_bounds(self, rank: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)`` corners of a rank's subdomain."""
-        c = self.coords_of(rank)
-        lo = self.offset + c * self.cell
-        return lo, lo + self.cell
-
     # -- neighborhoods ---------------------------------------------------------
 
     def shifted_ranks(self, shift: Sequence[int]) -> np.ndarray:

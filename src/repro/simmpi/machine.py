@@ -100,7 +100,6 @@ class Machine:
         self.collective_algos = None
         self._compute_factors: Optional[np.ndarray] = None
         self._comm_factors: Optional[np.ndarray] = None
-        self._initial_clocks: Optional[np.ndarray] = None
         #: host-clock anchor of the previous charge point — the wall-phase
         #: attribution state of :func:`repro.perf.instrument.wall_phases`
         self._wall_anchor: Optional[int] = None
@@ -167,9 +166,9 @@ class Machine:
         self.model = perturbation.effective_model(self.model)
         self._compute_factors = perturbation.compute_factors(self.nprocs)
         self._comm_factors = perturbation.comm_factors(self.nprocs)
-        self._initial_clocks = perturbation.initial_clocks(self.nprocs)
-        if self._initial_clocks is not None:
-            self.clocks[:] = self._initial_clocks
+        initial_clocks = perturbation.initial_clocks(self.nprocs)
+        if initial_clocks is not None:
+            self.clocks[:] = initial_clocks
 
     def comm_factor(self, *ranks: int) -> float:
         """Communication slowdown of a message touching ``ranks``.
@@ -195,15 +194,6 @@ class Machine:
     def elapsed(self) -> float:
         """Virtual time elapsed so far: the latest rank clock."""
         return float(self.clocks.max())
-
-    def reset_clocks(self) -> None:
-        if self._initial_clocks is not None:
-            self.clocks[:] = self._initial_clocks
-        else:
-            self.clocks[:] = 0.0
-        self.trace.clear()
-        if self.obs is not None:
-            self.obs.clear()
 
     def synchronize(self, ranks: Optional[Sequence[int]] = None) -> float:
         """Align clocks of ``ranks`` (default: all) to their maximum.
@@ -369,19 +359,6 @@ class Machine:
         t = self.model.tree_collective_time(self.nprocs, 8.0, self.topology.diameter())
         t *= self.comm_factor()
         self.collective(t, phase, messages=2 * max(0, self.nprocs - 1), op="barrier")
-
-    # -- diagnostics ------------------------------------------------------------
-
-    def imbalance(self) -> float:
-        """Load imbalance of the virtual clocks: ``max/mean - 1``.
-
-        0 means perfectly balanced ranks; the "all particles on a single
-        process" distribution of Fig. 6 drives this toward ``nprocs - 1``.
-        """
-        mean = float(self.clocks.mean())
-        if mean == 0.0:
-            return 0.0
-        return float(self.clocks.max()) / mean - 1.0
 
     # -- misc -----------------------------------------------------------------
 

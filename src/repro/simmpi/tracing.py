@@ -26,7 +26,7 @@ used throughout the repo are:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -170,14 +170,6 @@ class Trace:
             stats = self._phases[label] = PhaseStats()
         stats.wall_ns += int(ns)
 
-    def get(self, phase: str) -> PhaseStats:
-        """Return the stats for ``phase`` (zeros if never recorded).
-
-        .. warning:: returns the *live* mutable stats object when the phase
-           exists — prefer :meth:`phase`, which always returns a copy.
-        """
-        return self._phases.get(phase, PhaseStats())
-
     # -- v2 read API -------------------------------------------------------------
 
     def phase(self, label: str) -> PhaseStats:
@@ -226,11 +218,6 @@ class Trace:
         else:
             existing += work
 
-    def rank_work(self, phase: str) -> Optional[np.ndarray]:
-        """Accumulated per-rank nominal seconds for ``phase`` (copy), or ``None``."""
-        work = self._rank_work.get(phase)
-        return None if work is None else work.copy()
-
     def rank_work_snapshot(self) -> Dict[str, np.ndarray]:
         """Deep copy of the per-rank work (for delta computation)."""
         return {k: v.copy() for k, v in self._rank_work.items()}
@@ -276,17 +263,11 @@ class Trace:
         """Copy of all annotations."""
         return dict(self._notes)
 
-    def phases(self) -> Iterator[str]:
-        return iter(sorted(self._phases))
-
     def total_time(self) -> float:
         return sum(s.time for s in self._phases.values())
 
     def total_messages(self) -> int:
         return sum(s.messages for s in self._phases.values())
-
-    def total_bytes(self) -> int:
-        return sum(s.bytes for s in self._phases.values())
 
     def snapshot(self) -> PhaseTable:
         """Deep copy of the current per-phase stats (for delta computation)."""

@@ -300,8 +300,8 @@ class Solver:
     def _compute(self, placed: RankMajor, ghosts: RankMajor) -> Tuple[np.ndarray, np.ndarray]:
         """Potentials and fields of the owned particles, rank-major over the
         rows of ``placed`` (the per-rank work the load balancer reads is
-        what the hook charges: :meth:`Trace.rank_work
-        <repro.simmpi.tracing.Trace.rank_work>`)."""
+        what the hook charges: :meth:`Trace.record_rank_work
+        <repro.simmpi.tracing.Trace.record_rank_work>`)."""
         raise NotImplementedError
 
     def destroy(self) -> None:

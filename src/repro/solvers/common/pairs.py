@@ -140,12 +140,15 @@ def pair_displacements(
                 dx[far] = image - np.round(image / box[axis]) * box[axis]
             dx += 0.0
         d.append(dx)
-    # (dx*dx + dy*dy) + dz*dz, into two arrays
-    r2 = d[0] * d[0]
-    square = d[1] * d[1]
-    r2 += square
-    r2 += np.multiply(d[2], d[2], out=square)
-    return r2, d
+    # (dx*dx + dy*dy) + dz*dz, into two arrays.  Each sum goes into its
+    # second operand's array: numpy adds a one-element array into its own
+    # first operand as a reduction, which keeps the second of two NaNs where
+    # ``a + b`` keeps the first.
+    first = d[0] * d[0]
+    second = d[1] * d[1]
+    np.add(first, second, out=second)
+    np.multiply(d[2], d[2], out=first)
+    return np.add(second, first, out=first), d
 
 
 def pair_distance_bounds(

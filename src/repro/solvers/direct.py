@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["direct_sum", "direct_energy"]
+__all__ = ["direct_sum"]
 
 
 def direct_sum(
@@ -58,9 +58,3 @@ def direct_sum(
         pot[start:end] = (q[None, :] * inv_r).sum(axis=1)
         field[start:end] = (q[None, :, None] * d * (inv_r / r2)[:, :, None]).sum(axis=1)
     return pot, field
-
-
-def direct_energy(pos: np.ndarray, q: np.ndarray, box: Optional[np.ndarray] = None) -> float:
-    """Total electrostatic energy ``0.5 sum_i q_i phi_i``."""
-    pot, _ = direct_sum(pos, q, box)
-    return float(0.5 * (np.asarray(q) * pot).sum())

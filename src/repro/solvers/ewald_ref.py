@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ewald_sum", "ewald_energy", "suggest_alpha"]
+__all__ = ["ewald_sum", "suggest_alpha"]
 
 
 def suggest_alpha(box: np.ndarray, n: int, accuracy: float = 1e-8) -> float:
@@ -139,15 +139,3 @@ def ewald_sum(
     if abs(total_charge) > 0:
         pot -= math.pi / (alpha * alpha * volume) * total_charge
     return pot, field
-
-
-def ewald_energy(
-    pos: np.ndarray,
-    q: np.ndarray,
-    box: np.ndarray,
-    **kwargs,
-) -> float:
-    """Total electrostatic energy ``0.5 sum_i q_i phi_i`` of the periodic
-    system."""
-    pot, _ = ewald_sum(pos, q, box, **kwargs)
-    return float(0.5 * (np.asarray(q) * pot).sum())

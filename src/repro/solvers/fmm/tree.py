@@ -477,27 +477,6 @@ class FMMTree:
             lengths=length[:, t_box].ravel(), box=self.box if self.periodic else None,
         )
 
-    def evaluate(self, pos: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, FarFieldStats]:
-        """Sequential full FMM evaluation (far + near) in input order.
-
-        The reference entry point used by tests and by single-rank runs.
-        """
-        pos = np.asarray(pos, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-        keys = self.morton_keys(pos)
-        order = np.argsort(keys, kind="stable")
-        inv = np.empty_like(order)
-        inv[order] = np.arange(order.shape[0])
-        spos = pos[order]
-        sq = q[order]
-        skeys = keys[order]
-        pot_far, field_far, stats = self.far_field(spos, sq, self.linear_of_morton(skeys))
-        pot_near, field_near, pairs = self.near_field_morton(spos, skeys, spos, sq, skeys)
-        stats.near_pairs = pairs
-        pot = (pot_far + pot_near)[inv]
-        field = (field_far + field_near)[inv]
-        return pot, field, stats
-
 
 #: one tree: a tree is the large table (tens of MB, and its lattice build
 #: peaks at four times that), and every caller that tunes more than once in

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-__all__ = ["merge_exchange_rounds", "comparator_count"]
+__all__ = ["merge_exchange_rounds"]
 
 
 def merge_exchange_rounds(n: int) -> List[List[Tuple[int, int]]]:
@@ -51,8 +51,3 @@ def merge_exchange_rounds(n: int) -> List[List[Tuple[int, int]]]:
             r = p
         p >>= 1
     return rounds
-
-
-def comparator_count(n: int) -> int:
-    """Total number of comparators in the ``n``-element network."""
-    return sum(len(r) for r in merge_exchange_rounds(n))

@@ -40,9 +40,7 @@ See ``docs/verification.md`` for the invariant catalog and usage guide.
 from repro.verify.audit import (
     CommAuditError,
     CommAuditor,
-    check_count_symmetry,
     enable_auditing,
-    verify_exchange_schedule,
 )
 from repro.verify.differential import (
     DifferentialFailure,
@@ -65,7 +63,6 @@ from repro.verify.invariants import (
     InvariantChecker,
     InvariantViolation,
     all_invariants,
-    assert_invariants,
     check_resort_permutation,
     get_invariant,
     invariant,
@@ -76,9 +73,7 @@ from repro.verify.invariants import (
 __all__ = [
     "CommAuditError",
     "CommAuditor",
-    "check_count_symmetry",
     "enable_auditing",
-    "verify_exchange_schedule",
     "DifferentialFailure",
     "DifferentialReport",
     "TrajectoryResult",
@@ -91,7 +86,6 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "all_invariants",
-    "assert_invariants",
     "check_resort_permutation",
     "get_invariant",
     "invariant",

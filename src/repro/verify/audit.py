@@ -29,15 +29,14 @@ lives here only if it compares two independently derived quantities: the
 receive side of a sparse send table is its transpose by construction, a
 primitive's round completes every send it posts, and
 :func:`~repro.simmpi.p2p.exchange_pairs` rejects an overlapping round
-itself — :func:`check_count_symmetry` and :func:`verify_exchange_schedule`
-are the validators for tables a *caller* supplies.
+itself.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,77 +46,12 @@ __all__ = [
     "CommAuditError",
     "CommAuditor",
     "enable_auditing",
-    "check_count_symmetry",
-    "verify_exchange_schedule",
 ]
 
 
 class CommAuditError(AssertionError):
     """A communication contract was violated (asymmetric counts, invalid
     rank, non-neighbor traffic, ...)."""
-
-
-def check_count_symmetry(
-    send_counts: Sequence[Sequence[int]],
-    recv_counts: Sequence[Sequence[int]],
-) -> None:
-    """Validate an alltoallv count table pair.
-
-    ``send_counts[i][j]`` is what rank ``i`` claims to send to rank ``j``;
-    ``recv_counts[j][i]`` is what rank ``j`` expects from rank ``i``.  A
-    correct exchange requires the receive table to be the exact transpose of
-    the send table; any asymmetric entry means a rank posts a receive for
-    data that never comes (hang) or data arrives unannounced (truncation).
-    """
-    send = np.asarray(send_counts, dtype=np.int64)
-    recv = np.asarray(recv_counts, dtype=np.int64)
-    if send.ndim != 2 or send.shape[0] != send.shape[1]:
-        raise CommAuditError(f"send count table must be square, got {send.shape}")
-    if recv.shape != send.shape:
-        raise CommAuditError(
-            f"count table shapes differ: send {send.shape} vs recv {recv.shape}"
-        )
-    if np.any(send < 0) or np.any(recv < 0):
-        raise CommAuditError("count tables must be non-negative")
-    mismatch = send != recv.T
-    if np.any(mismatch):
-        src, dst = (int(x) for x in np.argwhere(mismatch)[0])
-        raise CommAuditError(
-            f"asymmetric alltoallv counts: rank {src} sends {int(send[src, dst])} "
-            f"to rank {dst}, which expects {int(recv[dst, src])}"
-        )
-
-
-def verify_exchange_schedule(
-    rounds: Iterable[Sequence[Tuple[int, int]]],
-    nprocs: int,
-) -> None:
-    """Validate a pairwise exchange schedule (e.g. Batcher comparator rounds).
-
-    Each round must pair distinct, valid ranks, and no rank may appear in
-    two pairs of the same round: a rank scheduled into two simultaneous
-    ``MPI_Sendrecv`` exchanges posts a send whose matching receive is owned
-    by a rank still blocked in its own exchange — the virtual deadlock the
-    merge-exchange path must never produce.
-    """
-    for round_index, pairs in enumerate(rounds):
-        seen: Set[int] = set()
-        for a, b in pairs:
-            if not (0 <= a < nprocs and 0 <= b < nprocs):
-                raise CommAuditError(
-                    f"round {round_index}: pair ({a}, {b}) outside [0, {nprocs})"
-                )
-            if a == b:
-                raise CommAuditError(
-                    f"round {round_index}: rank {a} paired with itself"
-                )
-            for r in (a, b):
-                if r in seen:
-                    raise CommAuditError(
-                        f"round {round_index}: rank {r} appears in two exchanges "
-                        "(unmatched sendrecv — virtual deadlock)"
-                    )
-                seen.add(r)
 
 
 #: the per-phase :class:`PhaseLedger` tables of a :class:`CommAuditor`, named

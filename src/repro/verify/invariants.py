@@ -80,7 +80,6 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "all_invariants",
-    "assert_invariants",
     "check_resort_permutation",
     "get_invariant",
     "invariant",
@@ -357,13 +356,6 @@ def run_invariants(
     return InvariantChecker(sim, **kwargs).run(names)
 
 
-def assert_invariants(
-    sim, names: Optional[Sequence[str]] = None, **kwargs
-) -> List[CheckResult]:
-    """One-shot convenience: attach a checker and raise on any violation."""
-    return InvariantChecker(sim, **kwargs).assert_ok(names)
-
-
 # -- registered checks ---------------------------------------------------------------
 
 
@@ -490,7 +482,7 @@ def _check_trace_accounting(checker: InvariantChecker) -> object:
     for phase, ledger in auditor.ledger.items():
         if phase not in AUDITED_PHASES:
             continue
-        stats = trace.get(phase)
+        stats = trace.phase(phase)
         base = auditor.trace_baseline.get(phase)
         for field in ("messages", "bytes"):
             traced = getattr(stats, field) - (getattr(base, field) if base is not None else 0)

@@ -6,7 +6,6 @@ Z-curve-segment domain decomposition of Fig. 2 (left) in the paper.
 """
 
 from repro.zorder.morton import (
-    morton_decode2,
     morton_decode3,
     morton_encode2,
     morton_encode3,
@@ -18,7 +17,6 @@ from repro.zorder.morton import (
 __all__ = [
     "MAX_BITS_2D",
     "MAX_BITS_3D",
-    "morton_decode2",
     "morton_decode3",
     "morton_encode2",
     "morton_encode3",

@@ -17,7 +17,6 @@ __all__ = [
     "MAX_BITS_2D",
     "MAX_BITS_3D",
     "morton_encode2",
-    "morton_decode2",
     "morton_encode3",
     "morton_decode3",
     "morton_keys_of_positions",
@@ -45,17 +44,6 @@ def _spread2(x: np.ndarray) -> np.ndarray:
     x = (x | (x << _U(4))) & _U(0x0F0F0F0F0F0F0F0F)
     x = (x | (x << _U(2))) & _U(0x3333333333333333)
     x = (x | (x << _U(1))) & _U(0x5555555555555555)
-    return x
-
-
-def _compact2(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_spread2` (keep every 2nd bit)."""
-    x = x.astype(np.uint64) & _U(0x5555555555555555)
-    x = (x | (x >> _U(1))) & _U(0x3333333333333333)
-    x = (x | (x >> _U(2))) & _U(0x0F0F0F0F0F0F0F0F)
-    x = (x | (x >> _U(4))) & _U(0x00FF00FF00FF00FF)
-    x = (x | (x >> _U(8))) & _U(0x0000FFFF0000FFFF)
-    x = (x | (x >> _U(16))) & _U(0x00000000FFFFFFFF)
     return x
 
 
@@ -104,12 +92,6 @@ def morton_encode2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if np.any(x >> _U(MAX_BITS_2D)) or np.any(y >> _U(MAX_BITS_2D)):
         raise ValueError(f"2-D Morton coordinates must fit {MAX_BITS_2D} bits")
     return _spread2(x) | (_spread2(y) << _U(1))
-
-
-def morton_decode2(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`morton_encode2`; returns ``(x, y)``."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    return _compact2(keys), _compact2(keys >> _U(1))
 
 
 def morton_encode3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:

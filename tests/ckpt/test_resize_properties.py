@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckpt import compile_resize_plan, resize_checkpoint
-from repro.ckpt.checkpoint import COLUMNS, Checkpoint
+from repro.ckpt.checkpoint import COLUMNS, Checkpoint, _config_fields
 from repro.core.balance import count_split_bounds
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
@@ -77,16 +77,23 @@ def random_columns(ids, seed):
 
 
 def build_ckpt(ids, seed):
+    """A minimal valid checkpoint of random columns over a per-rank id
+    layout: only the particle columns and the box are physical inputs, all
+    bookkeeping starts from a fresh simulation's defaults."""
     cols = random_columns(ids, seed)
-    return Checkpoint.from_columns(
-        cols["pos"],
-        cols["q"],
-        ids,
-        box=BOX,
-        pot=cols["pot"],
-        field=cols["field"],
-        vel=cols["vel"],
-        acc=cols["acc"],
+    cols["ids"] = [np.ascontiguousarray(i, dtype=np.int64) for i in ids]
+    nprocs = len(ids)
+    counts = [len(i) for i in ids]
+    config = _config_fields(SimulationConfig())
+    per_rank = max(1, -(-sum(counts) // nprocs))
+    cap = int(np.ceil(float(config["capacity_factor"]) * per_rank))
+    return Checkpoint(
+        nprocs=nprocs,
+        config=config,
+        system={"box": BOX.copy(), "offset": np.zeros(3)},
+        capacities=[max(cap, c) for c in counts],
+        machine={"clocks": np.zeros(nprocs), "trace": {}},
+        **cols,
     )
 
 

@@ -121,7 +121,7 @@ class TestCaptureRoundtrip:
             for a, b in zip(ckpt.columns(name), back.columns(name)):
                 assert a.tobytes() == b.tobytes(), name
         assert back.step_index == ckpt.step_index
-        assert back.rng_state == ckpt.rng_state
+        assert back.sim["rng_state"] == ckpt.sim["rng_state"]
         # the full serialized forms agree byte for byte
         assert back.to_lines() == ckpt.to_lines()
 

@@ -1,8 +1,7 @@
 """Shared fixtures: small machines, particle systems, distributions.
 
 The Hypothesis strategies shared across the property-test suites live in
-:mod:`repro.verify.strategies` (importable from test modules and downstream
-code alike); they are re-exported here for discoverability.
+``tests/strategies.py``; they are re-exported here for discoverability.
 """
 
 import functools
@@ -38,14 +37,14 @@ from repro.sorting.partition_sort import (
     partition_sort,
     split_by_destination,
 )
-from repro.verify.strategies import (  # noqa: F401  (re-exported for tests)
+from strategies import (  # noqa: F401  (re-exported for tests)
+    count_tables,
     multiplicity_maps,
     permutations,
     position_arrays,
     rank_arrays,
     rank_layouts,
     rank_position_arrays,
-    symmetric_count_tables,
 )
 
 # In CI, print the reproduction blob (`@reproduce_failure(...)`) of every

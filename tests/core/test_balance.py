@@ -277,7 +277,7 @@ def run_golden():
         "lambda_hex": [r.lambda_factor.hex() for r in sim.records],
         "rebalance_steps": [e.step for e in sim.balance_monitor.events],
         "state": state_fingerprint(sim.gather_state()),
-        "ledger": (machine.trace.total_messages(), machine.trace.total_bytes()),
+        "ledger": (machine.trace.total_messages(), sum(s.bytes for _, s in machine.trace.items())),
     }
 
 

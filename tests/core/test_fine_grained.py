@@ -154,7 +154,7 @@ class TestMultiplicityConservation:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_multiplicities_exact(self, data):
-        from repro.verify.strategies import multiplicity_maps
+        from strategies import multiplicity_maps
 
         nprocs, targets_per_elem = data.draw(multiplicity_maps())
         _, out = self._run(nprocs, targets_per_elem)

@@ -35,6 +35,7 @@ from redistribution_oracles import (
     recv_rows_kept,
     restore_results_loop,
 )
+from cart_neighbors import subdomain_bounds
 from round_oracles import FunnelLog
 from repro.core.fine_grained import exchange_route, fine_grained_redistribute, stable_order
 from repro.core.handle import fcs_init
@@ -51,7 +52,7 @@ from repro.sorting.batcher import merge_exchange_rounds
 from repro.sorting.merge_sort import merge_exchange_sort
 from repro.sorting.partition_sort import partition_sort
 from repro.verify.audit import enable_auditing
-from repro.verify.strategies import multiplicity_maps
+from strategies import multiplicity_maps
 
 COMMS = st.sampled_from(["alltoall", "neighborhood"])
 
@@ -428,7 +429,7 @@ class TestGhostDistributionAgainstLoop:
         ]
         expected = set()
         for rank in range(grid.nprocs):
-            lo, hi = grid.subdomain_bounds(rank)
+            lo, hi = subdomain_bounds(grid, rank)
             d2 = np.full(pos.shape[0], np.inf)
             for shift in shifts:
                 gap = np.maximum(np.maximum(lo + shift - wrapped, wrapped - (hi + shift)), 0.0)
@@ -443,7 +444,7 @@ class TestGhostDistributionAgainstLoop:
         # whatever it leaves out sits at the cutoff to rounding
         assert got <= expected
         for i, rank in expected - got:
-            lo, hi = grid.subdomain_bounds(rank)
+            lo, hi = subdomain_bounds(grid, rank)
             gaps = [
                 np.maximum(np.maximum(lo + s - wrapped[i], wrapped[i] - (hi + s)), 0.0)
                 for s in shifts
@@ -831,7 +832,6 @@ class TestPartitionSortAgainstLoop:
         got = partition_sort(machine, keyed_blocks(counts, seed, key_range), "key", "sort", **kwargs)
         assert_same_blocks(got, want)
         assert observed(machine) == observed(want_machine)
-
 
 
 # ------------------------------------------------------ merge-exchange sort

@@ -43,7 +43,7 @@ from repro.simmpi.cart import CartGrid
 from repro.simmpi.machine import Machine
 from repro.solvers.p2nfft import solver as p2nfft_solver
 from repro.solvers.p2nfft.solver import GridSolver
-from repro.sorting.batcher import comparator_count
+from repro.sorting.batcher import merge_exchange_rounds
 from repro.sorting.merge_sort import merge_exchange_sort
 from repro.zorder import morton
 
@@ -176,7 +176,8 @@ def test_merge_exchange_round_is_array_work(work):
     _sorted, ok = merge_exchange_sort(machine, blocks, "key", "sort")
     assert ok
     # two control messages per comparator, two more wherever a window moved
-    assert machine.trace.get("sort").messages > 3 * comparator_count(P)
+    comparators = sum(len(r) for r in merge_exchange_rounds(P))
+    assert machine.trace.phase("sort").messages > 3 * comparators
     assert work["ColumnBlock"] == 2
 
 
@@ -589,4 +590,3 @@ def test_plan_is_a_stored_route():
     assert "argsort" not in calls
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert "instrument" not in names and "time" not in names
-

@@ -16,7 +16,7 @@ from repro.core.resort import (
     unpack_resort_index,
 )
 from repro.simmpi.machine import Machine
-from repro.verify.strategies import permutations, rank_position_arrays
+from strategies import permutations, rank_position_arrays
 
 u31 = st.integers(min_value=0, max_value=2 ** 31 - 1)
 
@@ -221,7 +221,7 @@ class TestApplyResort:
         apply_resort(
             machine4, resort, [ColumnBlock(x=np.zeros(c)) for c in counts], new_counts, "resort"
         )
-        assert machine4.trace.get("resort").time > 0
+        assert machine4.trace.phase("resort").time > 0
 
 
 class TestEmptyRanks:
@@ -268,7 +268,7 @@ class TestEmptyRanks:
         resort path must repeatedly move data off/onto empty ranks."""
         from repro.md.simulation import Simulation, SimulationConfig
         from repro.md.systems import silica_melt_system
-        from repro.verify import assert_invariants, enable_auditing
+        from repro.verify import InvariantChecker, enable_auditing
 
         machine = Machine(8)
         sim = Simulation(
@@ -278,4 +278,4 @@ class TestEmptyRanks:
         )
         enable_auditing(machine)
         sim.run(2)
-        assert_invariants(sim)
+        InvariantChecker(sim).assert_ok()

@@ -125,7 +125,7 @@ class TestFusedExchange:
         ]
         plan1.execute(one)
         plan2.execute(three)
-        assert m1.trace.get("resort").messages == m2.trace.get("resort").messages
+        assert m1.trace.phase("resort").messages == m2.trace.phase("resort").messages
 
     def test_validation_errors(self):
         indices, old_counts, new_counts, _, _, _ = random_redistribution(3, 20, 5)

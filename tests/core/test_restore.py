@@ -32,7 +32,7 @@ def test_restore_roundtrip(machine4, rng):
         ].astype(np.float64)
         np.testing.assert_allclose(pset.pot[r], expected * 0.5)
         np.testing.assert_allclose(pset.field[r][:, 0], expected)
-    assert machine4.trace.get("restore").time > 0
+    assert machine4.trace.phase("restore").time > 0
 
 
 def test_restore_count_mismatch(machine4):

@@ -8,7 +8,7 @@ code on the same input and demands the same values **bit for bit** — never
 ``allclose`` —, the same charges (clock vector, every trace row, the
 auditor's whole state) and, where a random stream is consumed, the same
 generator state afterwards.  Layouts come from
-:func:`repro.verify.strategies.rank_layouts`: empty ranks, fewer rows than
+:func:`strategies.rank_layouts`: empty ranks, fewer rows than
 ranks, every row on one rank, no rows.
 """
 
@@ -39,7 +39,7 @@ from repro.solvers.base import Solver
 from repro.sorting.merge_sort import local_sort, order_within_ranks
 from repro.sorting.partition_sort import partition_sort
 from repro.verify.audit import enable_auditing
-from repro.verify.strategies import rank_layouts
+from strategies import rank_layouts
 
 FEW = dict(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

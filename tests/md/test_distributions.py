@@ -14,8 +14,8 @@ from repro.simmpi.machine import Machine
 class TestDistribute:
     def test_single(self, small_system):
         pset, vel, owner = distribute(small_system, 4, "single")
-        assert pset.nlocal(0) == small_system.n
-        assert pset.nlocal(1) == 0
+        assert pset.counts()[0] == small_system.n
+        assert pset.counts()[1] == 0
         assert np.all(owner == 0)
         assert pset.capacities[0] >= small_system.n
 

@@ -48,7 +48,7 @@ class TestPositionUpdate:
     def test_charges_time(self, machine4):
         pos = [np.zeros((10, 3))] * 4
         position_update(machine4, pos, pos, pos, 0.1, phase="integrate")
-        assert machine4.trace.get("integrate").time > 0
+        assert machine4.trace.phase("integrate").time > 0
 
 
 class TestVelocityUpdate:

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.md.observables import (
-    kinetic_energy,
-    max_drift,
-    mean_drift,
-    potential_energy,
-    total_momentum,
-)
+from instruments import max_drift, mean_drift, total_momentum
+from repro.md.observables import kinetic_energy, potential_energy
 
 
 def test_kinetic_energy():

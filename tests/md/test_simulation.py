@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.md.observables import max_drift, mean_drift, total_momentum
+from instruments import max_drift, mean_drift, total_momentum
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.simmpi.machine import Machine
 

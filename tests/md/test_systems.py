@@ -15,7 +15,7 @@ class TestSilicaMelt:
     def test_paper_density_scaling(self):
         s = silica_melt_system(2000)
         paper_density = PAPER_N / PAPER_BOX_EDGE ** 3
-        assert s.density == pytest.approx(paper_density, rel=1e-6)
+        assert s.n / np.prod(s.box) == pytest.approx(paper_density, rel=1e-6)
 
     def test_full_size_box(self):
         s = silica_melt_system(PAPER_N // 512, box_edge=PAPER_BOX_EDGE / 8)

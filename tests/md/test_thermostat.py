@@ -53,7 +53,7 @@ class TestTemperature:
 
     def test_charges_communication(self, machine4):
         temperature(machine4, [np.ones((5, 3))] * 4, phase="t")
-        assert machine4.trace.get("t").time > 0
+        assert machine4.trace.phase("t").time > 0
 
 
 class TestBerendsen:

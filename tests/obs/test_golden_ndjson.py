@@ -17,7 +17,8 @@ import hashlib
 from kernel_oracles import USED_BY
 from row_oracles import used_by
 from repro.md.simulation import Simulation, SimulationConfig
-from repro.obs.export import read_ndjson, to_ndjson
+from instruments import read_ndjson
+from repro.obs.export import to_ndjson
 from repro.obs.spans import enable_observability
 from repro.simmpi.costmodel import JUROPA
 from repro.simmpi.machine import Machine

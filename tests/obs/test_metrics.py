@@ -1,6 +1,5 @@
-"""MetricsRegistry unit tests: schema, determinism, trace/audit bridges."""
+"""MetricsRegistry unit tests: schema, determinism."""
 
-import numpy as np
 import pytest
 
 from repro.obs.metrics import (
@@ -8,9 +7,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    from_trace,
 )
-from repro.simmpi.machine import Machine
 
 
 class TestInstruments:
@@ -78,15 +75,3 @@ class TestRegistry:
         reg.counter("c").inc()
         reg.clear()
         assert len(reg) == 0
-
-
-class TestBridges:
-    def test_from_trace(self):
-        machine = Machine(4)
-        machine.advance(np.ones(4), "w")
-        machine.trace.record("comm", time=0.5, messages=3, nbytes=1024)
-        reg = from_trace(machine.trace)
-        assert reg.value("comm.messages", phase="comm") == 3
-        assert reg.value("comm.bytes", phase="comm") == 1024
-        # phases without traffic produce no comm series
-        assert reg.value("comm.messages", phase="w") == 0

@@ -8,8 +8,8 @@ import json
 
 import pytest
 
+from instruments import read_ndjson
 from repro.obs.cli import main
-from repro.obs.export import read_ndjson
 
 
 #: sha256 of ``(spans.ndjson, trace.json)`` per scenario: the recorded

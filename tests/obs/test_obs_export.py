@@ -4,8 +4,8 @@ import json
 
 import numpy as np
 
+from instruments import read_ndjson
 from repro.obs.export import (
-    read_ndjson,
     to_chrome_trace,
     to_ndjson,
     write_chrome_trace,

@@ -131,11 +131,11 @@ class TestBounds:
         rec = enable_observability(machine4)
         assert not rec.complete
 
-    def test_reset_clocks_clears(self, machine4):
+    def test_clear_empties(self, machine4):
         rec = enable_observability(machine4, capacity=2)
         for _ in range(5):
             machine4.advance(np.ones(4), "w")
-        machine4.reset_clocks()
+        rec.clear()
         assert rec.span_count() == 0
         assert rec.dropped == {}
         assert rec.complete

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import kernel_oracles
 import near_field_oracles
+from instruments import fmm_evaluate
 from redistribution_oracles import ResortPlanLoop
 from repro.bench.harness import make_system
 from repro.core.particles import ColumnBlock
@@ -399,7 +400,7 @@ class TestNearFieldMorton:
         empty_keys = keys[:0]
         pot, field, count = tree.near_field_morton(pos[:0], empty_keys, pos, np.ones(50), keys)
         assert pot.shape == (0,) and field.shape == (0, 3) and count == 0
-        pot, field, stats = tree.evaluate(pos[:0], np.ones(0))
+        pot, field, stats = fmm_evaluate(tree, pos[:0], np.ones(0))
         assert pot.shape == (0,) and field.shape == (0, 3) and stats.near_pairs == 0
 
 

@@ -192,7 +192,7 @@ def fine_grained_redistribute_loop(
         if received:
             out.append(ColumnBlock.concat(received))
         else:
-            out.append(ColumnBlock.empty_like(template, 0))
+            out.append(template.row_slice(0, 0))
     return out
 
 
@@ -666,7 +666,7 @@ def partition_sort_loop(
     for dst in range(P):
         received = [send_blocks[src][dst] for src, _payload in recv[dst]]
         if not received:
-            out.append(ColumnBlock.empty_like(template, 0))
+            out.append(template.row_slice(0, 0))
             continue
         merged = ColumnBlock.concat(received)
         morder = np.argsort(merged[key], kind="stable")

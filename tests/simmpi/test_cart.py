@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cart_neighbors import neighbor_ranks
+from cart_neighbors import neighbor_ranks, subdomain_bounds
 from repro.simmpi.cart import CartGrid, dims_create
 
 
@@ -50,7 +50,7 @@ class TestCartGrid:
         assert owners.min() >= 0 and owners.max() < 27
         # ownership respects subdomain bounds
         for r in range(27):
-            lo, hi = g.subdomain_bounds(r)
+            lo, hi = subdomain_bounds(g, r)
             mine = pos[owners == r]
             assert np.all(mine >= lo - 1e-12) and np.all(mine < hi + 1e-12)
 

@@ -133,14 +133,6 @@ class TestMachinePerturb:
         with pytest.raises(RuntimeError):
             m.perturb(Perturbation.sample(1))
 
-    def test_reset_clocks_reapplies_skew(self):
-        p = Perturbation(seed=6, clock_skew=1e-3)
-        m = Machine(4, perturbation=p)
-        skewed = m.clocks.copy()
-        m.clocks += 1.0
-        m.reset_clocks()
-        np.testing.assert_array_equal(m.clocks, skewed)
-
     def test_comm_factor_is_max_over_endpoints(self):
         p = Perturbation(
             seed=12, degraded_link_fraction=0.5, degraded_link_slowdown=3.0

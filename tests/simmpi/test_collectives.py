@@ -59,7 +59,7 @@ class TestAlltoallv:
     def test_advances_clock_and_counts(self, machine4):
         sends = [{(r + 1) % 4: np.zeros(100)} for r in range(4)]
         alltoallv(machine4, sends, "x")
-        st = machine4.trace.get("x")
+        st = machine4.trace.phase("x")
         assert machine4.elapsed() > 0
         assert st.messages == 4
         assert st.bytes == 4 * 800
@@ -67,8 +67,8 @@ class TestAlltoallv:
     def test_self_send_free_bytes(self, machine4):
         sends = [{0: np.zeros(100)}, {}, {}, {}]
         alltoallv(machine4, sends, "x")
-        assert machine4.trace.get("x").messages == 0
-        assert machine4.trace.get("x").bytes == 0
+        assert machine4.trace.phase("x").messages == 0
+        assert machine4.trace.phase("x").bytes == 0
 
     def test_invalid_target(self, machine4):
         with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ class TestAllreduce:
 
     def test_charges_time(self, machine4):
         allreduce(machine4, [1.0] * 4, "sum", "x")
-        assert machine4.trace.get("x").time > 0
+        assert machine4.trace.phase("x").time > 0
 
 
 class TestAllgather:

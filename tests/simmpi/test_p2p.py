@@ -25,7 +25,7 @@ class TestSendrecv:
 
     def test_self_send_is_copy(self, machine4):
         sendrecv(machine4, 2, 2, np.zeros(1000), "x")
-        assert machine4.trace.get("x").messages == 0
+        assert machine4.trace.phase("x").messages == 0
         assert machine4.clocks[2] > 0
 
     def test_payload_returned(self, machine4):
@@ -43,7 +43,7 @@ class TestSendRound:
         )
         assert [src for src, _ in recv[1]] == [0, 2]
         assert recv[0][0][0] == 3
-        assert machine4.trace.get("x").messages == 3
+        assert machine4.trace.phase("x").messages == 3
 
     def test_same_source_serializes(self, machine4):
         send_round(machine4, [(0, 1, np.zeros(8)), (0, 2, np.zeros(8))], "x")
@@ -87,7 +87,7 @@ class TestExchangePairs:
 
     def test_counts(self, machine4):
         exchange_pairs(machine4, pairs((0, 1), (2, 3)), pairs((80, 160), (40, 40)), "x")
-        st = machine4.trace.get("x")
+        st = machine4.trace.phase("x")
         assert st.messages == 4
         assert st.bytes == (10 + 20 + 5 + 5) * 8
 
@@ -143,7 +143,7 @@ class TestExchangePairsRoundQueries:
             )
             exchange_pairs_scalar(want, exchanges)
             assert [c.hex() for c in got.clocks.tolist()] == [c.hex() for c in want.clocks.tolist()]
-        stats = got.trace.get("x")
+        stats = got.trace.phase("x")
         assert stats.messages > 0 and stats.calls == 6
 
     def test_bad_rank_is_named_as_before(self, machine4):

@@ -24,7 +24,7 @@ from repro.simmpi import JUQUEEN, JUROPA, LOCAL, Machine, Perturbation, algos
 from repro.simmpi.collectives import Exchange, alltoallv
 from repro.simmpi.p2p import charge_round, send_round, sendrecv
 from repro.verify.audit import enable_auditing
-from repro.verify.strategies import exchanges, message_rounds
+from strategies import exchanges, message_rounds
 
 PROFILES = {"JUROPA": JUROPA, "JUQUEEN": JUQUEEN, "LOCAL": LOCAL}
 

@@ -57,5 +57,5 @@ def test_charges_gather_comm(small_system):
     fcs.set_common(box=small_system.box, periodic=True)
     fcs.tune(pset)
     fcs.run(pset)
-    assert m.trace.get("gather").time > 0
-    assert m.trace.get("near").time > 0
+    assert m.trace.phase("gather").time > 0
+    assert m.trace.phase("near").time > 0

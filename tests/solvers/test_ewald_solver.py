@@ -94,8 +94,8 @@ class TestIntegration:
     def test_skip_mode(self, small_system):
         m, pset, owner, report, _ = run(small_system, 4, method="B", compute="skip")
         assert report.changed
-        assert m.trace.get("far").time > 0
-        assert m.trace.get("near").time > 0
+        assert m.trace.phase("far").time > 0
+        assert m.trace.phase("near").time > 0
 
     def test_open_rejected(self):
         fcs = fcs_init("ewald", Machine(2))

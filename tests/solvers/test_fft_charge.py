@@ -12,7 +12,7 @@ class TestChargeParallelFFT:
     def test_advances_clocks_and_counts(self):
         m = Machine(16, profile=JUROPA)
         charge_parallel_fft(m, 32, 5, "fft")
-        st = m.trace.get("fft")
+        st = m.trace.phase("fft")
         assert st.time > 0
         assert st.messages > 0
         assert st.bytes > 0

@@ -247,7 +247,8 @@ class TestNonFiniteInput:
         fcs = fcs_init(name, machine, **SOLVER_KWARGS.get(name, {}))
         fcs.set_common(box=system.box, periodic=True)
         fcs.tune(pset)
-        machine.reset_clocks()
+        machine.clocks[:] = 0.0
+        machine.trace.clear()
         auditor = enable_auditing(machine)
         for rank in (2, 1):
             getattr(pset, column)[rank][-1] = value

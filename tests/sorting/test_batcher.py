@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sorting.batcher import comparator_count, merge_exchange_rounds
+from instruments import verify_exchange_schedule
+from repro.sorting.batcher import merge_exchange_rounds
+
+
+def comparator_count(n):
+    return sum(len(r) for r in merge_exchange_rounds(n))
 
 
 def apply_network(rounds, values):
@@ -29,13 +34,9 @@ class TestStructure:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 13, 16])
     def test_rounds_disjoint(self, n):
-        for comparators in merge_exchange_rounds(n):
-            seen = set()
-            for lo, hi in comparators:
-                assert lo < hi
-                assert lo not in seen and hi not in seen
-                seen.add(lo)
-                seen.add(hi)
+        rounds = merge_exchange_rounds(n)
+        verify_exchange_schedule(rounds, n)
+        assert all(lo < hi for comparators in rounds for lo, hi in comparators)
 
     def test_comparator_count_n_log2_n(self):
         # merge exchange uses ~ n/4 log^2 n comparators

@@ -99,7 +99,7 @@ class TestCosts:
         keys = [rng.integers(0, 1000, 100) for _ in range(P)]
         partition_sort(m, make_blocks(keys), "key", "s")
         assert m.elapsed() > 0
-        assert m.trace.get("s").messages > 0
+        assert m.trace.phase("s").messages > 0
 
     def test_sorted_input_cheap_payload(self, rng):
         """Steady-state input (already partitioned) sends almost nothing."""
@@ -112,7 +112,7 @@ class TestCosts:
         m2 = Machine(P)
         partition_sort(m2, make_blocks([rng.permutation(base)[r * per:(r + 1) * per] for r in range(P)]), "key", "s")
         # splitter samples are a fixed overhead in both; the payload difference dominates
-        assert m1.trace.get("s").bytes < m2.trace.get("s").bytes / 2
+        assert m1.trace.phase("s").bytes < m2.trace.phase("s").bytes / 2
         assert m1.elapsed() < m2.elapsed()
 
 

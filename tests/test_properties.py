@@ -66,8 +66,8 @@ def test_pipeline_invariants(n, nprocs, method, distribution, solver, steps):
     assert np.all(state["pos"] <= system.offset + system.box + 1e-9)
     assert sim.particles.total() == n
     assert machine.elapsed() >= 0
-    for phase in machine.trace.phases():
-        stats = machine.trace.get(phase)
+    for phase in machine.trace.labels():
+        stats = machine.trace.phase(phase)
         assert stats.time >= 0 and stats.bytes >= 0 and stats.messages >= 0
     # charges remain exactly +-1 and globally neutral
     q = np.concatenate(sim.particles.q)

@@ -80,6 +80,9 @@ FORBIDDEN = [
     # second sweep, report type or solver/method grid of its own
     (r"repro\.ckpt\.equivalence|run_restart_equivalence|run_equivalence_suite"
      r"|EquivalenceCell|EQUIVALENCE_(SOLVERS|METHODS)", EVERYWHERE + ("perfbench",), ()),
+    # test instruments live next to their tests (tests/strategies.py,
+    # tests/instruments.py), not in the package
+    (r"repro\.verify\.strategies", EVERYWHERE + ("perfbench",), ()),
 ]
 
 #: ``(module, attribute path)`` that must not resolve
@@ -172,6 +175,48 @@ REMOVED = [
     ("repro.simmpi.chaos", "chaos_seed"),
     ("repro.verify.__main__", "_FRESH_SWEEP_ONLY"),
     ("repro.verify.__main__", "_seed_count"),
+    # no entry point called these; their only callers were their own tests
+    ("repro.simmpi.machine", "Machine.reset_clocks"),
+    ("repro.simmpi.machine", "Machine.imbalance"),
+    ("repro.core.particles", "ColumnBlock.empty_like"),
+    ("repro.core.particles", "ColumnBlock.permute_inplace"),
+    ("repro.core.particles", "ParticleSet.gather_positions"),
+    ("repro.core.particles", "ParticleSet.gather_fields"),
+    ("repro.core.particles", "ParticleSet.nlocal"),
+    ("repro.solvers.fmm.expansions", "Expansion.m2p"),
+    ("repro.solvers.fmm.expansions", "Expansion.p2m"),
+    ("repro.zorder", "morton_decode2"),
+    ("repro.zorder.morton", "morton_decode2"),
+    ("repro.zorder.morton", "_compact2"),
+    ("repro.sorting.batcher", "comparator_count"),
+    ("repro.simmpi.tracing", "Trace.phases"),
+    ("repro.simmpi.tracing", "Trace.total_bytes"),
+    ("repro.simmpi.tracing", "Trace.rank_work"),
+    ("repro.md.systems", "ParticleSystem.density"),
+    ("repro.simmpi.cart", "CartGrid.subdomain_bounds"),
+    ("repro.verify", "assert_invariants"),
+    ("repro.verify.invariants", "assert_invariants"),
+    ("repro.ckpt.checkpoint", "Checkpoint.initialized"),
+    ("repro.ckpt.checkpoint", "Checkpoint.rng_state"),
+    ("repro.core.handle", "FCS.metrics"),
+    ("repro.core.plan", "ResortPlan.total_rows"),
+    ("repro.obs.metrics", "from_trace"),
+    # one accessor per phase read: ``Trace.phase`` returns a copy
+    ("repro.simmpi.tracing", "Trace.get"),
+    # test instruments, moved under tests/ next to their only users
+    ("repro.ckpt.checkpoint", "Checkpoint.from_columns"),
+    ("repro.verify", "check_count_symmetry"),
+    ("repro.verify", "verify_exchange_schedule"),
+    ("repro.verify.audit", "check_count_symmetry"),
+    ("repro.verify.audit", "verify_exchange_schedule"),
+    ("repro.obs", "read_ndjson"),
+    ("repro.obs.export", "read_ndjson"),
+    ("repro.md.observables", "total_momentum"),
+    ("repro.md.observables", "max_drift"),
+    ("repro.md.observables", "mean_drift"),
+    ("repro.solvers.direct", "direct_energy"),
+    ("repro.solvers.ewald_ref", "ewald_energy"),
+    ("repro.solvers.fmm.tree", "FMMTree.evaluate"),
 ]
 
 
@@ -181,7 +226,8 @@ REMOVED = [
     ids=["typed-resort", "retired-names", "ckpt-converters", "staged-helpers", "neighbor-sets",
          "fuse-resort", "plan-twins", "in-tree-timers", "vacuous-checks",
          "per-message-bridge", "unreached-capabilities", "ckpt-v1-copies",
-         "one-checked-loop", "machine-factory", "spmd-runtime", "restart-kit"],
+         "one-checked-loop", "machine-factory", "spmd-runtime", "restart-kit",
+         "instruments-in-tests"],
 )
 def test_removed_name_is_not_spelled(pattern, trees, allowed):
     regex = re.compile(pattern)

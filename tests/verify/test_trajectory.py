@@ -9,9 +9,9 @@ import pytest
 
 import repro.verify.invariants as invariants
 import repro.verify.trajectory as trajectory
+from instruments import read_ndjson
 from repro.ckpt.cli import main as ckpt_main
 from repro.md.simulation import Simulation
-from repro.obs import read_ndjson
 from repro.verify.__main__ import _dst_parser, main, main_dst
 from repro.verify.dst import run_dst
 from repro.verify.invariants import InvariantViolation
