@@ -187,6 +187,7 @@ def sorted_route(
     row_index: np.ndarray,
     rows: Optional[np.ndarray] = None,
     sent: Optional[np.ndarray] = None,
+    listed: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Exchange:
     """The route of pairs listed in route order already: the tail of
     :func:`exchange_route`, and what a producer that sorts its own pairs
@@ -198,21 +199,31 @@ def sorted_route(
     one).  ``sent``, when given, is the number of rows each pair is charged
     as carrying, listed or not: a message is charged their sum
     (:attr:`~repro.simmpi.collectives.Exchange.sent`) and delivers only the
-    rows it lists.  ``row_index`` is kept, not copied.
+    rows it lists.  ``listed``, given instead of ``rows`` by a producer most
+    of whose pairs are charged alone, is ``(keys, counts)`` per message: the
+    messages of these keys (ascending, each one of ``key``) list that many
+    consecutive rows, every other message none.  ``row_index`` is kept, not
+    copied.
     """
     first = np.ones(key.shape[0], dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     starts = np.flatnonzero(first)
+    msg_key = key[starts]
     row_ptr = np.append(starts, key.shape[0])
-    if rows is not None:
+    if listed is not None:
+        at_keys, counts = listed
+        rows = np.zeros(starts.shape[0], dtype=np.int64)
+        rows[np.searchsorted(msg_key, at_keys)] = counts
+        row_ptr = np.concatenate(([0], np.cumsum(rows)))
+    elif rows is not None:
         row_ptr = np.concatenate(([0], np.cumsum(rows)))[row_ptr]
     if sent is not None:
         sent = np.add.reduceat(sent, starts)
     return Exchange(
         columns=(),
         row_index=row_index,
-        msg_src=key[starts] // base,
-        msg_dst=key[starts] % base,
+        msg_src=msg_key // base,
+        msg_dst=msg_key % base,
         row_ptr=row_ptr,
         sent=sent,
     )

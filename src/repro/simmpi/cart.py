@@ -6,13 +6,14 @@ initial particle distribution of Fig. 6 uses the same object.  A
 :class:`CartGrid` maps ranks to grid coordinates, tabulates the rank a
 fixed number of subdomains away from every rank (the neighbors of the
 neighborhood communication of Sect. III-B, the targets of the ghost rule),
-and computes target ranks from particle positions.
+and computes target ranks from particle positions.  The tables the ghost
+rule reads at every placement are built once per grid.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,9 +83,13 @@ class CartGrid:
         if math.prod(self.dims) != self.nprocs:
             raise ValueError(f"dims {self.dims} do not multiply to nprocs={self.nprocs}")
         self.periodic = bool(periodic)
-        self._strides = (self.dims[1] * self.dims[2], self.dims[2], 1)
         #: subdomain edge lengths
         self.cell = self.box / np.asarray(self.dims, dtype=np.float64)
+        #: the rank offset of one step along each axis: a cell's rank is the
+        #: sum of its coordinates times these
+        self.strides = (self.dims[1] * self.dims[2], self.dims[2], 1)
+        #: :meth:`shifted_ranks` tables built so far, by shift
+        self._shift_tables: Dict[Tuple[int, int, int], np.ndarray] = {}
 
     # -- rank <-> coords -----------------------------------------------------
 
@@ -93,7 +98,7 @@ class CartGrid:
         ranks = np.asarray(ranks, dtype=np.int64)
         coords = np.empty(ranks.shape + (3,), dtype=np.int64)
         for i in range(3):
-            coords[..., i] = (ranks // self._strides[i]) % self.dims[i]
+            coords[..., i] = (ranks // self.strides[i]) % self.dims[i]
         return coords
 
     def rank_of(self, coords: np.ndarray) -> np.ndarray:
@@ -108,9 +113,9 @@ class CartGrid:
             if np.any(coords < 0) or np.any(coords >= dims):
                 raise ValueError("coords out of range for non-periodic grid")
         return (
-            coords[..., 0] * self._strides[0]
-            + coords[..., 1] * self._strides[1]
-            + coords[..., 2] * self._strides[2]
+            coords[..., 0] * self.strides[0]
+            + coords[..., 1] * self.strides[1]
+            + coords[..., 2] * self.strides[2]
         )
 
     # -- geometry ------------------------------------------------------------
@@ -143,7 +148,7 @@ class CartGrid:
         function: "the target process for each particle is calculated from
         its position")."""
         # the cells are already wrapped (or clipped) into the grid
-        return self.cell_of_positions(pos) @ np.asarray(self._strides, dtype=np.int64)
+        return self.cell_of_positions(pos) @ np.asarray(self.strides, dtype=np.int64)
 
     # -- neighborhoods ---------------------------------------------------------
 
@@ -155,6 +160,16 @@ class CartGrid:
         coords = self.coords_of(np.arange(self.nprocs))
         coords += np.asarray(shift, dtype=np.int64)
         return self.rank_of(coords)
+
+    def shift_table(self, shift: Tuple[int, int, int]) -> np.ndarray:
+        """:meth:`shifted_ranks` of ``shift``, built on first use and kept,
+        read-only, for the grid's life: the ghost rule asks for the same few
+        shifts at every placement."""
+        table = self._shift_tables.get(shift)
+        if table is None:
+            table = self._shift_tables[shift] = self.shifted_ranks(shift)
+            table.flags.writeable = False
+        return table
 
     def max_neighbor_extent(self) -> float:
         """Smallest subdomain edge — the distance bound under which particle

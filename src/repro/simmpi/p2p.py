@@ -193,7 +193,9 @@ def _check_disjoint(machine: Machine, ends: np.ndarray) -> None:
     named first, then the first pair, in pair order, that repeats a rank."""
     _check_ranks(machine, ends)
     ranks = ends.ravel()
-    if np.unique(ranks).size == ranks.size:
+    # the ranks are in range: one count per rank decides it (``np.unique``
+    # would load ``numpy.ma`` into the first timed round of a process)
+    if np.bincount(ranks, minlength=1).max() <= 1:
         return
     seen: set = set()
     for a, b in ends.tolist():

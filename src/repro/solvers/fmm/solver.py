@@ -347,8 +347,8 @@ class FMMSolver(Solver):
         if self.compute_mode == "skip":
             # only the near field reads a halo copy: every message is charged
             # its rows by count and lists none
-            none = np.zeros(seg_len.shape[0], dtype=np.int64)
-            route = sorted_route(packed, 1 << rank_bits, none[:0], rows=none, sent=seg_len)
+            none = np.empty(0, dtype=np.int64)
+            route = sorted_route(packed, 1 << rank_bits, none, sent=seg_len, listed=(none, none))
         else:
             seg_end = np.cumsum(seg_len)
             elems = np.repeat(first[box] - (seg_end - seg_len), seg_len) + np.arange(

@@ -28,7 +28,7 @@ Execution of one ``fcs_run`` (Sect. II-C / III of the paper); steps 1-2 are
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,16 +99,6 @@ def _cell_columns(grid: CartGrid, pos: np.ndarray) -> Tuple[List[np.ndarray], Li
     return cell_k, rel
 
 
-def _union(parts: List[np.ndarray], n: int) -> np.ndarray:
-    """The rows in any of ``parts`` (subsets of ``range(n)``), each once."""
-    if len(parts) == 1:
-        return parts[0]
-    seen = np.zeros(n, dtype=bool)
-    for rows in parts:
-        seen[rows] = True
-    return np.flatnonzero(seen)
-
-
 def ghost_distribution(
     grid: CartGrid,
     pos: np.ndarray,
@@ -136,7 +126,10 @@ def ghost_distribution(
     (:attr:`~repro.simmpi.collectives.Exchange.sent`): the same messages and
     row counts as the listed route, and it delivers the owner copies in the
     order the listed route delivers them, but no ghost pair is made.  Every
-    route position is then an owner copy.
+    route position is then an owner copy.  Both assemblies share the sweep
+    over the target classes (:func:`_ghost_classes`); the listed one packs
+    every copy it finds, the counted one only counts them per message
+    (:func:`_counted_route`).
 
     Raises ``ValueError`` before any work when the packed ``(source,
     target, row)`` key of the route would not fit 63 bits, counted or not.
@@ -147,87 +140,23 @@ def ghost_distribution(
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return sorted_route(empty, 1 << rank_bits, empty), empty
-    cell = grid.cell
-    # from here on one contiguous column per axis: the cell coordinate, the
-    # position within the cell and, the rank of a cell being a sum over the
-    # axes, the share of every coordinate along the axis in it
+    # from here on one contiguous column per axis: the cell coordinate and
+    # the position within the cell
     cell_k, rel = _cell_columns(grid, pos)
-    share = []
-    for k in range(3):
-        along = np.zeros((grid.dims[k], 3), dtype=np.int64)
-        along[:, k] = np.arange(grid.dims[k])
-        share.append(grid.rank_of(along))
-    owner = share[0][cell_k[0]] + share[1][cell_k[1]] + share[2][cell_k[2]]
-    ring = [max(int(np.ceil(rc / cell[k])), 1) for k in range(3)]
-    spans = [range(-ring[k], ring[k] + 1) for k in range(3)]
-    rc2 = rc * rc
-    # per axis and non-zero component: every row's squared distance to the
-    # subdomain that many cells away
-    face2 = {}
-    for k in range(3):
-        for c in spans[k]:
-            if c > 0:
-                dk = (c - 1) * cell[k] + (cell[k] - rel[k])
-            elif c < 0:
-                dk = (-c - 1) * cell[k] + rel[k]
-            else:
-                continue
-            face2[k, c] = dk * dk
-
-    def within(k: int, c: int, rows, d2):
-        """``(rows, d2)`` one component further: of ``rows`` (``None``: all
-        rows, nothing measured yet) those still within the cutoff once the
-        subdomain lies ``c`` cells away along axis ``k`` too, and their
-        squared distances, summed in axis order."""
-        if c == 0:
-            return rows, d2
-        if rows is None:
-            near = np.flatnonzero(face2[k, c] < rc2)
-            return near, face2[k, c][near]
-        d2 = d2 + face2[k, c][rows]
-        near = np.flatnonzero(d2 < rc2)
-        return rows[near], d2[near]
-
-    # Offsets equal modulo the grid dims land on one rank for every owner: a
-    # *target class*.  Class (0, 0, 0) is the owner itself.  Along an axis
-    # at least 2·ring + 1 subdomains wide the offsets within the ring are
-    # distinct classes, none of them the owner: only a narrower grid wraps a
-    # ghost back onto its owner or two offsets onto one class, whose copy of
-    # a row within the cutoff of both is one copy.
-    reach = {}
-    # An offset is at least as far as its leading components, so each axis
-    # only looks at the rows the axes before it left within the cutoff; the
-    # sums run in axis order, so each comparison is bitwise the one a pass
-    # over all rows for that offset alone would make.
-    for c0 in spans[0]:
-        rows0, d0 = within(0, c0, None, None)
-        if rows0 is not None and not rows0.size:
-            continue
-        for c1 in spans[1]:
-            rows1, d1 = within(1, c1, rows0, d0)
-            if rows1 is not None and not rows1.size:
-                continue
-            for c2 in spans[2]:
-                rows, _ = within(2, c2, rows1, d1)
-                if rows is None or not rows.size:  # None: the subdomain itself
-                    continue
-                shift = (c0 % grid.dims[0], c1 % grid.dims[1], c2 % grid.dims[2])
-                if any(shift):
-                    reach.setdefault(shift, []).append(rows)
-    # one entry per class, consumed (popped) by either assembly so that a
-    # class's rows are freed once they are packed or counted
-    ghosts = [(grid.shifted_ranks(shift), _union(reach.pop(shift), n)) for shift in list(reach)]
-
+    strides = grid.strides
+    owner = cell_k[0] * strides[0]
+    owner += cell_k[1] * strides[1]
+    owner += cell_k[2] * strides[2]
     if counted:
-        return _counted_route(P, owner, row_offsets, ghosts), np.arange(n)
+        return _counted_route(grid, owner, row_offsets, rel, rc), np.arange(n)
+
     # Every (row, target) pair is one int64 — source rank, target, row, from
     # the high bits down — so one sort of the values is the route order.
     # ``head`` is the source and row part.
     head = np.repeat(np.arange(P, dtype=np.int64) << (rank_bits + row_bits), np.diff(row_offsets))
     head |= np.arange(n, dtype=np.int64)
     packed = [head | (owner << row_bits)]
-    while ghosts:
-        shifted, rows = ghosts.pop()
+    for shifted, rows in _ghost_classes(grid, rel, rc):
         target = shifted[owner[rows]]
         target <<= row_bits
         target |= head[rows]
@@ -251,28 +180,121 @@ def ghost_distribution(
     return sorted_route(packed, 1 << rank_bits, rows), owned
 
 
+def _ghost_classes(
+    grid: CartGrid, rel: List[np.ndarray], rc: float, tags: Optional[np.ndarray] = None
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yields per *target class* with a copy its shifted-rank table and the
+    rows with a copy there — each row once, in row order, given as itself
+    (an index into the ``rel`` columns) or, with ``tags``, as its tag.
+
+    Offsets equal modulo the grid dims land on one rank for every owner: a
+    target class.  Class (0, 0, 0) is the owner itself.  Along an axis at
+    least 2·ring + 1 subdomains wide the offsets within the ring are
+    distinct classes, none of them the owner: only a narrower grid wraps a
+    ghost back onto its owner or two offsets onto one class, whose copy of a
+    row within the cutoff of both is one copy.  A row has a class's copy iff
+    some offset of the class lies within the cutoff, and the offsets of a
+    class are all combinations of its offsets along each axis: as a
+    floating-point sum of non-negative terms only grows with each term, that
+    holds iff the sum of the per-axis *nearest* offsets does.  So each axis
+    keeps, per class along it, the squared distance to the nearest subdomain
+    of the class (one offset's, on a grid wide enough), and the sweep visits
+    every class once, yielding it as soon as it is found: an assembly packs
+    or counts a class's copies while they are fresh, and they are freed
+    before the next class is swept.
+    """
+    cell = grid.cell
+    rc2 = rc * rc
+    # per axis and class along it: every row's squared distance to the
+    # nearest subdomain of the class — the row's own lower or upper face,
+    # |c| − 1 whole cells beyond it (none: the face distance itself, bit for
+    # bit what adding a zero gives).  The owner's own class, 0, is no
+    # distance at all (``None``).
+    axes = []
+    for k in range(3):
+        ring = max(int(np.ceil(rc / cell[k])), 1)
+        near2 = {0: None}
+        for c in range(-ring, ring + 1):
+            s = c % grid.dims[k]
+            if s == 0:
+                continue
+            dk = rel[k] if c < 0 else cell[k] - rel[k]
+            if abs(c) > 1:
+                dk = (abs(c) - 1) * cell[k] + dk
+            dk = dk * dk
+            near2[s] = dk if s not in near2 else np.minimum(near2[s], dk)
+        axes.append(near2)
+
+    def within(f2, rows, d2):
+        """``(rows, d2)`` one axis further: of ``rows`` (``None``: all rows,
+        nothing measured yet) the positions of those still within the cutoff
+        once the class lies ``f2`` (squared, per row) away along this axis
+        too, and their squared distances, summed in axis order."""
+        if rows is not None:
+            f2 = f2.take(rows)
+            f2 += d2
+        return np.flatnonzero(f2 < rc2), f2
+
+    # A class is at least as far as its leading components, so each axis
+    # only looks at the rows the axes before it left within the cutoff; the
+    # sums run in axis order, so each comparison is bitwise the one a pass
+    # over all rows for that class alone would make.
+    for s0, f0 in axes[0].items():
+        rows0 = d0 = None
+        if f0 is not None:
+            near, d0 = within(f0, None, None)
+            rows0, d0 = near, d0.take(near)
+            if not rows0.size:
+                continue
+        for s1, f1 in axes[1].items():
+            rows1, d1 = rows0, d0
+            if f1 is not None:
+                near, d1 = within(f1, rows0, d0)
+                rows1 = near if rows0 is None else rows0.take(near)
+                if not rows1.size:
+                    continue
+                d1 = d1.take(near)
+            # a copy is handed over as its row or its tag: ``label`` holds
+            # that for every row in ``rows1`` (``None``: every row)
+            label = rows1 if tags is None else (tags if rows1 is None else tags.take(rows1))
+            for s2, f2 in axes[2].items():
+                if f2 is None:
+                    if rows1 is not None:  # None: the owner itself
+                        yield grid.shift_table((s0, s1, s2)), label
+                    continue
+                near, _ = within(f2, rows1, d1)
+                if near.size:
+                    yield grid.shift_table((s0, s1, s2)), (
+                        near if label is None else label.take(near)
+                    )
+
+
 def _counted_route(
-    P: int,
+    grid: CartGrid,
     owner: np.ndarray,
     row_offsets: np.ndarray,
-    ghosts: List[Tuple[np.ndarray, np.ndarray]],
+    rel: List[np.ndarray],
+    rc: float,
 ) -> Exchange:
     """The placement's route listing the owner copies alone, its ghosts
-    charged by count: ``ghosts`` holds, per target class, the shifted-rank
-    table and the rows (each once) with a copy there; it is emptied as the
-    copies are counted.
+    charged by count.
 
     The owner copies travel as the plain ``(source, owner, row)`` route
     (:func:`~repro.core.fine_grained.exchange_route`), one *row group* per
     message.  Every row of a group has its class's copy on the one rank the
-    class shifts the group's owner to, so the copies of a class are counted
-    per group — one ``bincount`` over the groups, or one entry per copy
-    where the class has fewer copies than there are groups; a row's copies
-    go to distinct ranks, none its owner.  The ``(source, target, count)``
-    entries, packed into one ``uint64`` each, are merged into messages by
-    one sort of the values.
+    class shifts the group's owner to, so the sweep (:func:`_ghost_classes`)
+    hands over each class's copies as the groups of their rows, and they
+    are counted per group — one ``bincount`` over the groups, or one entry
+    per copy where the class has fewer copies than there are groups; a
+    row's copies go to distinct ranks, none its owner.  The group sizes and
+    these counts, as ``(source, target, count)`` entries packed into one
+    ``uint64`` each, are merged into messages by one sort of the values.  A
+    message's owner rows are then placed by message, at its group's key
+    (:func:`~repro.core.fine_grained.sorted_route`'s ``listed``): nothing
+    is kept per merge entry but its key and count.
     """
     n = owner.shape[0]
+    P = grid.nprocs
     owners = exchange_route(row_offsets, np.arange(n), owner)
     size = np.diff(owners.row_ptr)
     n_groups = size.shape[0]
@@ -283,28 +305,26 @@ def _counted_route(
     # a count is at most n: ``count_bits`` hold it below the (source,
     # target) key, which ``pair_key_bits`` leaves room for
     count_bits = np.uint64(n.bit_length())
-    entries = [(group_key.astype(np.uint64) << count_bits) | size.astype(np.uint64)]
-    while ghosts:
-        shifted, rows = ghosts.pop()
-        hit = group[rows]
+    entries = [(group_key.view(np.uint64) << count_bits) | size.view(np.uint64)]
+    for shifted, hit in _ghost_classes(grid, rel, rc, tags=group):
         count = np.uint64(1)
         if hit.shape[0] >= n_groups:
             count = np.bincount(hit, minlength=n_groups)
-            hit = np.flatnonzero(count)
-            count = count[hit].astype(np.uint64)
-        entry = group_src[hit]
-        entry += shifted[group_owner[hit]]
-        entry = entry.astype(np.uint64) << count_bits
+            hit = np.flatnonzero(count > 0)  # a mask: ``nonzero`` scans it fastest
+            count = count.take(hit).view(np.uint64)
+        entry = shifted.take(group_owner.take(hit))
+        entry += group_src.take(hit)
+        entry = entry.view(np.uint64)
+        entry <<= count_bits
         entry |= count
         entries.append(entry)
     entries = np.concatenate(entries)
     entries.sort()
     key = (entries >> count_bits).view(np.int64)
     entries &= (np.uint64(1) << count_bits) - np.uint64(1)
-    # the owner copies a message lists are its row group's, if it has one
-    rows = np.zeros(key.shape[0], dtype=np.int64)
-    rows[np.searchsorted(key, group_key)] = size
-    return sorted_route(key, P, owners.row_index, rows=rows, sent=entries.view(np.int64))
+    return sorted_route(
+        key, P, owners.row_index, sent=entries.view(np.int64), listed=(group_key, size)
+    )
 
 
 def charge_parallel_fft(machine: Machine, M: int, n_transforms: int, phase: str) -> None:

@@ -25,6 +25,7 @@ from redistribution_oracles import (
     exchange_route_argsort,
     fine_grained_redistribute_loop,
     ghost_distribution_loop,
+    ghost_distribution_per_offset,
     ghost_distribution_rows,
     halo_exchange_loop,
     invert_indices_loop,
@@ -461,8 +462,14 @@ def below_faces(pos, grid, rng):
 #: position layouts of the counted placement: inside and a little outside
 #: the box, exactly on subdomain faces, a hair below them, on (and a hair
 #: below) the box edge, every row in one subdomain, a hair below the upper
-#: box face
-COUNTED_LAYOUTS = ["inside", "faces", "below faces", "box edge", "one cell", "upper face"]
+#: box face, split over the ranks at random; and the two layouts a run
+#: places — "owned", every rank holding exactly its own subdomain's rows
+#: (the method-B steady state: one row group per rank), and "drifted", the
+#: same rows moved 0.75 subdomain in random directions, still held where
+#: they were (most row groups then hold a row or two)
+COUNTED_LAYOUTS = [
+    "inside", "faces", "below faces", "box edge", "one cell", "upper face", "owned", "drifted",
+]
 
 
 def counted_positions(layout, n, grid, rng):
@@ -473,19 +480,49 @@ def counted_positions(layout, n, grid, rng):
     return hostile[layout](pos, grid, rng) if layout in hostile else pos
 
 
+def counted_layout(layout, n, grid, rng, seed):
+    """``(pos, counts)``: ``n`` rows laid out as ``layout`` names and the
+    rows each rank holds."""
+    if layout not in ("owned", "drifted"):
+        return counted_positions(layout, n, grid, rng), rank_counts(n, grid.nprocs, seed)
+    pos = grid.offset + rng.random((n, 3)) * grid.box
+    owner = grid.rank_of_positions(pos)
+    pos = pos[np.argsort(owner, kind="stable")]
+    if layout == "drifted":
+        step = rng.standard_normal((n, 3))
+        step /= np.maximum(np.linalg.norm(step, axis=1), 1e-12)[:, None]
+        pos += 0.75 * grid.cell * step
+    return pos, np.bincount(owner, minlength=grid.nprocs).tolist()
+
+
+#: every array a placement route returns
+PLACEMENT_FIELDS = ("msg_src", "msg_dst", "row_ptr", "row_index", "sent")
+
+
 class TestCountedPlacement:
     """Skipping the force arithmetic, the grid placement counts its ghost
     copies instead of listing them.  The counted route is the listed one
     message for message — source, destination and row count — and delivers
     the owner copies the listed route delivered with exactly those receive
-    positions kept (``recv_rows_kept``, the delivery it replaced)."""
+    positions kept (``recv_rows_kept``, the delivery it replaced).  Both
+    routes are, array for array, what the placement returned while it swept
+    every offset on its own (``ghost_distribution_per_offset``)."""
 
-    def check(self, grid, pos, rc, seed):
+    def check(self, grid, pos, rc, counts):
         n, P = pos.shape[0], grid.nprocs
-        counts = rank_counts(n, P, seed)
         offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         listed, owned = ghost_distribution(grid, pos, rc, offsets)
         route, every = ghost_distribution(grid, pos, rc, offsets, counted=True)
+        for (got, got_owned), (want, want_owned) in (
+            ((listed, owned), ghost_distribution_per_offset(grid, pos, rc, offsets)),
+            ((route, every), ghost_distribution_per_offset(grid, pos, rc, offsets, counted=True)),
+        ):
+            assert (got.sent is None) == (want.sent is None)
+            fields = [f for f in PLACEMENT_FIELDS if getattr(want, f) is not None]
+            assert_same_arrays(
+                [getattr(got, f) for f in fields] + [got_owned],
+                [getattr(want, f) for f in fields] + [want_owned],
+            )
         assert_same_arrays(
             [route.msg_src, route.msg_dst, route.charged_rows(), every],
             [listed.msg_src, listed.msg_dst, np.diff(listed.row_ptr), np.arange(n)],
@@ -522,8 +559,8 @@ class TestCountedPlacement:
         box = np.array([7.0, 5.0, 6.0])
         offset = np.array([-1.0, 0.5, 2.0]) if shifted else np.zeros(3)
         grid = CartGrid(int(np.prod(dims)), box, offset, dims=dims)
-        pos = counted_positions(layout, n, grid, rng)
-        self.check(grid, pos, rc_in_cells * float(grid.cell.min()), seed)
+        pos, counts = counted_layout(layout, n, grid, rng, seed)
+        self.check(grid, pos, rc_in_cells * float(grid.cell.min()), counts)
 
     @pytest.mark.parametrize("dims", [(4, 2, 2), (2, 2, 2), (3, 3, 3), (8, 8, 8)])
     @pytest.mark.parametrize("rc_in_cells", [0.4, 0.99, 1.7])
@@ -531,11 +568,13 @@ class TestCountedPlacement:
     def test_counted_route_on_fixed_grids(self, dims, rc_in_cells, layout):
         """``payload_p16``'s (4, 2, 2) grid, the all-narrow (2, 2, 2), a
         grid just wide enough for ring 1 and one wide enough for ring 2, 400
-        rows (fewer than the 512 ranks of the last)."""
+        rows (fewer than the 512 ranks of the last) — and, owned or
+        drifted, 64 rows a rank, as ``many_ranks`` places them on (8, 8, 8)."""
         rng = np.random.default_rng(5)
         grid = CartGrid(int(np.prod(dims)), np.array([6.0, 5.0, 4.0]), dims=dims)
-        pos = counted_positions(layout, 400, grid, rng)
-        self.check(grid, pos, rc_in_cells * float(grid.cell.min()), 5)
+        n = 64 * grid.nprocs if layout in ("owned", "drifted") else 400
+        pos, counts = counted_layout(layout, n, grid, rng, 5)
+        self.check(grid, pos, rc_in_cells * float(grid.cell.min()), counts)
 
 
 @contextlib.contextmanager

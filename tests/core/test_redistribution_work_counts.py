@@ -45,6 +45,7 @@ from repro.solvers.p2nfft import solver as p2nfft_solver
 from repro.solvers.p2nfft.solver import GridSolver
 from repro.sorting.batcher import merge_exchange_rounds
 from repro.sorting.merge_sort import merge_exchange_sort
+from repro.verify.trajectory import CellSpec, run_cell
 from repro.zorder import morton
 
 N = 32768
@@ -303,6 +304,51 @@ def test_grid_placement_picks_owned_copies_without_reading_the_delivery(monkeypa
     np.testing.assert_array_equal(placed["skip"].offsets, placed["full"].offsets)
     for name in placed["full"].data.names():
         np.testing.assert_array_equal(placed["skip"].data[name], placed["full"].data[name])
+
+
+def test_grid_tables_are_built_once_per_grid(monkeypatch):
+    """The ghost rule's shifted-rank tables are built at the first
+    placement of a tuned grid and read at every later one: a 4-step
+    skip-compute P2NFFT run builds as many as a 1-step run (26 at
+    ring 1 on a (4, 4, 4) grid; every placement built them again)."""
+    built = []
+    shifted_ranks = CartGrid.shifted_ranks
+    monkeypatch.setattr(
+        CartGrid, "shifted_ranks",
+        lambda self, shift: built.append(shift) or shifted_ranks(self, shift),
+    )
+    counts = []
+    for steps in (1, 4):
+        built.clear()
+        run_cell(CellSpec("p2nfft", "B", 64, 4096, seed=1, physics=False,
+                          drift=((steps, 0.1, 1.0),)))
+        counts.append(len(built))
+    assert counts[0] == counts[1] == 26
+
+
+def test_counted_placement_keeps_nothing_per_merge_entry(monkeypatch):
+    """The counted placement merges its (source, target, count) entries
+    into messages and places each message's owner rows by message: the
+    route tail gets no per-entry row array (a zero-filled one, its prefix
+    sum and the gather of it once took most of a drift step's call), only
+    the row groups' keys and sizes.  From a random layout at P = 512 the
+    entries (342 k) outnumber the messages (192 k), which outnumber the
+    groups."""
+    machine, fcs, particles = _one_step("p2nfft", 512)
+    calls = []
+    sorted_route = p2nfft_solver.sorted_route
+
+    def spy(key, base, row_index, rows=None, sent=None, listed=None):
+        route = sorted_route(key, base, row_index, rows=rows, sent=sent, listed=listed)
+        calls.append((key.shape[0], rows, listed, route))
+        return route
+
+    monkeypatch.setattr(p2nfft_solver, "sorted_route", spy)
+    fcs.run(particles)
+    [(entries, rows, (group_key, size), route)] = calls
+    assert rows is None
+    assert group_key.shape == size.shape and size.sum() == particles.total()
+    assert entries > route.msg_src.shape[0] > group_key.shape[0]
 
 
 def test_fine_grained_has_no_loop_over_messages():

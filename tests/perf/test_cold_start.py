@@ -6,6 +6,10 @@ fresh interpreter imports what `perfbench` imports, plays one step
 of a skip-compute FMM cell and of a skip-compute P2NFFT cell, and reports
 whether scipy came in; then one ``erfc_pairs`` call loads it, and that call
 matches the pair-list oracle bit for bit.
+
+Nor does a step load ``numpy.ma`` (16-18 ms, which a bare ``np.unique``
+costs on first use): the skip-compute FMM B+move steps, whose small drift
+takes ``merge_exchange_sort`` and its pairwise rounds, leave it out.
 """
 
 from __future__ import annotations
@@ -29,9 +33,13 @@ for name in (
     "repro.solvers.ewald_ref",
 ):
     importlib.import_module(name)
-report = {{"after_import": "scipy" in sys.modules}}
+report = {{"after_import": "scipy" in sys.modules, "ma_after_import": "numpy.ma" in sys.modules}}
 
 from repro.verify.trajectory import CellSpec, run_cell
+
+merged = run_cell(CellSpec("fmm", "B+move", 8, 512, seed=1, physics=False, drift=((2, 0.05, 2.0),)))
+report["merge_steps"] = [r.strategy for r in merged.records[1:]].count("merge")
+report["ma_after_merge_steps"] = "numpy.ma" in sys.modules
 
 for solver in ("fmm", "p2nfft"):
     run_cell(CellSpec(solver, "B", 8, 512, seed=1, physics=False, drift=((1, 0.5, 2.0),)))
@@ -68,6 +76,9 @@ def test_skip_compute_steps_never_load_scipy():
     assert result.returncode == 0, result.stderr[-2000:]
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["after_import"] is False
+    assert report["ma_after_import"] is False
+    assert report["merge_steps"] == 2
+    assert report["ma_after_merge_steps"] is False
     assert report["after_skip_steps"] is False
     assert report["after_erfc_pairs"] is True
     assert report["pairs"][0] > 0

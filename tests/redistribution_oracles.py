@@ -10,7 +10,9 @@ full pass per neighbor offset, one key loop per rank), and the bodies
 became callers of that one exchange, moved here verbatim — and, one step
 later, the row-array ``ghost_distribution`` and the always-``argsort``
 ``exchange_route`` the grid placement ran on before it decided ownership
-once (:func:`ghost_distribution_rows`, :func:`exchange_route_argsort`), the
+once (:func:`ghost_distribution_rows`, :func:`exchange_route_argsort`) and
+the one it ran on before it swept each target class once and merged its
+ghost counts where they are made (:func:`ghost_distribution_per_offset`), the
 placement's receiver-side pick of the owned copies from every delivered
 copy's origin (:func:`owned_copies_by_origin`), the delivery of the kept
 receive positions of a listed skip-compute exchange (:func:`recv_rows_kept`),
@@ -46,7 +48,9 @@ from repro.core.fine_grained import (
     DistResult,
     exchange_route,
     fine_grained_redistribute,
+    pair_key_bits,
     redistribute_flat,
+    sorted_route,
     stable_order,
 )
 from repro.core.particles import ColumnBlock, ParticleSet, RankMajor
@@ -69,6 +73,7 @@ from repro.simmpi.collectives import (
 )
 from repro.simmpi.machine import Machine
 from repro.simmpi.p2p import _check_disjoint, _route
+from repro.solvers.p2nfft.solver import _cell_columns
 from repro.sorting.batcher import merge_exchange_rounds
 from repro.sorting.merge_sort import _verify_sorted, local_sort, sorted_within_ranks
 from repro.sorting.partition_sort import (
@@ -317,6 +322,220 @@ def ghost_distribution_rows(
     distinct[1:] = packed[1:] != packed[:-1]
     packed = packed[distinct]
     return packed // np.int64(grid.nprocs), packed % np.int64(grid.nprocs)
+
+
+def _union_per_offset(parts: List[np.ndarray], n: int) -> np.ndarray:
+    """The rows in any of ``parts`` (subsets of ``range(n)``), each once."""
+    if len(parts) == 1:
+        return parts[0]
+    seen = np.zeros(n, dtype=bool)
+    for rows in parts:
+        seen[rows] = True
+    return np.flatnonzero(seen)
+
+
+def ghost_distribution_per_offset(
+    grid: CartGrid,
+    pos: np.ndarray,
+    rc: float,
+    row_offsets: np.ndarray,
+    counted: bool = False,
+) -> Tuple[Exchange, np.ndarray]:
+    """``ghost_distribution`` as it was before its target classes were swept
+    once each and its counts merged where they are made: one pass per
+    neighbor offset, the offsets of a class unioned, every shifted-rank
+    table built per call, and the counted route's owner rows placed per
+    merge entry.
+
+    ``(route, owned)``: the route of the placement — every row to its
+    owner plus ghost duplicates within ``rc`` — and the route positions of
+    the owner copies, ascending, one per row.
+
+    The distribution function of the generalized fine-grained
+    redistribution: each particle goes to the rank owning its position, and
+    copies go to every rank whose subdomain lies within the cutoff radius
+    (the ghost-creation rule of Sect. II-C).  ``pos`` are the rank-major
+    rows cut by ``row_offsets``.  Every (row, target) pair is named once;
+    within a message the rows rise.  This is the only place a position is
+    turned into an owning rank: the copy of a row that is not a ghost is the
+    pair whose target is that rank, marked while the route is made
+    (:meth:`~repro.simmpi.collectives.Exchange.recv_positions` says where
+    it lands).
+
+    ``counted`` (a placement whose ghosts no phase reads) lists the owner
+    copies alone and charges each message its ghost copies by count
+    (:attr:`~repro.simmpi.collectives.Exchange.sent`): the same messages and
+    row counts as the listed route, and it delivers the owner copies in the
+    order the listed route delivers them, but no ghost pair is made.  Every
+    route position is then an owner copy.
+
+    Raises ``ValueError`` before any work when the packed ``(source,
+    target, row)`` key of the route would not fit 63 bits, counted or not.
+    """
+    n = pos.shape[0]
+    P = grid.nprocs
+    rank_bits, row_bits = pair_key_bits(P, n)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return sorted_route(empty, 1 << rank_bits, empty), empty
+    cell = grid.cell
+    # from here on one contiguous column per axis: the cell coordinate, the
+    # position within the cell and, the rank of a cell being a sum over the
+    # axes, the share of every coordinate along the axis in it
+    cell_k, rel = _cell_columns(grid, pos)
+    share = []
+    for k in range(3):
+        along = np.zeros((grid.dims[k], 3), dtype=np.int64)
+        along[:, k] = np.arange(grid.dims[k])
+        share.append(grid.rank_of(along))
+    owner = share[0][cell_k[0]] + share[1][cell_k[1]] + share[2][cell_k[2]]
+    ring = [max(int(np.ceil(rc / cell[k])), 1) for k in range(3)]
+    spans = [range(-ring[k], ring[k] + 1) for k in range(3)]
+    rc2 = rc * rc
+    # per axis and non-zero component: every row's squared distance to the
+    # subdomain that many cells away
+    face2 = {}
+    for k in range(3):
+        for c in spans[k]:
+            if c > 0:
+                dk = (c - 1) * cell[k] + (cell[k] - rel[k])
+            elif c < 0:
+                dk = (-c - 1) * cell[k] + rel[k]
+            else:
+                continue
+            face2[k, c] = dk * dk
+
+    def within(k: int, c: int, rows, d2):
+        """``(rows, d2)`` one component further: of ``rows`` (``None``: all
+        rows, nothing measured yet) those still within the cutoff once the
+        subdomain lies ``c`` cells away along axis ``k`` too, and their
+        squared distances, summed in axis order."""
+        if c == 0:
+            return rows, d2
+        if rows is None:
+            near = np.flatnonzero(face2[k, c] < rc2)
+            return near, face2[k, c][near]
+        d2 = d2 + face2[k, c][rows]
+        near = np.flatnonzero(d2 < rc2)
+        return rows[near], d2[near]
+
+    # Offsets equal modulo the grid dims land on one rank for every owner: a
+    # *target class*.  Class (0, 0, 0) is the owner itself.  Along an axis
+    # at least 2·ring + 1 subdomains wide the offsets within the ring are
+    # distinct classes, none of them the owner: only a narrower grid wraps a
+    # ghost back onto its owner or two offsets onto one class, whose copy of
+    # a row within the cutoff of both is one copy.
+    reach = {}
+    # An offset is at least as far as its leading components, so each axis
+    # only looks at the rows the axes before it left within the cutoff; the
+    # sums run in axis order, so each comparison is bitwise the one a pass
+    # over all rows for that offset alone would make.
+    for c0 in spans[0]:
+        rows0, d0 = within(0, c0, None, None)
+        if rows0 is not None and not rows0.size:
+            continue
+        for c1 in spans[1]:
+            rows1, d1 = within(1, c1, rows0, d0)
+            if rows1 is not None and not rows1.size:
+                continue
+            for c2 in spans[2]:
+                rows, _ = within(2, c2, rows1, d1)
+                if rows is None or not rows.size:  # None: the subdomain itself
+                    continue
+                shift = (c0 % grid.dims[0], c1 % grid.dims[1], c2 % grid.dims[2])
+                if any(shift):
+                    reach.setdefault(shift, []).append(rows)
+    # one entry per class, consumed (popped) by either assembly so that a
+    # class's rows are freed once they are packed or counted
+    ghosts = [(grid.shifted_ranks(shift), _union_per_offset(reach.pop(shift), n)) for shift in list(reach)]
+
+    if counted:
+        return _counted_route_per_entry(P, owner, row_offsets, ghosts), np.arange(n)
+    # Every (row, target) pair is one int64 — source rank, target, row, from
+    # the high bits down — so one sort of the values is the route order.
+    # ``head`` is the source and row part.
+    head = np.repeat(np.arange(P, dtype=np.int64) << (rank_bits + row_bits), np.diff(row_offsets))
+    head |= np.arange(n, dtype=np.int64)
+    packed = [head | (owner << row_bits)]
+    while ghosts:
+        shifted, rows = ghosts.pop()
+        target = shifted[owner[rows]]
+        target <<= row_bits
+        target |= head[rows]
+        packed.append(target)
+    packed = np.concatenate(packed)
+    packed.sort()
+    # A pair is its row's owner copy iff its target is the row's owner (a
+    # ghost never targets it, so every row has exactly one).  One buffer
+    # holds each pair's row, then the owner of that row shifted onto the
+    # target bits, then their difference — and at last the rows again.
+    row_mask = (1 << row_bits) - 1
+    mark = packed & row_mask
+    # rows are in range; ``clip`` gathers over the index vector unbuffered
+    np.take(owner, mark, out=mark, mode="clip")
+    mark <<= row_bits
+    mark ^= packed
+    mark &= ((1 << rank_bits) - 1) << row_bits
+    owned = np.flatnonzero(mark == 0)
+    rows = np.bitwise_and(packed, row_mask, out=mark)
+    packed >>= row_bits
+    return sorted_route(packed, 1 << rank_bits, rows), owned
+
+
+def _counted_route_per_entry(
+    P: int,
+    owner: np.ndarray,
+    row_offsets: np.ndarray,
+    ghosts: List[Tuple[np.ndarray, np.ndarray]],
+) -> Exchange:
+    """The placement's route listing the owner copies alone, its ghosts
+    charged by count: ``ghosts`` holds, per target class, the shifted-rank
+    table and the rows (each once) with a copy there; it is emptied as the
+    copies are counted.
+
+    The owner copies travel as the plain ``(source, owner, row)`` route
+    (:func:`~repro.core.fine_grained.exchange_route`), one *row group* per
+    message.  Every row of a group has its class's copy on the one rank the
+    class shifts the group's owner to, so the copies of a class are counted
+    per group — one ``bincount`` over the groups, or one entry per copy
+    where the class has fewer copies than there are groups; a row's copies
+    go to distinct ranks, none its owner.  The ``(source, target, count)``
+    entries, packed into one ``uint64`` each, are merged into messages by
+    one sort of the values.
+    """
+    n = owner.shape[0]
+    owners = exchange_route(row_offsets, np.arange(n), owner)
+    size = np.diff(owners.row_ptr)
+    n_groups = size.shape[0]
+    group = np.empty(n, dtype=np.int64)
+    group[owners.row_index] = np.repeat(np.arange(n_groups), size)
+    group_src, group_owner = owners.msg_src * P, owners.msg_dst
+    group_key = group_src + group_owner
+    # a count is at most n: ``count_bits`` hold it below the (source,
+    # target) key, which ``pair_key_bits`` leaves room for
+    count_bits = np.uint64(n.bit_length())
+    entries = [(group_key.astype(np.uint64) << count_bits) | size.astype(np.uint64)]
+    while ghosts:
+        shifted, rows = ghosts.pop()
+        hit = group[rows]
+        count = np.uint64(1)
+        if hit.shape[0] >= n_groups:
+            count = np.bincount(hit, minlength=n_groups)
+            hit = np.flatnonzero(count)
+            count = count[hit].astype(np.uint64)
+        entry = group_src[hit]
+        entry += shifted[group_owner[hit]]
+        entry = entry.astype(np.uint64) << count_bits
+        entry |= count
+        entries.append(entry)
+    entries = np.concatenate(entries)
+    entries.sort()
+    key = (entries >> count_bits).view(np.int64)
+    entries &= (np.uint64(1) << count_bits) - np.uint64(1)
+    # the owner copies a message lists are its row group's, if it has one
+    rows = np.zeros(key.shape[0], dtype=np.int64)
+    rows[np.searchsorted(key, group_key)] = size
+    return sorted_route(key, P, owners.row_index, rows=rows, sent=entries.view(np.int64))
 
 
 def exchange_route_argsort(

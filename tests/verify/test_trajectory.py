@@ -10,6 +10,7 @@ import pytest
 import repro.verify.invariants as invariants
 import repro.verify.trajectory as trajectory
 from instruments import read_ndjson
+from repro.bench.harness import make_system
 from repro.ckpt.cli import main as ckpt_main
 from repro.md.simulation import Simulation
 from repro.verify.__main__ import _dst_parser, main, main_dst
@@ -283,3 +284,21 @@ class TestStepCounts:
         out, err = capsys.readouterr()
         assert "argument --resume-from:" in err and args[0] in err
         assert out == ""
+
+
+class TestDriftSchedule:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a drift width applies one step late: Simulation reads brownian_step only "
+        "when it rotates the velocities at the end of a step, and run_cell sets it before",
+    )
+    def test_each_width_moves_the_steps_it_names(self):
+        """Every step of a schedule entry moves the particles by that
+        entry's width: the brownian displacement per step is fixed, so a
+        step's largest move is its width."""
+        spec = CellSpec("p2nfft", "B", 8, 512, seed=1, physics=False,
+                        drift=((2, 0.5, 1.0), (2, 0.05, 1.0)))
+        result = trajectory.run_cell(spec)
+        subdomain = float(make_system(512, 1).box.min()) / 2
+        moves = [r.max_move for r in result.records[1:]]
+        np.testing.assert_allclose(moves, [0.5 * subdomain] * 2 + [0.05 * subdomain] * 2)
